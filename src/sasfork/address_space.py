@@ -21,7 +21,10 @@ SharedCoPA yes        no        no               child side of copy-on-
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
 kinds are deterministic.  Page-level faults (write, access, capability
 load) are resolvable by the fork engine; capability-level faults and
-privilege faults terminate the access.
+privilege faults terminate the access.  Where capability loads are
+blocked, an integer read or fetch that overlaps a tagged granule takes
+the capability-load fault too: the bytes of a capability the child has
+not relocated yet would show the parent's address.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -115,12 +118,13 @@ class FaultError(SimulatorError):
         self.fault = fault
 
 
+#: Permission bits each access needs, as int masks of :class:`Perm`.
 _REQUIRED_PERMS = {
-    AccessKind.READ_INT: Perm.LOAD,
-    AccessKind.WRITE: Perm.STORE,
-    AccessKind.CAP_LOAD: Perm.LOAD | Perm.LOAD_CAP,
-    AccessKind.CAP_STORE: Perm.STORE | Perm.STORE_CAP,
-    AccessKind.EXEC: Perm.EXEC,
+    AccessKind.READ_INT: Perm.LOAD.value,
+    AccessKind.WRITE: Perm.STORE.value,
+    AccessKind.CAP_LOAD: (Perm.LOAD | Perm.LOAD_CAP).value,
+    AccessKind.CAP_STORE: (Perm.STORE | Perm.STORE_CAP).value,
+    AccessKind.EXEC: Perm.EXEC.value,
 }
 
 _EXEC_FETCH_WIDTH = 4
@@ -145,7 +149,6 @@ class AddressSpace:
         self._next_base = first_base
         self._pages: dict[int, PageTableEntry] = {}
         self._frame_pages: dict[int, set[int]] = {}
-        self._regions: list[Region] = []
 
     # -- regions ---------------------------------------------------------
 
@@ -159,12 +162,7 @@ class AddressSpace:
             )
         region = Region(self._next_base, size)
         self._next_base += size
-        self._regions.append(region)
         return region
-
-    @property
-    def regions(self) -> tuple[Region, ...]:
-        return tuple(self._regions)
 
     # -- mappings ---------------------------------------------------------
 
@@ -260,7 +258,7 @@ class AddressSpace:
         if not cap.in_bounds(cap.cursor, width):
             fail(FaultKind.CAP_BOUNDS, cap.cursor)
         required = _REQUIRED_PERMS[kind]
-        if (cap.perms & required) != required:
+        if cap.perms.value & required != required:
             fail(FaultKind.CAP_PERM, cap.cursor)
 
         start = cap.cursor
@@ -273,8 +271,17 @@ class AddressSpace:
                 fail(FaultKind.PAGE_ACCESS, page_va)
             if kind in (AccessKind.WRITE, AccessKind.CAP_STORE) and not entry.writable:
                 fail(FaultKind.PAGE_WRITE, page_va)
-            if kind is AccessKind.CAP_LOAD and not entry.cap_load_allowed:
+            if entry.cap_load_allowed:
+                continue
+            if kind is AccessKind.CAP_LOAD:
                 fail(FaultKind.CAP_LOAD, page_va)
+            if kind in (AccessKind.READ_INT, AccessKind.EXEC):
+                lo = max(start, page_va) - page_va
+                hi = min(start + width - page_va, PAGE_SIZE)
+                if self._frames.get(entry.frame_id).tagged_in(lo, hi):
+                    # The bytes of a capability the child has not
+                    # relocated yet: copy and relocate first.
+                    fail(FaultKind.CAP_LOAD, page_va)
 
         if kind is AccessKind.CAP_LOAD:
             entry = self._pages[page_vas[0]]

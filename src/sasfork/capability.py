@@ -24,7 +24,7 @@ points into neither region is conservatively invalidated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BoundsWiden, SealedMutation
@@ -101,7 +101,7 @@ class Region:
         return f"[{self.base:#x}, {self.end:#x})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Capability:
     """A tagged, bounded memory reference.
 
@@ -130,7 +130,7 @@ class Capability:
         return self.base <= addr and addr + width <= self.top
 
     def untagged(self) -> "Capability":
-        return replace(self, tag=False)
+        return Capability(self.base, self.length, self.cursor, self.perms, self.otype, False)
 
     def derive(
         self,
@@ -159,9 +159,7 @@ class Capability:
             or new_base + new_length > self.top
             or bool(perms & ~self.perms)
         )
-        out = replace(
-            self, base=new_base, length=new_length, cursor=new_base, perms=perms
-        )
+        out = Capability(new_base, new_length, new_base, perms, self.otype, self.tag)
         if widens:
             if permissive:
                 return out.untagged()
@@ -175,7 +173,7 @@ class Capability:
         """Move the cursor; anywhere is representable, bounds checked on use."""
         if self.sealed:
             raise SealedMutation("cannot move the cursor of a sealed capability")
-        return replace(self, cursor=addr)
+        return Capability(self.base, self.length, addr, self.perms, self.otype, self.tag)
 
     def seal(self, otype: int) -> "Capability":
         """Return a sealed (immutable, non-dereferenceable) copy."""
@@ -183,7 +181,7 @@ class Capability:
             raise SealedMutation("capability is already sealed")
         if otype < 0:
             raise ValueError("otype must be non-negative")
-        return replace(self, otype=otype)
+        return Capability(self.base, self.length, self.cursor, self.perms, otype, self.tag)
 
     def __str__(self) -> str:
         seal = f" sealed:{self.otype}" if self.sealed else ""
@@ -226,6 +224,6 @@ def rebase_for_child(cap: Capability, parent: Region, child: Region) -> Capabili
     new_top = min(cap.top + delta, child.end)
     if new_top < new_base:
         return cap.untagged()
-    return replace(
-        cap, base=new_base, length=new_top - new_base, cursor=cap.cursor + delta
+    return Capability(
+        new_base, new_top - new_base, cap.cursor + delta, cap.perms, cap.otype, cap.tag
     )

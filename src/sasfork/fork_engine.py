@@ -8,8 +8,8 @@ observes:
 * ``COA`` (copy-on-access): child pages alias the parent frames but are
   inaccessible; the first child access of any kind copies and relocates.
 * ``COPA`` (copy-on-pointer-access): child pages are readable; only
-  writes (either side) and child capability loads trigger the copy, so
-  plain data reads stay shared.
+  writes (either side), child capability loads and child integer reads
+  of a tagged granule trigger the copy, so plain data reads stay shared.
 * ``UNSAFE_COW``: classic copy-on-write.  Child capability loads from
   shared pages do not fault, so the child can observe stale references
   into the parent's region.  It exists to demonstrate that hazard and is
@@ -20,13 +20,14 @@ copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs.
 
 The lazy copy itself follows three steps: take a fresh frame and remap
-the faulting page to it, copy bytes and tag bits, then scan the copy in
-16-byte granules and rebase every capability that still targets the
-frame's origin region.  Copies made for the region that already owns the
-frame's contents (the parent side) skip the scan.  When a shared frame's
-refcount drops to one, the surviving mapping is promoted back to
-private; if the survivor is a forked child the frame is relocated in
-place first, so promotion can never expose stale references.
+the faulting page to it, copy bytes and capabilities, then scan the
+copy's tagged granules and rebase every capability that still targets
+the frame's origin region.  Copies made for the region that already
+owns the frame's contents (the parent side) skip the scan.  When a
+shared frame's refcount drops to one, the surviving mapping is promoted
+back to private; if the survivor is a forked child the frame is
+relocated in place first, so promotion can never expose stale
+references.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ class ForkEngine:
         writable: bool,
         cause: CopyCause,
     ) -> CopyEvent:
-        """Three-step page copy: fresh frame, byte+tag copy, relocation scan.
+        """Three-step page copy: fresh frame, byte+capability copy, relocation scan.
 
         The scan runs only when the destination region differs from the
         frame's origin (a forked child); a copy for the origin region
@@ -339,9 +340,8 @@ class ForkEngine:
 
     def _verify_copy_clean(self, frame, dest_region: Region) -> None:
         """A just-copied frame must hold no tagged out-of-region capability."""
-        for granule in frame.tagged_granules():
-            cap = self._sys.frames.load_capability(frame, granule)
-            if cap.tag and not dest_region.contains_range(cap.base, cap.top):
+        for granule, cap in frame.tagged_caps():
+            if not dest_region.contains_range(cap.base, cap.top):
                 if self._sys.gateway.is_entry_capability(cap):
                     continue
                 raise SimInternalError(

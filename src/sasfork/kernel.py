@@ -410,10 +410,7 @@ class KernelGateway:
                 if not entry.cap_load_allowed:
                     continue
                 frame = system.frames.get(entry.frame_id)
-                if not frame.has_tags():
-                    continue
-                for granule in frame.tagged_granules():
-                    cap = system.frames.load_capability(frame, granule)
+                for granule, cap in frame.tagged_caps():
                     self._check_containment(
                         proc, f"page:{page_va:#x}:granule={granule}", cap, violations
                     )

@@ -23,11 +23,10 @@ are stable.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .address_space import FaultKind
 from .capability import PAGE_SIZE
@@ -296,13 +295,6 @@ class Comparison:
 
 
 _DOMINANCE_ORDER = (ForkStrategy.COPA, ForkStrategy.COA, ForkStrategy.FULL_COPY)
-
-
-def trace_fingerprint(events: Iterable[tuple[int, str, str]]) -> str:
-    digest = hashlib.sha256()
-    for pid, stmt, result in events:
-        digest.update(f"{pid}|{stmt}|{result}\n".encode())
-    return digest.hexdigest()
 
 
 def compare(runs) -> Comparison:

@@ -1,22 +1,23 @@
-"""Physical frame store with per-granule validity tags.
+"""Physical frame store whose frames own their capabilities.
 
-Each :class:`TaggedFrame` is one page of raw bytes plus one tag bit per
-16-byte granule.  The tag discipline is the heart of reference tracking:
+Each :class:`TaggedFrame` is one page of raw bytes plus ``caps``, which
+maps a 16-byte granule index to the exact :class:`Capability` stored
+there.  As in CHERI, the tag lives beside the granule it covers; there
+is no global table of capability values.  The tag discipline is the
+heart of reference tracking:
 
 * a granule's tag is set only by a whole-granule capability store of a
-  tagged capability;
+  tagged capability, which also writes the cursor into the granule's
+  first 8 bytes (so integer reads of a pointer see its address) and
+  zeros into the last 8;
 * any byte-level store overlapping a granule clears its tag, so plain
-  data can never be mistaken for a reference;
+  data can never be mistaken for a reference.  The entry survives,
+  untagged, only if the granule's 16 bytes are unchanged; otherwise
+  the granule decodes to a degenerate untagged capability;
 * integer loads never observe tags.
 
-Capability values do not fit losslessly in 16 bytes, so the frame table
-keeps a side table of exact capability values keyed by a handle embedded
-in the granule bytes (first 8 bytes: the cursor, so integer reads of a
-pointer see its address; last 8: the handle).  This encoding is internal
-to the simulator and carries no stability promise.
-
 :meth:`FrameTable.scan_and_relocate` is the relocation primitive used on
-freshly copied child pages: it walks the tagged granules only and
+freshly copied child pages: it visits the tagged entries only and
 rewrites every capability that the parent-to-child rebase rule changes.
 """
 
@@ -37,33 +38,40 @@ from .errors import OutOfFrame, SimInternalError
 
 
 class TaggedFrame:
-    """One physical page: data bytes, tag bits, and its origin region.
+    """One physical page: data bytes, capabilities, and its origin region.
 
-    ``origin`` records which reserved region the frame's contents are
-    laid out for; the fork engine uses it to pick the source region of a
-    relocation scan (a frame aliased through several generations of
-    forks still relocates correctly).
+    A granule is tagged when its ``caps`` entry is.  ``origin`` records
+    which reserved region the frame's contents are laid out for; the fork
+    engine uses it to pick the source region of a relocation scan (a
+    frame aliased through several generations of forks still relocates
+    correctly).
     """
 
-    __slots__ = ("frame_id", "data", "tags", "origin")
+    __slots__ = ("frame_id", "data", "caps", "origin")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
         self.data = bytearray(PAGE_SIZE)
-        self.tags = [False] * GRANULES_PER_PAGE
+        self.caps: dict[int, Capability] = {}
         self.origin = origin
 
     def store_bytes(self, offset: int, payload: bytes) -> None:
         """Write raw bytes; tags of every overlapped granule are cleared."""
-        if offset < 0 or offset + len(payload) > PAGE_SIZE:
+        end = offset + len(payload)
+        if offset < 0 or end > PAGE_SIZE:
             raise OutOfFrame(f"store of {len(payload)} bytes at {offset} exceeds page")
         if not payload:
             return
-        self.data[offset : offset + len(payload)] = payload
-        first = offset // GRANULE
-        last = (offset + len(payload) - 1) // GRANULE
-        for granule in range(first, last + 1):
-            self.tags[granule] = False
+        caps = self.caps
+        for granule in range(offset // GRANULE, (end - 1) // GRANULE + 1) if caps else ():
+            if granule not in caps:
+                continue
+            lo, hi = max(offset, granule * GRANULE), min(end, (granule + 1) * GRANULE)
+            if self.data[lo:hi] == payload[lo - offset : hi - offset]:
+                caps[granule] = caps[granule].untagged()
+            else:
+                del caps[granule]
+        self.data[offset:end] = payload
 
     def load_value(self, offset: int, width: int) -> int:
         """Little-endian unsigned integer load; never returns a tag."""
@@ -71,13 +79,24 @@ class TaggedFrame:
             raise OutOfFrame(f"load of {width} bytes at {offset} exceeds page")
         return int.from_bytes(self.data[offset : offset + width], "little")
 
-    def tagged_granules(self) -> Iterator[int]:
-        for granule, tag in enumerate(self.tags):
-            if tag:
-                yield granule
+    def tagged_caps(self) -> list[tuple[int, Capability]]:
+        """The tagged ``(granule, capability)`` entries, in granule order."""
+        return sorted((g, cap) for g, cap in self.caps.items() if cap.tag)
 
-    def has_tags(self) -> bool:
-        return any(self.tags)
+    def tagged_granules(self) -> Iterator[int]:
+        return (granule for granule, _ in self.tagged_caps())
+
+    def tagged_in(self, lo: int, hi: int) -> bool:
+        """True if bytes [lo, hi) of the page overlap a tagged granule."""
+        caps = self.caps
+        return hi > lo and bool(caps) and any(
+            g in caps and caps[g].tag for g in range(lo // GRANULE, (hi - 1) // GRANULE + 1)
+        )
+
+    @property
+    def tags(self) -> list[bool]:
+        """Read-only per-granule view of the tag bits."""
+        return [g in self.caps and self.caps[g].tag for g in range(GRANULES_PER_PAGE)]
 
 
 class FrameTable:
@@ -92,8 +111,6 @@ class FrameTable:
         self._frames: dict[int, TaggedFrame] = {}
         self._refcounts: dict[int, int] = {}
         self._next_id = 1
-        self._cap_values: dict[int, Capability] = {}
-        self._next_handle = 1
 
     def allocate(self, origin: Region | None = None) -> TaggedFrame:
         frame = TaggedFrame(self._next_id, origin)
@@ -132,11 +149,11 @@ class FrameTable:
         return count
 
     def clone(self, frame_id: int, origin: Region | None = None) -> TaggedFrame:
-        """Copy bytes and tag bits into a fresh frame."""
+        """Copy bytes and capabilities into a fresh frame."""
         src = self.get(frame_id)
         out = self.allocate(origin if origin is not None else src.origin)
         out.data[:] = src.data
-        out.tags[:] = src.tags
+        out.caps.update(src.caps)
         return out
 
     @property
@@ -146,46 +163,30 @@ class FrameTable:
     def total_bytes(self) -> int:
         return len(self._frames) * PAGE_SIZE
 
-    # -- capability granule encoding ------------------------------------
+    # -- capability granules -----------------------------------------------
 
     def store_capability(self, frame: TaggedFrame, granule: int, cap: Capability) -> None:
         """Store a capability into a granule; the tag follows ``cap.tag``."""
         if not 0 <= granule < GRANULES_PER_PAGE:
             raise OutOfFrame(f"granule index {granule} out of range")
-        handle = self._next_handle
-        self._next_handle += 1
-        self._cap_values[handle] = cap
         offset = granule * GRANULE
-        encoded = (cap.cursor % (1 << 64)).to_bytes(8, "little") + handle.to_bytes(
-            8, "little"
-        )
+        encoded = (cap.cursor % (1 << 64)).to_bytes(GRANULE, "little")
         frame.data[offset : offset + GRANULE] = encoded
-        frame.tags[granule] = cap.tag
+        frame.caps[granule] = cap
 
     def load_capability(self, frame: TaggedFrame, granule: int) -> Capability:
         """Load the capability stored in a granule.
 
-        If the granule still holds an intact capability encoding, the
-        exact stored value comes back with the granule's current tag bit.
+        A granule whose entry survives comes back exactly, tag included.
         Bytes scribbled over by plain stores decode to a degenerate
         untagged capability whose dereference will tag-fault.
         """
         if not 0 <= granule < GRANULES_PER_PAGE:
             raise OutOfFrame(f"granule index {granule} out of range")
-        offset = granule * GRANULE
-        raw = frame.data[offset : offset + GRANULE]
-        cursor = int.from_bytes(raw[:8], "little")
-        handle = int.from_bytes(raw[8:], "little")
-        cap = self._cap_values.get(handle)
-        if cap is not None and cap.cursor % (1 << 64) == cursor:
-            return Capability(
-                base=cap.base,
-                length=cap.length,
-                cursor=cap.cursor,
-                perms=cap.perms,
-                otype=cap.otype,
-                tag=frame.tags[granule],
-            )
+        cap = frame.caps.get(granule)
+        if cap is not None:
+            return cap
+        cursor = frame.load_value(granule * GRANULE, 8)
         return Capability(base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False)
 
     def scan_and_relocate(
@@ -197,15 +198,14 @@ class FrameTable:
     ) -> int:
         """Rewrite every tagged granule the rebase rule would change.
 
-        Walks the page in 16-byte granules, skipping untagged ones, and
-        replaces each capability whose rebased value differs from the
-        stored one.  Capabilities invalidated by the rebase (targets in
-        neither region) are reported through ``on_invalidate``.  Returns
+        Visits the frame's tagged entries in granule order and replaces
+        each capability whose rebased value differs from the stored one.
+        Capabilities invalidated by the rebase (targets in neither
+        region) are reported through ``on_invalidate``.  Returns
         the number of granules rewritten; a second scan returns 0.
         """
         rewritten = 0
-        for granule in frame.tagged_granules():
-            cap = self.load_capability(frame, granule)
+        for granule, cap in frame.tagged_caps():
             rebased = rebase_for_child(cap, parent, child)
             if rebased == cap:
                 continue

@@ -87,9 +87,6 @@ class Trace:
     def to_text(self) -> str:
         return "\n".join(str(e) for e in self.events)
 
-    def results_for(self, pid: int) -> list[str]:
-        return [e.result for e in self.events if e.pid == pid]
-
 
 @dataclass
 class RunResult:

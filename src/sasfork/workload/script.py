@@ -51,6 +51,11 @@ _LAYOUT_KEYS = {
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
+#: Deepest nesting of ``fork`` blocks a script may use.  Parsing,
+#: printing and comparing scripts recurse once per level, so the limit
+#: keeps every script well inside the interpreter's recursion limit.
+MAX_FORK_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Alloc:
@@ -280,6 +285,7 @@ class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.index = 0
+        self.depth = 0
 
     def parse(self) -> Script:
         layout = self._parse_layout()
@@ -461,7 +467,11 @@ class _Parser:
                 rest = rest[1:]
             if rest:
                 self._fail(line_index, 0, "fork takes at most a label and 'nowait'")
+            if self.depth >= MAX_FORK_DEPTH:
+                self._fail(line_index, 0, f"fork blocks nested deeper than {MAX_FORK_DEPTH}")
+            self.depth += 1
             body = self._parse_block(_Scope(scope), top_level=False)
+            self.depth -= 1
             scope.has_result = True
             return Fork(label=label, nowait=nowait, body=tuple(body))
 

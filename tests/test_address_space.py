@@ -155,6 +155,22 @@ class TestPageStates:
             space.check_and_access(1, cap, AccessKind.WRITE, b"x")
         assert err.value.fault.kind is FaultKind.PAGE_WRITE
 
+    @pytest.mark.parametrize("offset", [0, 8, 12, 16, 32, 4088])
+    def test_copa_integer_read_of_a_tagged_granule_is_a_cap_load_fault(self, space, offset):
+        region, frame = mapped_page(
+            space, state=PageState.SHARED_COPA, writable=False, cap_load=False
+        )
+        space._frames.store_capability(frame, 0, data_cap(region))
+        space._frames.store_capability(frame, 2, data_cap(region).untagged())
+        cap = data_cap(region, offset=offset)
+        if offset >= GRANULE:  # untagged granules read in place
+            expected = frame.load_value(offset, 8)
+            assert space.check_and_access(1, cap, AccessKind.READ_INT) == expected
+            return
+        with pytest.raises(FaultError) as err:
+            space.check_and_access(1, cap, AccessKind.READ_INT)
+        assert err.value.fault.kind is FaultKind.CAP_LOAD
+
     def test_cow_page_allows_cap_load(self, space):
         region, frame = mapped_page(
             space, state=PageState.SHARED_COW, writable=False, cap_load=True

@@ -10,11 +10,13 @@ from sasfork.capability import (
     GRANULES_PER_PAGE,
     PAGE_SIZE,
     Capability,
+    Perm,
     Region,
     rebase_for_child,
 )
 from sasfork.errors import OutOfFrame
 from sasfork.tagged_memory import FrameTable
+from sasfork.workload import run
 
 PARENT = Region(0x1_0000, 4 * PAGE_SIZE)
 CHILD = Region(0x9_0000, 4 * PAGE_SIZE)
@@ -187,3 +189,65 @@ class TestRefcounts:
         assert copy.tags == frame.tags
         assert copy.origin == PARENT
         assert copy.frame_id != frame.frame_id
+
+
+class TestIntactEncoding:
+    def test_byte_store_of_unchanged_bytes_keeps_the_exact_value_untagged(self, table):
+        frame = table.allocate()
+        stored = parent_cap(0x40).with_cursor(PARENT.base + 0x48)
+        table.store_capability(frame, 6, stored)
+        frame.store_bytes(6 * GRANULE + 4, bytes(frame.data[6 * GRANULE + 4 : 7 * GRANULE]))
+        assert not frame.tags[6]
+        assert table.load_capability(frame, 6) == stored.untagged()
+
+    @pytest.mark.parametrize("offset", [0, 7, 12])
+    def test_byte_store_that_changes_bytes_loads_the_degenerate_value(self, table, offset):
+        frame = table.allocate()
+        stored = parent_cap(0x40)
+        table.store_capability(frame, 6, stored)
+        at = 6 * GRANULE + offset
+        frame.store_bytes(at, bytes([frame.data[at] ^ 0x01]))
+        cursor = frame.load_value(6 * GRANULE, 8)
+        assert table.load_capability(frame, 6) == Capability(
+            base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False
+        )
+
+
+class TestPerFrameStorage:
+    def test_repeated_stores_retain_one_capability(self, table):
+        frame = table.allocate()
+        for step in range(10_000):
+            table.store_capability(frame, 0, parent_cap(16 * (step % 64)))
+        assert len(frame.caps) == 1
+        assert table.load_capability(frame, 0) == parent_cap(16 * (9_999 % 64))
+
+    def test_pointer_bytes_depend_only_on_the_value(self, table):
+        first, second = table.allocate(), table.allocate()
+        stored = parent_cap(0x40)
+        table.store_capability(first, 2, stored)
+        table.store_capability(first, 3, parent_cap(0x80))
+        table.store_capability(second, 2, stored)
+        assert first.data[32:48] == second.data[32:48]
+        assert first.load_value(40, 8) == 0
+
+    def test_clone_caps_are_independent_of_the_source(self, table):
+        frame = table.allocate(origin=PARENT)
+        table.store_capability(frame, 7, parent_cap(0))
+        table.store_capability(frame, 8, parent_cap(16))
+        copy = table.clone(frame.frame_id)
+        table.store_capability(copy, 7, parent_cap(32))
+        copy.store_bytes(8 * GRANULE, b"\xff")
+        table.store_capability(copy, 9, parent_cap(48))
+        assert frame.caps == {7: parent_cap(0), 8: parent_cap(16)}
+        assert frame.tags[7] and frame.tags[8] and not frame.tags[9]
+
+    def test_reaped_workers_leave_no_capability_entries_behind(self):
+        def retained(forks):
+            text = "alloc a 4096\nstore_ref a+0 a+16\n" + "fork nowait {\nexit 0\n}\n" * forks
+            frames = run(text, "copa").system.frames.live_frames.values()
+            return sum(len(frame.caps) for frame in frames), len(frames)
+
+        few, few_frames = retained(8)
+        many, many_frames = retained(800)
+        assert many <= GRANULES_PER_PAGE * many_frames
+        assert (many, many_frames) == (few, few_frames)

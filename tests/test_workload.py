@@ -5,7 +5,11 @@ import pytest
 from sasfork.cli import main
 from sasfork.errors import ParseError
 from sasfork.workload import generate, parse, print_script, run
-from sasfork.workload.script import Alloc, Fork, LoadInt, StoreInt
+from sasfork.workload.script import MAX_FORK_DEPTH, Alloc, Fork, LoadInt, StoreInt
+
+
+def nested_forks(depth):
+    return "alloc a 64\n" + "fork {\n" * depth + "exit 0\n}\n" * depth
 
 
 class TestParser:
@@ -67,6 +71,14 @@ class TestParser:
         parse("alloc a 64\nfork {\nexpect 0\nexit 0\n}\n")  # fork return counts
 
 
+    def test_fork_nesting_is_limited(self):
+        script = parse(nested_forks(MAX_FORK_DEPTH))
+        assert parse(print_script(script)) == script
+        with pytest.raises(ParseError) as err:
+            parse(nested_forks(MAX_FORK_DEPTH + 1))
+        assert "nested deeper" in str(err.value) and err.value.line == MAX_FORK_DEPTH + 2
+
+
 class TestRoundTrip:
     def test_parse_print_round_trip(self):
         script = generate(pages=6, ref_density=0.4, child_read_frac=0.5, seed=11)
@@ -118,6 +130,23 @@ class TestExecution:
         loaded = next(e for e in copa.trace.events if e.stmt == "load_ref a+0")
         cursor = int(loaded.result.split(":")[1].split("+")[0], 16)
         assert child_region.contains(cursor)
+
+    def test_child_integer_read_of_a_reference_matches_across_strategies(self):
+        text = (
+            "layout heap=4\nalloc a 4096\nalloc b 4096\nstore_ref b+0 a+16\n"
+            "fork {\nload_int b+0\nload_int b+8\nexit 0\n}\n"
+        )
+        runs = {name: run(text, name) for name in ("full", "coa", "copa")}
+        assert len({result.trace.value_hash() for result in runs.values()}) == 1
+        copa = runs["copa"]
+        child = {e.stmt: e.result for e in copa.trace.events if e.pid == 2}
+        child_a = copa.system.process(2).layout.heap.base
+        assert int(child["load_int b+0"]) == child_a + 16
+        assert child["load_int b+8"] == "0"
+        # The unsafe CoW child still reads the parent's address.
+        cow = run(text, "unsafe-cow")
+        cow_child = {e.stmt: e.result for e in cow.trace.events if e.pid == 2}
+        assert int(cow_child["load_int b+0"]) == cow.system.process(1).layout.heap.base + 16
 
     def test_child_store_to_shared_page_raises_exactly_one_write_fault(self):
         text = "alloc a 4096\nstore_int a+0 1\nfork {\nstore_int a+8 2\nexit 0\n}\n"
@@ -253,6 +282,12 @@ class TestCli(object):
         path = tmp_path / "broken.sas"
         path.write_text("frobnicate\n")
         assert main(["run", str(path)]) == 2
+
+    def test_deeply_nested_forks_are_a_script_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.sas"
+        path.write_text(nested_forks(1200))
+        assert main(["run", str(path)]) == 2
+        assert "script error" in capsys.readouterr().err
 
     def test_missing_file_is_usage(self):
         with pytest.raises(SystemExit):
