@@ -187,11 +187,82 @@ class AddressSpace:
                 del self._frame_pages[entry.frame_id]
         return self._frames.decref(entry.frame_id)
 
+    def share_region(
+        self,
+        parent: Region,
+        child: Region,
+        skip: set[int],
+        state: PageState,
+        cap_load_allowed: bool,
+        owner_pid: int,
+    ) -> int:
+        """Map, as :meth:`map` would, each parent page not in ``skip`` read-only
+        at the same child offset, and make a private parent entry shared
+        copy-on-write.  Returns the page-table entries written.
+        """
+        pages, frame_pages, incref = self._pages, self._frame_pages, self._frames.incref
+        written = 0
+        for offset in range(0, parent.size, PAGE_SIZE):
+            parent_va = parent.base + offset
+            if parent_va in skip:
+                continue
+            entry = pages.get(parent_va)
+            if entry is None:
+                raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+            child_va = child.base + offset
+            if child_va in pages:
+                raise DoubleMap(f"page {child_va:#x} is already mapped")
+            frame_id = entry.frame_id
+            pages[child_va] = PageTableEntry(frame_id, state, False, cap_load_allowed, owner_pid)
+            incref(frame_id)
+            frame_pages[frame_id].add(child_va)
+            written += 1
+            if entry.state is PageState.PRIVATE:
+                entry.state = PageState.SHARED_COW
+                entry.writable = False
+                entry.cap_load_allowed = True
+                written += 1
+        return written
+
+    def unmap_owned(self, region: Region, pid: int) -> list[int]:
+        """Unmap every page of ``region`` that ``pid`` owns, in one pass.
+
+        Returns, in page order, the frames left with one mapping.
+        """
+        pages, frame_pages, decref = self._pages, self._frame_pages, self._frames.decref
+        survivors = []
+        for page_va in region.page_addresses():
+            entry = pages.get(page_va)
+            if entry is None or entry.owner_pid != pid:
+                continue
+            del pages[page_va]
+            frame_id = entry.frame_id
+            mappers = frame_pages[frame_id]
+            mappers.discard(page_va)
+            if not mappers:
+                del frame_pages[frame_id]
+            if decref(frame_id) == 1:
+                survivors.append(frame_id)
+        return survivors
+
+    def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
+        """Pages of ``region`` owned by ``pid``, counted per frame refcount."""
+        pages, refcount = self._pages, self._frames.refcount
+        counts: dict[int, int] = {}
+        for page_va in region.page_addresses():
+            entry = pages.get(page_va)
+            if entry is not None and entry.owner_pid == pid:
+                refs = refcount(entry.frame_id)
+                counts[refs] = counts.get(refs, 0) + 1
+        return counts
+
     def entry_at(self, addr: int) -> PageTableEntry | None:
         return self._pages.get(page_of(addr))
 
-    def pages_of_frame(self, frame_id: int) -> tuple[int, ...]:
-        return tuple(sorted(self._frame_pages.get(frame_id, ())))
+    def sole_page(self, frame_id: int) -> int | None:
+        """The one page mapping ``frame_id``, or ``None`` if not exactly one."""
+        pages = self._frame_pages.get(frame_id, ())
+        return next(iter(pages)) if len(pages) == 1 else None
 
     def entries(self) -> dict[int, PageTableEntry]:
         return dict(self._pages)

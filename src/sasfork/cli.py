@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_script_arg(p_run)
     p_run.add_argument("--strategy", choices=_STRATEGIES, default="copa")
     p_run.add_argument("--isolation", choices=_ISOLATION, default="fault")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--format", choices=["text", "csv"], default="text")
     p_run.add_argument("--no-trace", action="store_true", help="omit the trace")
     p_run.add_argument("--debug", action="store_true", help="verify invariants per step")
@@ -87,7 +86,6 @@ def _cmd_run(args) -> int:
         _read_script(args.script),
         args.strategy,
         args.isolation,
-        seed=args.seed,
         debug=args.debug,
         audit=args.audit or None,
     )

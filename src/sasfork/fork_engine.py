@@ -17,7 +17,12 @@ observes:
 
 Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
-coherent in the child before it runs.
+coherent in the child before it runs.  Eager copies walk the layout's
+sub-regions in page order; every other page is shared by one pass of
+:meth:`AddressSpace.share_region`, which installs the child entry and
+write-protects the parent's.  Reap tears a region down in one pass of
+:meth:`AddressSpace.unmap_owned` and promotes the frames it leaves with
+a single mapping.
 
 The lazy copy itself follows three steps: take a fresh frame and remap
 the faulting page to it, copy bytes and capabilities, then scan the
@@ -37,13 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .address_space import Fault, FaultKind, PageState, PageTableEntry
-from .capability import (
-    GRANULES_PER_PAGE,
-    PAGE_SIZE,
-    Capability,
-    Region,
-    rebase_for_child,
-)
+from .capability import GRANULES_PER_PAGE, Capability, Region, rebase_for_child
 from .errors import (
     NoChildren,
     ProcessNotRunning,
@@ -124,9 +123,10 @@ class ForkEngine:
     def fork(self, parent_pid: int) -> int:
         """Duplicate a process; returns the child PID (the child sees 0).
 
-        Reserves an equal-sized child region, installs page table
-        entries per the strategy, eagerly copies and relocates the GOT
-        and allocator-metadata pages, duplicates the descriptor table,
+        Reserves an equal-sized child region, eagerly copies and
+        relocates the GOT and allocator-metadata pages (every page under
+        ``FULL_COPY``), shares the rest in one page-table pass,
+        duplicates the descriptor table,
         and rebases every tagged capability in the parent's register
         state (including the PCC) into the child's region.
         """
@@ -140,25 +140,20 @@ class ForkEngine:
         child_pid = sys.allocate_pid()
         child_layout = parent.layout.rebased(child_region)
 
-        ptes_written = 0
-        eager_pages = 0
-        granules_scanned = 0
-
-        for offset in range(0, parent.region.size, PAGE_SIZE):
-            parent_va = parent.region.base + offset
-            child_va = child_region.base + offset
-            entry = sys.address_space.entry_at(parent_va)
-            if entry is None:
-                raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
-            sub = parent.layout.classify(parent_va)
-            eager = strategy is ForkStrategy.FULL_COPY or sub in ("got", "alloc_meta")
-            if eager:
-                if strategy is ForkStrategy.FULL_COPY:
-                    cause = CopyCause.EAGER_FULL
-                elif sub == "got":
-                    cause = CopyCause.EAGER_GOT
-                else:
-                    cause = CopyCause.EAGER_ALLOC_META
+        if strategy is ForkStrategy.FULL_COPY:
+            eager = [(parent.region, CopyCause.EAGER_FULL)]
+        else:
+            eager = [
+                (parent.layout.got, CopyCause.EAGER_GOT),
+                (parent.layout.alloc_meta, CopyCause.EAGER_ALLOC_META),
+            ]
+        copied: set[int] = set()
+        for sub, cause in eager:
+            for parent_va in sub.page_addresses():
+                entry = sys.address_space.entry_at(parent_va)
+                if entry is None:
+                    raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                child_va = child_region.base + (parent_va - parent.region.base)
                 self._copy_into(
                     child_pid,
                     child_va,
@@ -168,29 +163,13 @@ class ForkEngine:
                     writable=child_layout.page_writable(child_va),
                     cause=cause,
                 )
-                eager_pages += 1
-                granules_scanned += GRANULES_PER_PAGE
-                ptes_written += 1
-            else:
-                state, cap_load = _CHILD_SHARED_STATE[strategy]
-                sys.address_space.map(
-                    child_va,
-                    PageTableEntry(
-                        frame_id=entry.frame_id,
-                        state=state,
-                        writable=False,
-                        cap_load_allowed=cap_load,
-                        owner_pid=child_pid,
-                    ),
-                )
-                ptes_written += 1
-                if entry.state is PageState.PRIVATE:
-                    # Parent side of any lazy strategy: readable and
-                    # capability-loadable, but write-protected.
-                    entry.state = PageState.SHARED_COW
-                    entry.writable = False
-                    entry.cap_load_allowed = True
-                    ptes_written += 1
+                copied.add(parent_va)
+        eager_pages = ptes_written = len(copied)
+        if strategy is not ForkStrategy.FULL_COPY:
+            state, cap_load = _CHILD_SHARED_STATE[strategy]
+            ptes_written += sys.address_space.share_region(
+                parent.region, child_region, copied, state, cap_load, child_pid
+            )
 
         registers, relocated = self._rebase_registers(parent, child_region)
         child = MicroProcess(
@@ -205,13 +184,12 @@ class ForkEngine:
             parent_pid=parent_pid,
         )
         sys.add_process(child)
-        sys.set_heap_break(child_pid, sys.heap_break(parent_pid))
         sys.metrics.record_register_relocations(child_pid, relocated)
         sys.metrics.record_fork_cost(
             parent_pid,
             COST_PER_PAGE_COPY * eager_pages
             + COST_PER_PTE_WRITE * ptes_written
-            + COST_PER_GRANULE_SCANNED * granules_scanned,
+            + COST_PER_GRANULE_SCANNED * GRANULES_PER_PAGE * eager_pages,
         )
         return child_pid
 
@@ -359,10 +337,10 @@ class ForkEngine:
         sys = self._sys
         if sys.frames.refcount(frame_id) != 1:
             return
-        pages = sys.address_space.pages_of_frame(frame_id)
-        if len(pages) != 1:
+        page_va = sys.address_space.sole_page(frame_id)
+        if page_va is None:
             return
-        entry = sys.address_space.entry_at(pages[0])
+        entry = sys.address_space.entry_at(page_va)
         if entry is None or not entry.shared:
             return
         owner = sys.process(entry.owner_pid)
@@ -373,14 +351,14 @@ class ForkEngine:
                 frame.origin,
                 owner.region,
                 on_invalidate=lambda granule, cap: sys.log_invalidation(
-                    owner.pid, f"page:{pages[0]:#x}:granule={granule}", cap,
+                    owner.pid, f"page:{page_va:#x}:granule={granule}", cap,
                     "promotion relocation target in neither region",
                 ),
             )
             sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
             frame.origin = owner.region
         entry.state = PageState.PRIVATE
-        entry.writable = owner.layout.page_writable(pages[0])
+        entry.writable = owner.layout.page_writable(page_va)
         entry.cap_load_allowed = True
 
     # -- exit / wait ----------------------------------------------------------
@@ -421,12 +399,7 @@ class ForkEngine:
         if proc.status is not Status.EXITED:
             raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
         sys = self._sys
-        for page_va in proc.region.page_addresses():
-            entry = sys.address_space.entry_at(page_va)
-            if entry is None or entry.owner_pid != proc.pid:
-                continue
-            frame_id = entry.frame_id
-            sys.address_space.unmap(page_va)
+        for frame_id in sys.address_space.unmap_owned(proc.region, proc.pid):
             self._maybe_promote(frame_id)
         sys.files.drop_table(proc)
         proc.status = Status.REAPED

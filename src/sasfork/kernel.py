@@ -317,7 +317,7 @@ class KernelGateway:
         return obj.write(data)
 
     def _sys_brk(self, pid: int, args: dict) -> int:
-        """Adjust the heap break; the region itself is fixed at fork."""
+        """Accept a break inside the fixed heap; no allocator reads it."""
         proc = self._sys.process(pid)
         new_break = int(args["break"])
         heap_size = proc.layout.heap.size
@@ -325,7 +325,6 @@ class KernelGateway:
             raise SyscallError(
                 "ENOMEM", f"break {new_break:#x} outside the fixed heap of {heap_size:#x}"
             )
-        self._sys.set_heap_break(pid, new_break)
         return new_break
 
     def _sys_yield(self, pid: int, args: dict) -> int:

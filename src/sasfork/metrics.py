@@ -6,11 +6,15 @@ set is kept as a :class:`fractions.Fraction` so that a frame shared
 three ways still sums to exactly one page across its mappers.
 
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
-``PAGE_SIZE / refcount(frame)``.  A process that has exited but has not
-been reaped keeps its mappings, so its share still counts; after reap it
-drops to zero (the value at exit is preserved separately for reporting,
-since the interesting number for a forked worker is what it consumed
-while alive).
+``PAGE_SIZE / refcount(frame)``.  Every mapping lies in its owner's
+region (the kernel region for pid 0), so one sweep of that region
+counts the owned pages per refcount as integers and adds one
+``Fraction`` per distinct refcount; a mapping outside its owner's
+region would go uncounted and break the conservation check.  A process
+that has exited but has not been reaped keeps its mappings, so its
+share still counts; after reap it drops to zero (the value at exit is
+preserved separately for reporting, since the interesting number for a
+forked worker is what it consumed while alive).
 
 Fork latency is a synthetic cost, not wall-clock time:
 ``512 * eager page copies + PTE writes + granules scanned at fork``.
@@ -32,6 +36,7 @@ from .address_space import FaultKind
 from .capability import PAGE_SIZE
 from .errors import MismatchedScripts, UnknownPid
 from .fork_engine import CopyCause, CopyEvent, EAGER_CAUSES, ForkStrategy
+from .process import KERNEL_PID
 
 if TYPE_CHECKING:
     from .system import System
@@ -214,13 +219,14 @@ class Metrics:
     # -- reading --------------------------------------------------------------
 
     def prs_bytes(self, pid: int) -> Fraction:
-        """Exact proportional resident set from a fresh refcount sweep."""
+        """Exact proportional resident set from a fresh sweep of the pid's region."""
         system = self._require_system()
-        total = Fraction(0)
-        for entry in system.address_space.entries().values():
-            if entry.owner_pid == pid:
-                total += Fraction(PAGE_SIZE, system.frames.refcount(entry.frame_id))
-        return total
+        region = system.kernel_region if pid == KERNEL_PID else system.process(pid).region
+        counts = system.address_space.owned_refcounts(region, pid)
+        return sum(
+            (Fraction(PAGE_SIZE * pages, refs) for refs, pages in counts.items()),
+            Fraction(0),
+        )
 
     def snapshot(self, pid: int | None = None) -> MetricsReport:
         """Pure read of the counters plus a fresh resident-set sweep."""

@@ -122,12 +122,6 @@ class Layout:
             "tls": self.tls,
         }
 
-    def classify(self, addr: int) -> str | None:
-        for name, sub in self.subregions().items():
-            if sub.contains(addr):
-                return name
-        return None
-
     def page_writable(self, page_va: int) -> bool:
         # Code pages are mapped read-only; everything else is data.
         return not self.code_ro.contains(page_va)

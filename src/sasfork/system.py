@@ -88,7 +88,6 @@ class System:
         self.processes: dict[int, MicroProcess] = {}
         self.audit_log: list[AuditViolation] = []
         self._next_pid = 1
-        self._heap_break: dict[int, int] = {}
         self._kernel_buffer_offset = 0
 
         self._boot_kernel()
@@ -135,7 +134,6 @@ class System:
 
     def add_process(self, proc: MicroProcess) -> None:
         self.processes[proc.pid] = proc
-        self._heap_break.setdefault(proc.pid, proc.layout.heap.size)
         self._record_pid(proc.pid)
 
     def process(self, pid: int) -> MicroProcess:
@@ -156,12 +154,6 @@ class System:
         frame = self.frames.get(entry.frame_id)
         slot = (pid % (PAGE_SIZE // 8)) * 8
         return frame.load_value(slot, 8)
-
-    def set_heap_break(self, pid: int, value: int) -> None:
-        self._heap_break[pid] = value
-
-    def heap_break(self, pid: int) -> int:
-        return self._heap_break[pid]
 
     def create_initial_process(self, spec: LayoutSpec | None = None) -> MicroProcess:
         """Reserve, map and initialize a fresh top-level process.

@@ -125,20 +125,17 @@ def run(
     strategy: ForkStrategy | str,
     isolation: IsolationLevel | str = IsolationLevel.FAULT,
     *,
-    seed: int = 0,
     debug: bool = False,
     audit: bool | None = None,
 ) -> RunResult:
     """Execute a script and return its trace, metrics and audit results.
 
-    ``seed`` is reserved for script-level randomness and does not affect
-    scheduling; runs are fully determined by (script, strategy,
-    isolation).  ``audit=True`` sweeps the isolation auditor after every
-    statement and unions the findings (forced on for the unsafe CoW
-    strategy); ``debug=True`` additionally verifies refcount accuracy
-    and resident-set conservation at each step.
+    Runs are fully determined by (script, strategy, isolation).
+    ``audit=True`` sweeps the isolation auditor after every statement
+    and unions the findings (forced on for the unsafe CoW strategy);
+    ``debug=True`` additionally verifies refcount accuracy and
+    resident-set conservation at each step.
     """
-    del seed  # scripts are already generated; kept for interface symmetry
     if isinstance(script, str):
         script = parse(script)
     interp = _Interpreter(script, strategy, isolation, debug=debug, audit=audit)

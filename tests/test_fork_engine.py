@@ -2,9 +2,15 @@
 
 import pytest
 
-from sasfork.address_space import AccessKind, FaultKind, PageState
+from sasfork.address_space import AccessKind, FaultKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability
-from sasfork.errors import NoChildren, ProcessNotRunning, UnresolvableFault
+from sasfork.errors import (
+    DoubleMap,
+    NoChildren,
+    ProcessNotRunning,
+    SimInternalError,
+    UnresolvableFault,
+)
 from sasfork.fork_engine import CopyCause
 from sasfork.process import Status
 from sasfork.system import System
@@ -309,3 +315,107 @@ class TestDominance:
             totals[strategy] = len(system.fork_engine.events)
         assert totals["copa"] <= totals["coa"] <= totals["full"]
         assert totals["copa"] < totals["full"]
+
+
+def fork_cost_of(system, pid):
+    return system.metrics.snapshot(pid).rows[0].fork_cost
+
+
+def eager_of(system, pid):
+    return system.metrics.snapshot(pid).rows[0].eager_pages_copied
+
+
+class TestBatchedPaths:
+    # (fork_cost, PTE writes) of a first fork, a second fork of the same
+    # parent and a grandchild fork on the default ten-page layout.  PTE
+    # writes are the cost left after 512 + 256 per eager page.
+    @pytest.mark.parametrize(
+        "strategy, frozen",
+        [
+            ("full", [(7690, 10), (7690, 10), (7690, 10)]),
+            ("coa", [(1554, 18), (1546, 10), (1546, 10)]),
+            ("copa", [(1554, 18), (1546, 10), (1546, 10)]),
+            ("unsafe-cow", [(1554, 18), (1546, 10), (1546, 10)]),
+        ],
+    )
+    def test_fork_cost_and_pte_writes_are_frozen(self, strategy, frozen):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+
+        def fork_from(pid):
+            before = fork_cost_of(system, pid)
+            child = system.fork_engine.fork(pid)
+            cost = fork_cost_of(system, pid) - before
+            return child, (cost, cost - 768 * eager_of(system, child))
+
+        first, first_cost = fork_from(parent.pid)
+        _, second_cost = fork_from(parent.pid)
+        _, grandchild_cost = fork_from(first)
+        assert [first_cost, second_cost, grandchild_cost] == frozen
+        system.verify_invariants()
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+    @pytest.mark.parametrize("sub", ["got", "heap"])
+    def test_fork_of_a_parent_with_an_unmapped_page_is_an_internal_error(
+        self, strategy, sub
+    ):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+        system.address_space.unmap(getattr(parent.layout, sub).base)
+        with pytest.raises(SimInternalError, match="unmapped at fork"):
+            system.fork_engine.fork(parent.pid)
+
+    @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
+    def test_shared_install_onto_a_mapped_child_page_is_a_double_map(self, strategy):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+        # Regions are bump-allocated, so the child's region starts here.
+        squatter = parent.region.end + (parent.layout.heap.base - parent.region.base)
+        frame = system.frames.allocate()
+        system.address_space.map(
+            squatter,
+            PageTableEntry(frame.frame_id, PageState.PRIVATE, True, True, 0),
+        )
+        with pytest.raises(DoubleMap):
+            system.fork_engine.fork(parent.pid)
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+    def test_reap_drops_every_page_of_the_region_from_the_frame_index(self, strategy):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+        child = system.process(system.fork_engine.fork(parent.pid))
+        system.access(child.pid, heap_cap(child, 0), AccessKind.WRITE, b"\x05" * 8)
+        grandchild = system.fork_engine.fork(child.pid)
+        system.fork_engine.exit(child.pid, 0)
+        system.fork_engine.reap(child)
+        indexed = {
+            va
+            for pages in system.address_space._frame_pages.values()
+            for va in pages
+        }
+        assert not any(child.region.contains(va) for va in indexed)
+        assert indexed == set(system.address_space.entries())
+        system.address_space.verify_refcounts()
+        assert system.metrics.prs_bytes(child.pid) == 0
+        assert system.metrics.prs_bytes(grandchild) > 0
+        system.verify_invariants()
+
+    @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
+    def test_reaping_the_last_of_four_children_restores_the_parent(self, strategy):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+        children = [system.fork_engine.fork(parent.pid) for _ in range(4)]
+        for pid in children:
+            system.fork_engine.exit(pid, 0)
+        for pid in children[:3]:
+            system.fork_engine.reap(system.process(pid))
+            assert sweep(system, parent.pid)[1]  # still shared with the last
+        system.fork_engine.reap(system.process(children[3]))
+        for va in parent.region.page_addresses():
+            entry = system.address_space.entry_at(va)
+            assert entry.state is PageState.PRIVATE
+            assert entry.writable == parent.layout.page_writable(va)
+            assert entry.cap_load_allowed
+            assert system.frames.refcount(entry.frame_id) == 1
+        assert not parent.layout.page_writable(parent.layout.code_ro.base)
+        system.verify_invariants()

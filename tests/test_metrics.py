@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from sasfork.address_space import AccessKind
+from sasfork.address_space import AccessKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
-from sasfork.errors import MismatchedScripts, UnknownPid
+from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
 from sasfork.system import System
 from sasfork.metrics import compare
 from sasfork.workload import generate, print_script, run
@@ -129,3 +129,90 @@ class TestCompare:
         runs = [run(SCRIPT, "copa", "fault"), run(SCRIPT, "copa", "fault")]
         comparison = compare(runs)
         assert comparison.dominance_ok
+
+
+def prs_oracle(system, pid):
+    """The original definition: sweep the whole page table by owner."""
+    total = Fraction(0)
+    for entry in system.address_space.entries().values():
+        if entry.owner_pid == pid:
+            total += Fraction(PAGE_SIZE, system.frames.refcount(entry.frame_id))
+    return total
+
+
+@pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
+    system = System(strategy, "fault", debug=True)
+    parent = system.create_initial_process()
+    engine = system.fork_engine
+    checked = []
+
+    def check(step):
+        for pid in [0, *system.processes]:
+            assert system.metrics.prs_bytes(pid) == prs_oracle(system, pid), (step, pid)
+        system.verify_invariants()
+        checked.append(step)
+
+    target = heap_cap(parent, 2 * PAGE_SIZE)
+    system.access(parent.pid, heap_cap(parent, 0), AccessKind.CAP_STORE, target)
+    check("boot")
+    child = system.process(engine.fork(parent.pid))
+    check("fork")
+    system.access(child.pid, heap_cap(child, PAGE_SIZE), AccessKind.WRITE, b"\x01" * 8)
+    check("child write")
+    loaded = system.access(child.pid, heap_cap(child, 0), AccessKind.CAP_LOAD)
+    # Only unsafe-cow lets the child load the parent's stale reference.
+    assert child.region.contains(loaded.cursor) is (strategy != "unsafe-cow")
+    check("child cap load")
+    grandchild = system.process(engine.fork(child.pid))
+    check("grandchild fork")
+    system.access(
+        grandchild.pid, heap_cap(grandchild, 3 * PAGE_SIZE), AccessKind.WRITE, b"\x02" * 8
+    )
+    check("grandchild write")
+    engine.exit(grandchild.pid, 0)
+    check("grandchild exit")
+    engine.wait(child.pid)
+    check("grandchild reap")
+    engine.exit(child.pid, 0)
+    check("child exit")
+    engine.wait(parent.pid)
+    check("child reap")
+    batch = [system.process(engine.fork(parent.pid)) for _ in range(4)]
+    check("batch fork")
+    for page, worker in enumerate(batch):
+        system.access(
+            worker.pid, heap_cap(worker, page * PAGE_SIZE), AccessKind.WRITE, b"\x03" * 8
+        )
+        check("batch write")
+    for worker in batch:
+        engine.exit(worker.pid, 0)
+        check("batch exit")
+    system.reap_zombies()
+    check("batch reap")
+    assert all(system.metrics.prs_bytes(w.pid) == 0 for w in batch)
+    assert system.metrics.prs_bytes(parent.pid) == 10 * PAGE_SIZE
+    assert len(checked) == 20
+
+
+@pytest.mark.parametrize("place", ["unreserved", "kernel page in a process region"])
+def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
+    system = System("copa", "fault", debug=True)
+    parent = system.create_initial_process()
+    if place == "unreserved":
+        va, owner = parent.region.end, parent.pid
+    else:
+        va, owner = parent.layout.heap.base, 0
+        system.address_space.unmap(va)
+    stray = system.frames.allocate()
+    system.address_space.map(
+        va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True, True, owner)
+    )
+    with pytest.raises(SimInternalError, match="prs conservation"):
+        system.verify_invariants()
+
+
+def test_prs_of_an_unknown_pid_is_rejected():
+    system = System("copa", "fault")
+    with pytest.raises(UnknownPid):
+        system.metrics.prs_bytes(42)
