@@ -128,7 +128,9 @@ class ForkEngine:
         ``FULL_COPY``), shares the rest in one page-table pass,
         duplicates the descriptor table,
         and rebases every tagged capability in the parent's register
-        state (including the PCC) into the child's region.
+        state (including the PCC) into the child's region.  Fails with
+        ``EAGAIN``, before anything is reserved, while the kernel PID
+        table is full.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
@@ -136,8 +138,8 @@ class ForkEngine:
             raise ProcessNotRunning(f"pid {parent_pid} is not running")
         strategy = sys.strategy
 
-        child_region = sys.address_space.reserve_region(parent.region.size)
         child_pid = sys.allocate_pid()
+        child_region = sys.address_space.reserve_region(parent.region.size)
         child_layout = parent.layout.rebased(child_region)
 
         if strategy is ForkStrategy.FULL_COPY:
@@ -402,4 +404,5 @@ class ForkEngine:
         for frame_id in sys.address_space.unmap_owned(proc.region, proc.pid):
             self._maybe_promote(frame_id)
         sys.files.drop_table(proc)
+        sys.release_pid(proc.pid)
         proc.status = Status.REAPED

@@ -26,6 +26,14 @@ The auditor sweeps everything a process could obtain without faulting:
 its register state plus every tagged granule of pages whose state
 permits a capability load.  Shared frames that still hold parent
 references are not violations while the owner cannot load from them.
+Registers are re-checked on every sweep.  A page's granules are
+re-checked only when the page maps another frame, or its frame's
+capabilities changed (a capability store, or a byte store over a
+capability), since the sweep last found that page clean; a page with
+findings is re-checked every time.  Ownership and the capability-load
+permission are tested on every sweep, so a page that promotion makes
+cap-loadable is checked at once unless it was found clean with the same
+contents before.  A process's memo is dropped once it stops running.
 """
 
 from __future__ import annotations
@@ -112,7 +120,11 @@ class KernelGateway:
         self._handlers: dict[str, Callable] = {}
         self._entries: dict[str, Capability] = {}
         self._unsealed: dict[str, Capability] = {}
+        self._sealed_entries: set[Capability] = set()
         self._boot_complete = False
+        # Running pid -> per page of its region, the (frame id, frame
+        # version) the audit last found that page clean with, or None.
+        self._clean_pages: dict[int, list[tuple[int, int] | None]] = {}
 
     @property
     def entries(self) -> dict[str, Capability]:
@@ -148,15 +160,13 @@ class KernelGateway:
         target = code.derive(code.base + index * GRANULE, GRANULE)
         sealed = target.seal(_ENTRY_OTYPE_BASE + index)
         self._entries[name] = sealed
+        self._sealed_entries.add(sealed)
         self._unsealed[name] = target
         self._handlers[name] = handler
         return sealed
 
     def is_entry_capability(self, cap: Capability) -> bool:
-        probe = cap if cap.tag else None
-        if probe is None:
-            return False
-        return any(probe == entry for entry in self._entries.values())
+        return cap.tag and cap in self._sealed_entries
 
     def unseal_invoke(self, cap: Capability, *, context_pid: int) -> Capability:
         """Recover the unsealed entry target; dispatcher context only."""
@@ -393,26 +403,40 @@ class KernelGateway:
         every tagged granule of frames mapped with capability loads
         allowed.  A capability is fine if its bounds sit inside the
         owner's region or it is a registered sealed entry; anything else
-        is reported.
+        is reported.  A page whose frame and frame version match the
+        ones it was last found clean with is skipped: the check depends
+        only on those capabilities and the owner's region, which never
+        changes.
         """
         violations: list[AuditViolation] = []
         system = self._sys
+        entry_at = system.address_space.entry_at
         for proc in system.processes.values():
             if proc.status is not Status.RUNNING:
+                self._clean_pages.pop(proc.pid, None)
                 continue
+            clean = self._clean_pages.get(proc.pid)
+            if clean is None:
+                clean = self._clean_pages[proc.pid] = [None] * proc.region.page_count
             for location, cap in proc.register_caps():
                 self._check_containment(proc, location, cap, violations)
-            for page_va in proc.region.page_addresses():
-                entry = system.address_space.entry_at(page_va)
+            for index, page_va in enumerate(proc.region.page_addresses()):
+                entry = entry_at(page_va)
                 if entry is None or entry.owner_pid != proc.pid:
                     continue
                 if not entry.cap_load_allowed:
                     continue
                 frame = system.frames.get(entry.frame_id)
+                stamp = (frame.frame_id, frame.version)
+                if clean[index] == stamp:
+                    continue
+                found = len(violations)
                 for granule, cap in frame.tagged_caps():
                     self._check_containment(
                         proc, f"page:{page_va:#x}:granule={granule}", cap, violations
                     )
+                if len(violations) == found:
+                    clean[index] = stamp
         return AuditReport(violations=tuple(violations))
 
     def _check_containment(

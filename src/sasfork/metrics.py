@@ -36,7 +36,7 @@ from .address_space import FaultKind
 from .capability import PAGE_SIZE
 from .errors import MismatchedScripts, UnknownPid
 from .fork_engine import CopyCause, CopyEvent, EAGER_CAUSES, ForkStrategy
-from .process import KERNEL_PID
+from .process import KERNEL_PID, Status
 
 if TYPE_CHECKING:
     from .system import System
@@ -219,9 +219,20 @@ class Metrics:
     # -- reading --------------------------------------------------------------
 
     def prs_bytes(self, pid: int) -> Fraction:
-        """Exact proportional resident set from a fresh sweep of the pid's region."""
+        """Exact proportional resident set from a fresh sweep of the pid's region.
+
+        A reaped pid owns no page, so it reads 0 without a sweep; a page
+        left mapped for it is then counted by no one, which the debug
+        conservation check reports.
+        """
         system = self._require_system()
-        region = system.kernel_region if pid == KERNEL_PID else system.process(pid).region
+        if pid == KERNEL_PID:
+            region = system.kernel_region
+        else:
+            proc = system.process(pid)
+            if proc.status is Status.REAPED:
+                return Fraction(0)
+            region = proc.region
         counts = system.address_space.owned_refcounts(region, pid)
         return sum(
             (Fraction(PAGE_SIZE * pages, refs) for refs, pages in counts.items()),

@@ -17,6 +17,7 @@ access immediately.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .address_space import (
@@ -37,14 +38,16 @@ from .capability import (
     Capability,
     Perm,
 )
-from .errors import SimInternalError, UnknownPid, UnresolvableFault
+from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import AuditViolation, IsolationLevel, KernelGateway
 from .metrics import Metrics
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess, Status
-from .tagged_memory import FrameTable
+from .tagged_memory import FrameTable, TaggedFrame
 
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
+#: The PID table holds one 8-byte word per unreaped process.
+PID_SLOTS = PAGE_SIZE // 8
 _GOT_SYMBOL_CYCLE = (
     ("code_ro", CODE_PERMS),
     ("heap", DATA_PERMS),
@@ -88,6 +91,8 @@ class System:
         self.processes: dict[int, MicroProcess] = {}
         self.audit_log: list[AuditViolation] = []
         self._next_pid = 1
+        self._pid_slots: dict[int, int] = {}  # PID-table slot of each unreaped pid
+        self._free_pid_slots: list[int] = []  # heap of slots freed at reap
         self._kernel_buffer_offset = 0
 
         self._boot_kernel()
@@ -128,13 +133,26 @@ class System:
     # -- processes -----------------------------------------------------------
 
     def allocate_pid(self) -> int:
+        """The next pid; ``EAGAIN`` while every PID-table slot is held."""
+        if len(self._pid_slots) == PID_SLOTS:
+            raise SyscallError("EAGAIN", f"all {PID_SLOTS} PID-table slots are held")
         pid = self._next_pid
         self._next_pid += 1
         return pid
 
     def add_process(self, proc: MicroProcess) -> None:
         self.processes[proc.pid] = proc
-        self._record_pid(proc.pid)
+        # With no freed slot, slots 0..n-1 are exactly the n held ones.
+        free = self._free_pid_slots
+        slot = heapq.heappop(free) if free else len(self._pid_slots)
+        self._pid_slots[proc.pid] = slot
+        self._pid_table().store_bytes(slot * 8, proc.pid.to_bytes(8, "little"))
+
+    def release_pid(self, pid: int) -> None:
+        """Free a reaped pid's PID-table slot for the next process."""
+        slot = self._pid_slots.pop(pid)
+        self._pid_table().store_bytes(slot * 8, bytes(8))
+        heapq.heappush(self._free_pid_slots, slot)
 
     def process(self, pid: int) -> MicroProcess:
         try:
@@ -142,18 +160,16 @@ class System:
         except KeyError:
             raise UnknownPid(f"pid {pid} unknown") from None
 
-    def _record_pid(self, pid: int) -> None:
+    def _pid_table(self) -> TaggedFrame:
         # PIDs live in a kernel page no process capability can reach.
         entry = self.address_space.entry_at(self._kernel_data_va)
-        frame = self.frames.get(entry.frame_id)
-        slot = (pid % (PAGE_SIZE // 8)) * 8
-        frame.store_bytes(slot, pid.to_bytes(8, "little"))
+        return self.frames.get(entry.frame_id)
 
     def stored_pid(self, pid: int) -> int:
-        entry = self.address_space.entry_at(self._kernel_data_va)
-        frame = self.frames.get(entry.frame_id)
-        slot = (pid % (PAGE_SIZE // 8)) * 8
-        return frame.load_value(slot, 8)
+        slot = self._pid_slots.get(pid)
+        if slot is None:
+            raise UnknownPid(f"pid {pid} holds no PID-table slot")
+        return self._pid_table().load_value(slot * 8, 8)
 
     def create_initial_process(self, spec: LayoutSpec | None = None) -> MicroProcess:
         """Reserve, map and initialize a fresh top-level process.
@@ -165,8 +181,8 @@ class System:
         SP bounded to the region.
         """
         spec = spec or LayoutSpec()
-        region = self.address_space.reserve_region(spec.total_bytes)
         pid = self.allocate_pid()
+        region = self.address_space.reserve_region(spec.total_bytes)
         layout = spec.carve(region)
         for page_va in region.page_addresses():
             frame = self.frames.allocate(origin=region)

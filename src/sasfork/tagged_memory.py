@@ -44,16 +44,19 @@ class TaggedFrame:
     which reserved region the frame's contents are laid out for; the fork
     engine uses it to pick the source region of a relocation scan (a
     frame aliased through several generations of forks still relocates
-    correctly).
+    correctly).  ``version`` is bumped on every change to ``caps``; as
+    frame ids are never reused, ``(frame_id, version)`` identifies the
+    frame's capability contents.
     """
 
-    __slots__ = ("frame_id", "data", "caps", "origin")
+    __slots__ = ("frame_id", "data", "caps", "origin", "version")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
         self.data = bytearray(PAGE_SIZE)
         self.caps: dict[int, Capability] = {}
         self.origin = origin
+        self.version = 0
 
     def store_bytes(self, offset: int, payload: bytes) -> None:
         """Write raw bytes; tags of every overlapped granule are cleared."""
@@ -66,6 +69,7 @@ class TaggedFrame:
         for granule in range(offset // GRANULE, (end - 1) // GRANULE + 1) if caps else ():
             if granule not in caps:
                 continue
+            self.version += 1
             lo, hi = max(offset, granule * GRANULE), min(end, (granule + 1) * GRANULE)
             if self.data[lo:hi] == payload[lo - offset : hi - offset]:
                 caps[granule] = caps[granule].untagged()
@@ -173,6 +177,7 @@ class FrameTable:
         encoded = (cap.cursor % (1 << 64)).to_bytes(GRANULE, "little")
         frame.data[offset : offset + GRANULE] = encoded
         frame.caps[granule] = cap
+        frame.version += 1
 
     def load_capability(self, frame: TaggedFrame, granule: int) -> Capability:
         """Load the capability stored in a granule.

@@ -1,13 +1,26 @@
 """Gateway: sealed entries, isolation levels, TOCTTOU, privilege, audit."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from sasfork.address_space import AccessKind, FaultError, FaultKind
-from sasfork.capability import DATA_PERMS, GRANULE, Capability, Perm
+from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import DuplicateEntry, InvalidInvoke, SimulatorError, SyscallError
-from sasfork.kernel import IsolationLevel, ProbeOutcome
-from sasfork.process import KERNEL_PID
+from sasfork.kernel import (
+    AuditReport,
+    AuditViolation,
+    IsolationLevel,
+    KernelGateway,
+    ProbeOutcome,
+)
+from sasfork.process import KERNEL_PID, Status
 from sasfork.system import System
+from sasfork.workload import run
+from test_acceptance import STALE_DEMO, corpus
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def make_system(isolation="fault", strategy="copa"):
@@ -313,3 +326,209 @@ class TestAudit:
         with pytest.raises(ValueError):
             System("unsafe-cow", "fault", arm_audit=False)
         assert System("unsafe-cow", "fault").audit_armed
+
+
+# -- the audit memo against the full sweep ------------------------------------
+
+
+def full_sweep(system):
+    """The audit as a full sweep of every page with a linear entry lookup.
+
+    This is the reference the per-page memo must reproduce exactly:
+    same violations, same order, same location strings.
+    """
+    entries = list(system.gateway.entries.values())
+    violations = []
+    for proc in system.processes.values():
+        if proc.status is not Status.RUNNING:
+            continue
+        reachable = list(proc.register_caps())
+        for page_va in proc.region.page_addresses():
+            entry = system.address_space.entry_at(page_va)
+            if entry is None or entry.owner_pid != proc.pid:
+                continue
+            if not entry.cap_load_allowed:
+                continue
+            frame = system.frames.get(entry.frame_id)
+            # Locations are formatted only for the violations found.
+            reachable += (((page_va, g), cap) for g, cap in frame.tagged_caps())
+        base, end = proc.region.base, proc.region.end
+        for where, cap in reachable:
+            # Region.contains_range(cap.base, cap.top), inlined for speed.
+            if not cap.tag or base <= cap.base <= cap.base + cap.length <= end:
+                continue
+            if any(cap == entry for entry in entries):
+                continue
+            if not isinstance(where, str):
+                where = f"page:{where[0]:#x}:granule={where[1]}"
+            violations.append(
+                AuditViolation(
+                    pid=proc.pid,
+                    location=where,
+                    cap=cap,
+                    reason="capability bounds escape the owning region",
+                )
+            )
+    return AuditReport(violations=tuple(violations))
+
+
+@pytest.fixture
+def oracle_audits(monkeypatch):
+    """Make every ``audit()`` assert equality with the full sweep.
+
+    Returns the list of violation counts, one per audit run.
+    """
+    real = KernelGateway.audit
+    counts = []
+
+    def checked(gateway):
+        report = real(gateway)
+        assert report == full_sweep(gateway._sys), len(counts)
+        counts.append(len(report.violations))
+        return report
+
+    monkeypatch.setattr(KernelGateway, "audit", checked)
+    return counts
+
+
+def bench_tiny_scripts():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    return [w.tiny_script(1) for w in workloads.WORKLOADS.values()]
+
+
+NESTED = """
+layout heap=6
+alloc a 8192
+alloc b 4096
+store_int b+0 7
+store_ref a+0 b+0
+open log
+fork outer {
+  load_ref a+0
+  deref
+  store_ref a+4096 a+16
+  fork inner nowait {
+    load_ref a+4096
+    store_int b+8 9
+    write log b+0 8
+    yield
+    exit 3
+  }
+  yield
+  wait
+  exit 2
+}
+fork nowait {
+  store_ref b+16 a+0
+  load_ref b+16
+  exit 0
+}
+yield
+store_int a+16 5
+store_ref a+32 b+0
+wait
+"""
+
+STRATEGIES = ["full", "coa", "copa", "unsafe-cow"]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_audit_equals_the_full_sweep_at_every_step(strategy, oracle_audits):
+    scripts = [*corpus(), *bench_tiny_scripts(), NESTED, STALE_DEMO]
+    for text in scripts:
+        run(text, strategy, "fault", audit=True)
+    assert len(oracle_audits) > 5000
+    # unsafe-cow shows violations; the memo must re-report them in place.
+    assert (sum(oracle_audits) > 0) is (strategy == "unsafe-cow")
+
+
+def audited_system(strategy):
+    system = System(strategy, "fault", debug=True)
+    parent = system.create_initial_process()
+    target = buffer_cap(parent, offset=GRANULE)
+    system.access(parent.pid, buffer_cap(parent), AccessKind.CAP_STORE, target)
+    return system, parent
+
+
+def page_violations(report, page_va):
+    return [v for v in report.violations if v.location.startswith(f"page:{page_va:#x}:")]
+
+
+class TestAuditMemo:
+    def test_untagging_a_violating_capability_clears_the_violation(self, oracle_audits):
+        system, parent = audited_system("unsafe-cow")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        stale_va = child.layout.heap.base
+        assert page_violations(system.gateway.audit(), stale_va)
+        assert page_violations(system.gateway.audit(), stale_va)  # re-reported
+        system.poke_bytes(stale_va + 4, b"\xff")
+        assert not page_violations(system.gateway.audit(), stale_va)
+        assert system.gateway.audit().clean
+
+    def test_storing_an_escaping_capability_into_a_clean_page_is_reported(
+        self, oracle_audits
+    ):
+        system, parent = audited_system("unsafe-cow")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        stack = Capability(
+            base=child.layout.stack.base,
+            length=child.layout.stack.size,
+            cursor=child.layout.stack.base,
+            perms=DATA_PERMS,
+        )
+        system.access(child.pid, stack, AccessKind.WRITE, b"\x01" * 8)
+        assert not page_violations(system.gateway.audit(), stack.base)
+        stale = system.access(child.pid, buffer_cap(child), AccessKind.CAP_LOAD)
+        assert parent.region.contains(stale.cursor)
+        slot = stack.with_cursor(stack.base + GRANULE)
+        system.access(child.pid, slot, AccessKind.CAP_STORE, stale)
+        found = page_violations(system.gateway.audit(), stack.base)
+        assert [v.location for v in found] == [f"page:{stack.base:#x}:granule=1"]
+
+    @pytest.mark.parametrize("strategy", ["coa", "copa"])
+    def test_a_promoted_page_is_audited_once_cap_loadable(self, strategy, oracle_audits):
+        system, parent = audited_system(strategy)
+        child = system.process(system.fork_engine.fork(parent.pid))
+        page = child.layout.heap.base
+        assert not system.address_space.entry_at(page).cap_load_allowed
+        assert system.gateway.audit().clean
+        clean = system.gateway._clean_pages[child.pid]
+        index = (page - child.region.base) // PAGE_SIZE
+        assert clean[index] is None
+        # The parent's write copies its page; the child is the sole
+        # mapper left, so its page is relocated and promoted.
+        system.access(parent.pid, buffer_cap(parent, offset=64), AccessKind.WRITE, b"\x02")
+        entry = system.address_space.entry_at(page)
+        assert entry.cap_load_allowed
+        assert system.gateway.audit().clean
+        frame = system.frames.get(entry.frame_id)
+        assert clean[index] == (frame.frame_id, frame.version)
+
+    def test_memo_stays_bounded_across_reaped_workers(self, monkeypatch):
+        real = KernelGateway.audit
+        sizes = []
+
+        def measured(gateway):
+            report = real(gateway)
+            sizes.append(sum(len(pages) for pages in gateway._clean_pages.values()))
+            return report
+
+        monkeypatch.setattr(KernelGateway, "audit", measured)
+
+        def peak_memo(workers):
+            sizes.clear()
+            batch = "fork nowait {\nstore_int a+0 1\nexit 0\n}\n" * 8 + "wait\n" * 8
+            text = "layout code=1 heap=1 stack=1\nalloc a 64\n" + batch * (workers // 8)
+            result = run(text, "copa", "fault", audit=True)
+            children = [p for p in result.system.processes.values() if p.parent_pid == 1]
+            assert len(children) == workers
+            assert all(p.status is Status.REAPED for p in children)
+            return max(sizes)
+
+        few = peak_memo(8)
+        assert few > 0
+        assert peak_memo(800) <= few

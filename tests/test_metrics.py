@@ -7,6 +7,7 @@ import pytest
 from sasfork.address_space import AccessKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
 from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
+from sasfork.process import Status
 from sasfork.system import System
 from sasfork.metrics import compare
 from sasfork.workload import generate, print_script, run
@@ -146,10 +147,13 @@ def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
     parent = system.create_initial_process()
     engine = system.fork_engine
     checked = []
+    reaped_read = set()
 
     def check(step):
         for pid in [0, *system.processes]:
             assert system.metrics.prs_bytes(pid) == prs_oracle(system, pid), (step, pid)
+            if pid and system.process(pid).status is Status.REAPED:
+                reaped_read.add(pid)
         system.verify_invariants()
         checked.append(step)
 
@@ -193,17 +197,26 @@ def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
     assert all(system.metrics.prs_bytes(w.pid) == 0 for w in batch)
     assert system.metrics.prs_bytes(parent.pid) == 10 * PAGE_SIZE
     assert len(checked) == 20
+    assert reaped_read == {grandchild.pid, child.pid, *(w.pid for w in batch)}
 
 
-@pytest.mark.parametrize("place", ["unreserved", "kernel page in a process region"])
+@pytest.mark.parametrize(
+    "place", ["unreserved", "kernel page in a process region", "page of a reaped pid"]
+)
 def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
     system = System("copa", "fault", debug=True)
     parent = system.create_initial_process()
     if place == "unreserved":
         va, owner = parent.region.end, parent.pid
-    else:
+    elif place == "kernel page in a process region":
         va, owner = parent.layout.heap.base, 0
         system.address_space.unmap(va)
+    else:
+        child = system.process(system.fork_engine.fork(parent.pid))
+        system.fork_engine.exit(child.pid, 0)
+        system.fork_engine.wait(parent.pid)
+        system.verify_invariants()
+        va, owner = child.layout.heap.base, child.pid
     stray = system.frames.allocate()
     system.address_space.map(
         va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True, True, owner)

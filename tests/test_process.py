@@ -5,7 +5,8 @@ import pytest
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm
 from sasfork.errors import BadFd
 from sasfork.process import FileKind, LayoutSpec
-from sasfork.system import System
+from sasfork.system import PID_SLOTS, System
+from sasfork.workload import run
 
 
 @pytest.fixture
@@ -65,6 +66,34 @@ class TestCreation:
         assert system.stored_pid(proc.pid) == proc.pid
         entry = system.gateway.entries["getpid"]
         assert system.gateway.syscall(proc.pid, entry, "getpid", {}) == proc.pid
+
+    def test_pid_table_slots_are_reused_after_reap(self):
+        system = System("copa", "fault")
+        small = LayoutSpec(code_pages=1, heap_pages=1, stack_pages=1)
+        root = system.create_initial_process(small)
+        engine, getpid = system.fork_engine, system.gateway.entries["getpid"]
+        for _ in range(600):
+            child = engine.fork(root.pid)
+            assert system.gateway.syscall(child, getpid, "getpid", {}) == child
+            engine.exit(child, 0)
+            assert engine.wait(root.pid) == (child, 0)
+        assert child == 601
+        assert system.gateway.syscall(root.pid, getpid, "getpid", {}) == 1
+        assert system.stored_pid(root.pid) == 1
+
+    def test_fork_with_every_pid_slot_held_is_eagain(self):
+        held = PID_SLOTS - 1  # the root holds one slot
+        text = "layout code=1 heap=1 stack=1\n" + "fork nowait {\nexit 0\n}\n" * (held + 1)
+        text += "wait\n" * held + "fork {\nexit 0\n}\n"
+        forks = [
+            e.result
+            for e in run(text, "copa").trace.events
+            if e.pid == 1 and e.stmt.startswith("fork")
+        ]
+        assert forks[:held] == [str(pid) for pid in range(2, held + 2)]
+        assert forks[held] == "EAGAIN"
+        # Once the children are reaped their slots take new processes.
+        assert forks[held + 1 :] == [str(held + 2)]
 
     def test_instruction_fetch_through_pcc(self, system):
         from sasfork.address_space import AccessKind

@@ -241,6 +241,29 @@ class TestPerFrameStorage:
         assert frame.caps == {7: parent_cap(0), 8: parent_cap(16)}
         assert frame.tags[7] and frame.tags[8] and not frame.tags[9]
 
+    def test_version_changes_exactly_when_caps_change(self, table):
+        frame = table.allocate(origin=PARENT)
+        seen = [frame.version]
+
+        def changed():
+            seen.append(frame.version)
+            return seen[-1] != seen[-2]
+
+        frame.store_bytes(0, b"\x01" * 64)
+        assert not changed()  # no capability in the way
+        table.store_capability(frame, 1, parent_cap(0))
+        assert changed()
+        table.scan_and_relocate(frame, PARENT, CHILD)
+        assert changed()
+        frame.store_bytes(GRANULE, frame.data[GRANULE : GRANULE + 8])
+        assert changed()  # untagged in place
+        frame.store_bytes(GRANULE + 4, b"\xff")
+        assert changed()  # entry dropped
+        assert frame.caps == {}
+        frame.store_bytes(GRANULE, b"\x02")
+        assert not changed()
+        assert len(set(seen)) == 5
+
     def test_reaped_workers_leave_no_capability_entries_behind(self):
         def retained(forks):
             text = "alloc a 4096\nstore_ref a+0 a+16\n" + "fork nowait {\nexit 0\n}\n" * forks
