@@ -8,7 +8,8 @@ Subcommands::
     gen      emit a synthetic snapshot-style workload script
 
 Exit codes: 0 on success, 1 on assertion/dominance/audit failure,
-2 on usage errors (including unreadable script files).
+2 on usage errors (including unreadable script files and unwritable
+``gen`` output).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import MismatchedScripts, ParseError, SimulatorError
 from .fork_engine import ForkStrategy
 from .kernel import IsolationLevel
 from .metrics import compare as compare_runs
-from .workload import generate, parse, print_script, run as run_script
+from .workload import generate, print_script, run as run_script
 
 _STRATEGIES = [s.value for s in ForkStrategy]
 _ISOLATION = [lvl.value for lvl in IsolationLevel]
@@ -33,7 +34,7 @@ def _read_script(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as err:
-        raise SystemExit(f"sasfork: cannot read {path}: {err.strerror}") from err
+        raise ValueError(f"cannot read {path}: {err.strerror}") from err
 
 
 def _add_script_arg(parser: argparse.ArgumentParser) -> None:
@@ -105,7 +106,7 @@ def _cmd_compare(args) -> int:
     strategies = [token.strip() for token in args.strategies.split(",") if token.strip()]
     for name in strategies:
         if name not in _STRATEGIES:
-            raise SystemExit(f"sasfork: unknown strategy {name!r}")
+            raise ValueError(f"unknown strategy {name!r}")
     runs = [run_script(text, name, args.isolation) for name in strategies]
     try:
         comparison = compare_runs(runs)
@@ -138,9 +139,12 @@ def _cmd_gen(args) -> int:
     text = print_script(script)
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write {args.output}: {err.strerror}") from err
     return 0
 
 
@@ -162,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sasfork: {err}", file=sys.stderr)
         return 1
     except ValueError as err:
+        # Usage errors: bad values, and script or output files that
+        # cannot be read or written.
         print(f"sasfork: {err}", file=sys.stderr)
         return 2
 

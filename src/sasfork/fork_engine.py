@@ -33,6 +33,10 @@ shared frame's refcount drops to one, the surviving mapping is promoted
 back to private; if the survivor is a forked child the frame is
 relocated in place first, so promotion can never expose stale
 references.
+
+:attr:`ForkEngine.events` is the one record of page copies: each
+:class:`CopyEvent` carries its cause and what its relocation scan
+charged, and the metrics report folds its copy counts from them.
 """
 
 from __future__ import annotations
@@ -98,11 +102,17 @@ COST_PER_GRANULE_SCANNED = 1
 
 @dataclass(frozen=True)
 class CopyEvent:
-    """One page copy: who triggered it, for which page, and why."""
+    """One page copy: who triggered it, for which page, why, and its scan.
+
+    ``scanned`` is the granules the relocation scan charged (a page's
+    worth, or 0 when the copy needed no scan); ``relocations`` is the
+    granules it rewrote.
+    """
 
     pid: int
     page_va: int
     cause: CopyCause
+    scanned: int
     relocations: int
 
     @property
@@ -173,7 +183,13 @@ class ForkEngine:
                 parent.region, child_region, copied, state, cap_load, child_pid
             )
 
-        registers, relocated = self._rebase_registers(parent, child_region)
+        def rebase(cap: Capability) -> Capability:
+            return rebase_for_child(cap, parent.region, child_region)
+
+        registers = {
+            name: rebase(value) if isinstance(value, Capability) else value
+            for name, value in parent.registers.items()
+        }
         child = MicroProcess(
             pid=child_pid,
             region=child_region,
@@ -181,12 +197,15 @@ class ForkEngine:
             registers=registers,
             entry_caps=dict(sys.gateway.entries),
             fd_table=sys.files.dup_fd_table(parent),
-            symbols=self._rebase_symbols(parent.symbols, parent.region, child_region),
-            loaded_ref=self._rebase_one(parent.loaded_ref, parent, child_region),
+            symbols={name: rebase(cap) for name, cap in parent.symbols.items()},
+            loaded_ref=rebase(parent.loaded_ref) if parent.loaded_ref is not None else None,
             parent_pid=parent_pid,
         )
         sys.add_process(child)
-        sys.metrics.record_register_relocations(child_pid, relocated)
+        sys.metrics.record_register_relocations(
+            child_pid,
+            sum(registers[name] != value for name, value in parent.registers.items()),
+        )
         sys.metrics.record_fork_cost(
             parent_pid,
             COST_PER_PAGE_COPY * eager_pages
@@ -194,40 +213,6 @@ class ForkEngine:
             + COST_PER_GRANULE_SCANNED * GRANULES_PER_PAGE * eager_pages,
         )
         return child_pid
-
-    def _rebase_registers(
-        self, parent: MicroProcess, child_region: Region
-    ) -> tuple[dict, int]:
-        out: dict = {}
-        relocated = 0
-        for name, value in parent.registers.items():
-            if isinstance(value, Capability):
-                rebased = rebase_for_child(value, parent.region, child_region)
-                if rebased != value:
-                    relocated += 1
-                if value.tag and not rebased.tag:
-                    self._sys.log_invalidation(
-                        parent.pid, f"register:{name}", value, "fork register relocation"
-                    )
-                out[name] = rebased
-            else:
-                out[name] = value
-        return out, relocated
-
-    def _rebase_symbols(
-        self, symbols: dict[str, Capability], parent_region: Region, child_region: Region
-    ) -> dict[str, Capability]:
-        return {
-            name: rebase_for_child(cap, parent_region, child_region)
-            for name, cap in symbols.items()
-        }
-
-    def _rebase_one(
-        self, cap: Capability | None, parent: MicroProcess, child_region: Region
-    ) -> Capability | None:
-        if cap is None:
-            return None
-        return rebase_for_child(cap, parent.region, child_region)
 
     # -- lazy copies ---------------------------------------------------------
 
@@ -289,18 +274,10 @@ class ForkEngine:
         sys = self._sys
         src = sys.frames.get(src_frame_id)
         fresh = sys.frames.clone(src_frame_id)
-        relocations = 0
+        scanned = relocations = 0
         if src.origin != dest_region:
-            relocations = sys.frames.scan_and_relocate(
-                fresh,
-                src.origin,
-                dest_region,
-                on_invalidate=lambda granule, cap: sys.log_invalidation(
-                    trigger_pid, f"page:{page_va:#x}:granule={granule}", cap,
-                    "relocation target in neither region",
-                ),
-            )
-            sys.metrics.record_scan(trigger_pid, GRANULES_PER_PAGE, relocations)
+            relocations = sys.frames.scan_and_relocate(fresh, src.origin, dest_region)
+            scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
         sys.address_space.map(
             page_va,
@@ -312,9 +289,8 @@ class ForkEngine:
                 owner_pid=owner_pid,
             ),
         )
-        event = CopyEvent(pid=trigger_pid, page_va=page_va, cause=cause, relocations=relocations)
+        event = CopyEvent(trigger_pid, page_va, cause, scanned, relocations)
         self.events.append(event)
-        sys.metrics.record_copy(event)
         self._verify_copy_clean(fresh, dest_region)
         return event
 
@@ -348,15 +324,7 @@ class ForkEngine:
         owner = sys.process(entry.owner_pid)
         frame = sys.frames.get(frame_id)
         if frame.origin != owner.region:
-            relocations = sys.frames.scan_and_relocate(
-                frame,
-                frame.origin,
-                owner.region,
-                on_invalidate=lambda granule, cap: sys.log_invalidation(
-                    owner.pid, f"page:{page_va:#x}:granule={granule}", cap,
-                    "promotion relocation target in neither region",
-                ),
-            )
+            relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
             sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
             frame.origin = owner.region
         entry.state = PageState.PRIVATE

@@ -228,10 +228,7 @@ class KernelGateway:
         self._validate_args(pid, name, args)
         if toctou_hook is not None:
             toctou_hook()
-        result = self._handlers[name](pid, args)
-        if self.isolation is IsolationLevel.FULL:
-            self._copy_out(pid, name, args)
-        return result
+        return self._handlers[name](pid, args)
 
     # -- argument validation and TOCTTOU copies ------------------------------
 
@@ -273,14 +270,6 @@ class KernelGateway:
             self._sys.stash_in_kernel_buffer(snapshot)
             args["_snapshot"] = snapshot
 
-    def _copy_out(self, pid: int, name: str, args: dict) -> None:
-        """Write results captured in kernel memory back to the caller."""
-        result = args.pop("_result_bytes", None)
-        if result is None:
-            return
-        cap = args["buf"]
-        self._sys.write_user_bytes(pid, cap, result)
-
     # -- syscall handlers --------------------------------------------------------
 
     def _sys_fork(self, pid: int, args: dict) -> int:
@@ -311,9 +300,7 @@ class KernelGateway:
         if self.isolation is IsolationLevel.FULL:
             # Results land in kernel memory first, then copy out.
             self._sys.stash_in_kernel_buffer(data)
-            args["_result_bytes"] = data
-        else:
-            self._sys.write_user_bytes(pid, args["buf"], data)
+        self._sys.write_user_bytes(pid, args["buf"], data)
         return len(data)
 
     def _sys_write(self, pid: int, args: dict) -> int:

@@ -1,9 +1,15 @@
 """Counters and reports that make copy-strategy costs observable.
 
 Everything here is exact: page copies, granules scanned, capabilities
-relocated, and faults are integer counters; the proportional resident
-set is kept as a :class:`fractions.Fraction` so that a frame shared
-three ways still sums to exactly one page across its mappers.
+relocated, and faults are integers; the proportional resident set is
+kept as a :class:`fractions.Fraction` so that a frame shared three ways
+still sums to exactly one page across its mappers.
+
+Each fact is recorded once.  Page copies, and the granules their
+relocation scans charged and rewrote, are read from the fork engine's
+copy events when a report is taken.  Counters hold only what no event
+records: faults, fork cost, capability registers relocated at fork,
+in-place relocation scans at promotion, and the resident set at exit.
 
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
 ``PAGE_SIZE / refcount(frame)``.  Every mapping lies in its owner's
@@ -28,14 +34,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .address_space import FaultKind
 from .capability import PAGE_SIZE
 from .errors import MismatchedScripts, UnknownPid
-from .fork_engine import CopyCause, CopyEvent, EAGER_CAUSES, ForkStrategy
+from .fork_engine import CopyCause, CopyEvent, ForkStrategy
 from .process import KERNEL_PID, Status
 
 if TYPE_CHECKING:
@@ -177,27 +183,17 @@ class MetricsReport:
 class Metrics:
     """Live counters owned by one system instance."""
 
-    def __init__(self) -> None:
-        self._eager: dict[int, int] = {}
-        self._lazy: dict[int, dict[CopyCause, int]] = {}
+    def __init__(self, system: "System") -> None:
+        self._system = system
+        # Promotion scans and fork-time register relocations; copies
+        # and their scans are folded from the copy events.
         self._scanned: dict[int, int] = {}
         self._relocated: dict[int, int] = {}
         self._faults: dict[int, dict[FaultKind, int]] = {}
         self._fork_cost: dict[int, int] = {}
         self._prs_at_exit: dict[int, Fraction] = {}
-        self._system: "System | None" = None
-
-    def attach(self, system: "System") -> None:
-        self._system = system
 
     # -- recording -----------------------------------------------------------
-
-    def record_copy(self, event: CopyEvent) -> None:
-        if event.cause in EAGER_CAUSES:
-            self._eager[event.pid] = self._eager.get(event.pid, 0) + 1
-        else:
-            per = self._lazy.setdefault(event.pid, {})
-            per[event.cause] = per.get(event.cause, 0) + 1
 
     def record_scan(self, pid: int, granules: int, relocations: int) -> None:
         self._scanned[pid] = self._scanned.get(pid, 0) + granules
@@ -225,7 +221,7 @@ class Metrics:
         left mapped for it is then counted by no one, which the debug
         conservation check reports.
         """
-        system = self._require_system()
+        system = self._system
         if pid == KERNEL_PID:
             region = system.kernel_region
         else:
@@ -240,37 +236,41 @@ class Metrics:
         )
 
     def snapshot(self, pid: int | None = None) -> MetricsReport:
-        """Pure read of the counters plus a fresh resident-set sweep."""
-        system = self._require_system()
+        """Pure read of the copy events and counters plus a fresh resident-set sweep."""
+        system = self._system
         pids = sorted(set(system.processes) | {0})
         if pid is not None:
             if pid not in pids:
                 raise UnknownPid(f"pid {pid} unknown")
             pids = [pid]
-        rows = tuple(self._row(p) for p in pids)
+        copies: dict[int, list[CopyEvent]] = {}
+        for event in system.fork_engine.events:
+            copies.setdefault(event.pid, []).append(event)
+        rows = tuple(self._row(p, copies.get(p, [])) for p in pids)
         return MetricsReport(
             strategy=system.strategy.value,
             isolation=system.isolation.value,
             rows=rows,
         )
 
-    def _row(self, pid: int) -> PidMetrics:
+    def _row(self, pid: int, copies: list[CopyEvent]) -> PidMetrics:
+        lazy: dict[CopyCause, int] = {}
+        for event in copies:
+            if not event.eager:
+                lazy[event.cause] = lazy.get(event.cause, 0) + 1
         return PidMetrics(
             pid=pid,
-            eager_pages_copied=self._eager.get(pid, 0),
-            lazy_pages_copied=dict(self._lazy.get(pid, {})),
-            granules_scanned=self._scanned.get(pid, 0),
-            caps_relocated=self._relocated.get(pid, 0),
+            eager_pages_copied=sum(event.eager for event in copies),
+            lazy_pages_copied=lazy,
+            granules_scanned=self._scanned.get(pid, 0)
+            + sum(event.scanned for event in copies),
+            caps_relocated=self._relocated.get(pid, 0)
+            + sum(event.relocations for event in copies),
             faults=dict(self._faults.get(pid, {})),
             prs_bytes=self.prs_bytes(pid),
             prs_at_exit_bytes=self._prs_at_exit.get(pid),
             fork_cost=self._fork_cost.get(pid, 0),
         )
-
-    def _require_system(self) -> "System":
-        if self._system is None:
-            raise RuntimeError("metrics not attached to a system")
-        return self._system
 
 
 # -- strategy comparison -------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from typing import Iterator
 
 from .address_space import (
     AccessKind,
@@ -26,7 +27,6 @@ from .address_space import (
     FaultError,
     PageState,
     PageTableEntry,
-    page_of,
 )
 from .capability import (
     CODE_PERMS,
@@ -40,7 +40,7 @@ from .capability import (
 )
 from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
-from .kernel import AuditViolation, IsolationLevel, KernelGateway
+from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess, Status
 from .tagged_memory import FrameTable, TaggedFrame
@@ -86,10 +86,8 @@ class System:
         self.frames = FrameTable()
         self.address_space = AddressSpace(self.frames)
         self.files = FileTable()
-        self.metrics = Metrics()
-        self.metrics.attach(self)
+        self.metrics = Metrics(self)
         self.processes: dict[int, MicroProcess] = {}
-        self.audit_log: list[AuditViolation] = []
         self._next_pid = 1
         self._pid_slots: dict[int, int] = {}  # PID-table slot of each unreaped pid
         self._free_pid_slots: list[int] = []  # heap of slots freed at reap
@@ -342,66 +340,36 @@ class System:
 
     def read_user_bytes(self, pid: int, cap: Capability, count: int) -> bytes:
         out = bytearray()
-        addr = cap.cursor
-        remaining = count
-        while remaining > 0:
-            chunk = min(remaining, page_of(addr) + PAGE_SIZE - addr)
-            value = self.access(
-                pid, cap.with_cursor(addr), AccessKind.READ_INT, width=chunk
-            )
-            out += int(value).to_bytes(chunk, "little")
-            addr += chunk
-            remaining -= chunk
+        for va, _, size in _page_chunks(cap.cursor, count):
+            value = self.access(pid, cap.with_cursor(va), AccessKind.READ_INT, width=size)
+            out += int(value).to_bytes(size, "little")
         return bytes(out)
 
     def write_user_bytes(self, pid: int, cap: Capability, data: bytes) -> int:
-        addr = cap.cursor
-        offset = 0
-        while offset < len(data):
-            chunk = min(len(data) - offset, page_of(addr) + PAGE_SIZE - addr)
+        for va, offset, size in _page_chunks(cap.cursor, len(data)):
             self.access(
-                pid,
-                cap.with_cursor(addr),
-                AccessKind.WRITE,
-                data[offset : offset + chunk],
+                pid, cap.with_cursor(va), AccessKind.WRITE, data[offset : offset + size]
             )
-            addr += chunk
-            offset += chunk
         return len(data)
 
     def stash_in_kernel_buffer(self, data: bytes) -> None:
         """Land a copy-in snapshot in real kernel pages (wrapping)."""
-        offset = 0
-        while offset < len(data):
-            if self._kernel_buffer_offset >= self._kernel_buffer_size:
-                self._kernel_buffer_offset = 0
-            va = self._kernel_buffer_va + self._kernel_buffer_offset
-            page_room = PAGE_SIZE - (va % PAGE_SIZE)
-            room = min(page_room, self._kernel_buffer_size - self._kernel_buffer_offset)
-            chunk = min(len(data) - offset, room)
-            entry = self.address_space.entry_at(va)
-            frame = self.frames.get(entry.frame_id)
-            frame.store_bytes(va % PAGE_SIZE, data[offset : offset + chunk])
-            self._kernel_buffer_offset += chunk
-            offset += chunk
+        start, ring = self._kernel_buffer_offset, self._kernel_buffer_size
+        # The ring is whole pages, so no page-sized chunk crosses its end.
+        for position, offset, size in _page_chunks(start, len(data)):
+            self.poke_bytes(
+                self._kernel_buffer_va + position % ring, data[offset : offset + size]
+            )
+        self._kernel_buffer_offset = (start + len(data)) % ring
 
     # -- raw observation hooks (tests, oracles, the TOCTTOU mutator) ---------------
 
     def peek_bytes(self, va: int, count: int) -> bytes:
         """Read mapped memory ignoring page states; an oracle, not an access."""
         out = bytearray()
-        addr = va
-        remaining = count
-        while remaining > 0:
-            entry = self.address_space.entry_at(addr)
-            if entry is None:
-                raise SimInternalError(f"peek at unmapped address {addr:#x}")
-            frame = self.frames.get(entry.frame_id)
-            page_off = addr - page_of(addr)
-            chunk = min(remaining, PAGE_SIZE - page_off)
-            out += frame.data[page_off : page_off + chunk]
-            addr += chunk
-            remaining -= chunk
+        for addr, _, size in _page_chunks(va, count):
+            page_off = addr % PAGE_SIZE
+            out += self._mapped_frame(addr, "peek").data[page_off : page_off + size]
         return bytes(out)
 
     def poke_bytes(self, va: int, data: bytes) -> None:
@@ -410,27 +378,16 @@ class System:
         Bypasses page protections but honors tag clearing (byte stores
         always clear overlapped granule tags).
         """
-        addr = va
-        offset = 0
-        while offset < len(data):
-            entry = self.address_space.entry_at(addr)
-            if entry is None:
-                raise SimInternalError(f"poke at unmapped address {addr:#x}")
-            frame = self.frames.get(entry.frame_id)
-            page_off = addr - page_of(addr)
-            chunk = min(len(data) - offset, PAGE_SIZE - page_off)
-            frame.store_bytes(page_off, data[offset : offset + chunk])
-            addr += chunk
-            offset += chunk
+        for addr, offset, size in _page_chunks(va, len(data)):
+            self._mapped_frame(addr, "poke").store_bytes(
+                addr % PAGE_SIZE, data[offset : offset + size]
+            )
 
-    # -- bookkeeping hooks ----------------------------------------------------------
-
-    def log_invalidation(
-        self, pid: int, location: str, cap: Capability, reason: str
-    ) -> None:
-        self.audit_log.append(
-            AuditViolation(pid=pid, location=location, cap=cap, reason=reason)
-        )
+    def _mapped_frame(self, va: int, what: str) -> TaggedFrame:
+        entry = self.address_space.entry_at(va)
+        if entry is None:
+            raise SimInternalError(f"{what} at unmapped address {va:#x}")
+        return self.frames.get(entry.frame_id)
 
     # -- invariants -------------------------------------------------------------------
 
@@ -454,3 +411,16 @@ class System:
         zombies.sort(key=lambda p: p.exit_seq if p.exit_seq is not None else 0)
         for proc in zombies:
             self.fork_engine.reap(proc)
+
+
+def _page_chunks(addr: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """Split ``count`` bytes from ``addr`` at page boundaries.
+
+    Yields ``(address, offset into the range, size)`` per chunk.
+    """
+    done = 0
+    while done < count:
+        size = min(count - done, PAGE_SIZE - addr % PAGE_SIZE)
+        yield addr, done, size
+        addr += size
+        done += size

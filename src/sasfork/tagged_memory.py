@@ -19,11 +19,14 @@ heart of reference tracking:
 :meth:`FrameTable.scan_and_relocate` is the relocation primitive used on
 freshly copied child pages: it visits the tagged entries only and
 rewrites every capability that the parent-to-child rebase rule changes.
+A capability whose target lies in neither region is stored back
+untagged; the scan reports only how many granules it rewrote, and the
+caller records that with the copy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .capability import (
     GRANULE,
@@ -152,10 +155,10 @@ class FrameTable:
             self._refcounts[frame_id] = count
         return count
 
-    def clone(self, frame_id: int, origin: Region | None = None) -> TaggedFrame:
-        """Copy bytes and capabilities into a fresh frame."""
+    def clone(self, frame_id: int) -> TaggedFrame:
+        """Copy bytes, capabilities and origin into a fresh frame."""
         src = self.get(frame_id)
-        out = self.allocate(origin if origin is not None else src.origin)
+        out = self.allocate(src.origin)
         out.data[:] = src.data
         out.caps.update(src.caps)
         return out
@@ -194,20 +197,14 @@ class FrameTable:
         cursor = frame.load_value(granule * GRANULE, 8)
         return Capability(base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False)
 
-    def scan_and_relocate(
-        self,
-        frame: TaggedFrame,
-        parent: Region,
-        child: Region,
-        on_invalidate: Callable[[int, Capability], None] | None = None,
-    ) -> int:
+    def scan_and_relocate(self, frame: TaggedFrame, parent: Region, child: Region) -> int:
         """Rewrite every tagged granule the rebase rule would change.
 
         Visits the frame's tagged entries in granule order and replaces
-        each capability whose rebased value differs from the stored one.
-        Capabilities invalidated by the rebase (targets in neither
-        region) are reported through ``on_invalidate``.  Returns
-        the number of granules rewritten; a second scan returns 0.
+        each capability whose rebased value differs from the stored one;
+        a capability invalidated by the rebase (target in neither
+        region) is stored untagged.  Returns the number of granules
+        rewritten; a second scan returns 0.
         """
         rewritten = 0
         for granule, cap in frame.tagged_caps():
@@ -216,6 +213,4 @@ class FrameTable:
                 continue
             self.store_capability(frame, granule, rebased)
             rewritten += 1
-            if not rebased.tag and on_invalidate is not None:
-                on_invalidate(granule, cap)
         return rewritten

@@ -14,9 +14,11 @@ errors (``BadFd``, ``EFAULT``...) are recorded as the statement result
 and execution continues.
 
 Every trace event is ``(pid, statement, result)``; the sha256 over that
-sequence is the run's value hash.  Copy events and fault counters live
-in the metrics report, not the trace, so cost never leaks into the
-equivalence check.
+sequence is the run's value hash.  Each statement returns its result,
+and one place writes the event and keeps the rendered result as the
+task's previous result, which ``expect`` compares against.  Copy events
+and fault counters live in the metrics report, not the trace, so cost
+never leaks into the equivalence check.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ class _Task:
         self.pid = pid
         self.stream = stream
         self.ip = 0
-        self.last_result: int | str = 0
+        # The previous statement's result as the trace rendered it; a
+        # forked child starts with the fork's return value, 0.
+        self.last_result = "0"
         self.files: dict[str, int] = {}
         self.dead = False
 
@@ -247,27 +251,41 @@ class _Interpreter:
     # -- statement execution -------------------------------------------------------
 
     def _execute(self, task: _Task, stmt):
-        pid = task.pid
+        """Run one statement and write its trace event and the task's result.
+
+        A fork that returned a child pid also writes the child's event,
+        right after the parent's.
+        """
         text = format_statement(stmt)
+        succeeded = False
         try:
-            return self._dispatch(task, stmt, text)
+            result = self._dispatch(task, stmt)
+            succeeded = True
         except FaultError as err:
             # Fatal fault: the statement dies, and so does the process.
-            self._emit(pid, text, err.fault.kind.value)
-            task.last_result = err.fault.kind.value
+            result = err.fault.kind.value
             self._kill(task)
-            return _DEAD
         except SyscallError as err:
-            self._emit(pid, text, err.code)
-            task.last_result = err.code
-            return None
+            result = err.code
         except SimInternalError:
             raise
         except SimulatorError as err:
-            name = type(err).__name__
-            self._emit(pid, text, name)
-            task.last_result = name
-            return None
+            result = type(err).__name__
+        if result is _BLOCKED:
+            return _BLOCKED
+        event = self._emit(task.pid, text, result)
+        if isinstance(stmt, Expect):
+            if event.result != "ok":
+                self._expect_failures.append(event.seq)
+        else:
+            task.last_result = event.result
+        if succeeded and isinstance(stmt, Fork):
+            self._emit(result, text, 0)
+        if task.dead:
+            return _DEAD
+        if succeeded and isinstance(stmt, Yield):
+            return _YIELDED
+        return None
 
     def _kill(self, task: _Task) -> None:
         task.dead = True
@@ -275,7 +293,8 @@ class _Interpreter:
         if proc.running:
             self.system.fork_engine.exit(task.pid, FAULT_EXIT_CODE)
 
-    def _dispatch(self, task: _Task, stmt, text: str):
+    def _dispatch(self, task: _Task, stmt):
+        """Perform one statement and return its result, or ``_BLOCKED``."""
         system = self.system
         pid = task.pid
         proc = system.process(pid)
@@ -289,145 +308,88 @@ class _Interpreter:
             advanced = cursor_cap.with_cursor(cursor_cap.cursor + size)
             system.access(pid, amc.with_cursor(meta), AccessKind.CAP_STORE, advanced)
             proc.symbols[stmt.name] = handle
-            result = handle.base - proc.layout.heap.base
-            task.last_result = result
-            self._emit(pid, text, result)
-            return None
+            return handle.base - proc.layout.heap.base
 
         if isinstance(stmt, StoreInt):
             cap = self._symbol(proc, stmt.name, stmt.offset)
             payload = (stmt.value % (1 << 64)).to_bytes(8, "little")
             # Page-chunked so a store straddling two shared pages gets
             # one fault resolution per page.
-            system.write_user_bytes(pid, cap, payload)
-            task.last_result = 8
-            self._emit(pid, text, 8)
-            return None
+            return system.write_user_bytes(pid, cap, payload)
 
         if isinstance(stmt, StoreRef):
             dest = self._symbol(proc, stmt.name, stmt.offset)
             target = self._symbol(proc, stmt.target, stmt.target_offset)
             system.access(pid, dest, AccessKind.CAP_STORE, target)
-            task.last_result = GRANULE
-            self._emit(pid, text, GRANULE)
-            return None
+            return GRANULE
 
         if isinstance(stmt, LoadInt):
             cap = self._symbol(proc, stmt.name, stmt.offset)
-            value = int.from_bytes(system.read_user_bytes(pid, cap, 8), "little")
-            task.last_result = value
-            self._emit(pid, text, value)
-            return None
+            return int.from_bytes(system.read_user_bytes(pid, cap, 8), "little")
 
         if isinstance(stmt, LoadRef):
             cap = self._symbol(proc, stmt.name, stmt.offset)
-            loaded = system.access(pid, cap, AccessKind.CAP_LOAD)
-            proc.loaded_ref = loaded
-            task.last_result = _render(loaded)
-            self._emit(pid, text, loaded)
-            return None
+            proc.loaded_ref = system.access(pid, cap, AccessKind.CAP_LOAD)
+            return proc.loaded_ref
 
         if isinstance(stmt, Deref):
             loaded = proc.loaded_ref
             if loaded is None:
                 raise SyscallError("ENOREF", "no loaded reference")
             cap = loaded.with_cursor(loaded.cursor + stmt.offset) if stmt.offset else loaded
-            value = int.from_bytes(system.read_user_bytes(pid, cap, 8), "little")
-            task.last_result = value
-            self._emit(pid, text, value)
-            return None
+            return int.from_bytes(system.read_user_bytes(pid, cap, 8), "little")
 
         if isinstance(stmt, Fork):
             child_pid = self._syscall(proc, "fork", {})
             child_task = _Task(child_pid, list(stmt.body))
             child_task.files = dict(task.files)
-            child_task.last_result = 0
             self._tasks[child_pid] = child_task
             self._queue.append(child_pid)
-            task.last_result = child_pid
-            self._emit(pid, text, child_pid)
-            self._emit(child_pid, text, 0)
             if not stmt.nowait:
                 task.stream.insert(task.ip + 1, Wait())
-            return None
+            return child_pid
 
         if isinstance(stmt, Exit):
             self._syscall(proc, "exit", {"code": stmt.code})
-            task.last_result = stmt.code
-            self._emit(pid, text, stmt.code)
             task.dead = True
-            return _DEAD
+            return stmt.code
 
         if isinstance(stmt, Wait):
             try:
                 reaped = self._syscall(proc, "wait", {})
             except NoChildren:
-                task.last_result = "NoChildren"
-                self._emit(pid, text, "NoChildren")
-                return None
+                return "NoChildren"
             if reaped is None:
                 return _BLOCKED
-            child_pid, code = reaped
-            task.last_result = code
-            self._emit(pid, text, code)
-            return None
+            _, code = reaped
+            return code
 
         if isinstance(stmt, Open):
             fd = self._syscall(proc, "open", {"name": stmt.name})
             task.files[stmt.name] = fd
-            task.last_result = fd
-            self._emit(pid, text, fd)
-            return None
+            return fd
 
         if isinstance(stmt, Close):
             fd = self._file_fd(task, stmt.name)
-            self._syscall(proc, "close", {"fd": fd})
-            task.last_result = 0
-            self._emit(pid, text, 0)
-            return None
+            return self._syscall(proc, "close", {"fd": fd})
 
-        if isinstance(stmt, Read):
+        if isinstance(stmt, (Read, Write)):
             fd = self._file_fd(task, stmt.file)
             buf = self._symbol(proc, stmt.buffer, stmt.offset)
-            n = self._syscall(proc, "read", {"fd": fd, "buf": buf, "count": stmt.count})
-            task.last_result = n
-            self._emit(pid, text, n)
-            return None
-
-        if isinstance(stmt, Write):
-            fd = self._file_fd(task, stmt.file)
-            buf = self._symbol(proc, stmt.buffer, stmt.offset)
-            n = self._syscall(proc, "write", {"fd": fd, "buf": buf, "count": stmt.count})
-            task.last_result = n
-            self._emit(pid, text, n)
-            return None
+            name = "read" if isinstance(stmt, Read) else "write"
+            return self._syscall(proc, name, {"fd": fd, "buf": buf, "count": stmt.count})
 
         if isinstance(stmt, Yield):
-            self._syscall(proc, "yield", {})
-            task.last_result = 0
-            self._emit(pid, text, 0)
-            return _YIELDED
+            return self._syscall(proc, "yield", {})
 
         if isinstance(stmt, Priv):
-            outcome = self.system.gateway.attempt_privileged(pid)
-            task.last_result = outcome
-            self._emit(pid, text, outcome)
-            return None
+            return self.system.gateway.attempt_privileged(pid)
 
         if isinstance(stmt, Expect):
-            actual = task.last_result
-            wanted = stmt.value
-            matches = (
-                actual == wanted
-                if isinstance(wanted, int)
-                else str(actual) == str(wanted)
-            )
-            if matches:
-                self._emit(pid, text, "ok")
-            else:
-                event = self._emit(pid, text, f"FAILED(actual={actual})")
-                self._expect_failures.append(event.seq)
-            return None
+            # Results are compared as the trace renders them.
+            if task.last_result == str(stmt.value):
+                return "ok"
+            return f"FAILED(actual={task.last_result})"
 
         raise SimInternalError(f"unhandled statement {stmt!r}")
 

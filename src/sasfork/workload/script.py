@@ -271,8 +271,6 @@ class _Scope:
         self.symbols: set[str] = set(parent.symbols) if parent else set()
         self.files: set[str] = set(parent.files) if parent else set()
         self.has_loaded_ref = parent.has_loaded_ref if parent else False
-        # Inside a fork block the previous result is the fork return.
-        self.has_result = bool(parent)
 
 
 def parse(text: str) -> Script:
@@ -369,6 +367,7 @@ class _Parser:
                 if top_level:
                     self._fail(line_index, self.lines[line_index].find("}"), "unmatched '}'")
                 return out
+            # A fork block starts with the fork's return as its previous result.
             stmt = self._parse_statement(line, line_index, scope, bool(out) or not top_level)
             out.append(stmt)
         if not top_level:
@@ -400,7 +399,6 @@ class _Parser:
             if size <= 0:
                 self._fail(line_index, self.lines[line_index].find(tokens[2]), "alloc size must be positive")
             scope.symbols.add(name)
-            scope.has_result = True
             return Alloc(name, size)
 
         if op == "store_int":
@@ -408,7 +406,6 @@ class _Parser:
             name, offset = self._ref(tokens[1], line_index)
             self._require_symbol(name, scope, line_index, tokens[1])
             value = self._int(tokens[2], line_index, "value")
-            scope.has_result = True
             return StoreInt(name, offset, value)
 
         if op == "store_ref":
@@ -423,7 +420,6 @@ class _Parser:
                 )
             target, target_offset = self._ref(tokens[2], line_index)
             self._require_symbol(target, scope, line_index, tokens[2])
-            scope.has_result = True
             return StoreRef(name, offset, target, target_offset)
 
         if op in ("load_int", "load_ref"):
@@ -438,9 +434,7 @@ class _Parser:
                         "reference loads must be 16-byte aligned",
                     )
                 scope.has_loaded_ref = True
-                scope.has_result = True
                 return LoadRef(name, offset)
-            scope.has_result = True
             return LoadInt(name, offset)
 
         if op == "deref":
@@ -449,7 +443,6 @@ class _Parser:
             if not scope.has_loaded_ref:
                 self._fail(line_index, 0, "deref before any load_ref in scope")
             offset = self._int(tokens[1], line_index, "offset") if len(tokens) == 2 else 0
-            scope.has_result = True
             return Deref(offset)
 
         if op == "fork":
@@ -472,7 +465,6 @@ class _Parser:
             self.depth += 1
             body = self._parse_block(_Scope(scope), top_level=False)
             self.depth -= 1
-            scope.has_result = True
             return Fork(label=label, nowait=nowait, body=tuple(body))
 
         if op == "exit":
@@ -480,19 +472,16 @@ class _Parser:
             code = self._int(tokens[1], line_index, "exit code")
             if not 0 <= code <= 255:
                 self._fail(line_index, self.lines[line_index].find(tokens[1]), "exit code must be 0..255")
-            scope.has_result = True
             return Exit(code)
 
         if op == "wait":
             want(1)
-            scope.has_result = True
             return Wait()
 
         if op == "open":
             want(2)
             name = self._name(tokens[1], line_index, "file name")
             scope.files.add(name)
-            scope.has_result = True
             return Open(name)
 
         if op == "close":
@@ -502,7 +491,6 @@ class _Parser:
                 self._fail(
                     line_index, self.lines[line_index].find(name), f"file {name!r} never opened"
                 )
-            scope.has_result = True
             return Close(name)
 
         if op in ("read", "write"):
@@ -517,23 +505,20 @@ class _Parser:
             count = self._int(tokens[3], line_index, "count")
             if count < 0:
                 self._fail(line_index, self.lines[line_index].find(tokens[3]), "negative count")
-            scope.has_result = True
             cls = Read if op == "read" else Write
             return cls(fname, buffer, offset, count)
 
         if op == "yield":
             want(1)
-            scope.has_result = True
             return Yield()
 
         if op == "priv":
             want(1)
-            scope.has_result = True
             return Priv()
 
         if op == "expect":
             want(2)
-            if not have_result and not scope.has_result:
+            if not have_result:
                 self._fail(line_index, 0, "expect needs a previous result")
             token = tokens[1]
             try:

@@ -84,16 +84,27 @@ class TestCreation:
     def test_fork_with_every_pid_slot_held_is_eagain(self):
         held = PID_SLOTS - 1  # the root holds one slot
         text = "layout code=1 heap=1 stack=1\n" + "fork nowait {\nexit 0\n}\n" * (held + 1)
-        text += "wait\n" * held + "fork {\nexit 0\n}\n"
-        forks = [
-            e.result
-            for e in run(text, "copa").trace.events
-            if e.pid == 1 and e.stmt.startswith("fork")
-        ]
+        text += "fork {\nexit 0\n}\n" + "wait\n" * held + "fork {\nexit 0\n}\n"
+        events = run(text, "copa").trace.events
+        forks = [e.result for e in events if e.pid == 1 and e.stmt.startswith("fork")]
         assert forks[:held] == [str(pid) for pid in range(2, held + 2)]
-        assert forks[held] == "EAGAIN"
+        assert forks[held : held + 2] == ["EAGAIN", "EAGAIN"]
         # Once the children are reaped their slots take new processes.
-        assert forks[held + 1 :] == [str(held + 2)]
+        assert forks[held + 2 :] == [str(held + 2)]
+        # A refused fork writes one event, the parent's, and no child's.
+        refused = [e.seq for e in events if e.result == "EAGAIN"]
+        assert [(events[i].pid, events[i].stmt) for i in refused] == [
+            (1, "fork nowait"),
+            (1, "fork"),
+        ]
+        assert refused[1] == refused[0] + 1
+        child_forks = [e for e in events if e.pid != 1 and e.stmt.startswith("fork")]
+        assert [e.pid for e in child_forks] == list(range(2, held + 3))
+        # The refused plain fork inserted no implicit wait: the explicit
+        # waits plus the one after the last fork, then the root's exit.
+        waits = [e.result for e in events if e.pid == 1 and e.stmt == "wait"]
+        assert len(waits) == held + 1 and "NoChildren" not in waits
+        assert events[-1].pid == 1 and events[-1].stmt == "exit 0"
 
     def test_instruction_fetch_through_pcc(self, system):
         from sasfork.address_space import AccessKind

@@ -200,6 +200,30 @@ class TestExecution:
         result = run(text, "copa", debug=True)
         assert result.system.process(2).exit_code == 9
 
+    def test_a_second_expect_checks_the_statement_before_the_first(self):
+        result = run("alloc a 64\nload_int a+0\nexpect 0\nexpect 0\nexpect 1\n", "copa")
+        expects = [e.result for e in result.trace.events if e.stmt.startswith("expect")]
+        assert expects == ["ok", "ok", "FAILED(actual=0)"]
+        assert len(result.expect_failures) == 1
+
+    def test_expect_after_load_ref_compares_the_rendered_capability(self):
+        text = "alloc a 64\nalloc b 64\nstore_ref a+0 b+0\nload_ref a+0\nexpect 5\n"
+        events = run(text, "copa").trace.events
+        loaded = next(e for e in events if e.stmt == "load_ref a+0")
+        assert loaded.result.startswith("cap:0x")
+        assert events[loaded.seq + 1].result == f"FAILED(actual={loaded.result})"
+
+    def test_expect_efault_after_a_refused_write_passes(self):
+        result = run("alloc a 64\nopen f\nwrite f a+0 128\nexpect EFAULT\n", "copa")
+        assert [e.result for e in result.trace.events][-3:] == ["EFAULT", "ok", "0"]
+        assert result.ok
+
+    def test_expect_of_a_hex_value_matches_its_integer(self):
+        result = run("alloc a 64\nstore_int a+0 16\nload_int a+0\nexpect 0x10\n", "copa")
+        assert result.ok
+        assert result.trace.events[-2].stmt == "expect 16"
+        assert result.trace.events[-2].result == "ok"
+
     def test_yield_round_robin_interleaves(self):
         text = (
             "alloc a 64\n"
@@ -289,6 +313,16 @@ class TestCli(object):
         assert main(["run", str(path)]) == 2
         assert "script error" in capsys.readouterr().err
 
-    def test_missing_file_is_usage(self):
-        with pytest.raises(SystemExit):
-            main(["run", "/nonexistent/script.sas"])
+    def test_missing_file_is_usage(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.sas")]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        output = tmp_path / "missing" / "w.sas"
+        assert main(["gen", "--pages", "4", "--output", str(output)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_unknown_compare_strategy_is_usage(self, tmp_path, capsys):
+        path = tmp_path / "w.sas"
+        path.write_text("alloc a 64\n")
+        assert main(["compare", str(path), "--strategies", "full,bogus"]) == 2
+        assert "unknown strategy 'bogus'" in capsys.readouterr().err
