@@ -17,6 +17,10 @@ SharedCoPA yes        no        no               child side of copy-on-
                                                  pointer-access
 ========== ========== ========= ================ =========================
 
+The capability-load column is derived from the state
+(``PageState.cap_load``), and a frame's refcount is the size of the page
+set the frame owns, which mapping and unmapping keep in step.
+
 :meth:`AddressSpace.check_and_access` runs the fixed pipeline
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
 kinds are deterministic.  Page-level faults (write, access, capability
@@ -44,14 +48,22 @@ from .errors import (
     SimulatorError,
     UnmappedPage,
 )
-from .tagged_memory import FrameTable
+from .tagged_memory import FrameTable, TaggedFrame
 
 
 class PageState(enum.Enum):
-    PRIVATE = "Private"
-    SHARED_COW = "SharedCoW"
-    SHARED_COA = "SharedCoA"
-    SHARED_COPA = "SharedCoPA"
+    PRIVATE = "Private", True
+    SHARED_COW = "SharedCoW", True
+    SHARED_COA = "SharedCoA", False
+    SHARED_COPA = "SharedCoPA", False
+
+    def __new__(cls, value: str, cap_load: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        # Whether the state allows capability loads; a plain attribute
+        # is far cheaper on the access path than comparing members.
+        member.cap_load = cap_load
+        return member
 
 
 @dataclass
@@ -61,7 +73,6 @@ class PageTableEntry:
     frame_id: int
     state: PageState
     writable: bool
-    cap_load_allowed: bool
     owner_pid: int
 
     @property
@@ -130,6 +141,8 @@ _REQUIRED_PERMS = {
 _EXEC_FETCH_WIDTH = 4
 
 
+
+
 def page_of(addr: int) -> int:
     return addr - (addr % PAGE_SIZE)
 
@@ -142,13 +155,11 @@ class AddressSpace:
         frames: FrameTable,
         *,
         space_limit: int = VIRTUAL_SPACE_LIMIT,
-        first_base: int = PAGE_SIZE,
     ):
         self._frames = frames
         self._space_limit = space_limit
-        self._next_base = first_base
+        self._next_base = PAGE_SIZE  # address 0 is never reserved
         self._pages: dict[int, PageTableEntry] = {}
-        self._frame_pages: dict[int, set[int]] = {}
 
     # -- regions ---------------------------------------------------------
 
@@ -171,36 +182,24 @@ class AddressSpace:
             raise ValueError(f"page address {page_va:#x} not aligned")
         if page_va in self._pages:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
+        self._frames.attach(entry.frame_id, page_va)
         self._pages[page_va] = entry
-        self._frames.incref(entry.frame_id)
-        self._frame_pages.setdefault(entry.frame_id, set()).add(page_va)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping; returns the frame's remaining refcount."""
         entry = self._pages.pop(page_va, None)
         if entry is None:
             raise UnmappedPage(f"page {page_va:#x} is not mapped")
-        pages = self._frame_pages.get(entry.frame_id)
-        if pages is not None:
-            pages.discard(page_va)
-            if not pages:
-                del self._frame_pages[entry.frame_id]
-        return self._frames.decref(entry.frame_id)
+        return len(self._frames.detach(entry.frame_id, page_va).pages)
 
     def share_region(
-        self,
-        parent: Region,
-        child: Region,
-        skip: set[int],
-        state: PageState,
-        cap_load_allowed: bool,
-        owner_pid: int,
+        self, parent: Region, child: Region, skip: set[int], state: PageState, owner_pid: int
     ) -> int:
         """Map, as :meth:`map` would, each parent page not in ``skip`` read-only
         at the same child offset, and make a private parent entry shared
         copy-on-write.  Returns the page-table entries written.
         """
-        pages, frame_pages, incref = self._pages, self._frame_pages, self._frames.incref
+        pages, attach = self._pages, self._frames.attach
         written = 0
         for offset in range(0, parent.size, PAGE_SIZE):
             parent_va = parent.base + offset
@@ -213,36 +212,30 @@ class AddressSpace:
             if child_va in pages:
                 raise DoubleMap(f"page {child_va:#x} is already mapped")
             frame_id = entry.frame_id
-            pages[child_va] = PageTableEntry(frame_id, state, False, cap_load_allowed, owner_pid)
-            incref(frame_id)
-            frame_pages[frame_id].add(child_va)
+            pages[child_va] = PageTableEntry(frame_id, state, False, owner_pid)
+            attach(frame_id, child_va)
             written += 1
             if entry.state is PageState.PRIVATE:
                 entry.state = PageState.SHARED_COW
                 entry.writable = False
-                entry.cap_load_allowed = True
                 written += 1
         return written
 
-    def unmap_owned(self, region: Region, pid: int) -> list[int]:
+    def unmap_owned(self, region: Region, pid: int) -> list[TaggedFrame]:
         """Unmap every page of ``region`` that ``pid`` owns, in one pass.
 
         Returns, in page order, the frames left with one mapping.
         """
-        pages, frame_pages, decref = self._pages, self._frame_pages, self._frames.decref
+        pages, detach = self._pages, self._frames.detach
         survivors = []
         for page_va in region.page_addresses():
             entry = pages.get(page_va)
             if entry is None or entry.owner_pid != pid:
                 continue
             del pages[page_va]
-            frame_id = entry.frame_id
-            mappers = frame_pages[frame_id]
-            mappers.discard(page_va)
-            if not mappers:
-                del frame_pages[frame_id]
-            if decref(frame_id) == 1:
-                survivors.append(frame_id)
+            frame = detach(entry.frame_id, page_va)
+            if len(frame.pages) == 1:
+                survivors.append(frame)
         return survivors
 
     def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
@@ -259,28 +252,27 @@ class AddressSpace:
     def entry_at(self, addr: int) -> PageTableEntry | None:
         return self._pages.get(page_of(addr))
 
-    def sole_page(self, frame_id: int) -> int | None:
-        """The one page mapping ``frame_id``, or ``None`` if not exactly one."""
-        pages = self._frame_pages.get(frame_id, ())
-        return next(iter(pages)) if len(pages) == 1 else None
-
     def entries(self) -> dict[int, PageTableEntry]:
         return dict(self._pages)
 
     def verify_refcounts(self) -> None:
-        """Debug sweep: refcount(f) must equal the PTEs referencing f."""
-        counted: dict[int, int] = {}
-        for entry in self._pages.values():
-            counted[entry.frame_id] = counted.get(entry.frame_id, 0) + 1
-        for frame_id, frame_count in counted.items():
-            if self._frames.refcount(frame_id) != frame_count:
+        """Debug sweep: each frame's page set is exactly the PTEs mapping it.
+
+        Once every entry's page is in its frame's set, equal totals mean
+        the sets list nothing else.
+        """
+        frames = self._frames.live_frames
+        for page_va, entry in self._pages.items():
+            frame = frames.get(entry.frame_id)
+            if frame is None or page_va not in frame.pages:
                 raise SimInternalError(
-                    f"frame {frame_id}: refcount {self._frames.refcount(frame_id)} "
-                    f"vs {frame_count} mappings"
+                    f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                 )
-        for frame_id in self._frames.live_frames:
-            if self._frames.refcount(frame_id) != counted.get(frame_id, 0):
-                raise SimInternalError(f"frame {frame_id} mapped-count mismatch")
+        listed = sum(len(frame.pages) for frame in frames.values())
+        if listed != len(self._pages):
+            raise SimInternalError(
+                f"frames list {listed} pages, the page table maps {len(self._pages)}"
+            )
 
     # -- checked accesses --------------------------------------------------
 
@@ -342,7 +334,7 @@ class AddressSpace:
                 fail(FaultKind.PAGE_ACCESS, page_va)
             if kind in (AccessKind.WRITE, AccessKind.CAP_STORE) and not entry.writable:
                 fail(FaultKind.PAGE_WRITE, page_va)
-            if entry.cap_load_allowed:
+            if entry.state.cap_load:
                 continue
             if kind is AccessKind.CAP_LOAD:
                 fail(FaultKind.CAP_LOAD, page_va)

@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
         args.strategy,
         args.isolation,
         debug=args.debug,
-        audit=args.audit or None,
+        audit=args.audit,
     )
     if not args.no_trace:
         print(result.trace.to_text())

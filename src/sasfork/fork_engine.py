@@ -12,8 +12,8 @@ observes:
   of a tagged granule trigger the copy, so plain data reads stay shared.
 * ``UNSAFE_COW``: classic copy-on-write.  Child capability loads from
   shared pages do not fault, so the child can observe stale references
-  into the parent's region.  It exists to demonstrate that hazard and is
-  only constructible with the audit armed.
+  into the parent's region.  It exists to demonstrate that hazard, and
+  a run under it always audits.
 
 Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
@@ -29,8 +29,8 @@ the faulting page to it, copy bytes and capabilities, then scan the
 copy's tagged granules and rebase every capability that still targets
 the frame's origin region.  Copies made for the region that already
 owns the frame's contents (the parent side) skip the scan.  When a
-shared frame's refcount drops to one, the surviving mapping is promoted
-back to private; if the survivor is a forked child the frame is
+shared frame's page set drops to one page, the surviving mapping is
+promoted back to private; if the survivor is a forked child the frame is
 relocated in place first, so promotion can never expose stale
 references.
 
@@ -54,6 +54,7 @@ from .errors import (
     UnresolvableFault,
 )
 from .process import MicroProcess, Status
+from .tagged_memory import TaggedFrame
 
 if TYPE_CHECKING:
     from .system import System
@@ -87,9 +88,9 @@ _FAULT_TO_CAUSE = {
 
 #: Child-side page state installed per strategy when a page is shared.
 _CHILD_SHARED_STATE = {
-    ForkStrategy.COA: (PageState.SHARED_COA, False),
-    ForkStrategy.COPA: (PageState.SHARED_COPA, False),
-    ForkStrategy.UNSAFE_COW: (PageState.SHARED_COW, True),
+    ForkStrategy.COA: PageState.SHARED_COA,
+    ForkStrategy.COPA: PageState.SHARED_COPA,
+    ForkStrategy.UNSAFE_COW: PageState.SHARED_COW,
 }
 
 #: Synthetic fork-cost weights: page copies dominate, PTE writes and
@@ -178,9 +179,8 @@ class ForkEngine:
                 copied.add(parent_va)
         eager_pages = ptes_written = len(copied)
         if strategy is not ForkStrategy.FULL_COPY:
-            state, cap_load = _CHILD_SHARED_STATE[strategy]
             ptes_written += sys.address_space.share_region(
-                parent.region, child_region, copied, state, cap_load, child_pid
+                parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy], child_pid
             )
 
         def rebase(cap: Capability) -> Capability:
@@ -234,8 +234,8 @@ class ForkEngine:
                 f"page {fault.page_va:#x} is not in a shared state"
             )
         owner = sys.process(entry.owner_pid)
-        old_frame_id = entry.frame_id
-        if sys.frames.refcount(old_frame_id) < 2:
+        old_frame = sys.frames.get(entry.frame_id)
+        if len(old_frame.pages) < 2:
             # Promotion reverts sole-owner pages to private, so a shared
             # entry always aliases a multiply-referenced frame.
             raise SimInternalError(
@@ -245,13 +245,13 @@ class ForkEngine:
         event = self._copy_into(
             fault.pid,
             fault.page_va,
-            old_frame_id,
+            old_frame.frame_id,
             owner.region,
             owner_pid=owner.pid,
             writable=owner.layout.page_writable(fault.page_va),
             cause=cause,
         )
-        self._maybe_promote(old_frame_id)
+        self._maybe_promote(old_frame)
         return event
 
     def _copy_into(
@@ -285,7 +285,6 @@ class ForkEngine:
                 frame_id=fresh.frame_id,
                 state=PageState.PRIVATE,
                 writable=writable,
-                cap_load_allowed=True,
                 owner_pid=owner_pid,
             ),
         )
@@ -305,31 +304,27 @@ class ForkEngine:
                     f"outside {dest_region}: {cap}"
                 )
 
-    def _maybe_promote(self, frame_id: int) -> None:
+    def _maybe_promote(self, frame: TaggedFrame) -> None:
         """Sole survivor of a shared frame goes back to private access.
 
         If the survivor's region is not the frame's origin (a child that
         never copied this page), the frame is relocated in place before
         access is widened, so no stale capability becomes loadable.
         """
+        if len(frame.pages) != 1:
+            return
         sys = self._sys
-        if sys.frames.refcount(frame_id) != 1:
-            return
-        page_va = sys.address_space.sole_page(frame_id)
-        if page_va is None:
-            return
+        (page_va,) = frame.pages
         entry = sys.address_space.entry_at(page_va)
-        if entry is None or not entry.shared:
+        if not entry.shared:
             return
         owner = sys.process(entry.owner_pid)
-        frame = sys.frames.get(frame_id)
         if frame.origin != owner.region:
             relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
             sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
             frame.origin = owner.region
         entry.state = PageState.PRIVATE
         entry.writable = owner.layout.page_writable(page_va)
-        entry.cap_load_allowed = True
 
     # -- exit / wait ----------------------------------------------------------
 
@@ -369,8 +364,8 @@ class ForkEngine:
         if proc.status is not Status.EXITED:
             raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
         sys = self._sys
-        for frame_id in sys.address_space.unmap_owned(proc.region, proc.pid):
-            self._maybe_promote(frame_id)
+        for frame in sys.address_space.unmap_owned(proc.region, proc.pid):
+            self._maybe_promote(frame)
         sys.files.drop_table(proc)
         sys.release_pid(proc.pid)
         proc.status = Status.REAPED

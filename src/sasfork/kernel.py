@@ -9,8 +9,9 @@ capabilities never reach a handler.
 
 Three isolation levels trade checking cost for safety:
 
-* ``FULL``: by-reference syscall arguments are copied into kernel memory
-  *before* validation and results copied back at completion, closing the
+* ``FULL``: the buffer capability is validated as under ``FAULT``, then
+  by-reference syscall arguments are copied into kernel memory before
+  the handler runs and results copied back at completion, closing the
   check-to-use (TOCTTOU) window.
 * ``FAULT``: arguments are validated in place (tag set, bounds inside
   the caller's region, sufficient permissions) but not copied.
@@ -119,8 +120,8 @@ class KernelGateway:
         self.isolation = isolation
         self._handlers: dict[str, Callable] = {}
         self._entries: dict[str, Capability] = {}
-        self._unsealed: dict[str, Capability] = {}
-        self._sealed_entries: set[Capability] = set()
+        # Sealed entry -> the unsealed target it invokes.
+        self._targets: dict[Capability, Capability] = {}
         self._boot_complete = False
         # Running pid -> per page of its region, the (frame id, frame
         # version) the audit last found that page clean with, or None.
@@ -160,22 +161,21 @@ class KernelGateway:
         target = code.derive(code.base + index * GRANULE, GRANULE)
         sealed = target.seal(_ENTRY_OTYPE_BASE + index)
         self._entries[name] = sealed
-        self._sealed_entries.add(sealed)
-        self._unsealed[name] = target
+        self._targets[sealed] = target
         self._handlers[name] = handler
         return sealed
 
     def is_entry_capability(self, cap: Capability) -> bool:
-        return cap.tag and cap in self._sealed_entries
+        return cap.tag and cap in self._targets
 
     def unseal_invoke(self, cap: Capability, *, context_pid: int) -> Capability:
         """Recover the unsealed entry target; dispatcher context only."""
         if context_pid != KERNEL_PID:
             raise InvalidInvoke("unseal is reserved to the kernel-gateway dispatcher")
-        for name, entry in self._entries.items():
-            if entry == cap:
-                return self._unsealed[name]
-        raise InvalidInvoke("not a registered sealed entry")
+        target = self._targets.get(cap)
+        if target is None:
+            raise InvalidInvoke("not a registered sealed entry")
+        return target
 
     # -- dispatch ---------------------------------------------------------
 
@@ -214,18 +214,19 @@ class KernelGateway:
             raise SyscallError("ENOSYS", f"unknown syscall {name!r}")
         if entry != registered:
             raise InvalidInvoke(f"sealed capability does not match entry {name!r}")
-        self.unseal_invoke(entry, context_pid=KERNEL_PID)
 
         if self.isolation is IsolationLevel.NONE:
             if toctou_hook is not None:
                 toctou_hook()
             return self._handlers[name](pid, args)
 
-        if self.isolation is IsolationLevel.FULL:
-            # Buffers land in kernel memory first; checks then run on
-            # state the caller can no longer change.
-            self._copy_in(pid, name, args)
+        # The buffer capability is a register value the caller cannot
+        # change, so it is checked before anything is read through it.
         self._validate_args(pid, name, args)
+        if self.isolation is IsolationLevel.FULL:
+            # Buffers land in kernel memory before the handler reads
+            # them, so later stores by the caller cannot reach it.
+            self._copy_in(pid, name, args)
         if toctou_hook is not None:
             toctou_hook()
         return self._handlers[name](pid, args)
@@ -411,7 +412,7 @@ class KernelGateway:
                 entry = entry_at(page_va)
                 if entry is None or entry.owner_pid != proc.pid:
                     continue
-                if not entry.cap_load_allowed:
+                if not entry.state.cap_load:
                     continue
                 frame = system.frames.get(entry.frame_id)
                 stamp = (frame.frame_id, frame.version)

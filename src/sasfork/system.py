@@ -66,22 +66,14 @@ class System:
         isolation: IsolationLevel | str = IsolationLevel.FAULT,
         *,
         debug: bool = False,
-        arm_audit: bool | None = None,
     ):
         if isinstance(strategy, str):
             strategy = ForkStrategy(strategy)
         if isinstance(isolation, str):
             isolation = IsolationLevel(isolation)
-        if strategy is ForkStrategy.UNSAFE_COW:
-            # The unsafe mode exists to demonstrate the stale-reference
-            # hazard; it is only constructible with the auditor armed.
-            if arm_audit is False:
-                raise ValueError("unsafe-cow requires the audit to be armed")
-            arm_audit = True
         self.strategy = strategy
         self.isolation = isolation
         self.debug = debug
-        self.audit_armed = bool(arm_audit)
 
         self.frames = FrameTable()
         self.address_space = AddressSpace(self.frames)
@@ -113,7 +105,6 @@ class System:
                     frame_id=frame.frame_id,
                     state=PageState.PRIVATE,
                     writable=index != 0,
-                    cap_load_allowed=True,
                     owner_pid=KERNEL_PID,
                 ),
             )
@@ -190,7 +181,6 @@ class System:
                     frame_id=frame.frame_id,
                     state=PageState.PRIVATE,
                     writable=layout.page_writable(page_va),
-                    cap_load_allowed=True,
                     owner_pid=pid,
                 ),
             )

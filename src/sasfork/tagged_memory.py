@@ -22,6 +22,9 @@ rewrites every capability that the parent-to-child rebase rule changes.
 A capability whose target lies in neither region is stored back
 untagged; the scan reports only how many granules it rewrote, and the
 caller records that with the copy.
+
+A frame also owns the set of pages that map it, the one record of its
+mappers: its refcount is that set's size, and it is freed when it empties.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import OutOfFrame, SimInternalError
 
 
 class TaggedFrame:
-    """One physical page: data bytes, capabilities, and its origin region.
+    """One physical page: data bytes, capabilities, origin and mappers.
 
     A granule is tagged when its ``caps`` entry is.  ``origin`` records
     which reserved region the frame's contents are laid out for; the fork
@@ -49,10 +52,11 @@ class TaggedFrame:
     frame aliased through several generations of forks still relocates
     correctly).  ``version`` is bumped on every change to ``caps``; as
     frame ids are never reused, ``(frame_id, version)`` identifies the
-    frame's capability contents.
+    frame's capability contents.  ``pages`` holds the virtual page
+    addresses that map the frame.
     """
 
-    __slots__ = ("frame_id", "data", "caps", "origin", "version")
+    __slots__ = ("frame_id", "data", "caps", "origin", "version", "pages")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
@@ -60,6 +64,7 @@ class TaggedFrame:
         self.caps: dict[int, Capability] = {}
         self.origin = origin
         self.version = 0
+        self.pages: set[int] = set()
 
     def store_bytes(self, offset: int, payload: bytes) -> None:
         """Write raw bytes; tags of every overlapped granule are cleared."""
@@ -107,23 +112,21 @@ class TaggedFrame:
 
 
 class FrameTable:
-    """Allocator and refcount bookkeeping for tagged frames.
+    """Allocator for tagged frames and the pages attached to them.
 
-    ``refcount(f)`` equals the number of page-table entries mapping
-    ``f``; a frame whose count drops to zero is freed.  Frame ids are
-    never reused within a run.
+    The address space attaches and detaches each page it maps; a frame
+    whose last page detaches is freed.  Frame ids are never reused
+    within a run.
     """
 
     def __init__(self) -> None:
         self._frames: dict[int, TaggedFrame] = {}
-        self._refcounts: dict[int, int] = {}
         self._next_id = 1
 
     def allocate(self, origin: Region | None = None) -> TaggedFrame:
         frame = TaggedFrame(self._next_id, origin)
         self._next_id += 1
         self._frames[frame.frame_id] = frame
-        self._refcounts[frame.frame_id] = 0
         return frame
 
     def get(self, frame_id: int) -> TaggedFrame:
@@ -136,24 +139,23 @@ class FrameTable:
         return frame_id in self._frames
 
     def refcount(self, frame_id: int) -> int:
-        return self._refcounts.get(frame_id, 0)
+        frame = self._frames.get(frame_id)
+        return 0 if frame is None else len(frame.pages)
 
-    def incref(self, frame_id: int) -> int:
-        self.get(frame_id)
-        self._refcounts[frame_id] += 1
-        return self._refcounts[frame_id]
+    def attach(self, frame_id: int, page_va: int) -> None:
+        """Record that ``page_va`` maps the frame."""
+        self.get(frame_id).pages.add(page_va)
 
-    def decref(self, frame_id: int) -> int:
-        count = self._refcounts.get(frame_id)
-        if count is None or count <= 0:
-            raise SimInternalError(f"refcount underflow on frame {frame_id}")
-        count -= 1
-        if count == 0:
+    def detach(self, frame_id: int, page_va: int) -> TaggedFrame:
+        """Drop ``page_va`` from the frame's pages; free the frame when none is left."""
+        frame = self.get(frame_id)
+        pages = frame.pages
+        if page_va not in pages:
+            raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
+        pages.remove(page_va)
+        if not pages:
             del self._frames[frame_id]
-            del self._refcounts[frame_id]
-        else:
-            self._refcounts[frame_id] = count
-        return count
+        return frame
 
     def clone(self, frame_id: int) -> TaggedFrame:
         """Copy bytes, capabilities and origin into a fresh frame."""

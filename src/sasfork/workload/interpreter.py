@@ -38,6 +38,7 @@ from ..errors import (
 from ..kernel import AuditReport, IsolationLevel
 from ..fork_engine import ForkStrategy
 from ..metrics import MetricsReport
+from ..process import MicroProcess
 from ..system import System
 from .script import (
     Alloc,
@@ -106,17 +107,17 @@ class RunResult:
 
 
 class _Task:
-    __slots__ = ("pid", "stream", "ip", "last_result", "files", "dead")
+    __slots__ = ("proc", "stream", "ip", "last_result", "files")
 
-    def __init__(self, pid: int, stream: list):
-        self.pid = pid
+    def __init__(self, proc: MicroProcess, stream: list):
+        # The task is live while its process is running.
+        self.proc = proc
         self.stream = stream
         self.ip = 0
         # The previous statement's result as the trace rendered it; a
         # forked child starts with the fork's return value, 0.
         self.last_result = "0"
         self.files: dict[str, int] = {}
-        self.dead = False
 
 
 _YIELDED = object()
@@ -130,7 +131,7 @@ def run(
     isolation: IsolationLevel | str = IsolationLevel.FAULT,
     *,
     debug: bool = False,
-    audit: bool | None = None,
+    audit: bool = False,
 ) -> RunResult:
     """Execute a script and return its trace, metrics and audit results.
 
@@ -154,13 +155,13 @@ class _Interpreter:
         isolation: IsolationLevel | str,
         *,
         debug: bool,
-        audit: bool | None,
+        audit: bool,
     ):
         self.script = script
         self.system = System(strategy, isolation, debug=debug)
-        self.audit_every_step = (
-            audit if audit is not None else self.system.audit_armed
-        )
+        # The unsafe strategy exists to show its stale references, so
+        # its runs always audit.
+        self.audit_every_step = audit or self.system.strategy is ForkStrategy.UNSAFE_COW
         self.trace = Trace()
         self._seq = 0
         self._violations: dict = {}
@@ -187,7 +188,7 @@ class _Interpreter:
 
     def run(self) -> RunResult:
         root = self.system.create_initial_process(self.script.layout_spec())
-        task = _Task(root.pid, list(self.script.body))
+        task = _Task(root, list(self.script.body))
         self._tasks[root.pid] = task
         self._queue.append(root.pid)
 
@@ -195,7 +196,7 @@ class _Interpreter:
         while self._queue:
             pid = self._queue.popleft()
             task = self._tasks[pid]
-            if task.dead:
+            if not task.proc.running:
                 continue
             progressed = self._run_task(task)
             if progressed:
@@ -230,13 +231,13 @@ class _Interpreter:
     def _run_task(self, task: _Task) -> bool:
         """Run one task until it yields, blocks, or dies; True if it progressed."""
         progressed = False
-        while not task.dead:
+        while task.proc.running:
             if task.ip >= len(task.stream):
                 task.stream.append(Exit(0))
             stmt = task.stream[task.ip]
             outcome = self._execute(task, stmt)
             if outcome is _BLOCKED:
-                self._queue.append(task.pid)
+                self._queue.append(task.proc.pid)
                 return progressed
             progressed = True
             self._after_step()
@@ -244,7 +245,7 @@ class _Interpreter:
                 return True
             task.ip += 1
             if outcome is _YIELDED:
-                self._queue.append(task.pid)
+                self._queue.append(task.proc.pid)
                 return True
         return progressed
 
@@ -273,7 +274,7 @@ class _Interpreter:
             result = type(err).__name__
         if result is _BLOCKED:
             return _BLOCKED
-        event = self._emit(task.pid, text, result)
+        event = self._emit(task.proc.pid, text, result)
         if isinstance(stmt, Expect):
             if event.result != "ok":
                 self._expect_failures.append(event.seq)
@@ -281,23 +282,21 @@ class _Interpreter:
             task.last_result = event.result
         if succeeded and isinstance(stmt, Fork):
             self._emit(result, text, 0)
-        if task.dead:
+        if not task.proc.running:
             return _DEAD
         if succeeded and isinstance(stmt, Yield):
             return _YIELDED
         return None
 
     def _kill(self, task: _Task) -> None:
-        task.dead = True
-        proc = self.system.process(task.pid)
-        if proc.running:
-            self.system.fork_engine.exit(task.pid, FAULT_EXIT_CODE)
+        if task.proc.running:
+            self.system.fork_engine.exit(task.proc.pid, FAULT_EXIT_CODE)
 
     def _dispatch(self, task: _Task, stmt):
         """Perform one statement and return its result, or ``_BLOCKED``."""
         system = self.system
-        pid = task.pid
-        proc = system.process(pid)
+        proc = task.proc
+        pid = proc.pid
 
         if isinstance(stmt, Alloc):
             amc = proc.registers["amc"]
@@ -341,7 +340,7 @@ class _Interpreter:
 
         if isinstance(stmt, Fork):
             child_pid = self._syscall(proc, "fork", {})
-            child_task = _Task(child_pid, list(stmt.body))
+            child_task = _Task(system.process(child_pid), list(stmt.body))
             child_task.files = dict(task.files)
             self._tasks[child_pid] = child_task
             self._queue.append(child_pid)
@@ -351,7 +350,6 @@ class _Interpreter:
 
         if isinstance(stmt, Exit):
             self._syscall(proc, "exit", {"code": stmt.code})
-            task.dead = True
             return stmt.code
 
         if isinstance(stmt, Wait):

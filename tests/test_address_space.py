@@ -11,7 +11,7 @@ from sasfork.address_space import (
     PageTableEntry,
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
-from sasfork.errors import AddressSpaceExhausted, DoubleMap, UnmappedPage
+from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
 from sasfork.tagged_memory import FrameTable
 
 
@@ -20,7 +20,7 @@ def space():
     return AddressSpace(FrameTable())
 
 
-def mapped_page(space, *, state=PageState.PRIVATE, writable=True, cap_load=True, pid=1):
+def mapped_page(space, *, state=PageState.PRIVATE, writable=True, pid=1):
     region = space.reserve_region(PAGE_SIZE)
     frame = space._frames.allocate(origin=region)
     space.map(
@@ -29,7 +29,6 @@ def mapped_page(space, *, state=PageState.PRIVATE, writable=True, cap_load=True,
             frame_id=frame.frame_id,
             state=state,
             writable=writable,
-            cap_load_allowed=cap_load,
             owner_pid=pid,
         ),
     )
@@ -76,17 +75,43 @@ class TestMappings:
         other = space.reserve_region(PAGE_SIZE)
         space.map(
             other.base,
-            PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, False, 2),
+            PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 2),
         )
         assert space._frames.refcount(frame.frame_id) == 2
+        assert frame.pages == {region.base, other.base}
         space.verify_refcounts()
+        assert space.unmap(region.base) == 1
+        assert frame.pages == {other.base}
 
     def test_double_map_and_unmapped_unmap(self, space):
         region, frame = mapped_page(space)
         with pytest.raises(DoubleMap):
-            space.map(region.base, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, True, 1))
+            space.map(region.base, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 1))
         with pytest.raises(UnmappedPage):
             space.unmap(region.base + PAGE_SIZE)
+
+    def test_verify_catches_two_pages_that_swapped_frames(self, space):
+        a, frame_a = mapped_page(space)
+        b, frame_b = mapped_page(space)
+        space.verify_refcounts()
+        entries = space.entries()
+        entries[a.base].frame_id, entries[b.base].frame_id = frame_b.frame_id, frame_a.frame_id
+        # Each frame still has one mapping, so only the page sets can tell.
+        assert space._frames.refcount(frame_a.frame_id) == 1
+        with pytest.raises(SimInternalError):
+            space.verify_refcounts()
+
+    def test_verify_catches_a_frame_listing_an_unmapped_page(self, space):
+        region, frame = mapped_page(space)
+        frame.pages.add(region.base + PAGE_SIZE)
+        with pytest.raises(SimInternalError, match="frames list"):
+            space.verify_refcounts()
+
+    def test_detaching_a_page_that_is_not_attached_is_internal(self, space):
+        region, frame = mapped_page(space)
+        with pytest.raises(SimInternalError):
+            space._frames.detach(frame.frame_id, region.base + PAGE_SIZE)
+        assert frame.pages == {region.base}
 
 
 class TestAccessPipelineOrder:
@@ -131,7 +156,7 @@ class TestAccessPipelineOrder:
 
 class TestPageStates:
     def test_coa_page_faults_on_any_access(self, space):
-        region, _ = mapped_page(space, state=PageState.SHARED_COA, writable=False, cap_load=False)
+        region, _ = mapped_page(space, state=PageState.SHARED_COA, writable=False)
         cap = data_cap(region)
         for kind, payload in (
             (AccessKind.READ_INT, None),
@@ -144,7 +169,7 @@ class TestPageStates:
 
     def test_copa_page_reads_but_blocks_cap_loads_and_writes(self, space):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COPA, writable=False, cap_load=False
+            space, state=PageState.SHARED_COPA, writable=False
         )
         cap = data_cap(region)
         assert space.check_and_access(1, cap, AccessKind.READ_INT) == 0
@@ -158,7 +183,7 @@ class TestPageStates:
     @pytest.mark.parametrize("offset", [0, 8, 12, 16, 32, 4088])
     def test_copa_integer_read_of_a_tagged_granule_is_a_cap_load_fault(self, space, offset):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COPA, writable=False, cap_load=False
+            space, state=PageState.SHARED_COPA, writable=False
         )
         space._frames.store_capability(frame, 0, data_cap(region))
         space._frames.store_capability(frame, 2, data_cap(region).untagged())
@@ -173,7 +198,7 @@ class TestPageStates:
 
     def test_cow_page_allows_cap_load(self, space):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COW, writable=False, cap_load=True
+            space, state=PageState.SHARED_COW, writable=False
         )
         stored = data_cap(region)
         space._frames.store_capability(frame, 0, stored)
@@ -206,7 +231,7 @@ class TestDataMovement:
         region = space.reserve_region(2 * PAGE_SIZE)
         for page_va in region.page_addresses():
             frame = space._frames.allocate(origin=region)
-            space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, True, 1))
+            space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 1))
         cap = data_cap(region, offset=PAGE_SIZE - 4)
         space.check_and_access(1, cap, AccessKind.WRITE, b"\x11" * 8)
         assert space.check_and_access(1, cap, AccessKind.READ_INT) == int.from_bytes(b"\x11" * 8, "little")

@@ -69,7 +69,7 @@ class TestForkMapping:
         system.fork_engine.fork(parent.pid)
         entry = system.address_space.entry_at(parent.layout.heap.base)
         assert entry.state is PageState.SHARED_COW
-        assert not entry.writable and entry.cap_load_allowed
+        assert not entry.writable and entry.state.cap_load
 
     def test_pcc_offset_is_preserved(self):
         system = make_system("copa")
@@ -374,7 +374,7 @@ class TestBatchedPaths:
         frame = system.frames.allocate()
         system.address_space.map(
             squatter,
-            PageTableEntry(frame.frame_id, PageState.PRIVATE, True, True, 0),
+            PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 0),
         )
         with pytest.raises(DoubleMap):
             system.fork_engine.fork(parent.pid)
@@ -389,9 +389,7 @@ class TestBatchedPaths:
         system.fork_engine.exit(child.pid, 0)
         system.fork_engine.reap(child)
         indexed = {
-            va
-            for pages in system.address_space._frame_pages.values()
-            for va in pages
+            va for frame in system.frames.live_frames.values() for va in frame.pages
         }
         assert not any(child.region.contains(va) for va in indexed)
         assert indexed == set(system.address_space.entries())
@@ -415,7 +413,7 @@ class TestBatchedPaths:
             entry = system.address_space.entry_at(va)
             assert entry.state is PageState.PRIVATE
             assert entry.writable == parent.layout.page_writable(va)
-            assert entry.cap_load_allowed
+            assert entry.state.cap_load
             assert system.frames.refcount(entry.frame_id) == 1
         assert not parent.layout.page_writable(parent.layout.code_ro.base)
         system.verify_invariants()

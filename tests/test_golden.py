@@ -4,6 +4,10 @@ Each script below runs under every strategy and every isolation level
 with the audit and the debug sweeps on.  The sha256 over the four
 rendered outputs of all twelve runs is frozen; any change to what the
 simulator prints, however small, changes the digest.
+
+FAULT and FULL isolation check the same arguments and differ only in
+the copy-in, so every script, errors included, gives both the same
+trace.
 """
 
 import hashlib
@@ -171,7 +175,7 @@ GOLDEN = {
     ),
     "misc": (
         MISC,
-        "2421ce06e6ce800bbd4c2fb77170fce0a03a5af560ab99b1e8e68de9c27d46c2",
+        "c10159ab97efe8f3509a84b3d1cb0230cadf0f2c4cdbcb80fee05ef31648e5b6",
     ),
     "gen": (
         GEN,
@@ -202,3 +206,21 @@ def test_outputs_match_the_frozen_digest(name, monkeypatch):
     if name == "eagain":
         monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
     assert digest(text) == frozen
+
+
+#: A seeded slice of generated scripts beside the golden ones.
+GEN_SLICE = {
+    f"gen-{seed}": print_script(generate(1 + seed % 4, (seed % 5) / 4, (seed % 3) / 2, seed))
+    for seed in range(6)
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", [*sorted(GOLDEN), *GEN_SLICE])
+def test_fault_and_full_isolation_give_the_same_trace(name, strategy, monkeypatch):
+    text = GOLDEN[name][0] if name in GOLDEN else GEN_SLICE[name]
+    if name == "eagain":
+        monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
+    fault = run(text, strategy, "fault").trace
+    full = run(text, strategy, "full").trace
+    assert full.value_hash() == fault.value_hash(), full.to_text()

@@ -175,6 +175,21 @@ class TestArgumentValidation:
         obj = system.files.object_for_fd(proc, fd)
         assert bytes(obj.data) == b"leak!!!!"
 
+    @pytest.mark.parametrize("isolation", ["fault", "full"])
+    def test_buffer_past_its_bounds_is_efault_before_any_copy(self, isolation):
+        system = make_system(isolation)
+        proc = system.create_initial_process()
+        fd = system.gateway.syscall(proc.pid, proc.entry_caps["open"], "open", {"name": "f"})
+        with pytest.raises(SyscallError) as err:
+            system.gateway.syscall(
+                proc.pid,
+                proc.entry_caps["write"],
+                "write",
+                {"fd": fd, "buf": buffer_cap(proc, length=64), "count": 128},
+            )
+        assert err.value.code == "EFAULT"
+        assert not system.files.object_for_fd(proc, fd).data
+
     def test_untagged_buffer_is_efault_under_fault_isolation(self):
         system = make_system("fault")
         proc = system.create_initial_process()
@@ -322,10 +337,10 @@ class TestAudit:
             for v in report.violations
         )
 
-    def test_unsafe_cow_requires_the_audit_armed(self):
-        with pytest.raises(ValueError):
-            System("unsafe-cow", "fault", arm_audit=False)
-        assert System("unsafe-cow", "fault").audit_armed
+    def test_unsafe_cow_runs_audit_even_when_asked_not_to(self):
+        result = run(STALE_DEMO, "unsafe-cow", "fault", audit=False)
+        assert result.audit is not None and not result.audit.clean
+        assert run(STALE_DEMO, "copa", "fault", audit=False).audit is None
 
 
 # -- the audit memo against the full sweep ------------------------------------
@@ -347,7 +362,7 @@ def full_sweep(system):
             entry = system.address_space.entry_at(page_va)
             if entry is None or entry.owner_pid != proc.pid:
                 continue
-            if not entry.cap_load_allowed:
+            if not entry.state.cap_load:
                 continue
             frame = system.frames.get(entry.frame_id)
             # Locations are formatted only for the violations found.
@@ -494,7 +509,7 @@ class TestAuditMemo:
         system, parent = audited_system(strategy)
         child = system.process(system.fork_engine.fork(parent.pid))
         page = child.layout.heap.base
-        assert not system.address_space.entry_at(page).cap_load_allowed
+        assert not system.address_space.entry_at(page).state.cap_load
         assert system.gateway.audit().clean
         clean = system.gateway._clean_pages[child.pid]
         index = (page - child.region.base) // PAGE_SIZE
@@ -503,7 +518,7 @@ class TestAuditMemo:
         # mapper left, so its page is relocated and promoted.
         system.access(parent.pid, buffer_cap(parent, offset=64), AccessKind.WRITE, b"\x02")
         entry = system.address_space.entry_at(page)
-        assert entry.cap_load_allowed
+        assert entry.state.cap_load
         assert system.gateway.audit().clean
         frame = system.frames.get(entry.frame_id)
         assert clean[index] == (frame.frame_id, frame.version)

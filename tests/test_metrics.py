@@ -219,7 +219,7 @@ def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
         va, owner = child.layout.heap.base, child.pid
     stray = system.frames.allocate()
     system.address_space.map(
-        va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True, True, owner)
+        va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True, owner)
     )
     with pytest.raises(SimInternalError, match="prs conservation"):
         system.verify_invariants()

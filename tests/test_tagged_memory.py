@@ -169,12 +169,14 @@ class TestScanAndRelocate:
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
         frame = table.allocate()
-        table.incref(frame.frame_id)
-        table.incref(frame.frame_id)
+        table.attach(frame.frame_id, 0x1000)
+        table.attach(frame.frame_id, 0x2000)
         assert table.refcount(frame.frame_id) == 2
-        assert table.decref(frame.frame_id) == 1
-        assert table.decref(frame.frame_id) == 0
+        assert table.detach(frame.frame_id, 0x1000).pages == {0x2000}
+        assert table.exists(frame.frame_id)
+        assert not table.detach(frame.frame_id, 0x2000).pages
         assert not table.exists(frame.frame_id)
+        assert table.refcount(frame.frame_id) == 0
 
     def test_clone_copies_bytes_and_tags(self, table):
         frame = table.allocate(origin=PARENT)
