@@ -81,11 +81,20 @@ class PageTableEntry:
 
 
 class AccessKind(enum.Enum):
-    READ_INT = "ReadInt"
-    WRITE = "Write"
-    CAP_LOAD = "CapLoad"
-    CAP_STORE = "CapStore"
-    EXEC = "Exec"
+    READ_INT = "ReadInt", Perm.LOAD
+    WRITE = "Write", Perm.STORE
+    CAP_LOAD = "CapLoad", Perm.LOAD | Perm.LOAD_CAP
+    CAP_STORE = "CapStore", Perm.STORE | Perm.STORE_CAP
+    EXEC = "Exec", Perm.EXEC
+
+    def __new__(cls, value: str, required: Perm):
+        member = object.__new__(cls)
+        member._value_ = value
+        # The permission bits the access needs, as an int mask: a plain
+        # attribute, like PageState.cap_load, keeps the enum's hash and
+        # its value property off the access path.
+        member.required = required._value_
+        return member
 
 
 class FaultKind(enum.Enum):
@@ -104,6 +113,21 @@ class FaultKind(enum.Enum):
 RESOLVABLE_FAULTS = frozenset(
     {FaultKind.PAGE_WRITE, FaultKind.PAGE_ACCESS, FaultKind.CAP_LOAD}
 )
+
+
+# Module aliases of the members the access pipeline tests: loading a
+# global is several times cheaper than an attribute of the enum class.
+_PRIVATE, _SHARED_COW = PageState.PRIVATE, PageState.SHARED_COW
+_SHARED_COA = PageState.SHARED_COA
+_READ_INT, _WRITE, _EXEC = AccessKind.READ_INT, AccessKind.WRITE, AccessKind.EXEC
+_CAP_LOAD, _CAP_STORE = AccessKind.CAP_LOAD, AccessKind.CAP_STORE
+_CAP_ACCESSES = (_CAP_LOAD, _CAP_STORE)
+_STORES = (_WRITE, _CAP_STORE)
+_INT_READS = (_READ_INT, _EXEC)
+_CAP_TAG_FAULT, _CAP_SEALED_FAULT = FaultKind.CAP_TAG, FaultKind.CAP_SEALED
+_CAP_BOUNDS_FAULT, _CAP_PERM_FAULT = FaultKind.CAP_BOUNDS, FaultKind.CAP_PERM
+_PAGE_WRITE_FAULT, _PAGE_ACCESS_FAULT = FaultKind.PAGE_WRITE, FaultKind.PAGE_ACCESS
+_CAP_LOAD_FAULT = FaultKind.CAP_LOAD
 
 
 @dataclass(frozen=True)
@@ -128,15 +152,6 @@ class FaultError(SimulatorError):
         super().__init__(str(fault))
         self.fault = fault
 
-
-#: Permission bits each access needs, as int masks of :class:`Perm`.
-_REQUIRED_PERMS = {
-    AccessKind.READ_INT: Perm.LOAD.value,
-    AccessKind.WRITE: Perm.STORE.value,
-    AccessKind.CAP_LOAD: (Perm.LOAD | Perm.LOAD_CAP).value,
-    AccessKind.CAP_STORE: (Perm.STORE | Perm.STORE_CAP).value,
-    AccessKind.EXEC: Perm.EXEC.value,
-}
 
 _EXEC_FETCH_WIDTH = 4
 
@@ -199,24 +214,27 @@ class AddressSpace:
         at the same child offset, and make a private parent entry shared
         copy-on-write.  Returns the page-table entries written.
         """
-        pages, attach = self._pages, self._frames.attach
+        pages, frames = self._pages, self._frames.by_id
+        delta = child.base - parent.base
         written = 0
-        for offset in range(0, parent.size, PAGE_SIZE):
-            parent_va = parent.base + offset
+        for parent_va in range(parent.base, parent.end, PAGE_SIZE):
             if parent_va in skip:
                 continue
             entry = pages.get(parent_va)
             if entry is None:
                 raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
-            child_va = child.base + offset
+            child_va = parent_va + delta
             if child_va in pages:
                 raise DoubleMap(f"page {child_va:#x} is already mapped")
             frame_id = entry.frame_id
+            frame = frames.get(frame_id)
+            if frame is None:
+                raise SimInternalError(f"frame {frame_id} does not exist")
             pages[child_va] = PageTableEntry(frame_id, state, False, owner_pid)
-            attach(frame_id, child_va)
+            frame.pages.add(child_va)
             written += 1
-            if entry.state is PageState.PRIVATE:
-                entry.state = PageState.SHARED_COW
+            if entry.state is _PRIVATE:
+                entry.state = _SHARED_COW
                 entry.writable = False
                 written += 1
         return written
@@ -226,26 +244,41 @@ class AddressSpace:
 
         Returns, in page order, the frames left with one mapping.
         """
-        pages, detach = self._pages, self._frames.detach
+        pages, frames = self._pages, self._frames.by_id
         survivors = []
-        for page_va in region.page_addresses():
+        for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
             if entry is None or entry.owner_pid != pid:
                 continue
+            frame_id = entry.frame_id
+            try:
+                frame = frames[frame_id]
+                frame.pages.remove(page_va)
+            except KeyError:
+                raise SimInternalError(
+                    f"page {page_va:#x} is not attached to frame {frame_id}"
+                ) from None
             del pages[page_va]
-            frame = detach(entry.frame_id, page_va)
-            if len(frame.pages) == 1:
+            mappers = len(frame.pages)
+            if not mappers:
+                del frames[frame_id]
+            elif mappers == 1:
                 survivors.append(frame)
         return survivors
 
     def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
         """Pages of ``region`` owned by ``pid``, counted per frame refcount."""
-        pages, refcount = self._pages, self._frames.refcount
+        pages, frames = self._pages, self._frames.by_id
         counts: dict[int, int] = {}
-        for page_va in region.page_addresses():
+        for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
             if entry is not None and entry.owner_pid == pid:
-                refs = refcount(entry.frame_id)
+                frame = frames.get(entry.frame_id)
+                if frame is None:
+                    raise SimInternalError(
+                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not exist"
+                    )
+                refs = len(frame.pages)
                 counts[refs] = counts.get(refs, 0) + 1
         return counts
 
@@ -261,7 +294,7 @@ class AddressSpace:
         Once every entry's page is in its frame's set, equal totals mean
         the sets list nothing else.
         """
-        frames = self._frames.live_frames
+        frames = self._frames.by_id
         for page_va, entry in self._pages.items():
             frame = frames.get(entry.frame_id)
             if frame is None or page_va not in frame.pages:
@@ -296,68 +329,68 @@ class AddressSpace:
         Returns: the integer read (``READ_INT``/``EXEC``), the loaded
         :class:`Capability` (``CAP_LOAD``), or the byte count written.
         """
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             if not isinstance(payload, (bytes, bytearray)):
                 raise ValueError("WRITE requires a bytes payload")
             width = len(payload)
-        elif kind is AccessKind.CAP_STORE:
+        elif kind is _CAP_STORE:
             if not isinstance(payload, Capability):
                 raise ValueError("CAP_STORE requires a Capability payload")
             width = GRANULE
-        elif kind is AccessKind.CAP_LOAD:
+        elif kind is _CAP_LOAD:
             width = GRANULE
-        elif kind is AccessKind.EXEC:
+        elif kind is _EXEC:
             width = _EXEC_FETCH_WIDTH
 
         def fail(fault_kind: FaultKind, addr: int):
             raise FaultError(Fault(fault_kind, pid, page_of(addr), kind))
 
         if not cap.tag:
-            fail(FaultKind.CAP_TAG, cap.cursor)
+            fail(_CAP_TAG_FAULT, cap.cursor)
         if cap.sealed:
-            fail(FaultKind.CAP_SEALED, cap.cursor)
-        if kind in (AccessKind.CAP_LOAD, AccessKind.CAP_STORE) and cap.cursor % GRANULE:
-            fail(FaultKind.CAP_BOUNDS, cap.cursor)
+            fail(_CAP_SEALED_FAULT, cap.cursor)
+        if kind in _CAP_ACCESSES and cap.cursor % GRANULE:
+            fail(_CAP_BOUNDS_FAULT, cap.cursor)
         if not cap.in_bounds(cap.cursor, width):
-            fail(FaultKind.CAP_BOUNDS, cap.cursor)
-        required = _REQUIRED_PERMS[kind]
-        if cap.perms.value & required != required:
-            fail(FaultKind.CAP_PERM, cap.cursor)
+            fail(_CAP_BOUNDS_FAULT, cap.cursor)
+        required = kind.required
+        if cap.perms._value_ & required != required:
+            fail(_CAP_PERM_FAULT, cap.cursor)
 
         start = cap.cursor
         page_vas = list(range(page_of(start), page_of(start + width - 1) + 1, PAGE_SIZE))
         for page_va in page_vas:
             entry = self._pages.get(page_va)
             if entry is None:
-                fail(FaultKind.PAGE_ACCESS, page_va)
-            if entry.state is PageState.SHARED_COA:
-                fail(FaultKind.PAGE_ACCESS, page_va)
-            if kind in (AccessKind.WRITE, AccessKind.CAP_STORE) and not entry.writable:
-                fail(FaultKind.PAGE_WRITE, page_va)
+                fail(_PAGE_ACCESS_FAULT, page_va)
+            if entry.state is _SHARED_COA:
+                fail(_PAGE_ACCESS_FAULT, page_va)
+            if kind in _STORES and not entry.writable:
+                fail(_PAGE_WRITE_FAULT, page_va)
             if entry.state.cap_load:
                 continue
-            if kind is AccessKind.CAP_LOAD:
-                fail(FaultKind.CAP_LOAD, page_va)
-            if kind in (AccessKind.READ_INT, AccessKind.EXEC):
+            if kind is _CAP_LOAD:
+                fail(_CAP_LOAD_FAULT, page_va)
+            if kind in _INT_READS:
                 lo = max(start, page_va) - page_va
                 hi = min(start + width - page_va, PAGE_SIZE)
                 if self._frames.get(entry.frame_id).tagged_in(lo, hi):
                     # The bytes of a capability the child has not
                     # relocated yet: copy and relocate first.
-                    fail(FaultKind.CAP_LOAD, page_va)
+                    fail(_CAP_LOAD_FAULT, page_va)
 
-        if kind is AccessKind.CAP_LOAD:
+        if kind is _CAP_LOAD:
             entry = self._pages[page_vas[0]]
             frame = self._frames.get(entry.frame_id)
             return self._frames.load_capability(frame, (start % PAGE_SIZE) // GRANULE)
-        if kind is AccessKind.CAP_STORE:
+        if kind is _CAP_STORE:
             entry = self._pages[page_vas[0]]
             frame = self._frames.get(entry.frame_id)
             self._frames.store_capability(
                 frame, (start % PAGE_SIZE) // GRANULE, payload
             )
             return GRANULE
-        if kind is AccessKind.WRITE:
+        if kind is _WRITE:
             data = bytes(payload)
             offset = 0
             for page_va in page_vas:

@@ -27,8 +27,9 @@ a single mapping.
 The lazy copy itself follows three steps: take a fresh frame and remap
 the faulting page to it, copy bytes and capabilities, then scan the
 copy's tagged granules and rebase every capability that still targets
-the frame's origin region.  Copies made for the region that already
-owns the frame's contents (the parent side) skip the scan.  When a
+the frame's origin region, following the source frame's relocation plan
+(see :mod:`sasfork.tagged_memory`).  Copies made for the region that
+already owns the frame's contents (the parent side) skip the scan.  When a
 shared frame's page set drops to one page, the surviving mapping is
 promoted back to private; if the survivor is a forked child the frame is
 relocated in place first, so promotion can never expose stale
@@ -276,7 +277,7 @@ class ForkEngine:
         fresh = sys.frames.clone(src_frame_id)
         scanned = relocations = 0
         if src.origin != dest_region:
-            relocations = sys.frames.scan_and_relocate(fresh, src.origin, dest_region)
+            relocations = sys.frames.scan_and_relocate(fresh, src.origin, dest_region, src)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
         sys.address_space.map(
@@ -293,16 +294,26 @@ class ForkEngine:
         self._verify_copy_clean(fresh, dest_region)
         return event
 
-    def _verify_copy_clean(self, frame, dest_region: Region) -> None:
-        """A just-copied frame must hold no tagged out-of-region capability."""
-        for granule, cap in frame.tagged_caps():
-            if not dest_region.contains_range(cap.base, cap.top):
-                if self._sys.gateway.is_entry_capability(cap):
-                    continue
-                raise SimInternalError(
-                    f"copied frame {frame.frame_id} granule {granule} still targets "
-                    f"outside {dest_region}: {cap}"
-                )
+    def _verify_copy_clean(self, frame: TaggedFrame, dest_region: Region) -> None:
+        """A just-copied frame must hold no tagged out-of-region capability.
+
+        Reports the lowest failing granule.
+        """
+        lo, hi = dest_region.base, dest_region.end
+        is_entry = self._sys.gateway.is_entry_capability
+        failing = [
+            granule
+            for granule, cap in frame.caps.items()
+            if cap.tag
+            and not lo <= cap.base <= cap.base + cap.length <= hi
+            and not is_entry(cap)
+        ]
+        if failing:
+            granule = min(failing)
+            raise SimInternalError(
+                f"copied frame {frame.frame_id} granule {granule} still targets "
+                f"outside {dest_region}: {frame.caps[granule]}"
+            )
 
     def _maybe_promote(self, frame: TaggedFrame) -> None:
         """Sole survivor of a shared frame goes back to private access.

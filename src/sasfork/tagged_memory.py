@@ -23,6 +23,23 @@ A capability whose target lies in neither region is stored back
 untagged; the scan reports only how many granules it rewrote, and the
 caller records that with the copy.
 
+The scan works from a *relocation plan* of the frame it copies from,
+built once per ``(version, parent region)`` and kept in the source
+frame's ``plan`` slot, so it is freed with the frame.  The plan splits
+the tagged granules in two: those whose capability is unsealed and lies
+wholly inside the parent region with its cursor there too, and all the
+others; it also holds the highest base and the lowest top of the first
+group.  A capability lies inside the child region only if its base is
+at or above the child's base and its top at or below the child's end,
+so for a child region that starts above that highest base, or ends
+below that lowest top, no capability of the first group lies in it, and
+the rebase rule is the same shift by ``child.base - parent.base`` for
+each of them: each copy applies the shift without reclassifying them.
+The others, and every granule when the child region fails that test,
+go through :func:`~sasfork.capability.rebase_for_child` one by one.  Every
+store to a tagged granule bumps ``version``, so a stale plan is never
+applied: the next scan sees the version differ and builds a new one.
+
 A frame also owns the set of pages that map it, the one record of its
 mappers: its refcount is that set's size, and it is freed when it empties.
 """
@@ -42,6 +59,11 @@ from .capability import (
 )
 from .errors import OutOfFrame, SimInternalError
 
+#: A relocation plan: ``(version, parent region, in-region granules,
+#: other tagged granules, highest base and lowest top of the in-region
+#: capabilities)``.
+_Plan = tuple[int, Region, tuple[int, ...], tuple[int, ...], int, int]
+
 
 class TaggedFrame:
     """One physical page: data bytes, capabilities, origin and mappers.
@@ -53,10 +75,11 @@ class TaggedFrame:
     correctly).  ``version`` is bumped on every change to ``caps``; as
     frame ids are never reused, ``(frame_id, version)`` identifies the
     frame's capability contents.  ``pages`` holds the virtual page
-    addresses that map the frame.
+    addresses that map the frame.  ``plan`` caches the relocation plan
+    of the frame's contents (see the module docstring), or is ``None``.
     """
 
-    __slots__ = ("frame_id", "data", "caps", "origin", "version", "pages")
+    __slots__ = ("frame_id", "data", "caps", "origin", "version", "pages", "plan")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
@@ -65,6 +88,7 @@ class TaggedFrame:
         self.origin = origin
         self.version = 0
         self.pages: set[int] = set()
+        self.plan: _Plan | None = None
 
     def store_bytes(self, offset: int, payload: bytes) -> None:
         """Write raw bytes; tags of every overlapped granule are cleared."""
@@ -166,6 +190,17 @@ class FrameTable:
         return out
 
     @property
+    def by_id(self) -> dict[int, TaggedFrame]:
+        """The live frames by id, not a copy.
+
+        The address space's whole-region page passes and its refcount
+        check index it directly; the teardown pass deletes a frame whose
+        page set it empties, as :meth:`detach` does.  Nothing else may
+        change it.
+        """
+        return self._frames
+
+    @property
     def live_frames(self) -> dict[int, TaggedFrame]:
         return dict(self._frames)
 
@@ -199,20 +234,77 @@ class FrameTable:
         cursor = frame.load_value(granule * GRANULE, 8)
         return Capability(base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False)
 
-    def scan_and_relocate(self, frame: TaggedFrame, parent: Region, child: Region) -> int:
+    def scan_and_relocate(
+        self,
+        frame: TaggedFrame,
+        parent: Region,
+        child: Region,
+        source: TaggedFrame | None = None,
+    ) -> int:
         """Rewrite every tagged granule the rebase rule would change.
 
-        Visits the frame's tagged entries in granule order and replaces
-        each capability whose rebased value differs from the stored one;
-        a capability invalidated by the rebase (target in neither
-        region) is stored untagged.  Returns the number of granules
+        Replaces each capability whose rebased value differs from the
+        stored one; a capability invalidated by the rebase (target in
+        neither region) is stored untagged.  ``source`` is the frame
+        whose capabilities ``frame`` holds unchanged, as after
+        :meth:`clone` (by default ``frame`` itself); the relocation plan
+        is built from it and kept on it.  Returns the number of granules
         rewritten; a second scan returns 0.
         """
+        if not frame.caps:
+            return 0
+        source = frame if source is None else source
+        plan = source.plan
+        if plan is None or plan[0] != source.version or plan[1] != parent:
+            plan = source.plan = _relocation_plan(source, parent)
+        _, _, inside, others, top_base, bottom_top = plan
+        caps = frame.caps
         rewritten = 0
-        for granule, cap in frame.tagged_caps():
+        if (
+            inside
+            and (child.base > top_base or child.end < bottom_top)
+            and child.size == parent.size
+        ):
+            # Each granule takes the rebase rule's shift, as store_capability
+            # would store it.
+            data, delta = frame.data, child.base - parent.base
+            for granule in inside:
+                cap = caps[granule]
+                cursor = cap.cursor + delta
+                offset = granule * GRANULE
+                data[offset : offset + GRANULE] = (cursor % (1 << 64)).to_bytes(
+                    GRANULE, "little"
+                )
+                caps[granule] = Capability(
+                    cap.base + delta, cap.length, cursor, cap.perms, None, True
+                )
+            frame.version += len(inside)
+            rewritten = len(inside)
+        else:
+            others = inside + others
+        for granule in others:
+            cap = caps[granule]
             rebased = rebase_for_child(cap, parent, child)
-            if rebased == cap:
-                continue
-            self.store_capability(frame, granule, rebased)
-            rewritten += 1
+            if rebased != cap:
+                self.store_capability(frame, granule, rebased)
+                rewritten += 1
         return rewritten
+
+
+def _relocation_plan(frame: TaggedFrame, parent: Region) -> _Plan:
+    """Classify the frame's tagged granules for relocation out of ``parent``."""
+    inside: list[int] = []
+    others: list[int] = []
+    top_base, bottom_top = parent.base, parent.end
+    for granule, cap in frame.tagged_caps():
+        base, top = cap.base, cap.base + cap.length
+        if (
+            cap.otype is None
+            and parent.base <= base <= top <= parent.end
+            and parent.contains(cap.cursor)
+        ):
+            inside.append(granule)
+            top_base, bottom_top = max(top_base, base), min(bottom_top, top)
+        else:
+            others.append(granule)
+    return frame.version, parent, tuple(inside), tuple(others), top_base, bottom_top

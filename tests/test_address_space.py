@@ -113,6 +113,25 @@ class TestMappings:
             space._frames.detach(frame.frame_id, region.base + PAGE_SIZE)
         assert frame.pages == {region.base}
 
+    def test_region_passes_over_a_page_its_frame_does_not_list_are_internal(self, space):
+        region, frame = mapped_page(space)
+        frame.pages.clear()
+        with pytest.raises(SimInternalError):
+            space.unmap_owned(region, 1)
+        assert space.entry_at(region.base) is not None
+
+    def test_region_passes_over_an_unknown_frame_are_internal(self, space):
+        parent, frame = mapped_page(space)
+        child = space.reserve_region(PAGE_SIZE)
+        del space._frames.by_id[frame.frame_id]
+        with pytest.raises(SimInternalError):
+            space.share_region(parent, child, set(), PageState.SHARED_COPA, 2)
+        assert space.entry_at(child.base) is None
+        with pytest.raises(SimInternalError):
+            space.owned_refcounts(parent, 1)
+        with pytest.raises(SimInternalError):
+            space.unmap_owned(parent, 1)
+
 
 class TestAccessPipelineOrder:
     """Check ordering is tag, seal, bounds, perms, page state (golden)."""

@@ -2,8 +2,15 @@
 
 import pytest
 
+from sasfork import tagged_memory
 from sasfork.address_space import AccessKind, FaultKind, PageState, PageTableEntry
-from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability
+from sasfork.capability import (
+    DATA_PERMS,
+    GRANULE,
+    PAGE_SIZE,
+    Capability,
+    rebase_for_child,
+)
 from sasfork.errors import (
     DoubleMap,
     NoChildren,
@@ -195,6 +202,53 @@ class TestFaultResolution:
         # The promotion produced no copy event for the child.
         child_events = [e for e in system.fork_engine.events if e.pid == child.pid and not e.eager]
         assert child_events == []
+
+
+class TestRelocationPlanReuse:
+    @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
+    def test_eager_got_copies_of_an_unchanged_parent_rebase_no_capability_one_by_one(
+        self, strategy, monkeypatch
+    ):
+        system = make_system(strategy)
+        engine = system.fork_engine
+        # The event index each one-by-one rebase of a copy scan belongs to:
+        # a copy's scan runs before its event is appended.
+        rebased_for = []
+
+        def counted(cap, parent, child):
+            rebased_for.append(len(engine.events))
+            return rebase_for_child(cap, parent, child)
+
+        monkeypatch.setattr(tagged_memory, "rebase_for_child", counted)
+        parent = system.create_initial_process()
+        got_copies = []
+        for _ in range(50):
+            first = len(engine.events)
+            child = engine.fork(parent.pid)
+            (index,) = [
+                i
+                for i in range(first, len(engine.events))
+                if engine.events[i].cause is CopyCause.EAGER_GOT
+            ]
+            got_copies.append((engine.events[index], rebased_for.count(index)))
+            engine.exit(child, 0)
+            engine.reap(system.process(child))
+        first_copy = got_copies[0][0]
+        assert (first_copy.scanned, first_copy.relocations) == (256, 256)
+        for event, rebased in (got_copies[1], got_copies[49]):
+            assert rebased == 0
+            assert (event.scanned, event.relocations) == (256, 256)
+        system.verify_invariants()
+
+    def test_the_copy_check_reports_the_lowest_granule_still_outside(self):
+        system = make_system("copa")
+        parent = system.create_initial_process()
+        frame = system.frames.allocate(origin=parent.region)
+        stray = Capability(0x70_0000, GRANULE, 0x70_0000, DATA_PERMS)
+        for granule in (9, 4, 7):
+            system.frames.store_capability(frame, granule, stray)
+        with pytest.raises(SimInternalError, match="granule 4 still targets"):
+            system.fork_engine._verify_copy_clean(frame, parent.region)
 
 
 class TestRetryGuard:

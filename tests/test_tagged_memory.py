@@ -14,6 +14,7 @@ from sasfork.capability import (
     Region,
     rebase_for_child,
 )
+from sasfork import tagged_memory
 from sasfork.errors import OutOfFrame
 from sasfork.tagged_memory import FrameTable
 from sasfork.workload import run
@@ -164,6 +165,97 @@ class TestScanAndRelocate:
         count = table.scan_and_relocate(frame, PARENT, CHILD)
         assert count == 1
         assert table.load_capability(frame, 9) == stray.untagged()
+
+
+#: Same-sized regions just below and just above PARENT, and one above CHILD.
+BELOW = Region(PARENT.base - PARENT.size, PARENT.size)
+ABOVE = Region(PARENT.end, PARENT.size)
+GRANDCHILD = Region(0x20_0000, PARENT.size)
+
+
+def rebase_one_at_a_time(table, source, parent, child):
+    """Oracle: a clone of ``source`` relocated by ``rebase_for_child`` per granule."""
+    frame = table.clone(source.frame_id)
+    rewritten = 0
+    for granule, cap in frame.tagged_caps():
+        rebased = rebase_for_child(cap, parent, child)
+        if rebased != cap:
+            table.store_capability(frame, granule, rebased)
+            rewritten += 1
+    return frame, rewritten
+
+
+class TestRelocationPlan:
+    def seed_frame(self, table, parent, child):
+        """One capability of each kind the rebase rule tells apart."""
+        frame = table.allocate(origin=parent)
+        kinds = [
+            Capability(parent.base + 0x40, 0x100, parent.base + 0x48, DATA_PERMS),
+            # Straddles the parent's end: the child's copy is clamped.
+            Capability(parent.end - 0x20, 0x40, parent.end - 0x10, DATA_PERMS),
+            Capability(parent.base, 0x10, parent.base, DATA_PERMS, otype=3),
+            Capability(0x70_0000, 0x100, 0x70_0000, DATA_PERMS),
+            # Zero-length at either end of the parent, cursor inside it.
+            Capability(parent.end, 0, parent.base + 0x80, DATA_PERMS),
+            Capability(parent.base, 0, parent.base + 0x80, DATA_PERMS),
+            Capability(child.base + 0x10, 0x20, child.base + 0x10, DATA_PERMS),
+            # Bounds inside the parent, cursor outside it.
+            Capability(parent.base + 0x10, 0x20, parent.end + 0x10, DATA_PERMS),
+            # Negative length: no rebase can leave it a range.
+            Capability(parent.base + 0x100, -0x10, parent.base + 0x100, DATA_PERMS),
+        ]
+        for granule, cap in enumerate(kinds):
+            table.store_capability(frame, 3 * granule + 1, cap)
+        table.store_capability(frame, 200, kinds[0].untagged())
+        frame.store_bytes(100 * GRANULE, parent.base.to_bytes(8, "little"))
+        return frame
+
+    def assert_plan_matches_oracle(self, table, source, parent, child):
+        want, want_count = rebase_one_at_a_time(table, source, parent, child)
+        got = table.clone(source.frame_id)
+        assert table.scan_and_relocate(got, parent, child, source) == want_count
+        assert got.caps == want.caps
+        assert got.data == want.data
+        assert got.version == want.version
+
+    @pytest.mark.parametrize("child", [CHILD, BELOW, ABOVE], ids=["far", "below", "above"])
+    def test_planned_scan_matches_rebasing_one_capability_at_a_time(self, table, child):
+        source = self.seed_frame(table, PARENT, child)
+        self.assert_plan_matches_oracle(table, source, PARENT, child)
+        # The plan is kept and reused, then rebuilt once a store bumps the version.
+        self.assert_plan_matches_oracle(table, source, PARENT, child)
+        table.store_capability(source, 250, parent_cap(0x200))
+        self.assert_plan_matches_oracle(table, source, PARENT, child)
+        source.store_bytes(1 * GRANULE + 4, b"\xff")
+        self.assert_plan_matches_oracle(table, source, PARENT, child)
+
+    def test_a_frame_aliased_across_generations_plans_per_parent_region(self, table):
+        source = self.seed_frame(table, PARENT, CHILD)
+        self.assert_plan_matches_oracle(table, source, PARENT, CHILD)
+        self.assert_plan_matches_oracle(table, source, CHILD, GRANDCHILD)
+        self.assert_plan_matches_oracle(table, source, PARENT, GRANDCHILD)
+
+    def test_in_place_scan_matches_the_oracle(self, table):
+        source = self.seed_frame(table, PARENT, CHILD)
+        want, want_count = rebase_one_at_a_time(table, source, PARENT, CHILD)
+        assert table.scan_and_relocate(source, PARENT, CHILD) == want_count
+        assert (source.caps, source.data) == (want.caps, want.data)
+
+    def test_a_child_clear_of_the_plan_rebases_only_the_other_granules(
+        self, table, monkeypatch
+    ):
+        calls = []
+
+        def counted(cap, parent, child):
+            calls.append(cap)
+            return rebase_for_child(cap, parent, child)
+
+        monkeypatch.setattr(tagged_memory, "rebase_for_child", counted)
+        source = self.seed_frame(table, PARENT, CHILD)
+        table.scan_and_relocate(table.clone(source.frame_id), PARENT, CHILD, source)
+        # The in-region capability and the two zero-length ones at the
+        # parent's ends take the shift; the six others are rebased one by one.
+        assert len(calls) == 6
 
 
 class TestRefcounts:
