@@ -43,7 +43,6 @@ from .kernel import (
 )
 from .metrics import Metrics, MetricsReport, compare
 from .process import (
-    FileKind,
     FileObject,
     FileTable,
     Layout,
@@ -67,7 +66,6 @@ __all__ = [
     "Fault",
     "FaultError",
     "FaultKind",
-    "FileKind",
     "FileObject",
     "FileTable",
     "ForkEngine",

@@ -21,7 +21,10 @@ The capability-load column is derived from the state
 (``PageState.cap_load``), and a frame's refcount is the size of the page
 set the frame owns, which mapping and unmapping keep in step.
 
-:meth:`AddressSpace.check_and_access` runs the fixed pipeline
+:meth:`AddressSpace.check_and_access` checks and performs one access on
+exactly one page, as one CHERI-checked load or store would; a range that
+crosses a page is an internal error, since callers split ranges first.
+It runs the fixed pipeline
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
 kinds are deterministic.  Page-level faults (write, access, capability
 load) are resolvable by the fork engine; capability-level faults and
@@ -154,8 +157,6 @@ class FaultError(SimulatorError):
 
 
 _EXEC_FETCH_WIDTH = 4
-
-
 
 
 def page_of(addr: int) -> int:
@@ -320,11 +321,13 @@ class AddressSpace:
     ):
         """Run the access pipeline and perform the access if it passes.
 
-        Pipeline order is fixed: tag, seal, bounds (including granule
-        alignment for capability accesses), capability permissions, then
-        page state for every page the access touches.  Raises
-        :class:`FaultError`; resolvable faults may be retried by the
-        caller after resolution.
+        The access lies on exactly one page.  Pipeline order is fixed:
+        tag, seal, bounds (including granule alignment for capability
+        accesses), capability permissions, then the state of that page.
+        An in-bounds access that crosses a page raises
+        :class:`SimInternalError` before anything changes; callers split
+        ranges with ``System._page_chunks``.  Raises :class:`FaultError`;
+        resolvable faults may be retried by the caller after resolution.
 
         Returns: the integer read (``READ_INT``/``EXEC``), the loaded
         :class:`Capability` (``CAP_LOAD``), or the byte count written.
@@ -358,59 +361,33 @@ class AddressSpace:
             fail(_CAP_PERM_FAULT, cap.cursor)
 
         start = cap.cursor
-        page_vas = list(range(page_of(start), page_of(start + width - 1) + 1, PAGE_SIZE))
-        for page_va in page_vas:
-            entry = self._pages.get(page_va)
-            if entry is None:
-                fail(_PAGE_ACCESS_FAULT, page_va)
-            if entry.state is _SHARED_COA:
-                fail(_PAGE_ACCESS_FAULT, page_va)
-            if kind in _STORES and not entry.writable:
-                fail(_PAGE_WRITE_FAULT, page_va)
-            if entry.state.cap_load:
-                continue
+        offset = start % PAGE_SIZE
+        page_va = start - offset
+        if offset + width > PAGE_SIZE:
+            raise SimInternalError(
+                f"{kind.value} of {width} bytes at {start:#x} crosses a page; callers split it"
+            )
+        entry = self._pages.get(page_va)
+        if entry is None or entry.state is _SHARED_COA:
+            fail(_PAGE_ACCESS_FAULT, page_va)
+        if kind in _STORES and not entry.writable:
+            fail(_PAGE_WRITE_FAULT, page_va)
+        frame = self._frames.get(entry.frame_id)
+        if not entry.state.cap_load:
             if kind is _CAP_LOAD:
                 fail(_CAP_LOAD_FAULT, page_va)
-            if kind in _INT_READS:
-                lo = max(start, page_va) - page_va
-                hi = min(start + width - page_va, PAGE_SIZE)
-                if self._frames.get(entry.frame_id).tagged_in(lo, hi):
-                    # The bytes of a capability the child has not
-                    # relocated yet: copy and relocate first.
-                    fail(_CAP_LOAD_FAULT, page_va)
+            if kind in _INT_READS and frame.tagged_in(offset, offset + width):
+                # The bytes of a capability the child has not relocated
+                # yet: copy and relocate first.
+                fail(_CAP_LOAD_FAULT, page_va)
 
         if kind is _CAP_LOAD:
-            entry = self._pages[page_vas[0]]
-            frame = self._frames.get(entry.frame_id)
-            return self._frames.load_capability(frame, (start % PAGE_SIZE) // GRANULE)
+            return self._frames.load_capability(frame, offset // GRANULE)
         if kind is _CAP_STORE:
-            entry = self._pages[page_vas[0]]
-            frame = self._frames.get(entry.frame_id)
-            self._frames.store_capability(
-                frame, (start % PAGE_SIZE) // GRANULE, payload
-            )
+            self._frames.store_capability(frame, offset // GRANULE, payload)
             return GRANULE
         if kind is _WRITE:
-            data = bytes(payload)
-            offset = 0
-            for page_va in page_vas:
-                entry = self._pages[page_va]
-                frame = self._frames.get(entry.frame_id)
-                page_off = max(start, page_va) - page_va
-                chunk = min(len(data) - offset, PAGE_SIZE - page_off)
-                frame.store_bytes(page_off, data[offset : offset + chunk])
-                offset += chunk
-            return len(data)
-        # READ_INT and EXEC: gather bytes across the touched pages.
-        out = bytearray()
-        remaining = width
-        addr = start
-        for page_va in page_vas:
-            entry = self._pages[page_va]
-            frame = self._frames.get(entry.frame_id)
-            page_off = addr - page_va
-            chunk = min(remaining, PAGE_SIZE - page_off)
-            out += frame.data[page_off : page_off + chunk]
-            addr += chunk
-            remaining -= chunk
-        return int.from_bytes(out, "little")
+            frame.store_bytes(offset, bytes(payload))
+            return width
+        # READ_INT and EXEC
+        return int.from_bytes(frame.data[offset : offset + width], "little")

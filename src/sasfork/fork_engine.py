@@ -196,7 +196,7 @@ class ForkEngine:
             region=child_region,
             layout=child_layout,
             registers=registers,
-            entry_caps=dict(sys.gateway.entries),
+            entry_caps=sys.gateway.entries,
             fd_table=sys.files.dup_fd_table(parent),
             symbols={name: rebase(cap) for name, cap in parent.symbols.items()},
             loaded_ref=rebase(parent.loaded_ref) if parent.loaded_ref is not None else None,

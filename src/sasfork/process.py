@@ -189,11 +189,6 @@ class MicroProcess:
         return fd
 
 
-class FileKind(enum.Enum):
-    MEM_FILE = "MemFile"
-    PIPE = "Pipe"
-
-
 @dataclass
 class FileObject:
     """An open file: a byte buffer with a shared read offset.
@@ -204,7 +199,6 @@ class FileObject:
     """
 
     id: int
-    kind: FileKind
     name: str
     data: bytearray = field(default_factory=bytearray)
     read_pos: int = 0
@@ -215,10 +209,6 @@ class FileObject:
         return len(payload)
 
     def read(self, count: int) -> bytes:
-        if self.kind is FileKind.PIPE:
-            out = bytes(self.data[:count])
-            del self.data[: len(out)]
-            return out
         out = bytes(self.data[self.read_pos : self.read_pos + count])
         self.read_pos += len(out)
         return out
@@ -232,35 +222,18 @@ class FileTable:
         self._by_name: dict[str, int] = {}
         self._next_id = 1
 
-    def lookup(self, object_id: int) -> FileObject:
-        return self._objects[object_id]
-
     def open(self, proc: MicroProcess, name: str) -> int:
         """Open (creating if needed) a named memory file; returns the fd."""
         object_id = self._by_name.get(name)
         if object_id is None:
-            object_id = self._create(FileKind.MEM_FILE, name)
+            object_id = self._next_id
+            self._next_id += 1
+            self._objects[object_id] = FileObject(id=object_id, name=name)
             self._by_name[name] = object_id
         fd = proc.next_fd()
         proc.fd_table[fd] = object_id
         self._objects[object_id].refcount += 1
         return fd
-
-    def create_pipe(self, proc: MicroProcess) -> tuple[int, int]:
-        """A FIFO shared through two descriptors of the same process."""
-        object_id = self._create(FileKind.PIPE, f"pipe:{self._next_id}")
-        read_fd = proc.next_fd()
-        proc.fd_table[read_fd] = object_id
-        write_fd = proc.next_fd()
-        proc.fd_table[write_fd] = object_id
-        self._objects[object_id].refcount += 2
-        return read_fd, write_fd
-
-    def _create(self, kind: FileKind, name: str) -> int:
-        object_id = self._next_id
-        self._next_id += 1
-        self._objects[object_id] = FileObject(id=object_id, kind=kind, name=name)
-        return object_id
 
     def object_for_fd(self, proc: MicroProcess, fd: int) -> FileObject:
         try:

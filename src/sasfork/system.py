@@ -8,11 +8,13 @@ capabilities, and registers the sealed syscall entries; processes are
 created afterwards with :meth:`System.create_initial_process`.
 
 Memory accesses go through :meth:`System.access`, which adds the
-fault-resolution protocol on top of the raw pipeline: a resolvable page
-fault is handed to the fork engine and the access retried exactly once.
-A second resolvable fault at the same access is an internal error, which
-guards against handler bugs.  Capability-level faults terminate the
-access immediately.
+fault-resolution protocol on top of the raw one-page pipeline: a
+resolvable page fault is handed to the fork engine and the access retried
+exactly once.  A second resolvable fault at the same access is an
+internal error, which guards against handler bugs.  Capability-level
+faults terminate the access immediately.  Byte ranges are split at page
+boundaries only by ``_page_chunks``, so a range gets one access, and at
+most one fault resolution, per page it touches.
 """
 
 from __future__ import annotations
@@ -228,7 +230,7 @@ class System:
             region=region,
             layout=layout,
             registers=registers,
-            entry_caps=dict(self.gateway.entries),
+            entry_caps=self.gateway.entries,
         )
         self.add_process(proc)
         return proc
@@ -284,7 +286,11 @@ class System:
         *,
         width: int = 8,
     ):
-        """One checked access with at most one resolve-and-retry."""
+        """One checked access on one page, with at most one resolve-and-retry.
+
+        The access must not cross a page; the bulk helpers below split
+        ranges with :func:`_page_chunks`, one access per page.
+        """
         try:
             result = self.address_space.check_and_access(
                 pid, cap, kind, payload, width=width
@@ -398,7 +404,7 @@ class System:
         zombies = [
             p for p in self.processes.values() if p.status is Status.EXITED
         ]
-        zombies.sort(key=lambda p: p.exit_seq if p.exit_seq is not None else 0)
+        zombies.sort(key=lambda p: p.exit_seq)
         for proc in zombies:
             self.fork_engine.reap(proc)
 

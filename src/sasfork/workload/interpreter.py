@@ -312,8 +312,9 @@ class _Interpreter:
         if isinstance(stmt, StoreInt):
             cap = self._symbol(proc, stmt.name, stmt.offset)
             payload = (stmt.value % (1 << 64)).to_bytes(8, "little")
-            # Page-chunked so a store straddling two shared pages gets
-            # one fault resolution per page.
+            # The pipeline checks one page per access, so a store that
+            # straddles two pages goes through the page-chunked helper:
+            # one access, and one fault resolution, per page.
             return system.write_user_bytes(pid, cap, payload)
 
         if isinstance(stmt, StoreRef):

@@ -12,6 +12,7 @@ from sasfork.address_space import (
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
+from sasfork.system import System
 from sasfork.tagged_memory import FrameTable
 
 
@@ -246,11 +247,33 @@ class TestDataMovement:
         space.check_and_access(1, where, AccessKind.CAP_STORE, stored)
         assert space.check_and_access(1, where, AccessKind.CAP_LOAD) == stored
 
-    def test_multi_page_write_and_read(self, space):
+    def test_page_crossing_access_is_an_internal_error(self, space):
         region = space.reserve_region(2 * PAGE_SIZE)
+        frames = []
         for page_va in region.page_addresses():
             frame = space._frames.allocate(origin=region)
             space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 1))
-        cap = data_cap(region, offset=PAGE_SIZE - 4)
-        space.check_and_access(1, cap, AccessKind.WRITE, b"\x11" * 8)
-        assert space.check_and_access(1, cap, AccessKind.READ_INT) == int.from_bytes(b"\x11" * 8, "little")
+            frame.store_bytes(0, b"\x5a" * PAGE_SIZE)
+            frames.append(frame)
+        # A tagged granule on each side of the boundary.
+        for offset in (PAGE_SIZE - GRANULE, PAGE_SIZE):
+            where = data_cap(region, offset=offset)
+            space.check_and_access(1, where, AccessKind.CAP_STORE, data_cap(region))
+        before = [(bytes(f.data), dict(f.caps), f.version) for f in frames]
+        crossing = data_cap(region, offset=PAGE_SIZE - 4)
+        with pytest.raises(SimInternalError, match="crosses a page"):
+            space.check_and_access(1, crossing, AccessKind.WRITE, b"\x11" * 8)
+        with pytest.raises(SimInternalError, match="crosses a page"):
+            space.check_and_access(1, crossing, AccessKind.READ_INT)
+        assert [(bytes(f.data), dict(f.caps), f.version) for f in frames] == before
+
+    def test_page_chunked_helpers_round_trip_a_crossing_range(self):
+        system = System()
+        proc = system.create_initial_process()
+        heap = proc.layout.heap
+        cap = Capability(
+            base=heap.base, length=heap.size, cursor=heap.base + PAGE_SIZE - 4, perms=DATA_PERMS
+        )
+        payload = bytes(range(1, 9))
+        assert system.write_user_bytes(proc.pid, cap, payload) == 8
+        assert system.read_user_bytes(proc.pid, cap, 8) == payload

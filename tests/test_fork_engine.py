@@ -252,17 +252,15 @@ class TestRelocationPlanReuse:
 
 
 class TestRetryGuard:
-    def test_second_resolvable_fault_on_one_access_is_a_hard_error(self):
-        # A raw write spanning two shared pages needs two resolutions;
-        # the pipeline allows exactly one retry per access.
-        from sasfork.errors import SimInternalError
-
+    def test_second_resolvable_fault_on_one_access_is_a_hard_error(self, monkeypatch):
+        # A handler that resolves nothing leaves the retry faulting
+        # again; the pipeline allows exactly one retry per access.
         system = make_system("copa")
         parent = system.create_initial_process()
         child = system.process(system.fork_engine.fork(parent.pid))
-        straddling = heap_cap(child, PAGE_SIZE - 4)
-        with pytest.raises(SimInternalError):
-            system.access(child.pid, straddling, AccessKind.WRITE, b"\x01" * 8)
+        monkeypatch.setattr(system.fork_engine, "resolve_fault", lambda fault: None)
+        with pytest.raises(SimInternalError, match="second resolvable fault"):
+            system.access(child.pid, heap_cap(child, 0), AccessKind.WRITE, b"\x01" * 8)
 
     def test_page_chunked_writes_resolve_one_page_at_a_time(self):
         system = make_system("copa")

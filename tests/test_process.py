@@ -4,7 +4,7 @@ import pytest
 
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm
 from sasfork.errors import BadFd
-from sasfork.process import FileKind, LayoutSpec
+from sasfork.process import LayoutSpec
 from sasfork.system import PID_SLOTS, System
 from sasfork.workload import run
 
@@ -139,12 +139,3 @@ class TestFileDescriptors:
         system.files.close_fd(proc, fd)
         with pytest.raises(BadFd):
             system.files.close_fd(proc, fd)
-
-    def test_pipe_is_fifo(self, system):
-        proc = system.create_initial_process()
-        read_fd, write_fd = system.files.create_pipe(proc)
-        pipe = system.files.object_for_fd(proc, write_fd)
-        assert pipe.kind is FileKind.PIPE
-        pipe.write(b"abcdef")
-        assert system.files.object_for_fd(proc, read_fd).read(3) == b"abc"
-        assert system.files.object_for_fd(proc, read_fd).read(10) == b"def"
