@@ -19,7 +19,10 @@ SharedCoPA yes        no        no               child side of copy-on-
 
 The capability-load column is derived from the state
 (``PageState.cap_load``), and a frame's refcount is the size of the page
-set the frame owns, which mapping and unmapping keep in step.
+set the frame owns, which mapping and unmapping keep in step.  Entries
+are slotted records changed in place: the fork pass write-protects the
+parent's, and the fork engine's promotion pass, which reads them through
+:attr:`AddressSpace.by_page`, makes a sole survivor private again.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
@@ -69,9 +72,13 @@ class PageState(enum.Enum):
         return member
 
 
-@dataclass
+@dataclass(slots=True)
 class PageTableEntry:
-    """Per-virtual-page mapping; mutable because states transition."""
+    """Per-virtual-page mapping; mutable because states transition.
+
+    Slotted, so an entry is small and its fields are cheap to read and
+    set on the fork, reap and promotion passes.
+    """
 
     frame_id: int
     state: PageState
@@ -288,6 +295,16 @@ class AddressSpace:
 
     def entries(self) -> dict[int, PageTableEntry]:
         return dict(self._pages)
+
+    @property
+    def by_page(self) -> dict[int, PageTableEntry]:
+        """The live entries by page address, not a copy.
+
+        The fork engine's promotion pass reads and updates entries
+        through it; only :meth:`map`, :meth:`unmap` and the region passes
+        add or remove entries.
+        """
+        return self._pages
 
     def verify_refcounts(self) -> None:
         """Debug sweep: each frame's page set is exactly the PTEs mapping it.

@@ -3,7 +3,12 @@
 A :class:`Capability` is the only way to name memory in the simulator.
 It is a pure value: base/length bounds, a cursor (the address actually
 dereferenced), a permission set, an optional seal, and a one-bit
-validity tag.  The rules are deliberately hardware-like:
+validity tag.  It is an immutable named tuple of those six fields,
+which makes one cheap to build: the access path and the relocation scan
+build one for nearly every capability they touch.  Its hash is the hash
+of the tuple of its fields, so dict and set order depend on the values
+alone.  Being a tuple, a ``Capability`` compares equal to a plain tuple
+of its fields.  The rules are deliberately hardware-like:
 
 * **Monotonicity.**  Derivation can shrink bounds and drop permissions
   but never the reverse; widening is a hard :class:`~sasfork.errors.BoundsWiden`
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import BoundsWiden, SealedMutation
 
@@ -101,8 +106,7 @@ class Region:
         return f"[{self.base:#x}, {self.end:#x})"
 
 
-@dataclass(frozen=True, slots=True)
-class Capability:
+class Capability(NamedTuple):
     """A tagged, bounded memory reference.
 
     ``base``/``length`` delimit what the capability may touch, ``cursor``

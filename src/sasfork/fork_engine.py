@@ -21,8 +21,9 @@ coherent in the child before it runs.  Eager copies walk the layout's
 sub-regions in page order; every other page is shared by one pass of
 :meth:`AddressSpace.share_region`, which installs the child entry and
 write-protects the parent's.  Reap tears a region down in one pass of
-:meth:`AddressSpace.unmap_owned` and promotes the frames it leaves with
-a single mapping.
+:meth:`AddressSpace.unmap_owned` and hands the frames it leaves with a
+single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
+which a lazy copy also calls with the frame it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame and remap
 the faulting page to it, copy bytes and capabilities, then scan the
@@ -33,7 +34,8 @@ already owns the frame's contents (the parent side) skip the scan.  When a
 shared frame's page set drops to one page, the surviving mapping is
 promoted back to private; if the survivor is a forked child the frame is
 relocated in place first, so promotion can never expose stale
-references.
+references.  The promotion pass reads each survivor's entry straight
+from the page table and looks each owner up once per pass.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .address_space import Fault, FaultKind, PageState, PageTableEntry
 from .capability import GRANULES_PER_PAGE, Capability, Region, rebase_for_child
@@ -252,7 +254,7 @@ class ForkEngine:
             writable=owner.layout.page_writable(fault.page_va),
             cause=cause,
         )
-        self._maybe_promote(old_frame)
+        self._promote((old_frame,))
         return event
 
     def _copy_into(
@@ -315,27 +317,37 @@ class ForkEngine:
                 f"outside {dest_region}: {frame.caps[granule]}"
             )
 
-    def _maybe_promote(self, frame: TaggedFrame) -> None:
-        """Sole survivor of a shared frame goes back to private access.
+    def _promote(self, frames: Iterable[TaggedFrame]) -> None:
+        """Sole survivors of shared frames go back to private access.
 
-        If the survivor's region is not the frame's origin (a child that
-        never copied this page), the frame is relocated in place before
-        access is widened, so no stale capability becomes loadable.
+        Skips a frame that does not have exactly one mapping (a reap
+        pass may free a frame after listing it) or whose mapping is
+        already private.  If the survivor's region is not the frame's
+        origin (a child that never copied this page), the frame is
+        relocated in place before access is widened, so no stale
+        capability becomes loadable.  Each owner is looked up once.
         """
-        if len(frame.pages) != 1:
-            return
         sys = self._sys
-        (page_va,) = frame.pages
-        entry = sys.address_space.entry_at(page_va)
-        if not entry.shared:
-            return
-        owner = sys.process(entry.owner_pid)
-        if frame.origin != owner.region:
-            relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
-            sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
-            frame.origin = owner.region
-        entry.state = PageState.PRIVATE
-        entry.writable = owner.layout.page_writable(page_va)
+        pages = sys.address_space.by_page
+        private = PageState.PRIVATE
+        owners: dict[int, MicroProcess] = {}
+        for frame in frames:
+            if len(frame.pages) != 1:
+                continue
+            (page_va,) = frame.pages
+            entry = pages[page_va]
+            if entry.state is private:
+                continue
+            pid = entry.owner_pid
+            owner = owners.get(pid)
+            if owner is None:
+                owner = owners[pid] = sys.process(pid)
+            if frame.origin != owner.region:
+                relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
+                sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
+                frame.origin = owner.region
+            entry.state = private
+            entry.writable = owner.layout.page_writable(page_va)
 
     # -- exit / wait ----------------------------------------------------------
 
@@ -375,8 +387,7 @@ class ForkEngine:
         if proc.status is not Status.EXITED:
             raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
         sys = self._sys
-        for frame in sys.address_space.unmap_owned(proc.region, proc.pid):
-            self._maybe_promote(frame)
+        self._promote(sys.address_space.unmap_owned(proc.region, proc.pid))
         sys.files.drop_table(proc)
         sys.release_pid(proc.pid)
         proc.status = Status.REAPED

@@ -46,6 +46,7 @@ mappers: its refcount is that set's size, and it is freed when it empties.
 
 from __future__ import annotations
 
+import struct
 from typing import Iterator
 
 from .capability import (
@@ -63,6 +64,10 @@ from .errors import OutOfFrame, SimInternalError
 #: other tagged granules, highest base and lowest top of the in-region
 #: capabilities)``.
 _Plan = tuple[int, Region, tuple[int, ...], tuple[int, ...], int, int]
+
+#: Writes one little-endian 64-bit word into a frame's bytes: a tagged
+#: granule is its capability's cursor word followed by a zero word.
+_pack_word = struct.Struct("<Q").pack_into
 
 
 class TaggedFrame:
@@ -214,8 +219,8 @@ class FrameTable:
         if not 0 <= granule < GRANULES_PER_PAGE:
             raise OutOfFrame(f"granule index {granule} out of range")
         offset = granule * GRANULE
-        encoded = (cap.cursor % (1 << 64)).to_bytes(GRANULE, "little")
-        frame.data[offset : offset + GRANULE] = encoded
+        _pack_word(frame.data, offset, cap.cursor % (1 << 64))
+        _pack_word(frame.data, offset + 8, 0)
         frame.caps[granule] = cap
         frame.version += 1
 
@@ -266,15 +271,14 @@ class FrameTable:
             and child.size == parent.size
         ):
             # Each granule takes the rebase rule's shift, as store_capability
-            # would store it.
+            # would store it.  Only the cursor word changes: the second
+            # word of a tagged granule is already zero, and the shifted
+            # cursor lies in the child region, so it needs no wrap.
             data, delta = frame.data, child.base - parent.base
             for granule in inside:
                 cap = caps[granule]
                 cursor = cap.cursor + delta
-                offset = granule * GRANULE
-                data[offset : offset + GRANULE] = (cursor % (1 << 64)).to_bytes(
-                    GRANULE, "little"
-                )
+                _pack_word(data, granule * GRANULE, cursor)
                 caps[granule] = Capability(
                     cap.base + delta, cap.length, cursor, cap.perms, None, True
                 )

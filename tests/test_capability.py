@@ -172,3 +172,41 @@ class TestMonotonicityChains:
             if current.tag:
                 assert current.base >= root.base and current.top <= root.top
                 assert not (current.perms & ~root.perms)
+
+
+class TestValueSemantics:
+    """A capability is an immutable value, whatever its representation."""
+
+    @pytest.mark.parametrize("field", ["base", "length", "cursor", "perms", "otype", "tag"])
+    def test_assigning_to_a_field_is_an_error(self, field):
+        value = cap(0x1000, 0x100)
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    def test_positional_and_keyword_construction_agree_with_defaults(self):
+        positional = Capability(0x1000, 0x100, 0x1040, DATA_PERMS)
+        keyword = Capability(base=0x1000, length=0x100, cursor=0x1040, perms=DATA_PERMS)
+        assert positional == keyword
+        assert positional.otype is None and positional.tag is True
+        full = Capability(0x1000, 0x100, 0x1040, DATA_PERMS, 5, False)
+        assert (full.otype, full.tag) == (5, False)
+
+    def test_equal_capabilities_hash_equal_and_find_each_other_as_keys(self):
+        one = cap(0x1000, 0x100, cursor=0x1010).seal(4)
+        two = Capability(0x1000, 0x100, 0x1010, DATA_PERMS, 4, True)
+        assert one is not two and one == two and hash(one) == hash(two)
+        targets = {one: "entry"}
+        assert targets[two] == "entry" and two in targets
+        assert cap(0x1000, 0x100, cursor=0x1010) not in targets
+        assert cap(0x1000, 0x100, tag=False) != cap(0x1000, 0x100)
+
+    def test_str_is_stable(self):
+        assert str(cap(0x1000, 0x100, cursor=0x1040)) == (
+            "cap[0x1000,+0x100]@0x1040 LOAD+LOAD_CAP+STORE+STORE_CAP"
+        )
+        assert str(cap(0x1000, 0x10, perms=Perm.LOAD, tag=False)) == (
+            "cap[0x1000,+0x10]@0x1000 LOAD untagged"
+        )
+        assert str(cap(0x2000, 0x20, perms=Perm.LOAD | Perm.EXEC).seal(7)) == (
+            "cap[0x2000,+0x20]@0x2000 EXEC+LOAD sealed:7"
+        )

@@ -7,6 +7,7 @@ from sasfork.address_space import AccessKind, FaultKind, PageState, PageTableEnt
 from sasfork.capability import (
     DATA_PERMS,
     GRANULE,
+    GRANULES_PER_PAGE,
     PAGE_SIZE,
     Capability,
     rebase_for_child,
@@ -18,7 +19,7 @@ from sasfork.errors import (
     SimInternalError,
     UnresolvableFault,
 )
-from sasfork.fork_engine import CopyCause
+from sasfork.fork_engine import CopyCause, ForkEngine
 from sasfork.process import Status
 from sasfork.system import System
 
@@ -108,26 +109,28 @@ class TestForkMapping:
             system.fork_engine.fork(parent.pid)
 
 
+def seeded_parent(system):
+    """Parent with two tagged refs in heap page 0 and data in page 1."""
+    parent = system.create_initial_process()
+    target = heap_cap(parent, PAGE_SIZE + 0x20)
+    system.access(parent.pid, heap_cap(parent, 0), AccessKind.CAP_STORE, target)
+    system.access(
+        parent.pid, heap_cap(parent, GRANULE), AccessKind.CAP_STORE, target
+    )
+    system.access(
+        parent.pid,
+        heap_cap(parent, PAGE_SIZE + 0x20),
+        AccessKind.WRITE,
+        (4242).to_bytes(8, "little"),
+    )
+    return parent
+
+
 class TestFaultResolution:
-    def seeded_parent(self, system):
-        """Parent with two tagged refs in heap page 0 and data in page 1."""
-        parent = system.create_initial_process()
-        target = heap_cap(parent, PAGE_SIZE + 0x20)
-        system.access(parent.pid, heap_cap(parent, 0), AccessKind.CAP_STORE, target)
-        system.access(
-            parent.pid, heap_cap(parent, GRANULE), AccessKind.CAP_STORE, target
-        )
-        system.access(
-            parent.pid,
-            heap_cap(parent, PAGE_SIZE + 0x20),
-            AccessKind.WRITE,
-            (4242).to_bytes(8, "little"),
-        )
-        return parent
 
     def test_child_cap_load_copies_and_relocates_two_caps(self):
         system = make_system("copa")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         child = system.process(system.fork_engine.fork(parent.pid))
         loaded = system.access(child.pid, heap_cap(child, 0), AccessKind.CAP_LOAD)
         events = [e for e in system.fork_engine.events if not e.eager]
@@ -143,7 +146,7 @@ class TestFaultResolution:
 
     def test_parent_write_copies_without_relocation(self):
         system = make_system("copa")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         system.fork_engine.fork(parent.pid)
         system.access(
             parent.pid,
@@ -158,7 +161,7 @@ class TestFaultResolution:
 
     def test_child_plain_read_on_copa_page_is_free(self):
         system = make_system("copa")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         child = system.process(system.fork_engine.fork(parent.pid))
         value = system.access(
             child.pid, heap_cap(child, PAGE_SIZE + 0x20), AccessKind.READ_INT
@@ -168,7 +171,7 @@ class TestFaultResolution:
 
     def test_coa_child_read_faults_and_copies(self):
         system = make_system("coa")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         child = system.process(system.fork_engine.fork(parent.pid))
         value = system.access(
             child.pid, heap_cap(child, PAGE_SIZE + 0x20), AccessKind.READ_INT
@@ -179,7 +182,7 @@ class TestFaultResolution:
 
     def test_unresolvable_under_full_copy(self):
         system = make_system("full")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         child = system.process(system.fork_engine.fork(parent.pid))
         # Nothing is shared, so no page-level fault can be resolved.
         from sasfork.address_space import Fault
@@ -192,7 +195,7 @@ class TestFaultResolution:
         # Parent writes first; the child becomes sole owner of the stale
         # frame and must see relocated capabilities after promotion.
         system = make_system("copa")
-        parent = self.seeded_parent(system)
+        parent = seeded_parent(system)
         child = system.process(system.fork_engine.fork(parent.pid))
         system.access(parent.pid, heap_cap(parent, 8), AccessKind.WRITE, b"\x02" * 8)
         entry = system.address_space.entry_at(child.layout.heap.base)
@@ -469,3 +472,142 @@ class TestBatchedPaths:
             assert system.frames.refcount(entry.frame_id) == 1
         assert not parent.layout.page_writable(parent.layout.code_ro.base)
         system.verify_invariants()
+
+
+def promote_one_frame(engine, frame):
+    """Oracle: promotion of one frame, one lookup at a time.
+
+    A frame left with one mapping goes back to private access, after an
+    in-place relocation when the survivor's region is not the frame's
+    origin.
+    """
+    if len(frame.pages) != 1:
+        return
+    system = engine._sys
+    (page_va,) = frame.pages
+    entry = system.address_space.entry_at(page_va)
+    if not entry.shared:
+        return
+    owner = system.process(entry.owner_pid)
+    if frame.origin != owner.region:
+        relocations = system.frames.scan_and_relocate(frame, frame.origin, owner.region)
+        system.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
+        frame.origin = owner.region
+    entry.state = PageState.PRIVATE
+    entry.writable = owner.layout.page_writable(page_va)
+
+
+def promotion_state(system):
+    """What promotion may change: entries, frames and the scan rows."""
+    entries = {
+        va: (entry.state, entry.writable)
+        for va, entry in system.address_space.entries().items()
+    }
+    frames = {
+        frame_id: (frame.origin, dict(frame.caps), bytes(frame.data), frame.version)
+        for frame_id, frame in system.frames.live_frames.items()
+    }
+    rows = [
+        (row.pid, row.granules_scanned, row.caps_relocated)
+        for row in system.metrics.snapshot().rows
+    ]
+    return entries, frames, rows
+
+
+class TestBatchedPromotion:
+    """``ForkEngine._promote`` leaves what one-frame promotion leaves."""
+
+    def both(self, monkeypatch, scenario):
+        """The scenario's end state under the batched pass, then the oracle."""
+        batched = scenario()
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                ForkEngine,
+                "_promote",
+                lambda engine, frames: [promote_one_frame(engine, f) for f in frames],
+            )
+            oracle = scenario()
+        return batched, oracle
+
+    def test_reaping_the_last_of_four_nowait_workers(self, monkeypatch):
+        def scenario():
+            # Four workers forked before any is waited for, as a run of
+            # `fork nowait` blocks does; each dereferences the parent's
+            # reference and writes a page of its own.
+            system = make_system("copa")
+            parent = seeded_parent(system)
+            engine = system.fork_engine
+            workers = [system.process(engine.fork(parent.pid)) for _ in range(4)]
+            for worker in workers:
+                ref = system.access(worker.pid, heap_cap(worker), AccessKind.CAP_LOAD)
+                assert system.access(worker.pid, ref, AccessKind.READ_INT) == 4242
+                system.access(
+                    worker.pid, heap_cap(worker, 2 * PAGE_SIZE), AccessKind.WRITE, b"\x01"
+                )
+                engine.exit(worker.pid, 0)
+            for _ in workers:
+                engine.wait(parent.pid)
+            system.verify_invariants()
+            return system, parent
+
+        (batched, parent), (oracle, _) = self.both(monkeypatch, scenario)
+        assert promotion_state(batched) == promotion_state(oracle)
+        for va in parent.region.page_addresses():
+            entry = batched.address_space.entry_at(va)
+            assert entry.state is PageState.PRIVATE
+            assert entry.writable == parent.layout.page_writable(va)
+
+    def test_a_survivor_in_a_child_region_is_relocated_in_place(self, monkeypatch):
+        def scenario():
+            system = make_system("copa")
+            parent = seeded_parent(system)
+            child = system.process(system.fork_engine.fork(parent.pid))
+            grandchild = system.process(system.fork_engine.fork(child.pid))
+            # The parent copies its heap page away; the frame it leaves,
+            # laid out for the parent's region, is shared by the child
+            # and the grandchild until the grandchild is reaped.
+            system.access(parent.pid, heap_cap(parent, 8), AccessKind.WRITE, b"\x02" * 8)
+            system.fork_engine.exit(grandchild.pid, 0)
+            system.fork_engine.reap(grandchild)
+            system.verify_invariants()
+            return system, child
+
+        (batched, child), (oracle, _) = self.both(monkeypatch, scenario)
+        assert promotion_state(batched) == promotion_state(oracle)
+        entry = batched.address_space.entry_at(child.layout.heap.base)
+        frame = batched.frames.get(entry.frame_id)
+        assert entry.state is PageState.PRIVATE and entry.writable
+        assert frame.origin == child.region
+        cursors = [cap.cursor for _, cap in frame.tagged_caps()]
+        assert len(cursors) == 2 and all(child.region.contains(c) for c in cursors)
+
+    def test_a_frame_whose_last_two_pages_are_reaped_is_skipped(self, monkeypatch):
+        def scenario():
+            system = make_system("copa")
+            parent = system.create_initial_process()
+            child = system.process(system.fork_engine.fork(parent.pid))
+            stack = child.layout.stack
+            for va in stack.page_addresses():
+                # The child's write copies the page, so unmapping it
+                # frees the copy and leaves the parent's frame private.
+                cap = Capability(stack.base, stack.size, va, DATA_PERMS)
+                system.access(child.pid, cap, AccessKind.WRITE, b"\x03" * 8)
+                system.address_space.unmap(va)
+            # One frame, laid out for the parent, mapped shared at both
+            # of the child's stack pages and nowhere else: it enters the
+            # survivors at the first page and is freed at the second.
+            frame = system.frames.allocate(origin=parent.region)
+            system.frames.store_capability(frame, 0, heap_cap(parent))
+            for va in stack.page_addresses():
+                system.address_space.map(
+                    va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, child.pid)
+                )
+            system.fork_engine.exit(child.pid, 0)
+            system.fork_engine.reap(child)
+            return system, parent, frame
+
+        (batched, parent, frame), (oracle, _, _) = self.both(monkeypatch, scenario)
+        assert promotion_state(batched) == promotion_state(oracle)
+        # Freed without a relocation scan.
+        assert not frame.pages and not batched.frames.exists(frame.frame_id)
+        assert frame.origin == parent.region

@@ -320,6 +320,17 @@ class TestPerFrameStorage:
         assert first.data[32:48] == second.data[32:48]
         assert first.load_value(40, 8) == 0
 
+    def test_a_store_writes_the_cursor_word_then_a_zero_word(self, table):
+        frame = table.allocate()
+        frame.store_bytes(0, b"\xff" * (2 * GRANULE))
+        table.store_capability(frame, 0, parent_cap(0x40).with_cursor(PARENT.base + 0x48))
+        # A cursor below zero is stored as its 64-bit two's complement.
+        table.store_capability(frame, 1, parent_cap(0x40).with_cursor(-8))
+        assert frame.data[:GRANULE] == (PARENT.base + 0x48).to_bytes(8, "little") + bytes(8)
+        assert frame.data[GRANULE : 2 * GRANULE] == ((1 << 64) - 8).to_bytes(
+            8, "little"
+        ) + bytes(8)
+
     def test_clone_caps_are_independent_of_the_source(self, table):
         frame = table.allocate(origin=PARENT)
         table.store_capability(frame, 7, parent_cap(0))
