@@ -48,7 +48,6 @@ from .process import (
     Layout,
     LayoutSpec,
     MicroProcess,
-    Status,
 )
 from .system import System
 from .tagged_memory import FrameTable, TaggedFrame
@@ -88,7 +87,6 @@ __all__ = [
     "Region",
     "RunResult",
     "Script",
-    "Status",
     "System",
     "TaggedFrame",
     "Trace",

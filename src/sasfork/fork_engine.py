@@ -40,6 +40,8 @@ from the page table and looks each owner up once per pass.
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
 charged, and the metrics report folds its copy counts from them.
+Exit gives a process its exit record; ``wait`` and reap look for zombies
+among the PID-table slot holders only, and reap frees the slot.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     SimInternalError,
     UnresolvableFault,
 )
-from .process import MicroProcess, Status
+from .process import MicroProcess
 from .tagged_memory import TaggedFrame
 
 if TYPE_CHECKING:
@@ -352,11 +354,10 @@ class ForkEngine:
     # -- exit / wait ----------------------------------------------------------
 
     def exit(self, pid: int, code: int) -> None:
-        """Mark a process exited; its mappings are torn down at reap."""
+        """Give a process its exit record; its mappings are torn down at reap."""
         proc = self._sys.process(pid)
         if not proc.running:
             raise ProcessNotRunning(f"pid {pid} is not running")
-        proc.status = Status.EXITED
         proc.exit_code = code
         proc.exit_seq = self._exit_counter
         self._exit_counter += 1
@@ -368,26 +369,26 @@ class ForkEngine:
         Raises :class:`NoChildren` when the caller has no unreaped
         children at all.
         """
-        children = [
-            p
-            for p in self._sys.processes.values()
-            if p.parent_pid == parent_pid and p.status is not Status.REAPED
-        ]
+        unreaped = map(self._sys.processes.__getitem__, self._sys.unreaped_pids)
+        children = [p for p in unreaped if p.parent_pid == parent_pid]
         if not children:
             raise NoChildren(f"pid {parent_pid} has no children to wait for")
-        exited = [p for p in children if p.status is Status.EXITED]
+        exited = [p for p in children if not p.running]
         if not exited:
             return None
         child = min(exited, key=lambda p: p.exit_seq)
         self.reap(child)
-        return child.pid, child.exit_code if child.exit_code is not None else 0
+        return child.pid, child.exit_code
 
     def reap(self, proc: MicroProcess) -> None:
-        """Tear down a zombie: unmap its pages and release descriptors."""
-        if proc.status is not Status.EXITED:
-            raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
+        """Tear down a zombie: unmap its pages, release descriptors and its slot.
+
+        Raises :class:`ProcessNotRunning`, before changing anything, for
+        a process that still runs or holds no PID-table slot (reaped).
+        """
         sys = self._sys
+        if proc.running or proc.pid not in sys.unreaped_pids:
+            raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
         self._promote(sys.address_space.unmap_owned(proc.region, proc.pid))
         sys.files.drop_table(proc)
         sys.release_pid(proc.pid)
-        proc.status = Status.REAPED

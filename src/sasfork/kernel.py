@@ -34,7 +34,8 @@ capability), since the sweep last found that page clean; a page with
 findings is re-checked every time.  Ownership and the capability-load
 permission are tested on every sweep, so a page that promotion makes
 cap-loadable is checked at once unless it was found clean with the same
-contents before.  A process's memo is dropped once it stops running.
+contents before.  Each sweep visits the PID-table slot holders and keeps
+only the running ones' memo, so no reaped pid is left in it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     SimulatorError,
     SyscallError,
 )
-from .process import KERNEL_PID, MicroProcess, Status
+from .process import KERNEL_PID, MicroProcess
 
 if TYPE_CHECKING:
     from .system import System
@@ -399,13 +400,13 @@ class KernelGateway:
         violations: list[AuditViolation] = []
         system = self._sys
         entry_at = system.address_space.entry_at
-        for proc in system.processes.values():
-            if proc.status is not Status.RUNNING:
-                self._clean_pages.pop(proc.pid, None)
+        old_memo, memo = self._clean_pages, {}
+        for proc in map(system.processes.__getitem__, system.unreaped_pids):
+            if not proc.running:
                 continue
-            clean = self._clean_pages.get(proc.pid)
-            if clean is None:
-                clean = self._clean_pages[proc.pid] = [None] * proc.region.page_count
+            clean = memo[proc.pid] = (
+                old_memo.get(proc.pid) or [None] * proc.region.page_count
+            )
             for location, cap in proc.register_caps():
                 self._check_containment(proc, location, cap, violations)
             for index, page_va in enumerate(proc.region.page_addresses()):
@@ -425,6 +426,7 @@ class KernelGateway:
                     )
                 if len(violations) == found:
                     clean[index] = stamp
+        self._clean_pages = memo
         return AuditReport(violations=tuple(violations))
 
     def _check_containment(

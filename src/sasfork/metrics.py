@@ -17,10 +17,11 @@ region (the kernel region for pid 0), so one sweep of that region
 counts the owned pages per refcount as integers and adds one
 ``Fraction`` per distinct refcount; a mapping outside its owner's
 region would go uncounted and break the conservation check.  A process
-that has exited but has not been reaped keeps its mappings, so its
-share still counts; after reap it drops to zero (the value at exit is
-preserved separately for reporting, since the interesting number for a
-forked worker is what it consumed while alive).
+that has exited but has not been reaped keeps its mappings and its
+PID-table slot, so its share still counts; a pid without a slot reads
+zero without a sweep (the value at exit is preserved separately for
+reporting, since the interesting number for a forked worker is what it
+consumed while alive).
 
 Fork latency is a synthetic cost, not wall-clock time:
 ``512 * eager page copies + PTE writes + granules scanned at fork``.
@@ -42,7 +43,7 @@ from .address_space import FaultKind
 from .capability import PAGE_SIZE
 from .errors import MismatchedScripts, UnknownPid
 from .fork_engine import CopyCause, CopyEvent, ForkStrategy
-from .process import KERNEL_PID, Status
+from .process import KERNEL_PID
 
 if TYPE_CHECKING:
     from .system import System
@@ -217,18 +218,17 @@ class Metrics:
     def prs_bytes(self, pid: int) -> Fraction:
         """Exact proportional resident set from a fresh sweep of the pid's region.
 
-        A reaped pid owns no page, so it reads 0 without a sweep; a page
-        left mapped for it is then counted by no one, which the debug
-        conservation check reports.
+        A pid without a PID-table slot (reaped) owns no page, so it reads
+        0 without a sweep; a page left mapped for it is then counted by no
+        one, which the debug conservation check reports.
         """
         system = self._system
         if pid == KERNEL_PID:
             region = system.kernel_region
         else:
-            proc = system.process(pid)
-            if proc.status is Status.REAPED:
+            region = system.process(pid).region
+            if pid not in system.unreaped_pids:
                 return Fraction(0)
-            region = proc.region
         counts = system.address_space.owned_refcounts(region, pid)
         return sum(
             (Fraction(PAGE_SIZE * pages, refs) for refs, pages in counts.items()),

@@ -15,11 +15,15 @@ exactly like architectural registers.
 File descriptors follow POSIX duplication semantics: fork copies the
 table, both tables reference the same open file objects, and closing in
 one process never disturbs the other's slot.
+
+A process runs until :meth:`ForkEngine.exit` gives it an exit record
+(``exit_code`` and ``exit_seq``), and is unreaped while it holds a slot
+of the kernel PID table (:attr:`System.unreaped_pids`); its record stays
+in ``System.processes`` after reap.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
@@ -139,18 +143,6 @@ class Layout:
         return spec.carve(region)
 
 
-class Status(enum.Enum):
-    RUNNING = "Running"
-    EXITED = "Exited"
-    REAPED = "Reaped"
-
-
-# Module-level alias: loading an enum member through its class is several
-# times slower than a global, and ``running`` sits on the interpreter's
-# per-statement path.
-_RUNNING = Status.RUNNING
-
-
 @dataclass
 class MicroProcess:
     pid: int
@@ -162,13 +154,12 @@ class MicroProcess:
     symbols: dict[str, Capability] = field(default_factory=dict)
     loaded_ref: Capability | None = None
     parent_pid: int | None = None
-    status: Status = Status.RUNNING
     exit_code: int | None = None
     exit_seq: int | None = None
 
     @property
     def running(self) -> bool:
-        return self.status is _RUNNING
+        return self.exit_seq is None
 
     def register_caps(self) -> Iterator[tuple[str, Capability]]:
         """Every capability reachable from register state, with a location label."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, KeysView
 
 from .address_space import (
     AccessKind,
@@ -44,7 +44,7 @@ from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFaul
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
-from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess, Status
+from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
 from .tagged_memory import FrameTable, TaggedFrame
 
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
@@ -144,6 +144,11 @@ class System:
         slot = self._pid_slots.pop(pid)
         self._pid_table().store_bytes(slot * 8, bytes(8))
         heapq.heappush(self._free_pid_slots, slot)
+
+    @property
+    def unreaped_pids(self) -> KeysView[int]:
+        """Pids holding a PID-table slot (running or not yet reaped), in pid order."""
+        return self._pid_slots.keys()
 
     def process(self, pid: int) -> MicroProcess:
         try:
@@ -390,10 +395,9 @@ class System:
     def verify_invariants(self) -> None:
         """Debug sweep: refcount accuracy and resident-set conservation."""
         self.address_space.verify_refcounts()
-        total = Fraction(0)
-        pids = set(self.processes) | {KERNEL_PID}
-        for pid in pids:
-            total += self.metrics.prs_bytes(pid)
+        # A pid without a slot owns no page, so only slot holders count.
+        prs_bytes = self.metrics.prs_bytes
+        total = sum(map(prs_bytes, self.unreaped_pids), prs_bytes(KERNEL_PID))
         if total != self.frames.total_bytes():
             raise SimInternalError(
                 f"prs conservation broken: {float(total)} vs {self.frames.total_bytes()}"
@@ -401,9 +405,8 @@ class System:
 
     def reap_zombies(self) -> None:
         """Kernel sweep at end of run: tear down exited-but-unreaped state."""
-        zombies = [
-            p for p in self.processes.values() if p.status is Status.EXITED
-        ]
+        unreaped = map(self.processes.__getitem__, self.unreaped_pids)
+        zombies = [p for p in unreaped if not p.running]
         zombies.sort(key=lambda p: p.exit_seq)
         for proc in zombies:
             self.fork_engine.reap(proc)

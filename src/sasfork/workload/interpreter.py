@@ -110,7 +110,8 @@ class _Task:
     __slots__ = ("proc", "stream", "ip", "last_result", "files")
 
     def __init__(self, proc: MicroProcess, stream: list):
-        # The task is live while its process is running.
+        # The task is live while its process is running; the scheduler
+        # drops it once the process exits.
         self.proc = proc
         self.stream = stream
         self.ip = 0
@@ -196,9 +197,9 @@ class _Interpreter:
         while self._queue:
             pid = self._queue.popleft()
             task = self._tasks[pid]
-            if not task.proc.running:
-                continue
             progressed = self._run_task(task)
+            if not task.proc.running:
+                del self._tasks[pid]
             if progressed:
                 stale_rotations = 0
             else:

@@ -20,7 +20,6 @@ from sasfork.errors import (
     UnresolvableFault,
 )
 from sasfork.fork_engine import CopyCause, ForkEngine
-from sasfork.process import Status
 from sasfork.system import System
 
 
@@ -306,7 +305,7 @@ class TestExitWait:
         child_pid = system.fork_engine.fork(parent.pid)
         system.fork_engine.exit(child_pid, 7)
         assert system.fork_engine.wait(parent.pid) == (child_pid, 7)
-        assert system.process(child_pid).status is Status.REAPED
+        assert child_pid not in system.unreaped_pids
 
     def test_wait_with_no_children(self):
         system = make_system("copa")
@@ -338,6 +337,29 @@ class TestExitWait:
         # Parent pages all promoted back to private.
         private, shared = sweep(system, parent.pid)
         assert len(private) == 10 and not shared
+        system.verify_invariants()
+
+    def test_reap_of_a_running_or_reaped_process_changes_nothing(self):
+        system = make_system("copa")
+        parent = system.create_initial_process()
+        running = system.process(system.fork_engine.fork(parent.pid))
+        reaped = system.process(system.fork_engine.fork(parent.pid))
+        system.fork_engine.exit(reaped.pid, 0)
+        assert system.fork_engine.wait(parent.pid) == (reaped.pid, 0)
+
+        def kernel_tables():
+            pid_table = {pid: system.stored_pid(pid) for pid in system.unreaped_pids}
+            pages = {
+                va: (entry.frame_id, entry.state, entry.writable, entry.owner_pid)
+                for va, entry in system.address_space.entries().items()
+            }
+            return pid_table, system.peek_bytes(system._kernel_data_va, PAGE_SIZE), pages
+
+        before = kernel_tables()
+        for proc in (parent, running, reaped):
+            with pytest.raises(ProcessNotRunning):
+                system.fork_engine.reap(proc)
+            assert kernel_tables() == before
         system.verify_invariants()
 
     def test_earliest_exited_child_is_reaped_first(self):

@@ -15,7 +15,8 @@ from sasfork.kernel import (
     KernelGateway,
     ProbeOutcome,
 )
-from sasfork.process import KERNEL_PID, Status
+from sasfork.metrics import Metrics
+from sasfork.process import KERNEL_PID
 from sasfork.system import System
 from sasfork.workload import run
 from test_acceptance import STALE_DEMO, corpus
@@ -355,7 +356,7 @@ def full_sweep(system):
     entries = list(system.gateway.entries.values())
     violations = []
     for proc in system.processes.values():
-        if proc.status is not Status.RUNNING:
+        if not proc.running:
             continue
         reachable = list(proc.register_caps())
         for page_va in proc.region.page_addresses():
@@ -541,9 +542,83 @@ class TestAuditMemo:
             result = run(text, "copa", "fault", audit=True)
             children = [p for p in result.system.processes.values() if p.parent_pid == 1]
             assert len(children) == workers
-            assert all(p.status is Status.REAPED for p in children)
+            assert not any(p.pid in result.system.unreaped_pids for p in children)
             return max(sizes)
 
         few = peak_memo(8)
         assert few > 0
         assert peak_memo(800) <= few
+
+    def test_a_pid_reaped_between_two_audits_leaves_the_memo(self):
+        system, parent = audited_system("copa")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        assert system.gateway.audit().clean
+        assert set(system.gateway._clean_pages) == {parent.pid, child.pid}
+        system.fork_engine.exit(child.pid, 0)
+        assert system.fork_engine.wait(parent.pid) == (child.pid, 0)
+        assert system.gateway.audit().clean
+        assert set(system.gateway._clean_pages) == {parent.pid}
+
+
+class _CountingRegistry(dict):
+    """A ``System.processes`` that counts the process records read from it."""
+
+    reads = 0
+
+    def __getitem__(self, pid):
+        self.reads += 1
+        return super().__getitem__(pid)
+
+    def values(self):
+        for proc in super().values():
+            self.reads += 1
+            yield proc
+
+
+def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
+    """The processes one audit visits, and the resident-set sweeps of one
+    invariant check, are the same at 200 and at 1600 reaped workers."""
+    real_init, real_audit = System.__init__, KernelGateway.audit
+    real_verify, real_prs = System.verify_invariants, Metrics.prs_bytes
+    visits, sweeps, prs_calls = [], [], [0]
+
+    def init(system, *args, **kwargs):
+        real_init(system, *args, **kwargs)
+        system.processes = _CountingRegistry()
+
+    def audit(gateway):
+        registry = gateway._sys.processes
+        start = registry.reads
+        report = real_audit(gateway)
+        visits.append(registry.reads - start)
+        return report
+
+    def prs_bytes(metrics, pid):
+        prs_calls[0] += 1
+        return real_prs(metrics, pid)
+
+    def verify_invariants(system):
+        start = prs_calls[0]
+        real_verify(system)
+        sweeps.append(prs_calls[0] - start)
+
+    monkeypatch.setattr(System, "__init__", init)
+    monkeypatch.setattr(KernelGateway, "audit", audit)
+    monkeypatch.setattr(Metrics, "prs_bytes", prs_bytes)
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+
+    def per_step_counts(workers):
+        visits.clear()
+        sweeps.clear()
+        batch = "fork nowait {\nexit 0\n}\n" * 8 + "wait\n" * 8
+        text = "layout code=1 heap=1 stack=1\n" + batch * (workers // 8)
+        result = run(text, "copa", "fault", audit=True, debug=True)
+        assert len(result.system.processes) == workers + 1
+        assert list(result.system.unreaped_pids) == []
+        return sorted(set(visits)), sorted(set(sweeps))
+
+    few = per_step_counts(200)
+    # At most the parent and one batch of 8 workers hold a slot; one
+    # invariant check also sweeps the kernel's region.
+    assert max(few[0]) == 9 and max(few[1]) == 10
+    assert per_step_counts(1600) == few

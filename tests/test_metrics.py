@@ -7,7 +7,6 @@ import pytest
 from sasfork.address_space import AccessKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
 from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
-from sasfork.process import Status
 from sasfork.system import System
 from sasfork.metrics import compare
 from sasfork.workload import generate, print_script, run
@@ -152,7 +151,7 @@ def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
     def check(step):
         for pid in [0, *system.processes]:
             assert system.metrics.prs_bytes(pid) == prs_oracle(system, pid), (step, pid)
-            if pid and system.process(pid).status is Status.REAPED:
+            if pid and pid not in system.unreaped_pids:
                 reaped_read.add(pid)
         system.verify_invariants()
         checked.append(step)

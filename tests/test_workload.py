@@ -235,6 +235,30 @@ class TestExecution:
         assert pids.index(2) < len(pids) - 1  # the child really interleaved
 
 
+    def test_scheduler_drops_the_tasks_of_exited_processes(self, monkeypatch):
+        from sasfork.workload.interpreter import _Interpreter
+
+        real = _Interpreter._after_step
+        sizes = []
+
+        def measured(interp):
+            sizes.append(len(interp._tasks))
+            real(interp)
+
+        monkeypatch.setattr(_Interpreter, "_after_step", measured)
+
+        def peak_tasks(workers):
+            sizes.clear()
+            batch = "fork nowait {\nexit 0\n}\n" * 8 + "wait\n" * 8
+            result = run("layout code=1 heap=1 stack=1\n" + batch * (workers // 8), "copa")
+            assert len(result.system.processes) == workers + 1
+            return max(sizes)
+
+        few = peak_tasks(8)
+        assert few > 1
+        assert peak_tasks(800) <= few
+
+
 class TestGenerator:
     def test_same_flags_same_bytes(self):
         a = print_script(generate(pages=16, ref_density=0.25, child_read_frac=0.5, seed=9))
