@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Mapping
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -275,7 +276,11 @@ class AddressSpace:
         return survivors
 
     def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
-        """Pages of ``region`` owned by ``pid``, counted per frame refcount."""
+        """Pages of ``region`` owned by ``pid``, counted per frame refcount.
+
+        The one-pid sweep behind :meth:`Metrics.prs_bytes`; the debug
+        check counts every owner at once in :meth:`verify_refcounts`.
+        """
         pages, frames = self._pages, self._frames.by_id
         counts: dict[int, int] = {}
         for page_va in range(region.base, region.end, PAGE_SIZE):
@@ -301,29 +306,42 @@ class AddressSpace:
         """The live entries by page address, not a copy.
 
         The fork engine's promotion pass reads and updates entries
-        through it; only :meth:`map`, :meth:`unmap` and the region passes
-        add or remove entries.
+        through it, and the auditor reads them; only :meth:`map`,
+        :meth:`unmap` and the region passes add or remove entries.
         """
         return self._pages
 
-    def verify_refcounts(self) -> None:
-        """Debug sweep: each frame's page set is exactly the PTEs mapping it.
+    def verify_refcounts(
+        self, owners: Mapping[int, Region] | None = None
+    ) -> dict[int, dict[int, int]]:
+        """Debug pass: each frame's page set is exactly the PTEs mapping it.
 
         Once every entry's page is in its frame's set, equal totals mean
-        the sets list nothing else.
+        the sets list nothing else.  The same single pass over the page
+        table also counts, for each ``pid -> region`` in ``owners``, the
+        pages that :meth:`owned_refcounts` would count, per frame
+        refcount: those in the region whose entry ``pid`` owns.  Returns
+        those counts by pid; with no owners it only checks.
         """
         frames = self._frames.by_id
+        spans = {pid: (region.base, region.end, {}) for pid, region in (owners or {}).items()}
         for page_va, entry in self._pages.items():
             frame = frames.get(entry.frame_id)
             if frame is None or page_va not in frame.pages:
                 raise SimInternalError(
                     f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                 )
+            span = spans.get(entry.owner_pid)
+            if span is not None and span[0] <= page_va < span[1]:
+                counts = span[2]
+                refs = len(frame.pages)
+                counts[refs] = counts.get(refs, 0) + 1
         listed = sum(len(frame.pages) for frame in frames.values())
         if listed != len(self._pages):
             raise SimInternalError(
                 f"frames list {listed} pages, the page table maps {len(self._pages)}"
             )
+        return {pid: span[2] for pid, span in spans.items()}
 
     # -- checked accesses --------------------------------------------------
 

@@ -45,10 +45,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
-from .capability import GRANULE, Capability, Perm
+from .capability import GRANULE, PAGE_SIZE, Capability, Perm
 from .errors import (
     DuplicateEntry,
     InvalidInvoke,
+    SimInternalError,
     SimulatorError,
     SyscallError,
 )
@@ -395,28 +396,31 @@ class KernelGateway:
         is reported.  A page whose frame and frame version match the
         ones it was last found clean with is skipped: the check depends
         only on those capabilities and the owner's region, which never
-        changes.
+        changes.  Each region is walked through the live page-table and
+        frame dicts, one lookup in each per page.
         """
         violations: list[AuditViolation] = []
         system = self._sys
-        entry_at = system.address_space.entry_at
+        pages, frames = system.address_space.by_page, system.frames.by_id
         old_memo, memo = self._clean_pages, {}
         for proc in map(system.processes.__getitem__, system.unreaped_pids):
             if not proc.running:
                 continue
-            clean = memo[proc.pid] = (
-                old_memo.get(proc.pid) or [None] * proc.region.page_count
-            )
+            pid, region = proc.pid, proc.region
+            clean = memo[pid] = old_memo.get(pid) or [None] * region.page_count
             for location, cap in proc.register_caps():
                 self._check_containment(proc, location, cap, violations)
-            for index, page_va in enumerate(proc.region.page_addresses()):
-                entry = entry_at(page_va)
-                if entry is None or entry.owner_pid != proc.pid:
+            for index, page_va in enumerate(range(region.base, region.end, PAGE_SIZE)):
+                entry = pages.get(page_va)
+                if entry is None or entry.owner_pid != pid or not entry.state.cap_load:
                     continue
-                if not entry.state.cap_load:
-                    continue
-                frame = system.frames.get(entry.frame_id)
-                stamp = (frame.frame_id, frame.version)
+                frame_id = entry.frame_id
+                frame = frames.get(frame_id)
+                if frame is None:
+                    raise SimInternalError(
+                        f"page {page_va:#x} maps frame {frame_id}, which does not exist"
+                    )
+                stamp = (frame_id, frame.version)
                 if clean[index] == stamp:
                     continue
                 found = len(violations)

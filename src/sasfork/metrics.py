@@ -14,14 +14,17 @@ in-place relocation scans at promotion, and the resident set at exit.
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
 ``PAGE_SIZE / refcount(frame)``.  Every mapping lies in its owner's
 region (the kernel region for pid 0), so one sweep of that region
-counts the owned pages per refcount as integers and adds one
-``Fraction`` per distinct refcount; a mapping outside its owner's
-region would go uncounted and break the conservation check.  A process
-that has exited but has not been reaped keeps its mappings and its
-PID-table slot, so its share still counts; a pid without a slot reads
-zero without a sweep (the value at exit is preserved separately for
-reporting, since the interesting number for a forked worker is what it
-consumed while alive).
+counts the owned pages per refcount as integers, and
+:func:`proportional_bytes` turns those counts into one exact
+``Fraction`` over the least common multiple of the refcounts present.
+The debug conservation check counts every owner's pages in a single
+pass over the page table and feeds the merged counts to the same
+function; a mapping outside its owner's region goes uncounted there and
+breaks the check.  A process that has exited but has not been reaped
+keeps its mappings and its PID-table slot, so its share still counts; a
+pid without a slot reads zero without a sweep (the value at exit is
+preserved separately for reporting, since the interesting number for a
+forked worker is what it consumed while alive).
 
 Fork latency is a synthetic cost, not wall-clock time:
 ``512 * eager page copies + PTE writes + granules scanned at fork``.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -181,6 +185,19 @@ class MetricsReport:
         return out.getvalue()
 
 
+def proportional_bytes(counts: dict[int, int]) -> Fraction:
+    """``PAGE_SIZE * pages / refs`` summed over ``{refs: pages}``, exactly.
+
+    The sum is built in integers over the least common multiple of the
+    refcounts present, so one ``Fraction`` is made per call.
+    """
+    denominator = math.lcm(*counts)
+    return Fraction(
+        PAGE_SIZE * sum(pages * (denominator // refs) for refs, pages in counts.items()),
+        denominator,
+    )
+
+
 class Metrics:
     """Live counters owned by one system instance."""
 
@@ -229,11 +246,7 @@ class Metrics:
             region = system.process(pid).region
             if pid not in system.unreaped_pids:
                 return Fraction(0)
-        counts = system.address_space.owned_refcounts(region, pid)
-        return sum(
-            (Fraction(PAGE_SIZE * pages, refs) for refs, pages in counts.items()),
-            Fraction(0),
-        )
+        return proportional_bytes(system.address_space.owned_refcounts(region, pid))
 
     def snapshot(self, pid: int | None = None) -> MetricsReport:
         """Pure read of the copy events and counters plus a fresh resident-set sweep."""

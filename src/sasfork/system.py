@@ -20,7 +20,6 @@ most one fault resolution, per page it touches.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Iterator, KeysView
 
 from .address_space import (
@@ -43,7 +42,7 @@ from .capability import (
 from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
-from .metrics import Metrics
+from .metrics import Metrics, proportional_bytes
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
 from .tagged_memory import FrameTable, TaggedFrame
 
@@ -393,11 +392,22 @@ class System:
     # -- invariants -------------------------------------------------------------------
 
     def verify_invariants(self) -> None:
-        """Debug sweep: refcount accuracy and resident-set conservation."""
-        self.address_space.verify_refcounts()
-        # A pid without a slot owns no page, so only slot holders count.
-        prs_bytes = self.metrics.prs_bytes
-        total = sum(map(prs_bytes, self.unreaped_pids), prs_bytes(KERNEL_PID))
+        """Debug check, in one page-table pass: refcounts and PRS conservation.
+
+        :meth:`AddressSpace.verify_refcounts` checks every entry against
+        its frame's page set and, on the same pass, counts the pages of
+        each PID-table slot holder and of the kernel per refcount (a pid
+        without a slot owns no page).  The resident set of all those
+        counts must be every frame exactly once.
+        """
+        processes = self.processes
+        owners = {pid: processes[pid].region for pid in self.unreaped_pids}
+        owners[KERNEL_PID] = self.kernel_region
+        merged: dict[int, int] = {}
+        for counts in self.address_space.verify_refcounts(owners).values():
+            for refs, pages in counts.items():
+                merged[refs] = merged.get(refs, 0) + pages
+        total = proportional_bytes(merged)
         if total != self.frames.total_bytes():
             raise SimInternalError(
                 f"prs conservation broken: {float(total)} vs {self.frames.total_bytes()}"

@@ -198,10 +198,10 @@ class FrameTable:
     def by_id(self) -> dict[int, TaggedFrame]:
         """The live frames by id, not a copy.
 
-        The address space's whole-region page passes and its refcount
-        check index it directly; the teardown pass deletes a frame whose
-        page set it empties, as :meth:`detach` does.  Nothing else may
-        change it.
+        The address space's whole-region page passes, its refcount
+        check and the auditor index it directly; the teardown pass
+        deletes a frame whose page set it empties, as :meth:`detach`
+        does.  Nothing else may change it.
         """
         return self._frames
 

@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 
 from ..capability import GRANULE, PAGE_SIZE
+from ..process import LayoutSpec
 from .script import (
+    MAX_LAYOUT_PAGES,
     Alloc,
     Deref,
     Exit,
@@ -59,6 +61,12 @@ def generate(
     rng = random.Random(seed)
     index_pages = index_page_count(pages, ref_density)
     heap_pages = pages + index_pages + OUTPUT_PAGES
+    total_pages = LayoutSpec(heap_pages=heap_pages).total_pages
+    if total_pages > MAX_LAYOUT_PAGES:
+        raise ValueError(
+            f"pages={pages} needs a layout of {total_pages} pages, "
+            f"over the limit of {MAX_LAYOUT_PAGES}"
+        )
 
     body = [Alloc("data", pages * PAGE_SIZE)]
     for page in range(pages):

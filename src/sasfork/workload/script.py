@@ -10,7 +10,8 @@ an implicit ``wait`` unless ``nowait`` is given.
 Grammar::
 
     layout key=pages ...          # optional, first line only; keys:
-                                  # code got alloc_meta heap stack tls
+                                  # code got alloc_meta heap stack tls;
+                                  # at most MAX_LAYOUT_PAGES in all
     alloc NAME BYTES
     store_int NAME+OFF VALUE
     store_ref NAME+OFF NAME+OFF   # destination offset 16-byte aligned
@@ -55,6 +56,11 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 #: printing and comparing scripts recurse once per level, so the limit
 #: keeps every script well inside the interpreter's recursion limit.
 MAX_FORK_DEPTH = 100
+
+#: Most pages a layout may give the root process.  Creating the process
+#: backs every page with a frame, so the limit bounds the host memory a
+#: script can claim (512 MiB of frames); ``heap=65536`` fits.
+MAX_LAYOUT_PAGES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -350,6 +356,14 @@ class _Parser:
             layout[key] = self._int(value, self.index, "page count")
         if not layout:
             self._fail(self.index, 0, "empty layout directive")
+        defaults = LayoutSpec()
+        pages = sum(layout.get(key, getattr(defaults, name)) for key, name in _LAYOUT_KEYS.items())
+        if pages > MAX_LAYOUT_PAGES:
+            self._fail(
+                self.index,
+                self.lines[self.index].find("layout"),
+                f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}",
+            )
         self.index += 1
         return layout
 

@@ -15,7 +15,6 @@ from sasfork.kernel import (
     KernelGateway,
     ProbeOutcome,
 )
-from sasfork.metrics import Metrics
 from sasfork.process import KERNEL_PID
 from sasfork.system import System
 from sasfork.workload import run
@@ -575,16 +574,47 @@ class _CountingRegistry(dict):
             yield proc
 
 
+class _CountingPages(dict):
+    """A page table that counts the entries read from it."""
+
+    reads = 0
+
+    def get(self, page_va, default=None):
+        self.reads += 1
+        return super().get(page_va, default)
+
+    def __getitem__(self, page_va):
+        self.reads += 1
+        return super().__getitem__(page_va)
+
+    def __contains__(self, page_va):
+        self.reads += 1
+        return super().__contains__(page_va)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+    def values(self):
+        for entry in super().values():
+            self.reads += 1
+            yield entry
+
+
 def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
-    """The processes one audit visits, and the resident-set sweeps of one
-    invariant check, are the same at 200 and at 1600 reaped workers."""
+    """The processes one audit visits, and the process records and
+    page-table entries one invariant check reads, are the same at 200 and
+    at 1600 reaped workers; the check reads each entry exactly once."""
     real_init, real_audit = System.__init__, KernelGateway.audit
-    real_verify, real_prs = System.verify_invariants, Metrics.prs_bytes
-    visits, sweeps, prs_calls = [], [], [0]
+    real_verify = System.verify_invariants
+    visits, checks = [], []
 
     def init(system, *args, **kwargs):
         real_init(system, *args, **kwargs)
         system.processes = _CountingRegistry()
+        space = system.address_space
+        space._pages = _CountingPages(space._pages)
 
     def audit(gateway):
         registry = gateway._sys.processes
@@ -593,32 +623,33 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
         visits.append(registry.reads - start)
         return report
 
-    def prs_bytes(metrics, pid):
-        prs_calls[0] += 1
-        return real_prs(metrics, pid)
-
     def verify_invariants(system):
-        start = prs_calls[0]
+        registry, pages = system.processes, system.address_space.by_page
+        records, entries = registry.reads, pages.reads
         real_verify(system)
-        sweeps.append(prs_calls[0] - start)
+        entries = pages.reads - entries
+        # Each entry once: no region sweep reads one a second time.
+        assert entries == len(pages)
+        checks.append((registry.reads - records, entries))
 
     monkeypatch.setattr(System, "__init__", init)
     monkeypatch.setattr(KernelGateway, "audit", audit)
-    monkeypatch.setattr(Metrics, "prs_bytes", prs_bytes)
     monkeypatch.setattr(System, "verify_invariants", verify_invariants)
 
     def per_step_counts(workers):
         visits.clear()
-        sweeps.clear()
+        checks.clear()
         batch = "fork nowait {\nexit 0\n}\n" * 8 + "wait\n" * 8
         text = "layout code=1 heap=1 stack=1\n" + batch * (workers // 8)
         result = run(text, "copa", "fault", audit=True, debug=True)
         assert len(result.system.processes) == workers + 1
         assert list(result.system.unreaped_pids) == []
-        return sorted(set(visits)), sorted(set(sweeps))
+        return sorted(set(visits)), sorted(set(checks))
 
     few = per_step_counts(200)
-    # At most the parent and one batch of 8 workers hold a slot; one
-    # invariant check also sweeps the kernel's region.
-    assert max(few[0]) == 9 and max(few[1]) == 10
+    # At most the parent and one batch of 8 workers hold a slot, each with
+    # a 5-page region, beside the kernel's 4 pages.
+    assert max(few[0]) == 9
+    assert max(records for records, _ in few[1]) == 9
+    assert max(entries for _, entries in few[1]) == 4 + 9 * 5
     assert per_step_counts(1600) == few

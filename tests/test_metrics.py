@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from sasfork.address_space import AccessKind, PageState, PageTableEntry
+import sasfork.system
+from sasfork.address_space import AccessKind, AddressSpace, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
 from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
+from sasfork.process import KERNEL_PID
 from sasfork.system import System
 from sasfork.metrics import compare
 from sasfork.workload import generate, print_script, run
+from test_golden import GEN_SLICE, GOLDEN
 
 
 def heap_cap(proc, offset=0):
@@ -197,6 +200,40 @@ def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
     assert system.metrics.prs_bytes(parent.pid) == 10 * PAGE_SIZE
     assert len(checked) == 20
     assert reaped_read == {grandchild.pid, child.pid, *(w.pid for w in batch)}
+
+
+@pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+def test_the_one_pass_counts_equal_the_region_sweeps_at_every_step(strategy, monkeypatch):
+    """The per-pid counts of the fused debug pass against ``owned_refcounts``,
+    for every slot holder and the kernel, after every statement."""
+    real_verify, real_pass = System.verify_invariants, AddressSpace.verify_refcounts
+    expected, checked = [], []
+
+    def verify_invariants(system):
+        owners = {pid: system.process(pid).region for pid in system.unreaped_pids}
+        expected.append({KERNEL_PID: system.kernel_region, **owners})
+        real_verify(system)
+
+    def verify_refcounts(space, owners=None):
+        counts = real_pass(space, owners)
+        assert owners == expected[-1]
+        assert counts.keys() == owners.keys()
+        for pid, region in owners.items():
+            assert counts[pid] == space.owned_refcounts(region, pid), (len(checked), pid)
+        checked.append(len(owners))
+        return counts
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    monkeypatch.setattr(AddressSpace, "verify_refcounts", verify_refcounts)
+    scripts = {name: text for name, (text, _) in GOLDEN.items()} | GEN_SLICE
+    for name, text in scripts.items():
+        with monkeypatch.context() as patch:
+            if name == "eagain":
+                patch.setattr(sasfork.system, "PID_SLOTS", 4)
+            run(text, strategy, "fault", debug=True)
+    assert len(checked) == len(expected) > 200
+    # Forks were live at some steps: more than the root and the kernel.
+    assert max(checked) > 2
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,14 @@ import pytest
 from sasfork.cli import main
 from sasfork.errors import ParseError
 from sasfork.workload import generate, parse, print_script, run
-from sasfork.workload.script import MAX_FORK_DEPTH, Alloc, Fork, LoadInt, StoreInt
+from sasfork.workload.script import (
+    MAX_FORK_DEPTH,
+    MAX_LAYOUT_PAGES,
+    Alloc,
+    Fork,
+    LoadInt,
+    StoreInt,
+)
 
 
 def nested_forks(depth):
@@ -49,6 +56,20 @@ class TestParser:
         assert script.layout == {"heap": 16, "stack": 4}
         spec = script.layout_spec()
         assert spec.heap_pages == 16 and spec.stack_pages == 4
+
+    def test_layout_size_is_limited(self):
+        # The other sub-regions keep their default 6 pages.  Only parsed:
+        # an oversized layout never reaches the simulator.
+        fits = f"layout heap={MAX_LAYOUT_PAGES - 6}\nalloc a 64\n"
+        assert parse(fits).layout_spec().total_pages == MAX_LAYOUT_PAGES
+        for text, line, column in (
+            (f"layout heap={MAX_LAYOUT_PAGES - 5}\n", 1, 1),
+            ("# big\n  layout code=1 heap=100000000\nalloc a 64\n", 2, 3),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert f"limit of {MAX_LAYOUT_PAGES}" in err.value.message
 
     def test_comments_and_hex_values(self):
         script = parse("# setup\nalloc a 0x1000  # one page\nstore_int a+0x10 0xff\n")
@@ -330,6 +351,18 @@ class TestCli(object):
         path = tmp_path / "broken.sas"
         path.write_text("frobnicate\n")
         assert main(["run", str(path)]) == 2
+
+    def test_an_oversized_layout_is_a_script_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.sas"
+        path.write_text("layout heap=100000000\nalloc a 64\n")
+        assert main(["run", str(path)]) == 2
+        assert "script error: line 1, col 1" in capsys.readouterr().err
+
+    def test_gen_rejects_pages_whose_layout_exceeds_the_limit(self, capsys):
+        with pytest.raises(ValueError, match="limit"):
+            generate(MAX_LAYOUT_PAGES, ref_density=0.0, child_read_frac=0.0, seed=0)
+        assert main(["gen", "--pages", str(MAX_LAYOUT_PAGES)]) == 2
+        assert f"over the limit of {MAX_LAYOUT_PAGES}" in capsys.readouterr().err
 
     def test_deeply_nested_forks_are_a_script_error(self, tmp_path, capsys):
         path = tmp_path / "deep.sas"
