@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -169,6 +169,11 @@ _EXEC_FETCH_WIDTH = 4
 
 def page_of(addr: int) -> int:
     return addr - (addr % PAGE_SIZE)
+
+
+def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn:
+    """Raise the fault of an access at ``addr``; the access pipeline's one exit."""
+    raise FaultError(Fault(kind, pid, page_of(addr), access))
 
 
 class AddressSpace:
@@ -380,41 +385,38 @@ class AddressSpace:
         elif kind is _EXEC:
             width = _EXEC_FETCH_WIDTH
 
-        def fail(fault_kind: FaultKind, addr: int):
-            raise FaultError(Fault(fault_kind, pid, page_of(addr), kind))
-
-        if not cap.tag:
-            fail(_CAP_TAG_FAULT, cap.cursor)
-        if cap.sealed:
-            fail(_CAP_SEALED_FAULT, cap.cursor)
-        if kind in _CAP_ACCESSES and cap.cursor % GRANULE:
-            fail(_CAP_BOUNDS_FAULT, cap.cursor)
-        if not cap.in_bounds(cap.cursor, width):
-            fail(_CAP_BOUNDS_FAULT, cap.cursor)
+        base, length, cursor, perms, otype, tag = cap
+        if not tag:
+            _fault(_CAP_TAG_FAULT, pid, cursor, kind)
+        if otype is not None:
+            _fault(_CAP_SEALED_FAULT, pid, cursor, kind)
+        if kind in _CAP_ACCESSES and cursor % GRANULE:
+            _fault(_CAP_BOUNDS_FAULT, pid, cursor, kind)
+        if not (base <= cursor and cursor + width <= base + length):
+            _fault(_CAP_BOUNDS_FAULT, pid, cursor, kind)
         required = kind.required
-        if cap.perms._value_ & required != required:
-            fail(_CAP_PERM_FAULT, cap.cursor)
+        if perms._value_ & required != required:
+            _fault(_CAP_PERM_FAULT, pid, cursor, kind)
 
-        start = cap.cursor
-        offset = start % PAGE_SIZE
-        page_va = start - offset
+        offset = cursor % PAGE_SIZE
+        page_va = cursor - offset
         if offset + width > PAGE_SIZE:
             raise SimInternalError(
-                f"{kind.value} of {width} bytes at {start:#x} crosses a page; callers split it"
+                f"{kind.value} of {width} bytes at {cursor:#x} crosses a page; callers split it"
             )
         entry = self._pages.get(page_va)
         if entry is None or entry.state is _SHARED_COA:
-            fail(_PAGE_ACCESS_FAULT, page_va)
+            _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
         if kind in _STORES and not entry.writable:
-            fail(_PAGE_WRITE_FAULT, page_va)
+            _fault(_PAGE_WRITE_FAULT, pid, page_va, kind)
         frame = self._frames.get(entry.frame_id)
         if not entry.state.cap_load:
             if kind is _CAP_LOAD:
-                fail(_CAP_LOAD_FAULT, page_va)
+                _fault(_CAP_LOAD_FAULT, pid, page_va, kind)
             if kind in _INT_READS and frame.tagged_in(offset, offset + width):
                 # The bytes of a capability the child has not relocated
                 # yet: copy and relocate first.
-                fail(_CAP_LOAD_FAULT, page_va)
+                _fault(_CAP_LOAD_FAULT, pid, page_va, kind)
 
         if kind is _CAP_LOAD:
             return self._frames.load_capability(frame, offset // GRANULE)

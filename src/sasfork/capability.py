@@ -41,6 +41,8 @@ GRANULES_PER_PAGE = PAGE_SIZE // GRANULE
 #: Reservations are bump-allocated from a 40-bit simulated space.
 VIRTUAL_SPACE_LIMIT = 1 << 40
 
+_tuple_new = tuple.__new__
+
 
 class Perm(enum.Flag):
     """Access permissions carried by a capability."""
@@ -175,9 +177,12 @@ class Capability(NamedTuple):
 
     def with_cursor(self, addr: int) -> "Capability":
         """Move the cursor; anywhere is representable, bounds checked on use."""
-        if self.sealed:
+        base, length, _, perms, otype, tag = self
+        if otype is not None:
             raise SealedMutation("cannot move the cursor of a sealed capability")
-        return Capability(self.base, self.length, addr, self.perms, self.otype, self.tag)
+        # The access path moves a cursor for nearly every access, so skip
+        # the named tuple's keyword-handling constructor.
+        return _tuple_new(Capability, (base, length, addr, perms, otype, tag))
 
     def seal(self, otype: int) -> "Capability":
         """Return a sealed (immutable, non-dereferenceable) copy."""

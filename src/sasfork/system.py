@@ -20,7 +20,7 @@ most one fault resolution, per page it touches.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, KeysView
+from typing import KeysView
 
 from .address_space import (
     AccessKind,
@@ -46,6 +46,7 @@ from .metrics import Metrics, proportional_bytes
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
 from .tagged_memory import FrameTable, TaggedFrame
 
+_READ_INT, _WRITE = AccessKind.READ_INT, AccessKind.WRITE
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
 #: The PID table holds one 8-byte word per unreaped process.
 PID_SLOTS = PAGE_SIZE // 8
@@ -339,17 +340,15 @@ class System:
     # -- bulk user-memory helpers (page-chunked, fault-resolving) ------------------
 
     def read_user_bytes(self, pid: int, cap: Capability, count: int) -> bytes:
-        out = bytearray()
+        out = b""
         for va, _, size in _page_chunks(cap.cursor, count):
-            value = self.access(pid, cap.with_cursor(va), AccessKind.READ_INT, width=size)
-            out += int(value).to_bytes(size, "little")
-        return bytes(out)
+            value = self.access(pid, cap.with_cursor(va), _READ_INT, width=size)
+            out += value.to_bytes(size, "little")
+        return out
 
     def write_user_bytes(self, pid: int, cap: Capability, data: bytes) -> int:
         for va, offset, size in _page_chunks(cap.cursor, len(data)):
-            self.access(
-                pid, cap.with_cursor(va), AccessKind.WRITE, data[offset : offset + size]
-            )
+            self.access(pid, cap.with_cursor(va), _WRITE, data[offset : offset + size])
         return len(data)
 
     def stash_in_kernel_buffer(self, data: bytes) -> None:
@@ -422,14 +421,18 @@ class System:
             self.fork_engine.reap(proc)
 
 
-def _page_chunks(addr: int, count: int) -> Iterator[tuple[int, int, int]]:
+def _page_chunks(addr: int, count: int) -> list[tuple[int, int, int]]:
     """Split ``count`` bytes from ``addr`` at page boundaries.
 
-    Yields ``(address, offset into the range, size)`` per chunk.
+    Returns ``(address, offset into the range, size)`` per chunk, as a
+    list: most ranges are one chunk, which a list builds more cheaply
+    than a generator would.
     """
+    chunks = []
     done = 0
     while done < count:
         size = min(count - done, PAGE_SIZE - addr % PAGE_SIZE)
-        yield addr, done, size
+        chunks.append((addr, done, size))
         addr += size
         done += size
+    return chunks

@@ -202,48 +202,42 @@ class Script:
 # -- printing -----------------------------------------------------------------
 
 
+def _format_fork(stmt: Fork) -> str:
+    parts = ["fork"]
+    if stmt.label:
+        parts.append(stmt.label)
+    if stmt.nowait:
+        parts.append("nowait")
+    return " ".join(parts)
+
+
+#: The one-line text of each statement type; a fork shows its header only.
+_FORMATTERS = {
+    Alloc: lambda s: f"alloc {s.name} {s.size}",
+    StoreInt: lambda s: f"store_int {s.name}+{s.offset} {s.value}",
+    StoreRef: lambda s: f"store_ref {s.name}+{s.offset} {s.target}+{s.target_offset}",
+    LoadInt: lambda s: f"load_int {s.name}+{s.offset}",
+    LoadRef: lambda s: f"load_ref {s.name}+{s.offset}",
+    Deref: lambda s: f"deref {s.offset}" if s.offset else "deref",
+    Fork: _format_fork,
+    Exit: lambda s: f"exit {s.code}",
+    Wait: lambda s: "wait",
+    Open: lambda s: f"open {s.name}",
+    Close: lambda s: f"close {s.name}",
+    Read: lambda s: f"read {s.file} {s.buffer}+{s.offset} {s.count}",
+    Write: lambda s: f"write {s.file} {s.buffer}+{s.offset} {s.count}",
+    Yield: lambda s: "yield",
+    Priv: lambda s: "priv",
+    Expect: lambda s: f"expect {s.value}",
+}
+
+
 def format_statement(stmt: Statement) -> str:
-    """One-line canonical rendering (fork shows its header only)."""
-    if isinstance(stmt, Alloc):
-        return f"alloc {stmt.name} {stmt.size}"
-    if isinstance(stmt, StoreInt):
-        return f"store_int {stmt.name}+{stmt.offset} {stmt.value}"
-    if isinstance(stmt, StoreRef):
-        return (
-            f"store_ref {stmt.name}+{stmt.offset} {stmt.target}+{stmt.target_offset}"
-        )
-    if isinstance(stmt, LoadInt):
-        return f"load_int {stmt.name}+{stmt.offset}"
-    if isinstance(stmt, LoadRef):
-        return f"load_ref {stmt.name}+{stmt.offset}"
-    if isinstance(stmt, Deref):
-        return f"deref {stmt.offset}" if stmt.offset else "deref"
-    if isinstance(stmt, Fork):
-        parts = ["fork"]
-        if stmt.label:
-            parts.append(stmt.label)
-        if stmt.nowait:
-            parts.append("nowait")
-        return " ".join(parts)
-    if isinstance(stmt, Exit):
-        return f"exit {stmt.code}"
-    if isinstance(stmt, Wait):
-        return "wait"
-    if isinstance(stmt, Open):
-        return f"open {stmt.name}"
-    if isinstance(stmt, Close):
-        return f"close {stmt.name}"
-    if isinstance(stmt, Read):
-        return f"read {stmt.file} {stmt.buffer}+{stmt.offset} {stmt.count}"
-    if isinstance(stmt, Write):
-        return f"write {stmt.file} {stmt.buffer}+{stmt.offset} {stmt.count}"
-    if isinstance(stmt, Yield):
-        return "yield"
-    if isinstance(stmt, Priv):
-        return "priv"
-    if isinstance(stmt, Expect):
-        return f"expect {stmt.value}"
-    raise TypeError(f"unknown statement {stmt!r}")
+    """One-line canonical rendering, shared by the printer and the trace."""
+    formatter = _FORMATTERS.get(type(stmt))
+    if formatter is None:
+        raise TypeError(f"unknown statement {stmt!r}")
+    return formatter(stmt)
 
 
 def print_script(script: Script) -> str:

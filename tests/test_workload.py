@@ -1,18 +1,30 @@
 """DSL parsing, printing, interpretation, generation, and the CLI."""
 
+import typing
+from dataclasses import dataclass
+
 import pytest
 
+import sasfork.system
+from sasfork.address_space import page_of
 from sasfork.cli import main
-from sasfork.errors import ParseError
-from sasfork.workload import generate, parse, print_script, run
+from sasfork.errors import ParseError, SimInternalError
+from sasfork.kernel import KernelGateway
+from sasfork.system import System
+from sasfork.workload import generate, interpreter, parse, print_script, run
 from sasfork.workload.script import (
+    _FORMATTERS,
     MAX_FORK_DEPTH,
     MAX_LAYOUT_PAGES,
     Alloc,
     Fork,
     LoadInt,
+    Script,
+    Statement,
     StoreInt,
+    format_statement,
 )
+from test_golden import GOLDEN
 
 
 def nested_forks(depth):
@@ -278,6 +290,167 @@ class TestExecution:
         few = peak_tasks(8)
         assert few > 1
         assert peak_tasks(800) <= few
+
+
+def statements(body):
+    for stmt in body:
+        yield stmt
+        if isinstance(stmt, Fork):
+            yield from statements(stmt.body)
+
+
+@dataclass(frozen=True)
+class NotAStatement:
+    name: str = "a"
+
+
+class TestStatementTables:
+    def test_every_statement_type_has_one_handler_and_one_formatter(self):
+        types = typing.get_args(Statement)
+        assert len(set(types)) == len(types)
+        assert set(interpreter._HANDLERS) == set(types)
+        assert set(_FORMATTERS) == set(types)
+        assert all(callable(interpreter._HANDLERS[t]) for t in types)
+
+    def test_another_type_is_an_internal_error_and_has_no_text(self):
+        with pytest.raises(SimInternalError, match="unhandled statement"):
+            run(Script(body=(NotAStatement(),)), "copa")
+        with pytest.raises(TypeError, match="unknown statement"):
+            format_statement(NotAStatement())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_the_trace_shows_each_statement_as_the_printer_does(self, name, monkeypatch):
+        text = GOLDEN[name][0]
+        if name == "eagain":
+            monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
+        script = parse(text)
+        assert parse(print_script(script)) == script
+        # The implicit wait behind a fork and the implicit exit 0 at the
+        # end of a stream are shown as their statements would be.
+        texts = {format_statement(s) for s in statements(script.body)} | {"wait", "exit 0"}
+        for strategy in ("full", "coa", "copa", "unsafe-cow"):
+            events = run(script, strategy).trace.events
+            assert events and {e.stmt for e in events} <= texts
+
+
+#: Page offsets of the 8-byte integer accesses: in-page, then crossing.
+EDGE_OFFSETS = (4088, 4089, 4092, 4095)
+#: What the child runs for each access; ``deref`` reads through ``r+0``.
+EDGE_OPS = {
+    "load_int": "load_int a+{off}",
+    "store_int": "store_int a+{off} 0x0102030405060708\nload_int a+{off}\nexpect 0x0102030405060708",
+    "deref": "load_ref r+0\nderef",
+}
+LOW, HIGH = 0x1122334455667788, 0x99AABBCCDDEEFF00
+
+
+def edge_script(op, off):
+    return (
+        "layout heap=4\nalloc a 8192\nalloc r 4096\n"
+        f"store_int a+4088 {LOW}\nstore_int a+4096 {HIGH}\nstore_ref r+0 a+{off}\n"
+        "fork {\n" + EDGE_OPS[op].format(off=off) + "\nexit 0\n}\n"
+    )
+
+
+def traced_steps(text, strategy, isolation, monkeypatch):
+    """Each step's last event, the pages its accesses touched, and its copies."""
+    steps, accesses = [], []
+    real_access = System.access
+    real_step = interpreter._Interpreter._after_step
+
+    def access(self, pid, cap, *args, **kwargs):
+        accesses.append(page_of(cap.cursor))
+        return real_access(self, pid, cap, *args, **kwargs)
+
+    def after_step(interp):
+        lazy = [e for e in interp.system.fork_engine.events if not e.eager]
+        copied = sum(len(step[2]) for step in steps)
+        steps.append((interp.trace.events[-1], list(accesses), lazy[copied:]))
+        accesses.clear()
+        real_step(interp)
+
+    monkeypatch.setattr(System, "access", access)
+    monkeypatch.setattr(interpreter._Interpreter, "_after_step", after_step)
+    result = run(text, strategy, isolation)
+    monkeypatch.undo()
+    return result, steps
+
+
+class TestPageEdges:
+    @pytest.mark.parametrize("off", EDGE_OFFSETS)
+    @pytest.mark.parametrize("op", sorted(EDGE_OPS))
+    def test_integer_accesses_at_a_page_edge(self, op, off, monkeypatch):
+        memory = LOW.to_bytes(8, "little") + HIGH.to_bytes(8, "little")
+        expected = str(int.from_bytes(memory[off - 4088 : off - 4080], "little"))
+        for isolation in ("fault", "full"):
+            traces = {}
+            for strategy in ("full", "coa", "copa", "unsafe-cow"):
+                result, steps = traced_steps(edge_script(op, off), strategy, isolation, monkeypatch)
+                assert result.ok and not result.expect_failures
+                traces[strategy] = result.trace.to_text()
+                # The unsafe CoW child's stale reference reads the parent's pages.
+                stale = op == "deref" and strategy == "unsafe-cow"
+                base = result.system.process(1 if stale else 2).layout.heap.base
+                touched = sorted({page_of(base + off), page_of(base + off + 7)})
+                assert len(touched) == (1 if off == 4088 else 2)
+                copied = set()
+                child = [
+                    step for step in steps
+                    if step[0].pid == 2 and step[0].stmt.split()[0] in EDGE_OPS
+                ]
+                assert len(child) == (2 if op == "store_int" else 1)
+                for event, pages, copies in child:
+                    kind = event.stmt.split()[0]
+                    # One access per page the statement touches, in order.
+                    assert pages == touched, (strategy, event)
+                    if op != "store_int":  # the store's read-back has its expect
+                        assert event.result == expected
+                    lazy = strategy == "coa" or (kind == "store_int" and strategy != "full")
+                    fresh = [p for p in touched if p not in copied] if lazy else []
+                    assert [(c.pid, c.page_va) for c in copies] == [(2, p) for p in fresh]
+                    copied.update(fresh)
+            assert traces["full"] == traces["coa"] == traces["copa"]
+
+
+REUSED = """
+alloc a 64
+fork {
+  fork {
+    store_int a+0 1
+  }
+  load_int a+0
+}
+fork nowait {
+  yield
+  exit 3
+}
+wait
+expect 3
+"""
+
+
+class TestScriptReuse:
+    def test_a_run_leaves_its_script_as_it_was(self, monkeypatch):
+        script = parse(REUSED)
+        before = hash(script)
+        waits = []
+        real = KernelGateway.syscall
+
+        def syscall(self, pid, entry, name, args):
+            waits.append(name == "wait")
+            return real(self, pid, entry, name, args)
+
+        monkeypatch.setattr(KernelGateway, "syscall", syscall)
+        first = run(script, "copa", debug=True)
+        second = run(script, "copa", debug=True)
+        assert first.ok and second.trace.to_text() == first.trace.to_text()
+        assert script == parse(REUSED) and hash(script) == before
+        events = first.trace.events
+        # Each fork without nowait is waited for, each stream without an
+        # exit ends in exit 0, and a wait was retried after blocking.
+        assert sum(e.stmt == "wait" for e in events) == 3
+        assert sum(e.stmt == "exit 0" for e in events) == 3
+        assert sum(waits) > 2 * 3
 
 
 class TestGenerator:
