@@ -27,11 +27,12 @@ The auditor sweeps everything a process could obtain without faulting:
 its register state plus every tagged granule of pages whose state
 permits a capability load.  Shared frames that still hold parent
 references are not violations while the owner cannot load from them.
-Registers are re-checked on every sweep.  A page's granules are
-re-checked only when the page maps another frame, or its frame's
-capabilities changed (a capability store, or a byte store over a
-capability), since the sweep last found that page clean; a page with
-findings is re-checked every time.  Ownership and the capability-load
+Registers are re-checked on every sweep; the sealed entries are not,
+since every process holds the gateway's one read-only entry map.  A
+page's granules are re-checked only when the page maps another frame,
+or its frame's capabilities changed (a capability store, or a byte
+store over a capability), since the sweep last found that page clean;
+a page with findings is re-checked every time.  Ownership and the capability-load
 permission are tested on every sweep, so a page that promotion makes
 cap-loadable is checked at once unless it was found clean with the same
 contents before.  Each sweep visits the PID-table slot holders and keeps
@@ -42,7 +43,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
 from .capability import GRANULE, PAGE_SIZE, Capability, Perm
@@ -124,14 +126,13 @@ class KernelGateway:
         self._entries: dict[str, Capability] = {}
         # Sealed entry -> the unsealed target it invokes.
         self._targets: dict[Capability, Capability] = {}
-        self._boot_complete = False
+        # The read-only view of ``_entries`` that every process holds as
+        # its ``entry_caps``; made when boot completes, after which no
+        # entry can be registered.
+        self.entries: Mapping[str, Capability] | None = None
         # Running pid -> per page of its region, the (frame id, frame
         # version) the audit last found that page clean with, or None.
         self._clean_pages: dict[int, list[tuple[int, int] | None]] = {}
-
-    @property
-    def entries(self) -> dict[str, Capability]:
-        return dict(self._entries)
 
     def register_default_entries(self) -> None:
         handlers = {
@@ -150,11 +151,11 @@ class KernelGateway:
             self.register_entry(name, handlers[name])
 
     def finish_boot(self) -> None:
-        self._boot_complete = True
+        self.entries = MappingProxyType(self._entries)
 
     def register_entry(self, name: str, handler: Callable) -> Capability:
         """Create the sealed entry capability for one syscall (boot only)."""
-        if self._boot_complete:
+        if self.entries is not None:
             raise SimulatorError("syscall entries are fixed once boot completes")
         if name in self._entries:
             raise DuplicateEntry(f"entry {name!r} already registered")

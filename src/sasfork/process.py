@@ -24,8 +24,8 @@ in ``System.processes`` after reap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import astuple, dataclass, field, fields
+from typing import Iterator, Mapping, Union
 
 from .capability import PAGE_SIZE, Capability, Region
 from .errors import BadFd
@@ -43,7 +43,10 @@ FIRST_FD = 3
 
 @dataclass(frozen=True)
 class LayoutSpec:
-    """Sub-region sizes in pages; the sum is the region size."""
+    """Sub-region sizes in pages, in region order; the sum is the region size.
+
+    Field ``i`` sizes field ``i`` of :class:`Layout`.
+    """
 
     code_pages: int = 2
     got_pages: int = 1
@@ -53,15 +56,7 @@ class LayoutSpec:
     tls_pages: int = 0
 
     def __post_init__(self) -> None:
-        sizes = (
-            self.code_pages,
-            self.got_pages,
-            self.alloc_meta_pages,
-            self.heap_pages,
-            self.stack_pages,
-            self.tls_pages,
-        )
-        if any(n < 0 for n in sizes):
+        if any(n < 0 for n in astuple(self)):
             raise ValueError("page counts must be non-negative")
         if min(self.code_pages, self.got_pages, self.alloc_meta_pages) < 1:
             raise ValueError("code, got and alloc_meta need at least one page")
@@ -70,14 +65,7 @@ class LayoutSpec:
 
     @property
     def total_pages(self) -> int:
-        return (
-            self.code_pages
-            + self.got_pages
-            + self.alloc_meta_pages
-            + self.heap_pages
-            + self.stack_pages
-            + self.tls_pages
-        )
+        return sum(astuple(self))
 
     @property
     def total_bytes(self) -> int:
@@ -90,25 +78,17 @@ class LayoutSpec:
                 f"region holds {region.page_count} pages, layout needs {self.total_pages}"
             )
         base = region.base
-        pieces = {}
-        for name, pages in (
-            ("code_ro", self.code_pages),
-            ("got", self.got_pages),
-            ("alloc_meta", self.alloc_meta_pages),
-            ("heap", self.heap_pages),
-            ("stack", self.stack_pages),
-            ("tls", self.tls_pages),
-        ):
-            pieces[name] = Region(base, pages * PAGE_SIZE)
+        pieces = []
+        for pages in astuple(self):
+            pieces.append(Region(base, pages * PAGE_SIZE))
             base += pages * PAGE_SIZE
-        return Layout(region=region, **pieces)
+        return Layout(*pieces)
 
 
 @dataclass(frozen=True)
 class Layout:
-    """The carved sub-regions of one process region."""
+    """The carved sub-regions of one process region, in region order."""
 
-    region: Region
     code_ro: Region
     got: Region
     alloc_meta: Region
@@ -117,30 +97,16 @@ class Layout:
     tls: Region
 
     def subregions(self) -> dict[str, Region]:
-        return {
-            "code_ro": self.code_ro,
-            "got": self.got,
-            "alloc_meta": self.alloc_meta,
-            "heap": self.heap,
-            "stack": self.stack,
-            "tls": self.tls,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def page_writable(self, page_va: int) -> bool:
         # Code pages are mapped read-only; everything else is data.
         return not self.code_ro.contains(page_va)
 
     def rebased(self, region: Region) -> "Layout":
-        """The same layout carved at a different (equal-sized) region."""
-        spec = LayoutSpec(
-            code_pages=self.code_ro.page_count,
-            got_pages=self.got.page_count,
-            alloc_meta_pages=self.alloc_meta.page_count,
-            heap_pages=self.heap.page_count,
-            stack_pages=self.stack.page_count,
-            tls_pages=self.tls.page_count,
-        )
-        return spec.carve(region)
+        """The same layout moved to a different (equal-sized) region."""
+        shift = region.base - self.code_ro.base
+        return Layout(*(Region(sub.base + shift, sub.size) for sub in self.subregions().values()))
 
 
 @dataclass
@@ -149,7 +115,8 @@ class MicroProcess:
     region: Region
     layout: Layout
     registers: dict[str, RegisterValue]
-    entry_caps: dict[str, Capability] = field(default_factory=dict)
+    # The gateway's one read-only sealed-entry map, shared by every process.
+    entry_caps: Mapping[str, Capability]
     fd_table: dict[int, int] = field(default_factory=dict)
     symbols: dict[str, Capability] = field(default_factory=dict)
     loaded_ref: Capability | None = None
@@ -162,12 +129,14 @@ class MicroProcess:
         return self.exit_seq is None
 
     def register_caps(self) -> Iterator[tuple[str, Capability]]:
-        """Every capability reachable from register state, with a location label."""
+        """Every capability register state holds, with a location label.
+
+        The sealed entries in ``entry_caps`` are not listed: they are the
+        kernel's, and no process can change them.
+        """
         for name, value in self.registers.items():
             if isinstance(value, Capability):
                 yield f"register:{name}", value
-        for name, cap in self.entry_caps.items():
-            yield f"entry:{name}", cap
         for name, cap in self.symbols.items():
             yield f"symbol:{name}", cap
         if self.loaded_ref is not None:

@@ -9,7 +9,8 @@ an implicit ``wait`` unless ``nowait`` is given.
 
 Grammar::
 
-    layout key=pages ...          # optional, first line only; keys:
+    layout key=pages ...          # optional, first line only, and the
+                                  # word must be exactly ``layout``; keys:
                                   # code got alloc_meta heap stack tls;
                                   # at most MAX_LAYOUT_PAGES in all
     alloc NAME BYTES
@@ -27,6 +28,11 @@ Grammar::
     priv
     expect VALUE                  # checks the previous result
 
+The grammar has one owner, the ``_SYNTAX`` table: each statement
+type's keyword and the kinds of its argument tokens.  The parser reads
+each token kind with one method, and only ``fork`` and ``deref`` have
+readers of their own; the printer's ``_FORMATTERS`` has the same keys.
+
 Parsing performs a full semantic pass: undeclared symbols, misaligned
 reference stores, and a ``deref`` with no prior ``load_ref`` are errors
 with line/column positions.
@@ -35,20 +41,15 @@ with line/column positions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from ..errors import ParseError
 from ..process import LayoutSpec
 
-_LAYOUT_KEYS = {
-    "code": "code_pages",
-    "got": "got_pages",
-    "alloc_meta": "alloc_meta_pages",
-    "heap": "heap_pages",
-    "stack": "stack_pages",
-    "tls": "tls_pages",
-}
+#: Layout keyword -> :class:`LayoutSpec` field: the field name without
+#: its ``_pages`` suffix.
+_LAYOUT_KEYS = {f.name.removesuffix("_pages"): f.name for f in fields(LayoutSpec)}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -188,18 +189,11 @@ class Script:
         kwargs = {_LAYOUT_KEYS[k]: v for k, v in self.layout.items()}
         return LayoutSpec(**kwargs)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Script)
-            and self.body == other.body
-            and self.layout == other.layout
-        )
-
     def __hash__(self):
         return hash((self.body, tuple(sorted(self.layout.items()))))
 
 
-# -- printing -----------------------------------------------------------------
+# -- syntax and printing ------------------------------------------------------
 
 
 def _format_fork(stmt: Fork) -> str:
@@ -210,6 +204,27 @@ def _format_fork(stmt: Fork) -> str:
         parts.append("nowait")
     return " ".join(parts)
 
+
+#: The grammar's one owner: each statement type's keyword and the kinds of
+#: its argument tokens, in field order.  Each kind names a ``_read_<kind>``
+#: method of the parser.  ``deref`` (an optional offset) and ``fork`` (a
+#: block) are read by methods of their own.
+_SYNTAX = {
+    Alloc: ("alloc", ("new_symbol", "size")),
+    StoreInt: ("store_int", ("ref", "value")),
+    StoreRef: ("store_ref", ("store_slot", "ref")),
+    LoadInt: ("load_int", ("ref",)),
+    LoadRef: ("load_ref", ("load_slot",)),
+    Exit: ("exit", ("exit_code",)),
+    Wait: ("wait", ()),
+    Open: ("open", ("new_file",)),
+    Close: ("close", ("file",)),
+    Read: ("read", ("file", "ref", "count")),
+    Write: ("write", ("file", "ref", "count")),
+    Yield: ("yield", ()),
+    Priv: ("priv", ()),
+    Expect: ("expect", ("expected",)),
+}
 
 #: The one-line text of each statement type; a fork shows its header only.
 _FORMATTERS = {
@@ -265,9 +280,13 @@ def print_script(script: Script) -> str:
 
 
 class _Scope:
-    """Lexical declarations; children inherit a snapshot of the parent."""
+    """Lexical declarations; children inherit a snapshot of the parent.
+
+    ``depth`` counts the ``fork`` blocks the scope is nested in.
+    """
 
     def __init__(self, parent: "_Scope | None" = None):
+        self.depth = parent.depth + 1 if parent else 0
         self.symbols: set[str] = set(parent.symbols) if parent else set()
         self.files: set[str] = set(parent.files) if parent else set()
         self.has_loaded_ref = parent.has_loaded_ref if parent else False
@@ -276,262 +295,214 @@ class _Scope:
 def parse(text: str) -> Script:
     """Parse and semantically check a script; raises :class:`ParseError`."""
     parser = _Parser(text)
-    return parser.parse()
+    layout = parser._parse_layout()
+    body = parser._parse_block(top_level=True)
+    return Script(body=tuple(body), layout=layout)
 
 
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.index = 0
-        self.depth = 0
-
-    def parse(self) -> Script:
-        layout = self._parse_layout()
-        body = self._parse_block(_Scope(), top_level=True)
-        if self.index < len(self.lines):
-            self._fail(self.index, 0, "unmatched '}'")
-        return Script(body=tuple(body), layout=layout)
+        # The statement being read: its line, its scope, and whether a
+        # statement before it gave a result for ``expect`` to check.
+        self.line_index = 0
+        self.scope = _Scope()
+        self.have_result = False
 
     # -- helpers ------------------------------------------------------------
 
-    def _fail(self, line_index: int, column: int, message: str):
-        raise ParseError(line_index + 1, column + 1, message)
+    def _fail(self, message: str, column: int = 0):
+        raise ParseError(self.line_index + 1, column + 1, message)
+
+    def _fail_at(self, token: str, message: str):
+        """Fail at the first occurrence of ``token`` on the current line."""
+        self._fail(message, self.lines[self.line_index].find(token))
 
     def _strip(self, raw: str) -> str:
         if "#" in raw:
             raw = raw[: raw.index("#")]
         return raw.strip()
 
-    def _int(self, token: str, line_index: int, what: str) -> int:
+    def _int(self, token: str, what: str) -> int:
         try:
             return int(token, 0)
         except ValueError:
-            self._fail(line_index, self.lines[line_index].find(token), f"bad {what}: {token!r}")
+            self._fail_at(token, f"bad {what}: {token!r}")
 
-    def _name(self, token: str, line_index: int, what: str) -> str:
+    def _name(self, token: str, what: str) -> str:
         if not _NAME_RE.match(token):
-            self._fail(line_index, self.lines[line_index].find(token), f"bad {what}: {token!r}")
+            self._fail_at(token, f"bad {what}: {token!r}")
         return token
-
-    def _ref(self, token: str, line_index: int) -> tuple[str, int]:
-        name, plus, off = token.partition("+")
-        name = self._name(name, line_index, "symbol")
-        offset = self._int(off, line_index, "offset") if plus else 0
-        if offset < 0:
-            self._fail(line_index, self.lines[line_index].find(token), "negative offset")
-        return name, offset
-
-    def _require_symbol(self, name: str, scope: _Scope, line_index: int, token: str):
-        if name not in scope.symbols:
-            self._fail(
-                line_index,
-                self.lines[line_index].find(token),
-                f"undeclared symbol {name!r}",
-            )
 
     def _parse_layout(self) -> dict[str, int]:
         while self.index < len(self.lines) and not self._strip(self.lines[self.index]):
             self.index += 1
         if self.index >= len(self.lines):
             return {}
-        line = self._strip(self.lines[self.index])
-        if not line.startswith("layout"):
+        tokens = self._strip(self.lines[self.index]).split()
+        if tokens[0] != "layout":
             return {}
-        tokens = line.split()
+        self.line_index = self.index
         layout: dict[str, int] = {}
         for token in tokens[1:]:
             key, eq, value = token.partition("=")
             if not eq or key not in _LAYOUT_KEYS:
-                self._fail(
-                    self.index,
-                    self.lines[self.index].find(token),
-                    f"bad layout item {token!r} (keys: {', '.join(sorted(_LAYOUT_KEYS))})",
+                self._fail_at(
+                    token, f"bad layout item {token!r} (keys: {', '.join(sorted(_LAYOUT_KEYS))})"
                 )
-            layout[key] = self._int(value, self.index, "page count")
+            layout[key] = self._int(value, "page count")
         if not layout:
-            self._fail(self.index, 0, "empty layout directive")
+            self._fail("empty layout directive")
         defaults = LayoutSpec()
         pages = sum(layout.get(key, getattr(defaults, name)) for key, name in _LAYOUT_KEYS.items())
         if pages > MAX_LAYOUT_PAGES:
-            self._fail(
-                self.index,
-                self.lines[self.index].find("layout"),
-                f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}",
-            )
+            self._fail_at("layout", f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}")
         self.index += 1
         return layout
 
     # -- statements ------------------------------------------------------------
 
-    def _parse_block(self, scope: _Scope, *, top_level: bool) -> list[Statement]:
+    def _parse_block(self, *, top_level: bool) -> list[Statement]:
         out: list[Statement] = []
         while self.index < len(self.lines):
-            line_index = self.index
-            line = self._strip(self.lines[line_index])
+            self.line_index = self.index
+            line = self._strip(self.lines[self.index])
             self.index += 1
             if not line:
                 continue
             if line == "}":
                 if top_level:
-                    self._fail(line_index, self.lines[line_index].find("}"), "unmatched '}'")
+                    self._fail_at("}", "unmatched '}'")
                 return out
             # A fork block starts with the fork's return as its previous result.
-            stmt = self._parse_statement(line, line_index, scope, bool(out) or not top_level)
-            out.append(stmt)
+            self.have_result = bool(out) or not top_level
+            out.append(self._parse_statement(line))
         if not top_level:
-            self._fail(len(self.lines) - 1, 0, "fork block never closed with '}'")
+            raise ParseError(len(self.lines), 1, "fork block never closed with '}'")
         return out
 
-    def _parse_statement(
-        self, line: str, line_index: int, scope: _Scope, have_result: bool
-    ) -> Statement:
+    def _parse_statement(self, line: str) -> Statement:
         tokens = line.split()
         op = tokens[0]
+        syntax = _STATEMENTS.get(op)
+        if syntax is None:
+            if op == "fork":
+                return self._parse_fork(tokens)
+            if op == "deref":
+                return self._parse_deref(tokens)
+            self._fail_at(op, f"unknown statement {op!r}")
+        cls, readers = syntax
+        if len(tokens) != len(readers) + 1:
+            self._fail(f"{op} takes {len(readers)} argument(s), got {len(tokens) - 1}")
+        # Growing a tuple by index measured faster here than a list over zip.
+        fields: tuple = ()
+        for index, read in enumerate(readers, 1):
+            fields += read(self, tokens[index])
+        return cls(*fields)
 
-        def want(count: int):
-            if len(tokens) != count:
-                self._fail(
-                    line_index, 0, f"{op} takes {count - 1} argument(s), got {len(tokens) - 1}"
-                )
+    def _parse_deref(self, tokens: list[str]) -> Deref:
+        if len(tokens) > 2:
+            self._fail("deref takes at most one offset")
+        if not self.scope.has_loaded_ref:
+            self._fail("deref before any load_ref in scope")
+        return Deref(self._int(tokens[1], "offset") if len(tokens) == 2 else 0)
 
-        if op == "alloc":
-            want(3)
-            name = self._name(tokens[1], line_index, "symbol")
-            if name in scope.symbols:
-                self._fail(
-                    line_index,
-                    self.lines[line_index].find(name),
-                    f"symbol {name!r} already allocated",
-                )
-            size = self._int(tokens[2], line_index, "size")
-            if size <= 0:
-                self._fail(line_index, self.lines[line_index].find(tokens[2]), "alloc size must be positive")
-            scope.symbols.add(name)
-            return Alloc(name, size)
+    def _parse_fork(self, tokens: list[str]) -> Fork:
+        if tokens[-1] != "{":
+            self._fail("fork needs a '{' block", len(self.lines[self.line_index]) - 1)
+        rest = tokens[1:-1]
+        nowait = rest[-1:] == ["nowait"]
+        if nowait:
+            rest.pop()
+        label = self._name(rest[0], "fork label") if rest else None
+        if len(rest) > 1:
+            self._fail("fork takes at most a label and 'nowait'")
+        outer = self.scope
+        if outer.depth >= MAX_FORK_DEPTH:
+            self._fail(f"fork blocks nested deeper than {MAX_FORK_DEPTH}")
+        self.scope = _Scope(outer)
+        body = self._parse_block(top_level=False)
+        self.scope = outer
+        return Fork(label=label, nowait=nowait, body=tuple(body))
 
-        if op == "store_int":
-            want(3)
-            name, offset = self._ref(tokens[1], line_index)
-            self._require_symbol(name, scope, line_index, tokens[1])
-            value = self._int(tokens[2], line_index, "value")
-            return StoreInt(name, offset, value)
+    # -- token readers ---------------------------------------------------------
+    # Each checks one argument token and returns the statement fields it fills.
 
-        if op == "store_ref":
-            want(3)
-            name, offset = self._ref(tokens[1], line_index)
-            self._require_symbol(name, scope, line_index, tokens[1])
-            if offset % 16:
-                self._fail(
-                    line_index,
-                    self.lines[line_index].find(tokens[1]),
-                    "reference stores must be 16-byte aligned",
-                )
-            target, target_offset = self._ref(tokens[2], line_index)
-            self._require_symbol(target, scope, line_index, tokens[2])
-            return StoreRef(name, offset, target, target_offset)
+    def _read_ref(self, token: str) -> tuple[str, int]:
+        name, plus, off = token.partition("+")
+        name = self._name(name, "symbol")
+        offset = self._int(off, "offset") if plus else 0
+        if offset < 0:
+            self._fail_at(token, "negative offset")
+        if name not in self.scope.symbols:
+            self._fail_at(token, f"undeclared symbol {name!r}")
+        return name, offset
 
-        if op in ("load_int", "load_ref"):
-            want(2)
-            name, offset = self._ref(tokens[1], line_index)
-            self._require_symbol(name, scope, line_index, tokens[1])
-            if op == "load_ref":
-                if offset % 16:
-                    self._fail(
-                        line_index,
-                        self.lines[line_index].find(tokens[1]),
-                        "reference loads must be 16-byte aligned",
-                    )
-                scope.has_loaded_ref = True
-                return LoadRef(name, offset)
-            return LoadInt(name, offset)
+    def _read_store_slot(self, token: str) -> tuple[str, int]:
+        name, offset = self._read_ref(token)
+        if offset % 16:
+            self._fail_at(token, "reference stores must be 16-byte aligned")
+        return name, offset
 
-        if op == "deref":
-            if len(tokens) > 2:
-                self._fail(line_index, 0, "deref takes at most one offset")
-            if not scope.has_loaded_ref:
-                self._fail(line_index, 0, "deref before any load_ref in scope")
-            offset = self._int(tokens[1], line_index, "offset") if len(tokens) == 2 else 0
-            return Deref(offset)
+    def _read_load_slot(self, token: str) -> tuple[str, int]:
+        name, offset = self._read_ref(token)
+        if offset % 16:
+            self._fail_at(token, "reference loads must be 16-byte aligned")
+        self.scope.has_loaded_ref = True
+        return name, offset
 
-        if op == "fork":
-            rest = tokens[1:]
-            if not rest or rest[-1] != "{":
-                self._fail(line_index, len(self.lines[line_index]) - 1, "fork needs a '{' block")
-            rest = rest[:-1]
-            nowait = False
-            label = None
-            if rest and rest[-1] == "nowait":
-                nowait = True
-                rest = rest[:-1]
-            if rest:
-                label = self._name(rest[0], line_index, "fork label")
-                rest = rest[1:]
-            if rest:
-                self._fail(line_index, 0, "fork takes at most a label and 'nowait'")
-            if self.depth >= MAX_FORK_DEPTH:
-                self._fail(line_index, 0, f"fork blocks nested deeper than {MAX_FORK_DEPTH}")
-            self.depth += 1
-            body = self._parse_block(_Scope(scope), top_level=False)
-            self.depth -= 1
-            return Fork(label=label, nowait=nowait, body=tuple(body))
+    def _read_new_symbol(self, token: str) -> tuple[str]:
+        name = self._name(token, "symbol")
+        if name in self.scope.symbols:
+            self._fail_at(name, f"symbol {name!r} already allocated")
+        self.scope.symbols.add(name)
+        return (name,)
 
-        if op == "exit":
-            want(2)
-            code = self._int(tokens[1], line_index, "exit code")
-            if not 0 <= code <= 255:
-                self._fail(line_index, self.lines[line_index].find(tokens[1]), "exit code must be 0..255")
-            return Exit(code)
+    def _read_size(self, token: str) -> tuple[int]:
+        size = self._int(token, "size")
+        if size <= 0:
+            self._fail_at(token, "alloc size must be positive")
+        return (size,)
 
-        if op == "wait":
-            want(1)
-            return Wait()
+    def _read_value(self, token: str) -> tuple[int]:
+        return (self._int(token, "value"),)
 
-        if op == "open":
-            want(2)
-            name = self._name(tokens[1], line_index, "file name")
-            scope.files.add(name)
-            return Open(name)
+    def _read_exit_code(self, token: str) -> tuple[int]:
+        code = self._int(token, "exit code")
+        if not 0 <= code <= 255:
+            self._fail_at(token, "exit code must be 0..255")
+        return (code,)
 
-        if op == "close":
-            want(2)
-            name = self._name(tokens[1], line_index, "file name")
-            if name not in scope.files:
-                self._fail(
-                    line_index, self.lines[line_index].find(name), f"file {name!r} never opened"
-                )
-            return Close(name)
+    def _read_new_file(self, token: str) -> tuple[str]:
+        name = self._name(token, "file name")
+        self.scope.files.add(name)
+        return (name,)
 
-        if op in ("read", "write"):
-            want(4)
-            fname = self._name(tokens[1], line_index, "file name")
-            if fname not in scope.files:
-                self._fail(
-                    line_index, self.lines[line_index].find(fname), f"file {fname!r} never opened"
-                )
-            buffer, offset = self._ref(tokens[2], line_index)
-            self._require_symbol(buffer, scope, line_index, tokens[2])
-            count = self._int(tokens[3], line_index, "count")
-            if count < 0:
-                self._fail(line_index, self.lines[line_index].find(tokens[3]), "negative count")
-            cls = Read if op == "read" else Write
-            return cls(fname, buffer, offset, count)
+    def _read_file(self, token: str) -> tuple[str]:
+        name = self._name(token, "file name")
+        if name not in self.scope.files:
+            self._fail_at(name, f"file {name!r} never opened")
+        return (name,)
 
-        if op == "yield":
-            want(1)
-            return Yield()
+    def _read_count(self, token: str) -> tuple[int]:
+        count = self._int(token, "count")
+        if count < 0:
+            self._fail_at(token, "negative count")
+        return (count,)
 
-        if op == "priv":
-            want(1)
-            return Priv()
+    def _read_expected(self, token: str) -> tuple[Union[int, str]]:
+        if not self.have_result:
+            self._fail("expect needs a previous result")
+        try:
+            return (int(token, 0),)
+        except ValueError:
+            return (self._name(token, "expected value"),)
 
-        if op == "expect":
-            want(2)
-            if not have_result:
-                self._fail(line_index, 0, "expect needs a previous result")
-            token = tokens[1]
-            try:
-                return Expect(int(token, 0))
-            except ValueError:
-                return Expect(self._name(token, line_index, "expected value"))
 
-        self._fail(line_index, self.lines[line_index].find(op), f"unknown statement {op!r}")
+#: Keyword -> the statement type and the reader of each argument token,
+#: resolved from :data:`_SYNTAX` once.
+_STATEMENTS = {
+    keyword: (cls, tuple(getattr(_Parser, f"_read_{kind}") for kind in kinds))
+    for cls, (keyword, kinds) in _SYNTAX.items()
+}

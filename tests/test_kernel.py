@@ -97,6 +97,16 @@ class TestSealedEntries:
         with pytest.raises(DuplicateEntry):
             fresh.register_entry("probe", lambda pid, args: 0)
 
+    def test_every_process_shares_one_read_only_entry_map(self):
+        system = make_system()
+        root = system.create_initial_process()
+        child = system.process(system.fork_engine.fork(root.pid))
+        assert root.entry_caps is child.entry_caps is system.gateway.entries
+        with pytest.raises(TypeError):
+            root.entry_caps["getpid"] = child.entry_caps["fork"]
+        with pytest.raises(TypeError):
+            system.gateway.entries["late"] = root.entry_caps["fork"]
+
     def test_default_entries_cover_the_syscall_surface(self):
         system = make_system()
         assert sorted(system.gateway.entries) == sorted(

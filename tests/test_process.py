@@ -2,7 +2,7 @@
 
 import pytest
 
-from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm
+from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm, Region
 from sasfork.errors import BadFd
 from sasfork.process import LayoutSpec
 from sasfork.system import PID_SLOTS, System
@@ -46,8 +46,6 @@ class TestCreation:
     def test_registers_bounded_to_region(self, system):
         proc = system.create_initial_process()
         for location, cap in proc.register_caps():
-            if location.startswith("entry:"):
-                continue  # sealed kernel entries legitimately point elsewhere
             assert proc.region.contains_range(cap.base, cap.top), location
 
     def test_custom_layout_size(self, system):
@@ -55,6 +53,18 @@ class TestCreation:
         proc = system.create_initial_process(spec)
         assert proc.region.page_count == spec.total_pages
         assert proc.layout.heap.size == 16 * PAGE_SIZE
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LayoutSpec(code_pages=3, got_pages=2, alloc_meta_pages=2, heap_pages=5, tls_pages=0),
+            LayoutSpec(code_pages=1, heap_pages=1, stack_pages=3, tls_pages=2),
+        ],
+    )
+    def test_a_rebased_layout_is_the_layout_carved_there(self, spec):
+        layout = spec.carve(Region(16 * PAGE_SIZE, spec.total_bytes))
+        elsewhere = Region(1024 * PAGE_SIZE, spec.total_bytes)
+        assert layout.rebased(elsewhere) == spec.carve(elsewhere)
 
     def test_pids_are_unique_and_never_reused(self, system):
         pids = [system.create_initial_process().pid for _ in range(5)]

@@ -14,14 +14,27 @@ from sasfork.system import System
 from sasfork.workload import generate, interpreter, parse, print_script, run
 from sasfork.workload.script import (
     _FORMATTERS,
+    _SYNTAX,
     MAX_FORK_DEPTH,
     MAX_LAYOUT_PAGES,
     Alloc,
+    Close,
+    Deref,
+    Exit,
+    Expect,
     Fork,
     LoadInt,
+    LoadRef,
+    Open,
+    Priv,
+    Read,
     Script,
     Statement,
     StoreInt,
+    StoreRef,
+    Wait,
+    Write,
+    Yield,
     format_statement,
 )
 from test_golden import GOLDEN
@@ -29,6 +42,81 @@ from test_golden import GOLDEN
 
 def nested_forks(depth):
     return "alloc a 64\n" + "fork {\n" * depth + "exit 0\n}\n" * depth
+
+
+#: One malformed script per message the parser raises, with the line,
+#: column and message of its error.  A column is that of the token's
+#: first occurrence on the raw line, so ``exit x`` points into ``exit``.
+#: Each statement's checks run in a fixed order: the argument count first,
+#: then its tokens left to right (``alloc a x`` fails on the name).
+MALFORMED = [
+    ("  }\n", 1, 3, "unmatched '}'"),
+    ("alloc 1a 64\n", 1, 7, "bad symbol: '1a'"),
+    ("alloc a 64\nload_int a+x\n", 2, 12, "bad offset: 'x'"),
+    ("alloc a 64\nload_int a+-16\n", 2, 10, "negative offset"),
+    ("alloc a 64\nstore_int b+0 1\n", 2, 11, "undeclared symbol 'b'"),
+    (
+        "layout heap=4 hep=2\n",
+        1,
+        15,
+        "bad layout item 'hep=2' (keys: alloc_meta, code, got, heap, stack, tls)",
+    ),
+    ("layout heap=x\n", 1, 13, "bad page count: 'x'"),
+    ("layout  # nothing\n", 1, 1, "empty layout directive"),
+    (
+        "\n# big\nlayout code=1 heap=200000\n",
+        3,
+        1,
+        "layout of 200005 pages exceeds the limit of 131072",
+    ),
+    ("alloc a\n", 1, 1, "alloc takes 2 argument(s), got 1"),
+    ("wait 1\n", 1, 1, "wait takes 0 argument(s), got 1"),
+    ("alloc a 64\nalloc a x\n", 2, 1, "symbol 'a' already allocated"),
+    ("alloc a 6x4\n", 1, 9, "bad size: '6x4'"),
+    ("alloc a 0\n", 1, 9, "alloc size must be positive"),
+    ("alloc a 64\nstore_int a+0 seven\n", 2, 15, "bad value: 'seven'"),
+    ("alloc a 64\nstore_ref a+8 b+0\n", 2, 11, "reference stores must be 16-byte aligned"),
+    ("alloc a 64\nload_ref a+8\n", 2, 10, "reference loads must be 16-byte aligned"),
+    ("alloc a 64\nload_ref a+0\nderef 8 16\n", 3, 1, "deref takes at most one offset"),
+    ("alloc a 64\nderef x\n", 2, 1, "deref before any load_ref in scope"),
+    ("fork nowait  # no block\n", 1, 23, "fork needs a '{' block"),
+    ("fork 9 {\n}\n", 1, 6, "bad fork label: '9'"),
+    ("fork a b nowait {\n}\n", 1, 1, "fork takes at most a label and 'nowait'"),
+    (nested_forks(MAX_FORK_DEPTH + 1), 102, 1, "fork blocks nested deeper than 100"),
+    ("alloc a 64\nfork {\nexit 0\n\n", 4, 1, "fork block never closed with '}'"),
+    ("exit x\n", 1, 2, "bad exit code: 'x'"),
+    ("exit 256\n", 1, 6, "exit code must be 0..255"),
+    ("open 1f\n", 1, 6, "bad file name: '1f'"),
+    ("alloc a 64\nopen f\nfork {\nclose g\n}\n", 4, 7, "file 'g' never opened"),
+    ("alloc a 64\nopen f\nread f a+0 x\n", 3, 12, "bad count: 'x'"),
+    ("alloc a 64\nopen f\nwrite f a+0 -1\n", 3, 13, "negative count"),
+    ("alloc a 64\nwrite g a+0 1\n", 2, 7, "file 'g' never opened"),
+    ("expect 1\n", 1, 1, "expect needs a previous result"),
+    ("expect\n", 1, 1, "expect takes 1 argument(s), got 0"),
+    ("alloc a 64\nexpect 1x\n", 2, 8, "bad expected value: '1x'"),
+    ("alloc a 64\n  frob a\n", 2, 3, "unknown statement 'frob'"),
+    ("alloc a 64\nfork {\nalloc b 64\n}\nload_int b+0\n", 5, 10, "undeclared symbol 'b'"),
+]
+
+#: A sample statement of each type with a ``_SYNTAX`` row, and a prelude
+#: that declares what the samples use and gives ``expect`` a result.
+SAMPLES = {
+    Alloc: Alloc("b", 64),
+    StoreInt: StoreInt("a", 8, -3),
+    StoreRef: StoreRef("a", 16, "a", 40),
+    LoadInt: LoadInt("a", 8),
+    LoadRef: LoadRef("a", 32),
+    Exit: Exit(255),
+    Wait: Wait(),
+    Open: Open("g"),
+    Close: Close("f"),
+    Read: Read("f", "a", 8, 4),
+    Write: Write("f", "a", 0, 0),
+    Yield: Yield(),
+    Priv: Priv(),
+    Expect: Expect("EFAULT"),
+}
+PRELUDE = "alloc a 4096\nopen f\nload_int a+0\n"
 
 
 class TestParser:
@@ -103,6 +191,20 @@ class TestParser:
             parse("expect 1\n")
         parse("alloc a 64\nfork {\nexpect 0\nexit 0\n}\n")  # fork return counts
 
+
+    @pytest.mark.parametrize("text, line, column, message", MALFORMED)
+    def test_each_malformed_script_fails_at_its_token(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize("word", ["layouts", "layout_heap"])
+    def test_only_the_exact_layout_keyword_starts_a_layout(self, word):
+        with pytest.raises(ParseError) as err:
+            parse(f"{word} heap=4\nalloc a 64\n")
+        assert (err.value.line, err.value.column) == (1, 1)
+        assert err.value.message == f"unknown statement {word!r}"
+        assert parse("  layout heap=2 # c\nalloc a 64\n").layout == {"heap": 2}
 
     def test_fork_nesting_is_limited(self):
         script = parse(nested_forks(MAX_FORK_DEPTH))
@@ -311,6 +413,18 @@ class TestStatementTables:
         assert set(interpreter._HANDLERS) == set(types)
         assert set(_FORMATTERS) == set(types)
         assert all(callable(interpreter._HANDLERS[t]) for t in types)
+        # Fork and Deref have readers of their own; every other type has
+        # one syntax row, and no two rows share a keyword.
+        assert set(_SYNTAX) == set(types) - {Fork, Deref}
+        keywords = [keyword for keyword, _ in _SYNTAX.values()] + ["fork", "deref"]
+        assert len(set(keywords)) == len(keywords)
+
+    @pytest.mark.parametrize("cls", list(_SYNTAX), ids=lambda cls: cls.__name__)
+    def test_each_syntax_row_reads_back_what_its_formatter_writes(self, cls):
+        stmt = SAMPLES[cls]
+        text = format_statement(stmt)
+        assert text.split()[0] == _SYNTAX[cls][0]
+        assert parse(PRELUDE + text + "\n").body[-1] == stmt
 
     def test_another_type_is_an_internal_error_and_has_no_text(self):
         with pytest.raises(SimInternalError, match="unhandled statement"):
