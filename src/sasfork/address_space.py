@@ -211,8 +211,11 @@ class AddressSpace:
             raise ValueError(f"page address {page_va:#x} not aligned")
         if page_va in self._pages:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        self._frames.attach(entry.frame_id, page_va)
+        frames = self._frames
+        frames.attach(entry.frame_id, page_va)
         self._pages[page_va] = entry
+        if frames.changes is not None:
+            frames.changes.add(entry.frame_id)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping; returns the frame's remaining refcount."""

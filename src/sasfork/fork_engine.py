@@ -333,6 +333,7 @@ class ForkEngine:
         pages = sys.address_space.by_page
         private = PageState.PRIVATE
         owners: dict[int, MicroProcess] = {}
+        changes = sys.frames.changes
         for frame in frames:
             if len(frame.pages) != 1:
                 continue
@@ -350,6 +351,8 @@ class ForkEngine:
                 frame.origin = owner.region
             entry.state = private
             entry.writable = owner.layout.page_writable(page_va)
+            if changes is not None:
+                changes.add(frame.frame_id)
 
     # -- exit / wait ----------------------------------------------------------
 

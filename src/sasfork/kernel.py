@@ -23,20 +23,37 @@ The check-to-use window is an explicit, deterministic hook point rather
 than simulated preemption: :meth:`KernelGateway.toctou_probe` fires a
 caller-supplied mutation exactly there and classifies the outcome.
 
-The auditor sweeps everything a process could obtain without faulting:
+The auditor reports everything a process could obtain without faulting:
 its register state plus every tagged granule of pages whose state
 permits a capability load.  Shared frames that still hold parent
 references are not violations while the owner cannot load from them.
-Registers are re-checked on every sweep; the sealed entries are not,
-since every process holds the gateway's one read-only entry map.  A
-page's granules are re-checked only when the page maps another frame,
-or its frame's capabilities changed (a capability store, or a byte
-store over a capability), since the sweep last found that page clean;
-a page with findings is re-checked every time.  Ownership and the capability-load
-permission are tested on every sweep, so a page that promotion makes
-cap-loadable is checked at once unless it was found clean with the same
-contents before.  Each sweep visits the PID-table slot holders and keeps
-only the running ones' memo, so no reaped pid is left in it.
+The sealed entries are not checked, since every process holds the
+gateway's one read-only entry map.
+
+Each sweep re-checks only what changed since the last one, so its cost
+follows the step, not the region.  The first sweep that sees a process
+walks its whole region.  After that, the pages it checks again are
+those of the frames in the frame table's change log
+(:attr:`~sasfork.tagged_memory.FrameTable.changes`), which the sweep
+drains, plus every page that held findings, so violations are reported
+again in place, in page order.  Frames enter the log wherever a tagged
+capability can appear or a page can become cap-loadable: a capability
+store, a relocation scan, :meth:`AddressSpace.map` and a promotion that
+changes an entry's state.  The other mutations log nothing:
+
+* ``share_region``: a child's region is new, so it gets a whole walk,
+  and a parent entry that turns ``SharedCoW`` stays cap-loadable on the
+  same frame;
+* ``unmap_owned`` and ``unmap``: an unmapped page can hold no capability;
+* ``TaggedFrame.store_bytes``: a byte store only untags or drops
+  capabilities.
+
+A checked page is skipped if its frame and frame version match the ones
+it was last found clean with; only a page that holds a tagged capability
+keeps such a stamp, since one without costs nothing to check.  Registers, symbols and ``loaded_ref`` are
+checked again only when they differ from the copy the last clean check
+kept.  Each sweep visits the PID-table slot holders and keeps only the
+running ones' memo, so no reaped pid is left in it.
 """
 
 from __future__ import annotations
@@ -47,7 +64,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
-from .capability import GRANULE, PAGE_SIZE, Capability, Perm
+from .capability import GRANULE, PAGE_SIZE, Capability, Perm, Region
 from .errors import (
     DuplicateEntry,
     InvalidInvoke,
@@ -119,6 +136,14 @@ class AuditReport:
 class KernelGateway:
     """Boot-time entry registration plus runtime dispatch and checks."""
 
+    #: Per running pid, the copy of the registers, symbols and
+    #: ``loaded_ref`` the audit last found clean, or None while they hold
+    #: findings; set by the first audit.
+    _clean_registers: dict[int, tuple | None]
+    #: Per running pid, the indices of the region pages that held findings
+    #: at the last sweep; set by the first audit.
+    _findings: dict[int, list[int]]
+
     def __init__(self, system: "System", isolation: IsolationLevel):
         self._sys = system
         self.isolation = isolation
@@ -130,8 +155,11 @@ class KernelGateway:
         # its ``entry_caps``; made when boot completes, after which no
         # entry can be registered.
         self.entries: Mapping[str, Capability] | None = None
-        # Running pid -> per page of its region, the (frame id, frame
-        # version) the audit last found that page clean with, or None.
+        # The audit's memo, kept for running pids only.  Per page of the
+        # region, the (frame id, frame version) the audit last found that
+        # page clean with while it held a tagged capability, or None.  The
+        # first audit adds the rest of the memo, so a gateway that never
+        # audits keeps nothing more.
         self._clean_pages: dict[int, list[tuple[int, int] | None]] = {}
 
     def register_default_entries(self) -> None:
@@ -394,24 +422,62 @@ class KernelGateway:
         every tagged granule of frames mapped with capability loads
         allowed.  A capability is fine if its bounds sit inside the
         owner's region or it is a registered sealed entry; anything else
-        is reported.  A page whose frame and frame version match the
-        ones it was last found clean with is skipped: the check depends
-        only on those capabilities and the owner's region, which never
-        changes.  Each region is walked through the live page-table and
-        frame dicts, one lookup in each per page.
+        is reported.  A process the last sweep did not audit gets a walk
+        of its whole region; for the others only the pages of frames in
+        the change log, and the pages and registers that held findings,
+        are checked again (see the module docstring).  A page whose
+        frame and frame version match the ones it was last found clean
+        with is skipped: the check depends only on those capabilities
+        and the owner's region, which never changes.
         """
         violations: list[AuditViolation] = []
         system = self._sys
         pages, frames = system.address_space.by_page, system.frames.by_id
-        old_memo, memo = self._clean_pages, {}
+        old_pages, clean_pages = self._clean_pages, {}
+        # Pages, by owner, of the logged frames still alive; an owner the
+        # last sweep did not audit gets a whole walk instead.
+        touched: dict[int, list[int]] = {}
+        changed = system.frames.changes
+        if changed is None:
+            # The first audit starts the change log and the rest of the memo.
+            system.frames.changes = set()
+            self._clean_registers = self._findings = {}
+        else:
+            for frame_id in changed:
+                frame = frames.get(frame_id)
+                if frame is None:
+                    continue
+                for page_va in frame.pages:
+                    owner = pages[page_va].owner_pid
+                    if owner in old_pages:
+                        touched.setdefault(owner, []).append(page_va)
+            changed.clear()
+        old_registers, old_findings = self._clean_registers, self._findings
+        clean_registers: dict[int, tuple | None] = {}
+        findings: dict[int, list[int]] = {}
         for proc in map(system.processes.__getitem__, system.unreaped_pids):
             if not proc.running:
                 continue
             pid, region = proc.pid, proc.region
-            clean = memo[pid] = old_memo.get(pid) or [None] * region.page_count
-            for location, cap in proc.register_caps():
-                self._check_containment(proc, location, cap, violations)
-            for index, page_va in enumerate(range(region.base, region.end, PAGE_SIZE)):
+            base = region.base
+            registers = old_registers.get(pid)
+            if registers != (proc.registers, proc.symbols, proc.loaded_ref):
+                registers = self._check_registers(proc, registers, violations)
+            clean_registers[pid] = registers
+            clean = old_pages.get(pid)
+            if clean is None:
+                clean = [None] * region.page_count
+                indices = range(region.page_count)
+            else:
+                indices = old_findings.get(pid, ())
+                if pid in touched:
+                    indices = sorted(
+                        {(page_va - base) // PAGE_SIZE for page_va in touched[pid]}.union(indices)
+                    )
+            clean_pages[pid] = clean
+            held = []
+            for index in indices:
+                page_va = base + index * PAGE_SIZE
                 entry = pages.get(page_va)
                 if entry is None or entry.owner_pid != pid or not entry.state.cap_load:
                     continue
@@ -425,33 +491,71 @@ class KernelGateway:
                 if clean[index] == stamp:
                     continue
                 found = len(violations)
-                for granule, cap in frame.tagged_caps():
-                    self._check_containment(
-                        proc, f"page:{page_va:#x}:granule={granule}", cap, violations
-                    )
-                if len(violations) == found:
-                    clean[index] = stamp
-        self._clean_pages = memo
+                tagged = frame.tagged_caps()
+                for granule, cap in tagged:
+                    if self._escapes(cap, region):
+                        violations.append(
+                            _violation(pid, f"page:{page_va:#x}:granule={granule}", cap)
+                        )
+                if len(violations) > found:
+                    held.append(index)
+                else:
+                    # A page with no tagged capability costs nothing to
+                    # check again, so its memo holds no stamp.
+                    clean[index] = stamp if tagged else None
+            if held:
+                findings[pid] = held
+        # Only running pids are kept, so a pid that stopped leaves the memo.
+        self._clean_pages, self._clean_registers = clean_pages, clean_registers
+        self._findings = findings
         return AuditReport(violations=tuple(violations))
 
-    def _check_containment(
+    def _check_registers(
         self,
         proc: MicroProcess,
-        location: str,
-        cap: Capability,
+        memo: tuple | None,
         violations: list[AuditViolation],
-    ) -> None:
-        if not cap.tag:
-            return
-        if proc.region.contains_range(cap.base, cap.top):
-            return
-        if self.is_entry_capability(cap):
-            return
-        violations.append(
-            AuditViolation(
-                pid=proc.pid,
-                location=location,
-                cap=cap,
-                reason="capability bounds escape the owning region",
-            )
+    ) -> tuple | None:
+        """Report the escaping capabilities of the process's register state.
+
+        ``memo`` is the copy of the registers, symbols and ``loaded_ref``
+        last found clean, or ``None``.  A part equal to its copy is still
+        clean and is skipped; the others are checked in the order of
+        :meth:`MicroProcess.register_caps`.  Returns the updated copy, or
+        ``None`` when a capability escapes.
+        """
+        registers, symbols, loaded_ref = memo or (None, None, None)
+        pid, region = proc.pid, proc.region
+        found = len(violations)
+        if registers != proc.registers:
+            registers = dict(proc.registers)
+            for name, value in registers.items():
+                if isinstance(value, Capability) and self._escapes(value, region):
+                    violations.append(_violation(pid, f"register:{name}", value))
+        if symbols != proc.symbols:
+            symbols = dict(proc.symbols)
+            for name, cap in symbols.items():
+                if self._escapes(cap, region):
+                    violations.append(_violation(pid, f"symbol:{name}", cap))
+        if loaded_ref != proc.loaded_ref:
+            loaded_ref = proc.loaded_ref
+            if loaded_ref is not None and self._escapes(loaded_ref, region):
+                violations.append(_violation(pid, "register:loaded_ref", loaded_ref))
+        return None if len(violations) > found else (registers, symbols, loaded_ref)
+
+    def _escapes(self, cap: Capability, region: Region) -> bool:
+        """A tagged capability outside ``region`` that is no sealed entry."""
+        return (
+            cap.tag
+            and not region.contains_range(cap.base, cap.top)
+            and cap not in self._targets
         )
+
+
+def _violation(pid: int, location: str, cap: Capability) -> AuditViolation:
+    return AuditViolation(
+        pid=pid,
+        location=location,
+        cap=cap,
+        reason="capability bounds escape the owning region",
+    )

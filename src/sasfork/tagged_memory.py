@@ -42,6 +42,13 @@ applied: the next scan sees the version differ and builds a new one.
 
 A frame also owns the set of pages that map it, the one record of its
 mappers: its refcount is that set's size, and it is freed when it empties.
+
+The frame table also keeps the audit's change log, :attr:`FrameTable.changes`:
+the ids of frames that may have gained a tagged capability, or a page that
+can load one, since the auditor last drained it.  Capability stores and
+relocation scans add to it here; the address space and the promotion pass
+add the frames they map or widen.  It is ``None`` until the first audit,
+so a run that never audits logs nothing.
 """
 
 from __future__ import annotations
@@ -151,6 +158,8 @@ class FrameTable:
     def __init__(self) -> None:
         self._frames: dict[int, TaggedFrame] = {}
         self._next_id = 1
+        # The audit's change log (see the module docstring).
+        self.changes: set[int] | None = None
 
     def allocate(self, origin: Region | None = None) -> TaggedFrame:
         frame = TaggedFrame(self._next_id, origin)
@@ -223,6 +232,8 @@ class FrameTable:
         _pack_word(frame.data, offset + 8, 0)
         frame.caps[granule] = cap
         frame.version += 1
+        if self.changes is not None:
+            self.changes.add(frame.frame_id)
 
     def load_capability(self, frame: TaggedFrame, granule: int) -> Capability:
         """Load the capability stored in a granule.
@@ -284,6 +295,8 @@ class FrameTable:
                 )
             frame.version += len(inside)
             rewritten = len(inside)
+            if self.changes is not None:
+                self.changes.add(frame.frame_id)
         else:
             others = inside + others
         for granule in others:

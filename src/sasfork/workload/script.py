@@ -34,8 +34,11 @@ each token kind with one method, and only ``fork`` and ``deref`` have
 readers of their own; the printer's ``_FORMATTERS`` has the same keys.
 
 Parsing performs a full semantic pass: undeclared symbols, misaligned
-reference stores, and a ``deref`` with no prior ``load_ref`` are errors
-with line/column positions.
+reference stores, a ``deref`` with no prior ``load_ref``, and layout
+page counts that :class:`LayoutSpec` would refuse are errors with
+line/column positions.  An error in an argument token points at that
+token, or at the part of it that is wrong; the column is worked out
+from the token's place on the line only when the error is raised.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from ..process import LayoutSpec
 _LAYOUT_KEYS = {f.name.removesuffix("_pages"): f.name for f in fields(LayoutSpec)}
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_TOKEN_RE = re.compile(r"\S+")
 
 #: Deepest nesting of ``fork`` blocks a script may use.  Parsing,
 #: printing and comparing scripts recurse once per level, so the limit
@@ -300,6 +304,13 @@ def parse(text: str) -> Script:
     return Script(body=tuple(body), layout=layout)
 
 
+class _BadToken(Exception):
+    """An error in one token, raised as ``(message[, offset in the token])``.
+
+    The parser catches it and fails at the token's place on the line.
+    """
+
+
 class _Parser:
     def __init__(self, text: str):
         self.lines = text.splitlines()
@@ -315,24 +326,27 @@ class _Parser:
     def _fail(self, message: str, column: int = 0):
         raise ParseError(self.line_index + 1, column + 1, message)
 
-    def _fail_at(self, token: str, message: str):
-        """Fail at the first occurrence of ``token`` on the current line."""
-        self._fail(message, self.lines[self.line_index].find(token))
+    def _fail_token(self, index: int, message: str, within: int = 0):
+        """Fail ``within`` characters into token ``index`` of the current line."""
+        starts = _TOKEN_RE.finditer(self.lines[self.line_index])
+        for _ in range(index):
+            next(starts)
+        self._fail(message, next(starts).start() + within)
 
     def _strip(self, raw: str) -> str:
         if "#" in raw:
             raw = raw[: raw.index("#")]
         return raw.strip()
 
-    def _int(self, token: str, what: str) -> int:
+    def _int(self, token: str, what: str, within: int = 0) -> int:
         try:
             return int(token, 0)
         except ValueError:
-            self._fail_at(token, f"bad {what}: {token!r}")
+            raise _BadToken(f"bad {what}: {token!r}", within) from None
 
     def _name(self, token: str, what: str) -> str:
         if not _NAME_RE.match(token):
-            self._fail_at(token, f"bad {what}: {token!r}")
+            raise _BadToken(f"bad {what}: {token!r}")
         return token
 
     def _parse_layout(self) -> dict[str, int]:
@@ -345,21 +359,41 @@ class _Parser:
             return {}
         self.line_index = self.index
         layout: dict[str, int] = {}
-        for token in tokens[1:]:
-            key, eq, value = token.partition("=")
-            if not eq or key not in _LAYOUT_KEYS:
-                self._fail_at(
-                    token, f"bad layout item {token!r} (keys: {', '.join(sorted(_LAYOUT_KEYS))})"
-                )
-            layout[key] = self._int(value, "page count")
+        for index, token in enumerate(tokens[1:], 1):
+            try:
+                key, pages = self._read_layout_item(token, layout)
+            except _BadToken as bad:
+                self._fail_token(index, *bad.args)
+            layout[key] = pages
         if not layout:
             self._fail("empty layout directive")
-        defaults = LayoutSpec()
-        pages = sum(layout.get(key, getattr(defaults, name)) for key, name in _LAYOUT_KEYS.items())
+        try:
+            spec = LayoutSpec(**{_LAYOUT_KEYS[key]: count for key, count in layout.items()})
+        except ValueError:
+            # Fail at the first item the spec refuses on its own, with the
+            # other fields at their valid defaults.
+            for index, (key, count) in enumerate(layout.items(), 1):
+                try:
+                    LayoutSpec(**{_LAYOUT_KEYS[key]: count})
+                except ValueError as err:
+                    self._fail_token(index, str(err))
+            raise
+        pages = sum(getattr(spec, name) for name in _LAYOUT_KEYS.values())
         if pages > MAX_LAYOUT_PAGES:
-            self._fail_at("layout", f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}")
+            self._fail_token(0, f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}")
         self.index += 1
         return layout
+
+    def _read_layout_item(self, token: str, layout: dict[str, int]) -> tuple[str, int]:
+        """One ``key=pages`` item whose key is new to ``layout``."""
+        key, eq, value = token.partition("=")
+        if not eq or key not in _LAYOUT_KEYS:
+            raise _BadToken(
+                f"bad layout item {token!r} (keys: {', '.join(sorted(_LAYOUT_KEYS))})"
+            )
+        if key in layout:
+            raise _BadToken(f"duplicate layout key {key!r}")
+        return key, self._int(value, "page count", len(key) + 1)
 
     # -- statements ------------------------------------------------------------
 
@@ -373,7 +407,7 @@ class _Parser:
                 continue
             if line == "}":
                 if top_level:
-                    self._fail_at("}", "unmatched '}'")
+                    self._fail_token(0, "unmatched '}'")
                 return out
             # A fork block starts with the fork's return as its previous result.
             self.have_result = bool(out) or not top_level
@@ -391,14 +425,17 @@ class _Parser:
                 return self._parse_fork(tokens)
             if op == "deref":
                 return self._parse_deref(tokens)
-            self._fail_at(op, f"unknown statement {op!r}")
+            self._fail_token(0, f"unknown statement {op!r}")
         cls, readers = syntax
         if len(tokens) != len(readers) + 1:
             self._fail(f"{op} takes {len(readers)} argument(s), got {len(tokens) - 1}")
         # Growing a tuple by index measured faster here than a list over zip.
         fields: tuple = ()
-        for index, read in enumerate(readers, 1):
-            fields += read(self, tokens[index])
+        try:
+            for index, read in enumerate(readers, 1):
+                fields += read(self, tokens[index])
+        except _BadToken as bad:
+            self._fail_token(index, *bad.args)
         return cls(*fields)
 
     def _parse_deref(self, tokens: list[str]) -> Deref:
@@ -406,16 +443,24 @@ class _Parser:
             self._fail("deref takes at most one offset")
         if not self.scope.has_loaded_ref:
             self._fail("deref before any load_ref in scope")
-        return Deref(self._int(tokens[1], "offset") if len(tokens) == 2 else 0)
+        try:
+            return Deref(self._int(tokens[1], "offset") if len(tokens) == 2 else 0)
+        except _BadToken as bad:
+            self._fail_token(1, *bad.args)
 
     def _parse_fork(self, tokens: list[str]) -> Fork:
         if tokens[-1] != "{":
-            self._fail("fork needs a '{' block", len(self.lines[self.line_index]) - 1)
+            # At the statement's last character, where the block should open.
+            last = len(tokens) - 1
+            self._fail_token(last, "fork needs a '{' block", len(tokens[last]) - 1)
         rest = tokens[1:-1]
         nowait = rest[-1:] == ["nowait"]
         if nowait:
             rest.pop()
-        label = self._name(rest[0], "fork label") if rest else None
+        try:
+            label = self._name(rest[0], "fork label") if rest else None
+        except _BadToken as bad:
+            self._fail_token(1, *bad.args)
         if len(rest) > 1:
             self._fail("fork takes at most a label and 'nowait'")
         outer = self.scope
@@ -432,37 +477,37 @@ class _Parser:
     def _read_ref(self, token: str) -> tuple[str, int]:
         name, plus, off = token.partition("+")
         name = self._name(name, "symbol")
-        offset = self._int(off, "offset") if plus else 0
+        offset = self._int(off, "offset", len(name) + 1) if plus else 0
         if offset < 0:
-            self._fail_at(token, "negative offset")
+            raise _BadToken("negative offset")
         if name not in self.scope.symbols:
-            self._fail_at(token, f"undeclared symbol {name!r}")
+            raise _BadToken(f"undeclared symbol {name!r}")
         return name, offset
 
     def _read_store_slot(self, token: str) -> tuple[str, int]:
         name, offset = self._read_ref(token)
         if offset % 16:
-            self._fail_at(token, "reference stores must be 16-byte aligned")
+            raise _BadToken("reference stores must be 16-byte aligned")
         return name, offset
 
     def _read_load_slot(self, token: str) -> tuple[str, int]:
         name, offset = self._read_ref(token)
         if offset % 16:
-            self._fail_at(token, "reference loads must be 16-byte aligned")
+            raise _BadToken("reference loads must be 16-byte aligned")
         self.scope.has_loaded_ref = True
         return name, offset
 
     def _read_new_symbol(self, token: str) -> tuple[str]:
         name = self._name(token, "symbol")
         if name in self.scope.symbols:
-            self._fail_at(name, f"symbol {name!r} already allocated")
+            raise _BadToken(f"symbol {name!r} already allocated")
         self.scope.symbols.add(name)
         return (name,)
 
     def _read_size(self, token: str) -> tuple[int]:
         size = self._int(token, "size")
         if size <= 0:
-            self._fail_at(token, "alloc size must be positive")
+            raise _BadToken("alloc size must be positive")
         return (size,)
 
     def _read_value(self, token: str) -> tuple[int]:
@@ -471,7 +516,7 @@ class _Parser:
     def _read_exit_code(self, token: str) -> tuple[int]:
         code = self._int(token, "exit code")
         if not 0 <= code <= 255:
-            self._fail_at(token, "exit code must be 0..255")
+            raise _BadToken("exit code must be 0..255")
         return (code,)
 
     def _read_new_file(self, token: str) -> tuple[str]:
@@ -482,13 +527,13 @@ class _Parser:
     def _read_file(self, token: str) -> tuple[str]:
         name = self._name(token, "file name")
         if name not in self.scope.files:
-            self._fail_at(name, f"file {name!r} never opened")
+            raise _BadToken(f"file {name!r} never opened")
         return (name,)
 
     def _read_count(self, token: str) -> tuple[int]:
         count = self._int(token, "count")
         if count < 0:
-            self._fail_at(token, "negative count")
+            raise _BadToken("negative count")
         return (count,)
 
     def _read_expected(self, token: str) -> tuple[Union[int, str]]:

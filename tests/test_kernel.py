@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sasfork.address_space import AccessKind, FaultError, FaultKind
+from sasfork.address_space import AccessKind, FaultError, FaultKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import DuplicateEntry, InvalidInvoke, SimulatorError, SyscallError
 from sasfork.kernel import (
@@ -663,3 +663,184 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
     assert max(records for records, _ in few[1]) == 9
     assert max(entries for _, entries in few[1]) == 4 + 9 * 5
     assert per_step_counts(1600) == few
+
+
+# -- the change log: one script per way a page's findings can change ----------
+
+#: File reads land on pages that hold capabilities: byte stores only
+#: untag, so they log nothing.
+READ_OVER_CAPS = """
+alloc a 4096
+alloc b 64
+store_ref a+0 b+0
+store_ref a+16 b+16
+store_ref a+32 b+0
+open f
+write f b+0 32
+read f a+0 8
+fork nowait {
+  load_ref a+16
+  read f a+16 8
+  exit 0
+}
+load_ref a+32
+read f a+32 8
+wait
+"""
+
+#: The parent writes every page it shares after the fork, so the child is
+#: left the sole mapper of each and its frames are relocated in place and
+#: promoted.
+PROMOTE_SURVIVORS = """
+layout heap=3
+alloc a 4096
+alloc b 4096
+alloc c 4096
+store_ref a+0 b+0
+store_ref b+0 c+0
+store_ref c+0 a+0
+fork nowait {
+  yield
+  load_ref a+0
+  deref
+  load_ref c+0
+  exit 0
+}
+store_int a+8 1
+store_int b+8 2
+store_int c+8 3
+yield
+wait
+"""
+
+#: The child's first statement stores a reference into a page it never
+#: touched.
+FIRST_STATEMENT_STORE = """
+alloc a 4096
+alloc b 4096
+fork {
+  store_ref b+16 a+0
+  exit 0
+}
+load_ref b+16
+"""
+
+#: Under unsafe-cow the child holds stale references for several sweeps,
+#: then stores over them.
+HELD_THEN_UNTAGGED = """
+alloc a 4096
+alloc b 4096
+store_ref a+0 b+0
+store_ref a+32 b+0
+fork {
+  yield
+  load_int b+0
+  yield
+  store_int a+0 5
+  store_int a+32 6
+  exit 0
+}
+"""
+
+CHANGE_LOG_SCRIPTS = {
+    "read_over_caps": READ_OVER_CAPS,
+    "promote_survivors": PROMOTE_SURVIVORS,
+    "first_statement_store": FIRST_STATEMENT_STORE,
+    "held_then_untagged": HELD_THEN_UNTAGGED,
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", sorted(CHANGE_LOG_SCRIPTS))
+def test_each_change_log_entry_point_matches_the_full_sweep(name, strategy, oracle_audits):
+    result = run(CHANGE_LOG_SCRIPTS[name], strategy, "fault", audit=True)
+    assert result.ok and len(oracle_audits) > 5
+    if strategy != "unsafe-cow":
+        assert not any(oracle_audits)
+    elif name == "held_then_untagged":
+        # Findings held across several sweeps, then gone once stored over.
+        held = [count > 0 for count in oracle_audits]
+        assert held.count(True) >= 3 and not held[-1]
+
+
+class TestChangeLogEntryPoints:
+    """Each entry point logs its frame on its own; the scripts above reach
+    them only together, where one entry can stand in for another."""
+
+    def test_a_relocation_scan_is_logged(self, oracle_audits):
+        system, parent = audited_system("copa")
+        page = parent.layout.heap.base
+        assert system.gateway.audit().clean
+        frame = system.frames.get(system.address_space.entry_at(page).frame_id)
+        elsewhere = system.address_space.reserve_region(parent.region.size)
+        assert system.frames.scan_and_relocate(frame, parent.region, elsewhere) == 1
+        found = page_violations(system.gateway.audit(), page)
+        assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
+
+    def test_mapping_a_frame_that_holds_capabilities_is_logged(self, oracle_audits):
+        system, parent = audited_system("copa")
+        frame = system.frames.allocate(origin=parent.region)
+        # Stored before the first audit starts the log, so only the map
+        # below can log this frame.
+        system.frames.store_capability(frame, 3, system.kernel_code_cap)
+        assert system.gateway.audit().clean
+        page = parent.layout.heap.base + PAGE_SIZE
+        system.address_space.unmap(page)
+        system.address_space.map(
+            page, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, parent.pid)
+        )
+        found = page_violations(system.gateway.audit(), page)
+        assert [v.location for v in found] == [f"page:{page:#x}:granule=3"]
+
+    def test_a_promotion_without_relocation_is_logged(self, oracle_audits):
+        system, parent = audited_system("coa")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        page = child.layout.heap.base
+        assert system.gateway.audit().clean
+        frame = system.frames.get(system.address_space.entry_at(page).frame_id)
+        # A frame laid out for the child needs no relocation scan, so only
+        # the promotion itself can log it.
+        frame.origin = child.region
+        system.address_space.unmap(parent.layout.heap.base)
+        system.fork_engine._promote([frame])
+        assert system.address_space.entry_at(page).state.cap_load
+        found = page_violations(system.gateway.audit(), page)
+        assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
+
+
+def test_audit_work_does_not_grow_with_the_region(monkeypatch):
+    """After the first sweep, the page-table reads of each sweep depend on
+    the statement, not on the region size."""
+    real_init, real_audit = System.__init__, KernelGateway.audit
+    reads = []
+
+    def init(system, *args, **kwargs):
+        real_init(system, *args, **kwargs)
+        space = system.address_space
+        space._pages = _CountingPages(space._pages)
+
+    def audit(gateway):
+        pages = gateway._sys.address_space.by_page
+        start = pages.reads
+        report = real_audit(gateway)
+        reads.append(pages.reads - start)
+        return report
+
+    monkeypatch.setattr(System, "__init__", init)
+    monkeypatch.setattr(KernelGateway, "audit", audit)
+    body = (
+        "alloc a 8192\nalloc b 4096\nstore_int a+8 7\nstore_ref a+16 b+0\n"
+        "load_ref a+16\nderef\nstore_ref a+4096 a+16\nopen f\nwrite f a+8 8\n"
+        "read f b+32 8\nstore_ref b+48 a+0\nload_int a+4096\nyield\n"
+    )
+
+    def sweeps(heap):
+        reads.clear()
+        assert run(f"layout heap={heap}\n" + body, "copa", "fault", audit=True).ok
+        return list(reads)
+
+    small, large = sweeps(16), sweeps(1024)
+    assert len(small) > 10
+    # The first sweep walks the whole region; the later ones do not.
+    assert small[0] < large[0]
+    assert small[1:] == large[1:]

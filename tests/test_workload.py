@@ -1,5 +1,6 @@
 """DSL parsing, printing, interpretation, generation, and the CLI."""
 
+import runpy
 import typing
 from dataclasses import dataclass
 
@@ -71,7 +72,7 @@ MALFORMED = [
     ),
     ("alloc a\n", 1, 1, "alloc takes 2 argument(s), got 1"),
     ("wait 1\n", 1, 1, "wait takes 0 argument(s), got 1"),
-    ("alloc a 64\nalloc a x\n", 2, 1, "symbol 'a' already allocated"),
+    ("alloc a 64\nalloc a x\n", 2, 7, "symbol 'a' already allocated"),
     ("alloc a 6x4\n", 1, 9, "bad size: '6x4'"),
     ("alloc a 0\n", 1, 9, "alloc size must be positive"),
     ("alloc a 64\nstore_int a+0 seven\n", 2, 15, "bad value: 'seven'"),
@@ -79,12 +80,12 @@ MALFORMED = [
     ("alloc a 64\nload_ref a+8\n", 2, 10, "reference loads must be 16-byte aligned"),
     ("alloc a 64\nload_ref a+0\nderef 8 16\n", 3, 1, "deref takes at most one offset"),
     ("alloc a 64\nderef x\n", 2, 1, "deref before any load_ref in scope"),
-    ("fork nowait  # no block\n", 1, 23, "fork needs a '{' block"),
+    ("fork nowait  # no block\n", 1, 11, "fork needs a '{' block"),
     ("fork 9 {\n}\n", 1, 6, "bad fork label: '9'"),
     ("fork a b nowait {\n}\n", 1, 1, "fork takes at most a label and 'nowait'"),
     (nested_forks(MAX_FORK_DEPTH + 1), 102, 1, "fork blocks nested deeper than 100"),
     ("alloc a 64\nfork {\nexit 0\n\n", 4, 1, "fork block never closed with '}'"),
-    ("exit x\n", 1, 2, "bad exit code: 'x'"),
+    ("exit x\n", 1, 6, "bad exit code: 'x'"),
     ("exit 256\n", 1, 6, "exit code must be 0..255"),
     ("open 1f\n", 1, 6, "bad file name: '1f'"),
     ("alloc a 64\nopen f\nfork {\nclose g\n}\n", 4, 7, "file 'g' never opened"),
@@ -96,6 +97,16 @@ MALFORMED = [
     ("alloc a 64\nexpect 1x\n", 2, 8, "bad expected value: '1x'"),
     ("alloc a 64\n  frob a\n", 2, 3, "unknown statement 'frob'"),
     ("alloc a 64\nfork {\nalloc b 64\n}\nload_int b+0\n", 5, 10, "undeclared symbol 'b'"),
+    ("layout heap=0\n", 1, 8, "heap and stack need at least one page"),
+    ("layout heap=-3 code=5\n", 1, 8, "page counts must be non-negative"),
+    ("layout heap=4 got=0\n", 1, 15, "code, got and alloc_meta need at least one page"),
+    ("layout heap=4 heap=8\n", 1, 15, "duplicate layout key 'heap'"),
+    ("alloc a 64\nstore_int a+0 a\n", 2, 15, "bad value: 'a'"),
+    ("alloc a 64\nalloc b a\n", 2, 9, "bad size: 'a'"),
+    ("layout heap=a\n", 1, 13, "bad page count: 'a'"),
+    ("alloc a 64\nload_int a+a\n", 2, 12, "bad offset: 'a'"),
+    ("fork nowait\n", 1, 11, "fork needs a '{' block"),
+    ("alloc a 64\nload_ref a+0\nderef d\n", 3, 7, "bad offset: 'd'"),
 ]
 
 #: A sample statement of each type with a ``_SYNTAX`` row, and a prelude
@@ -644,6 +655,22 @@ class TestCli(object):
         path.write_text("layout heap=100000000\nalloc a 64\n")
         assert main(["run", str(path)]) == 2
         assert "script error: line 1, col 1" in capsys.readouterr().err
+
+    def test_a_refused_layout_count_is_a_script_error(self, tmp_path, capsys):
+        path = tmp_path / "empty_heap.sas"
+        path.write_text("layout heap=0\nalloc a 64\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "script error: line 1, col 8: heap and stack need at least one page" in err
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "w.sas"
+        path.write_text("alloc a 64\nstore_int a+0 1\n")
+        monkeypatch.setattr("sys.argv", ["sasfork", "audit", str(path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("sasfork", run_name="__main__")
+        assert done.value.code == 0
+        assert capsys.readouterr().out == "audit: clean\n"
 
     def test_gen_rejects_pages_whose_layout_exceeds_the_limit(self, capsys):
         with pytest.raises(ValueError, match="limit"):
