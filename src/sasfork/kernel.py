@@ -48,12 +48,12 @@ changes an entry's state.  The other mutations log nothing:
 * ``TaggedFrame.store_bytes``: a byte store only untags or drops
   capabilities.
 
-A checked page is skipped if its frame and frame version match the ones
-it was last found clean with; only a page that holds a tagged capability
-keeps such a stamp, since one without costs nothing to check.  Registers, symbols and ``loaded_ref`` are
-checked again only when they differ from the copy the last clean check
-kept.  Each sweep visits the PID-table slot holders and keeps only the
-running ones' memo, so no reaped pid is left in it.
+The change log is the audit's one record of which pages changed: a
+page it does not name, and that held no findings, is not checked again.
+Registers, symbols and ``loaded_ref`` are checked again only when they
+differ from the copy the last clean check kept.  Each sweep visits the
+PID-table slot holders and keeps only the running ones' memo, so no
+reaped pid is left in it.
 """
 
 from __future__ import annotations
@@ -88,19 +88,6 @@ class ProbeOutcome(enum.Enum):
     PROTECTED = "Protected"
     VULNERABLE = "Vulnerable"
 
-
-SYSCALL_NAMES = (
-    "fork",
-    "exit",
-    "wait",
-    "getpid",
-    "open",
-    "close",
-    "read",
-    "write",
-    "brk",
-    "yield",
-)
 
 #: Object-type namespace for sealed syscall entries.
 _ENTRY_OTYPE_BASE = 16
@@ -138,7 +125,9 @@ class KernelGateway:
 
     #: Per running pid, the copy of the registers, symbols and
     #: ``loaded_ref`` the audit last found clean, or None while they hold
-    #: findings; set by the first audit.
+    #: findings; its keys are the pids the last sweep audited.  Set, like
+    #: ``_findings``, by the first audit, so a gateway that never audits
+    #: keeps no memo.
     _clean_registers: dict[int, tuple | None]
     #: Per running pid, the indices of the region pages that held findings
     #: at the last sweep; set by the first audit.
@@ -155,14 +144,9 @@ class KernelGateway:
         # its ``entry_caps``; made when boot completes, after which no
         # entry can be registered.
         self.entries: Mapping[str, Capability] | None = None
-        # The audit's memo, kept for running pids only.  Per page of the
-        # region, the (frame id, frame version) the audit last found that
-        # page clean with while it held a tagged capability, or None.  The
-        # first audit adds the rest of the memo, so a gateway that never
-        # audits keeps nothing more.
-        self._clean_pages: dict[int, list[tuple[int, int] | None]] = {}
 
     def register_default_entries(self) -> None:
+        # The order fixes each entry's object type.
         handlers = {
             "fork": self._sys_fork,
             "exit": self._sys_exit,
@@ -175,8 +159,8 @@ class KernelGateway:
             "brk": self._sys_brk,
             "yield": self._sys_yield,
         }
-        for name in SYSCALL_NAMES:
-            self.register_entry(name, handlers[name])
+        for name, handler in handlers.items():
+            self.register_entry(name, handler)
 
     def finish_boot(self) -> None:
         self.entries = MappingProxyType(self._entries)
@@ -425,34 +409,29 @@ class KernelGateway:
         is reported.  A process the last sweep did not audit gets a walk
         of its whole region; for the others only the pages of frames in
         the change log, and the pages and registers that held findings,
-        are checked again (see the module docstring).  A page whose
-        frame and frame version match the ones it was last found clean
-        with is skipped: the check depends only on those capabilities
-        and the owner's region, which never changes.
+        are checked again (see the module docstring).
         """
         violations: list[AuditViolation] = []
         system = self._sys
         pages, frames = system.address_space.by_page, system.frames.by_id
-        old_pages, clean_pages = self._clean_pages, {}
         # Pages, by owner, of the logged frames still alive; an owner the
         # last sweep did not audit gets a whole walk instead.
         touched: dict[int, list[int]] = {}
         changed = system.frames.changes
         if changed is None:
-            # The first audit starts the change log and the rest of the memo.
-            system.frames.changes = set()
+            # The first audit starts the change log and the memo.
+            changed = system.frames.changes = set()
             self._clean_registers = self._findings = {}
-        else:
-            for frame_id in changed:
-                frame = frames.get(frame_id)
-                if frame is None:
-                    continue
-                for page_va in frame.pages:
-                    owner = pages[page_va].owner_pid
-                    if owner in old_pages:
-                        touched.setdefault(owner, []).append(page_va)
-            changed.clear()
         old_registers, old_findings = self._clean_registers, self._findings
+        for frame_id in changed:
+            frame = frames.get(frame_id)
+            if frame is None:
+                continue
+            for page_va in frame.pages:
+                owner = pages[page_va].owner_pid
+                if owner in old_registers:
+                    touched.setdefault(owner, []).append(page_va)
+        changed.clear()
         clean_registers: dict[int, tuple | None] = {}
         findings: dict[int, list[int]] = {}
         for proc in map(system.processes.__getitem__, system.unreaped_pids):
@@ -464,9 +443,7 @@ class KernelGateway:
             if registers != (proc.registers, proc.symbols, proc.loaded_ref):
                 registers = self._check_registers(proc, registers, violations)
             clean_registers[pid] = registers
-            clean = old_pages.get(pid)
-            if clean is None:
-                clean = [None] * region.page_count
+            if pid not in old_registers:
                 indices = range(region.page_count)
             else:
                 indices = old_findings.get(pid, ())
@@ -474,40 +451,29 @@ class KernelGateway:
                     indices = sorted(
                         {(page_va - base) // PAGE_SIZE for page_va in touched[pid]}.union(indices)
                     )
-            clean_pages[pid] = clean
             held = []
             for index in indices:
                 page_va = base + index * PAGE_SIZE
                 entry = pages.get(page_va)
                 if entry is None or entry.owner_pid != pid or not entry.state.cap_load:
                     continue
-                frame_id = entry.frame_id
-                frame = frames.get(frame_id)
+                frame = frames.get(entry.frame_id)
                 if frame is None:
                     raise SimInternalError(
-                        f"page {page_va:#x} maps frame {frame_id}, which does not exist"
+                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not exist"
                     )
-                stamp = (frame_id, frame.version)
-                if clean[index] == stamp:
-                    continue
                 found = len(violations)
-                tagged = frame.tagged_caps()
-                for granule, cap in tagged:
+                for granule, cap in frame.tagged_caps():
                     if self._escapes(cap, region):
                         violations.append(
                             _violation(pid, f"page:{page_va:#x}:granule={granule}", cap)
                         )
                 if len(violations) > found:
                     held.append(index)
-                else:
-                    # A page with no tagged capability costs nothing to
-                    # check again, so its memo holds no stamp.
-                    clean[index] = stamp if tagged else None
             if held:
                 findings[pid] = held
         # Only running pids are kept, so a pid that stopped leaves the memo.
-        self._clean_pages, self._clean_registers = clean_pages, clean_registers
-        self._findings = findings
+        self._clean_registers, self._findings = clean_registers, findings
         return AuditReport(violations=tuple(violations))
 
     def _check_registers(

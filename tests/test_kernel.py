@@ -1,6 +1,8 @@
 """Gateway: sealed entries, isolation levels, TOCTTOU, privilege, audit."""
 
+import gc
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from sasfork.kernel import (
     KernelGateway,
     ProbeOutcome,
 )
-from sasfork.process import KERNEL_PID
+from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
 from sasfork.workload import run
 from test_acceptance import STALE_DEMO, corpus
@@ -359,7 +361,7 @@ class TestAudit:
 def full_sweep(system):
     """The audit as a full sweep of every page with a linear entry lookup.
 
-    This is the reference the per-page memo must reproduce exactly:
+    This is the reference the change-log audit must reproduce exactly:
     same violations, same order, same location strings.
     """
     entries = list(system.gateway.entries.values())
@@ -521,17 +523,15 @@ class TestAuditMemo:
         page = child.layout.heap.base
         assert not system.address_space.entry_at(page).state.cap_load
         assert system.gateway.audit().clean
-        clean = system.gateway._clean_pages[child.pid]
-        index = (page - child.region.base) // PAGE_SIZE
-        assert clean[index] is None
+        assert not system.frames.changes
         # The parent's write copies its page; the child is the sole
         # mapper left, so its page is relocated and promoted.
         system.access(parent.pid, buffer_cap(parent, offset=64), AccessKind.WRITE, b"\x02")
         entry = system.address_space.entry_at(page)
         assert entry.state.cap_load
+        assert entry.frame_id in system.frames.changes
         assert system.gateway.audit().clean
-        frame = system.frames.get(entry.frame_id)
-        assert clean[index] == (frame.frame_id, frame.version)
+        assert not system.frames.changes
 
     def test_memo_stays_bounded_across_reaped_workers(self, monkeypatch):
         real = KernelGateway.audit
@@ -539,7 +539,7 @@ class TestAuditMemo:
 
         def measured(gateway):
             report = real(gateway)
-            sizes.append(sum(len(pages) for pages in gateway._clean_pages.values()))
+            sizes.append(len(gateway._clean_registers) + len(gateway._findings))
             return report
 
         monkeypatch.setattr(KernelGateway, "audit", measured)
@@ -562,11 +562,30 @@ class TestAuditMemo:
         system, parent = audited_system("copa")
         child = system.process(system.fork_engine.fork(parent.pid))
         assert system.gateway.audit().clean
-        assert set(system.gateway._clean_pages) == {parent.pid, child.pid}
+        assert set(system.gateway._clean_registers) == {parent.pid, child.pid}
         system.fork_engine.exit(child.pid, 0)
         assert system.fork_engine.wait(parent.pid) == (child.pid, 0)
         assert system.gateway.audit().clean
-        assert set(system.gateway._clean_pages) == {parent.pid}
+        assert set(system.gateway._clean_registers) == {parent.pid}
+
+    def test_the_memo_of_one_audit_does_not_grow_with_the_region(self):
+        """What one sweep of a fresh process keeps is the same at 16 and
+        at 4096 heap pages: the memo holds nothing per page."""
+
+        def retained(heap_pages):
+            system = System("copa", "fault")
+            system.create_initial_process(LayoutSpec(heap_pages=heap_pages))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert system.gateway.audit().clean
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        assert retained(4096) == retained(16)
 
 
 class _CountingRegistry(dict):
