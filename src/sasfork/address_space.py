@@ -286,8 +286,7 @@ class AddressSpace:
     def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
         """Pages of ``region`` owned by ``pid``, counted per frame refcount.
 
-        The one-pid sweep behind :meth:`Metrics.prs_bytes`; the debug
-        check counts every owner at once in :meth:`verify_refcounts`.
+        The one sweep behind :meth:`Metrics.prs_bytes`.
         """
         pages, frames = self._pages, self._frames.by_id
         counts: dict[int, int] = {}
@@ -319,37 +318,38 @@ class AddressSpace:
         """
         return self._pages
 
-    def verify_refcounts(
-        self, owners: Mapping[int, Region] | None = None
-    ) -> dict[int, dict[int, int]]:
+    def verify_refcounts(self, owners: Mapping[int, Region] | None = None) -> None:
         """Debug pass: each frame's page set is exactly the PTEs mapping it.
 
         Once every entry's page is in its frame's set, equal totals mean
-        the sets list nothing else.  The same single pass over the page
-        table also counts, for each ``pid -> region`` in ``owners``, the
-        pages that :meth:`owned_refcounts` would count, per frame
-        refcount: those in the region whose entry ``pid`` owns.  Returns
-        those counts by pid; with no owners it only checks.
+        the sets list nothing else.  With ``owners`` (``pid -> region``) it
+        also checks what resident-set conservation rests on: each entry
+        lies in its owner's region, so one :meth:`owned_refcounts` sweep
+        counts it, and every frame has a page.
         """
         frames = self._frames.by_id
-        spans = {pid: (region.base, region.end, {}) for pid, region in (owners or {}).items()}
         for page_va, entry in self._pages.items():
             frame = frames.get(entry.frame_id)
             if frame is None or page_va not in frame.pages:
                 raise SimInternalError(
                     f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                 )
-            span = spans.get(entry.owner_pid)
-            if span is not None and span[0] <= page_va < span[1]:
-                counts = span[2]
-                refs = len(frame.pages)
-                counts[refs] = counts.get(refs, 0) + 1
-        listed = sum(len(frame.pages) for frame in frames.values())
+            if owners is not None:
+                region = owners.get(entry.owner_pid)
+                if region is None or not region.base <= page_va < region.base + region.size:
+                    raise SimInternalError(
+                        f"prs conservation broken: page {page_va:#x} of pid"
+                        f" {entry.owner_pid} lies outside that pid's region"
+                    )
+        listed = 0
+        for frame_id, frame in frames.items():
+            if not frame.pages:
+                raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
+            listed += len(frame.pages)
         if listed != len(self._pages):
             raise SimInternalError(
                 f"frames list {listed} pages, the page table maps {len(self._pages)}"
             )
-        return {pid: span[2] for pid, span in spans.items()}
 
     # -- checked accesses --------------------------------------------------
 

@@ -7,14 +7,15 @@ Subcommands::
     audit    run a script with the isolation auditor armed
     gen      emit a synthetic snapshot-style workload script
 
-Exit codes: 0 on success, 1 on assertion/dominance/audit failure,
-2 on usage errors (including unreadable script files and unwritable
-``gen`` output).
+Exit codes: 0 on success, 1 on assertion/dominance/audit failure or a
+stdout closed early (``| head``), 2 on usage errors (including
+unreadable script files and unwritable ``gen`` output).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import MismatchedScripts, ParseError, SimulatorError
@@ -158,7 +159,14 @@ def main(argv: list[str] | None = None) -> int:
         "gen": _cmd_gen,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the ``signal`` docs advise: stdout to devnull, so the exit flush
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseError as err:
         print(f"sasfork: script error: {err}", file=sys.stderr)
         return 2

@@ -17,14 +17,13 @@ region (the kernel region for pid 0), so one sweep of that region
 counts the owned pages per refcount as integers, and
 :func:`proportional_bytes` turns those counts into one exact
 ``Fraction`` over the least common multiple of the refcounts present.
-The debug conservation check counts every owner's pages in a single
-pass over the page table and feeds the merged counts to the same
-function; a mapping outside its owner's region goes uncounted there and
-breaks the check.  A process that has exited but has not been reaped
-keeps its mappings and its PID-table slot, so its share still counts; a
-pid without a slot reads zero without a sweep (the value at exit is
-preserved separately for reporting, since the interesting number for a
-forked worker is what it consumed while alive).
+The owners' shares sum to every frame exactly once when each mapping
+lies in its owner's region and each frame has one, which the debug
+check tests.  A process that has exited but has not been reaped keeps
+its mappings and its PID-table slot, so its share still counts; a pid
+without a slot reads zero without a sweep (the value at exit is
+preserved separately for reporting, since the interesting number for
+a forked worker is what it consumed while alive).
 
 Fork latency is a synthetic cost, not wall-clock time:
 ``512 * eager page copies + PTE writes + granules scanned at fork``.

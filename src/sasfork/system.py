@@ -20,7 +20,7 @@ most one fault resolution, per page it touches.
 from __future__ import annotations
 
 import heapq
-from typing import KeysView
+from typing import Iterable, Iterator, KeysView
 
 from .address_space import (
     AccessKind,
@@ -42,7 +42,7 @@ from .capability import (
 from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
-from .metrics import Metrics, proportional_bytes
+from .metrics import Metrics
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
 from .tagged_memory import FrameTable, TaggedFrame
 
@@ -393,24 +393,12 @@ class System:
     def verify_invariants(self) -> None:
         """Debug check, in one page-table pass: refcounts and PRS conservation.
 
-        :meth:`AddressSpace.verify_refcounts` checks every entry against
-        its frame's page set and, on the same pass, counts the pages of
-        each PID-table slot holder and of the kernel per refcount (a pid
-        without a slot owns no page).  The resident set of all those
-        counts must be every frame exactly once.
+        The owners are the PID-table slot holders (a pid without a slot owns
+        no page) and the kernel; see :meth:`AddressSpace.verify_refcounts`.
         """
-        processes = self.processes
-        owners = {pid: processes[pid].region for pid in self.unreaped_pids}
+        owners = {pid: self.processes[pid].region for pid in self.unreaped_pids}
         owners[KERNEL_PID] = self.kernel_region
-        merged: dict[int, int] = {}
-        for counts in self.address_space.verify_refcounts(owners).values():
-            for refs, pages in counts.items():
-                merged[refs] = merged.get(refs, 0) + pages
-        total = proportional_bytes(merged)
-        if total != self.frames.total_bytes():
-            raise SimInternalError(
-                f"prs conservation broken: {float(total)} vs {self.frames.total_bytes()}"
-            )
+        self.address_space.verify_refcounts(owners)
 
     def reap_zombies(self) -> None:
         """Kernel sweep at end of run: tear down exited-but-unreaped state."""
@@ -421,18 +409,22 @@ class System:
             self.fork_engine.reap(proc)
 
 
-def _page_chunks(addr: int, count: int) -> list[tuple[int, int, int]]:
+def _page_chunks(addr: int, count: int) -> Iterable[tuple[int, int, int]]:
     """Split ``count`` bytes from ``addr`` at page boundaries.
 
-    Returns ``(address, offset into the range, size)`` per chunk, as a
-    list: most ranges are one chunk, which a list builds more cheaply
-    than a generator would.
+    Gives ``(address, offset into the range, size)`` per chunk: a tuple
+    for the common one-chunk range, cheaper than a generator, and a
+    generator otherwise, so a fault on the first page splits no further.
     """
-    chunks = []
+    if 0 < count <= PAGE_SIZE - addr % PAGE_SIZE:
+        return ((addr, 0, count),)
+    return _split_at_pages(addr, count)
+
+
+def _split_at_pages(addr: int, count: int) -> Iterator[tuple[int, int, int]]:
     done = 0
     while done < count:
         size = min(count - done, PAGE_SIZE - addr % PAGE_SIZE)
-        chunks.append((addr, done, size))
+        yield addr, done, size
         addr += size
         done += size
-    return chunks

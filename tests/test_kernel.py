@@ -187,6 +187,19 @@ class TestArgumentValidation:
         obj = system.files.object_for_fd(proc, fd)
         assert bytes(obj.data) == b"leak!!!!"
 
+    def test_an_oversized_count_faults_without_splitting_the_rest(self):
+        """Without isolation a gigabyte count on a 64-byte buffer reaches the
+        copy, which faults on its first page before splitting the others."""
+        text = "alloc a 64\nopen f\nwrite f a+0 1000000000\n"
+        tracemalloc.start()
+        try:
+            result = run(text, "copa", "none")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.trace.events[-1].result == "CapBoundsFault"
+        assert peak < 2 * 1024 * 1024
+
     @pytest.mark.parametrize("isolation", ["fault", "full"])
     def test_buffer_past_its_bounds_is_efault_before_any_copy(self, isolation):
         system = make_system(isolation)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import sasfork.system
-from sasfork.address_space import AccessKind, AddressSpace, PageState, PageTableEntry
+from sasfork.address_space import AccessKind, PageState, PageTableEntry
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
 from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
 from sasfork.process import KERNEL_PID
@@ -203,37 +203,40 @@ def test_prs_matches_the_page_table_sweep_at_every_step(strategy):
 
 
 @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
-def test_the_one_pass_counts_equal_the_region_sweeps_at_every_step(strategy, monkeypatch):
-    """The per-pid counts of the fused debug pass against ``owned_refcounts``,
-    for every slot holder and the kernel, after every statement."""
-    real_verify, real_pass = System.verify_invariants, AddressSpace.verify_refcounts
-    expected, checked = [], []
+def test_the_debug_check_holds_and_the_resident_sets_sum_to_every_frame(
+    strategy, monkeypatch
+):
+    """After every statement, the debug check passes and the resident sets
+    of the slot holders and the kernel sum to every frame exactly once."""
+    real_verify = System.verify_invariants
+    owners_per_step = []
 
     def verify_invariants(system):
-        owners = {pid: system.process(pid).region for pid in system.unreaped_pids}
-        expected.append({KERNEL_PID: system.kernel_region, **owners})
         real_verify(system)
-
-    def verify_refcounts(space, owners=None):
-        counts = real_pass(space, owners)
-        assert owners == expected[-1]
-        assert counts.keys() == owners.keys()
-        for pid, region in owners.items():
-            assert counts[pid] == space.owned_refcounts(region, pid), (len(checked), pid)
-        checked.append(len(owners))
-        return counts
+        pids = [KERNEL_PID, *system.unreaped_pids]
+        total = sum((system.metrics.prs_bytes(pid) for pid in pids), Fraction(0))
+        assert total == system.frames.total_bytes(), len(owners_per_step)
+        owners_per_step.append(len(pids))
 
     monkeypatch.setattr(System, "verify_invariants", verify_invariants)
-    monkeypatch.setattr(AddressSpace, "verify_refcounts", verify_refcounts)
     scripts = {name: text for name, (text, _) in GOLDEN.items()} | GEN_SLICE
     for name, text in scripts.items():
         with monkeypatch.context() as patch:
             if name == "eagain":
                 patch.setattr(sasfork.system, "PID_SLOTS", 4)
             run(text, strategy, "fault", debug=True)
-    assert len(checked) == len(expected) > 200
+    assert len(owners_per_step) > 200
     # Forks were live at some steps: more than the root and the kernel.
-    assert max(checked) > 2
+    assert max(owners_per_step) > 2
+
+
+def test_a_frame_that_no_page_maps_breaks_conservation():
+    system = System("copa", "fault", debug=True)
+    system.create_initial_process()
+    system.verify_invariants()
+    stray = system.frames.allocate()
+    with pytest.raises(SimInternalError, match=f"prs conservation.*frame {stray.frame_id}"):
+        system.verify_invariants()
 
 
 @pytest.mark.parametrize(

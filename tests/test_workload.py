@@ -1,8 +1,12 @@
 """DSL parsing, printing, interpretation, generation, and the CLI."""
 
+import os
 import runpy
+import subprocess
+import sys
 import typing
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -671,6 +675,25 @@ class TestCli(object):
             runpy.run_module("sasfork", run_name="__main__")
         assert done.value.code == 0
         assert capsys.readouterr().out == "audit: clean\n"
+
+    def test_a_reader_that_closes_stdout_early_gets_no_traceback(self, tmp_path):
+        """``sasfork run big.sas | head -1``: the trace is far larger than a
+        pipe buffer, so the writes after the reader is gone fail."""
+        path = tmp_path / "g.sas"
+        assert main(["gen", "--pages", "512", "--seed", "1", "--output", str(path)]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sasfork", "run", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert first.startswith(b"[0] pid=1 alloc")
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
     def test_gen_rejects_pages_whose_layout_exceeds_the_limit(self, capsys):
         with pytest.raises(ValueError, match="limit"):
