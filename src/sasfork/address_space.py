@@ -55,7 +55,7 @@ from .errors import (
     SimulatorError,
     UnmappedPage,
 )
-from .tagged_memory import FrameTable, TaggedFrame
+from .tagged_memory import DebugLog, FrameTable, TaggedFrame
 
 
 class PageState(enum.Enum):
@@ -176,6 +176,16 @@ def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn
     raise FaultError(Fault(kind, pid, page_of(addr), access))
 
 
+def _verify_owner(page_va: int, entry: PageTableEntry, owners: Mapping[int, Region]) -> None:
+    """The entry's owner is in ``owners`` and its region contains the page."""
+    region = owners.get(entry.owner_pid)
+    if region is None or not region.base <= page_va < region.base + region.size:
+        raise SimInternalError(
+            f"prs conservation broken: page {page_va:#x} of pid"
+            f" {entry.owner_pid} lies outside that pid's region"
+        )
+
+
 class AddressSpace:
     """Region reservation, page mappings, and checked accesses."""
 
@@ -254,6 +264,8 @@ class AddressSpace:
                 entry.state = _SHARED_COW
                 entry.writable = False
                 written += 1
+        if self._frames.debug_log is not None:
+            self._frames.debug_log.regions.append(child)
         return written
 
     def unmap_owned(self, region: Region, pid: int) -> list[TaggedFrame]:
@@ -262,12 +274,16 @@ class AddressSpace:
         Returns, in page order, the frames left with one mapping.
         """
         pages, frames = self._pages, self._frames.by_id
+        log = self._frames.debug_log
+        logged = None if log is None else log.frames
         survivors = []
         for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
             if entry is None or entry.owner_pid != pid:
                 continue
             frame_id = entry.frame_id
+            if logged is not None:
+                logged.add(frame_id)
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
@@ -319,13 +335,15 @@ class AddressSpace:
         return self._pages
 
     def verify_refcounts(self, owners: Mapping[int, Region] | None = None) -> None:
-        """Debug pass: each frame's page set is exactly the PTEs mapping it.
+        """Full debug pass: each frame's page set is exactly the PTEs mapping it.
 
         Once every entry's page is in its frame's set, equal totals mean
         the sets list nothing else.  With ``owners`` (``pid -> region``) it
         also checks what resident-set conservation rests on: each entry
         lies in its owner's region, so one :meth:`owned_refcounts` sweep
-        counts it, and every frame has a page.
+        counts it, and every frame has a page.  It walks every entry and
+        every frame; :meth:`verify_changes` is the per-step check, and
+        this pass is its oracle, so the two share no code.
         """
         frames = self._frames.by_id
         for page_va, entry in self._pages.items():
@@ -350,6 +368,45 @@ class AddressSpace:
             raise SimInternalError(
                 f"frames list {listed} pages, the page table maps {len(self._pages)}"
             )
+
+    def verify_changes(self, log: DebugLog, owners: Mapping[int, Region]) -> None:
+        """Per-step debug check: the facts of :meth:`verify_refcounts`, read
+        only where ``log`` says they may have changed; then empties the log.
+
+        A logged frame that still exists has a page, and every page in its
+        set maps it, so the set lists nothing else.  Each of those entries,
+        and each entry in a logged region, maps a frame that lists it and
+        lies in its owner's region.  If the facts held when the log was
+        last emptied and every change since was logged, this check passes
+        exactly when the full pass does.
+        """
+        pages, frames = self._pages, self._frames.by_id
+        for frame_id in log.frames:
+            frame = frames.get(frame_id)
+            if frame is None:
+                continue
+            if not frame.pages:
+                raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
+            for page_va in frame.pages:
+                entry = pages.get(page_va)
+                if entry is None or entry.frame_id != frame_id:
+                    raise SimInternalError(
+                        f"frame {frame_id} lists page {page_va:#x}, which does not map it"
+                    )
+                _verify_owner(page_va, entry, owners)
+        for region in log.regions:
+            for page_va in range(region.base, region.end, PAGE_SIZE):
+                entry = pages.get(page_va)
+                if entry is None:
+                    continue
+                frame = frames.get(entry.frame_id)
+                if frame is None or page_va not in frame.pages:
+                    raise SimInternalError(
+                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
+                    )
+                _verify_owner(page_va, entry, owners)
+        log.frames.clear()
+        log.regions.clear()
 
     # -- checked accesses --------------------------------------------------
 

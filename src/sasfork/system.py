@@ -44,7 +44,7 @@ from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
-from .tagged_memory import FrameTable, TaggedFrame
+from .tagged_memory import DebugLog, FrameTable, TaggedFrame
 
 _READ_INT, _WRITE = AccessKind.READ_INT, AccessKind.WRITE
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
@@ -144,6 +144,9 @@ class System:
         slot = self._pid_slots.pop(pid)
         self._pid_table().store_bytes(slot * 8, bytes(8))
         heapq.heappush(self._free_pid_slots, slot)
+        if self.frames.debug_log is not None:
+            # Any page the pid still owns now breaks the owner fact.
+            self.frames.debug_log.regions.append(self.processes[pid].region)
 
     @property
     def unreaped_pids(self) -> KeysView[int]:
@@ -390,15 +393,25 @@ class System:
 
     # -- invariants -------------------------------------------------------------------
 
-    def verify_invariants(self) -> None:
-        """Debug check, in one page-table pass: refcounts and PRS conservation.
+    def verify_invariants(self, *, full: bool = False) -> None:
+        """Debug check of refcounts and PRS conservation, over what changed.
 
         The owners are the PID-table slot holders (a pid without a slot owns
-        no page) and the kernel; see :meth:`AddressSpace.verify_refcounts`.
+        no page) and the kernel.  The first call, and any with ``full``,
+        runs the full pass over every entry and frame
+        (:meth:`AddressSpace.verify_refcounts`) and starts the debug change
+        log afresh; the others re-check only the frames and regions logged
+        since (:meth:`AddressSpace.verify_changes`).  A ``--debug`` run ends
+        with a full pass.
         """
         owners = {pid: self.processes[pid].region for pid in self.unreaped_pids}
         owners[KERNEL_PID] = self.kernel_region
-        self.address_space.verify_refcounts(owners)
+        log = self.frames.debug_log
+        if full or log is None:
+            self.address_space.verify_refcounts(owners)
+            self.frames.debug_log = DebugLog()
+        else:
+            self.address_space.verify_changes(log, owners)
 
     def reap_zombies(self) -> None:
         """Kernel sweep at end of run: tear down exited-but-unreaped state."""

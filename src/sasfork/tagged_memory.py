@@ -49,6 +49,17 @@ can load one, since the auditor last drained it.  Capability stores and
 relocation scans add to it here; the address space and the promotion pass
 add the frames they map or widen.  It is ``None`` until the first audit,
 so a run that never audits logs nothing.
+
+A second log, :attr:`FrameTable.debug_log`, serves the per-step ``--debug``
+check (:meth:`~sasfork.system.System.verify_invariants`): a
+:class:`DebugLog` of the frames whose page set may have changed and the
+regions whose entries may have.  :meth:`FrameTable.allocate`,
+:meth:`~FrameTable.attach` and :meth:`~FrameTable.detach` log their frame
+here; ``AddressSpace.share_region`` logs the child region,
+``AddressSpace.unmap_owned`` the frames it detaches, and
+``System.release_pid`` the released pid's region.  Each consumer drains only
+its own log.  It is ``None`` until the first check, so a run without
+``--debug`` logs nothing.
 """
 
 from __future__ import annotations
@@ -147,6 +158,18 @@ class TaggedFrame:
         return [g in self.caps and self.caps[g].tag for g in range(GRANULES_PER_PAGE)]
 
 
+class DebugLog:
+    """What the per-step debug check reads again: the ids of frames whose
+    page set may have changed, and the regions whose page-table entries
+    may have (see the module docstring)."""
+
+    __slots__ = ("frames", "regions")
+
+    def __init__(self) -> None:
+        self.frames: set[int] = set()
+        self.regions: list[Region] = []
+
+
 class FrameTable:
     """Allocator for tagged frames and the pages attached to them.
 
@@ -158,13 +181,17 @@ class FrameTable:
     def __init__(self) -> None:
         self._frames: dict[int, TaggedFrame] = {}
         self._next_id = 1
-        # The audit's change log (see the module docstring).
+        # The audit's change log and the debug check's (see the module
+        # docstring).
         self.changes: set[int] | None = None
+        self.debug_log: DebugLog | None = None
 
     def allocate(self, origin: Region | None = None) -> TaggedFrame:
         frame = TaggedFrame(self._next_id, origin)
         self._next_id += 1
         self._frames[frame.frame_id] = frame
+        if self.debug_log is not None:
+            self.debug_log.frames.add(frame.frame_id)
         return frame
 
     def get(self, frame_id: int) -> TaggedFrame:
@@ -183,6 +210,8 @@ class FrameTable:
     def attach(self, frame_id: int, page_va: int) -> None:
         """Record that ``page_va`` maps the frame."""
         self.get(frame_id).pages.add(page_va)
+        if self.debug_log is not None:
+            self.debug_log.frames.add(frame_id)
 
     def detach(self, frame_id: int, page_va: int) -> TaggedFrame:
         """Drop ``page_va`` from the frame's pages; free the frame when none is left."""
@@ -193,6 +222,8 @@ class FrameTable:
         pages.remove(page_va)
         if not pages:
             del self._frames[frame_id]
+        if self.debug_log is not None:
+            self.debug_log.frames.add(frame_id)
         return frame
 
     def clone(self, frame_id: int) -> TaggedFrame:

@@ -134,7 +134,8 @@ def run(
     ``audit=True`` sweeps the isolation auditor after every statement
     and unions the findings (forced on for the unsafe CoW strategy);
     ``debug=True`` additionally verifies refcount accuracy and
-    resident-set conservation at each step.
+    resident-set conservation at each step, over what the step changed,
+    and over the whole page table once the run ends.
     """
     if isinstance(script, str):
         script = parse(script)
@@ -207,7 +208,7 @@ class _Interpreter:
             audit_report = AuditReport(violations=tuple(self._violations))
         self.system.reap_zombies()
         if self.system.debug:
-            self.system.verify_invariants()
+            self.system.verify_invariants(full=True)
         return RunResult(
             strategy=self.system.strategy,
             isolation=self.system.isolation,

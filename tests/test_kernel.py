@@ -7,9 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from sasfork.address_space import AccessKind, FaultError, FaultKind, PageState, PageTableEntry
-from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
-from sasfork.errors import DuplicateEntry, InvalidInvoke, SimulatorError, SyscallError
+import sasfork.system
+from sasfork.address_space import (
+    AccessKind,
+    AddressSpace,
+    FaultError,
+    FaultKind,
+    PageState,
+    PageTableEntry,
+)
+from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm, Region
+from sasfork.errors import (
+    DuplicateEntry,
+    InvalidInvoke,
+    SimInternalError,
+    SimulatorError,
+    SyscallError,
+)
 from sasfork.kernel import (
     AuditReport,
     AuditViolation,
@@ -19,8 +33,10 @@ from sasfork.kernel import (
 )
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
+from sasfork.tagged_memory import FrameTable
 from sasfork.workload import run
 from test_acceptance import STALE_DEMO, corpus
+from test_golden import GEN_SLICE, GOLDEN
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -431,13 +447,17 @@ def oracle_audits(monkeypatch):
     return counts
 
 
-def bench_tiny_scripts():
+def bench_workloads():
     sys.path.insert(0, str(BENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(BENCH))
-    return [w.tiny_script(1) for w in workloads.WORKLOADS.values()]
+    return workloads
+
+
+def bench_tiny_scripts():
+    return [w.tiny_script(1) for w in bench_workloads().WORKLOADS.values()]
 
 
 NESTED = """
@@ -646,11 +666,12 @@ class _CountingPages(dict):
 
 def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
     """The processes one audit visits, and the process records and
-    page-table entries one invariant check reads, are the same at 200 and
-    at 1600 reaped workers; the check reads each entry exactly once."""
+    page-table entries one per-step invariant check reads, are the same at
+    200 and at 1600 reaped workers; the full pass that starts and ends a
+    run reads each entry exactly once."""
     real_init, real_audit = System.__init__, KernelGateway.audit
     real_verify = System.verify_invariants
-    visits, checks = [], []
+    visits, checks, full_passes = [], [], []
 
     def init(system, *args, **kwargs):
         real_init(system, *args, **kwargs)
@@ -665,14 +686,18 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
         visits.append(registry.reads - start)
         return report
 
-    def verify_invariants(system):
+    def verify_invariants(system, **kwargs):
         registry, pages = system.processes, system.address_space.by_page
+        full = kwargs.get("full") or system.frames.debug_log is None
         records, entries = registry.reads, pages.reads
-        real_verify(system)
+        real_verify(system, **kwargs)
         entries = pages.reads - entries
-        # Each entry once: no region sweep reads one a second time.
-        assert entries == len(pages)
-        checks.append((registry.reads - records, entries))
+        if full:
+            # Each entry once: no region sweep reads one a second time.
+            assert entries == len(pages)
+            full_passes.append(entries)
+        else:
+            checks.append((registry.reads - records, entries))
 
     monkeypatch.setattr(System, "__init__", init)
     monkeypatch.setattr(KernelGateway, "audit", audit)
@@ -681,19 +706,22 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
     def per_step_counts(workers):
         visits.clear()
         checks.clear()
+        full_passes.clear()
         batch = "fork nowait {\nexit 0\n}\n" * 8 + "wait\n" * 8
         text = "layout code=1 heap=1 stack=1\n" + batch * (workers // 8)
         result = run(text, "copa", "fault", audit=True, debug=True)
         assert len(result.system.processes) == workers + 1
         assert list(result.system.unreaped_pids) == []
+        # The first check and the end of the run.
+        assert len(full_passes) == 2
         return sorted(set(visits)), sorted(set(checks))
 
     few = per_step_counts(200)
     # At most the parent and one batch of 8 workers hold a slot, each with
     # a 5-page region, beside the kernel's 4 pages.
     assert max(few[0]) == 9
-    assert max(records for records, _ in few[1]) == 9
-    assert max(entries for _, entries in few[1]) == 4 + 9 * 5
+    assert max(records for records, _ in few[1]) <= 9
+    assert max(entries for _, entries in few[1]) <= 4 + 9 * 5
     assert per_step_counts(1600) == few
 
 
@@ -840,6 +868,13 @@ class TestChangeLogEntryPoints:
         assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
 
 
+AUDIT_WORK_BODY = (
+    "alloc a 8192\nalloc b 4096\nstore_int a+8 7\nstore_ref a+16 b+0\n"
+    "load_ref a+16\nderef\nstore_ref a+4096 a+16\nopen f\nwrite f a+8 8\n"
+    "read f b+32 8\nstore_ref b+48 a+0\nload_int a+4096\nyield\n"
+)
+
+
 def test_audit_work_does_not_grow_with_the_region(monkeypatch):
     """After the first sweep, the page-table reads of each sweep depend on
     the statement, not on the region size."""
@@ -860,15 +895,11 @@ def test_audit_work_does_not_grow_with_the_region(monkeypatch):
 
     monkeypatch.setattr(System, "__init__", init)
     monkeypatch.setattr(KernelGateway, "audit", audit)
-    body = (
-        "alloc a 8192\nalloc b 4096\nstore_int a+8 7\nstore_ref a+16 b+0\n"
-        "load_ref a+16\nderef\nstore_ref a+4096 a+16\nopen f\nwrite f a+8 8\n"
-        "read f b+32 8\nstore_ref b+48 a+0\nload_int a+4096\nyield\n"
-    )
 
     def sweeps(heap):
         reads.clear()
-        assert run(f"layout heap={heap}\n" + body, "copa", "fault", audit=True).ok
+        text = f"layout heap={heap}\n" + AUDIT_WORK_BODY
+        assert run(text, "copa", "fault", audit=True).ok
         return list(reads)
 
     small, large = sweeps(16), sweeps(1024)
@@ -876,3 +907,146 @@ def test_audit_work_does_not_grow_with_the_region(monkeypatch):
     # The first sweep walks the whole region; the later ones do not.
     assert small[0] < large[0]
     assert small[1:] == large[1:]
+
+
+def test_debug_work_does_not_grow_with_the_region(monkeypatch):
+    """After the first check, the page-table reads of each invariant check
+    depend on the statement, not on the region size."""
+    real_init, real_verify = System.__init__, System.verify_invariants
+    reads = []
+
+    def init(system, *args, **kwargs):
+        real_init(system, *args, **kwargs)
+        space = system.address_space
+        space._pages = _CountingPages(space._pages)
+
+    def verify_invariants(system, **kwargs):
+        pages = system.address_space.by_page
+        start = pages.reads
+        real_verify(system, **kwargs)
+        reads.append(pages.reads - start)
+
+    monkeypatch.setattr(System, "__init__", init)
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+
+    def checks(heap):
+        reads.clear()
+        text = f"layout heap={heap}\n" + AUDIT_WORK_BODY
+        assert run(text, "copa", "fault", debug=True).ok
+        return list(reads)
+
+    small, large = checks(16), checks(1024)
+    assert len(small) > 10
+    # The first check walks the whole page table; the later ones do not.
+    # The run ends with a full pass too, after the reap has unmapped the
+    # region.
+    assert small[0] < large[0]
+    assert small[1:] == large[1:]
+
+
+# -- the debug change log: the full pass as the per-step check's oracle --------
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_per_step_check_and_the_full_pass_hold_at_every_step(strategy, monkeypatch):
+    real_verify = System.verify_invariants
+    logged = []
+
+    def verify_invariants(system, **kwargs):
+        log = system.frames.debug_log
+        logged.append(log is not None and bool(log.frames or log.regions))
+        real_verify(system, **kwargs)
+        real_verify(system, full=True)
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    scripts = {name: text for name, (text, _) in GOLDEN.items()} | GEN_SLICE
+    for name, text in scripts.items():
+        with monkeypatch.context() as patch:
+            if name == "eagain":
+                patch.setattr(sasfork.system, "PID_SLOTS", 4)
+            run(text, strategy, "fault", debug=True)
+    assert len(logged) > 200
+    # The per-step check had logged changes to read at many steps.
+    assert logged.count(True) > 40
+
+
+def _detach_keeps_the_page(monkeypatch):
+    real = FrameTable.detach
+
+    def detach(self, frame_id, page_va):
+        frame = real(self, frame_id, page_va)
+        frame.pages.add(page_va)
+        self.by_id[frame_id] = frame
+        return frame
+
+    monkeypatch.setattr(FrameTable, "detach", detach)
+
+
+def _share_region_drops_a_child_page(monkeypatch):
+    real = AddressSpace.share_region
+
+    def share_region(self, parent, child, skip, state, owner_pid):
+        written = real(self, parent, child, skip, state, owner_pid)
+        pages, frames = self.by_page, self._frames.by_id
+        page_va = next(
+            va
+            for va in range(child.base, child.end, PAGE_SIZE)
+            if va in pages and len(frames[pages[va].frame_id].pages) > 1
+        )
+        frames[pages[page_va].frame_id].pages.remove(page_va)
+        return written
+
+    monkeypatch.setattr(AddressSpace, "share_region", share_region)
+
+
+def _unmap_owned_leaves_the_last_page(monkeypatch):
+    real = AddressSpace.unmap_owned
+
+    def unmap_owned(self, region, pid):
+        return real(self, Region(region.base, region.size - PAGE_SIZE), pid)
+
+    monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
+
+
+DEBUG_MUTATIONS = {
+    "detach_keeps_the_page": _detach_keeps_the_page,
+    "share_region_drops_a_child_page": _share_region_drops_a_child_page,
+    "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,
+}
+
+
+class _Caught(Exception):
+    """Ends a run at the first step where either check raised."""
+
+
+@pytest.mark.parametrize("strategy", ["coa", "copa"])
+@pytest.mark.parametrize("mutation", sorted(DEBUG_MUTATIONS))
+def test_a_mutation_is_caught_by_the_per_step_check_at_the_full_passs_step(
+    mutation, strategy, monkeypatch
+):
+    workloads = bench_workloads()
+    scripts = [workloads.churn_script(3, 80, 16, 8), workloads.snapshot_script(3, 16)]
+    real_verify = System.verify_invariants
+    outcomes = []
+
+    def verify_invariants(system, **kwargs):
+        raised = []
+        for full in (kwargs.get("full", False), True):
+            try:
+                real_verify(system, full=full)
+            except SimInternalError:
+                raised.append(full)
+        outcomes.append(raised)
+        if raised:
+            raise _Caught
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    DEBUG_MUTATIONS[mutation](monkeypatch)
+    for text in scripts:
+        outcomes.clear()
+        with pytest.raises(_Caught):
+            run(text, strategy, "fault", debug=True)
+        # The first check is a full pass; the mutation breaks a later step,
+        # where the per-step check and the full pass both raise.
+        assert len(outcomes) > 1 and not any(outcomes[:-1])
+        assert outcomes[-1] == [False, True]

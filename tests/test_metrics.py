@@ -211,8 +211,8 @@ def test_the_debug_check_holds_and_the_resident_sets_sum_to_every_frame(
     real_verify = System.verify_invariants
     owners_per_step = []
 
-    def verify_invariants(system):
-        real_verify(system)
+    def verify_invariants(system, **kwargs):
+        real_verify(system, **kwargs)
         pids = [KERNEL_PID, *system.unreaped_pids]
         total = sum((system.metrics.prs_bytes(pid) for pid in pids), Fraction(0))
         assert total == system.frames.total_bytes(), len(owners_per_step)
