@@ -36,6 +36,15 @@ blocked, an integer read or fetch that overlaps a tagged granule takes
 the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
 
+Besides the per-page :meth:`AddressSpace.map` and
+:meth:`~AddressSpace.unmap`, which lazy copies use, three passes change a
+whole region at once: :meth:`~AddressSpace.map_fresh_region` backs every
+page of a fresh region with a new frame at boot and at process creation,
+with the checks and log entries that a :meth:`~AddressSpace.map` per page
+would make; :meth:`~AddressSpace.share_region` maps a parent's pages into
+a child at fork; and :meth:`~AddressSpace.unmap_owned` tears down a
+region at reap.
+
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
 the fragmentation trade-off of contiguous per-process regions.
@@ -226,6 +235,33 @@ class AddressSpace:
         self._pages[page_va] = entry
         if frames.changes is not None:
             frames.changes.add(entry.frame_id)
+
+    def map_fresh_region(self, region: Region, owner_pid: int, read_only: Region) -> None:
+        """Back every page of ``region`` with a new frame, in one pass.
+
+        Each page is mapped as :meth:`map` would map it, to a frame
+        allocated in page order with ``region`` as its origin: private,
+        writable except in ``read_only``, and owned by ``owner_pid``.
+        :meth:`FrameTable.allocate` logs each frame for the debug check,
+        and the audit's change log gets it here.  Raises
+        :class:`DoubleMap` before anything changes if a page of the region
+        is already mapped.
+        """
+        pages, frames = self._pages, self._frames
+        base, end = region.base, region.end
+        for page_va in range(base, end, PAGE_SIZE):
+            if page_va in pages:
+                raise DoubleMap(f"page {page_va:#x} is already mapped")
+        ro_base, ro_end = read_only.base, read_only.end
+        changes = frames.changes
+        for page_va in range(base, end, PAGE_SIZE):
+            frame = frames.allocate(region)
+            frame.pages.add(page_va)
+            pages[page_va] = PageTableEntry(
+                frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end, owner_pid
+            )
+            if changes is not None:
+                changes.add(frame.frame_id)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping; returns the frame's remaining refcount."""

@@ -5,7 +5,12 @@ table, process registry, file table, metrics) and funnels all mutation
 through one execution context, so runs are deterministic and snapshots
 are safe deep copies.  Booting reserves the kernel region, seeds kernel
 capabilities, and registers the sealed syscall entries; processes are
-created afterwards with :meth:`System.create_initial_process`.
+created afterwards with :meth:`System.create_initial_process`.  Both back
+their fresh region with new frames in one
+:meth:`~sasfork.address_space.AddressSpace.map_fresh_region` pass, and
+creation then writes only what the image holds: code pages copied as
+slices of one constant byte cycle, and the GOT's capabilities built
+positionally.
 
 Memory accesses go through :meth:`System.access`, which adds the
 fault-resolution protocol on top of the raw one-page pipeline: a
@@ -22,13 +27,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Iterator, KeysView
 
-from .address_space import (
-    AccessKind,
-    AddressSpace,
-    FaultError,
-    PageState,
-    PageTableEntry,
-)
+from .address_space import AccessKind, AddressSpace, FaultError
 from .capability import (
     CODE_PERMS,
     DATA_PERMS,
@@ -38,6 +37,7 @@ from .capability import (
     RO_CAP_PERMS,
     Capability,
     Perm,
+    Region,
 )
 from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
@@ -57,6 +57,9 @@ _GOT_SYMBOL_CYCLE = (
     ("alloc_meta", DATA_PERMS),
     ("got", RO_CAP_PERMS),
 )
+#: Byte ``j`` is ``j % 251``; every code page is one page-long slice of it.
+_CODE_CYCLE = bytes(range(251)) * (PAGE_SIZE // 251 + 2)
+_tuple_new = tuple.__new__
 
 
 class System:
@@ -96,21 +99,18 @@ class System:
     # -- boot -------------------------------------------------------------
 
     def _boot_kernel(self) -> None:
+        """Reserve the kernel region and back it in one fresh-region pass.
+
+        Its four pages are private to the kernel, and only the code page
+        is read-only.
+        """
         self.kernel_region = self.address_space.reserve_region(
             _KERNEL_PAGES * PAGE_SIZE
         )
-        for index, page_va in enumerate(self.kernel_region.page_addresses()):
-            frame = self.frames.allocate(origin=self.kernel_region)
-            self.address_space.map(
-                page_va,
-                PageTableEntry(
-                    frame_id=frame.frame_id,
-                    state=PageState.PRIVATE,
-                    writable=index != 0,
-                    owner_pid=KERNEL_PID,
-                ),
-            )
         base = self.kernel_region.base
+        self.address_space.map_fresh_region(
+            self.kernel_region, KERNEL_PID, read_only=Region(base, PAGE_SIZE)
+        )
         self.kernel_code_cap = Capability(
             base=base,
             length=PAGE_SIZE,
@@ -173,27 +173,20 @@ class System:
     def create_initial_process(self, spec: LayoutSpec | None = None) -> MicroProcess:
         """Reserve, map and initialize a fresh top-level process.
 
-        All layout pages are mapped private; the GOT is filled with
-        tagged capabilities to symbols inside the region; the allocator
-        metadata page holds the heap cursor as a capability so that heap
-        bookkeeping relocates with the process; registers get a PCC and
-        SP bounded to the region.
+        One :meth:`~sasfork.address_space.AddressSpace.map_fresh_region`
+        pass backs every layout page with a new private frame, read-only
+        in the code sub-region; the code pages get their pattern
+        (:meth:`_fill_code`); the GOT is filled with tagged capabilities
+        to symbols inside the region; the allocator metadata page holds
+        the heap cursor as a capability so that heap bookkeeping
+        relocates with the process; registers get a PCC and SP bounded to
+        the region.
         """
         spec = spec or LayoutSpec()
         pid = self.allocate_pid()
         region = self.address_space.reserve_region(spec.total_bytes)
         layout = spec.carve(region)
-        for page_va in region.page_addresses():
-            frame = self.frames.allocate(origin=region)
-            self.address_space.map(
-                page_va,
-                PageTableEntry(
-                    frame_id=frame.frame_id,
-                    state=PageState.PRIVATE,
-                    writable=layout.page_writable(page_va),
-                    owner_pid=pid,
-                ),
-            )
+        self.address_space.map_fresh_region(region, pid, read_only=layout.code_ro)
         self._fill_code(layout)
         self._populate_got(layout)
         self._init_allocator(layout)
@@ -244,30 +237,37 @@ class System:
         return proc
 
     def _fill_code(self, layout: Layout) -> None:
-        """Deterministic pseudo-instruction bytes so copies are observable."""
+        """Deterministic pseudo-instruction bytes so copies are observable.
+
+        Byte ``i`` of code page ``k`` is ``(37 * k + i) % 251``, so each
+        page is a copy of the slice of :data:`_CODE_CYCLE` that starts at
+        ``37 * k % 251``.
+        """
         for index, page_va in enumerate(layout.code_ro.page_addresses()):
             entry = self.address_space.entry_at(page_va)
-            frame = self.frames.get(entry.frame_id)
-            pattern = bytes((index * 37 + i) % 251 for i in range(PAGE_SIZE))
-            frame.store_bytes(0, pattern)
+            start = index * 37 % 251
+            self.frames.get(entry.frame_id).store_bytes(
+                0, _CODE_CYCLE[start : start + PAGE_SIZE]
+            )
 
     def _populate_got(self, layout: Layout) -> None:
         subs = layout.subregions()
+        symbols = [
+            (subs[name].base, subs[name].size, perms) for name, perms in _GOT_SYMBOL_CYCLE
+        ]
+        store = self.frames.store_capability
         for page_index, page_va in enumerate(layout.got.page_addresses()):
             entry = self.address_space.entry_at(page_va)
             frame = self.frames.get(entry.frame_id)
+            first = page_index * GRANULES_PER_PAGE
             for granule in range(GRANULES_PER_PAGE):
-                slot = page_index * GRANULES_PER_PAGE + granule
-                name, perms = _GOT_SYMBOL_CYCLE[slot % len(_GOT_SYMBOL_CYCLE)]
-                sub = subs[name]
-                offset = (slot * GRANULE) % sub.size
-                cap = Capability(
-                    base=sub.base,
-                    length=sub.size,
-                    cursor=sub.base + offset,
-                    perms=perms,
+                slot = first + granule
+                base, size, perms = symbols[slot % len(symbols)]
+                # Built positionally, as Capability.with_cursor builds one.
+                cap = _tuple_new(
+                    Capability, (base, size, base + slot * GRANULE % size, perms, None, True)
                 )
-                self.frames.store_capability(frame, granule, cap)
+                store(frame, granule, cap)
 
     def _init_allocator(self, layout: Layout) -> None:
         # Granule 0 of the allocator page holds the bump cursor *as a

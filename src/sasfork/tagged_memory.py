@@ -87,6 +87,10 @@ _Plan = tuple[int, Region, tuple[int, ...], tuple[int, ...], int, int]
 #: granule is its capability's cursor word followed by a zero word.
 _pack_word = struct.Struct("<Q").pack_into
 
+#: Builds a capability from its six fields positionally, as
+#: ``Capability.with_cursor`` does, without the named-tuple constructor.
+_tuple_new = tuple.__new__
+
 
 class TaggedFrame:
     """One physical page: data bytes, capabilities, origin and mappers.
@@ -321,8 +325,8 @@ class FrameTable:
                 cap = caps[granule]
                 cursor = cap.cursor + delta
                 _pack_word(data, granule * GRANULE, cursor)
-                caps[granule] = Capability(
-                    cap.base + delta, cap.length, cursor, cap.perms, None, True
+                caps[granule] = _tuple_new(
+                    Capability, (cap.base + delta, cap.length, cursor, cap.perms, None, True)
                 )
             frame.version += len(inside)
             rewritten = len(inside)

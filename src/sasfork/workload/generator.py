@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from ..capability import GRANULE, PAGE_SIZE
+from ..capability import GRANULE, GRANULES_PER_PAGE, PAGE_SIZE
 from ..process import LayoutSpec
 from .script import (
     MAX_LAYOUT_PAGES,
@@ -42,7 +42,11 @@ _INT_SLOTS = PAGE_SIZE // 8
 
 
 def index_page_count(pages: int, ref_density: float) -> int:
-    """How many reference-bearing index pages a given density yields."""
+    """How many reference-bearing index pages a given density yields.
+
+    Each index page holds :data:`GRANULES_PER_PAGE` references, one per
+    data page; :func:`generate` refuses a density that yields too few.
+    """
     if ref_density <= 0 or pages <= 0:
         return 0
     return max(1, round(pages * ref_density))
@@ -60,6 +64,13 @@ def generate(
         raise ValueError("child-read-frac must be in [0, 1]")
     rng = random.Random(seed)
     index_pages = index_page_count(pages, ref_density)
+    if index_pages and index_pages * GRANULES_PER_PAGE < pages:
+        needed = -(-pages // GRANULES_PER_PAGE)
+        raise ValueError(
+            f"pages={pages} at ref-density {ref_density:g} gets {index_pages} "
+            f"index page(s), but {pages} data pages need {needed}: the limit is "
+            f"{GRANULES_PER_PAGE} references per index page, one per data page"
+        )
     heap_pages = pages + index_pages + OUTPUT_PAGES
     total_pages = LayoutSpec(heap_pages=heap_pages).total_pages
     if total_pages > MAX_LAYOUT_PAGES:

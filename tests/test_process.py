@@ -1,11 +1,15 @@
 """Process creation postconditions and POSIX descriptor semantics."""
 
+import hashlib
+
 import pytest
 
+from sasfork.address_space import AddressSpace, PageState, PageTableEntry
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm, Region
-from sasfork.errors import BadFd
-from sasfork.process import LayoutSpec
+from sasfork.errors import BadFd, DoubleMap
+from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import PID_SLOTS, System
+from sasfork.tagged_memory import DebugLog, FrameTable
 from sasfork.workload import run
 
 
@@ -122,6 +126,124 @@ class TestCreation:
         proc = system.create_initial_process()
         word = system.access(proc.pid, proc.registers["pcc"], AccessKind.EXEC)
         assert isinstance(word, int)
+
+
+def image_digest(*specs):
+    """sha256 over every frame after boot and one creation per spec.
+
+    Each frame contributes its id, its page set, its ``version``, its
+    origin, its capabilities in granule order and its bytes, kernel
+    frames included.  Permissions enter as their integer value, so the
+    digest does not depend on how a Python version prints a flag.
+    """
+    sim = System()
+    for spec in specs:
+        sim.create_initial_process(spec)
+    digest = hashlib.sha256()
+    for frame_id, frame in sorted(sim.frames.by_id.items()):
+        origin = None if frame.origin is None else (frame.origin.base, frame.origin.size)
+        caps = sorted(
+            (g, c.base, c.length, c.cursor, c.perms.value, c.otype, c.tag)
+            for g, c in frame.caps.items()
+        )
+        digest.update(repr((frame_id, sorted(frame.pages), frame.version, origin, caps)).encode())
+        digest.update(bytes(frame.data))
+    return digest.hexdigest()
+
+
+SPECS = (
+    LayoutSpec(),
+    LayoutSpec(code_pages=3, got_pages=2, heap_pages=8),
+    LayoutSpec(code_pages=1, got_pages=3, alloc_meta_pages=2, heap_pages=2, stack_pages=1, tls_pages=1),
+    # Code page 7 is the first whose start, 7 * 37 % 251, wraps.
+    LayoutSpec(code_pages=8, heap_pages=1, stack_pages=1),
+)
+
+
+class TestImage:
+    """A fresh process image is pinned byte for byte: the code bytes, the
+    GOT capabilities and their frame versions, the allocator cursor and
+    the kernel pages.  How creation builds the image must not move them."""
+
+    @pytest.mark.parametrize(
+        "specs, expected",
+        [
+            ((SPECS[0],), "d8f9859afc2ae92a6bbacaed82410236ca1a03babe44a8547f14dd27a9593ba7"),
+            ((SPECS[1],), "76b6ae23d90b0eaf2ce7f5da96f964771f6a9a9822db4674022fd72171e974b6"),
+            ((SPECS[2],), "3dbfe72dee918917bf5887af29b4daa9964adc4acd7d330fd6e3ba6f9c95bb77"),
+            ((SPECS[3],), "4869a04e257c08d0630c19959a47c59a1ba6f967e62995acfbf165796ca7c648"),
+            (SPECS[:2], "7e8bdd1c29ebe1e8bb58a9fd0240a045f95b452fa511bb2d7f9f84173b6a4e0a"),
+        ],
+    )
+    def test_fresh_image_digest(self, specs, expected):
+        assert image_digest(*specs) == expected
+
+
+def per_page_map(space, region, pid, read_only=None):
+    """The oracle of a fresh-region pass: allocate, then :meth:`map`, per page."""
+    for page_va in region.page_addresses():
+        frame = space._frames.allocate(origin=region)
+        writable = read_only is None or not read_only.contains(page_va)
+        space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, writable, pid))
+
+
+def mapped_state(space):
+    frames = space._frames
+    log = frames.debug_log
+    return (
+        space.entries(),
+        {fid: (set(f.pages), f.origin) for fid, f in frames.by_id.items()},
+        None if frames.changes is None else set(frames.changes),
+        None if log is None else (set(log.frames), list(log.regions)),
+    )
+
+
+class TestFreshRegion:
+    """:meth:`AddressSpace.map_fresh_region` against the per-page oracle."""
+
+    @pytest.mark.parametrize("logs", [False, True])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_per_page_map(self, spec, logs):
+        states = []
+        for fresh in (True, False):
+            frames = FrameTable()
+            if logs:
+                frames.changes, frames.debug_log = set(), DebugLog()
+            space = AddressSpace(frames)
+            kernel = space.reserve_region(4 * PAGE_SIZE)
+            region = space.reserve_region(spec.total_bytes)
+            layout = spec.carve(region)
+            jobs = [
+                (kernel, KERNEL_PID, Region(kernel.base, PAGE_SIZE)),
+                (region, 7, layout.code_ro),
+            ]
+            for job_region, pid, read_only in jobs:
+                if fresh:
+                    space.map_fresh_region(job_region, pid, read_only=read_only)
+                else:
+                    per_page_map(space, job_region, pid, read_only)
+            states.append(mapped_state(space))
+        assert states[0] == states[1]
+        entries = states[0][0]
+        assert len(entries) == 4 + spec.total_pages
+        # Frame ids are allocated in page order.
+        assert [e.frame_id for _, e in sorted(entries.items())] == list(range(1, len(entries) + 1))
+        if logs:
+            assert states[0][2] == states[0][3][0] == set(range(1, len(entries) + 1))
+
+    def test_a_mapped_page_is_a_double_map_and_changes_nothing(self):
+        frames = FrameTable()
+        frames.changes, frames.debug_log = set(), DebugLog()
+        space = AddressSpace(frames)
+        region = space.reserve_region(4 * PAGE_SIZE)
+        taken = region.base + 2 * PAGE_SIZE
+        per_page_map(space, Region(taken, PAGE_SIZE), 3)
+        before = mapped_state(space)
+        with pytest.raises(DoubleMap, match=f"{taken:#x}"):
+            space.map_fresh_region(region, 3, read_only=Region(region.base, PAGE_SIZE))
+        assert mapped_state(space) == before
+        # No frame id was taken: the next frame is the second ever.
+        assert frames.allocate().frame_id == 2
 
 
 class TestFileDescriptors:

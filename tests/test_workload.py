@@ -602,6 +602,24 @@ class TestGenerator:
         index_pages = {s.offset // PAGE_SIZE for s in refs}
         assert index_pages == set(range(4))  # 32 * 0.125
 
+    def test_too_few_index_pages_for_one_reference_per_data_page_is_usage(self, capsys):
+        # round(600 * 0.001) is one index page: 256 granules for 600 references.
+        with pytest.raises(ValueError, match="limit is 256 references per index page"):
+            generate(pages=600, ref_density=0.001, child_read_frac=1.0, seed=1)
+        assert main(["gen", "--pages", "600", "--ref-density", "0.001", "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "600 data pages need 3" in err
+
+    def test_a_low_density_that_fits_runs_without_a_fault(self):
+        from sasfork.workload.script import StoreRef
+
+        script = generate(pages=512, ref_density=1 / 256, child_read_frac=1.0, seed=1)
+        refs = [s for s in script.body if isinstance(s, StoreRef)]
+        assert len(refs) == 512 and {s.offset // 4096 for s in refs} == {0, 1}
+        events = run(script, "copa").trace.events
+        assert not [e for e in events if e.result.endswith("Fault")]
+        assert [e.pid for e in events if e.stmt == "exit 0"] == [2, 1]
+
 
 class TestIsolationMonotonicity:
     def test_error_free_scripts_agree_across_isolation_levels(self):
