@@ -24,7 +24,8 @@ in ``System.processes`` after reap.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator, Mapping, Union
 
 from .capability import PAGE_SIZE, Capability, Region
@@ -56,7 +57,7 @@ class LayoutSpec:
     tls_pages: int = 0
 
     def __post_init__(self) -> None:
-        if any(n < 0 for n in astuple(self)):
+        if any(n < 0 for n in _page_counts(self)):
             raise ValueError("page counts must be non-negative")
         if min(self.code_pages, self.got_pages, self.alloc_meta_pages) < 1:
             raise ValueError("code, got and alloc_meta need at least one page")
@@ -65,7 +66,7 @@ class LayoutSpec:
 
     @property
     def total_pages(self) -> int:
-        return sum(astuple(self))
+        return sum(_page_counts(self))
 
     @property
     def total_bytes(self) -> int:
@@ -79,7 +80,7 @@ class LayoutSpec:
             )
         base = region.base
         pieces = []
-        for pages in astuple(self):
+        for pages in _page_counts(self):
             pieces.append(Region(base, pages * PAGE_SIZE))
             base += pages * PAGE_SIZE
         return Layout(*pieces)
@@ -97,7 +98,7 @@ class Layout:
     tls: Region
 
     def subregions(self) -> dict[str, Region]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_SUBREGION_NAMES, _subregions(self)))
 
     def page_writable(self, page_va: int) -> bool:
         # Code pages are mapped read-only; everything else is data.
@@ -106,7 +107,13 @@ class Layout:
     def rebased(self, region: Region) -> "Layout":
         """The same layout moved to a different (equal-sized) region."""
         shift = region.base - self.code_ro.base
-        return Layout(*(Region(sub.base + shift, sub.size) for sub in self.subregions().values()))
+        return Layout(*(Region(sub.base + shift, sub.size) for sub in _subregions(self)))
+
+
+#: Each reads the fields of its class as one plain tuple, in field order.
+_page_counts = attrgetter(*(f.name for f in fields(LayoutSpec)))
+_SUBREGION_NAMES = tuple(f.name for f in fields(Layout))
+_subregions = attrgetter(*_SUBREGION_NAMES)
 
 
 @dataclass

@@ -28,10 +28,17 @@ Grammar::
     priv
     expect VALUE                  # checks the previous result
 
+Statements are typed named tuples: immutable, and equal only to a
+statement of the same type with equal fields, so ``LoadInt("a", 0) !=
+LoadRef("a", 0)`` and no statement equals a plain tuple.  A statement
+hashes as the tuple of its fields.
+
 The grammar has one owner, the ``_SYNTAX`` table: each statement
-type's keyword and the kinds of its argument tokens.  The parser reads
-each token kind with one method, and only ``fork`` and ``deref`` have
-readers of their own; the printer's ``_FORMATTERS`` has the same keys.
+type's keyword and the kinds of its argument tokens.  The parser cuts
+each line at its comment and splits it once, reads each token kind with
+one method, and builds the statement from the fields the readers return
+in one step; only ``fork`` and ``deref`` have readers of their own.  The
+printer's ``_FORMATTERS`` has one formatter per statement type.
 
 Parsing performs a full semantic pass: undeclared symbols, misaligned
 reference stores, a ``deref`` with no prior ``load_ref``, and layout
@@ -44,8 +51,9 @@ from the token's place on the line only when the error is raised.
 from __future__ import annotations
 
 import re
+import typing
 from dataclasses import dataclass, field, fields
-from typing import Union
+from typing import NamedTuple, Union
 
 from ..errors import ParseError
 from ..process import LayoutSpec
@@ -54,8 +62,10 @@ from ..process import LayoutSpec
 #: its ``_pages`` suffix.
 _LAYOUT_KEYS = {f.name.removesuffix("_pages"): f.name for f in fields(LayoutSpec)}
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _TOKEN_RE = re.compile(r"\S+")
+
+_tuple_new = tuple.__new__
+_tuple_eq = tuple.__eq__
 
 #: Deepest nesting of ``fork`` blocks a script may use.  Parsing,
 #: printing and comparing scripts recurse once per level, so the limit
@@ -68,99 +78,83 @@ MAX_FORK_DEPTH = 100
 MAX_LAYOUT_PAGES = 1 << 17
 
 
-@dataclass(frozen=True)
-class Alloc:
+class Alloc(NamedTuple):
     name: str
     size: int
 
 
-@dataclass(frozen=True)
-class StoreInt:
+class StoreInt(NamedTuple):
     name: str
     offset: int
     value: int
 
 
-@dataclass(frozen=True)
-class StoreRef:
+class StoreRef(NamedTuple):
     name: str
     offset: int
     target: str
     target_offset: int
 
 
-@dataclass(frozen=True)
-class LoadInt:
+class LoadInt(NamedTuple):
     name: str
     offset: int
 
 
-@dataclass(frozen=True)
-class LoadRef:
+class LoadRef(NamedTuple):
     name: str
     offset: int
 
 
-@dataclass(frozen=True)
-class Deref:
+class Deref(NamedTuple):
     offset: int = 0
 
 
-@dataclass(frozen=True)
-class Fork:
+class Fork(NamedTuple):
     label: str | None
     nowait: bool
     body: tuple["Statement", ...]
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(NamedTuple):
     code: int
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Open:
+class Open(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Close:
+class Close(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Read:
+class Read(NamedTuple):
     file: str
     buffer: str
     offset: int
     count: int
 
 
-@dataclass(frozen=True)
-class Write:
+class Write(NamedTuple):
     file: str
     buffer: str
     offset: int
     count: int
 
 
-@dataclass(frozen=True)
-class Yield:
+class Yield(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Priv:
+class Priv(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Expect:
+class Expect(NamedTuple):
     value: Union[int, str]
 
 
@@ -182,6 +176,21 @@ Statement = Union[
     Priv,
     Expect,
 ]
+
+
+def _same_statement(self, other) -> bool:
+    return type(other) is type(self) and _tuple_eq(self, other)
+
+
+def _other_statement(self, other) -> bool:
+    return not (type(other) is type(self) and _tuple_eq(self, other))
+
+
+# A statement equals only a statement of its own type with equal fields,
+# never a plain tuple; it hashes as the tuple of its fields.
+for _cls in typing.get_args(Statement):
+    _cls.__eq__, _cls.__ne__ = _same_statement, _other_statement
+del _cls
 
 
 @dataclass(frozen=True)
@@ -333,11 +342,6 @@ class _Parser:
             next(starts)
         self._fail(message, next(starts).start() + within)
 
-    def _strip(self, raw: str) -> str:
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        return raw.strip()
-
     def _int(self, token: str, what: str, within: int = 0) -> int:
         try:
             return int(token, 0)
@@ -345,16 +349,16 @@ class _Parser:
             raise _BadToken(f"bad {what}: {token!r}", within) from None
 
     def _name(self, token: str, what: str) -> str:
-        if not _NAME_RE.match(token):
+        if not (token.isascii() and token.isidentifier()):
             raise _BadToken(f"bad {what}: {token!r}")
         return token
 
     def _parse_layout(self) -> dict[str, int]:
-        while self.index < len(self.lines) and not self._strip(self.lines[self.index]):
+        while self.index < len(self.lines) and not _tokens(self.lines[self.index]):
             self.index += 1
         if self.index >= len(self.lines):
             return {}
-        tokens = self._strip(self.lines[self.index]).split()
+        tokens = _tokens(self.lines[self.index])
         if tokens[0] != "layout":
             return {}
         self.line_index = self.index
@@ -378,7 +382,7 @@ class _Parser:
                 except ValueError as err:
                     self._fail_token(index, str(err))
             raise
-        pages = sum(getattr(spec, name) for name in _LAYOUT_KEYS.values())
+        pages = spec.total_pages
         if pages > MAX_LAYOUT_PAGES:
             self._fail_token(0, f"layout of {pages} pages exceeds the limit of {MAX_LAYOUT_PAGES}")
         self.index += 1
@@ -399,25 +403,29 @@ class _Parser:
 
     def _parse_block(self, *, top_level: bool) -> list[Statement]:
         out: list[Statement] = []
-        while self.index < len(self.lines):
-            self.line_index = self.index
-            line = self._strip(self.lines[self.index])
-            self.index += 1
-            if not line:
+        lines = self.lines
+        while self.index < len(lines):
+            self.line_index = index = self.index
+            raw = lines[index]
+            self.index = index + 1
+            # ``_tokens(raw)``, inlined: each line is cut and split once.
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            tokens = raw.split()
+            if not tokens:
                 continue
-            if line == "}":
+            if tokens[0] == "}" and len(tokens) == 1:
                 if top_level:
                     self._fail_token(0, "unmatched '}'")
                 return out
             # A fork block starts with the fork's return as its previous result.
             self.have_result = bool(out) or not top_level
-            out.append(self._parse_statement(line))
+            out.append(self._parse_statement(tokens))
         if not top_level:
-            raise ParseError(len(self.lines), 1, "fork block never closed with '}'")
+            raise ParseError(len(lines), 1, "fork block never closed with '}'")
         return out
 
-    def _parse_statement(self, line: str) -> Statement:
-        tokens = line.split()
+    def _parse_statement(self, tokens: list[str]) -> Statement:
         op = tokens[0]
         syntax = _STATEMENTS.get(op)
         if syntax is None:
@@ -436,7 +444,7 @@ class _Parser:
                 fields += read(self, tokens[index])
         except _BadToken as bad:
             self._fail_token(index, *bad.args)
-        return cls(*fields)
+        return _tuple_new(cls, fields)
 
     def _parse_deref(self, tokens: list[str]) -> Deref:
         if len(tokens) > 2:
@@ -444,7 +452,7 @@ class _Parser:
         if not self.scope.has_loaded_ref:
             self._fail("deref before any load_ref in scope")
         try:
-            return Deref(self._int(tokens[1], "offset") if len(tokens) == 2 else 0)
+            return _tuple_new(Deref, (self._int(tokens[1], "offset") if len(tokens) == 2 else 0,))
         except _BadToken as bad:
             self._fail_token(1, *bad.args)
 
@@ -473,13 +481,22 @@ class _Parser:
 
     # -- token readers ---------------------------------------------------------
     # Each checks one argument token and returns the statement fields it fills.
+    # The readers of the common statements check names and integers inline,
+    # with the messages of ``_name`` and ``_int``.
 
     def _read_ref(self, token: str) -> tuple[str, int]:
         name, plus, off = token.partition("+")
-        name = self._name(name, "symbol")
-        offset = self._int(off, "offset", len(name) + 1) if plus else 0
-        if offset < 0:
-            raise _BadToken("negative offset")
+        if not (name.isascii() and name.isidentifier()):
+            raise _BadToken(f"bad symbol: {name!r}")
+        if plus:
+            try:
+                offset = int(off, 0)
+            except ValueError:
+                raise _BadToken(f"bad offset: {off!r}", len(name) + 1) from None
+            if offset < 0:
+                raise _BadToken("negative offset")
+        else:
+            offset = 0
         if name not in self.scope.symbols:
             raise _BadToken(f"undeclared symbol {name!r}")
         return name, offset
@@ -511,7 +528,10 @@ class _Parser:
         return (size,)
 
     def _read_value(self, token: str) -> tuple[int]:
-        return (self._int(token, "value"),)
+        try:
+            return (int(token, 0),)
+        except ValueError:
+            raise _BadToken(f"bad value: {token!r}") from None
 
     def _read_exit_code(self, token: str) -> tuple[int]:
         code = self._int(token, "exit code")
@@ -543,6 +563,13 @@ class _Parser:
             return (int(token, 0),)
         except ValueError:
             return (self._name(token, "expected value"),)
+
+
+def _tokens(line: str) -> list[str]:
+    """The tokens of one line, up to its comment."""
+    if "#" in line:
+        line = line[: line.index("#")]
+    return line.split()
 
 
 #: Keyword -> the statement type and the reader of each argument token,

@@ -70,6 +70,52 @@ class TestCreation:
         elsewhere = Region(1024 * PAGE_SIZE, spec.total_bytes)
         assert layout.rebased(elsewhere) == spec.carve(elsewhere)
 
+    @pytest.mark.parametrize(
+        "spec, total, starts",
+        [
+            # The default, an `audited`-sized heap, every count changed, and
+            # a `snapshot`-sized heap; starts are the sub-regions' first pages.
+            (LayoutSpec(), 10, (0, 2, 3, 4, 8, 10)),
+            (LayoutSpec(heap_pages=60), 66, (0, 2, 3, 4, 64, 66)),
+            (LayoutSpec(3, 2, 2, 5, 1, 4), 17, (0, 3, 5, 7, 12, 13)),
+            (LayoutSpec(heap_pages=4356), 4362, (0, 2, 3, 4, 4360, 4362)),
+        ],
+    )
+    def test_layout_arithmetic_reads_the_six_counts_in_order(self, spec, total, starts):
+        assert spec.total_pages == total and spec.total_bytes == total * PAGE_SIZE
+        ends = starts[1:] + (total,)
+        for base_page in (16, 1024):
+            region = Region(base_page * PAGE_SIZE, spec.total_bytes)
+            layout = spec.carve(region)
+            subs = layout.subregions()
+            assert list(subs) == ["code_ro", "got", "alloc_meta", "heap", "stack", "tls"]
+            assert [
+                ((sub.base - region.base) // PAGE_SIZE, sub.size // PAGE_SIZE)
+                for sub in subs.values()
+            ] == [(start, end - start) for start, end in zip(starts, ends)]
+            moved = Region(region.base + 64 * PAGE_SIZE, region.size)
+            assert layout.rebased(moved) == spec.carve(moved)
+            assert layout.rebased(moved).heap.base == layout.heap.base + 64 * PAGE_SIZE
+        with pytest.raises(ValueError, match=f"region holds {total + 1} pages, layout needs {total}$"):
+            spec.carve(Region(0, spec.total_bytes + PAGE_SIZE))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            (dict(heap_pages=-1), "page counts must be non-negative"),
+            (dict(tls_pages=-2), "page counts must be non-negative"),
+            (dict(code_pages=-1, got_pages=0), "page counts must be non-negative"),
+            (dict(got_pages=0), "code, got and alloc_meta need at least one page"),
+            (dict(alloc_meta_pages=0), "code, got and alloc_meta need at least one page"),
+            (dict(heap_pages=0), "heap and stack need at least one page"),
+            (dict(stack_pages=0), "heap and stack need at least one page"),
+        ],
+    )
+    def test_refused_layout_counts_keep_their_messages(self, counts, message):
+        with pytest.raises(ValueError) as err:
+            LayoutSpec(**counts)
+        assert str(err.value) == message
+
     def test_pids_are_unique_and_never_reused(self, system):
         pids = [system.create_initial_process().pid for _ in range(5)]
         assert len(set(pids)) == 5

@@ -43,6 +43,7 @@ from sasfork.workload.script import (
     format_statement,
 )
 from test_golden import GOLDEN
+from test_kernel import bench_workloads
 
 
 def nested_forks(depth):
@@ -257,6 +258,72 @@ class TestRoundTrip:
         )
         script = parse(text)
         assert parse(print_script(script)) == script
+
+    @pytest.mark.parametrize("name", ["snapshot", "churn", "audited"])
+    def test_each_full_size_benchmark_script_prints_back_byte_for_byte(self, name):
+        text = bench_workloads().WORKLOADS[name].script(1)
+        script = parse(text)
+        printed = print_script(script)
+        assert printed == text
+        assert parse(printed) == script
+
+
+class TestStatementIdentity:
+    @pytest.mark.parametrize(
+        "one, other",
+        [
+            (LoadInt("a", 0), LoadRef("a", 0)),
+            (Wait(), Yield()),
+            (Wait(), Priv()),
+            (Yield(), Priv()),
+            (Open("f"), Close("f")),
+            (Read("f", "a", 0, 8), Write("f", "a", 0, 8)),
+        ],
+        ids=lambda stmt: type(stmt).__name__,
+    )
+    def test_types_with_equal_fields_are_different_statements(self, one, other):
+        assert one != other and not one == other
+        assert other != one and not other == one
+        assert len({one, other}) == 2
+
+    def test_scripts_differ_by_statement_type(self):
+        assert Script((Wait(),)) != Script((Yield(),))
+        assert Script((Wait(),)) == Script((Wait(),))
+        fork = Fork(None, False, (LoadInt("a", 0),))
+        assert fork != Fork(None, False, (LoadRef("a", 0),))
+        assert fork == Fork(label=None, nowait=False, body=(LoadInt("a", 0),))
+
+    def test_a_statement_never_equals_a_plain_tuple(self):
+        stmt = StoreInt("a", 0, 1)
+        assert stmt != ("a", 0, 1) and ("a", 0, 1) != stmt
+        assert not stmt == ("a", 0, 1) and not ("a", 0, 1) == stmt
+        assert Wait() != () and () != Wait()
+        assert len({stmt, ("a", 0, 1)}) == 2
+
+    @pytest.mark.parametrize(
+        "stmt, fields",
+        [
+            (Alloc("b", 64), ("b", 64)),
+            (StoreRef("a", 16, "a", 40), ("a", 16, "a", 40)),
+            (Deref(), (0,)),
+            (Wait(), ()),
+            (Expect("EFAULT"), ("EFAULT",)),
+            (Fork("w", True, (Exit(0), Yield())), ("w", True, ((0,), ()))),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_a_statement_hashes_as_its_field_tuple(self, stmt, fields):
+        assert hash(stmt) == hash(fields)
+        script = Script((stmt,), {"heap": 4})
+        assert hash(script) == hash(((fields,), (("heap", 4),)))
+
+    def test_assigning_a_field_raises(self):
+        stmt = StoreInt("a", 0, 1)
+        with pytest.raises(AttributeError):
+            stmt.value = 2
+        with pytest.raises(AttributeError):
+            Fork(None, False, ()).nowait = True
+        assert stmt == StoreInt("a", 0, 1)
 
 
 class TestExecution:
