@@ -19,10 +19,13 @@ SharedCoPA yes        no        no               child side of copy-on-
 
 The capability-load column is derived from the state
 (``PageState.cap_load``), and a frame's refcount is the size of the page
-set the frame owns, which mapping and unmapping keep in step.  Entries
-are slotted records changed in place: the fork pass write-protects the
-parent's, and the fork engine's promotion pass, which reads them through
-:attr:`AddressSpace.by_page`, makes a sole survivor private again.
+set the frame owns.  This module is the one writer of page sets: mapping
+and unmapping keep them in step with the page table, and log each change
+into the frame table's change logs (see :mod:`sasfork.tagged_memory`).
+Entries are slotted records changed in place: the fork pass
+write-protects the parent's, and the fork engine's promotion pass, which
+reads them through :attr:`AddressSpace.by_page`, makes a sole survivor
+private again.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
@@ -40,10 +43,9 @@ Besides the per-page :meth:`AddressSpace.map` and
 :meth:`~AddressSpace.unmap`, which lazy copies use, three passes change a
 whole region at once: :meth:`~AddressSpace.map_fresh_region` backs every
 page of a fresh region with a new frame at boot and at process creation,
-with the checks and log entries that a :meth:`~AddressSpace.map` per page
-would make; :meth:`~AddressSpace.share_region` maps a parent's pages into
-a child at fork; and :meth:`~AddressSpace.unmap_owned` tears down a
-region at reap.
+with the checks that a :meth:`~AddressSpace.map` per page would make;
+:meth:`~AddressSpace.share_region` maps a parent's pages into a child at
+fork; and :meth:`~AddressSpace.unmap_owned` tears down a region at reap.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -64,7 +66,7 @@ from .errors import (
     SimulatorError,
     UnmappedPage,
 )
-from .tagged_memory import DebugLog, FrameTable, TaggedFrame
+from .tagged_memory import ChangeLog, FrameTable, TaggedFrame
 
 
 class PageState(enum.Enum):
@@ -226,15 +228,16 @@ class AddressSpace:
     # -- mappings ---------------------------------------------------------
 
     def map(self, page_va: int, entry: PageTableEntry) -> None:
+        """Map ``page_va`` and add it to its frame's page set."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
         if page_va in self._pages:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        frames = self._frames
-        frames.attach(entry.frame_id, page_va)
+        frame_id = entry.frame_id
+        self._frames.get(frame_id).pages.add(page_va)
         self._pages[page_va] = entry
-        if frames.changes is not None:
-            frames.changes.add(entry.frame_id)
+        for log in self._frames.logs:
+            log.frames.add(frame_id)
 
     def map_fresh_region(self, region: Region, owner_pid: int, read_only: Region) -> None:
         """Back every page of ``region`` with a new frame, in one pass.
@@ -242,8 +245,7 @@ class AddressSpace:
         Each page is mapped as :meth:`map` would map it, to a frame
         allocated in page order with ``region`` as its origin: private,
         writable except in ``read_only``, and owned by ``owner_pid``.
-        :meth:`FrameTable.allocate` logs each frame for the debug check,
-        and the audit's change log gets it here.  Raises
+        :meth:`FrameTable.allocate` logs each frame.  Raises
         :class:`DoubleMap` before anything changes if a page of the region
         is already mapped.
         """
@@ -253,22 +255,33 @@ class AddressSpace:
             if page_va in pages:
                 raise DoubleMap(f"page {page_va:#x} is already mapped")
         ro_base, ro_end = read_only.base, read_only.end
-        changes = frames.changes
         for page_va in range(base, end, PAGE_SIZE):
             frame = frames.allocate(region)
             frame.pages.add(page_va)
             pages[page_va] = PageTableEntry(
                 frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end, owner_pid
             )
-            if changes is not None:
-                changes.add(frame.frame_id)
 
     def unmap(self, page_va: int) -> int:
-        """Remove a mapping; returns the frame's remaining refcount."""
-        entry = self._pages.pop(page_va, None)
+        """Remove a mapping and drop the page from its frame's page set,
+        freeing a frame left with none; returns the frame's remaining
+        refcount.  Raises before anything changes if the page is not
+        mapped, or its frame does not list it.
+        """
+        entry = self._pages.get(page_va)
         if entry is None:
             raise UnmappedPage(f"page {page_va:#x} is not mapped")
-        return len(self._frames.detach(entry.frame_id, page_va).pages)
+        frames, frame_id = self._frames.by_id, entry.frame_id
+        frame = frames.get(frame_id)
+        if frame is None or page_va not in frame.pages:
+            raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
+        del self._pages[page_va]
+        frame.pages.remove(page_va)
+        if not frame.pages:
+            del frames[frame_id]
+        for log in self._frames.logs:
+            log.frames.add(frame_id)
+        return len(frame.pages)
 
     def share_region(
         self, parent: Region, child: Region, skip: set[int], state: PageState, owner_pid: int
@@ -300,8 +313,8 @@ class AddressSpace:
                 entry.state = _SHARED_COW
                 entry.writable = False
                 written += 1
-        if self._frames.debug_log is not None:
-            self._frames.debug_log.regions.append(child)
+        for log in self._frames.logs:
+            log.regions.append(child)
         return written
 
     def unmap_owned(self, region: Region, pid: int) -> list[TaggedFrame]:
@@ -310,16 +323,16 @@ class AddressSpace:
         Returns, in page order, the frames left with one mapping.
         """
         pages, frames = self._pages, self._frames.by_id
-        log = self._frames.debug_log
-        logged = None if log is None else log.frames
+        logs = self._frames.logs
         survivors = []
         for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
             if entry is None or entry.owner_pid != pid:
                 continue
             frame_id = entry.frame_id
-            if logged is not None:
-                logged.add(frame_id)
+            if logs:  # the common case of no log starts no loop per page
+                for log in logs:
+                    log.frames.add(frame_id)
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
@@ -405,15 +418,15 @@ class AddressSpace:
                 f"frames list {listed} pages, the page table maps {len(self._pages)}"
             )
 
-    def verify_changes(self, log: DebugLog, owners: Mapping[int, Region]) -> None:
+    def verify_changes(self, log: ChangeLog, owners: Mapping[int, Region]) -> None:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
-        only where ``log`` says they may have changed; then empties the log.
+        only where ``log`` says they may have changed; then clears the log.
 
         A logged frame that still exists has a page, and every page in its
         set maps it, so the set lists nothing else.  Each of those entries,
         and each entry in a logged region, maps a frame that lists it and
         lies in its owner's region.  If the facts held when the log was
-        last emptied and every change since was logged, this check passes
+        last cleared and every change since was logged, this check passes
         exactly when the full pass does.
         """
         pages, frames = self._pages, self._frames.by_id

@@ -333,7 +333,7 @@ class ForkEngine:
         pages = sys.address_space.by_page
         private = PageState.PRIVATE
         owners: dict[int, MicroProcess] = {}
-        changes = sys.frames.changes
+        logs = sys.frames.logs
         for frame in frames:
             if len(frame.pages) != 1:
                 continue
@@ -351,8 +351,9 @@ class ForkEngine:
                 frame.origin = owner.region
             entry.state = private
             entry.writable = owner.layout.page_writable(page_va)
-            if changes is not None:
-                changes.add(frame.frame_id)
+            if logs:  # as in the teardown pass: no loop per frame without a log
+                for log in logs:
+                    log.frames.add(frame.frame_id)
 
     # -- exit / wait ----------------------------------------------------------
 

@@ -31,22 +31,19 @@ The sealed entries are not checked, since every process holds the
 gateway's one read-only entry map.
 
 Each sweep re-checks only what changed since the last one, so its cost
-follows the step, not the region.  The first sweep that sees a process
-walks its whole region.  After that, the pages it checks again are
-those of the frames in the frame table's change log
-(:attr:`~sasfork.tagged_memory.FrameTable.changes`), which the sweep
-drains, plus every page that held findings, so violations are reported
-again in place, in page order.  Frames enter the log wherever a tagged
-capability can appear or a page can become cap-loadable: a capability
-store, a relocation scan, :meth:`AddressSpace.map` and a promotion that
-changes an entry's state.  The other mutations log nothing:
-
-* ``share_region``: a child's region is new, so it gets a whole walk,
-  and a parent entry that turns ``SharedCoW`` stays cap-loadable on the
-  same frame;
-* ``unmap_owned`` and ``unmap``: an unmapped page can hold no capability;
-* ``TaggedFrame.store_bytes``: a byte store only untags or drops
-  capabilities.
+follows the step, not the region.  The first sweep adds the audit's own
+:class:`~sasfork.tagged_memory.ChangeLog` to the frame table's logs, and
+the first sweep that sees a process walks its whole region.  After that,
+the pages it checks again are those of the logged frames, plus every page
+that held findings, so violations are reported again in place, in page
+order.  The one logging rule of :mod:`sasfork.tagged_memory` logs a frame
+wherever a tagged capability can appear in it or one of its pages can
+become cap-loadable: a capability store, a relocation scan, a page that
+joins its page set, and a promotion.  A byte store logs nothing, since it
+only untags or drops capabilities.  The sweep clears the logged regions
+without reading them: a child's region is new, so it gets a whole walk,
+and a released pid is no longer audited.  Clearing its log leaves the
+``--debug`` check's log as it was.
 
 The change log is the audit's one record of which pages changed: a
 page it does not name, and that held no findings, is not checked again.
@@ -73,6 +70,7 @@ from .errors import (
     SyscallError,
 )
 from .process import KERNEL_PID, MicroProcess
+from .tagged_memory import ChangeLog
 
 if TYPE_CHECKING:
     from .system import System
@@ -126,8 +124,8 @@ class KernelGateway:
     #: Per running pid, the copy of the registers, symbols and
     #: ``loaded_ref`` the audit last found clean, or None while they hold
     #: findings; its keys are the pids the last sweep audited.  Set, like
-    #: ``_findings``, by the first audit, so a gateway that never audits
-    #: keeps no memo.
+    #: ``_findings``, by the first audit, which also starts ``_changes``, so
+    #: a gateway that never audits keeps no memo and logs nothing.
     _clean_registers: dict[int, tuple | None]
     #: Per running pid, the indices of the region pages that held findings
     #: at the last sweep; set by the first audit.
@@ -140,6 +138,8 @@ class KernelGateway:
         self._entries: dict[str, Capability] = {}
         # Sealed entry -> the unsealed target it invokes.
         self._targets: dict[Capability, Capability] = {}
+        # The audit's change log (see the module docstring).
+        self._changes: ChangeLog | None = None
         # The read-only view of ``_entries`` that every process holds as
         # its ``entry_caps``; made when boot completes, after which no
         # entry can be registered.
@@ -417,13 +417,14 @@ class KernelGateway:
         # Pages, by owner, of the logged frames still alive; an owner the
         # last sweep did not audit gets a whole walk instead.
         touched: dict[int, list[int]] = {}
-        changed = system.frames.changes
-        if changed is None:
+        log = self._changes
+        if log is None:
             # The first audit starts the change log and the memo.
-            changed = system.frames.changes = set()
+            log = self._changes = ChangeLog()
+            system.frames.logs.append(log)
             self._clean_registers = self._findings = {}
         old_registers, old_findings = self._clean_registers, self._findings
-        for frame_id in changed:
+        for frame_id in log.frames:
             frame = frames.get(frame_id)
             if frame is None:
                 continue
@@ -431,7 +432,8 @@ class KernelGateway:
                 owner = pages[page_va].owner_pid
                 if owner in old_registers:
                     touched.setdefault(owner, []).append(page_va)
-        changed.clear()
+        log.frames.clear()
+        log.regions.clear()
         clean_registers: dict[int, tuple | None] = {}
         findings: dict[int, list[int]] = {}
         for proc in map(system.processes.__getitem__, system.unreaped_pids):

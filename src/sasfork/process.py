@@ -160,16 +160,14 @@ class MicroProcess:
 class FileObject:
     """An open file: a byte buffer with a shared read offset.
 
-    ``refcount`` counts fd-table slots across all processes referencing
-    the object; the object itself survives refcount 0 (a named file with
-    no open descriptors still exists).
+    The object outlives its descriptors: a named file with none open
+    still exists.
     """
 
     id: int
     name: str
     data: bytearray = field(default_factory=bytearray)
     read_pos: int = 0
-    refcount: int = 0
 
     def write(self, payload: bytes) -> int:
         self.data += payload
@@ -199,7 +197,6 @@ class FileTable:
             self._by_name[name] = object_id
         fd = proc.next_fd()
         proc.fd_table[fd] = object_id
-        self._objects[object_id].refcount += 1
         return fd
 
     def object_for_fd(self, proc: MicroProcess, fd: int) -> FileObject:
@@ -209,21 +206,13 @@ class FileTable:
             raise BadFd(f"pid {proc.pid} has no fd {fd}") from None
 
     def dup_fd_table(self, src: MicroProcess) -> dict[int, int]:
-        """POSIX fork semantics: same objects, bumped refcounts."""
-        for object_id in src.fd_table.values():
-            self._objects[object_id].refcount += 1
+        """POSIX fork semantics: the child's descriptors name the same objects."""
         return dict(src.fd_table)
 
     def close_fd(self, proc: MicroProcess, fd: int) -> None:
-        object_id = proc.fd_table.pop(fd, None)
-        if object_id is None:
+        if proc.fd_table.pop(fd, None) is None:
             raise BadFd(f"pid {proc.pid} has no fd {fd}")
-        self._objects[object_id].refcount -= 1
 
     def drop_table(self, proc: MicroProcess) -> None:
         """Release every descriptor a process still holds (at reap)."""
-        for fd in list(proc.fd_table):
-            self.close_fd(proc, fd)
-
-    def refcount(self, object_id: int) -> int:
-        return self._objects[object_id].refcount
+        proc.fd_table.clear()

@@ -44,7 +44,7 @@ from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
 from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
-from .tagged_memory import DebugLog, FrameTable, TaggedFrame
+from .tagged_memory import ChangeLog, FrameTable, TaggedFrame
 
 _READ_INT, _WRITE = AccessKind.READ_INT, AccessKind.WRITE
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
@@ -89,6 +89,8 @@ class System:
         self._pid_slots: dict[int, int] = {}  # PID-table slot of each unreaped pid
         self._free_pid_slots: list[int] = []  # heap of slots freed at reap
         self._kernel_buffer_offset = 0
+        # The debug check's change log, set by its first run.
+        self._debug_changes: ChangeLog | None = None
 
         self._boot_kernel()
         self.gateway = KernelGateway(self, isolation)
@@ -144,9 +146,9 @@ class System:
         slot = self._pid_slots.pop(pid)
         self._pid_table().store_bytes(slot * 8, bytes(8))
         heapq.heappush(self._free_pid_slots, slot)
-        if self.frames.debug_log is not None:
-            # Any page the pid still owns now breaks the owner fact.
-            self.frames.debug_log.regions.append(self.processes[pid].region)
+        # Any page the pid still owns now breaks the owner fact.
+        for log in self.frames.logs:
+            log.regions.append(self.processes[pid].region)
 
     @property
     def unreaped_pids(self) -> KeysView[int]:
@@ -397,19 +399,25 @@ class System:
         """Debug check of refcounts and PRS conservation, over what changed.
 
         The owners are the PID-table slot holders (a pid without a slot owns
-        no page) and the kernel.  The first call, and any with ``full``,
-        runs the full pass over every entry and frame
-        (:meth:`AddressSpace.verify_refcounts`) and starts the debug change
-        log afresh; the others re-check only the frames and regions logged
-        since (:meth:`AddressSpace.verify_changes`).  A ``--debug`` run ends
-        with a full pass.
+        no page) and the kernel.  The first call adds the check's own
+        :class:`~sasfork.tagged_memory.ChangeLog` to the frame table's logs.
+        It, and any call with ``full``, runs the full pass over every entry
+        and frame (:meth:`AddressSpace.verify_refcounts`) and clears that
+        log; the others re-check only the frames and regions logged since
+        (:meth:`AddressSpace.verify_changes`).  Neither touches the audit's
+        log.  A ``--debug`` run ends with a full pass.
         """
         owners = {pid: self.processes[pid].region for pid in self.unreaped_pids}
         owners[KERNEL_PID] = self.kernel_region
-        log = self.frames.debug_log
-        if full or log is None:
+        log = self._debug_changes
+        if log is None:
+            log = self._debug_changes = ChangeLog()
+            self.frames.logs.append(log)
+            full = True
+        if full:
             self.address_space.verify_refcounts(owners)
-            self.frames.debug_log = DebugLog()
+            log.frames.clear()
+            log.regions.clear()
         else:
             self.address_space.verify_changes(log, owners)
 

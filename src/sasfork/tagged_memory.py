@@ -42,24 +42,19 @@ applied: the next scan sees the version differ and builds a new one.
 
 A frame also owns the set of pages that map it, the one record of its
 mappers: its refcount is that set's size, and it is freed when it empties.
+The address space is the one writer of page sets.
 
-The frame table also keeps the audit's change log, :attr:`FrameTable.changes`:
-the ids of frames that may have gained a tagged capability, or a page that
-can load one, since the auditor last drained it.  Capability stores and
-relocation scans add to it here; the address space and the promotion pass
-add the frames they map or widen.  It is ``None`` until the first audit,
-so a run that never audits logs nothing.
-
-A second log, :attr:`FrameTable.debug_log`, serves the per-step ``--debug``
-check (:meth:`~sasfork.system.System.verify_invariants`): a
-:class:`DebugLog` of the frames whose page set may have changed and the
-regions whose entries may have.  :meth:`FrameTable.allocate`,
-:meth:`~FrameTable.attach` and :meth:`~FrameTable.detach` log their frame
-here; ``AddressSpace.share_region`` logs the child region,
-``AddressSpace.unmap_owned`` the frames it detaches, and
-``System.release_pid`` the released pid's region.  Each consumer drains only
-its own log.  It is ``None`` until the first check, so a run without
-``--debug`` logs nothing.
+The frame table keeps, in :attr:`FrameTable.logs`, one :class:`ChangeLog`
+per per-step check that has run: the audit's and the ``--debug`` check's.
+Every change is logged into every log, by one rule.  A frame is logged when
+it is allocated, when a capability is written into it (a capability store
+or a relocation scan), when a page joins or leaves its page set
+(``AddressSpace.map``, ``unmap`` and ``unmap_owned``), or when the
+promotion pass widens its entry to private.  A region is logged when a pass
+writes its entries wholesale: the child region at fork
+(``AddressSpace.share_region``) and a released pid's region
+(``System.release_pid``).  Each check clears only its own log, so neither
+drains the other's, and a run with neither check logs nothing.
 """
 
 from __future__ import annotations
@@ -162,10 +157,10 @@ class TaggedFrame:
         return [g in self.caps and self.caps[g].tag for g in range(GRANULES_PER_PAGE)]
 
 
-class DebugLog:
-    """What the per-step debug check reads again: the ids of frames whose
-    page set may have changed, and the regions whose page-table entries
-    may have (see the module docstring)."""
+class ChangeLog:
+    """What a per-step check reads again: the ids of the frames and the
+    regions changed since it last cleared the log (see the module
+    docstring)."""
 
     __slots__ = ("frames", "regions")
 
@@ -175,27 +170,26 @@ class DebugLog:
 
 
 class FrameTable:
-    """Allocator for tagged frames and the pages attached to them.
+    """Allocator for tagged frames.
 
-    The address space attaches and detaches each page it maps; a frame
-    whose last page detaches is freed.  Frame ids are never reused
-    within a run.
+    The address space adds and removes each page it maps in the frame's
+    page set, and frees a frame whose set it empties.  Frame ids are
+    never reused within a run.
     """
 
     def __init__(self) -> None:
         self._frames: dict[int, TaggedFrame] = {}
         self._next_id = 1
-        # The audit's change log and the debug check's (see the module
-        # docstring).
-        self.changes: set[int] | None = None
-        self.debug_log: DebugLog | None = None
+        # The change log of each per-step check that has run (see the
+        # module docstring).
+        self.logs: list[ChangeLog] = []
 
     def allocate(self, origin: Region | None = None) -> TaggedFrame:
         frame = TaggedFrame(self._next_id, origin)
         self._next_id += 1
         self._frames[frame.frame_id] = frame
-        if self.debug_log is not None:
-            self.debug_log.frames.add(frame.frame_id)
+        for log in self.logs:
+            log.frames.add(frame.frame_id)
         return frame
 
     def get(self, frame_id: int) -> TaggedFrame:
@@ -211,25 +205,6 @@ class FrameTable:
         frame = self._frames.get(frame_id)
         return 0 if frame is None else len(frame.pages)
 
-    def attach(self, frame_id: int, page_va: int) -> None:
-        """Record that ``page_va`` maps the frame."""
-        self.get(frame_id).pages.add(page_va)
-        if self.debug_log is not None:
-            self.debug_log.frames.add(frame_id)
-
-    def detach(self, frame_id: int, page_va: int) -> TaggedFrame:
-        """Drop ``page_va`` from the frame's pages; free the frame when none is left."""
-        frame = self.get(frame_id)
-        pages = frame.pages
-        if page_va not in pages:
-            raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
-        pages.remove(page_va)
-        if not pages:
-            del self._frames[frame_id]
-        if self.debug_log is not None:
-            self.debug_log.frames.add(frame_id)
-        return frame
-
     def clone(self, frame_id: int) -> TaggedFrame:
         """Copy bytes, capabilities and origin into a fresh frame."""
         src = self.get(frame_id)
@@ -242,10 +217,10 @@ class FrameTable:
     def by_id(self) -> dict[int, TaggedFrame]:
         """The live frames by id, not a copy.
 
-        The address space's whole-region page passes, its refcount
-        check and the auditor index it directly; the teardown pass
-        deletes a frame whose page set it empties, as :meth:`detach`
-        does.  Nothing else may change it.
+        The address space and the auditor index it directly.  Only the
+        address space's :meth:`~sasfork.address_space.AddressSpace.unmap`
+        and teardown pass delete from it, a frame whose page set they
+        empty; nothing else may change it.
         """
         return self._frames
 
@@ -267,8 +242,8 @@ class FrameTable:
         _pack_word(frame.data, offset + 8, 0)
         frame.caps[granule] = cap
         frame.version += 1
-        if self.changes is not None:
-            self.changes.add(frame.frame_id)
+        for log in self.logs:
+            log.frames.add(frame.frame_id)
 
     def load_capability(self, frame: TaggedFrame, granule: int) -> Capability:
         """Load the capability stored in a granule.
@@ -330,8 +305,8 @@ class FrameTable:
                 )
             frame.version += len(inside)
             rewritten = len(inside)
-            if self.changes is not None:
-                self.changes.add(frame.frame_id)
+            for log in self.logs:
+                log.frames.add(frame.frame_id)
         else:
             others = inside + others
         for granule in others:

@@ -13,7 +13,7 @@ from sasfork.address_space import (
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
 from sasfork.system import System
-from sasfork.tagged_memory import FrameTable
+from sasfork.tagged_memory import ChangeLog, FrameTable
 
 
 @pytest.fixture
@@ -108,11 +108,20 @@ class TestMappings:
         with pytest.raises(SimInternalError, match="frames list"):
             space.verify_refcounts()
 
-    def test_detaching_a_page_that_is_not_attached_is_internal(self, space):
+    def test_unmapping_a_page_its_frame_does_not_list_is_internal_and_changes_nothing(
+        self, space
+    ):
         region, frame = mapped_page(space)
-        with pytest.raises(SimInternalError):
-            space._frames.detach(frame.frame_id, region.base + PAGE_SIZE)
+        other = space.reserve_region(PAGE_SIZE).base
+        space.map(other, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 2))
+        frame.pages.remove(other)
+        entry, log = space.entry_at(other), ChangeLog()
+        space._frames.logs.append(log)
+        with pytest.raises(SimInternalError, match=f"{other:#x}"):
+            space.unmap(other)
+        assert space.entry_at(other) is entry
         assert frame.pages == {region.base}
+        assert not log.frames and not log.regions
 
     def test_region_passes_over_a_page_its_frame_does_not_list_are_internal(self, space):
         region, frame = mapped_page(space)

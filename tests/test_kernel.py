@@ -33,7 +33,6 @@ from sasfork.kernel import (
 )
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
-from sasfork.tagged_memory import FrameTable
 from sasfork.workload import run
 from test_acceptance import STALE_DEMO, corpus
 from test_golden import GEN_SLICE, GOLDEN
@@ -556,15 +555,15 @@ class TestAuditMemo:
         page = child.layout.heap.base
         assert not system.address_space.entry_at(page).state.cap_load
         assert system.gateway.audit().clean
-        assert not system.frames.changes
+        assert not system.gateway._changes.frames
         # The parent's write copies its page; the child is the sole
         # mapper left, so its page is relocated and promoted.
         system.access(parent.pid, buffer_cap(parent, offset=64), AccessKind.WRITE, b"\x02")
         entry = system.address_space.entry_at(page)
         assert entry.state.cap_load
-        assert entry.frame_id in system.frames.changes
+        assert entry.frame_id in system.gateway._changes.frames
         assert system.gateway.audit().clean
-        assert not system.frames.changes
+        assert not system.gateway._changes.frames
 
     def test_memo_stays_bounded_across_reaped_workers(self, monkeypatch):
         real = KernelGateway.audit
@@ -688,7 +687,7 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
 
     def verify_invariants(system, **kwargs):
         registry, pages = system.processes, system.address_space.by_page
-        full = kwargs.get("full") or system.frames.debug_log is None
+        full = kwargs.get("full") or system._debug_changes is None
         records, entries = registry.reads, pages.reads
         real_verify(system, **kwargs)
         entries = pages.reads - entries
@@ -862,10 +861,23 @@ class TestChangeLogEntryPoints:
         # the promotion itself can log it.
         frame.origin = child.region
         system.address_space.unmap(parent.layout.heap.base)
+        # The unmap logs the frame too; a sweep before the promotion, while
+        # the child's page still cannot load capabilities, clears it.
+        assert system.gateway.audit().clean
         system.fork_engine._promote([frame])
         assert system.address_space.entry_at(page).state.cap_load
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
+
+    def test_an_unmap_is_logged_in_both_logs(self):
+        system, parent = audited_system("copa")
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        page = parent.layout.heap.base + PAGE_SIZE
+        frame_id = system.address_space.entry_at(page).frame_id
+        system.address_space.unmap(page)
+        assert system.frames.logs == [system.gateway._changes, system._debug_changes]
+        assert all(log.frames == {frame_id} for log in system.frames.logs)
 
 
 AUDIT_WORK_BODY = (
@@ -953,7 +965,7 @@ def test_the_per_step_check_and_the_full_pass_hold_at_every_step(strategy, monke
     logged = []
 
     def verify_invariants(system, **kwargs):
-        log = system.frames.debug_log
+        log = system._debug_changes
         logged.append(log is not None and bool(log.frames or log.regions))
         real_verify(system, **kwargs)
         real_verify(system, full=True)
@@ -970,16 +982,84 @@ def test_the_per_step_check_and_the_full_pass_hold_at_every_step(strategy, monke
     assert logged.count(True) > 40
 
 
-def _detach_keeps_the_page(monkeypatch):
-    real = FrameTable.detach
+def _holds_changes(log):
+    return log is not None and bool(log.frames or log.regions)
 
-    def detach(self, frame_id, page_va):
-        frame = real(self, frame_id, page_va)
+
+def _contents(log):
+    return None if log is None else (set(log.frames), list(log.regions))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_both_checks_hold_at_every_step_on_their_own_logs(
+    strategy, oracle_audits, monkeypatch
+):
+    """With the audit and the debug check on at once, each clears only its
+    own log: at every step the audit equals the full sweep, the per-step
+    debug check and the full pass both hold, and neither check changes the
+    other's log."""
+    real_verify, real_audit = System.verify_invariants, KernelGateway.audit
+    audit_saw_changes, debug_saw_changes, deferred = [], [], []
+
+    def check_debug(system, kwargs):
+        audit_log = system.gateway._changes
+        debug_saw_changes.append(_holds_changes(audit_log))
+        before = _contents(audit_log)
+        real_verify(system, **kwargs)
+        real_verify(system, full=True)
+        assert _contents(audit_log) == before
+
+    def verify_invariants(system, **kwargs):
+        # Every other per-step check waits until the step's audit has run, so
+        # each check runs at many steps while the other's log holds changes.
+        if len(debug_saw_changes) % 2 and not kwargs:
+            deferred.append(system)
+        else:
+            check_debug(system, kwargs)
+
+    def audit(gateway):
+        debug_log = gateway._sys._debug_changes
+        audit_saw_changes.append(_holds_changes(debug_log))
+        before = _contents(debug_log)
+        report = real_audit(gateway)
+        assert _contents(debug_log) == before
+        if deferred:
+            check_debug(deferred.pop(), {})
+        return report
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    monkeypatch.setattr(KernelGateway, "audit", audit)
+    scripts = {name: text for name, (text, _) in GOLDEN.items()} | GEN_SLICE
+    scripts |= {"nested": NESTED, "stale_demo": STALE_DEMO}
+    for name, text in scripts.items():
+        with monkeypatch.context() as patch:
+            if name == "eagain":
+                patch.setattr(sasfork.system, "PID_SLOTS", 4)
+            system = run(text, strategy, "fault", audit=True, debug=True).system
+        assert not deferred
+        # Each check's first run registered its own log, and only that.
+        logs = system.frames.logs
+        assert len(logs) == 2 and system._debug_changes in logs and system.gateway._changes in logs
+    assert len(oracle_audits) > 200 and len(debug_saw_changes) > 200
+    assert audit_saw_changes.count(True) > 30
+    assert debug_saw_changes.count(True) > 30
+    if strategy != "unsafe-cow":
+        # Under unsafe-cow every run audits.
+        assert run(NESTED, strategy, "fault").system.frames.logs == []
+
+
+def _unmap_keeps_the_page(monkeypatch):
+    real = AddressSpace.unmap
+
+    def unmap(self, page_va):
+        frames = self._frames.by_id
+        frame = frames[self.by_page[page_va].frame_id]
+        real(self, page_va)
         frame.pages.add(page_va)
-        self.by_id[frame_id] = frame
-        return frame
+        frames[frame.frame_id] = frame
+        return len(frame.pages)
 
-    monkeypatch.setattr(FrameTable, "detach", detach)
+    monkeypatch.setattr(AddressSpace, "unmap", unmap)
 
 
 def _share_region_drops_a_child_page(monkeypatch):
@@ -1008,10 +1088,33 @@ def _unmap_owned_leaves_the_last_page(monkeypatch):
     monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
 
 
+def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
+    real = AddressSpace.unmap_owned
+
+    def unmap_owned(self, region, pid):
+        pages, frames = self.by_page, self._frames.by_id
+        owned = [
+            (va, pages[va].frame_id)
+            for va in range(region.base, region.end, PAGE_SIZE)
+            if va in pages and pages[va].owner_pid == pid
+        ]
+        survivors = real(self, region, pid)
+        # The first page whose frame outlives the teardown stays in its set;
+        # the released region lists no entry for it.
+        for page_va, frame_id in owned:
+            if frame_id in frames:
+                frames[frame_id].pages.add(page_va)
+                break
+        return survivors
+
+    monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
+
+
 DEBUG_MUTATIONS = {
-    "detach_keeps_the_page": _detach_keeps_the_page,
+    "unmap_keeps_the_page": _unmap_keeps_the_page,
     "share_region_drops_a_child_page": _share_region_drops_a_child_page,
     "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,
+    "unmap_owned_keeps_a_page_in_its_frame": _unmap_owned_keeps_a_page_in_its_frame,
 }
 
 

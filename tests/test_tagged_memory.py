@@ -15,6 +15,7 @@ from sasfork.capability import (
     rebase_for_child,
 )
 from sasfork import tagged_memory
+from sasfork.address_space import AddressSpace, PageState, PageTableEntry
 from sasfork.errors import OutOfFrame
 from sasfork.tagged_memory import FrameTable
 from sasfork.workload import run
@@ -260,13 +261,14 @@ class TestRelocationPlan:
 
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
+        space = AddressSpace(table)
         frame = table.allocate()
-        table.attach(frame.frame_id, 0x1000)
-        table.attach(frame.frame_id, 0x2000)
+        for page_va in (0x1000, 0x2000):
+            space.map(page_va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 1))
         assert table.refcount(frame.frame_id) == 2
-        assert table.detach(frame.frame_id, 0x1000).pages == {0x2000}
+        assert space.unmap(0x1000) == 1 and frame.pages == {0x2000}
         assert table.exists(frame.frame_id)
-        assert not table.detach(frame.frame_id, 0x2000).pages
+        assert space.unmap(0x2000) == 0 and not frame.pages
         assert not table.exists(frame.frame_id)
         assert table.refcount(frame.frame_id) == 0
 
