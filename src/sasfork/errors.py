@@ -29,7 +29,8 @@ class SealedMutation(CapabilityError):
 
 
 class InvalidInvoke(CapabilityError):
-    """Unseal attempted outside the kernel-gateway dispatcher."""
+    """The invoked capability is not the registered sealed entry for the
+    named syscall."""
 
 
 class OutOfFrame(SimulatorError):
@@ -66,10 +67,6 @@ class BadFd(SimulatorError):
 
 class UnknownPid(SimulatorError):
     """No process with this PID exists."""
-
-
-class DuplicateEntry(SimulatorError):
-    """A syscall entry with this name is already registered."""
 
 
 class MismatchedScripts(SimulatorError):

@@ -3,8 +3,10 @@
 System calls are the only way into the kernel: at boot each syscall gets
 a sealed capability pointing at kernel code, and those sealed values are
 handed to every process.  A sealed capability cannot be dereferenced or
-modified, only invoked through the gateway, which unseals it internally
-and dispatches to the registered handler.  Forged or unsealed
+modified, only invoked through the gateway, which, like CHERI's
+``CInvoke``, dispatches on the sealed capability itself: its object type
+indexes the one syscall table, and only a capability equal to that row's
+entry reaches the row's handler.  Forged, unsealed or lookalike sealed
 capabilities never reach a handler.
 
 Three isolation levels trade checking cost for safety:
@@ -58,17 +60,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
 from .capability import GRANULE, PAGE_SIZE, Capability, Perm, Region
-from .errors import (
-    DuplicateEntry,
-    InvalidInvoke,
-    SimInternalError,
-    SimulatorError,
-    SyscallError,
-)
+from .errors import InvalidInvoke, SimInternalError, SyscallError
 from .process import KERNEL_PID, MicroProcess
 from .tagged_memory import ChangeLog
 
@@ -89,6 +85,16 @@ class ProbeOutcome(enum.Enum):
 
 #: Object-type namespace for sealed syscall entries.
 _ENTRY_OTYPE_BASE = 16
+
+
+class _Syscall(NamedTuple):
+    """One row of the gateway's syscall table."""
+
+    name: str
+    entry: Capability
+    handler: Callable[[int, dict], object]
+    #: What the ``buf`` argument must allow, or None without a buffer.
+    buffer_perm: Perm | None
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,7 @@ class AuditReport:
 
 
 class KernelGateway:
-    """Boot-time entry registration plus runtime dispatch and checks."""
+    """The syscall table, dispatch through it, its checks, and the audit."""
 
     #: Per running pid, the copy of the registers, symbols and
     #: ``loaded_ref`` the audit last found clean, or None while they hold
@@ -134,63 +140,54 @@ class KernelGateway:
     def __init__(self, system: "System", isolation: IsolationLevel):
         self._sys = system
         self.isolation = isolation
-        self._handlers: dict[str, Callable] = {}
-        self._entries: dict[str, Capability] = {}
-        # Sealed entry -> the unsealed target it invokes.
-        self._targets: dict[Capability, Capability] = {}
         # The audit's change log (see the module docstring).
         self._changes: ChangeLog | None = None
-        # The read-only view of ``_entries`` that every process holds as
-        # its ``entry_caps``; made when boot completes, after which no
-        # entry can be registered.
-        self.entries: Mapping[str, Capability] | None = None
+        # Row i is sealed with object type _ENTRY_OTYPE_BASE + i over the
+        # i-th granule of kernel code, so the order fixes both.
+        table = (
+            ("fork", self._sys_fork, None),
+            ("exit", self._sys_exit, None),
+            ("wait", self._sys_wait, None),
+            ("getpid", self._sys_getpid, None),
+            ("open", self._sys_open, None),
+            ("close", self._sys_close, None),
+            ("read", self._sys_read, Perm.STORE),
+            ("write", self._sys_write, Perm.LOAD),
+            ("brk", self._sys_brk, None),
+            ("yield", self._sys_yield, None),
+        )
+        code = system.kernel_code_cap
+        self._rows = tuple(
+            _Syscall(
+                name,
+                code.derive(code.base + i * GRANULE, GRANULE).seal(_ENTRY_OTYPE_BASE + i),
+                handler,
+                buffer_perm,
+            )
+            for i, (name, handler, buffer_perm) in enumerate(table)
+        )
+        # The one read-only name -> sealed entry map, which every process
+        # holds as its ``entry_caps``.
+        self.entries: Mapping[str, Capability] = MappingProxyType(
+            {row.name: row.entry for row in self._rows}
+        )
 
-    def register_default_entries(self) -> None:
-        # The order fixes each entry's object type.
-        handlers = {
-            "fork": self._sys_fork,
-            "exit": self._sys_exit,
-            "wait": self._sys_wait,
-            "getpid": self._sys_getpid,
-            "open": self._sys_open,
-            "close": self._sys_close,
-            "read": self._sys_read,
-            "write": self._sys_write,
-            "brk": self._sys_brk,
-            "yield": self._sys_yield,
-        }
-        for name, handler in handlers.items():
-            self.register_entry(name, handler)
+    def _row(self, cap: Capability) -> _Syscall | None:
+        """The row whose sealed entry ``cap`` is, or None.
 
-    def finish_boot(self) -> None:
-        self.entries = MappingProxyType(self._entries)
-
-    def register_entry(self, name: str, handler: Callable) -> Capability:
-        """Create the sealed entry capability for one syscall (boot only)."""
-        if self.entries is not None:
-            raise SimulatorError("syscall entries are fixed once boot completes")
-        if name in self._entries:
-            raise DuplicateEntry(f"entry {name!r} already registered")
-        index = len(self._entries)
-        code = self._sys.kernel_code_cap
-        target = code.derive(code.base + index * GRANULE, GRANULE)
-        sealed = target.seal(_ENTRY_OTYPE_BASE + index)
-        self._entries[name] = sealed
-        self._targets[sealed] = target
-        self._handlers[name] = handler
-        return sealed
+        The object type selects the row, and only a capability equal to
+        its entry, tag and bounds included, is that entry.
+        """
+        if cap.otype is None:
+            return None
+        index = cap.otype - _ENTRY_OTYPE_BASE
+        if not 0 <= index < len(self._rows):
+            return None
+        row = self._rows[index]
+        return row if cap == row.entry else None
 
     def is_entry_capability(self, cap: Capability) -> bool:
-        return cap.tag and cap in self._targets
-
-    def unseal_invoke(self, cap: Capability, *, context_pid: int) -> Capability:
-        """Recover the unsealed entry target; dispatcher context only."""
-        if context_pid != KERNEL_PID:
-            raise InvalidInvoke("unseal is reserved to the kernel-gateway dispatcher")
-        target = self._targets.get(cap)
-        if target is None:
-            raise InvalidInvoke("not a registered sealed entry")
-        return target
+        return self._row(cap) is not None
 
     # -- dispatch ---------------------------------------------------------
 
@@ -224,43 +221,32 @@ class KernelGateway:
                     Fault(FaultKind.CAP_BOUNDS, pid, page_of(entry.cursor), AccessKind.EXEC)
                 )
             raise InvalidInvoke("entry capability is not sealed")
-        registered = self._entries.get(name)
-        if registered is None:
+        if name not in self.entries:
             raise SyscallError("ENOSYS", f"unknown syscall {name!r}")
-        if entry != registered:
+        row = self._row(entry)
+        if row is None or row.name != name:
             raise InvalidInvoke(f"sealed capability does not match entry {name!r}")
 
-        if self.isolation is IsolationLevel.NONE:
-            if toctou_hook is not None:
-                toctou_hook()
-            return self._handlers[name](pid, args)
-
-        # The buffer capability is a register value the caller cannot
-        # change, so it is checked before anything is read through it.
-        self._validate_args(pid, name, args)
-        if self.isolation is IsolationLevel.FULL:
-            # Buffers land in kernel memory before the handler reads
-            # them, so later stores by the caller cannot reach it.
-            self._copy_in(pid, name, args)
+        needed = row.buffer_perm
+        if needed is not None and self.isolation is not IsolationLevel.NONE:
+            # The buffer capability is a register value the caller cannot
+            # change, so it is checked before anything is read through it.
+            buf, count = args["buf"], args["count"]
+            self._validate_buffer(pid, name, buf, count, needed)
+            if self.isolation is IsolationLevel.FULL and needed & Perm.LOAD:
+                # Buffers land in kernel memory before the handler reads
+                # them, so later stores by the caller cannot reach it.
+                snapshot = self._sys.read_user_bytes(pid, buf, count)
+                self._sys.stash_in_kernel_buffer(snapshot)
+                args["_snapshot"] = snapshot
         if toctou_hook is not None:
             toctou_hook()
-        return self._handlers[name](pid, args)
+        return row.handler(pid, args)
 
-    # -- argument validation and TOCTTOU copies ------------------------------
-
-    def _buffer_spec(self, name: str, args: dict) -> tuple[Capability, int, Perm] | None:
-        """The by-reference argument of a syscall, if it has one."""
-        if name == "write":
-            return args["buf"], args["count"], Perm.LOAD
-        if name == "read":
-            return args["buf"], args["count"], Perm.STORE
-        return None
-
-    def _validate_args(self, pid: int, name: str, args: dict) -> None:
-        spec = self._buffer_spec(name, args)
-        if spec is None:
-            return
-        cap, count, needed = spec
+    def _validate_buffer(
+        self, pid: int, name: str, cap: Capability, count: int, needed: Perm
+    ) -> None:
+        """Check a by-reference argument in place, before any use."""
         if count < 0:
             raise SyscallError("EFAULT", "negative count")
         caller = self._sys.process(pid)
@@ -274,17 +260,6 @@ class KernelGateway:
         )
         if not ok:
             raise SyscallError("EFAULT", f"bad buffer capability for {name}")
-
-    def _copy_in(self, pid: int, name: str, args: dict) -> None:
-        """Snapshot user buffers into kernel memory before use."""
-        spec = self._buffer_spec(name, args)
-        if spec is None:
-            return
-        cap, count, needed = spec
-        if needed & Perm.LOAD:
-            snapshot = self._sys.read_user_bytes(pid, cap, count)
-            self._sys.stash_in_kernel_buffer(snapshot)
-            args["_snapshot"] = snapshot
 
     # -- syscall handlers --------------------------------------------------------
 
@@ -362,7 +337,7 @@ class KernelGateway:
         start = len(obj.data)
         self.syscall(
             pid,
-            self._entries["write"],
+            self.entries["write"],
             "write",
             {"fd": fd, "buf": buf_cap, "count": count},
             toctou_hook=mutate,
@@ -516,7 +491,7 @@ class KernelGateway:
         return (
             cap.tag
             and not region.contains_range(cap.base, cap.top)
-            and cap not in self._targets
+            and not self.is_entry_capability(cap)
         )
 
 

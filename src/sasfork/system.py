@@ -94,8 +94,6 @@ class System:
 
         self._boot_kernel()
         self.gateway = KernelGateway(self, isolation)
-        self.gateway.register_default_entries()
-        self.gateway.finish_boot()
         self.fork_engine = ForkEngine(self)
 
     # -- boot -------------------------------------------------------------

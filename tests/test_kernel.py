@@ -17,14 +17,9 @@ from sasfork.address_space import (
     PageTableEntry,
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm, Region
-from sasfork.errors import (
-    DuplicateEntry,
-    InvalidInvoke,
-    SimInternalError,
-    SimulatorError,
-    SyscallError,
-)
+from sasfork.errors import InvalidInvoke, SimInternalError, SyscallError
 from sasfork.kernel import (
+    _ENTRY_OTYPE_BASE,
     AuditReport,
     AuditViolation,
     IsolationLevel,
@@ -90,30 +85,6 @@ class TestSealedEntries:
             system.gateway.syscall(proc.pid, forged, "getpid", {})
         assert err.value.fault.kind is FaultKind.CAP_BOUNDS
 
-    def test_unseal_outside_the_gateway_is_invalid(self):
-        system = make_system()
-        proc = system.create_initial_process()
-        with pytest.raises(InvalidInvoke):
-            system.gateway.unseal_invoke(proc.entry_caps["fork"], context_pid=proc.pid)
-        unsealed = system.gateway.unseal_invoke(
-            proc.entry_caps["fork"], context_pid=KERNEL_PID
-        )
-        assert not unsealed.sealed
-
-    def test_registration_is_boot_time_only(self):
-        system = make_system()
-        with pytest.raises(SimulatorError):
-            system.gateway.register_entry("late", lambda pid, args: 0)
-
-    def test_duplicate_entry_is_rejected(self):
-        from sasfork.kernel import KernelGateway
-
-        system = make_system()
-        fresh = KernelGateway(system, IsolationLevel.FAULT)  # still "booting"
-        fresh.register_entry("probe", lambda pid, args: 0)
-        with pytest.raises(DuplicateEntry):
-            fresh.register_entry("probe", lambda pid, args: 0)
-
     def test_every_process_shares_one_read_only_entry_map(self):
         system = make_system()
         root = system.create_initial_process()
@@ -126,9 +97,12 @@ class TestSealedEntries:
 
     def test_default_entries_cover_the_syscall_surface(self):
         system = make_system()
-        assert sorted(system.gateway.entries) == sorted(
-            ["fork", "exit", "wait", "getpid", "open", "close", "read", "write", "brk", "yield"]
-        )
+        entries = system.gateway.entries
+        assert list(entries) == [
+            "fork", "exit", "wait", "getpid", "open", "close", "read", "write", "brk", "yield"
+        ]
+        # The table's order fixes each entry's object type.
+        assert [e.otype for e in entries.values()] == list(range(16, 26))
 
     def test_unknown_syscall_is_enosys(self):
         system = make_system()
@@ -142,6 +116,29 @@ class TestSealedEntries:
         proc = system.create_initial_process()
         with pytest.raises(InvalidInvoke):
             system.gateway.syscall(proc.pid, proc.entry_caps["fork"], "getpid", {})
+
+    def test_lookalike_sealed_capabilities_are_not_entries(self):
+        system = make_system()
+        proc = system.create_initial_process()
+        gateway, code = system.gateway, system.kernel_code_cap
+        fork = gateway.entries["fork"]
+        lookalikes = [
+            # fork's object type over other bounds
+            code.derive(code.base + GRANULE, 2 * GRANULE).seal(fork.otype),
+            # one object type past the table
+            code.derive(fork.base, GRANULE).seal(fork.otype + len(gateway.entries)),
+            # one object type below the table
+            code.derive(fork.base, GRANULE).seal(_ENTRY_OTYPE_BASE - 1),
+        ]
+        for cap in lookalikes:
+            with pytest.raises(InvalidInvoke):
+                gateway.syscall(proc.pid, cap, "fork", {})
+            assert not gateway.is_entry_capability(cap)
+        proc.registers["r0"] = lookalikes[0]
+        report = gateway.audit()
+        assert [(v.location, v.cap) for v in report.violations] == [
+            ("register:r0", lookalikes[0])
+        ]
 
 
 class TestArgumentValidation:
