@@ -117,28 +117,30 @@ class TestSealedEntries:
         with pytest.raises(InvalidInvoke):
             system.gateway.syscall(proc.pid, proc.entry_caps["fork"], "getpid", {})
 
-    def test_lookalike_sealed_capabilities_are_not_entries(self):
+    @pytest.mark.parametrize(
+        "make_lookalike",
+        [
+            # fork's object type over other bounds
+            lambda code, fork, n: code.derive(code.base + GRANULE, 2 * GRANULE).seal(fork.otype),
+            # one object type past the table
+            lambda code, fork, n: code.derive(fork.base, GRANULE).seal(fork.otype + n),
+            # one object type below the table
+            lambda code, fork, n: code.derive(fork.base, GRANULE).seal(_ENTRY_OTYPE_BASE - 1),
+        ],
+        ids=["other-bounds", "past-the-table", "below-the-table"],
+    )
+    def test_lookalike_sealed_capabilities_are_not_entries(self, make_lookalike):
         system = make_system()
         proc = system.create_initial_process()
-        gateway, code = system.gateway, system.kernel_code_cap
-        fork = gateway.entries["fork"]
-        lookalikes = [
-            # fork's object type over other bounds
-            code.derive(code.base + GRANULE, 2 * GRANULE).seal(fork.otype),
-            # one object type past the table
-            code.derive(fork.base, GRANULE).seal(fork.otype + len(gateway.entries)),
-            # one object type below the table
-            code.derive(fork.base, GRANULE).seal(_ENTRY_OTYPE_BASE - 1),
-        ]
-        for cap in lookalikes:
-            with pytest.raises(InvalidInvoke):
-                gateway.syscall(proc.pid, cap, "fork", {})
-            assert not gateway.is_entry_capability(cap)
-        proc.registers["r0"] = lookalikes[0]
+        gateway = system.gateway
+        cap = make_lookalike(system.kernel_code_cap, gateway.entries["fork"], len(gateway.entries))
+        assert cap.sealed
+        with pytest.raises(InvalidInvoke):
+            gateway.syscall(proc.pid, cap, "fork", {})
+        assert not gateway.is_entry_capability(cap)
+        proc.registers["r0"] = cap
         report = gateway.audit()
-        assert [(v.location, v.cap) for v in report.violations] == [
-            ("register:r0", lookalikes[0])
-        ]
+        assert [(v.location, v.cap) for v in report.violations] == [("register:r0", cap)]
 
 
 class TestArgumentValidation:
