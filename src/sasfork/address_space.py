@@ -318,34 +318,51 @@ class AddressSpace:
         return written
 
     def unmap_owned(self, region: Region, pid: int) -> list[TaggedFrame]:
-        """Unmap every page of ``region`` that ``pid`` owns, in one pass.
+        """Unmap every page of ``region`` that ``pid`` owns, all or nothing.
 
-        Returns, in page order, the frames left with one mapping.
+        Returns, in page order, the frames left with one mapping.  A page
+        its frame does not list raises ``SimInternalError`` once the pages
+        already unmapped and the frames already freed are put back, so a
+        raise changes no entry, page set, live frame or log.
         """
         pages, frames = self._pages, self._frames.by_id
-        logs = self._frames.logs
         survivors = []
+        # What the raise path puts back: for each page walked, in order, the
+        # entry unmapped there or None, and the frames freed.
+        unmapped: list[PageTableEntry | None] = []
+        freed: list[TaggedFrame] = []
         for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
             if entry is None or entry.owner_pid != pid:
+                unmapped.append(None)
                 continue
             frame_id = entry.frame_id
-            if logs:  # the common case of no log starts no loop per page
-                for log in logs:
-                    log.frames.add(frame_id)
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
             except KeyError:
+                for lost in freed:
+                    frames[lost.frame_id] = lost
+                for done_va, done in zip(range(region.base, page_va, PAGE_SIZE), unmapped):
+                    if done is not None:
+                        pages[done_va] = done
+                        frames[done.frame_id].pages.add(done_va)
                 raise SimInternalError(
                     f"page {page_va:#x} is not attached to frame {frame_id}"
                 ) from None
             del pages[page_va]
+            unmapped.append(entry)
             mappers = len(frame.pages)
             if not mappers:
                 del frames[frame_id]
+                freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
+        logs = self._frames.logs
+        if logs:
+            changed = {entry.frame_id for entry in unmapped if entry is not None}
+            for log in logs:
+                log.frames |= changed
         return survivors
 
     def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:

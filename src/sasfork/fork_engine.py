@@ -27,13 +27,13 @@ which a lazy copy also calls with the frame it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame and remap
 the faulting page to it, copy bytes and capabilities, then scan the
-copy's tagged granules and rebase every capability that still targets
-the frame's origin region, following the source frame's relocation plan
-(see :mod:`sasfork.tagged_memory`).  Copies made for the region that
-already owns the frame's contents (the parent side) skip the scan.  When a
-shared frame's page set drops to one page, the surviving mapping is
-promoted back to private; if the survivor is a forked child the frame is
-relocated in place first, so promotion can never expose stale
+copy's tagged granules once and rebase every capability that still
+targets the frame's origin region (see :mod:`sasfork.tagged_memory`);
+no relocation state is kept between copies.  Copies made for the region
+that already owns the frame's contents (the parent side) skip the scan.
+When a shared frame's page set drops to one page, the surviving mapping
+is promoted back to private; if the survivor is a forked child the
+frame is relocated in place first, so promotion can never expose stale
 references.  The promotion pass reads each survivor's entry straight
 from the page table and looks each owner up once per pass.
 
@@ -277,11 +277,10 @@ class ForkEngine:
         itself needs no relocation.
         """
         sys = self._sys
-        src = sys.frames.get(src_frame_id)
         fresh = sys.frames.clone(src_frame_id)
         scanned = relocations = 0
-        if src.origin != dest_region:
-            relocations = sys.frames.scan_and_relocate(fresh, src.origin, dest_region, src)
+        if fresh.origin != dest_region:
+            relocations = sys.frames.scan_and_relocate(fresh, fresh.origin, dest_region)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
         sys.address_space.map(

@@ -17,28 +17,17 @@ heart of reference tracking:
 * integer loads never observe tags.
 
 :meth:`FrameTable.scan_and_relocate` is the relocation primitive used on
-freshly copied child pages: it visits the tagged entries only and
-rewrites every capability that the parent-to-child rebase rule changes.
-A capability whose target lies in neither region is stored back
-untagged; the scan reports only how many granules it rewrote, and the
-caller records that with the copy.
-
-The scan works from a *relocation plan* of the frame it copies from,
-built once per ``(version, parent region)`` and kept in the source
-frame's ``plan`` slot, so it is freed with the frame.  The plan splits
-the tagged granules in two: those whose capability is unsealed and lies
-wholly inside the parent region with its cursor there too, and all the
-others; it also holds the highest base and the lowest top of the first
-group.  A capability lies inside the child region only if its base is
-at or above the child's base and its top at or below the child's end,
-so for a child region that starts above that highest base, or ends
-below that lowest top, no capability of the first group lies in it, and
-the rebase rule is the same shift by ``child.base - parent.base`` for
-each of them: each copy applies the shift without reclassifying them.
-The others, and every granule when the child region fails that test,
-go through :func:`~sasfork.capability.rebase_for_child` one by one.  Every
-store to a tagged granule bumps ``version``, so a stale plan is never
-applied: the next scan sees the version differ and builds a new one.
+freshly copied child pages: it visits each of the frame's entries once
+and rewrites every tagged capability that the parent-to-child rebase
+rule changes.  A tagged capability that is unsealed and lies wholly
+inside the parent region with its cursor there too, and does not
+already lie in the child region, takes the rule's shift by
+``child.base - parent.base`` inline; every other tagged capability goes
+through :func:`~sasfork.capability.rebase_for_child`.  A capability
+whose target lies in neither region is stored back untagged; the scan
+reports only how many granules it rewrote, and the caller records that
+with the copy.  The scan keeps no state between copies: the tags alone
+say which granules to relocate.
 
 A frame also owns the set of pages that map it, the one record of its
 mappers: its refcount is that set's size, and it is freed when it empties.
@@ -73,11 +62,6 @@ from .capability import (
 )
 from .errors import OutOfFrame, SimInternalError
 
-#: A relocation plan: ``(version, parent region, in-region granules,
-#: other tagged granules, highest base and lowest top of the in-region
-#: capabilities)``.
-_Plan = tuple[int, Region, tuple[int, ...], tuple[int, ...], int, int]
-
 #: Writes one little-endian 64-bit word into a frame's bytes: a tagged
 #: granule is its capability's cursor word followed by a zero word.
 _pack_word = struct.Struct("<Q").pack_into
@@ -94,23 +78,18 @@ class TaggedFrame:
     which reserved region the frame's contents are laid out for; the fork
     engine uses it to pick the source region of a relocation scan (a
     frame aliased through several generations of forks still relocates
-    correctly).  ``version`` is bumped on every change to ``caps``; as
-    frame ids are never reused, ``(frame_id, version)`` identifies the
-    frame's capability contents.  ``pages`` holds the virtual page
-    addresses that map the frame.  ``plan`` caches the relocation plan
-    of the frame's contents (see the module docstring), or is ``None``.
+    correctly).  ``pages`` holds the virtual page addresses that map the
+    frame.
     """
 
-    __slots__ = ("frame_id", "data", "caps", "origin", "version", "pages", "plan")
+    __slots__ = ("frame_id", "data", "caps", "origin", "pages")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
         self.data = bytearray(PAGE_SIZE)
         self.caps: dict[int, Capability] = {}
         self.origin = origin
-        self.version = 0
         self.pages: set[int] = set()
-        self.plan: _Plan | None = None
 
     def store_bytes(self, offset: int, payload: bytes) -> None:
         """Write raw bytes; tags of every overlapped granule are cleared."""
@@ -123,7 +102,6 @@ class TaggedFrame:
         for granule in range(offset // GRANULE, (end - 1) // GRANULE + 1) if caps else ():
             if granule not in caps:
                 continue
-            self.version += 1
             lo, hi = max(offset, granule * GRANULE), min(end, (granule + 1) * GRANULE)
             if self.data[lo:hi] == payload[lo - offset : hi - offset]:
                 caps[granule] = caps[granule].untagged()
@@ -241,7 +219,6 @@ class FrameTable:
         _pack_word(frame.data, offset, cap.cursor % (1 << 64))
         _pack_word(frame.data, offset + 8, 0)
         frame.caps[granule] = cap
-        frame.version += 1
         for log in self.logs:
             log.frames.add(frame.frame_id)
 
@@ -260,78 +237,51 @@ class FrameTable:
         cursor = frame.load_value(granule * GRANULE, 8)
         return Capability(base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False)
 
-    def scan_and_relocate(
-        self,
-        frame: TaggedFrame,
-        parent: Region,
-        child: Region,
-        source: TaggedFrame | None = None,
-    ) -> int:
-        """Rewrite every tagged granule the rebase rule would change.
+    def scan_and_relocate(self, frame: TaggedFrame, parent: Region, child: Region) -> int:
+        """Rewrite every tagged granule the rebase rule would change, in one pass.
 
         Replaces each capability whose rebased value differs from the
         stored one; a capability invalidated by the rebase (target in
-        neither region) is stored untagged.  ``source`` is the frame
-        whose capabilities ``frame`` holds unchanged, as after
-        :meth:`clone` (by default ``frame`` itself); the relocation plan
-        is built from it and kept on it.  Returns the number of granules
+        neither region) is stored untagged.  Regions of unequal size raise
+        ``ValueError`` before any write.  Returns the number of granules
         rewritten; a second scan returns 0.
         """
-        if not frame.caps:
-            return 0
-        source = frame if source is None else source
-        plan = source.plan
-        if plan is None or plan[0] != source.version or plan[1] != parent:
-            plan = source.plan = _relocation_plan(source, parent)
-        _, _, inside, others, top_base, bottom_top = plan
         caps = frame.caps
-        rewritten = 0
-        if (
-            inside
-            and (child.base > top_base or child.end < bottom_top)
-            and child.size == parent.size
-        ):
-            # Each granule takes the rebase rule's shift, as store_capability
-            # would store it.  Only the cursor word changes: the second
-            # word of a tagged granule is already zero, and the shifted
-            # cursor lies in the child region, so it needs no wrap.
-            data, delta = frame.data, child.base - parent.base
-            for granule in inside:
-                cap = caps[granule]
-                cursor = cap.cursor + delta
+        if not caps:
+            return 0
+        if parent.size != child.size:
+            raise ValueError("parent and child regions must be the same size")
+        lo, hi = parent.base, parent.end
+        child_lo, child_hi = child.base, child.end
+        data, delta = frame.data, child_lo - lo
+        kept = 0
+        # Rewriting an existing key keeps the dict's size and order, so the
+        # pass may store into the dict it walks.
+        for granule, cap in caps.items():
+            base, length, cursor, perms, otype, tag = cap
+            top = base + length
+            if (
+                tag
+                and otype is None
+                and lo <= base <= top <= hi
+                and lo <= cursor < hi
+                and not (child_lo <= base and top <= child_hi)
+            ):
+                # The rebase rule's shift, as store_capability would store
+                # it.  Only the cursor word changes: the second word of a
+                # tagged granule is already zero, and the shifted cursor
+                # lies in the child region, so it needs no wrap.
+                cursor += delta
                 _pack_word(data, granule * GRANULE, cursor)
                 caps[granule] = _tuple_new(
-                    Capability, (cap.base + delta, cap.length, cursor, cap.perms, None, True)
+                    Capability, (base + delta, length, cursor, perms, None, True)
                 )
-            frame.version += len(inside)
-            rewritten = len(inside)
+            elif tag and (rebased := rebase_for_child(cap, parent, child)) != cap:
+                self.store_capability(frame, granule, rebased)
+            else:
+                kept += 1
+        rewritten = len(caps) - kept
+        if rewritten:
             for log in self.logs:
                 log.frames.add(frame.frame_id)
-        else:
-            others = inside + others
-        for granule in others:
-            cap = caps[granule]
-            rebased = rebase_for_child(cap, parent, child)
-            if rebased != cap:
-                self.store_capability(frame, granule, rebased)
-                rewritten += 1
         return rewritten
-
-
-def _relocation_plan(frame: TaggedFrame, parent: Region) -> _Plan:
-    """Classify the frame's tagged granules for relocation out of ``parent``."""
-    inside: list[int] = []
-    others: list[int] = []
-    top_base, bottom_top = parent.base, parent.end
-    for granule, cap in frame.tagged_caps():
-        base, top = cap.base, cap.base + cap.length
-        if (
-            cap.otype is None
-            and parent.base <= base <= top <= parent.end
-            and parent.contains(cap.cursor)
-        ):
-            inside.append(granule)
-            top_base, bottom_top = max(top_base, base), min(bottom_top, top)
-        else:
-            others.append(granule)
-    return frame.version, parent, tuple(inside), tuple(others), top_base, bottom_top

@@ -12,6 +12,7 @@ from sasfork.address_space import (
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
+from sasfork.process import LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
 
@@ -142,6 +143,25 @@ class TestMappings:
         with pytest.raises(SimInternalError):
             space.unmap_owned(parent, 1)
 
+    def test_a_teardown_over_a_corrupt_last_page_changes_nothing(self):
+        system = System()
+        proc = system.create_initial_process(LayoutSpec(heap_pages=2))
+        space, frames = system.address_space, system.frames.by_id
+        log = ChangeLog()
+        system.frames.logs.append(log)
+        last = proc.region.end - PAGE_SIZE
+        frames[space.entry_at(last).frame_id].pages.clear()
+
+        def state():
+            pages = {fid: set(frame.pages) for fid, frame in frames.items()}
+            return space.entries(), pages, sorted(frames)
+
+        before = state()
+        with pytest.raises(SimInternalError, match=f"{last:#x}"):
+            space.unmap_owned(proc.region, proc.pid)
+        assert state() == before
+        assert not log.frames and not log.regions
+
 
 class TestAccessPipelineOrder:
     """Check ordering is tag, seal, bounds, perms, page state (golden)."""
@@ -268,13 +288,13 @@ class TestDataMovement:
         for offset in (PAGE_SIZE - GRANULE, PAGE_SIZE):
             where = data_cap(region, offset=offset)
             space.check_and_access(1, where, AccessKind.CAP_STORE, data_cap(region))
-        before = [(bytes(f.data), dict(f.caps), f.version) for f in frames]
+        before = [(bytes(f.data), dict(f.caps)) for f in frames]
         crossing = data_cap(region, offset=PAGE_SIZE - 4)
         with pytest.raises(SimInternalError, match="crosses a page"):
             space.check_and_access(1, crossing, AccessKind.WRITE, b"\x11" * 8)
         with pytest.raises(SimInternalError, match="crosses a page"):
             space.check_and_access(1, crossing, AccessKind.READ_INT)
-        assert [(bytes(f.data), dict(f.caps), f.version) for f in frames] == before
+        assert [(bytes(f.data), dict(f.caps)) for f in frames] == before
 
     def test_page_chunked_helpers_round_trip_a_crossing_range(self):
         system = System()

@@ -206,7 +206,7 @@ class TestFaultResolution:
         assert child_events == []
 
 
-class TestRelocationPlanReuse:
+class TestGotRelocation:
     @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
     def test_eager_got_copies_of_an_unchanged_parent_rebase_no_capability_one_by_one(
         self, strategy, monkeypatch
@@ -235,9 +235,9 @@ class TestRelocationPlanReuse:
             got_copies.append((engine.events[index], rebased_for.count(index)))
             engine.exit(child, 0)
             engine.reap(system.process(child))
-        first_copy = got_copies[0][0]
-        assert (first_copy.scanned, first_copy.relocations) == (256, 256)
-        for event, rebased in (got_copies[1], got_copies[49]):
+        # Every GOT capability lies in the parent, so each copy, the first
+        # included, shifts all 256 of them inline.
+        for event, rebased in got_copies:
             assert rebased == 0
             assert (event.scanned, event.relocations) == (256, 256)
         system.verify_invariants()
@@ -526,7 +526,7 @@ def promotion_state(system):
         for va, entry in system.address_space.entries().items()
     }
     frames = {
-        frame_id: (frame.origin, dict(frame.caps), bytes(frame.data), frame.version)
+        frame_id: (frame.origin, dict(frame.caps), bytes(frame.data))
         for frame_id, frame in system.frames.live_frames.items()
     }
     rows = [

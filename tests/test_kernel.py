@@ -878,6 +878,58 @@ class TestChangeLogEntryPoints:
         assert system.frames.logs == [system.gateway._changes, system._debug_changes]
         assert all(log.frames == {frame_id} for log in system.frames.logs)
 
+    # Each site of the one logging rule on its own, into both logs.
+
+    def both_logs_cleared(self, system):
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        logs = system.frames.logs
+        assert logs == [system.gateway._changes, system._debug_changes]
+        assert not any(log.frames or log.regions for log in logs)
+        return logs
+
+    def assert_logged(self, logs, frames=(), regions=()):
+        assert all(log.frames == set(frames) for log in logs)
+        assert all(log.regions == list(regions) for log in logs)
+
+    def test_an_allocation_is_logged_in_both_logs(self):
+        system, _ = audited_system("copa")
+        logs = self.both_logs_cleared(system)
+        frame = system.frames.allocate()
+        self.assert_logged(logs, frames={frame.frame_id})
+
+    def test_a_capability_store_is_logged_in_both_logs(self):
+        system, parent = audited_system("copa")
+        page = parent.layout.heap.base
+        frame = system.frames.get(system.address_space.entry_at(page).frame_id)
+        logs = self.both_logs_cleared(system)
+        system.frames.store_capability(frame, 5, system.kernel_code_cap)
+        self.assert_logged(logs, frames={frame.frame_id})
+
+    def test_a_teardown_is_logged_in_both_logs(self):
+        system, parent = audited_system("coa")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        space = system.address_space
+        owned = {space.entry_at(va).frame_id for va in child.region.page_addresses()}
+        logs = self.both_logs_cleared(system)
+        space.unmap_owned(child.region, child.pid)
+        self.assert_logged(logs, frames=owned)
+
+    def test_a_shared_child_region_is_logged_in_both_logs(self):
+        system, parent = audited_system("coa")
+        space = system.address_space
+        logs = self.both_logs_cleared(system)
+        child = space.reserve_region(parent.region.size)
+        space.share_region(parent.region, child, set(), PageState.SHARED_COA, parent.pid + 1)
+        self.assert_logged(logs, regions=[child])
+
+    def test_a_released_pid_region_is_logged_in_both_logs(self):
+        system, parent = audited_system("coa")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        logs = self.both_logs_cleared(system)
+        system.release_pid(child.pid)
+        self.assert_logged(logs, regions=[child.region])
+
 
 AUDIT_WORK_BODY = (
     "alloc a 8192\nalloc b 4096\nstore_int a+8 7\nstore_ref a+16 b+0\n"

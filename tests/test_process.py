@@ -177,10 +177,10 @@ class TestCreation:
 def image_digest(*specs):
     """sha256 over every frame after boot and one creation per spec.
 
-    Each frame contributes its id, its page set, its ``version``, its
-    origin, its capabilities in granule order and its bytes, kernel
-    frames included.  Permissions enter as their integer value, so the
-    digest does not depend on how a Python version prints a flag.
+    Each frame contributes its id, its page set, its origin, its
+    capabilities in granule order and its bytes, kernel frames included.
+    Permissions enter as their integer value, so the digest does not
+    depend on how a Python version prints a flag.
     """
     sim = System()
     for spec in specs:
@@ -192,7 +192,7 @@ def image_digest(*specs):
             (g, c.base, c.length, c.cursor, c.perms.value, c.otype, c.tag)
             for g, c in frame.caps.items()
         )
-        digest.update(repr((frame_id, sorted(frame.pages), frame.version, origin, caps)).encode())
+        digest.update(repr((frame_id, sorted(frame.pages), origin, caps)).encode())
         digest.update(bytes(frame.data))
     return digest.hexdigest()
 
@@ -208,17 +208,17 @@ SPECS = (
 
 class TestImage:
     """A fresh process image is pinned byte for byte: the code bytes, the
-    GOT capabilities and their frame versions, the allocator cursor and
-    the kernel pages.  How creation builds the image must not move them."""
+    GOT capabilities, the allocator cursor and the kernel pages.  How
+    creation builds the image must not move them."""
 
     @pytest.mark.parametrize(
         "specs, expected",
         [
-            ((SPECS[0],), "d8f9859afc2ae92a6bbacaed82410236ca1a03babe44a8547f14dd27a9593ba7"),
-            ((SPECS[1],), "76b6ae23d90b0eaf2ce7f5da96f964771f6a9a9822db4674022fd72171e974b6"),
-            ((SPECS[2],), "3dbfe72dee918917bf5887af29b4daa9964adc4acd7d330fd6e3ba6f9c95bb77"),
-            ((SPECS[3],), "4869a04e257c08d0630c19959a47c59a1ba6f967e62995acfbf165796ca7c648"),
-            (SPECS[:2], "7e8bdd1c29ebe1e8bb58a9fd0240a045f95b452fa511bb2d7f9f84173b6a4e0a"),
+            ((SPECS[0],), "e6527cdee22beab0e80786749dd00145934d10382eaa9a996956e67a3400bd1a"),
+            ((SPECS[1],), "08c027232f30dc5675ff608e112013e871b8562105ec5e78d0db6e42ff0bd6b9"),
+            ((SPECS[2],), "cef3091dce547ea232d42e07566405a52030cba80c551903328f5b7e8ce5c7e2"),
+            ((SPECS[3],), "f4a4da38c4f737e6d0481369d012644b61c59551ac3cc0317ebe62a1cf9a3aca"),
+            (SPECS[:2], "0d9ee41facac111496c1162d3bb77fef30e601acb0f8cd4d7d219942b22e699f"),
         ],
     )
     def test_fresh_image_digest(self, specs, expected):

@@ -17,7 +17,7 @@ from sasfork.capability import (
 from sasfork import tagged_memory
 from sasfork.address_space import AddressSpace, PageState, PageTableEntry
 from sasfork.errors import OutOfFrame
-from sasfork.tagged_memory import FrameTable
+from sasfork.tagged_memory import ChangeLog, FrameTable
 from sasfork.workload import run
 
 PARENT = Region(0x1_0000, 4 * PAGE_SIZE)
@@ -168,6 +168,52 @@ class TestScanAndRelocate:
         assert table.load_capability(frame, 9) == stray.untagged()
 
 
+#: Where the random capabilities of :func:`random_capability` start and end,
+#: relative to the regions of one scan: each end of either region, and a
+#: target in neither.
+FAR = 0x70_0000
+NUDGES = (-0x20, -0x10, 0, 0x10, 0x40)
+LENGTHS = (0, 0, -0x10, 0x10, 0x40, 0x100)
+
+
+def random_capability(rng, parent, child):
+    """One capability of the kinds the rebase rule tells apart: tagged or
+    not, sealed or not, of zero, negative or positive length, with its
+    cursor inside or outside its bounds and bounds that may straddle
+    either end of either region."""
+    anchors = (parent.base, parent.end, child.base, child.end, FAR)
+    base = rng.choice(anchors) + rng.choice(NUDGES)
+    if rng.random() < 0.3:
+        length = rng.choice(anchors) + rng.choice(NUDGES) - base
+    else:
+        length = rng.choice(LENGTHS)
+    cursor = rng.choice(
+        (base, base + max(length, 0) // 2, rng.choice(anchors) + rng.choice(NUDGES))
+    )
+    otype = rng.choice((3, 17)) if rng.random() < 0.2 else None
+    return Capability(base, length, cursor, DATA_PERMS, otype, rng.random() < 0.85)
+
+
+def random_frame(table, rng, parent, child):
+    """A frame laid out for ``parent`` holding random capabilities, and an
+    untagged granule whose bytes hold a parent address."""
+    frame = table.allocate(origin=parent)
+    for granule in rng.sample(range(GRANULES_PER_PAGE - 1), rng.randrange(1, 24)):
+        table.store_capability(frame, granule, random_capability(rng, parent, child))
+    last = (GRANULES_PER_PAGE - 1) * GRANULE
+    frame.store_bytes(last, parent.base.to_bytes(8, "little"))
+    return frame
+
+
+def outcome(cap, rebased):
+    """What the rebase rule did to one tagged capability."""
+    if rebased == cap:
+        return "unchanged"
+    if not rebased.tag:
+        return "untagged"
+    return "shifted" if rebased.length == cap.length else "clamped"
+
+
 #: Same-sized regions just below and just above PARENT, and one above CHILD.
 BELOW = Region(PARENT.base - PARENT.size, PARENT.size)
 ABOVE = Region(PARENT.end, PARENT.size)
@@ -186,63 +232,44 @@ def rebase_one_at_a_time(table, source, parent, child):
     return frame, rewritten
 
 
-class TestRelocationPlan:
-    def seed_frame(self, table, parent, child):
-        """One capability of each kind the rebase rule tells apart."""
-        frame = table.allocate(origin=parent)
-        kinds = [
-            Capability(parent.base + 0x40, 0x100, parent.base + 0x48, DATA_PERMS),
-            # Straddles the parent's end: the child's copy is clamped.
-            Capability(parent.end - 0x20, 0x40, parent.end - 0x10, DATA_PERMS),
-            Capability(parent.base, 0x10, parent.base, DATA_PERMS, otype=3),
-            Capability(0x70_0000, 0x100, 0x70_0000, DATA_PERMS),
-            # Zero-length at either end of the parent, cursor inside it.
-            Capability(parent.end, 0, parent.base + 0x80, DATA_PERMS),
-            Capability(parent.base, 0, parent.base + 0x80, DATA_PERMS),
-            Capability(child.base + 0x10, 0x20, child.base + 0x10, DATA_PERMS),
-            # Bounds inside the parent, cursor outside it.
-            Capability(parent.base + 0x10, 0x20, parent.end + 0x10, DATA_PERMS),
-            # Negative length: no rebase can leave it a range.
-            Capability(parent.base + 0x100, -0x10, parent.base + 0x100, DATA_PERMS),
-        ]
-        for granule, cap in enumerate(kinds):
-            table.store_capability(frame, 3 * granule + 1, cap)
-        table.store_capability(frame, 200, kinds[0].untagged())
-        frame.store_bytes(100 * GRANULE, parent.base.to_bytes(8, "little"))
-        return frame
+class TestOnePassScan:
+    @pytest.mark.parametrize("in_place", [False, True], ids=["copy", "in-place"])
+    @pytest.mark.parametrize(
+        "parent, child",
+        [(PARENT, CHILD), (PARENT, ABOVE), (PARENT, BELOW), (CHILD, GRANDCHILD)],
+        ids=["far", "above", "below", "grandchild"],
+    )
+    def test_scan_matches_rebasing_one_capability_at_a_time(
+        self, table, parent, child, in_place
+    ):
+        rng = random.Random(f"{parent.base}:{child.base}:{in_place}")
+        log = ChangeLog()
+        table.logs.append(log)
+        seen = set()
+        for _ in range(60):
+            source = random_frame(table, rng, parent, child)
+            want, want_count = rebase_one_at_a_time(table, source, parent, child)
+            seen.update(outcome(cap, want.caps[g]) for g, cap in source.tagged_caps())
+            before = (dict(source.caps), bytes(source.data))
+            frame = source if in_place else table.clone(source.frame_id)
+            log.frames.clear()
+            assert table.scan_and_relocate(frame, parent, child) == want_count
+            assert (frame.caps, frame.data) == (want.caps, want.data)
+            assert (frame.frame_id in log.frames) == (want_count > 0)
+            if not in_place:
+                assert (source.caps, bytes(source.data)) == before
+        # The random capabilities reach every outcome of the rule.
+        assert seen == {"unchanged", "untagged", "shifted", "clamped"}
 
-    def assert_plan_matches_oracle(self, table, source, parent, child):
-        want, want_count = rebase_one_at_a_time(table, source, parent, child)
-        got = table.clone(source.frame_id)
-        assert table.scan_and_relocate(got, parent, child, source) == want_count
-        assert got.caps == want.caps
-        assert got.data == want.data
-        assert got.version == want.version
+    def test_regions_of_unequal_size_raise_before_any_write(self, table):
+        frame = table.allocate(origin=PARENT)
+        table.store_capability(frame, 1, parent_cap(0x40))
+        before = (dict(frame.caps), bytes(frame.data))
+        with pytest.raises(ValueError, match="same size"):
+            table.scan_and_relocate(frame, PARENT, Region(CHILD.base, 2 * PAGE_SIZE))
+        assert (frame.caps, bytes(frame.data)) == before
 
-    @pytest.mark.parametrize("child", [CHILD, BELOW, ABOVE], ids=["far", "below", "above"])
-    def test_planned_scan_matches_rebasing_one_capability_at_a_time(self, table, child):
-        source = self.seed_frame(table, PARENT, child)
-        self.assert_plan_matches_oracle(table, source, PARENT, child)
-        # The plan is kept and reused, then rebuilt once a store bumps the version.
-        self.assert_plan_matches_oracle(table, source, PARENT, child)
-        table.store_capability(source, 250, parent_cap(0x200))
-        self.assert_plan_matches_oracle(table, source, PARENT, child)
-        source.store_bytes(1 * GRANULE + 4, b"\xff")
-        self.assert_plan_matches_oracle(table, source, PARENT, child)
-
-    def test_a_frame_aliased_across_generations_plans_per_parent_region(self, table):
-        source = self.seed_frame(table, PARENT, CHILD)
-        self.assert_plan_matches_oracle(table, source, PARENT, CHILD)
-        self.assert_plan_matches_oracle(table, source, CHILD, GRANDCHILD)
-        self.assert_plan_matches_oracle(table, source, PARENT, GRANDCHILD)
-
-    def test_in_place_scan_matches_the_oracle(self, table):
-        source = self.seed_frame(table, PARENT, CHILD)
-        want, want_count = rebase_one_at_a_time(table, source, PARENT, CHILD)
-        assert table.scan_and_relocate(source, PARENT, CHILD) == want_count
-        assert (source.caps, source.data) == (want.caps, want.data)
-
-    def test_a_child_clear_of_the_plan_rebases_only_the_other_granules(
+    def test_in_parent_capabilities_are_shifted_without_a_rebase_call(
         self, table, monkeypatch
     ):
         calls = []
@@ -252,11 +279,22 @@ class TestRelocationPlan:
             return rebase_for_child(cap, parent, child)
 
         monkeypatch.setattr(tagged_memory, "rebase_for_child", counted)
-        source = self.seed_frame(table, PARENT, CHILD)
-        table.scan_and_relocate(table.clone(source.frame_id), PARENT, CHILD, source)
-        # The in-region capability and the two zero-length ones at the
-        # parent's ends take the shift; the six others are rebased one by one.
-        assert len(calls) == 6
+        frame = table.allocate(origin=PARENT)
+        kinds = [
+            Capability(PARENT.base + 0x40, 0x100, PARENT.base + 0x48, DATA_PERMS),
+            # Zero-length at either end of the parent, cursor inside it.
+            Capability(PARENT.end, 0, PARENT.base + 0x80, DATA_PERMS),
+            Capability(PARENT.base, 0, PARENT.base + 0x80, DATA_PERMS),
+            # Sealed, straddling the parent's end, and in neither region.
+            Capability(PARENT.base, 0x10, PARENT.base, DATA_PERMS, otype=3),
+            Capability(PARENT.end - 0x20, 0x40, PARENT.end - 0x10, DATA_PERMS),
+            Capability(FAR, 0x100, FAR, DATA_PERMS),
+        ]
+        for granule, cap in enumerate(kinds):
+            table.store_capability(frame, granule, cap)
+        assert table.scan_and_relocate(frame, PARENT, CHILD) == len(kinds)
+        # The first three take the shift; only the others are rebased.
+        assert calls == kinds[3:]
 
 
 class TestRefcounts:
@@ -343,29 +381,6 @@ class TestPerFrameStorage:
         table.store_capability(copy, 9, parent_cap(48))
         assert frame.caps == {7: parent_cap(0), 8: parent_cap(16)}
         assert frame.tags[7] and frame.tags[8] and not frame.tags[9]
-
-    def test_version_changes_exactly_when_caps_change(self, table):
-        frame = table.allocate(origin=PARENT)
-        seen = [frame.version]
-
-        def changed():
-            seen.append(frame.version)
-            return seen[-1] != seen[-2]
-
-        frame.store_bytes(0, b"\x01" * 64)
-        assert not changed()  # no capability in the way
-        table.store_capability(frame, 1, parent_cap(0))
-        assert changed()
-        table.scan_and_relocate(frame, PARENT, CHILD)
-        assert changed()
-        frame.store_bytes(GRANULE, frame.data[GRANULE : GRANULE + 8])
-        assert changed()  # untagged in place
-        frame.store_bytes(GRANULE + 4, b"\xff")
-        assert changed()  # entry dropped
-        assert frame.caps == {}
-        frame.store_bytes(GRANULE, b"\x02")
-        assert not changed()
-        assert len(set(seen)) == 5
 
     def test_reaped_workers_leave_no_capability_entries_behind(self):
         def retained(forks):
