@@ -46,17 +46,20 @@ page of a fresh region with a new frame at boot and at process creation,
 with the checks that a :meth:`~AddressSpace.map` per page would make;
 :meth:`~AddressSpace.share_region` maps a parent's pages into a child at
 fork; and :meth:`~AddressSpace.unmap_owned` tears down a region at reap.
+The last two put back what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
-the fragmentation trade-off of contiguous per-process regions.
+the fragmentation trade-off of contiguous per-process regions.  A page's
+owner is the pid of the reservation it lies in (:meth:`~AddressSpace.owner_of`).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, NoReturn
+from typing import NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -95,7 +98,6 @@ class PageTableEntry:
     frame_id: int
     state: PageState
     writable: bool
-    owner_pid: int
 
     @property
     def shared(self) -> bool:
@@ -187,43 +189,37 @@ def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn
     raise FaultError(Fault(kind, pid, page_of(addr), access))
 
 
-def _verify_owner(page_va: int, entry: PageTableEntry, owners: Mapping[int, Region]) -> None:
-    """The entry's owner is in ``owners`` and its region contains the page."""
-    region = owners.get(entry.owner_pid)
-    if region is None or not region.base <= page_va < region.base + region.size:
-        raise SimInternalError(
-            f"prs conservation broken: page {page_va:#x} of pid"
-            f" {entry.owner_pid} lies outside that pid's region"
-        )
-
-
 class AddressSpace:
     """Region reservation, page mappings, and checked accesses."""
 
-    def __init__(
-        self,
-        frames: FrameTable,
-        *,
-        space_limit: int = VIRTUAL_SPACE_LIMIT,
-    ):
+    def __init__(self, frames: FrameTable):
         self._frames = frames
-        self._space_limit = space_limit
         self._next_base = PAGE_SIZE  # address 0 is never reserved
+        self._bases: list[int] = []  # each reservation's base, in address order,
+        self._owners: list[int] = []  # and the pid that owns its pages
         self._pages: dict[int, PageTableEntry] = {}
 
     # -- regions ---------------------------------------------------------
 
-    def reserve_region(self, size: int) -> Region:
-        """Bump-allocate a fresh region; reservations are never reused."""
+    def reserve_region(self, size: int, pid: int) -> Region:
+        """Bump-allocate a fresh region owned by ``pid``; reservations are never reused."""
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"region size must be positive and page-aligned: {size}")
-        if self._next_base + size > self._space_limit:
+        base = self._next_base
+        if base + size > VIRTUAL_SPACE_LIMIT:
             raise AddressSpaceExhausted(
-                f"cannot reserve {size:#x} bytes, {self._space_limit - self._next_base:#x} left"
+                f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
-        region = Region(self._next_base, size)
-        self._next_base += size
-        return region
+        self._bases.append(base)
+        self._owners.append(pid)
+        self._next_base = base + size
+        return Region(base, size)
+
+    def owner_of(self, addr: int) -> int | None:
+        """The pid whose reservation holds ``addr``, or None if none does."""
+        if not PAGE_SIZE <= addr < self._next_base:
+            return None
+        return self._owners[bisect_right(self._bases, addr) - 1]
 
     # -- mappings ---------------------------------------------------------
 
@@ -239,15 +235,14 @@ class AddressSpace:
         for log in self._frames.logs:
             log.frames.add(frame_id)
 
-    def map_fresh_region(self, region: Region, owner_pid: int, read_only: Region) -> None:
+    def map_fresh_region(self, region: Region, read_only: Region) -> None:
         """Back every page of ``region`` with a new frame, in one pass.
 
         Each page is mapped as :meth:`map` would map it, to a frame
         allocated in page order with ``region`` as its origin: private,
-        writable except in ``read_only``, and owned by ``owner_pid``.
-        :meth:`FrameTable.allocate` logs each frame.  Raises
-        :class:`DoubleMap` before anything changes if a page of the region
-        is already mapped.
+        and writable except in ``read_only``.  :meth:`FrameTable.allocate`
+        logs each frame.  Raises :class:`DoubleMap` before anything
+        changes if a page of the region is already mapped.
         """
         pages, frames = self._pages, self._frames
         base, end = region.base, region.end
@@ -258,9 +253,7 @@ class AddressSpace:
         for page_va in range(base, end, PAGE_SIZE):
             frame = frames.allocate(region)
             frame.pages.add(page_va)
-            pages[page_va] = PageTableEntry(
-                frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end, owner_pid
-            )
+            pages[page_va] = PageTableEntry(frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping and drop the page from its frame's page set,
@@ -283,42 +276,54 @@ class AddressSpace:
             log.frames.add(frame_id)
         return len(frame.pages)
 
-    def share_region(
-        self, parent: Region, child: Region, skip: set[int], state: PageState, owner_pid: int
-    ) -> int:
+    def share_region(self, parent: Region, child: Region, skip: set[int], state: PageState) -> int:
         """Map, as :meth:`map` would, each parent page not in ``skip`` read-only
         at the same child offset, and make a private parent entry shared
-        copy-on-write.  Returns the page-table entries written.
+        copy-on-write.  Returns the page-table entries written.  A raise
+        first removes the child entries installed and restores the parent
+        entries changed, so it changes no entry, page set or log.
         """
         pages, frames = self._pages, self._frames.by_id
         delta = child.base - parent.base
-        written = 0
-        for parent_va in range(parent.base, parent.end, PAGE_SIZE):
-            if parent_va in skip:
-                continue
-            entry = pages.get(parent_va)
-            if entry is None:
-                raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
-            child_va = parent_va + delta
-            if child_va in pages:
-                raise DoubleMap(f"page {child_va:#x} is already mapped")
-            frame_id = entry.frame_id
-            frame = frames.get(frame_id)
-            if frame is None:
-                raise SimInternalError(f"frame {frame_id} does not exist")
-            pages[child_va] = PageTableEntry(frame_id, state, False, owner_pid)
-            frame.pages.add(child_va)
-            written += 1
-            if entry.state is _PRIVATE:
-                entry.state = _SHARED_COW
-                entry.writable = False
-                written += 1
+        mapped = len(pages)
+        # What a raise puts back: the entries made copy-on-write, and their old writable.
+        cowed: list[PageTableEntry] = []
+        was_writable: list[bool] = []
+        try:
+            for parent_va in range(parent.base, parent.end, PAGE_SIZE):
+                if parent_va in skip:
+                    continue
+                entry = pages.get(parent_va)
+                if entry is None:
+                    raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                child_va = parent_va + delta
+                if child_va in pages:
+                    raise DoubleMap(f"page {child_va:#x} is already mapped")
+                frame_id = entry.frame_id
+                frame = frames.get(frame_id)
+                if frame is None:
+                    raise SimInternalError(f"frame {frame_id} does not exist")
+                pages[child_va] = PageTableEntry(frame_id, state, False)
+                frame.pages.add(child_va)
+                if entry.state is _PRIVATE:
+                    cowed.append(entry)
+                    was_writable.append(entry.writable)
+                    entry.state = _SHARED_COW
+                    entry.writable = False
+        except (DoubleMap, SimInternalError):
+            for child_va in range(child.base, parent_va + delta, PAGE_SIZE):
+                if child_va - delta not in skip:
+                    frames[pages.pop(child_va).frame_id].pages.remove(child_va)
+            for entry, writable in zip(cowed, was_writable):
+                entry.state = _PRIVATE
+                entry.writable = writable
+            raise
         for log in self._frames.logs:
             log.regions.append(child)
-        return written
+        return len(pages) - mapped + len(cowed)
 
-    def unmap_owned(self, region: Region, pid: int) -> list[TaggedFrame]:
-        """Unmap every page of ``region`` that ``pid`` owns, all or nothing.
+    def unmap_owned(self, region: Region) -> list[TaggedFrame]:
+        """Unmap every page of ``region``, all or nothing.
 
         Returns, in page order, the frames left with one mapping.  A page
         its frame does not list raises ``SimInternalError`` once the pages
@@ -333,7 +338,7 @@ class AddressSpace:
         freed: list[TaggedFrame] = []
         for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
-            if entry is None or entry.owner_pid != pid:
+            if entry is None:
                 unmapped.append(None)
                 continue
             frame_id = entry.frame_id
@@ -365,8 +370,8 @@ class AddressSpace:
                 log.frames |= changed
         return survivors
 
-    def owned_refcounts(self, region: Region, pid: int) -> dict[int, int]:
-        """Pages of ``region`` owned by ``pid``, counted per frame refcount.
+    def owned_refcounts(self, region: Region) -> dict[int, int]:
+        """The mapped pages of ``region``, counted per frame refcount.
 
         The one sweep behind :meth:`Metrics.prs_bytes`.
         """
@@ -374,7 +379,7 @@ class AddressSpace:
         counts: dict[int, int] = {}
         for page_va in range(region.base, region.end, PAGE_SIZE):
             entry = pages.get(page_va)
-            if entry is not None and entry.owner_pid == pid:
+            if entry is not None:
                 frame = frames.get(entry.frame_id)
                 if frame is None:
                     raise SimInternalError(
@@ -400,16 +405,16 @@ class AddressSpace:
         """
         return self._pages
 
-    def verify_refcounts(self, owners: Mapping[int, Region] | None = None) -> None:
+    def verify_refcounts(self, owners: set[int]) -> None:
         """Full debug pass: each frame's page set is exactly the PTEs mapping it.
 
         Once every entry's page is in its frame's set, equal totals mean
-        the sets list nothing else.  With ``owners`` (``pid -> region``) it
-        also checks what resident-set conservation rests on: each entry
-        lies in its owner's region, so one :meth:`owned_refcounts` sweep
-        counts it, and every frame has a page.  It walks every entry and
-        every frame; :meth:`verify_changes` is the per-step check, and
-        this pass is its oracle, so the two share no code.
+        the sets list nothing else.  It also checks what resident-set
+        conservation rests on, given ``owners``, a set of pids: each mapped
+        page lies in the region of a pid in ``owners``, so one
+        :meth:`owned_refcounts` sweep counts it, and every frame has a page.
+        It walks every entry and every frame; it is the oracle of the
+        per-step :meth:`verify_changes`, and shares only the owner check.
         """
         frames = self._frames.by_id
         for page_va, entry in self._pages.items():
@@ -418,13 +423,7 @@ class AddressSpace:
                 raise SimInternalError(
                     f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                 )
-            if owners is not None:
-                region = owners.get(entry.owner_pid)
-                if region is None or not region.base <= page_va < region.base + region.size:
-                    raise SimInternalError(
-                        f"prs conservation broken: page {page_va:#x} of pid"
-                        f" {entry.owner_pid} lies outside that pid's region"
-                    )
+            self._verify_owner(page_va, owners)
         listed = 0
         for frame_id, frame in frames.items():
             if not frame.pages:
@@ -435,16 +434,16 @@ class AddressSpace:
                 f"frames list {listed} pages, the page table maps {len(self._pages)}"
             )
 
-    def verify_changes(self, log: ChangeLog, owners: Mapping[int, Region]) -> None:
+    def verify_changes(self, log: ChangeLog, owners: set[int]) -> None:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
         only where ``log`` says they may have changed; then clears the log.
 
         A logged frame that still exists has a page, and every page in its
         set maps it, so the set lists nothing else.  Each of those entries,
         and each entry in a logged region, maps a frame that lists it and
-        lies in its owner's region.  If the facts held when the log was
-        last cleared and every change since was logged, this check passes
-        exactly when the full pass does.
+        lies in the reservation of a pid in ``owners``.  If the facts held
+        when the log was last cleared and every change since was logged,
+        this check passes exactly when the full pass does.
         """
         pages, frames = self._pages, self._frames.by_id
         for frame_id in log.frames:
@@ -459,7 +458,7 @@ class AddressSpace:
                     raise SimInternalError(
                         f"frame {frame_id} lists page {page_va:#x}, which does not map it"
                     )
-                _verify_owner(page_va, entry, owners)
+                self._verify_owner(page_va, owners)
         for region in log.regions:
             for page_va in range(region.base, region.end, PAGE_SIZE):
                 entry = pages.get(page_va)
@@ -470,9 +469,18 @@ class AddressSpace:
                     raise SimInternalError(
                         f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                     )
-                _verify_owner(page_va, entry, owners)
+                self._verify_owner(page_va, owners)
         log.frames.clear()
         log.regions.clear()
+
+    def _verify_owner(self, page_va: int, owners: set[int]) -> None:
+        """The page lies in the reservation of a pid in ``owners``."""
+        owner = self.owner_of(page_va)
+        if owner not in owners:
+            raise SimInternalError(
+                f"prs conservation broken: page {page_va:#x} lies in no owner's region"
+                f" (reserved for pid {owner})"
+            )
 
     # -- checked accesses --------------------------------------------------
 

@@ -35,7 +35,7 @@ When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
 references.  The promotion pass reads each survivor's entry straight
-from the page table and looks each owner up once per pass.
+from the page table, and its owner from :meth:`AddressSpace.owner_of`.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
@@ -146,7 +146,7 @@ class ForkEngine:
         and rebases every tagged capability in the parent's register
         state (including the PCC) into the child's region.  Fails with
         ``EAGAIN``, before anything is reserved, while the kernel PID
-        table is full.
+        table is full; a later raise leaves the pid, region and eager copies taken.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
@@ -155,7 +155,7 @@ class ForkEngine:
         strategy = sys.strategy
 
         child_pid = sys.allocate_pid()
-        child_region = sys.address_space.reserve_region(parent.region.size)
+        child_region = sys.address_space.reserve_region(parent.region.size, child_pid)
         child_layout = parent.layout.rebased(child_region)
 
         if strategy is ForkStrategy.FULL_COPY:
@@ -177,7 +177,6 @@ class ForkEngine:
                     child_va,
                     entry.frame_id,
                     child_region,
-                    owner_pid=child_pid,
                     writable=child_layout.page_writable(child_va),
                     cause=cause,
                 )
@@ -185,7 +184,7 @@ class ForkEngine:
         eager_pages = ptes_written = len(copied)
         if strategy is not ForkStrategy.FULL_COPY:
             ptes_written += sys.address_space.share_region(
-                parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy], child_pid
+                parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy]
             )
 
         def rebase(cap: Capability) -> Capability:
@@ -238,7 +237,7 @@ class ForkEngine:
             raise UnresolvableFault(
                 f"page {fault.page_va:#x} is not in a shared state"
             )
-        owner = sys.process(entry.owner_pid)
+        owner = self._owner(fault.page_va)
         old_frame = sys.frames.get(entry.frame_id)
         if len(old_frame.pages) < 2:
             # Promotion reverts sole-owner pages to private, so a shared
@@ -252,7 +251,6 @@ class ForkEngine:
             fault.page_va,
             old_frame.frame_id,
             owner.region,
-            owner_pid=owner.pid,
             writable=owner.layout.page_writable(fault.page_va),
             cause=cause,
         )
@@ -266,7 +264,6 @@ class ForkEngine:
         src_frame_id: int,
         dest_region: Region,
         *,
-        owner_pid: int,
         writable: bool,
         cause: CopyCause,
     ) -> CopyEvent:
@@ -283,15 +280,7 @@ class ForkEngine:
             relocations = sys.frames.scan_and_relocate(fresh, fresh.origin, dest_region)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
-        sys.address_space.map(
-            page_va,
-            PageTableEntry(
-                frame_id=fresh.frame_id,
-                state=PageState.PRIVATE,
-                writable=writable,
-                owner_pid=owner_pid,
-            ),
-        )
+        sys.address_space.map(page_va, PageTableEntry(fresh.frame_id, PageState.PRIVATE, writable))
         event = CopyEvent(trigger_pid, page_va, cause, scanned, relocations)
         self.events.append(event)
         self._verify_copy_clean(fresh, dest_region)
@@ -318,6 +307,13 @@ class ForkEngine:
                 f"outside {dest_region}: {frame.caps[granule]}"
             )
 
+    def _owner(self, page_va: int) -> MicroProcess:
+        """The process whose reservation holds a mapped page."""
+        pid = self._sys.address_space.owner_of(page_va)
+        if pid is None:
+            raise SimInternalError(f"mapped page {page_va:#x} lies in no reservation")
+        return self._sys.process(pid)
+
     def _promote(self, frames: Iterable[TaggedFrame]) -> None:
         """Sole survivors of shared frames go back to private access.
 
@@ -326,13 +322,13 @@ class ForkEngine:
         already private.  If the survivor's region is not the frame's
         origin (a child that never copied this page), the frame is
         relocated in place before access is widened, so no stale
-        capability becomes loadable.  Each owner is looked up once.
+        capability becomes loadable.  Survivors in the last owner's region reuse it.
         """
         sys = self._sys
         pages = sys.address_space.by_page
         private = PageState.PRIVATE
-        owners: dict[int, MicroProcess] = {}
         logs = sys.frames.logs
+        base = end = 0
         for frame in frames:
             if len(frame.pages) != 1:
                 continue
@@ -340,13 +336,12 @@ class ForkEngine:
             entry = pages[page_va]
             if entry.state is private:
                 continue
-            pid = entry.owner_pid
-            owner = owners.get(pid)
-            if owner is None:
-                owner = owners[pid] = sys.process(pid)
+            if not base <= page_va < end:
+                owner = self._owner(page_va)
+                base, end = owner.region.base, owner.region.end
             if frame.origin != owner.region:
                 relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
-                sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
+                sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
                 frame.origin = owner.region
             entry.state = private
             entry.writable = owner.layout.page_writable(page_va)
@@ -392,6 +387,6 @@ class ForkEngine:
         sys = self._sys
         if proc.running or proc.pid not in sys.unreaped_pids:
             raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
-        self._promote(sys.address_space.unmap_owned(proc.region, proc.pid))
+        self._promote(sys.address_space.unmap_owned(proc.region))
         sys.files.drop_table(proc)
         sys.release_pid(proc.pid)

@@ -137,9 +137,8 @@ class KernelGateway:
     #: at the last sweep; set by the first audit.
     _findings: dict[int, list[int]]
 
-    def __init__(self, system: "System", isolation: IsolationLevel):
+    def __init__(self, system: "System"):
         self._sys = system
-        self.isolation = isolation
         # The audit's change log (see the module docstring).
         self._changes: ChangeLog | None = None
         # Row i is sealed with object type _ENTRY_OTYPE_BASE + i over the
@@ -228,12 +227,12 @@ class KernelGateway:
             raise InvalidInvoke(f"sealed capability does not match entry {name!r}")
 
         needed = row.buffer_perm
-        if needed is not None and self.isolation is not IsolationLevel.NONE:
+        if needed is not None and self._sys.isolation is not IsolationLevel.NONE:
             # The buffer capability is a register value the caller cannot
             # change, so it is checked before anything is read through it.
             buf, count = args["buf"], args["count"]
             self._validate_buffer(pid, name, buf, count, needed)
-            if self.isolation is IsolationLevel.FULL and needed & Perm.LOAD:
+            if self._sys.isolation is IsolationLevel.FULL and needed & Perm.LOAD:
                 # Buffers land in kernel memory before the handler reads
                 # them, so later stores by the caller cannot reach it.
                 snapshot = self._sys.read_user_bytes(pid, buf, count)
@@ -288,7 +287,7 @@ class KernelGateway:
         proc = self._sys.process(pid)
         obj = self._sys.files.object_for_fd(proc, int(args["fd"]))
         data = obj.read(int(args["count"]))
-        if self.isolation is IsolationLevel.FULL:
+        if self._sys.isolation is IsolationLevel.FULL:
             # Results land in kernel memory first, then copy out.
             self._sys.stash_in_kernel_buffer(data)
         self._sys.write_user_bytes(pid, args["buf"], data)
@@ -404,7 +403,7 @@ class KernelGateway:
             if frame is None:
                 continue
             for page_va in frame.pages:
-                owner = pages[page_va].owner_pid
+                owner = system.address_space.owner_of(page_va)
                 if owner in old_registers:
                     touched.setdefault(owner, []).append(page_va)
         log.frames.clear()
@@ -432,7 +431,7 @@ class KernelGateway:
             for index in indices:
                 page_va = base + index * PAGE_SIZE
                 entry = pages.get(page_va)
-                if entry is None or entry.owner_pid != pid or not entry.state.cap_load:
+                if entry is None or not entry.state.cap_load:
                     continue
                 frame = frames.get(entry.frame_id)
                 if frame is None:

@@ -12,18 +12,19 @@ records: faults, fork cost, capability registers relocated at fork,
 in-place relocation scans at promotion, and the resident set at exit.
 
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
-``PAGE_SIZE / refcount(frame)``.  Every mapping lies in its owner's
-region (the kernel region for pid 0), so one sweep of that region
-counts the owned pages per refcount as integers, and
+``PAGE_SIZE / refcount(frame)``.  A page's owner is the pid its region
+was reserved for (pid 0 for the kernel region), so one sweep of the
+pid's region counts its pages per refcount as integers, and
 :func:`proportional_bytes` turns those counts into one exact
 ``Fraction`` over the least common multiple of the refcounts present.
-The owners' shares sum to every frame exactly once when each mapping
-lies in its owner's region and each frame has one, which the debug
-check tests.  A process that has exited but has not been reaped keeps
-its mappings and its PID-table slot, so its share still counts; a pid
-without a slot reads zero without a sweep (the value at exit is
-preserved separately for reporting, since the interesting number for
-a forked worker is what it consumed while alive).
+The owners' shares sum to every frame exactly once when each mapped
+page lies in the region of a PID-table slot holder or the kernel and
+each frame has a page, which the debug check tests.  A process that
+has exited but has not been reaped keeps its mappings and its PID-table
+slot, so its share still counts; a pid without a slot reads zero
+without a sweep (the value at exit is preserved separately for
+reporting, since the interesting number for a forked worker is what it
+consumed while alive).
 
 Fork latency is a synthetic cost, not wall-clock time:
 ``512 * eager page copies + PTE writes + granules scanned at fork``.
@@ -245,16 +246,12 @@ class Metrics:
             region = system.process(pid).region
             if pid not in system.unreaped_pids:
                 return Fraction(0)
-        return proportional_bytes(system.address_space.owned_refcounts(region, pid))
+        return proportional_bytes(system.address_space.owned_refcounts(region))
 
-    def snapshot(self, pid: int | None = None) -> MetricsReport:
+    def snapshot(self) -> MetricsReport:
         """Pure read of the copy events and counters plus a fresh resident-set sweep."""
         system = self._system
         pids = sorted(set(system.processes) | {0})
-        if pid is not None:
-            if pid not in pids:
-                raise UnknownPid(f"pid {pid} unknown")
-            pids = [pid]
         copies: dict[int, list[CopyEvent]] = {}
         for event in system.fork_engine.events:
             copies.setdefault(event.pid, []).append(event)

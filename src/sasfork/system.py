@@ -93,7 +93,7 @@ class System:
         self._debug_changes: ChangeLog | None = None
 
         self._boot_kernel()
-        self.gateway = KernelGateway(self, isolation)
+        self.gateway = KernelGateway(self)
         self.fork_engine = ForkEngine(self)
 
     # -- boot -------------------------------------------------------------
@@ -105,11 +105,11 @@ class System:
         is read-only.
         """
         self.kernel_region = self.address_space.reserve_region(
-            _KERNEL_PAGES * PAGE_SIZE
+            _KERNEL_PAGES * PAGE_SIZE, KERNEL_PID
         )
         base = self.kernel_region.base
         self.address_space.map_fresh_region(
-            self.kernel_region, KERNEL_PID, read_only=Region(base, PAGE_SIZE)
+            self.kernel_region, read_only=Region(base, PAGE_SIZE)
         )
         self.kernel_code_cap = Capability(
             base=base,
@@ -184,9 +184,9 @@ class System:
         """
         spec = spec or LayoutSpec()
         pid = self.allocate_pid()
-        region = self.address_space.reserve_region(spec.total_bytes)
+        region = self.address_space.reserve_region(spec.total_bytes, pid)
         layout = spec.carve(region)
-        self.address_space.map_fresh_region(region, pid, read_only=layout.code_ro)
+        self.address_space.map_fresh_region(region, read_only=layout.code_ro)
         self._fill_code(layout)
         self._populate_got(layout)
         self._init_allocator(layout)
@@ -328,16 +328,16 @@ class System:
 
     def _debug_access_invariant(self, pid: int, cap: Capability) -> None:
         # Every successful non-kernel access: bounds inside the region
-        # owning the touched page.
+        # holding the touched page.
         if pid == KERNEL_PID:
             return
-        entry = self.address_space.entry_at(cap.cursor)
-        if entry is None or entry.owner_pid == KERNEL_PID:
-            return
-        owner = self.processes.get(entry.owner_pid)
-        if owner is not None and not owner.region.contains_range(cap.base, cap.top):
+        owner = self.address_space.owner_of(cap.cursor)
+        if owner is None:
+            raise SimInternalError(f"access by pid {pid} at {cap.cursor:#x}, in no reservation")
+        proc = self.processes.get(owner)  # None for the kernel
+        if proc is not None and not proc.region.contains_range(cap.base, cap.top):
             raise SimInternalError(
-                f"access by pid {pid} used {cap} outside owner region {owner.region}"
+                f"access by pid {pid} used {cap} outside owner region {proc.region}"
             )
 
     # -- bulk user-memory helpers (page-chunked, fault-resolving) ------------------
@@ -396,17 +396,16 @@ class System:
     def verify_invariants(self, *, full: bool = False) -> None:
         """Debug check of refcounts and PRS conservation, over what changed.
 
-        The owners are the PID-table slot holders (a pid without a slot owns
-        no page) and the kernel.  The first call adds the check's own
-        :class:`~sasfork.tagged_memory.ChangeLog` to the frame table's logs.
-        It, and any call with ``full``, runs the full pass over every entry
-        and frame (:meth:`AddressSpace.verify_refcounts`) and clears that
-        log; the others re-check only the frames and regions logged since
-        (:meth:`AddressSpace.verify_changes`).  Neither touches the audit's
-        log.  A ``--debug`` run ends with a full pass.
+        Each mapped page lies in the region of a PID-table slot holder (a
+        pid without a slot owns no page) or the kernel.  The first call adds
+        the check's own :class:`~sasfork.tagged_memory.ChangeLog` to the
+        frame table's logs.  It, and any call with ``full``, runs the full
+        pass over every entry and frame (:meth:`AddressSpace.verify_refcounts`)
+        and clears that log; the others re-check only the frames and regions
+        logged since (:meth:`AddressSpace.verify_changes`).  Neither touches
+        the audit's log.  A ``--debug`` run ends with a full pass.
         """
-        owners = {pid: self.processes[pid].region for pid in self.unreaped_pids}
-        owners[KERNEL_PID] = self.kernel_region
+        owners = {KERNEL_PID, *self.unreaped_pids}
         log = self._debug_changes
         if log is None:
             log = self._debug_changes = ChangeLog()

@@ -10,9 +10,16 @@ from sasfork.address_space import (
     PageState,
     PageTableEntry,
 )
-from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
+from sasfork.capability import (
+    DATA_PERMS,
+    GRANULE,
+    PAGE_SIZE,
+    VIRTUAL_SPACE_LIMIT,
+    Capability,
+    Perm,
+)
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
-from sasfork.process import LayoutSpec
+from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
 
@@ -23,16 +30,11 @@ def space():
 
 
 def mapped_page(space, *, state=PageState.PRIVATE, writable=True, pid=1):
-    region = space.reserve_region(PAGE_SIZE)
+    region = space.reserve_region(PAGE_SIZE, pid)
     frame = space._frames.allocate(origin=region)
     space.map(
         region.base,
-        PageTableEntry(
-            frame_id=frame.frame_id,
-            state=state,
-            writable=writable,
-            owner_pid=pid,
-        ),
+        PageTableEntry(frame_id=frame.frame_id, state=state, writable=writable),
     )
     return region, frame
 
@@ -46,24 +48,51 @@ def data_cap(region, offset=0, length=None, perms=DATA_PERMS):
 
 class TestRegions:
     def test_successive_reservations_are_disjoint(self, space):
-        a = space.reserve_region(0x0400_0000)
-        b = space.reserve_region(0x0400_0000)
+        a = space.reserve_region(0x0400_0000, 1)
+        b = space.reserve_region(0x0400_0000, 2)
         assert a.end <= b.base or b.end <= a.base
 
     def test_no_reuse_after_any_activity(self, space):
-        a = space.reserve_region(PAGE_SIZE)
-        b = space.reserve_region(PAGE_SIZE)
+        a = space.reserve_region(PAGE_SIZE, 1)
+        b = space.reserve_region(PAGE_SIZE, 2)
         assert b.base >= a.end  # bump-only, never compacted
 
     def test_zero_size_is_an_error(self, space):
         with pytest.raises(ValueError):
-            space.reserve_region(0)
+            space.reserve_region(0, 1)
 
-    def test_exhaustion(self):
-        space = AddressSpace(FrameTable(), space_limit=16 * PAGE_SIZE)
-        space.reserve_region(8 * PAGE_SIZE)
+    def test_exhaustion(self, space):
+        # Reservations are Region values only, so no memory backs them.
+        last = space.reserve_region(VIRTUAL_SPACE_LIMIT - PAGE_SIZE, 1)
+        assert last.end == VIRTUAL_SPACE_LIMIT
         with pytest.raises(AddressSpaceExhausted):
-            space.reserve_region(16 * PAGE_SIZE)
+            space.reserve_region(PAGE_SIZE, 2)
+
+
+class TestOwners:
+    """A page's owner is the pid its reservation was made for."""
+
+    def test_the_first_and_last_page_of_each_region_name_its_pid(self):
+        system = System()
+        procs = [system.create_initial_process(LayoutSpec(heap_pages=n)) for n in (1, 2, 3)]
+        regions = [(KERNEL_PID, system.kernel_region)]
+        regions += [(proc.pid, proc.region) for proc in procs]
+        space = system.address_space
+        for pid, region in regions:
+            assert space.owner_of(region.base) == pid
+            assert space.owner_of(region.end - PAGE_SIZE) == pid
+            assert space.owner_of(region.end - 1) == pid
+
+    def test_an_address_outside_every_reservation_has_no_owner(self):
+        system = System()
+        proc = system.create_initial_process()
+        space = system.address_space
+        assert system.kernel_region.base == PAGE_SIZE
+        assert space.owner_of(0) is None
+        assert space.owner_of(PAGE_SIZE - 1) is None
+        # The last reservation ends at the next free base.
+        assert proc.region.end == space._next_base
+        assert space.owner_of(proc.region.end) is None
 
 
 class TestMappings:
@@ -74,47 +103,44 @@ class TestMappings:
 
     def test_aliasing_one_frame_counts_two(self, space):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE)
-        space.map(
-            other.base,
-            PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 2),
-        )
+        other = space.reserve_region(PAGE_SIZE, 2)
+        space.map(other.base, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
         assert space._frames.refcount(frame.frame_id) == 2
         assert frame.pages == {region.base, other.base}
-        space.verify_refcounts()
+        space.verify_refcounts({1, 2})
         assert space.unmap(region.base) == 1
         assert frame.pages == {other.base}
 
     def test_double_map_and_unmapped_unmap(self, space):
         region, frame = mapped_page(space)
         with pytest.raises(DoubleMap):
-            space.map(region.base, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 1))
+            space.map(region.base, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
         with pytest.raises(UnmappedPage):
             space.unmap(region.base + PAGE_SIZE)
 
     def test_verify_catches_two_pages_that_swapped_frames(self, space):
         a, frame_a = mapped_page(space)
         b, frame_b = mapped_page(space)
-        space.verify_refcounts()
+        space.verify_refcounts({1, 2})
         entries = space.entries()
         entries[a.base].frame_id, entries[b.base].frame_id = frame_b.frame_id, frame_a.frame_id
         # Each frame still has one mapping, so only the page sets can tell.
         assert space._frames.refcount(frame_a.frame_id) == 1
         with pytest.raises(SimInternalError):
-            space.verify_refcounts()
+            space.verify_refcounts({1, 2})
 
     def test_verify_catches_a_frame_listing_an_unmapped_page(self, space):
         region, frame = mapped_page(space)
         frame.pages.add(region.base + PAGE_SIZE)
         with pytest.raises(SimInternalError, match="frames list"):
-            space.verify_refcounts()
+            space.verify_refcounts({1, 2})
 
     def test_unmapping_a_page_its_frame_does_not_list_is_internal_and_changes_nothing(
         self, space
     ):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE).base
-        space.map(other, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 2))
+        other = space.reserve_region(PAGE_SIZE, 2).base
+        space.map(other, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
         frame.pages.remove(other)
         entry, log = space.entry_at(other), ChangeLog()
         space._frames.logs.append(log)
@@ -128,20 +154,20 @@ class TestMappings:
         region, frame = mapped_page(space)
         frame.pages.clear()
         with pytest.raises(SimInternalError):
-            space.unmap_owned(region, 1)
+            space.unmap_owned(region)
         assert space.entry_at(region.base) is not None
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
         parent, frame = mapped_page(space)
-        child = space.reserve_region(PAGE_SIZE)
+        child = space.reserve_region(PAGE_SIZE, 2)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
-            space.share_region(parent, child, set(), PageState.SHARED_COPA, 2)
+            space.share_region(parent, child, set(), PageState.SHARED_COPA)
         assert space.entry_at(child.base) is None
         with pytest.raises(SimInternalError):
-            space.owned_refcounts(parent, 1)
+            space.owned_refcounts(parent)
         with pytest.raises(SimInternalError):
-            space.unmap_owned(parent, 1)
+            space.unmap_owned(parent)
 
     def test_a_teardown_over_a_corrupt_last_page_changes_nothing(self):
         system = System()
@@ -158,9 +184,48 @@ class TestMappings:
 
         before = state()
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
-            space.unmap_owned(proc.region, proc.pid)
+            space.unmap_owned(proc.region)
         assert state() == before
         assert not log.frames and not log.regions
+
+    @pytest.mark.parametrize("fault", ["unmapped parent", "unknown frame", "double map"])
+    def test_a_share_pass_that_raises_at_a_later_page_changes_nothing(self, fault):
+        system = System()
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        space, frames = system.address_space, system.frames.by_id
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        child = space.reserve_region(parent.region.size, parent.pid + 1)
+        delta = child.base - parent.region.base
+        # An eager copy the pass skips, as the fork engine's are.
+        skip = {parent.layout.got.base}
+        eager = system.frames.allocate(origin=child)
+        eager_entry = PageTableEntry(eager.frame_id, PageState.PRIVATE, True)
+        space.map(parent.layout.got.base + delta, eager_entry)
+        last = parent.region.end - PAGE_SIZE
+        if fault == "unmapped parent":
+            space.unmap(last)
+        elif fault == "unknown frame":
+            del frames[space.entry_at(last).frame_id]
+        else:
+            stray = system.frames.allocate()
+            space.map(last + delta, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
+        parent_pages = [space.entry_at(va) for va in parent.region.page_addresses()]
+        # Every earlier parent page is private, some of them read-only.
+        assert {entry.state for entry in parent_pages[:-1]} == {PageState.PRIVATE}
+        assert {entry.writable for entry in parent_pages[:-1]} == {True, False}
+
+        def state():
+            entries = {va: (e.frame_id, e.state, e.writable) for va, e in space.by_page.items()}
+            page_sets = {fid: set(frame.pages) for fid, frame in frames.items()}
+            logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
+            return entries, page_sets, logs
+
+        before = state()
+        assert len(before[2]) == 2
+        with pytest.raises(DoubleMap if fault == "double map" else SimInternalError):
+            space.share_region(parent.region, child, skip, PageState.SHARED_COA)
+        assert state() == before
 
 
 class TestAccessPipelineOrder:
@@ -255,7 +320,7 @@ class TestPageStates:
         assert loaded == stored
 
     def test_unmapped_page_is_an_access_fault(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE)
+        region = space.reserve_region(2 * PAGE_SIZE, 1)
         cap = data_cap(region, offset=PAGE_SIZE)  # second page never mapped
         with pytest.raises(FaultError) as err:
             space.check_and_access(1, cap, AccessKind.READ_INT)
@@ -277,11 +342,11 @@ class TestDataMovement:
         assert space.check_and_access(1, where, AccessKind.CAP_LOAD) == stored
 
     def test_page_crossing_access_is_an_internal_error(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE)
+        region = space.reserve_region(2 * PAGE_SIZE, 1)
         frames = []
         for page_va in region.page_addresses():
             frame = space._frames.allocate(origin=region)
-            space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 1))
+            space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
             frame.store_bytes(0, b"\x5a" * PAGE_SIZE)
             frames.append(frame)
         # A tagged granule on each side of the boundary.

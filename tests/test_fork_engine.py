@@ -35,10 +35,11 @@ def heap_cap(proc, offset=0):
 
 
 def sweep(system, pid):
-    """Oracle: page-table sweep classifying a process's mappings."""
+    """Oracle: page-table sweep classifying the mappings in a process's region."""
+    region = system.process(pid).region
     private, shared = [], []
     for va, entry in system.address_space.entries().items():
-        if entry.owner_pid != pid:
+        if not region.contains(va):
             continue
         if entry.state is PageState.PRIVATE:
             private.append(va)
@@ -350,7 +351,7 @@ class TestExitWait:
         def kernel_tables():
             pid_table = {pid: system.stored_pid(pid) for pid in system.unreaped_pids}
             pages = {
-                va: (entry.frame_id, entry.state, entry.writable, entry.owner_pid)
+                va: (entry.frame_id, entry.state, entry.writable)
                 for va, entry in system.address_space.entries().items()
             }
             return pid_table, system.peek_bytes(system._kernel_data_va, PAGE_SIZE), pages
@@ -395,11 +396,11 @@ class TestDominance:
 
 
 def fork_cost_of(system, pid):
-    return system.metrics.snapshot(pid).rows[0].fork_cost
+    return system.metrics.snapshot().row(pid).fork_cost
 
 
 def eager_of(system, pid):
-    return system.metrics.snapshot(pid).rows[0].eager_pages_copied
+    return system.metrics.snapshot().row(pid).eager_pages_copied
 
 
 class TestBatchedPaths:
@@ -451,7 +452,7 @@ class TestBatchedPaths:
         frame = system.frames.allocate()
         system.address_space.map(
             squatter,
-            PageTableEntry(frame.frame_id, PageState.PRIVATE, True, 0),
+            PageTableEntry(frame.frame_id, PageState.PRIVATE, True),
         )
         with pytest.raises(DoubleMap):
             system.fork_engine.fork(parent.pid)
@@ -470,7 +471,7 @@ class TestBatchedPaths:
         }
         assert not any(child.region.contains(va) for va in indexed)
         assert indexed == set(system.address_space.entries())
-        system.address_space.verify_refcounts()
+        system.verify_invariants(full=True)
         assert system.metrics.prs_bytes(child.pid) == 0
         assert system.metrics.prs_bytes(grandchild) > 0
         system.verify_invariants()
@@ -510,7 +511,7 @@ def promote_one_frame(engine, frame):
     entry = system.address_space.entry_at(page_va)
     if not entry.shared:
         return
-    owner = system.process(entry.owner_pid)
+    owner = next(p for p in system.processes.values() if p.region.contains(page_va))
     if frame.origin != owner.region:
         relocations = system.frames.scan_and_relocate(frame, frame.origin, owner.region)
         system.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
@@ -622,7 +623,7 @@ class TestBatchedPromotion:
             system.frames.store_capability(frame, 0, heap_cap(parent))
             for va in stack.page_addresses():
                 system.address_space.map(
-                    va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, child.pid)
+                    va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False)
                 )
             system.fork_engine.exit(child.pid, 0)
             system.fork_engine.reap(child)

@@ -399,7 +399,7 @@ def full_sweep(system):
         reachable = list(proc.register_caps())
         for page_va in proc.region.page_addresses():
             entry = system.address_space.entry_at(page_va)
-            if entry is None or entry.owner_pid != proc.pid:
+            if entry is None:
                 continue
             if not entry.state.cap_load:
                 continue
@@ -830,7 +830,7 @@ class TestChangeLogEntryPoints:
         page = parent.layout.heap.base
         assert system.gateway.audit().clean
         frame = system.frames.get(system.address_space.entry_at(page).frame_id)
-        elsewhere = system.address_space.reserve_region(parent.region.size)
+        elsewhere = system.address_space.reserve_region(parent.region.size, parent.pid + 1)
         assert system.frames.scan_and_relocate(frame, parent.region, elsewhere) == 1
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
@@ -845,7 +845,7 @@ class TestChangeLogEntryPoints:
         page = parent.layout.heap.base + PAGE_SIZE
         system.address_space.unmap(page)
         system.address_space.map(
-            page, PageTableEntry(frame.frame_id, PageState.PRIVATE, True, parent.pid)
+            page, PageTableEntry(frame.frame_id, PageState.PRIVATE, True)
         )
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=3"]
@@ -912,15 +912,15 @@ class TestChangeLogEntryPoints:
         space = system.address_space
         owned = {space.entry_at(va).frame_id for va in child.region.page_addresses()}
         logs = self.both_logs_cleared(system)
-        space.unmap_owned(child.region, child.pid)
+        space.unmap_owned(child.region)
         self.assert_logged(logs, frames=owned)
 
     def test_a_shared_child_region_is_logged_in_both_logs(self):
         system, parent = audited_system("coa")
         space = system.address_space
         logs = self.both_logs_cleared(system)
-        child = space.reserve_region(parent.region.size)
-        space.share_region(parent.region, child, set(), PageState.SHARED_COA, parent.pid + 1)
+        child = space.reserve_region(parent.region.size, parent.pid + 1)
+        space.share_region(parent.region, child, set(), PageState.SHARED_COA)
         self.assert_logged(logs, regions=[child])
 
     def test_a_released_pid_region_is_logged_in_both_logs(self):
@@ -1116,8 +1116,8 @@ def _unmap_keeps_the_page(monkeypatch):
 def _share_region_drops_a_child_page(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, skip, state, owner_pid):
-        written = real(self, parent, child, skip, state, owner_pid)
+    def share_region(self, parent, child, skip, state):
+        written = real(self, parent, child, skip, state)
         pages, frames = self.by_page, self._frames.by_id
         page_va = next(
             va
@@ -1133,8 +1133,8 @@ def _share_region_drops_a_child_page(monkeypatch):
 def _unmap_owned_leaves_the_last_page(monkeypatch):
     real = AddressSpace.unmap_owned
 
-    def unmap_owned(self, region, pid):
-        return real(self, Region(region.base, region.size - PAGE_SIZE), pid)
+    def unmap_owned(self, region):
+        return real(self, Region(region.base, region.size - PAGE_SIZE))
 
     monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
 
@@ -1142,14 +1142,14 @@ def _unmap_owned_leaves_the_last_page(monkeypatch):
 def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
     real = AddressSpace.unmap_owned
 
-    def unmap_owned(self, region, pid):
+    def unmap_owned(self, region):
         pages, frames = self.by_page, self._frames.by_id
         owned = [
             (va, pages[va].frame_id)
             for va in range(region.base, region.end, PAGE_SIZE)
-            if va in pages and pages[va].owner_pid == pid
+            if va in pages
         ]
-        survivors = real(self, region, pid)
+        survivors = real(self, region)
         # The first page whose frame outlives the teardown stays in its set;
         # the released region lists no entry for it.
         for page_va, frame_id in owned:

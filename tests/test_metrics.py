@@ -68,7 +68,7 @@ class TestProportionalResidentSet:
     def test_snapshot_rejects_unknown_pid(self):
         system = System("copa", "fault")
         with pytest.raises(UnknownPid):
-            system.metrics.snapshot(42)
+            system.metrics.snapshot().row(42)
 
 
 SCRIPT = """
@@ -135,10 +135,12 @@ class TestCompare:
 
 
 def prs_oracle(system, pid):
-    """The original definition: sweep the whole page table by owner."""
+    """The original definition: sweep the whole page table for the pages
+    in the pid's region."""
+    region = system.kernel_region if pid == KERNEL_PID else system.process(pid).region
     total = Fraction(0)
-    for entry in system.address_space.entries().values():
-        if entry.owner_pid == pid:
+    for page_va, entry in system.address_space.entries().items():
+        if region.contains(page_va):
             total += Fraction(PAGE_SIZE, system.frames.refcount(entry.frame_id))
     return total
 
@@ -239,27 +241,20 @@ def test_a_frame_that_no_page_maps_breaks_conservation():
         system.verify_invariants()
 
 
-@pytest.mark.parametrize(
-    "place", ["unreserved", "kernel page in a process region", "page of a reaped pid"]
-)
+@pytest.mark.parametrize("place", ["unreserved", "page of a reaped pid"])
 def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
     system = System("copa", "fault", debug=True)
     parent = system.create_initial_process()
     if place == "unreserved":
-        va, owner = parent.region.end, parent.pid
-    elif place == "kernel page in a process region":
-        va, owner = parent.layout.heap.base, 0
-        system.address_space.unmap(va)
+        va = parent.region.end
     else:
         child = system.process(system.fork_engine.fork(parent.pid))
         system.fork_engine.exit(child.pid, 0)
         system.fork_engine.wait(parent.pid)
         system.verify_invariants()
-        va, owner = child.layout.heap.base, child.pid
+        va = child.layout.heap.base
     stray = system.frames.allocate()
-    system.address_space.map(
-        va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True, owner)
-    )
+    system.address_space.map(va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
     with pytest.raises(SimInternalError, match="prs conservation"):
         system.verify_invariants()
 

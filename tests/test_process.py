@@ -21,11 +21,11 @@ def system():
 class TestCreation:
     def test_default_layout_maps_ten_private_pages(self, system):
         proc = system.create_initial_process()
-        # Oracle: sweep the page table for entries owned by this pid.
+        # Oracle: sweep the page table for the pages this pid owns.
         owned = [
             va
-            for va, entry in system.address_space.entries().items()
-            if entry.owner_pid == proc.pid
+            for va in system.address_space.entries()
+            if system.address_space.owner_of(va) == proc.pid
         ]
         assert len(owned) == 10
         assert sorted(owned) == list(proc.region.page_addresses())
@@ -225,12 +225,12 @@ class TestImage:
         assert image_digest(*specs) == expected
 
 
-def per_page_map(space, region, pid, read_only=None):
+def per_page_map(space, region, read_only=None):
     """The oracle of a fresh-region pass: allocate, then :meth:`map`, per page."""
     for page_va in region.page_addresses():
         frame = space._frames.allocate(origin=region)
         writable = read_only is None or not read_only.contains(page_va)
-        space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, writable, pid))
+        space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, writable))
 
 
 def mapped_state(space):
@@ -254,18 +254,15 @@ class TestFreshRegion:
             if logs:
                 frames.logs += [ChangeLog(), ChangeLog()]
             space = AddressSpace(frames)
-            kernel = space.reserve_region(4 * PAGE_SIZE)
-            region = space.reserve_region(spec.total_bytes)
+            kernel = space.reserve_region(4 * PAGE_SIZE, KERNEL_PID)
+            region = space.reserve_region(spec.total_bytes, 7)
             layout = spec.carve(region)
-            jobs = [
-                (kernel, KERNEL_PID, Region(kernel.base, PAGE_SIZE)),
-                (region, 7, layout.code_ro),
-            ]
-            for job_region, pid, read_only in jobs:
+            jobs = [(kernel, Region(kernel.base, PAGE_SIZE)), (region, layout.code_ro)]
+            for job_region, read_only in jobs:
                 if fresh:
-                    space.map_fresh_region(job_region, pid, read_only=read_only)
+                    space.map_fresh_region(job_region, read_only=read_only)
                 else:
-                    per_page_map(space, job_region, pid, read_only)
+                    per_page_map(space, job_region, read_only)
             states.append(mapped_state(space))
         assert states[0] == states[1]
         entries = states[0][0]
@@ -279,12 +276,12 @@ class TestFreshRegion:
         frames = FrameTable()
         frames.logs += [ChangeLog(), ChangeLog()]
         space = AddressSpace(frames)
-        region = space.reserve_region(4 * PAGE_SIZE)
+        region = space.reserve_region(4 * PAGE_SIZE, 3)
         taken = region.base + 2 * PAGE_SIZE
-        per_page_map(space, Region(taken, PAGE_SIZE), 3)
+        per_page_map(space, Region(taken, PAGE_SIZE))
         before = mapped_state(space)
         with pytest.raises(DoubleMap, match=f"{taken:#x}"):
-            space.map_fresh_region(region, 3, read_only=Region(region.base, PAGE_SIZE))
+            space.map_fresh_region(region, read_only=Region(region.base, PAGE_SIZE))
         assert mapped_state(space) == before
         # No frame id was taken: the next frame is the second ever.
         assert frames.allocate().frame_id == 2

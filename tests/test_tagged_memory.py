@@ -302,7 +302,7 @@ class TestRefcounts:
         space = AddressSpace(table)
         frame = table.allocate()
         for page_va in (0x1000, 0x2000):
-            space.map(page_va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False, 1))
+            space.map(page_va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
         assert table.refcount(frame.frame_id) == 2
         assert space.unmap(0x1000) == 1 and frame.pages == {0x2000}
         assert table.exists(frame.frame_id)
