@@ -561,4 +561,4 @@ class AddressSpace:
             frame.store_bytes(offset, bytes(payload))
             return width
         # READ_INT and EXEC
-        return int.from_bytes(frame.data[offset : offset + width], "little")
+        return int.from_bytes(frame.read(offset, width), "little")

@@ -293,19 +293,23 @@ class ForkEngine:
         """
         lo, hi = dest_region.base, dest_region.end
         is_entry = self._sys.gateway.is_entry_capability
-        failing = [
+        # One pass finds whether any capability escapes; only a failing copy
+        # pays for finding the lowest granule that holds one.
+        for cap in frame.caps.values():
+            base, length, _, _, _, tag = cap
+            if tag and not lo <= base <= base + length <= hi and not is_entry(cap):
+                break
+        else:
+            return
+        granule = min(
             granule
             for granule, cap in frame.caps.items()
-            if cap.tag
-            and not lo <= cap.base <= cap.base + cap.length <= hi
-            and not is_entry(cap)
-        ]
-        if failing:
-            granule = min(failing)
-            raise SimInternalError(
-                f"copied frame {frame.frame_id} granule {granule} still targets "
-                f"outside {dest_region}: {frame.caps[granule]}"
-            )
+            if cap.tag and not lo <= cap.base <= cap.top <= hi and not is_entry(cap)
+        )
+        raise SimInternalError(
+            f"copied frame {frame.frame_id} granule {granule} still targets "
+            f"outside {dest_region}: {frame.caps[granule]}"
+        )
 
     def _owner(self, page_va: int) -> MicroProcess:
         """The process whose reservation holds a mapped page."""

@@ -371,7 +371,7 @@ class System:
         out = bytearray()
         for addr, _, size in _page_chunks(va, count):
             page_off = addr % PAGE_SIZE
-            out += self._mapped_frame(addr, "peek").data[page_off : page_off + size]
+            out += self._mapped_frame(addr, "peek").read(page_off, size)
         return bytes(out)
 
     def poke_bytes(self, va: int, data: bytes) -> None:

@@ -73,8 +73,9 @@ _tuple_eq = tuple.__eq__
 MAX_FORK_DEPTH = 100
 
 #: Most pages a layout may give the root process.  Creating the process
-#: backs every page with a frame, so the limit bounds the host memory a
-#: script can claim (512 MiB of frames); ``heap=65536`` fits.
+#: gives every page a frame, which keeps about 0.6 KiB of host memory until
+#: something is written to it (about 80 MB at the limit), so the limit
+#: bounds what a layout can claim; ``heap=65536`` fits.
 MAX_LAYOUT_PAGES = 1 << 17
 
 

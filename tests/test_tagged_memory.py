@@ -1,6 +1,8 @@
-"""Frame store: tag discipline and the relocation scan."""
+"""Frame store: tag discipline, the relocation scan and chunked frames."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,9 @@ from sasfork.capability import (
 from sasfork import tagged_memory
 from sasfork.address_space import AddressSpace, PageState, PageTableEntry
 from sasfork.errors import OutOfFrame
-from sasfork.tagged_memory import ChangeLog, FrameTable
+from sasfork.process import LayoutSpec
+from sasfork.system import System
+from sasfork.tagged_memory import CHUNK, ChangeLog, FrameTable
 from sasfork.workload import run
 
 PARENT = Region(0x1_0000, 4 * PAGE_SIZE)
@@ -392,3 +396,176 @@ class TestPerFrameStorage:
         many, many_frames = retained(800)
         assert many <= GRANULES_PER_PAGE * many_frames
         assert (many, many_frames) == (few, few_frames)
+
+
+class FlatFrame:
+    """Oracle of one frame: a plain page of bytes and a granule-to-capability
+    dict, following the tag discipline of the `sasfork.tagged_memory`
+    docstring."""
+
+    def __init__(self, page=None, caps=None):
+        self.page = bytearray(PAGE_SIZE) if page is None else bytearray(page)
+        self.caps = {} if caps is None else dict(caps)
+
+    def store_bytes(self, offset, payload):
+        end = offset + len(payload)
+        for granule in range(offset // GRANULE, (end - 1) // GRANULE + 1):
+            if granule in self.caps:
+                lo, hi = max(offset, granule * GRANULE), min(end, (granule + 1) * GRANULE)
+                if self.page[lo:hi] == payload[lo - offset : hi - offset]:
+                    self.caps[granule] = self.caps[granule].untagged()
+                else:
+                    del self.caps[granule]
+        self.page[offset:end] = payload
+
+    def store_capability(self, granule, cap):
+        at = granule * GRANULE
+        self.page[at : at + GRANULE] = (cap.cursor % (1 << 64)).to_bytes(8, "little") + bytes(8)
+        self.caps[granule] = cap
+
+    def load_capability(self, granule):
+        if granule in self.caps:
+            return self.caps[granule]
+        cursor = int.from_bytes(self.page[granule * GRANULE : granule * GRANULE + 8], "little")
+        return Capability(base=cursor, length=0, cursor=cursor, perms=Perm(0), tag=False)
+
+    def relocate(self, parent, child):
+        rewritten = 0
+        for granule, cap in sorted(self.caps.items()):
+            if cap.tag and (rebased := rebase_for_child(cap, parent, child)) != cap:
+                self.store_capability(granule, rebased)
+                rewritten += 1
+        return rewritten
+
+
+def random_span(rng):
+    """An ``(offset, width)`` inside one page, mostly at or across the
+    boundary between two chunks, sometimes the whole page."""
+    roll = rng.random()
+    if roll < 0.05:
+        return 0, PAGE_SIZE
+    if roll < 0.7:
+        boundary = CHUNK * rng.randrange(1, PAGE_SIZE // CHUNK)
+        offset = boundary + rng.randrange(-6, 7)
+        width = rng.randrange(1, 17)
+    else:
+        offset = rng.randrange(PAGE_SIZE)
+        width = rng.randrange(1, 3 * CHUNK)
+    offset = min(offset, PAGE_SIZE - 1)
+    return offset, min(width, PAGE_SIZE - offset)
+
+
+class TestChunkedFrames:
+    """Frames store their page in chunks; checked against :class:`FlatFrame`."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_operations_match_a_flat_page(self, table, seed):
+        rng = random.Random(seed)
+        pairs = [(table.allocate(origin=PARENT), FlatFrame())]
+        for _ in range(400):
+            frame, flat = rng.choice(pairs)
+            op = rng.choice(
+                ("bytes", "bytes", "cap", "value", "load_cap", "clone", "scan", "page")
+            )
+            if op == "bytes":
+                offset, width = random_span(rng)
+                payload = rng.randbytes(width) if rng.random() < 0.7 else bytes(width)
+                frame.store_bytes(offset, payload)
+                flat.store_bytes(offset, payload)
+            elif op == "page":
+                payload = rng.randbytes(PAGE_SIZE)
+                frame.store_bytes(0, payload)
+                flat.store_bytes(0, payload)
+            elif op == "cap":
+                granule = rng.randrange(GRANULES_PER_PAGE)
+                if rng.random() < 0.5:
+                    # The first or the last granule of a chunk.
+                    per_chunk = CHUNK // GRANULE
+                    granule += rng.choice((0, per_chunk - 1)) - granule % per_chunk
+                cap = random_capability(rng, PARENT, CHILD)
+                table.store_capability(frame, granule, cap)
+                flat.store_capability(granule, cap)
+            elif op == "value":
+                offset, width = random_span(rng)
+                want = int.from_bytes(flat.page[offset : offset + width], "little")
+                assert frame.load_value(offset, width) == want
+            elif op == "load_cap":
+                granule = rng.randrange(GRANULES_PER_PAGE)
+                assert table.load_capability(frame, granule) == flat.load_capability(granule)
+            elif op == "clone":
+                copy = table.clone(frame.frame_id)
+                pairs.append((copy, FlatFrame(flat.page, flat.caps)))
+            else:
+                assert table.scan_and_relocate(frame, PARENT, CHILD) == flat.relocate(
+                    PARENT, CHILD
+                )
+            for frame, flat in pairs:
+                assert frame.data == flat.page
+                assert frame.caps == flat.caps
+                assert frame.tags == [
+                    g in flat.caps and flat.caps[g].tag for g in range(GRANULES_PER_PAGE)
+                ]
+                assert all(
+                    type(chunk) is bytearray and len(chunk) == CHUNK
+                    for chunk in frame.chunks.values()
+                )
+        assert len(pairs) > 10
+
+    def test_a_write_reaches_no_other_frame(self, table):
+        untouched = table.allocate()
+        clone = table.clone(untouched.frame_id)
+        written, fresh = table.allocate(), table.allocate()
+        written.store_bytes(CHUNK - 4, b"\xff" * 8)
+        table.store_capability(written, 0, parent_cap(0))
+        clone.store_bytes(0, b"\x01")
+        assert written.load_value(CHUNK - 4, 8) == (1 << 64) - 1
+        assert fresh.data == untouched.data == bytes(PAGE_SIZE)
+        assert not fresh.chunks and not untouched.chunks
+        assert clone.data == b"\x01" + bytes(PAGE_SIZE - 1)
+
+    def test_a_clone_copies_only_written_chunks(self, table):
+        frame = table.allocate()
+        frame.store_bytes(3 * CHUNK + 8, b"\x07")
+        copy = table.clone(frame.frame_id)
+        assert list(copy.chunks) == [3]
+        assert copy.chunks[3] == frame.chunks[3] and copy.chunks[3] is not frame.chunks[3]
+
+
+def kept_bytes(build):
+    """What ``build()`` leaves allocated, after a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
+
+
+class TestFrameMemory:
+    """A page costs what was written to it, not 4 KiB (a frame holding a
+    whole page kept ~4.7 KiB per page)."""
+
+    HEAP = 4096
+
+    def create(self):
+        sim = System()
+        return sim, sim.create_initial_process(LayoutSpec(heap_pages=self.HEAP))
+
+    def test_a_fresh_process_keeps_under_1_5_kib_per_page(self):
+        used, _ = kept_bytes(self.create)
+        assert used / self.HEAP < 1536
+
+    def test_one_store_per_heap_page_keeps_under_2_kib_per_page(self):
+        def build():
+            sim, proc = self.create()
+            for page_va in proc.layout.heap.page_addresses():
+                sim.poke_bytes(page_va + 8, page_va.to_bytes(8, "little"))
+            return sim, proc
+
+        used, (sim, proc) = kept_bytes(build)
+        assert used / self.HEAP < 2048
+        last = proc.layout.heap.end - PAGE_SIZE
+        assert sim.peek_bytes(last, 16) == bytes(8) + last.to_bytes(8, "little")
