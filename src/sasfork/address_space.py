@@ -23,9 +23,23 @@ set the frame owns.  This module is the one writer of page sets: mapping
 and unmapping keep them in step with the page table, and log each change
 into the frame table's change logs (see :mod:`sasfork.tagged_memory`).
 Entries are slotted records changed in place: the fork pass
-write-protects the parent's, and the fork engine's promotion pass, which
-reads them through :attr:`AddressSpace.by_page`, makes a sole survivor
-private again.
+write-protects the parent's, and the fork engine's promotion pass makes a
+sole survivor private again.
+
+A fork installs no child entry for a page it shares.  It records one
+*span* for the child region instead: the child's page state and, per
+page, a *slot* that holds the frame id the child maps there, or ``None``
+where the page has an entry (an eager copy, or a slot already used).
+Each child page is still in its frame's page set from the fork on, so a
+page set stays the refcount.  The first time :meth:`AddressSpace.entry_at`,
+:meth:`~AddressSpace.map`, :meth:`~AddressSpace.unmap` or
+:meth:`~AddressSpace.check_and_access` looks up a live slot, the slot
+becomes the read-only entry the fork would have installed, and is
+cleared: a page is an entry or a live slot, never both.
+:attr:`AddressSpace.by_page` holds the explicit entries only.  The
+read-only walkers (the resident-set sweep, both debug checks,
+:meth:`~AddressSpace.slot_view` for the audit, :meth:`~AddressSpace.entries`
+and a grandchild's share pass) read slots in place and install nothing.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
@@ -44,14 +58,16 @@ Besides the per-page :meth:`AddressSpace.map` and
 whole region at once: :meth:`~AddressSpace.map_fresh_region` backs every
 page of a fresh region with a new frame at boot and at process creation,
 with the checks that a :meth:`~AddressSpace.map` per page would make;
-:meth:`~AddressSpace.share_region` maps a parent's pages into a child at
-fork; and :meth:`~AddressSpace.unmap_owned` tears down a region at reap.
-The last two put back what they changed before they raise.
+:meth:`~AddressSpace.share_region` records a child's span at fork; and
+:meth:`~AddressSpace.unmap_owned` tears down a region's entries and slots
+at reap.  The last two put back what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
-the fragmentation trade-off of contiguous per-process regions.  A page's
-owner is the pid of the reservation it lies in (:meth:`~AddressSpace.owner_of`).
+the fragmentation trade-off of contiguous per-process regions; only a
+fork that fails takes back the reservation it made, unused.  A page's
+owner is the pid of the reservation it lies in (:meth:`~AddressSpace.owner_of`),
+and a span starts at the base of its child's reservation.
 """
 
 from __future__ import annotations
@@ -102,6 +118,18 @@ class PageTableEntry:
     @property
     def shared(self) -> bool:
         return self.state is not PageState.PRIVATE
+
+
+@dataclass(slots=True)
+class _Span:
+    """A child region's shared pages that have no entry yet.
+
+    ``slots[i]`` is the frame id the region's ``i``-th page maps, read-only
+    in ``state``, or ``None`` where the page has an entry or no mapping.
+    """
+
+    state: PageState
+    slots: list[int | None]
 
 
 class AccessKind(enum.Enum):
@@ -198,6 +226,7 @@ class AddressSpace:
         self._bases: list[int] = []  # each reservation's base, in address order,
         self._owners: list[int] = []  # and the pid that owns its pages
         self._pages: dict[int, PageTableEntry] = {}
+        self._spans: dict[int, _Span] = {}  # by the base of the reservation they start
 
     # -- regions ---------------------------------------------------------
 
@@ -221,13 +250,78 @@ class AddressSpace:
             return None
         return self._owners[bisect_right(self._bases, addr) - 1]
 
+    def unreserve(self, region: Region) -> None:
+        """Take back the last reservation, ``region``, which maps nothing.
+
+        For a fork that fails: the bump base goes back to ``region.base``.
+        """
+        bases = self._bases
+        if not bases or bases[-1] != region.base or self._next_base != region.end:
+            raise SimInternalError(f"{region} is not the last reservation")
+        if region.base in self._spans:
+            raise SimInternalError(f"{region} still holds a span")
+        bases.pop()
+        self._owners.pop()
+        self._next_base = region.base
+
+    # -- spans ------------------------------------------------------------
+
+    def _span_at(self, addr: int) -> tuple[_Span | None, int]:
+        """The span of the reservation holding ``addr``, and the slot index of
+        ``addr``'s page in it (which may lie past its slots); or ``(None, 0)``."""
+        spans = self._spans
+        if spans:
+            bases = self._bases
+            index = bisect_right(bases, addr) - 1
+            if index >= 0:
+                base = bases[index]
+                span = spans.get(base)
+                if span is not None:
+                    return span, (addr - base) // PAGE_SIZE
+        return None, 0
+
+    def _materialize(self, page_va: int) -> PageTableEntry | None:
+        """Turn a live slot at ``page_va`` into its entry, or return None."""
+        span, index = self._span_at(page_va)
+        if span is None or index >= len(span.slots):
+            return None
+        slots = span.slots
+        frame_id = slots[index]
+        if frame_id is None:
+            return None
+        slots[index] = None
+        entry = self._pages[page_va] = PageTableEntry(frame_id, span.state, False)
+        return entry
+
+    def _slots_over(self, region: Region) -> list[int | None]:
+        """The frame id of each live slot of ``region``, ``None`` elsewhere,
+        one per page of ``region`` in page order; ``region`` lies in one
+        reservation."""
+        count = region.size // PAGE_SIZE
+        span, first = self._span_at(region.base)
+        if span is None:
+            return [None] * count
+        slots = span.slots[first : first + count]
+        if len(slots) < count:
+            slots += [None] * (count - len(slots))
+        return slots
+
+    def _live_slots(self) -> list[tuple[int, int, PageState]]:
+        """Every live slot, as (page address, frame id, state)."""
+        return [
+            (base + index * PAGE_SIZE, frame_id, span.state)
+            for base, span in self._spans.items()
+            for index, frame_id in enumerate(span.slots)
+            if frame_id is not None
+        ]
+
     # -- mappings ---------------------------------------------------------
 
     def map(self, page_va: int, entry: PageTableEntry) -> None:
         """Map ``page_va`` and add it to its frame's page set."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
-        if page_va in self._pages:
+        if page_va in self._pages or self._materialize(page_va) is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
         frame_id = entry.frame_id
         self._frames.get(frame_id).pages.add(page_va)
@@ -258,12 +352,14 @@ class AddressSpace:
     def unmap(self, page_va: int) -> int:
         """Remove a mapping and drop the page from its frame's page set,
         freeing a frame left with none; returns the frame's remaining
-        refcount.  Raises before anything changes if the page is not
-        mapped, or its frame does not list it.
+        refcount.  Raises before anything but a live slot's materialisation
+        changes if the page is not mapped, or its frame does not list it.
         """
         entry = self._pages.get(page_va)
         if entry is None:
-            raise UnmappedPage(f"page {page_va:#x} is not mapped")
+            entry = self._materialize(page_va)
+            if entry is None:
+                raise UnmappedPage(f"page {page_va:#x} is not mapped")
         frames, frame_id = self._frames.by_id, entry.frame_id
         frame = frames.get(frame_id)
         if frame is None or page_va not in frame.pages:
@@ -277,85 +373,115 @@ class AddressSpace:
         return len(frame.pages)
 
     def share_region(self, parent: Region, child: Region, skip: set[int], state: PageState) -> int:
-        """Map, as :meth:`map` would, each parent page not in ``skip`` read-only
-        at the same child offset, and make a private parent entry shared
-        copy-on-write.  Returns the page-table entries written.  A raise
-        first removes the child entries installed and restores the parent
-        entries changed, so it changes no entry, page set or log.
+        """Share each parent page not in ``skip`` read-only in ``state`` at the
+        same child offset, and make a private parent entry shared
+        copy-on-write.  Returns the page-table entries this stands for.
+
+        The child pages get no entries: one span records, per page, the
+        frame id the child maps there (``None`` for a page in ``skip``),
+        and each child page joins its frame's page set, as :meth:`map`
+        would add it.  A parent page that is itself a live slot is read in
+        place.  ``child`` starts, and lies in, a reservation that holds no
+        span.  A raise first drops the child pages added and restores the
+        parent entries changed, so it changes no entry, span, page set or
+        log.
         """
         pages, frames = self._pages, self._frames.by_id
+        bases = self._bases
+        at = bisect_right(bases, child.base) - 1
+        end = bases[at + 1] if at + 1 < len(bases) else self._next_base
+        if at < 0 or bases[at] != child.base or child.base in self._spans or child.end > end:
+            raise SimInternalError(f"{child} does not start a reservation free of spans")
+        parent_span, first = self._span_at(parent.base)
         delta = child.base - parent.base
-        mapped = len(pages)
+        slots: list[int | None] = []
+        add_slot = slots.append
         # What a raise puts back: the entries made copy-on-write, and their old writable.
         cowed: list[PageTableEntry] = []
         was_writable: list[bool] = []
         try:
             for parent_va in range(parent.base, parent.end, PAGE_SIZE):
                 if parent_va in skip:
+                    add_slot(None)
                     continue
                 entry = pages.get(parent_va)
                 if entry is None:
-                    raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                    frame_id = None
+                    if parent_span is not None and first + len(slots) < len(parent_span.slots):
+                        frame_id = parent_span.slots[first + len(slots)]
+                    if frame_id is None:
+                        raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                else:
+                    frame_id = entry.frame_id
                 child_va = parent_va + delta
                 if child_va in pages:
                     raise DoubleMap(f"page {child_va:#x} is already mapped")
-                frame_id = entry.frame_id
                 frame = frames.get(frame_id)
                 if frame is None:
                     raise SimInternalError(f"frame {frame_id} does not exist")
-                pages[child_va] = PageTableEntry(frame_id, state, False)
                 frame.pages.add(child_va)
-                if entry.state is _PRIVATE:
+                add_slot(frame_id)
+                if entry is not None and entry.state is _PRIVATE:
                     cowed.append(entry)
                     was_writable.append(entry.writable)
                     entry.state = _SHARED_COW
                     entry.writable = False
         except (DoubleMap, SimInternalError):
-            for child_va in range(child.base, parent_va + delta, PAGE_SIZE):
-                if child_va - delta not in skip:
-                    frames[pages.pop(child_va).frame_id].pages.remove(child_va)
+            for child_va, frame_id in zip(range(child.base, child.end, PAGE_SIZE), slots):
+                if frame_id is not None:
+                    frames[frame_id].pages.remove(child_va)
             for entry, writable in zip(cowed, was_writable):
                 entry.state = _PRIVATE
                 entry.writable = writable
             raise
+        self._spans[child.base] = _Span(state, slots)
         for log in self._frames.logs:
             log.regions.append(child)
-        return len(pages) - mapped + len(cowed)
+        return len(slots) - slots.count(None) + len(cowed)
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
-        """Unmap every page of ``region``, all or nothing.
+        """Unmap every entry and live slot of ``region``, in one pass in page
+        order, all or nothing, and drop the slots.
 
         Returns, in page order, the frames left with one mapping.  A page
         its frame does not list raises ``SimInternalError`` once the pages
         already unmapped and the frames already freed are put back, so a
-        raise changes no entry, page set, live frame or log.
+        raise changes no entry, slot, page set, live frame or log.
         """
         pages, frames = self._pages, self._frames.by_id
+        live = self._slots_over(region)
         survivors = []
         # What the raise path puts back: for each page walked, in order, the
-        # entry unmapped there or None, and the frames freed.
+        # entry unmapped there or None (a slot's frame id is in ``live``),
+        # and the frames freed.
         unmapped: list[PageTableEntry | None] = []
         freed: list[TaggedFrame] = []
-        for page_va in range(region.base, region.end, PAGE_SIZE):
-            entry = pages.get(page_va)
-            if entry is None:
-                unmapped.append(None)
-                continue
-            frame_id = entry.frame_id
+        for page_va, frame_id in zip(range(region.base, region.end, PAGE_SIZE), live):
+            entry = None
+            if frame_id is None:
+                entry = pages.get(page_va)
+                if entry is None:
+                    unmapped.append(None)
+                    continue
+                frame_id = entry.frame_id
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
             except KeyError:
                 for lost in freed:
                     frames[lost.frame_id] = lost
-                for done_va, done in zip(range(region.base, page_va, PAGE_SIZE), unmapped):
+                walked = zip(range(region.base, page_va, PAGE_SIZE), live, unmapped)
+                for done_va, done_id, done in walked:
                     if done is not None:
                         pages[done_va] = done
-                        frames[done.frame_id].pages.add(done_va)
+                        done_id = done.frame_id
+                    if done_id is not None:
+                        frames[done_id].pages.add(done_va)
                 raise SimInternalError(
                     f"page {page_va:#x} is not attached to frame {frame_id}"
                 ) from None
-            del pages[page_va]
+            if entry is not None:
+                del pages[page_va]
             unmapped.append(entry)
             mappers = len(frame.pages)
             if not mappers:
@@ -363,58 +489,98 @@ class AddressSpace:
                 freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
+        span, first = self._span_at(region.base)
+        if span is not None:
+            slots = span.slots
+            stop = min(first + len(live), len(slots))
+            if first == 0 and stop == len(slots):
+                del self._spans[region.base]
+            elif first < stop:
+                slots[first:stop] = [None] * (stop - first)
         logs = self._frames.logs
         if logs:
             changed = {entry.frame_id for entry in unmapped if entry is not None}
+            changed.update(live)
+            changed.discard(None)
             for log in logs:
                 log.frames |= changed
         return survivors
 
     def owned_refcounts(self, region: Region) -> dict[int, int]:
-        """The mapped pages of ``region``, counted per frame refcount.
+        """The mapped pages of ``region``, entries and live slots, counted per
+        frame refcount.
 
         The one sweep behind :meth:`Metrics.prs_bytes`.
         """
         pages, frames = self._pages, self._frames.by_id
         counts: dict[int, int] = {}
-        for page_va in range(region.base, region.end, PAGE_SIZE):
-            entry = pages.get(page_va)
-            if entry is not None:
-                frame = frames.get(entry.frame_id)
-                if frame is None:
-                    raise SimInternalError(
-                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not exist"
-                    )
-                refs = len(frame.pages)
-                counts[refs] = counts.get(refs, 0) + 1
+        for page_va, frame_id in zip(
+            range(region.base, region.end, PAGE_SIZE), self._slots_over(region)
+        ):
+            if frame_id is None:
+                entry = pages.get(page_va)
+                if entry is None:
+                    continue
+                frame_id = entry.frame_id
+            frame = frames.get(frame_id)
+            if frame is None:
+                raise SimInternalError(
+                    f"page {page_va:#x} maps frame {frame_id}, which does not exist"
+                )
+            refs = len(frame.pages)
+            counts[refs] = counts.get(refs, 0) + 1
         return counts
 
     def entry_at(self, addr: int) -> PageTableEntry | None:
-        return self._pages.get(page_of(addr))
+        """The entry of ``addr``'s page; a live slot there becomes its entry."""
+        page_va = page_of(addr)
+        entry = self._pages.get(page_va)
+        if entry is None:
+            return self._materialize(page_va)
+        return entry
+
+    def slot_view(self, page_va: int) -> PageTableEntry | None:
+        """For a live slot at ``page_va``, a detached copy of the entry it
+        would become; None where there is none.  Reads the slot in place
+        and installs nothing; an explicit entry is in :attr:`by_page`."""
+        span, index = self._span_at(page_va)
+        if span is not None and index < len(span.slots):
+            frame_id = span.slots[index]
+            if frame_id is not None:
+                return PageTableEntry(frame_id, span.state, False)
+        return None
 
     def entries(self) -> dict[int, PageTableEntry]:
-        return dict(self._pages)
+        """Every mapping by page address: the entries, and a detached entry
+        for each live slot; installs nothing."""
+        view = dict(self._pages)
+        for page_va, frame_id, state in self._live_slots():
+            view[page_va] = PageTableEntry(frame_id, state, False)
+        return view
 
     @property
     def by_page(self) -> dict[int, PageTableEntry]:
-        """The live entries by page address, not a copy.
+        """The explicit entries by page address, not a copy; live slots are
+        not in it.
 
-        The fork engine's promotion pass reads and updates entries
-        through it, and the auditor reads them; only :meth:`map`,
-        :meth:`unmap` and the region passes add or remove entries.
+        The auditor and the tests read it; only :meth:`map`, :meth:`unmap`,
+        a slot's materialisation and the region passes add or remove
+        entries.
         """
         return self._pages
 
     def verify_refcounts(self, owners: set[int]) -> None:
-        """Full debug pass: each frame's page set is exactly the PTEs mapping it.
+        """Full debug pass: each frame's page set is exactly the entries and
+        live slots mapping it.
 
-        Once every entry's page is in its frame's set, equal totals mean
-        the sets list nothing else.  It also checks what resident-set
-        conservation rests on, given ``owners``, a set of pids: each mapped
-        page lies in the region of a pid in ``owners``, so one
-        :meth:`owned_refcounts` sweep counts it, and every frame has a page.
-        It walks every entry and every frame; it is the oracle of the
-        per-step :meth:`verify_changes`, and shares only the owner check.
+        Once every entry's and live slot's page is in its frame's set, no
+        page is both, and the totals are equal, the sets list nothing else.
+        It also checks what resident-set conservation rests on, given
+        ``owners``, a set of pids: each mapped page lies in the region of a
+        pid in ``owners``, so one :meth:`owned_refcounts` sweep counts it,
+        and every frame has a page.  It walks every entry, slot and frame;
+        it is the oracle of the per-step :meth:`verify_changes`, and shares
+        only the owner check.
         """
         frames = self._frames.by_id
         for page_va, entry in self._pages.items():
@@ -424,14 +590,26 @@ class AddressSpace:
                     f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
                 )
             self._verify_owner(page_va, owners)
+        slots = self._live_slots()
+        for page_va, frame_id, _ in slots:
+            frame = frames.get(frame_id)
+            if frame is None or page_va not in frame.pages:
+                raise SimInternalError(
+                    f"page {page_va:#x} maps frame {frame_id}, which does not list it"
+                )
+            self._verify_owner(page_va, owners)
+        both = self._pages.keys() & {page_va for page_va, _, _ in slots}
+        if both:
+            raise SimInternalError(f"page {min(both):#x} is both an entry and a live slot")
         listed = 0
         for frame_id, frame in frames.items():
             if not frame.pages:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             listed += len(frame.pages)
-        if listed != len(self._pages):
+        mapped = len(self._pages) + len(slots)
+        if listed != mapped:
             raise SimInternalError(
-                f"frames list {listed} pages, the page table maps {len(self._pages)}"
+                f"frames list {listed} pages, the page table maps {mapped}"
             )
 
     def verify_changes(self, log: ChangeLog, owners: set[int]) -> None:
@@ -439,11 +617,12 @@ class AddressSpace:
         only where ``log`` says they may have changed; then clears the log.
 
         A logged frame that still exists has a page, and every page in its
-        set maps it, so the set lists nothing else.  Each of those entries,
-        and each entry in a logged region, maps a frame that lists it and
-        lies in the reservation of a pid in ``owners``.  If the facts held
-        when the log was last cleared and every change since was logged,
-        this check passes exactly when the full pass does.
+        set maps it through an entry or a live slot, so the set lists
+        nothing else.  Each of those pages, and each entry and live slot in
+        a logged region, maps a frame that lists it and lies in the
+        reservation of a pid in ``owners``.  If the facts held when the log
+        was last cleared and every change since was logged, this check
+        passes exactly when the full pass does.  It reads slots in place.
         """
         pages, frames = self._pages, self._frames.by_id
         for frame_id in log.frames:
@@ -454,20 +633,26 @@ class AddressSpace:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             for page_va in frame.pages:
                 entry = pages.get(page_va)
+                if entry is None:
+                    entry = self.slot_view(page_va)
                 if entry is None or entry.frame_id != frame_id:
                     raise SimInternalError(
                         f"frame {frame_id} lists page {page_va:#x}, which does not map it"
                     )
                 self._verify_owner(page_va, owners)
         for region in log.regions:
-            for page_va in range(region.base, region.end, PAGE_SIZE):
-                entry = pages.get(page_va)
-                if entry is None:
-                    continue
-                frame = frames.get(entry.frame_id)
+            for page_va, frame_id in zip(
+                range(region.base, region.end, PAGE_SIZE), self._slots_over(region)
+            ):
+                if frame_id is None:
+                    entry = pages.get(page_va)
+                    if entry is None:
+                        continue
+                    frame_id = entry.frame_id
+                frame = frames.get(frame_id)
                 if frame is None or page_va not in frame.pages:
                     raise SimInternalError(
-                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
+                        f"page {page_va:#x} maps frame {frame_id}, which does not list it"
                     )
                 self._verify_owner(page_va, owners)
         log.frames.clear()
@@ -539,7 +724,11 @@ class AddressSpace:
                 f"{kind.value} of {width} bytes at {cursor:#x} crosses a page; callers split it"
             )
         entry = self._pages.get(page_va)
-        if entry is None or entry.state is _SHARED_COA:
+        if entry is None:
+            entry = self._materialize(page_va)
+            if entry is None:
+                _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
+        if entry.state is _SHARED_COA:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
         if kind in _STORES and not entry.writable:
             _fault(_PAGE_WRITE_FAULT, pid, page_va, kind)

@@ -19,11 +19,17 @@ Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs.  Eager copies walk the layout's
 sub-regions in page order; every other page is shared by one pass of
-:meth:`AddressSpace.share_region`, which installs the child entry and
-write-protects the parent's.  Reap tears a region down in one pass of
-:meth:`AddressSpace.unmap_owned` and hands the frames it leaves with a
-single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
-which a lazy copy also calls with the frame it copied from.
+:meth:`AddressSpace.share_region`, which records one span of slots for
+the child region and write-protects the parent's entries.  A child page
+gets its entry the first time it is looked up (see
+:mod:`sasfork.address_space`); ``full`` copies every page and records no
+span.  Fork is all or nothing: if an eager copy or the share pass
+raises, it unmaps the copies, drops their events and takes back the pid
+and the reservation first.  Reap tears a region's entries and slots down
+in one pass of :meth:`AddressSpace.unmap_owned` and hands the frames it
+leaves with a single mapping to the one promotion pass,
+:meth:`ForkEngine._promote`, which a lazy copy also calls with the frame
+it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame and remap
 the faulting page to it, copy bytes and capabilities, then scan the
@@ -34,8 +40,9 @@ that already owns the frame's contents (the parent side) skip the scan.
 When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
-references.  The promotion pass reads each survivor's entry straight
-from the page table, and its owner from :meth:`AddressSpace.owner_of`.
+references.  The promotion pass reads each survivor's entry from the
+page table, where :meth:`AddressSpace.entry_at` first turns a live slot
+into its entry, and its owner from :meth:`AddressSpace.owner_of`.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
@@ -146,16 +153,22 @@ class ForkEngine:
         and rebases every tagged capability in the parent's register
         state (including the PCC) into the child's region.  Fails with
         ``EAGAIN``, before anything is reserved, while the kernel PID
-        table is full; a later raise leaves the pid, region and eager copies taken.
+        table is full.  If an eager copy or the share pass raises, fork
+        first unmaps the copies it made (freeing their frames), drops
+        their copy events, takes back the child's reservation and hands
+        the pid back, so the raise leaves the page table, the frames, the
+        events, the next reservation base and the next pid as they were.
+        Frame ids are still never reused.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
         if not parent.running:
             raise ProcessNotRunning(f"pid {parent_pid} is not running")
         strategy = sys.strategy
+        space = sys.address_space
 
         child_pid = sys.allocate_pid()
-        child_region = sys.address_space.reserve_region(parent.region.size, child_pid)
+        child_region = space.reserve_region(parent.region.size, child_pid)
         child_layout = parent.layout.rebased(child_region)
 
         if strategy is ForkStrategy.FULL_COPY:
@@ -166,26 +179,36 @@ class ForkEngine:
                 (parent.layout.alloc_meta, CopyCause.EAGER_ALLOC_META),
             ]
         copied: set[int] = set()
-        for sub, cause in eager:
-            for parent_va in sub.page_addresses():
-                entry = sys.address_space.entry_at(parent_va)
-                if entry is None:
-                    raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
-                child_va = child_region.base + (parent_va - parent.region.base)
-                self._copy_into(
-                    child_pid,
-                    child_va,
-                    entry.frame_id,
-                    child_region,
-                    writable=child_layout.page_writable(child_va),
-                    cause=cause,
+        events = len(self.events)
+        try:
+            for sub, cause in eager:
+                for parent_va in sub.page_addresses():
+                    entry = space.entry_at(parent_va)
+                    if entry is None:
+                        raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                    child_va = child_region.base + (parent_va - parent.region.base)
+                    self._copy_into(
+                        child_pid,
+                        child_va,
+                        entry.frame_id,
+                        child_region,
+                        writable=child_layout.page_writable(child_va),
+                        cause=cause,
+                    )
+                    copied.add(parent_va)
+            eager_pages = ptes_written = len(copied)
+            if strategy is not ForkStrategy.FULL_COPY:
+                ptes_written += space.share_region(
+                    parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy]
                 )
-                copied.add(parent_va)
-        eager_pages = ptes_written = len(copied)
-        if strategy is not ForkStrategy.FULL_COPY:
-            ptes_written += sys.address_space.share_region(
-                parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy]
-            )
+        except BaseException:
+            # Each copy made so far mapped its page and then logged its event.
+            for event in self.events[events:]:
+                space.unmap(event.page_va)
+            del self.events[events:]
+            space.unreserve(child_region)
+            sys.unallocate_pid(child_pid)
+            raise
 
         def rebase(cap: Capability) -> Capability:
             return rebase_for_child(cap, parent.region, child_region)
@@ -329,7 +352,8 @@ class ForkEngine:
         capability becomes loadable.  Survivors in the last owner's region reuse it.
         """
         sys = self._sys
-        pages = sys.address_space.by_page
+        space = sys.address_space
+        pages = space.by_page
         private = PageState.PRIVATE
         logs = sys.frames.logs
         base = end = 0
@@ -337,13 +361,16 @@ class ForkEngine:
             if len(frame.pages) != 1:
                 continue
             (page_va,) = frame.pages
-            entry = pages[page_va]
+            entry = pages.get(page_va)
+            if entry is None:  # a live slot: it becomes its entry
+                entry = space.entry_at(page_va)
             if entry.state is private:
                 continue
             if not base <= page_va < end:
                 owner = self._owner(page_va)
                 base, end = owner.region.base, owner.region.end
-            if frame.origin != owner.region:
+            # Most frames keep their owner's own region object as origin.
+            if frame.origin is not owner.region and frame.origin != owner.region:
                 relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
                 sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
                 frame.origin = owner.region

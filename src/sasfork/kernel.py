@@ -378,7 +378,7 @@ class KernelGateway:
 
         Covers register state (including the DSL symbol spill area) and
         every tagged granule of frames mapped with capability loads
-        allowed.  A capability is fine if its bounds sit inside the
+        allowed, through an entry or a live slot read in place.  A capability is fine if its bounds sit inside the
         owner's region or it is a registered sealed entry; anything else
         is reported.  A process the last sweep did not audit gets a walk
         of its whole region; for the others only the pages of frames in
@@ -431,6 +431,8 @@ class KernelGateway:
             for index in indices:
                 page_va = base + index * PAGE_SIZE
                 entry = pages.get(page_va)
+                if entry is None:  # a live slot, read in place
+                    entry = system.address_space.slot_view(page_va)
                 if entry is None or not entry.state.cap_load:
                     continue
                 frame = frames.get(entry.frame_id)

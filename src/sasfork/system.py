@@ -131,6 +131,13 @@ class System:
         self._next_pid += 1
         return pid
 
+    def unallocate_pid(self, pid: int) -> None:
+        """Hand back the pid :meth:`allocate_pid` just returned, which no
+        process holds, so the next allocation returns it again."""
+        if pid != self._next_pid - 1 or pid in self.processes:
+            raise SimInternalError(f"pid {pid} is not the last pid allocated, unused")
+        self._next_pid = pid
+
     def add_process(self, proc: MicroProcess) -> None:
         self.processes[proc.pid] = proc
         # With no freed slot, slots 0..n-1 are exactly the n held ones.

@@ -49,9 +49,10 @@ it is allocated, when a capability is written into it (a capability store
 or a relocation scan), when a page joins or leaves its page set
 (``AddressSpace.map``, ``unmap`` and ``unmap_owned``), or when the
 promotion pass widens its entry to private.  A region is logged when a pass
-writes its entries wholesale: the child region at fork
-(``AddressSpace.share_region``) and a released pid's region
-(``System.release_pid``).  Each check clears only its own log, so neither
+maps it wholesale: the child region at fork, whose span
+``AddressSpace.share_region`` records, and a released pid's region
+(``System.release_pid``).  A slot that becomes its entry changes no page
+set and is not logged.  Each check clears only its own log, so neither
 drains the other's, and a run with neither check logs nothing.
 """
 

@@ -17,6 +17,7 @@ from sasfork.capability import (
     VIRTUAL_SPACE_LIMIT,
     Capability,
     Perm,
+    Region,
 )
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
 from sasfork.process import KERNEL_PID, LayoutSpec
@@ -216,16 +217,146 @@ class TestMappings:
         assert {entry.writable for entry in parent_pages[:-1]} == {True, False}
 
         def state():
-            entries = {va: (e.frame_id, e.state, e.writable) for va, e in space.by_page.items()}
+            entries = {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
             page_sets = {fid: set(frame.pages) for fid, frame in frames.items()}
             logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
-            return entries, page_sets, logs
+            return entries, page_sets, logs, set(space.by_page)
 
         before = state()
         assert len(before[2]) == 2
         with pytest.raises(DoubleMap if fault == "double map" else SimInternalError):
             space.share_region(parent.region, child, skip, PageState.SHARED_COA)
         assert state() == before
+
+
+def shared_child(space, pages=3):
+    """A parent of ``pages`` private pages and a child region sharing them."""
+    parent = space.reserve_region(pages * PAGE_SIZE, 1)
+    frames = []
+    for va in parent.page_addresses():
+        frame = space._frames.allocate(origin=parent)
+        space.map(va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
+        frames.append(frame)
+    child = space.reserve_region(parent.size, 2)
+    assert space.share_region(parent, child, set(), PageState.SHARED_COPA) == 2 * pages
+    return parent, child, frames
+
+
+def rows(space):
+    return {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
+
+
+class TestSpans:
+    def test_a_share_records_slots_that_the_expanded_view_shows(self, space):
+        parent, child, frames = shared_child(space)
+        assert not any(child.contains(va) for va in space.by_page)
+        for va, frame in zip(child.page_addresses(), frames):
+            assert frame.pages == {va - child.base + parent.base, va}
+            shared = PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False)
+            assert space.entries()[va] == shared
+            assert space.slot_view(va) == shared
+            assert space.slot_view(va - child.base + parent.base) is None
+        space.verify_refcounts({1, 2})
+        assert space.owned_refcounts(child) == {2: 3}
+
+    @pytest.mark.parametrize("lookup", ["entry_at", "check_and_access"])
+    def test_a_slot_becomes_its_read_only_entry_on_first_lookup(self, space, lookup):
+        parent, child, frames = shared_child(space)
+        before = rows(space)
+        va = child.base + PAGE_SIZE
+        if lookup == "entry_at":
+            entry = space.entry_at(va + 8)
+        else:
+            space.check_and_access(2, data_cap(child, PAGE_SIZE), AccessKind.READ_INT)
+            entry = space.by_page[va]
+        assert entry == PageTableEntry(frames[1].frame_id, PageState.SHARED_COPA, False)
+        # Installed once: later lookups return the same entry.
+        assert space.by_page[va] is entry and space.entry_at(va) is entry
+        assert rows(space) == before
+        space.verify_refcounts({1, 2})
+
+    def test_map_and_unmap_of_a_slot_act_on_its_entry(self, space):
+        parent, child, frames = shared_child(space)
+        stray = space._frames.allocate()
+        with pytest.raises(DoubleMap):
+            space.map(child.base, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
+        assert space.by_page[child.base].frame_id == frames[0].frame_id
+        assert space.unmap(child.end - PAGE_SIZE) == 1
+        assert child.end - PAGE_SIZE not in space.entries()
+        assert frames[2].pages == {parent.end - PAGE_SIZE}
+
+    def test_a_grandchild_share_copies_live_slots_in_place(self, space):
+        parent, child, frames = shared_child(space)
+        space.entry_at(child.base)  # one slot becomes an entry
+        grandchild = space.reserve_region(child.size, 3)
+        assert space.share_region(child, grandchild, set(), PageState.SHARED_COA) == 3
+        assert set(space.by_page) == {*parent.page_addresses(), child.base}
+        view = space.entries()
+        for index, frame in enumerate(frames):
+            va = grandchild.base + index * PAGE_SIZE
+            assert view[va] == PageTableEntry(frame.frame_id, PageState.SHARED_COA, False)
+            assert len(frame.pages) == 3
+        space.verify_refcounts({1, 2, 3})
+
+    def test_a_share_outside_one_fresh_reservation_is_internal(self, space):
+        parent, child, _ = shared_child(space)
+        before = rows(space)
+        with pytest.raises(SimInternalError, match="free of spans"):
+            space.share_region(parent, child, set(), PageState.SHARED_COA)
+        with pytest.raises(SimInternalError, match="free of spans"):
+            inner = Region(child.base + PAGE_SIZE, PAGE_SIZE)
+            space.share_region(parent, inner, set(), PageState.SHARED_COA)
+        small = space.reserve_region(PAGE_SIZE, 3)
+        with pytest.raises(SimInternalError, match="free of spans"):
+            # A child that runs past its reservation.
+            past = Region(small.base, parent.size)
+            space.share_region(parent, past, set(), PageState.SHARED_COA)
+        assert rows(space) == before
+
+    def test_a_teardown_drops_entries_and_slots_together(self, space):
+        parent, child, frames = shared_child(space)
+        space.entry_at(child.base + PAGE_SIZE)
+        assert space.unmap_owned(child) == frames
+        assert rows(space).keys() == set(parent.page_addresses())
+        assert not space._spans
+        space.verify_refcounts({1})
+
+    def test_a_teardown_over_a_slot_its_frame_does_not_list_changes_nothing(self, space):
+        parent, child, frames = shared_child(space)
+        space.entry_at(child.base)
+        frames[2].pages.discard(child.end - PAGE_SIZE)
+
+        def state():
+            return rows(space), [set(frame.pages) for frame in frames], set(space.by_page)
+
+        before = state()
+        with pytest.raises(SimInternalError, match=f"{child.end - PAGE_SIZE:#x}"):
+            space.unmap_owned(child)
+        assert state() == before
+
+    def test_the_full_pass_catches_a_page_that_is_an_entry_and_a_slot(self, space):
+        parent, child, frames = shared_child(space)
+        entry = PageTableEntry(frames[0].frame_id, PageState.SHARED_COPA, False)
+        space.by_page[child.base] = entry
+        with pytest.raises(SimInternalError, match="both an entry and a live slot"):
+            space.verify_refcounts({1, 2})
+
+    def test_the_full_pass_counts_slots_beside_entries(self, space):
+        parent, child, frames = shared_child(space)
+        frames[0].pages.add(child.end)
+        with pytest.raises(SimInternalError, match="frames list 7 pages, the page table maps 6"):
+            space.verify_refcounts({1, 2})
+
+    def test_only_the_last_unused_reservation_is_taken_back(self, space):
+        parent, child, _ = shared_child(space)
+        with pytest.raises(SimInternalError, match="not the last reservation"):
+            space.unreserve(parent)
+        with pytest.raises(SimInternalError, match="still holds a span"):
+            space.unreserve(child)
+        fresh = space.reserve_region(PAGE_SIZE, 3)
+        space.unreserve(fresh)
+        assert space.owner_of(fresh.base) is None
+        assert space.reserve_region(PAGE_SIZE, 3) == fresh
 
 
 class TestAccessPipelineOrder:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import sasfork.system
 from sasfork import tagged_memory
 from sasfork.address_space import AccessKind, FaultKind, PageState, PageTableEntry
 from sasfork.capability import (
@@ -20,7 +21,11 @@ from sasfork.errors import (
     UnresolvableFault,
 )
 from sasfork.fork_engine import CopyCause, ForkEngine
+from sasfork.process import LayoutSpec
 from sasfork.system import System
+from sasfork.tagged_memory import FrameTable
+from sasfork.workload import run
+from test_golden import GEN_SLICE, GOLDEN, digest
 
 
 def make_system(strategy):
@@ -443,6 +448,42 @@ class TestBatchedPaths:
         with pytest.raises(SimInternalError, match="unmapped at fork"):
             system.fork_engine.fork(parent.pid)
 
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+    def test_a_fork_that_raises_changes_nothing(self, strategy, monkeypatch):
+        system = make_system(strategy)
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        space, engine, frames = system.address_space, system.fork_engine, system.frames
+        # The GOT and allocator page come first, so a lazy fork copies them
+        # before its share pass reaches the unmapped page; a full fork
+        # copies the five pages before it.
+        space.unmap(parent.layout.heap.end - PAGE_SIZE)
+        # Regions are bump-allocated, so the child's region would start here.
+        child_base = parent.region.end
+        cloned = []
+        real_clone = FrameTable.clone
+
+        def clone(table, frame_id):
+            fresh = real_clone(table, frame_id)
+            cloned.append(fresh.frame_id)
+            return fresh
+
+        monkeypatch.setattr(FrameTable, "clone", clone)
+
+        def state():
+            page_sets = {fid: set(frame.pages) for fid, frame in frames.by_id.items()}
+            return rows(space), page_sets, list(engine.events), space.owner_of(child_base)
+
+        before = state()
+        with pytest.raises(SimInternalError, match="unmapped at fork"):
+            engine.fork(parent.pid)
+        assert len(cloned) == (5 if strategy == "full" else 2)
+        assert state() == before
+        assert space.owner_of(child_base) is None
+        assert space.reserve_region(PAGE_SIZE, parent.pid + 1).base == child_base
+        assert system.allocate_pid() == parent.pid + 1
+        # Frame ids are never reused.
+        assert frames.allocate().frame_id > max(cloned)
+
     @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
     def test_shared_install_onto_a_mapped_child_page_is_a_double_map(self, strategy):
         system = make_system(strategy)
@@ -634,3 +675,104 @@ class TestBatchedPromotion:
         # Freed without a relocation scan.
         assert not frame.pages and not batched.frames.exists(frame.frame_id)
         assert frame.origin == parent.region
+
+
+# -- laziness against the per-page share pass as the oracle ----------------------
+
+LAZY_STRATEGIES = ("coa", "copa", "unsafe-cow")
+ORACLE_SCRIPTS = {name: text for name, (text, _) in GOLDEN.items()} | GEN_SLICE
+CHILD_STATE = {
+    "coa": PageState.SHARED_COA,
+    "copa": PageState.SHARED_COPA,
+    "unsafe-cow": PageState.SHARED_COW,
+}
+
+
+def rows(space):
+    """The expanded entries, as plain values."""
+    return {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
+
+
+def per_page_pass(before, after, parent, child, strategy):
+    """The entries a per-page share pass installs, computed from the rows
+    taken just before the fork; an eager copy's fresh frame id is read
+    from ``after`` and must be new."""
+    expected = dict(before)
+    delta = child.region.base - parent.region.base
+    eager = {*parent.layout.got.page_addresses(), *parent.layout.alloc_meta.page_addresses()}
+    old_frames = {frame_id for frame_id, _, _ in before.values()}
+    for va in parent.region.page_addresses():
+        frame_id, state, _ = before[va]
+        child_va = va + delta
+        if va in eager:
+            fresh = after[child_va][0]
+            assert fresh not in old_frames
+            expected[child_va] = (fresh, PageState.PRIVATE, child.layout.page_writable(child_va))
+        else:
+            expected[child_va] = (frame_id, CHILD_STATE[strategy], False)
+            if state is PageState.PRIVATE:
+                expected[va] = (frame_id, PageState.SHARED_COW, False)
+    return expected
+
+
+def run_oracle_scripts(strategy, monkeypatch):
+    for name, text in ORACLE_SCRIPTS.items():
+        with monkeypatch.context() as patch:
+            if name == "eagain":
+                patch.setattr(sasfork.system, "PID_SLOTS", 4)
+            run(text, strategy, "fault")
+
+
+@pytest.mark.parametrize("strategy", LAZY_STRATEGIES)
+def test_entries_after_each_fork_are_those_of_the_per_page_pass(strategy, monkeypatch):
+    real_fork = ForkEngine.fork
+    checked = []
+
+    def fork(engine, parent_pid):
+        system = engine._sys
+        space, parent = system.address_space, system.process(parent_pid)
+        before = rows(space)
+        child_pid = real_fork(engine, parent_pid)
+        after = rows(space)
+        child = system.process(child_pid)
+        assert after == per_page_pass(before, after, parent, child, strategy)
+        # The child's entries are its eager copies; its shared pages are slots.
+        owned = {va: row for va, row in after.items() if child.region.contains(va)}
+        private = {va for va, (_, state, _) in owned.items() if state is PageState.PRIVATE}
+        assert {va for va in space.by_page if va in owned} == private
+        checked.append(child_pid)
+        return child_pid
+
+    monkeypatch.setattr(ForkEngine, "fork", fork)
+    run_oracle_scripts(strategy, monkeypatch)
+    assert len(checked) > 10
+
+
+def materialise_every_slot(system):
+    """Look up every live slot, so each becomes its entry."""
+    space = system.address_space
+    slots = space.entries().keys() - space.by_page.keys()
+    for va in slots:
+        space.entry_at(va)
+    assert space.entries().keys() == space.by_page.keys()
+    return len(slots)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCRIPTS))
+def test_materialising_every_slot_after_every_step_changes_no_output(name, monkeypatch):
+    """The trace, report and audit text of every strategy are byte-identical
+    when every live slot becomes an entry after every step."""
+    text = ORACLE_SCRIPTS[name]
+    if name == "eagain":
+        monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
+    lazy = digest(text)
+    real_verify = System.verify_invariants
+    materialised = []
+
+    def verify_invariants(system, **kwargs):
+        materialised.append(materialise_every_slot(system))
+        real_verify(system, **kwargs)
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    assert digest(text) == lazy
+    assert sum(materialised) > 0

@@ -1104,7 +1104,7 @@ def _unmap_keeps_the_page(monkeypatch):
 
     def unmap(self, page_va):
         frames = self._frames.by_id
-        frame = frames[self.by_page[page_va].frame_id]
+        frame = frames[self.entry_at(page_va).frame_id]
         real(self, page_va)
         frame.pages.add(page_va)
         frames[frame.frame_id] = frame
@@ -1118,13 +1118,27 @@ def _share_region_drops_a_child_page(monkeypatch):
 
     def share_region(self, parent, child, skip, state):
         written = real(self, parent, child, skip, state)
-        pages, frames = self.by_page, self._frames.by_id
+        # Read through the expanded view: every shared child page is a slot.
+        frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
             for va in range(child.base, child.end, PAGE_SIZE)
-            if va in pages and len(frames[pages[va].frame_id].pages) > 1
+            if va in entries and len(frames[entries[va].frame_id].pages) > 1
         )
-        frames[pages[page_va].frame_id].pages.remove(page_va)
+        frames[entries[page_va].frame_id].pages.remove(page_va)
+        return written
+
+    monkeypatch.setattr(AddressSpace, "share_region", share_region)
+
+
+def _share_region_drops_its_last_slot(monkeypatch):
+    real = AddressSpace.share_region
+
+    def share_region(self, parent, child, skip, state):
+        written = real(self, parent, child, skip, state)
+        slots = self._spans[child.base].slots
+        index = max(i for i, frame_id in enumerate(slots) if frame_id is not None)
+        self._frames.by_id[slots[index]].pages.remove(child.base + index * PAGE_SIZE)
         return written
 
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
@@ -1143,15 +1157,15 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
     real = AddressSpace.unmap_owned
 
     def unmap_owned(self, region):
-        pages, frames = self.by_page, self._frames.by_id
+        frames, entries = self._frames.by_id, self.entries()
         owned = [
-            (va, pages[va].frame_id)
+            (va, entries[va].frame_id)
             for va in range(region.base, region.end, PAGE_SIZE)
-            if va in pages
+            if va in entries
         ]
         survivors = real(self, region)
-        # The first page whose frame outlives the teardown stays in its set;
-        # the released region lists no entry for it.
+        # The first page whose frame outlives the teardown, an entry or a
+        # slot, stays in its set; the released region maps nothing there.
         for page_va, frame_id in owned:
             if frame_id in frames:
                 frames[frame_id].pages.add(page_va)
@@ -1164,6 +1178,7 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
 DEBUG_MUTATIONS = {
     "unmap_keeps_the_page": _unmap_keeps_the_page,
     "share_region_drops_a_child_page": _share_region_drops_a_child_page,
+    "share_region_drops_its_last_slot": _share_region_drops_its_last_slot,
     "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,
     "unmap_owned_keeps_a_page_in_its_frame": _unmap_owned_keeps_a_page_in_its_frame,
 }
