@@ -22,52 +22,46 @@ The capability-load column is derived from the state
 set the frame owns.  This module is the one writer of page sets: mapping
 and unmapping keep them in step with the page table, and log each change
 into the frame table's change logs (see :mod:`sasfork.tagged_memory`).
-Entries are slotted records changed in place: the fork pass
-write-protects the parent's, and the fork engine's promotion pass makes a
-sole survivor private again.
 
-A fork installs no child entry for a page it shares.  It records one
-*span* for the child region instead: the child's page state and, per
-page, a *slot* that holds the frame id the child maps there, or ``None``
-where the page has an entry (an eager copy, or a slot already used).
-Each child page is still in its frame's page set from the fork on, so a
-page set stays the refcount.  The first time :meth:`AddressSpace.entry_at`,
-:meth:`~AddressSpace.map`, :meth:`~AddressSpace.unmap` or
-:meth:`~AddressSpace.check_and_access` looks up a live slot, the slot
-becomes the read-only entry the fork would have installed, and is
-cleared: a page is an entry or a live slot, never both.
-:attr:`AddressSpace.by_page` holds the explicit entries only.  The
-read-only walkers (the resident-set sweep, both debug checks,
-:meth:`~AddressSpace.slot_view` for the audit, :meth:`~AddressSpace.entries`
-and a grandchild's share pass) read slots in place and install nothing.
+The page table is one *row* per reservation, a list with one element per
+page: ``None`` for an unmapped page, an ``int`` frame id for a page
+shared read-only in the row's state, or a :class:`PageTableEntry`.  A
+fork's share pass builds the child's row with a frame id per shared page
+and adds each child page to its frame's page set, so a page set stays
+the refcount.  Entries are slotted records changed in place: the share
+pass write-protects the parent's, and the promotion pass makes a sole
+survivor private again.  Readers take a frame id as it is and build no
+entry for it; a lazy copy replaces it with the copy's entry
+(:meth:`AddressSpace.remap`), and only :meth:`~AddressSpace.entry_at`
+and the promotion pass, whose callers change the entry, turn one into
+its entry.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
 crosses a page is an internal error, since callers split ranges first.
 It runs the fixed pipeline
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
-kinds are deterministic.  Page-level faults (write, access, capability
-load) are resolvable by the fork engine; capability-level faults and
-privilege faults terminate the access.  Where capability loads are
+kinds are deterministic.  It reads the row of the accessing pid's
+reservation, and bisects for a row only for a page outside it.
+Page-level faults (write, access, capability load) are resolvable by the
+fork engine; capability-level faults and privilege faults terminate the
+access.  Where capability loads are
 blocked, an integer read or fetch that overlaps a tagged granule takes
 the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
 
-Besides the per-page :meth:`AddressSpace.map` and
-:meth:`~AddressSpace.unmap`, which lazy copies use, three passes change a
-whole region at once: :meth:`~AddressSpace.map_fresh_region` backs every
-page of a fresh region with a new frame at boot and at process creation,
-with the checks that a :meth:`~AddressSpace.map` per page would make;
-:meth:`~AddressSpace.share_region` records a child's span at fork; and
-:meth:`~AddressSpace.unmap_owned` tears down a region's entries and slots
-at reap.  The last two put back what they changed before they raise.
+Three passes change a whole region at once: at boot and at process
+creation :meth:`~AddressSpace.map_fresh_region` backs each page with a new
+frame; at fork :meth:`~AddressSpace.share_region` builds the child's row;
+at reap :meth:`~AddressSpace.unmap_owned` walks the row once and drops
+it.  The last two put back what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
 the fragmentation trade-off of contiguous per-process regions; only a
-fork that fails takes back the reservation it made, unused.  A page's
-owner is the pid of the reservation it lies in (:meth:`~AddressSpace.owner_of`),
-and a span starts at the base of its child's reservation.
+fork that fails takes back the reservation it made, unused.  Rows never
+move.  A page's owner is the pid of the reservation it lies in
+(:meth:`~AddressSpace.owner_of`).
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -105,11 +99,8 @@ class PageState(enum.Enum):
 
 @dataclass(slots=True)
 class PageTableEntry:
-    """Per-virtual-page mapping; mutable because states transition.
-
-    Slotted, so an entry is small and its fields are cheap to read and
-    set on the fork, reap and promotion passes.
-    """
+    """Per-virtual-page mapping; mutable because states transition, and
+    slotted, so it is small and its fields are cheap to read and set."""
 
     frame_id: int
     state: PageState
@@ -121,15 +112,20 @@ class PageTableEntry:
 
 
 @dataclass(slots=True)
-class _Span:
-    """A child region's shared pages that have no entry yet.
+class _Row:
+    """One reservation's page table, from ``base`` to ``end``, owned by ``pid``:
+    an element per page in ``pages``, ``None`` while the reservation maps
+    nothing; ``state`` is the state of its frame-id elements."""
 
-    ``slots[i]`` is the frame id the region's ``i``-th page maps, read-only
-    in ``state``, or ``None`` where the page has an entry or no mapping.
-    """
+    base: int
+    end: int
+    pid: int
+    state: PageState | None = None
+    pages: list[int | PageTableEntry | None] | None = None
 
-    state: PageState
-    slots: list[int | None]
+
+#: The row, owned by no pid, of the addresses outside every reservation.
+_UNRESERVED = _Row(0, 0, None)
 
 
 class AccessKind(enum.Enum):
@@ -212,6 +208,15 @@ def page_of(addr: int) -> int:
     return addr - (addr % PAGE_SIZE)
 
 
+def _verify_owner(row: _Row, page_va: int, owners: set[int]) -> None:
+    """The page, in ``row``, lies in the reservation of a pid in ``owners``."""
+    if row.pid not in owners:
+        raise SimInternalError(
+            f"prs conservation broken: page {page_va:#x} lies in no owner's region"
+            f" (reserved for pid {row.pid})"
+        )
+
+
 def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn:
     """Raise the fault of an access at ``addr``; the access pipeline's one exit."""
     raise FaultError(Fault(kind, pid, page_of(addr), access))
@@ -224,9 +229,8 @@ class AddressSpace:
         self._frames = frames
         self._next_base = PAGE_SIZE  # address 0 is never reserved
         self._bases: list[int] = []  # each reservation's base, in address order,
-        self._owners: list[int] = []  # and the pid that owns its pages
-        self._pages: dict[int, PageTableEntry] = {}
-        self._spans: dict[int, _Span] = {}  # by the base of the reservation they start
+        self._rows: list[_Row] = []  # and its row
+        self._pid_rows: dict[int, _Row] = {}  # the row of each pid's last reservation
 
     # -- regions ---------------------------------------------------------
 
@@ -239,81 +243,61 @@ class AddressSpace:
             raise AddressSpaceExhausted(
                 f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
+        row = _Row(base, base + size, pid)
         self._bases.append(base)
-        self._owners.append(pid)
+        self._rows.append(row)
+        self._pid_rows[pid] = row
         self._next_base = base + size
         return Region(base, size)
+
+    def _row_at(self, addr: int) -> _Row:
+        """The row of the reservation holding ``addr``, or ``_UNRESERVED``."""
+        if not PAGE_SIZE <= addr < self._next_base:
+            return _UNRESERVED
+        return self._rows[bisect_right(self._bases, addr) - 1]
 
     def owner_of(self, addr: int) -> int | None:
         """The pid whose reservation holds ``addr``, or None if none does."""
         if not PAGE_SIZE <= addr < self._next_base:
             return None
-        return self._owners[bisect_right(self._bases, addr) - 1]
+        return self._rows[bisect_right(self._bases, addr) - 1].pid
 
     def unreserve(self, region: Region) -> None:
         """Take back the last reservation, ``region``, which maps nothing.
 
         For a fork that fails: the bump base goes back to ``region.base``.
         """
-        bases = self._bases
-        if not bases or bases[-1] != region.base or self._next_base != region.end:
+        rows = self._rows
+        if not rows or rows[-1].base != region.base or self._next_base != region.end:
             raise SimInternalError(f"{region} is not the last reservation")
-        if region.base in self._spans:
-            raise SimInternalError(f"{region} still holds a span")
-        bases.pop()
-        self._owners.pop()
+        row = rows[-1]
+        if row.pages is not None and any(element is not None for element in row.pages):
+            raise SimInternalError(f"{region} still maps a page")
+        rows.pop()
+        self._bases.pop()
+        if self._pid_rows.get(row.pid) is row:
+            del self._pid_rows[row.pid]
         self._next_base = region.base
 
-    # -- spans ------------------------------------------------------------
+    def _lookup(self, page_va: int) -> tuple[_Row, int, int | PageTableEntry | None]:
+        """The row holding page ``page_va``, the index of its element and the
+        element, which is None where nothing maps the page."""
+        if not PAGE_SIZE <= page_va < self._next_base or page_va % PAGE_SIZE:
+            return _UNRESERVED, 0, None
+        row = self._rows[bisect_right(self._bases, page_va) - 1]
+        if row.pages is None:
+            return row, 0, None
+        index = (page_va - row.base) // PAGE_SIZE
+        return row, index, row.pages[index]
 
-    def _span_at(self, addr: int) -> tuple[_Span | None, int]:
-        """The span of the reservation holding ``addr``, and the slot index of
-        ``addr``'s page in it (which may lie past its slots); or ``(None, 0)``."""
-        spans = self._spans
-        if spans:
-            bases = self._bases
-            index = bisect_right(bases, addr) - 1
-            if index >= 0:
-                base = bases[index]
-                span = spans.get(base)
-                if span is not None:
-                    return span, (addr - base) // PAGE_SIZE
-        return None, 0
-
-    def _materialize(self, page_va: int) -> PageTableEntry | None:
-        """Turn a live slot at ``page_va`` into its entry, or return None."""
-        span, index = self._span_at(page_va)
-        if span is None or index >= len(span.slots):
-            return None
-        slots = span.slots
-        frame_id = slots[index]
-        if frame_id is None:
-            return None
-        slots[index] = None
-        entry = self._pages[page_va] = PageTableEntry(frame_id, span.state, False)
-        return entry
-
-    def _slots_over(self, region: Region) -> list[int | None]:
-        """The frame id of each live slot of ``region``, ``None`` elsewhere,
-        one per page of ``region`` in page order; ``region`` lies in one
-        reservation."""
-        count = region.size // PAGE_SIZE
-        span, first = self._span_at(region.base)
-        if span is None:
-            return [None] * count
-        slots = span.slots[first : first + count]
-        if len(slots) < count:
-            slots += [None] * (count - len(slots))
-        return slots
-
-    def _live_slots(self) -> list[tuple[int, int, PageState]]:
-        """Every live slot, as (page address, frame id, state)."""
-        return [
-            (base + index * PAGE_SIZE, frame_id, span.state)
-            for base, span in self._spans.items()
-            for index, frame_id in enumerate(span.slots)
-            if frame_id is not None
-        ]
+    def _locate(self, region: Region) -> tuple[_Row, int, int]:
+        """The row ``region`` lies in, the index of its first page and its
+        page count."""
+        base, size = region.base, region.size
+        row = self._row_at(base)
+        if base + size > row.end:
+            raise SimInternalError(f"{region} does not lie in one reservation")
+        return row, (base - row.base) // PAGE_SIZE, size // PAGE_SIZE
 
     # -- mappings ---------------------------------------------------------
 
@@ -321,13 +305,17 @@ class AddressSpace:
         """Map ``page_va`` and add it to its frame's page set."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
-        if page_va in self._pages or self._materialize(page_va) is not None:
+        row = self._row_at(page_va)
+        if row is _UNRESERVED:
+            raise SimInternalError(f"page {page_va:#x} lies in no reservation")
+        index = (page_va - row.base) // PAGE_SIZE
+        pages = row.pages or [None] * ((row.end - row.base) // PAGE_SIZE)
+        if pages[index] is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        frame_id = entry.frame_id
-        self._frames.get(frame_id).pages.add(page_va)
-        self._pages[page_va] = entry
+        self._frames.get(entry.frame_id).pages.add(page_va)
+        pages[index], row.pages = entry, pages
         for log in self._frames.logs:
-            log.frames.add(frame_id)
+            log.frames.add(entry.frame_id)
 
     def map_fresh_region(self, region: Region, read_only: Region) -> None:
         """Back every page of ``region`` with a new frame, in one pass.
@@ -338,275 +326,277 @@ class AddressSpace:
         logs each frame.  Raises :class:`DoubleMap` before anything
         changes if a page of the region is already mapped.
         """
-        pages, frames = self._pages, self._frames
-        base, end = region.base, region.end
-        for page_va in range(base, end, PAGE_SIZE):
-            if page_va in pages:
-                raise DoubleMap(f"page {page_va:#x} is already mapped")
+        row, first, count = self._locate(region)
+        pages = row.pages or [None] * ((row.end - row.base) // PAGE_SIZE)
+        for index in range(first, first + count) if row.pages else ():
+            if pages[index] is not None:
+                raise DoubleMap(f"page {row.base + index * PAGE_SIZE:#x} is already mapped")
+        frames, fresh = self._frames, []
         ro_base, ro_end = read_only.base, read_only.end
-        for page_va in range(base, end, PAGE_SIZE):
+        for page_va in range(region.base, region.end, PAGE_SIZE):
             frame = frames.allocate(region)
             frame.pages.add(page_va)
-            pages[page_va] = PageTableEntry(frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end)
+            fresh.append(PageTableEntry(frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end))
+        pages[first : first + count], row.pages = fresh, pages
 
-    def unmap(self, page_va: int) -> int:
-        """Remove a mapping and drop the page from its frame's page set,
-        freeing a frame left with none; returns the frame's remaining
-        refcount.  Raises before anything but a live slot's materialisation
-        changes if the page is not mapped, or its frame does not list it.
-        """
-        entry = self._pages.get(page_va)
-        if entry is None:
-            entry = self._materialize(page_va)
-            if entry is None:
-                raise UnmappedPage(f"page {page_va:#x} is not mapped")
-        frames, frame_id = self._frames.by_id, entry.frame_id
+    def _detach(self, page_va: int) -> tuple[list, int, TaggedFrame]:
+        """Drop mapped ``page_va`` from its frame's page set, freeing a frame
+        left with none, and log the frame; returns the row's elements, the
+        page's index and the frame.  Raises before anything changes if the
+        page is not mapped, or its frame does not list it."""
+        row, index, element = self._lookup(page_va)
+        if element is None:
+            raise UnmappedPage(f"page {page_va:#x} is not mapped")
+        frame_id = element if type(element) is int else element.frame_id
+        frames = self._frames.by_id
         frame = frames.get(frame_id)
         if frame is None or page_va not in frame.pages:
             raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
-        del self._pages[page_va]
         frame.pages.remove(page_va)
         if not frame.pages:
             del frames[frame_id]
         for log in self._frames.logs:
             log.frames.add(frame_id)
+        return row.pages, index, frame
+
+    def unmap(self, page_va: int) -> int:
+        """Remove a mapping and drop the page from its frame's page set,
+        freeing a frame left with none; returns the frame's remaining
+        refcount.  Raises before anything changes if the page is not
+        mapped, or its frame does not list it.
+        """
+        pages, index, frame = self._detach(page_va)
+        pages[index] = None
         return len(frame.pages)
+
+    def remap(self, page_va: int, entry: PageTableEntry) -> None:
+        """Map ``page_va`` to ``entry`` in place of its mapping, as an
+        :meth:`unmap` and a :meth:`map` would, logging the old frame and
+        the new one: the lazy copy's one write.  Raises before anything
+        changes if the page is not mapped, or its frame does not list it.
+        """
+        fresh = self._frames.get(entry.frame_id)
+        pages, index, _ = self._detach(page_va)
+        fresh.pages.add(page_va)
+        pages[index] = entry
+        for log in self._frames.logs:
+            log.frames.add(entry.frame_id)
 
     def share_region(self, parent: Region, child: Region, skip: set[int], state: PageState) -> int:
         """Share each parent page not in ``skip`` read-only in ``state`` at the
         same child offset, and make a private parent entry shared
         copy-on-write.  Returns the page-table entries this stands for.
 
-        The child pages get no entries: one span records, per page, the
-        frame id the child maps there (``None`` for a page in ``skip``),
-        and each child page joins its frame's page set, as :meth:`map`
-        would add it.  A parent page that is itself a live slot is read in
-        place.  ``child`` starts, and lies in, a reservation that holds no
-        span.  A raise first drops the child pages added and restores the
-        parent entries changed, so it changes no entry, span, page set or
-        log.
+        One walk of the parent's row builds the child's: the frame id of
+        each shared page, read in place where the parent's element is one
+        itself (a grandchild fork), beside the child's own elements for
+        the pages in ``skip``.  Each child page joins its frame's page set,
+        as :meth:`map` would add it.  ``child`` is a whole reservation that
+        shares nothing yet.  A raise first drops the child pages added and
+        restores the parent entries changed, so it changes no element,
+        page set or log.
         """
-        pages, frames = self._pages, self._frames.by_id
-        bases = self._bases
-        at = bisect_right(bases, child.base) - 1
-        end = bases[at + 1] if at + 1 < len(bases) else self._next_base
-        if at < 0 or bases[at] != child.base or child.base in self._spans or child.end > end:
-            raise SimInternalError(f"{child} does not start a reservation free of spans")
-        parent_span, first = self._span_at(parent.base)
-        delta = child.base - parent.base
-        slots: list[int | None] = []
-        add_slot = slots.append
+        row = self._row_at(child.base)
+        if (row.base, row.end, row.state) != (child.base, child.end, None) or (
+            child.size != parent.size
+        ):
+            raise SimInternalError(f"{child} is not a reservation that shares nothing")
+        parent_row, first, count = self._locate(parent)
+        inherited = (parent_row.pages or [None] * (first + count))[first : first + count]
+        built = list(row.pages or [None] * count)
+        skipped = {(va - parent.base) // PAGE_SIZE for va in skip if parent.contains(va)}
+        frames = self._frames.by_id
         # What a raise puts back: the entries made copy-on-write, and their old writable.
         cowed: list[PageTableEntry] = []
         was_writable: list[bool] = []
         try:
-            for parent_va in range(parent.base, parent.end, PAGE_SIZE):
-                if parent_va in skip:
-                    add_slot(None)
+            for index, child_va, element in zip(
+                range(count), range(child.base, child.end, PAGE_SIZE), inherited
+            ):
+                if index in skipped:
                     continue
-                entry = pages.get(parent_va)
-                if entry is None:
-                    frame_id = None
-                    if parent_span is not None and first + len(slots) < len(parent_span.slots):
-                        frame_id = parent_span.slots[first + len(slots)]
-                    if frame_id is None:
-                        raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
+                if type(element) is int:
+                    frame_id = element
+                elif element is None:
+                    raise SimInternalError(
+                        f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
+                    )
                 else:
-                    frame_id = entry.frame_id
-                child_va = parent_va + delta
-                if child_va in pages:
+                    frame_id = element.frame_id
+                    if element.state is _PRIVATE:
+                        cowed.append(element)
+                        was_writable.append(element.writable)
+                        element.state = _SHARED_COW
+                        element.writable = False
+                if built[index] is not None:
                     raise DoubleMap(f"page {child_va:#x} is already mapped")
-                frame = frames.get(frame_id)
-                if frame is None:
-                    raise SimInternalError(f"frame {frame_id} does not exist")
-                frame.pages.add(child_va)
-                add_slot(frame_id)
-                if entry is not None and entry.state is _PRIVATE:
-                    cowed.append(entry)
-                    was_writable.append(entry.writable)
-                    entry.state = _SHARED_COW
-                    entry.writable = False
-        except (DoubleMap, SimInternalError):
-            for child_va, frame_id in zip(range(child.base, child.end, PAGE_SIZE), slots):
-                if frame_id is not None:
-                    frames[frame_id].pages.remove(child_va)
+                frames[frame_id].pages.add(child_va)
+                built[index] = frame_id
+        except (DoubleMap, SimInternalError, KeyError) as err:
+            for child_va, element in zip(range(child.base, child.end, PAGE_SIZE), built):
+                if type(element) is int:
+                    frames[element].pages.remove(child_va)
             for entry, writable in zip(cowed, was_writable):
                 entry.state = _PRIVATE
                 entry.writable = writable
+            if isinstance(err, KeyError):
+                raise SimInternalError(f"frame {err.args[0]} does not exist") from None
             raise
-        self._spans[child.base] = _Span(state, slots)
+        row.pages, row.state = built, state
         for log in self._frames.logs:
             log.regions.append(child)
-        return len(slots) - slots.count(None) + len(cowed)
+        return count - len(skipped) + len(cowed)
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
-        """Unmap every entry and live slot of ``region``, in one pass in page
-        order, all or nothing, and drop the slots.
+        """Unmap every page of ``region`` in one walk of its row, in page
+        order, all or nothing, then drop the row (or clear the elements of
+        a region that is part of one).
 
         Returns, in page order, the frames left with one mapping.  A page
         its frame does not list raises ``SimInternalError`` once the pages
         already unmapped and the frames already freed are put back, so a
-        raise changes no entry, slot, page set, live frame or log.
+        raise changes no element, page set, live frame or log.
         """
-        pages, frames = self._pages, self._frames.by_id
-        live = self._slots_over(region)
+        row, first, count = self._locate(region)
+        owned = row.pages[first : first + count] if row.pages else []
+        frames = self._frames.by_id
         survivors = []
-        # What the raise path puts back: for each page walked, in order, the
-        # entry unmapped there or None (a slot's frame id is in ``live``),
-        # and the frames freed.
-        unmapped: list[PageTableEntry | None] = []
         freed: list[TaggedFrame] = []
-        for page_va, frame_id in zip(range(region.base, region.end, PAGE_SIZE), live):
-            entry = None
-            if frame_id is None:
-                entry = pages.get(page_va)
-                if entry is None:
-                    unmapped.append(None)
-                    continue
-                frame_id = entry.frame_id
+        for page_va, element in zip(range(region.base, region.end, PAGE_SIZE), owned):
+            if element is None:
+                continue
+            frame_id = element if type(element) is int else element.frame_id
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
             except KeyError:
                 for lost in freed:
                     frames[lost.frame_id] = lost
-                walked = zip(range(region.base, page_va, PAGE_SIZE), live, unmapped)
-                for done_va, done_id, done in walked:
+                for done_va, done in zip(range(region.base, page_va, PAGE_SIZE), owned):
                     if done is not None:
-                        pages[done_va] = done
-                        done_id = done.frame_id
-                    if done_id is not None:
-                        frames[done_id].pages.add(done_va)
+                        frames[done if type(done) is int else done.frame_id].pages.add(done_va)
                 raise SimInternalError(
                     f"page {page_va:#x} is not attached to frame {frame_id}"
                 ) from None
-            if entry is not None:
-                del pages[page_va]
-            unmapped.append(entry)
             mappers = len(frame.pages)
             if not mappers:
                 del frames[frame_id]
                 freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
-        span, first = self._span_at(region.base)
-        if span is not None:
-            slots = span.slots
-            stop = min(first + len(live), len(slots))
-            if first == 0 and stop == len(slots):
-                del self._spans[region.base]
-            elif first < stop:
-                slots[first:stop] = [None] * (stop - first)
+        if count == len(row.pages or ()):
+            row.pages = row.state = None
+        elif owned:
+            row.pages[first : first + count] = [None] * count
         logs = self._frames.logs
         if logs:
-            changed = {entry.frame_id for entry in unmapped if entry is not None}
-            changed.update(live)
-            changed.discard(None)
+            changed = {e if type(e) is int else e.frame_id for e in owned if e is not None}
             for log in logs:
                 log.frames |= changed
         return survivors
 
     def owned_refcounts(self, region: Region) -> dict[int, int]:
-        """The mapped pages of ``region``, entries and live slots, counted per
-        frame refcount.
+        """The mapped pages of ``region``, counted per frame refcount.
 
         The one sweep behind :meth:`Metrics.prs_bytes`.
         """
-        pages, frames = self._pages, self._frames.by_id
+        row, first, count = self._locate(region)
+        frames = self._frames.by_id
         counts: dict[int, int] = {}
-        for page_va, frame_id in zip(
-            range(region.base, region.end, PAGE_SIZE), self._slots_over(region)
-        ):
-            if frame_id is None:
-                entry = pages.get(page_va)
-                if entry is None:
-                    continue
-                frame_id = entry.frame_id
-            frame = frames.get(frame_id)
-            if frame is None:
-                raise SimInternalError(
-                    f"page {page_va:#x} maps frame {frame_id}, which does not exist"
-                )
-            refs = len(frame.pages)
-            counts[refs] = counts.get(refs, 0) + 1
+        try:
+            for element in row.pages[first : first + count] if row.pages else ():
+                if element is not None:
+                    refs = len(frames[element if type(element) is int else element.frame_id].pages)
+                    counts[refs] = counts.get(refs, 0) + 1
+        except KeyError as err:
+            raise SimInternalError(
+                f"{region} maps frame {err.args[0]}, which does not exist"
+            ) from None
         return counts
 
     def entry_at(self, addr: int) -> PageTableEntry | None:
-        """The entry of ``addr``'s page; a live slot there becomes its entry."""
-        page_va = page_of(addr)
-        entry = self._pages.get(page_va)
-        if entry is None:
-            return self._materialize(page_va)
-        return entry
+        """The entry of ``addr``'s page, for a caller that may change it; a
+        frame-id element there becomes its read-only entry."""
+        row, index, element = self._lookup(page_of(addr))
+        if type(element) is int:
+            element = row.pages[index] = PageTableEntry(element, row.state, False)
+        return element
 
-    def slot_view(self, page_va: int) -> PageTableEntry | None:
-        """For a live slot at ``page_va``, a detached copy of the entry it
-        would become; None where there is none.  Reads the slot in place
-        and installs nothing; an explicit entry is in :attr:`by_page`."""
-        span, index = self._span_at(page_va)
-        if span is not None and index < len(span.slots):
-            frame_id = span.slots[index]
-            if frame_id is not None:
-                return PageTableEntry(frame_id, span.state, False)
-        return None
+    def sole_mappings(
+        self, frames: Iterable[TaggedFrame]
+    ) -> Iterator[tuple[TaggedFrame, int, PageTableEntry]]:
+        """Each of ``frames`` that has exactly one mapping, in order, with its
+        page and that page's entry, for the promotion pass to change; a
+        frame-id element there becomes its read-only entry."""
+        row, base, end = None, 0, 0
+        for frame in frames:
+            if len(frame.pages) != 1:
+                continue
+            (page_va,) = frame.pages
+            if not base <= page_va < end:
+                row = self._row_at(page_va)
+                base, end = row.base, row.end
+            pages, index = row.pages, (page_va - base) // PAGE_SIZE
+            entry = pages[index]
+            if type(entry) is int:
+                entry = pages[index] = PageTableEntry(entry, row.state, False)
+            yield frame, page_va, entry
+
+    def mapping_at(self, addr: int) -> tuple[int, PageState, bool] | None:
+        """The frame id, state and writable of ``addr``'s page, read in
+        place; None where the page is not mapped."""
+        row, _, element = self._lookup(page_of(addr))
+        if element is None:
+            return None
+        if type(element) is int:
+            return element, row.state, False
+        return element.frame_id, element.state, element.writable
+
+    def loadable_frames(self, pid: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The index and frame id of each page of ``pid``'s reservation, among
+        the page indices ``indices``, whose state allows capability loads;
+        reads frame-id elements in place."""
+        row = self._pid_rows[pid]
+        pages = row.pages or ()
+        shared = row.state is not None and row.state.cap_load
+        for index in indices if pages else ():
+            element = pages[index]
+            if type(element) is int:
+                if shared:
+                    yield index, element
+            elif element is not None and element.state.cap_load:
+                yield index, element.frame_id
 
     def entries(self) -> dict[int, PageTableEntry]:
-        """Every mapping by page address: the entries, and a detached entry
-        for each live slot; installs nothing."""
-        view = dict(self._pages)
-        for page_va, frame_id, state in self._live_slots():
-            view[page_va] = PageTableEntry(frame_id, state, False)
+        """Every mapping by page address, in address order: each entry, and
+        a detached read-only entry for each frame-id element."""
+        view = {}
+        for row in self._rows:
+            for page_va, element in zip(range(row.base, row.end, PAGE_SIZE), row.pages or ()):
+                if type(element) is int:
+                    view[page_va] = PageTableEntry(element, row.state, False)
+                elif element is not None:
+                    view[page_va] = element
         return view
 
-    @property
-    def by_page(self) -> dict[int, PageTableEntry]:
-        """The explicit entries by page address, not a copy; live slots are
-        not in it.
-
-        The auditor and the tests read it; only :meth:`map`, :meth:`unmap`,
-        a slot's materialisation and the region passes add or remove
-        entries.
-        """
-        return self._pages
-
     def verify_refcounts(self, owners: set[int]) -> None:
-        """Full debug pass: each frame's page set is exactly the entries and
-        live slots mapping it.
-
-        Once every entry's and live slot's page is in its frame's set, no
-        page is both, and the totals are equal, the sets list nothing else.
-        It also checks what resident-set conservation rests on, given
-        ``owners``, a set of pids: each mapped page lies in the region of a
-        pid in ``owners``, so one :meth:`owned_refcounts` sweep counts it,
-        and every frame has a page.  It walks every entry, slot and frame;
-        it is the oracle of the per-step :meth:`verify_changes`, and shares
-        only the owner check.
+        """Full debug pass: each frame's page set is exactly the pages that
+        map it, since every mapped page is in its frame's set and the sets
+        hold as many pages as the rows map.  It also checks what
+        resident-set conservation rests on, given ``owners``, a set of
+        pids: each mapped page lies in the region of a pid in ``owners``,
+        so one :meth:`owned_refcounts` sweep counts it, and every frame has
+        a page.  It reads every row element and frame once; it is the
+        oracle of the per-step :meth:`verify_changes`.
         """
-        frames = self._frames.by_id
-        for page_va, entry in self._pages.items():
-            frame = frames.get(entry.frame_id)
-            if frame is None or page_va not in frame.pages:
-                raise SimInternalError(
-                    f"page {page_va:#x} maps frame {entry.frame_id}, which does not list it"
-                )
-            self._verify_owner(page_va, owners)
-        slots = self._live_slots()
-        for page_va, frame_id, _ in slots:
-            frame = frames.get(frame_id)
-            if frame is None or page_va not in frame.pages:
-                raise SimInternalError(
-                    f"page {page_va:#x} maps frame {frame_id}, which does not list it"
-                )
-            self._verify_owner(page_va, owners)
-        both = self._pages.keys() & {page_va for page_va, _, _ in slots}
-        if both:
-            raise SimInternalError(f"page {min(both):#x} is both an entry and a live slot")
+        mapped = 0
+        for row in self._rows:
+            mapped += self._verify_pages(row, 0, (row.end - row.base) // PAGE_SIZE, owners)
         listed = 0
-        for frame_id, frame in frames.items():
+        for frame_id, frame in self._frames.by_id.items():
             if not frame.pages:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             listed += len(frame.pages)
-        mapped = len(self._pages) + len(slots)
         if listed != mapped:
             raise SimInternalError(
                 f"frames list {listed} pages, the page table maps {mapped}"
@@ -617,14 +607,13 @@ class AddressSpace:
         only where ``log`` says they may have changed; then clears the log.
 
         A logged frame that still exists has a page, and every page in its
-        set maps it through an entry or a live slot, so the set lists
-        nothing else.  Each of those pages, and each entry and live slot in
-        a logged region, maps a frame that lists it and lies in the
-        reservation of a pid in ``owners``.  If the facts held when the log
-        was last cleared and every change since was logged, this check
-        passes exactly when the full pass does.  It reads slots in place.
+        set maps it, so the set lists nothing else.  Each of those pages,
+        and each mapped page of a logged region, maps a frame that lists it
+        and lies in the reservation of a pid in ``owners``.  If the facts
+        held when the log was last cleared and every change since was
+        logged, this check passes exactly when the full pass does.
         """
-        pages, frames = self._pages, self._frames.by_id
+        frames = self._frames.by_id
         for frame_id in log.frames:
             frame = frames.get(frame_id)
             if frame is None:
@@ -632,40 +621,38 @@ class AddressSpace:
             if not frame.pages:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             for page_va in frame.pages:
-                entry = pages.get(page_va)
-                if entry is None:
-                    entry = self.slot_view(page_va)
-                if entry is None or entry.frame_id != frame_id:
+                row, _, element = self._lookup(page_va)
+                if element is None or frame_id != (
+                    element if type(element) is int else element.frame_id
+                ):
                     raise SimInternalError(
                         f"frame {frame_id} lists page {page_va:#x}, which does not map it"
                     )
-                self._verify_owner(page_va, owners)
+                _verify_owner(row, page_va, owners)
         for region in log.regions:
-            for page_va, frame_id in zip(
-                range(region.base, region.end, PAGE_SIZE), self._slots_over(region)
-            ):
-                if frame_id is None:
-                    entry = pages.get(page_va)
-                    if entry is None:
-                        continue
-                    frame_id = entry.frame_id
-                frame = frames.get(frame_id)
-                if frame is None or page_va not in frame.pages:
-                    raise SimInternalError(
-                        f"page {page_va:#x} maps frame {frame_id}, which does not list it"
-                    )
-                self._verify_owner(page_va, owners)
+            self._verify_pages(*self._locate(region), owners)
         log.frames.clear()
         log.regions.clear()
 
-    def _verify_owner(self, page_va: int, owners: set[int]) -> None:
-        """The page lies in the reservation of a pid in ``owners``."""
-        owner = self.owner_of(page_va)
-        if owner not in owners:
-            raise SimInternalError(
-                f"prs conservation broken: page {page_va:#x} lies in no owner's region"
-                f" (reserved for pid {owner})"
-            )
+    def _verify_pages(self, row: _Row, first: int, count: int, owners: set[int]) -> int:
+        """Each mapped page among ``count`` of ``row`` from index ``first`` on
+        maps a frame that lists it and lies in the reservation of a pid in
+        ``owners``; returns how many are mapped."""
+        frames, mapped = self._frames.by_id, 0
+        base = row.base + first * PAGE_SIZE
+        elements = row.pages[first : first + count] if row.pages else ()
+        for page_va, element in zip(range(base, row.end, PAGE_SIZE), elements):
+            if element is None:
+                continue
+            frame_id = element if type(element) is int else element.frame_id
+            frame = frames.get(frame_id)
+            if frame is None or page_va not in frame.pages:
+                raise SimInternalError(
+                    f"page {page_va:#x} maps frame {frame_id}, which does not list it"
+                )
+            _verify_owner(row, page_va, owners)
+            mapped += 1
+        return mapped
 
     # -- checked accesses --------------------------------------------------
 
@@ -723,17 +710,23 @@ class AddressSpace:
             raise SimInternalError(
                 f"{kind.value} of {width} bytes at {cursor:#x} crosses a page; callers split it"
             )
-        entry = self._pages.get(page_va)
-        if entry is None:
-            entry = self._materialize(page_va)
-            if entry is None:
-                _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
-        if entry.state is _SHARED_COA:
+        row = self._pid_rows.get(pid)
+        if row is None or not row.base <= page_va < row.end:
+            row = self._row_at(page_va)
+        element = row.pages[(page_va - row.base) // PAGE_SIZE] if row.pages else None
+        if type(element) is int:
+            # Shared read-only in the row's state, served in place.
+            state, frame_id, writable = row.state, element, False
+        elif element is None:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
-        if kind in _STORES and not entry.writable:
+        else:
+            state, frame_id, writable = element.state, element.frame_id, element.writable
+        if state is _SHARED_COA:
+            _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
+        if kind in _STORES and not writable:
             _fault(_PAGE_WRITE_FAULT, pid, page_va, kind)
-        frame = self._frames.get(entry.frame_id)
-        if not entry.state.cap_load:
+        frame = self._frames.get(frame_id)
+        if not state.cap_load:
             if kind is _CAP_LOAD:
                 _fault(_CAP_LOAD_FAULT, pid, page_va, kind)
             if kind in _INT_READS and frame.tagged_in(offset, offset + width):

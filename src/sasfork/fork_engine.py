@@ -19,30 +19,30 @@ Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs.  Eager copies walk the layout's
 sub-regions in page order; every other page is shared by one pass of
-:meth:`AddressSpace.share_region`, which records one span of slots for
-the child region and write-protects the parent's entries.  A child page
-gets its entry the first time it is looked up (see
-:mod:`sasfork.address_space`); ``full`` copies every page and records no
-span.  Fork is all or nothing: if an eager copy or the share pass
+:meth:`AddressSpace.share_region`, which builds the child's row with a
+frame id per shared page and write-protects the parent's entries (see
+:mod:`sasfork.address_space`); ``full`` copies every page and shares
+none.  Fork is all or nothing: if an eager copy or the share pass
 raises, it unmaps the copies, drops their events and takes back the pid
-and the reservation first.  Reap tears a region's entries and slots down
-in one pass of :meth:`AddressSpace.unmap_owned` and hands the frames it
-leaves with a single mapping to the one promotion pass,
-:meth:`ForkEngine._promote`, which a lazy copy also calls with the frame
-it copied from.
+and the reservation first.  Reap tears a region's row down in one pass
+of :meth:`AddressSpace.unmap_owned` and hands the frames it leaves with
+a single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
+which a lazy copy also calls with the frame it copied from.
 
-The lazy copy itself follows three steps: take a fresh frame and remap
-the faulting page to it, copy bytes and capabilities, then scan the
-copy's tagged granules once and rebase every capability that still
-targets the frame's origin region (see :mod:`sasfork.tagged_memory`);
-no relocation state is kept between copies.  Copies made for the region
+The lazy copy itself follows three steps: take a fresh frame, copy bytes
+and capabilities, then scan the copy's tagged granules once and rebase
+every capability that still targets the frame's origin region (see
+:mod:`sasfork.tagged_memory`); no relocation state is kept between
+copies.  It reads the faulting page's mapping in place and then remaps
+it to the copy in one write (:meth:`AddressSpace.remap`), so no entry is
+built for the shared page it replaces.  Copies made for the region
 that already owns the frame's contents (the parent side) skip the scan.
 When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
-references.  The promotion pass reads each survivor's entry from the
-page table, where :meth:`AddressSpace.entry_at` first turns a live slot
-into its entry, and its owner from :meth:`AddressSpace.owner_of`.
+references.  The promotion pass reads each survivor's entry through
+:meth:`AddressSpace.sole_mappings`, which turns a frame-id survivor into
+its entry, and its owner from :meth:`AddressSpace.owner_of`.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .address_space import Fault, FaultKind, PageState, PageTableEntry
 from .capability import GRANULES_PER_PAGE, Capability, Region, rebase_for_child
@@ -183,17 +183,18 @@ class ForkEngine:
         try:
             for sub, cause in eager:
                 for parent_va in sub.page_addresses():
-                    entry = space.entry_at(parent_va)
-                    if entry is None:
+                    mapping = space.mapping_at(parent_va)
+                    if mapping is None:
                         raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
                     child_va = child_region.base + (parent_va - parent.region.base)
                     self._copy_into(
                         child_pid,
                         child_va,
-                        entry.frame_id,
+                        mapping[0],
                         child_region,
                         writable=child_layout.page_writable(child_va),
                         cause=cause,
+                        install=space.map,
                     )
                     copied.add(parent_va)
             eager_pages = ptes_written = len(copied)
@@ -247,28 +248,29 @@ class ForkEngine:
         """Copy (and, child-side, relocate) the faulting shared page.
 
         Only page-level faults on shared pages resolve; anything else is
-        :class:`UnresolvableFault`.  The entry at the faulting address is
-        remapped to the fresh frame; the old frame's refcount drops and
+        :class:`UnresolvableFault`.  The faulting page's mapping, a frame
+        id or an entry read in place, is replaced by the copy's entry
+        (:meth:`AddressSpace.remap`); the old frame's refcount drops and
         a sole survivor is promoted back to private.
         """
         cause = _FAULT_TO_CAUSE.get(fault.kind)
         if cause is None:
             raise UnresolvableFault(f"{fault.kind.value} cannot be resolved by copying")
         sys = self._sys
-        entry = sys.address_space.entry_at(fault.page_va)
-        if entry is None or not entry.shared:
+        space = sys.address_space
+        mapping = space.mapping_at(fault.page_va)
+        if mapping is None or mapping[1] is PageState.PRIVATE:
             raise UnresolvableFault(
                 f"page {fault.page_va:#x} is not in a shared state"
             )
         owner = self._owner(fault.page_va)
-        old_frame = sys.frames.get(entry.frame_id)
+        old_frame = sys.frames.get(mapping[0])
         if len(old_frame.pages) < 2:
             # Promotion reverts sole-owner pages to private, so a shared
             # entry always aliases a multiply-referenced frame.
             raise SimInternalError(
                 f"shared page {fault.page_va:#x} on a sole-owner frame"
             )
-        sys.address_space.unmap(fault.page_va)
         event = self._copy_into(
             fault.pid,
             fault.page_va,
@@ -276,6 +278,7 @@ class ForkEngine:
             owner.region,
             writable=owner.layout.page_writable(fault.page_va),
             cause=cause,
+            install=space.remap,
         )
         self._promote((old_frame,))
         return event
@@ -289,12 +292,15 @@ class ForkEngine:
         *,
         writable: bool,
         cause: CopyCause,
+        install: Callable[[int, PageTableEntry], None],
     ) -> CopyEvent:
         """Three-step page copy: fresh frame, byte+capability copy, relocation scan.
 
         The scan runs only when the destination region differs from the
         frame's origin (a forked child); a copy for the origin region
-        itself needs no relocation.
+        itself needs no relocation.  ``install`` puts the copy's entry at
+        ``page_va``: :meth:`AddressSpace.map` for an eager copy into the
+        child, :meth:`AddressSpace.remap` for a lazy one.
         """
         sys = self._sys
         fresh = sys.frames.clone(src_frame_id)
@@ -303,7 +309,7 @@ class ForkEngine:
             relocations = sys.frames.scan_and_relocate(fresh, fresh.origin, dest_region)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
-        sys.address_space.map(page_va, PageTableEntry(fresh.frame_id, PageState.PRIVATE, writable))
+        install(page_va, PageTableEntry(fresh.frame_id, PageState.PRIVATE, writable))
         event = CopyEvent(trigger_pid, page_va, cause, scanned, relocations)
         self.events.append(event)
         self._verify_copy_clean(fresh, dest_region)
@@ -353,29 +359,25 @@ class ForkEngine:
         """
         sys = self._sys
         space = sys.address_space
-        pages = space.by_page
         private = PageState.PRIVATE
         logs = sys.frames.logs
         base = end = 0
-        for frame in frames:
-            if len(frame.pages) != 1:
-                continue
-            (page_va,) = frame.pages
-            entry = pages.get(page_va)
-            if entry is None:  # a live slot: it becomes its entry
-                entry = space.entry_at(page_va)
+        for frame, page_va, entry in space.sole_mappings(frames):
             if entry.state is private:
                 continue
             if not base <= page_va < end:
                 owner = self._owner(page_va)
                 base, end = owner.region.base, owner.region.end
+                # Layout.page_writable, read once per owner.
+                code = owner.layout.code_ro
+                ro_base, ro_end = code.base, code.end
             # Most frames keep their owner's own region object as origin.
             if frame.origin is not owner.region and frame.origin != owner.region:
                 relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
                 sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
                 frame.origin = owner.region
             entry.state = private
-            entry.writable = owner.layout.page_writable(page_va)
+            entry.writable = not ro_base <= page_va < ro_end
             if logs:  # as in the teardown pass: no loop per frame without a log
                 for log in logs:
                     log.frames.add(frame.frame_id)

@@ -378,16 +378,17 @@ class KernelGateway:
 
         Covers register state (including the DSL symbol spill area) and
         every tagged granule of frames mapped with capability loads
-        allowed, through an entry or a live slot read in place.  A capability is fine if its bounds sit inside the
-        owner's region or it is a registered sealed entry; anything else
-        is reported.  A process the last sweep did not audit gets a walk
-        of its whole region; for the others only the pages of frames in
-        the change log, and the pages and registers that held findings,
-        are checked again (see the module docstring).
+        allowed, through an entry or a frame-id element read in place
+        (:meth:`AddressSpace.loadable_frames`).  A capability is fine if
+        its bounds sit inside the owner's region or it is a registered
+        sealed entry; anything else is reported.  A process the last sweep
+        did not audit gets a walk of its whole region; for the others only
+        the pages of frames in the change log, and the pages and registers
+        that held findings, are checked again (see the module docstring).
         """
         violations: list[AuditViolation] = []
         system = self._sys
-        pages, frames = system.address_space.by_page, system.frames.by_id
+        space, frames = system.address_space, system.frames.by_id
         # Pages, by owner, of the logged frames still alive; an owner the
         # last sweep did not audit gets a whole walk instead.
         touched: dict[int, list[int]] = {}
@@ -403,7 +404,7 @@ class KernelGateway:
             if frame is None:
                 continue
             for page_va in frame.pages:
-                owner = system.address_space.owner_of(page_va)
+                owner = space.owner_of(page_va)
                 if owner in old_registers:
                     touched.setdefault(owner, []).append(page_va)
         log.frames.clear()
@@ -428,17 +429,12 @@ class KernelGateway:
                         {(page_va - base) // PAGE_SIZE for page_va in touched[pid]}.union(indices)
                     )
             held = []
-            for index in indices:
+            for index, frame_id in space.loadable_frames(pid, indices) if indices else ():
                 page_va = base + index * PAGE_SIZE
-                entry = pages.get(page_va)
-                if entry is None:  # a live slot, read in place
-                    entry = system.address_space.slot_view(page_va)
-                if entry is None or not entry.state.cap_load:
-                    continue
-                frame = frames.get(entry.frame_id)
+                frame = frames.get(frame_id)
                 if frame is None:
                     raise SimInternalError(
-                        f"page {page_va:#x} maps frame {entry.frame_id}, which does not exist"
+                        f"page {page_va:#x} maps frame {frame_id}, which does not exist"
                     )
                 found = len(violations)
                 for granule, cap in frame.tagged_caps():

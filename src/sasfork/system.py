@@ -393,10 +393,10 @@ class System:
             )
 
     def _mapped_frame(self, va: int, what: str) -> TaggedFrame:
-        entry = self.address_space.entry_at(va)
-        if entry is None:
+        mapping = self.address_space.mapping_at(va)
+        if mapping is None:
             raise SimInternalError(f"{what} at unmapped address {va:#x}")
-        return self.frames.get(entry.frame_id)
+        return self.frames.get(mapping[0])
 
     # -- invariants -------------------------------------------------------------------
 

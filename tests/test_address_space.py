@@ -23,6 +23,7 @@ from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, U
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
+from state_digest import entry_pages, state_digest
 
 
 @pytest.fixture
@@ -179,14 +180,10 @@ class TestMappings:
         last = proc.region.end - PAGE_SIZE
         frames[space.entry_at(last).frame_id].pages.clear()
 
-        def state():
-            pages = {fid: set(frame.pages) for fid, frame in frames.items()}
-            return space.entries(), pages, sorted(frames)
-
-        before = state()
+        before = state_digest(system)
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
             space.unmap_owned(proc.region)
-        assert state() == before
+        assert state_digest(system) == before
         assert not log.frames and not log.regions
 
     @pytest.mark.parametrize("fault", ["unmapped parent", "unknown frame", "double map"])
@@ -217,13 +214,11 @@ class TestMappings:
         assert {entry.writable for entry in parent_pages[:-1]} == {True, False}
 
         def state():
-            entries = {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
-            page_sets = {fid: set(frame.pages) for fid, frame in frames.items()}
             logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
-            return entries, page_sets, logs, set(space.by_page)
+            return state_digest(system), logs, entry_pages(space)
 
         before = state()
-        assert len(before[2]) == 2
+        assert len(before[1]) == 2
         with pytest.raises(DoubleMap if fault == "double map" else SimInternalError):
             space.share_region(parent.region, child, skip, PageState.SHARED_COA)
         assert state() == before
@@ -246,51 +241,71 @@ def rows(space):
     return {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
 
 
-class TestSpans:
-    def test_a_share_records_slots_that_the_expanded_view_shows(self, space):
+class TestRows:
+    def test_a_share_builds_frame_ids_that_the_expanded_view_shows(self, space):
         parent, child, frames = shared_child(space)
-        assert not any(child.contains(va) for va in space.by_page)
+        assert entry_pages(space) == set(parent.page_addresses())
         for va, frame in zip(child.page_addresses(), frames):
             assert frame.pages == {va - child.base + parent.base, va}
             shared = PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False)
             assert space.entries()[va] == shared
-            assert space.slot_view(va) == shared
-            assert space.slot_view(va - child.base + parent.base) is None
+            assert space.mapping_at(va + 8) == (frame.frame_id, PageState.SHARED_COPA, False)
         space.verify_refcounts({1, 2})
         assert space.owned_refcounts(child) == {2: 3}
 
-    @pytest.mark.parametrize("lookup", ["entry_at", "check_and_access"])
-    def test_a_slot_becomes_its_read_only_entry_on_first_lookup(self, space, lookup):
+    def test_entry_at_turns_a_frame_id_into_its_read_only_entry_once(self, space):
         parent, child, frames = shared_child(space)
         before = rows(space)
         va = child.base + PAGE_SIZE
-        if lookup == "entry_at":
-            entry = space.entry_at(va + 8)
-        else:
-            space.check_and_access(2, data_cap(child, PAGE_SIZE), AccessKind.READ_INT)
-            entry = space.by_page[va]
+        entry = space.entry_at(va + 8)
         assert entry == PageTableEntry(frames[1].frame_id, PageState.SHARED_COPA, False)
         # Installed once: later lookups return the same entry.
-        assert space.by_page[va] is entry and space.entry_at(va) is entry
+        assert va in entry_pages(space) and space.entry_at(va) is entry
         assert rows(space) == before
         space.verify_refcounts({1, 2})
 
-    def test_map_and_unmap_of_a_slot_act_on_its_entry(self, space):
+    def test_readers_take_a_frame_id_in_place(self, space):
+        parent, child, frames = shared_child(space)
+        before = entry_pages(space)
+        assert space.check_and_access(2, data_cap(child, PAGE_SIZE), AccessKind.READ_INT) == 0
+        with pytest.raises(FaultError) as err:
+            space.check_and_access(2, data_cap(child, 8), AccessKind.WRITE, b"\x01")
+        assert err.value.fault.kind is FaultKind.PAGE_WRITE
+        space.mapping_at(child.base)
+        space.entries()
+        assert list(space.loadable_frames(2, range(3))) == []
+        space.verify_refcounts({1, 2})
+        space.owned_refcounts(child)
+        assert entry_pages(space) == before
+
+    def test_map_and_unmap_of_a_frame_id_act_on_its_mapping(self, space):
         parent, child, frames = shared_child(space)
         stray = space._frames.allocate()
         with pytest.raises(DoubleMap):
             space.map(child.base, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
-        assert space.by_page[child.base].frame_id == frames[0].frame_id
+        assert space.mapping_at(child.base)[0] == frames[0].frame_id
+        assert child.base not in entry_pages(space)
         assert space.unmap(child.end - PAGE_SIZE) == 1
         assert child.end - PAGE_SIZE not in space.entries()
         assert frames[2].pages == {parent.end - PAGE_SIZE}
 
-    def test_a_grandchild_share_copies_live_slots_in_place(self, space):
+    def test_remap_of_a_frame_id_moves_the_page_to_the_new_frame(self, space):
         parent, child, frames = shared_child(space)
-        space.entry_at(child.base)  # one slot becomes an entry
+        fresh = space._frames.allocate()
+        entry = PageTableEntry(fresh.frame_id, PageState.PRIVATE, True)
+        space.remap(child.base, entry)
+        assert space.entry_at(child.base) is entry
+        assert frames[0].pages == {parent.base} and fresh.pages == {child.base}
+        space.verify_refcounts({1, 2})
+        with pytest.raises(UnmappedPage):
+            space.remap(child.base + 8, entry)
+
+    def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
+        parent, child, frames = shared_child(space)
+        space.entry_at(child.base)  # one frame id becomes an entry
         grandchild = space.reserve_region(child.size, 3)
         assert space.share_region(child, grandchild, set(), PageState.SHARED_COA) == 3
-        assert set(space.by_page) == {*parent.page_addresses(), child.base}
+        assert entry_pages(space) == {*parent.page_addresses(), child.base}
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
@@ -301,47 +316,40 @@ class TestSpans:
     def test_a_share_outside_one_fresh_reservation_is_internal(self, space):
         parent, child, _ = shared_child(space)
         before = rows(space)
-        with pytest.raises(SimInternalError, match="free of spans"):
+        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             space.share_region(parent, child, set(), PageState.SHARED_COA)
-        with pytest.raises(SimInternalError, match="free of spans"):
+        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             inner = Region(child.base + PAGE_SIZE, PAGE_SIZE)
             space.share_region(parent, inner, set(), PageState.SHARED_COA)
         small = space.reserve_region(PAGE_SIZE, 3)
-        with pytest.raises(SimInternalError, match="free of spans"):
+        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             # A child that runs past its reservation.
             past = Region(small.base, parent.size)
             space.share_region(parent, past, set(), PageState.SHARED_COA)
         assert rows(space) == before
 
-    def test_a_teardown_drops_entries_and_slots_together(self, space):
+    def test_a_teardown_drops_entries_and_frame_ids_with_the_row(self, space):
         parent, child, frames = shared_child(space)
         space.entry_at(child.base + PAGE_SIZE)
         assert space.unmap_owned(child) == frames
         assert rows(space).keys() == set(parent.page_addresses())
-        assert not space._spans
+        assert space._rows[-1].pages is None and space._rows[-1].state is None
         space.verify_refcounts({1})
 
-    def test_a_teardown_over_a_slot_its_frame_does_not_list_changes_nothing(self, space):
+    def test_a_teardown_over_a_frame_id_its_frame_does_not_list_changes_nothing(self, space):
         parent, child, frames = shared_child(space)
         space.entry_at(child.base)
         frames[2].pages.discard(child.end - PAGE_SIZE)
 
         def state():
-            return rows(space), [set(frame.pages) for frame in frames], set(space.by_page)
+            return rows(space), [set(frame.pages) for frame in frames], entry_pages(space)
 
         before = state()
         with pytest.raises(SimInternalError, match=f"{child.end - PAGE_SIZE:#x}"):
             space.unmap_owned(child)
         assert state() == before
 
-    def test_the_full_pass_catches_a_page_that_is_an_entry_and_a_slot(self, space):
-        parent, child, frames = shared_child(space)
-        entry = PageTableEntry(frames[0].frame_id, PageState.SHARED_COPA, False)
-        space.by_page[child.base] = entry
-        with pytest.raises(SimInternalError, match="both an entry and a live slot"):
-            space.verify_refcounts({1, 2})
-
-    def test_the_full_pass_counts_slots_beside_entries(self, space):
+    def test_the_full_pass_counts_frame_ids_beside_entries(self, space):
         parent, child, frames = shared_child(space)
         frames[0].pages.add(child.end)
         with pytest.raises(SimInternalError, match="frames list 7 pages, the page table maps 6"):
@@ -351,7 +359,7 @@ class TestSpans:
         parent, child, _ = shared_child(space)
         with pytest.raises(SimInternalError, match="not the last reservation"):
             space.unreserve(parent)
-        with pytest.raises(SimInternalError, match="still holds a span"):
+        with pytest.raises(SimInternalError, match="still maps a page"):
             space.unreserve(child)
         fresh = space.reserve_region(PAGE_SIZE, 3)
         space.unreserve(fresh)

@@ -1,10 +1,13 @@
 """Fork strategies, lazy-copy resolution, and exit/wait semantics."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 import sasfork.system
 from sasfork import tagged_memory
-from sasfork.address_space import AccessKind, FaultKind, PageState, PageTableEntry
+from sasfork.address_space import AccessKind, AddressSpace, FaultKind, PageState, PageTableEntry
 from sasfork.capability import (
     DATA_PERMS,
     GRANULE,
@@ -25,7 +28,9 @@ from sasfork.process import LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import FrameTable
 from sasfork.workload import run
-from test_golden import GEN_SLICE, GOLDEN, digest
+from sasfork.workload.interpreter import _Interpreter
+from state_digest import entry_pages, materialise, state_digest
+from test_golden import GEN_SLICE, GOLDEN
 
 
 def make_system(strategy):
@@ -210,6 +215,48 @@ class TestFaultResolution:
         # The promotion produced no copy event for the child.
         child_events = [e for e in system.fork_engine.events if e.pid == child.pid and not e.eager]
         assert child_events == []
+
+
+class TestReadsInPlace:
+    """A child's shared pages stay frame ids in its row until a copy."""
+
+    def test_a_copa_child_reading_every_heap_page_keeps_no_entry_per_page(self):
+        system = System("copa", "fault")
+        parent = system.create_initial_process(LayoutSpec(heap_pages=4096))
+        child = system.process(system.fork_engine.fork(parent.pid))
+        heap = child.layout.heap
+        caps = [Capability(heap.base, heap.size, va, DATA_PERMS) for va in heap.page_addresses()]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for cap in caps:
+                assert system.access(child.pid, cap, AccessKind.READ_INT) == 0
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * len(caps)
+        assert not entry_pages(system.address_space) & set(heap.page_addresses())
+
+    def test_a_coa_first_touch_builds_only_the_copys_entry(self, monkeypatch):
+        system = make_system("coa")
+        parent = system.create_initial_process()
+        child = system.process(system.fork_engine.fork(parent.pid))
+        built, unmapped = [], []
+        real_init = PageTableEntry.__init__
+
+        def init(entry, *args):
+            built.append(args)
+            real_init(entry, *args)
+
+        monkeypatch.setattr(PageTableEntry, "__init__", init)
+        monkeypatch.setattr(AddressSpace, "unmap", lambda space, va: unmapped.append(va))
+        assert system.access(child.pid, heap_cap(child), AccessKind.READ_INT) == 0
+        assert unmapped == []
+        (copy,) = built
+        assert copy[1:] == (PageState.PRIVATE, True)
+        assert system.address_space.entry_at(child.layout.heap.base).frame_id == copy[0]
 
 
 class TestGotRelocation:
@@ -469,15 +516,11 @@ class TestBatchedPaths:
 
         monkeypatch.setattr(FrameTable, "clone", clone)
 
-        def state():
-            page_sets = {fid: set(frame.pages) for fid, frame in frames.by_id.items()}
-            return rows(space), page_sets, list(engine.events), space.owner_of(child_base)
-
-        before = state()
+        before = state_digest(system)
         with pytest.raises(SimInternalError, match="unmapped at fork"):
             engine.fork(parent.pid)
         assert len(cloned) == (5 if strategy == "full" else 2)
-        assert state() == before
+        assert state_digest(system) == before
         assert space.owner_of(child_base) is None
         assert space.reserve_region(PAGE_SIZE, parent.pid + 1).base == child_base
         assert system.allocate_pid() == parent.pid + 1
@@ -485,16 +528,25 @@ class TestBatchedPaths:
         assert frames.allocate().frame_id > max(cloned)
 
     @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
-    def test_shared_install_onto_a_mapped_child_page_is_a_double_map(self, strategy):
+    def test_shared_install_onto_a_mapped_child_page_is_a_double_map(
+        self, strategy, monkeypatch
+    ):
         system = make_system(strategy)
         parent = system.create_initial_process()
-        # Regions are bump-allocated, so the child's region starts here.
-        squatter = parent.region.end + (parent.layout.heap.base - parent.region.base)
-        frame = system.frames.allocate()
-        system.address_space.map(
-            squatter,
-            PageTableEntry(frame.frame_id, PageState.PRIVATE, True),
-        )
+        real_share = AddressSpace.share_region
+
+        def share_region(space, parent_region, child, skip, state):
+            # A page of the fresh child region that is already mapped, and
+            # unmapped again, so the failed fork can take the region back.
+            squatter = child.base + (parent.layout.heap.base - parent.region.base)
+            frame = system.frames.allocate()
+            space.map(squatter, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
+            try:
+                return real_share(space, parent_region, child, skip, state)
+            finally:
+                space.unmap(squatter)
+
+        monkeypatch.setattr(AddressSpace, "share_region", share_region)
         with pytest.raises(DoubleMap):
             system.fork_engine.fork(parent.pid)
 
@@ -736,10 +788,10 @@ def test_entries_after_each_fork_are_those_of_the_per_page_pass(strategy, monkey
         after = rows(space)
         child = system.process(child_pid)
         assert after == per_page_pass(before, after, parent, child, strategy)
-        # The child's entries are its eager copies; its shared pages are slots.
+        # The child's entries are its eager copies; its shared pages are frame ids.
         owned = {va: row for va, row in after.items() if child.region.contains(va)}
         private = {va for va, (_, state, _) in owned.items() if state is PageState.PRIVATE}
-        assert {va for va in space.by_page if va in owned} == private
+        assert entry_pages(space) & owned.keys() == private
         checked.append(child_pid)
         return child_pid
 
@@ -748,31 +800,36 @@ def test_entries_after_each_fork_are_those_of_the_per_page_pass(strategy, monkey
     assert len(checked) > 10
 
 
-def materialise_every_slot(system):
-    """Look up every live slot, so each becomes its entry."""
-    space = system.address_space
-    slots = space.entries().keys() - space.by_page.keys()
-    for va in slots:
-        space.entry_at(va)
-    assert space.entries().keys() == space.by_page.keys()
-    return len(slots)
-
-
 @pytest.mark.parametrize("name", sorted(ORACLE_SCRIPTS))
-def test_materialising_every_slot_after_every_step_changes_no_output(name, monkeypatch):
-    """The trace, report and audit text of every strategy are byte-identical
-    when every live slot becomes an entry after every step."""
+def test_state_digests_agree_at_every_step(name, monkeypatch):
+    """Two runs of a script in one process reach the same state after every
+    step, and so does a run that turns every frame-id element into its
+    entry after every step, with byte-identical trace, report and audit."""
     text = ORACLE_SCRIPTS[name]
     if name == "eagain":
         monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
-    lazy = digest(text)
-    real_verify = System.verify_invariants
-    materialised = []
+    real_after_step = _Interpreter._after_step
+    steps, materialised = [], []
 
-    def verify_invariants(system, **kwargs):
-        materialised.append(materialise_every_slot(system))
-        real_verify(system, **kwargs)
+    def after_step(interp, materialising):
+        if materialising:
+            materialised.append(materialise(interp.system))
+        real_after_step(interp)
+        steps[-1].append(state_digest(interp.system))
 
-    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
-    assert digest(text) == lazy
+    for strategy in LAZY_STRATEGIES:
+        outputs = []
+        for materialising in (False, False, True):
+            steps.append([])
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    _Interpreter, "_after_step", lambda i, m=materialising: after_step(i, m)
+                )
+                result = run(text, strategy, "fault", debug=True, audit=True)
+            outputs.append(
+                (result.trace.to_text(), result.report.to_text(), result.audit.to_text())
+            )
+        assert len(steps[-1]) > 1
+        assert steps[-3] == steps[-2] == steps[-1], strategy
+        assert outputs[0] == outputs[1] == outputs[2], strategy
     assert sum(materialised) > 0

@@ -634,32 +634,35 @@ class _CountingRegistry(dict):
             yield proc
 
 
-class _CountingPages(dict):
-    """A page table that counts the entries read from it."""
+class _CountingRow(list):
+    """A row of the page table that counts the elements read from it, into
+    one count shared by every row."""
 
     reads = 0
 
-    def get(self, page_va, default=None):
-        self.reads += 1
-        return super().get(page_va, default)
+    def __getitem__(self, index):
+        found = super().__getitem__(index)
+        _CountingRow.reads += len(found) if isinstance(index, slice) else 1
+        return found
 
-    def __getitem__(self, page_va):
-        self.reads += 1
-        return super().__getitem__(page_va)
+    def __iter__(self):
+        for element in super().__iter__():
+            _CountingRow.reads += 1
+            yield element
 
-    def __contains__(self, page_va):
-        self.reads += 1
-        return super().__contains__(page_va)
 
-    def items(self):
-        for item in super().items():
-            self.reads += 1
-            yield item
+def _count_rows(space):
+    """Make every row count its reads; returns the elements the rows hold.
 
-    def values(self):
-        for entry in super().values():
-            self.reads += 1
-            yield entry
+    A pass that builds or drops a row replaces its list, so each check
+    wraps the rows again before it runs."""
+    held = 0
+    for row in space._rows:
+        if row.pages is not None:
+            if type(row.pages) is list:
+                row.pages = _CountingRow(row.pages)
+            held += len(row.pages)
+    return held
 
 
 def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
@@ -674,8 +677,6 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
     def init(system, *args, **kwargs):
         real_init(system, *args, **kwargs)
         system.processes = _CountingRegistry()
-        space = system.address_space
-        space._pages = _CountingPages(space._pages)
 
     def audit(gateway):
         registry = gateway._sys.processes
@@ -685,14 +686,14 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
         return report
 
     def verify_invariants(system, **kwargs):
-        registry, pages = system.processes, system.address_space.by_page
+        registry, held = system.processes, _count_rows(system.address_space)
         full = kwargs.get("full") or system._debug_changes is None
-        records, entries = registry.reads, pages.reads
+        records, entries = registry.reads, _CountingRow.reads
         real_verify(system, **kwargs)
-        entries = pages.reads - entries
+        entries = _CountingRow.reads - entries
         if full:
-            # Each entry once: no region sweep reads one a second time.
-            assert entries == len(pages)
+            # Each element once: no region sweep reads one a second time.
+            assert entries == held
             full_passes.append(entries)
         else:
             checks.append((registry.reads - records, entries))
@@ -910,10 +911,23 @@ class TestChangeLogEntryPoints:
         system, parent = audited_system("coa")
         child = system.process(system.fork_engine.fork(parent.pid))
         space = system.address_space
-        owned = {space.entry_at(va).frame_id for va in child.region.page_addresses()}
+        # Read in place, so the teardown walks frame ids beside the eager entries.
+        owned = {space.mapping_at(va)[0] for va in child.region.page_addresses()}
         logs = self.both_logs_cleared(system)
         space.unmap_owned(child.region)
         self.assert_logged(logs, frames=owned)
+
+    def test_a_remap_is_logged_in_both_logs(self):
+        system, parent = audited_system("coa")
+        child = system.process(system.fork_engine.fork(parent.pid))
+        space, page = system.address_space, child.layout.heap.base
+        old = space.mapping_at(page)[0]
+        logs = self.both_logs_cleared(system)
+        fresh = system.frames.allocate(origin=child.region)
+        for log in logs:  # the allocation logged the fresh frame
+            log.frames.clear()
+        space.remap(page, PageTableEntry(fresh.frame_id, PageState.PRIVATE, True))
+        self.assert_logged(logs, frames={old, fresh.frame_id})
 
     def test_a_shared_child_region_is_logged_in_both_logs(self):
         system, parent = audited_system("coa")
@@ -941,22 +955,16 @@ AUDIT_WORK_BODY = (
 def test_audit_work_does_not_grow_with_the_region(monkeypatch):
     """After the first sweep, the page-table reads of each sweep depend on
     the statement, not on the region size."""
-    real_init, real_audit = System.__init__, KernelGateway.audit
+    real_audit = KernelGateway.audit
     reads = []
 
-    def init(system, *args, **kwargs):
-        real_init(system, *args, **kwargs)
-        space = system.address_space
-        space._pages = _CountingPages(space._pages)
-
     def audit(gateway):
-        pages = gateway._sys.address_space.by_page
-        start = pages.reads
+        _count_rows(gateway._sys.address_space)
+        start = _CountingRow.reads
         report = real_audit(gateway)
-        reads.append(pages.reads - start)
+        reads.append(_CountingRow.reads - start)
         return report
 
-    monkeypatch.setattr(System, "__init__", init)
     monkeypatch.setattr(KernelGateway, "audit", audit)
 
     def sweeps(heap):
@@ -975,21 +983,15 @@ def test_audit_work_does_not_grow_with_the_region(monkeypatch):
 def test_debug_work_does_not_grow_with_the_region(monkeypatch):
     """After the first check, the page-table reads of each invariant check
     depend on the statement, not on the region size."""
-    real_init, real_verify = System.__init__, System.verify_invariants
+    real_verify = System.verify_invariants
     reads = []
 
-    def init(system, *args, **kwargs):
-        real_init(system, *args, **kwargs)
-        space = system.address_space
-        space._pages = _CountingPages(space._pages)
-
     def verify_invariants(system, **kwargs):
-        pages = system.address_space.by_page
-        start = pages.reads
+        _count_rows(system.address_space)
+        start = _CountingRow.reads
         real_verify(system, **kwargs)
-        reads.append(pages.reads - start)
+        reads.append(_CountingRow.reads - start)
 
-    monkeypatch.setattr(System, "__init__", init)
     monkeypatch.setattr(System, "verify_invariants", verify_invariants)
 
     def checks(heap):
@@ -1099,18 +1101,17 @@ def test_both_checks_hold_at_every_step_on_their_own_logs(
         assert run(NESTED, strategy, "fault").system.frames.logs == []
 
 
-def _unmap_keeps_the_page(monkeypatch):
-    real = AddressSpace.unmap
+def _remap_keeps_the_old_page(monkeypatch):
+    real = AddressSpace.remap
 
-    def unmap(self, page_va):
+    def remap(self, page_va, entry):
         frames = self._frames.by_id
-        frame = frames[self.entry_at(page_va).frame_id]
-        real(self, page_va)
+        frame = frames[self.mapping_at(page_va)[0]]
+        real(self, page_va, entry)
         frame.pages.add(page_va)
         frames[frame.frame_id] = frame
-        return len(frame.pages)
 
-    monkeypatch.setattr(AddressSpace, "unmap", unmap)
+    monkeypatch.setattr(AddressSpace, "remap", remap)
 
 
 def _share_region_drops_a_child_page(monkeypatch):
@@ -1118,7 +1119,7 @@ def _share_region_drops_a_child_page(monkeypatch):
 
     def share_region(self, parent, child, skip, state):
         written = real(self, parent, child, skip, state)
-        # Read through the expanded view: every shared child page is a slot.
+        # Read through the expanded view: every shared child page is a frame id.
         frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
@@ -1131,14 +1132,14 @@ def _share_region_drops_a_child_page(monkeypatch):
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
 
 
-def _share_region_drops_its_last_slot(monkeypatch):
+def _share_region_drops_its_last_frame_id(monkeypatch):
     real = AddressSpace.share_region
 
     def share_region(self, parent, child, skip, state):
         written = real(self, parent, child, skip, state)
-        slots = self._spans[child.base].slots
-        index = max(i for i, frame_id in enumerate(slots) if frame_id is not None)
-        self._frames.by_id[slots[index]].pages.remove(child.base + index * PAGE_SIZE)
+        pages = self._row_at(child.base).pages
+        index = max(i for i, element in enumerate(pages) if type(element) is int)
+        self._frames.by_id[pages[index]].pages.remove(child.base + index * PAGE_SIZE)
         return written
 
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
@@ -1165,7 +1166,7 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
         ]
         survivors = real(self, region)
         # The first page whose frame outlives the teardown, an entry or a
-        # slot, stays in its set; the released region maps nothing there.
+        # frame id, stays in its set; the released region maps nothing there.
         for page_va, frame_id in owned:
             if frame_id in frames:
                 frames[frame_id].pages.add(page_va)
@@ -1176,9 +1177,9 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
 
 
 DEBUG_MUTATIONS = {
-    "unmap_keeps_the_page": _unmap_keeps_the_page,
+    "remap_keeps_the_old_page": _remap_keeps_the_old_page,
     "share_region_drops_a_child_page": _share_region_drops_a_child_page,
-    "share_region_drops_its_last_slot": _share_region_drops_its_last_slot,
+    "share_region_drops_its_last_frame_id": _share_region_drops_its_last_frame_id,
     "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,
     "unmap_owned_keeps_a_page_in_its_frame": _unmap_owned_keeps_a_page_in_its_frame,
 }

@@ -254,7 +254,14 @@ def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
         system.verify_invariants()
         va = child.layout.heap.base
     stray = system.frames.allocate()
-    system.address_space.map(va, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
+    mapping = PageTableEntry(stray.frame_id, PageState.PRIVATE, True)
+    if place == "unreserved":
+        # The page table holds rows for reservations only.
+        with pytest.raises(SimInternalError, match="lies in no reservation"):
+            system.address_space.map(va, mapping)
+        assert not stray.pages
+        return
+    system.address_space.map(va, mapping)
     with pytest.raises(SimInternalError, match="prs conservation"):
         system.verify_invariants()
 

@@ -304,6 +304,7 @@ class TestOnePassScan:
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
         space = AddressSpace(table)
+        assert space.reserve_region(0x2000, 1).base == 0x1000
         frame = table.allocate()
         for page_va in (0x1000, 0x2000):
             space.map(page_va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
