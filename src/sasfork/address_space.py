@@ -7,7 +7,8 @@ table adds is the *sharing strategy* per page:
 ========== ========== ========= ================ =========================
 state      readable   writable  capability load  used for
 ========== ========== ========= ================ =========================
-Private    yes        per page  yes              exclusively owned pages
+Private    yes        except    yes              exclusively owned pages
+                      code
 SharedCoW  yes        no        yes              parent side of any lazy
                                                  fork, child side of the
                                                  unsafe CoW demonstration
@@ -18,34 +19,38 @@ SharedCoPA yes        no        no               child side of copy-on-
 ========== ========== ========= ================ =========================
 
 The capability-load column is derived from the state
-(``PageState.cap_load``), and a frame's refcount is the size of the page
-set the frame owns.  This module is the one writer of page sets: mapping
-and unmapping keep them in step with the page table, and log each change
-into the frame table's change logs (see :mod:`sasfork.tagged_memory`).
+(``PageState.cap_load``), and so is the writable column: a page is
+writable exactly when it is ``Private`` and lies past its reservation's
+leading read-only (code) pages, which :meth:`AddressSpace.reserve_region`
+fixes once.  A frame's refcount is the size of the page set the frame
+owns.  This module is the one writer of page sets: mapping and unmapping
+keep them in step with the page table, and log each change into the
+frame table's change logs (see :mod:`sasfork.tagged_memory`).
 
-The page table is one *row* per reservation, a list with one element per
-page: ``None`` for an unmapped page, an ``int`` frame id for a page
-shared read-only in the row's state, or a :class:`PageTableEntry`.  A
-fork's share pass builds the child's row with a frame id per shared page
-and adds each child page to its frame's page set, so a page set stays
-the refcount.  Entries are slotted records changed in place: the share
-pass write-protects the parent's, and the promotion pass makes a sole
-survivor private again.  Readers take a frame id as it is and build no
-entry for it; a lazy copy replaces it with the copy's entry
-(:meth:`AddressSpace.remap`), and only :meth:`~AddressSpace.entry_at`
-and the promotion pass, whose callers change the entry, turn one into
-its entry.
+The page table is one *row* per reservation with two columns, a list
+each with one element per page: ``frames``, the frame id that backs the
+page or ``None`` where nothing maps it, and ``states``, the page's
+:class:`PageState` (``None`` where unmapped).  A fork's share pass
+copies the parent's frame ids into the child's row, writes the
+strategy's shared state beside them, makes the parent's private states
+copy-on-write and adds each child page to its frame's page set, so a
+page set stays the refcount.  A lazy copy writes the copy's frame id and
+``Private`` (:meth:`AddressSpace.remap`), and the promotion pass makes a
+sole survivor ``Private`` again in place.  A :class:`PageTableEntry` is
+only a read-only view of one page, built by
+:meth:`~AddressSpace.entry_at` and :meth:`~AddressSpace.entries`.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
 crosses a page is an internal error, since callers split ranges first.
 It runs the fixed pipeline
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
-kinds are deterministic.  It reads the row of the accessing pid's
-reservation, and bisects for a row only for a page outside it.
-Page-level faults (write, access, capability load) are resolvable by the
-fork engine; capability-level faults and privilege faults terminate the
-access.  Where capability loads are
+kinds are deterministic; a store to a read-only page is a write fault
+in any state, since no copy would make the page writable.  It reads the
+row of the accessing pid's reservation, and bisects for a row only for
+a page outside it.  Page-level faults (write, access, capability load)
+are resolvable by the fork engine; capability-level faults and
+privilege faults terminate the access.  Where capability loads are
 blocked, an integer read or fetch that overlaps a tagged granule takes
 the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
@@ -69,7 +74,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -97,10 +102,9 @@ class PageState(enum.Enum):
         return member
 
 
-@dataclass(slots=True)
-class PageTableEntry:
-    """Per-virtual-page mapping; mutable because states transition, and
-    slotted, so it is small and its fields are cheap to read and set."""
+class PageTableEntry(NamedTuple):
+    """A read-only view of one page's mapping; ``writable`` is derived
+    from the state and the page's place (see the module docstring)."""
 
     frame_id: int
     state: PageState
@@ -113,19 +117,29 @@ class PageTableEntry:
 
 @dataclass(slots=True)
 class _Row:
-    """One reservation's page table, from ``base`` to ``end``, owned by ``pid``:
-    an element per page in ``pages``, ``None`` while the reservation maps
-    nothing; ``state`` is the state of its frame-id elements."""
+    """One reservation's page table, from ``base`` to ``end``, owned by
+    ``pid``, read-only below ``ro_end``: a frame id and a state per page
+    in ``frames`` and ``states``, both ``None`` while the reservation maps
+    nothing."""
 
     base: int
     end: int
-    pid: int
-    state: PageState | None = None
-    pages: list[int | PageTableEntry | None] | None = None
+    pid: int | None
+    ro_end: int
+    frames: list[int | None] | None = None
+    states: list[PageState | None] | None = None
+
+    def columns(self) -> tuple[list[int | None], list[PageState | None]]:
+        """``frames`` and ``states``, made with every page unmapped if the
+        reservation maps nothing."""
+        if self.frames is None:
+            count = (self.end - self.base) // PAGE_SIZE
+            self.frames, self.states = [None] * count, [None] * count
+        return self.frames, self.states
 
 
 #: The row, owned by no pid, of the addresses outside every reservation.
-_UNRESERVED = _Row(0, 0, None)
+_UNRESERVED = _Row(0, 0, None, 0)
 
 
 class AccessKind(enum.Enum):
@@ -234,8 +248,9 @@ class AddressSpace:
 
     # -- regions ---------------------------------------------------------
 
-    def reserve_region(self, size: int, pid: int) -> Region:
-        """Bump-allocate a fresh region owned by ``pid``; reservations are never reused."""
+    def reserve_region(self, size: int, pid: int, ro_pages: int) -> Region:
+        """Bump-allocate a fresh region owned by ``pid``, whose first
+        ``ro_pages`` pages are read-only; reservations are never reused."""
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"region size must be positive and page-aligned: {size}")
         base = self._next_base
@@ -243,7 +258,7 @@ class AddressSpace:
             raise AddressSpaceExhausted(
                 f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
-        row = _Row(base, base + size, pid)
+        row = _Row(base, base + size, pid, base + ro_pages * PAGE_SIZE)
         self._bases.append(base)
         self._rows.append(row)
         self._pid_rows[pid] = row
@@ -258,9 +273,11 @@ class AddressSpace:
 
     def owner_of(self, addr: int) -> int | None:
         """The pid whose reservation holds ``addr``, or None if none does."""
-        if not PAGE_SIZE <= addr < self._next_base:
-            return None
-        return self._rows[bisect_right(self._bases, addr) - 1].pid
+        return self._row_at(addr).pid
+
+    def read_only(self, addr: int) -> bool:
+        """Whether ``addr`` lies in its reservation's read-only pages."""
+        return addr < self._row_at(addr).ro_end
 
     def unreserve(self, region: Region) -> None:
         """Take back the last reservation, ``region``, which maps nothing.
@@ -271,7 +288,7 @@ class AddressSpace:
         if not rows or rows[-1].base != region.base or self._next_base != region.end:
             raise SimInternalError(f"{region} is not the last reservation")
         row = rows[-1]
-        if row.pages is not None and any(element is not None for element in row.pages):
+        if row.frames is not None and any(frame_id is not None for frame_id in row.frames):
             raise SimInternalError(f"{region} still maps a page")
         rows.pop()
         self._bases.pop()
@@ -279,16 +296,14 @@ class AddressSpace:
             del self._pid_rows[row.pid]
         self._next_base = region.base
 
-    def _lookup(self, page_va: int) -> tuple[_Row, int, int | PageTableEntry | None]:
-        """The row holding page ``page_va``, the index of its element and the
-        element, which is None where nothing maps the page."""
-        if not PAGE_SIZE <= page_va < self._next_base or page_va % PAGE_SIZE:
-            return _UNRESERVED, 0, None
-        row = self._rows[bisect_right(self._bases, page_va) - 1]
-        if row.pages is None:
+    def _lookup(self, page_va: int) -> tuple[_Row, int, int | None]:
+        """The row holding page ``page_va``, the page's index in it and its
+        frame id, which is None where nothing maps the page."""
+        row = self._row_at(page_va)
+        if row.frames is None or page_va % PAGE_SIZE:
             return row, 0, None
         index = (page_va - row.base) // PAGE_SIZE
-        return row, index, row.pages[index]
+        return row, index, row.frames[index]
 
     def _locate(self, region: Region) -> tuple[_Row, int, int]:
         """The row ``region`` lies in, the index of its first page and its
@@ -301,53 +316,54 @@ class AddressSpace:
 
     # -- mappings ---------------------------------------------------------
 
-    def map(self, page_va: int, entry: PageTableEntry) -> None:
-        """Map ``page_va`` and add it to its frame's page set."""
+    def map(self, page_va: int, frame_id: int, state: PageState = _PRIVATE) -> None:
+        """Map ``page_va`` to frame ``frame_id`` in ``state`` and add it to
+        the frame's page set."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
         row = self._row_at(page_va)
         if row is _UNRESERVED:
             raise SimInternalError(f"page {page_va:#x} lies in no reservation")
+        frame = self._frames.get(frame_id)
+        frames, states = row.columns()
         index = (page_va - row.base) // PAGE_SIZE
-        pages = row.pages or [None] * ((row.end - row.base) // PAGE_SIZE)
-        if pages[index] is not None:
+        if frames[index] is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        self._frames.get(entry.frame_id).pages.add(page_va)
-        pages[index], row.pages = entry, pages
+        frame.pages.add(page_va)
+        frames[index], states[index] = frame_id, state
         for log in self._frames.logs:
-            log.frames.add(entry.frame_id)
+            log.frames.add(frame_id)
 
-    def map_fresh_region(self, region: Region, read_only: Region) -> None:
+    def map_fresh_region(self, region: Region) -> None:
         """Back every page of ``region`` with a new frame, in one pass.
 
-        Each page is mapped as :meth:`map` would map it, to a frame
-        allocated in page order with ``region`` as its origin: private,
-        and writable except in ``read_only``.  :meth:`FrameTable.allocate`
-        logs each frame.  Raises :class:`DoubleMap` before anything
-        changes if a page of the region is already mapped.
+        Each page is mapped private, as :meth:`map` would map it, to a
+        frame allocated in page order with ``region`` as its origin.
+        :meth:`FrameTable.allocate` logs each frame.  Raises
+        :class:`DoubleMap` before anything changes if a page of the
+        region is already mapped.
         """
         row, first, count = self._locate(region)
-        pages = row.pages or [None] * ((row.end - row.base) // PAGE_SIZE)
-        for index in range(first, first + count) if row.pages else ():
-            if pages[index] is not None:
+        frames, states = row.columns()
+        for index in range(first, first + count):
+            if frames[index] is not None:
                 raise DoubleMap(f"page {row.base + index * PAGE_SIZE:#x} is already mapped")
-        frames, fresh = self._frames, []
-        ro_base, ro_end = read_only.base, read_only.end
+        allocate, fresh = self._frames.allocate, []
         for page_va in range(region.base, region.end, PAGE_SIZE):
-            frame = frames.allocate(region)
+            frame = allocate(region)
             frame.pages.add(page_va)
-            fresh.append(PageTableEntry(frame.frame_id, _PRIVATE, not ro_base <= page_va < ro_end))
-        pages[first : first + count], row.pages = fresh, pages
+            fresh.append(frame.frame_id)
+        frames[first : first + count] = fresh
+        states[first : first + count] = [_PRIVATE] * count
 
-    def _detach(self, page_va: int) -> tuple[list, int, TaggedFrame]:
+    def _detach(self, page_va: int) -> tuple[_Row, int, TaggedFrame]:
         """Drop mapped ``page_va`` from its frame's page set, freeing a frame
-        left with none, and log the frame; returns the row's elements, the
-        page's index and the frame.  Raises before anything changes if the
-        page is not mapped, or its frame does not list it."""
-        row, index, element = self._lookup(page_va)
-        if element is None:
+        left with none, and log the frame; returns the page's row, its
+        index and the frame.  Raises before anything changes if the page
+        is not mapped, or its frame does not list it."""
+        row, index, frame_id = self._lookup(page_va)
+        if frame_id is None:
             raise UnmappedPage(f"page {page_va:#x} is not mapped")
-        frame_id = element if type(element) is int else element.frame_id
         frames = self._frames.by_id
         frame = frames.get(frame_id)
         if frame is None or page_va not in frame.pages:
@@ -357,7 +373,7 @@ class AddressSpace:
             del frames[frame_id]
         for log in self._frames.logs:
             log.frames.add(frame_id)
-        return row.pages, index, frame
+        return row, index, frame
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping and drop the page from its frame's page set,
@@ -365,107 +381,106 @@ class AddressSpace:
         refcount.  Raises before anything changes if the page is not
         mapped, or its frame does not list it.
         """
-        pages, index, frame = self._detach(page_va)
-        pages[index] = None
+        row, index, frame = self._detach(page_va)
+        row.frames[index] = row.states[index] = None
         return len(frame.pages)
 
-    def remap(self, page_va: int, entry: PageTableEntry) -> None:
-        """Map ``page_va`` to ``entry`` in place of its mapping, as an
-        :meth:`unmap` and a :meth:`map` would, logging the old frame and
-        the new one: the lazy copy's one write.  Raises before anything
-        changes if the page is not mapped, or its frame does not list it.
+    def remap(self, page_va: int, frame_id: int) -> None:
+        """Map ``page_va`` privately to frame ``frame_id`` in place of its
+        mapping, as an :meth:`unmap` and a :meth:`map` would, logging the
+        old frame and the new one: the lazy copy's one write.  Raises
+        before anything changes if the page is not mapped, or its frame
+        does not list it.
         """
-        fresh = self._frames.get(entry.frame_id)
-        pages, index, _ = self._detach(page_va)
+        fresh = self._frames.get(frame_id)
+        row, index, _ = self._detach(page_va)
         fresh.pages.add(page_va)
-        pages[index] = entry
+        row.frames[index], row.states[index] = frame_id, _PRIVATE
         for log in self._frames.logs:
-            log.frames.add(entry.frame_id)
+            log.frames.add(frame_id)
 
     def share_region(self, parent: Region, child: Region, skip: set[int], state: PageState) -> int:
         """Share each parent page not in ``skip`` read-only in ``state`` at the
-        same child offset, and make a private parent entry shared
+        same child offset, and make a private parent page shared
         copy-on-write.  Returns the page-table entries this stands for.
 
-        One walk of the parent's row builds the child's: the frame id of
-        each shared page, read in place where the parent's element is one
-        itself (a grandchild fork), beside the child's own elements for
-        the pages in ``skip``.  Each child page joins its frame's page set,
-        as :meth:`map` would add it.  ``child`` is a whole reservation that
-        shares nothing yet.  A raise first drops the child pages added and
-        restores the parent entries changed, so it changes no element,
-        page set or log.
+        The child's row gets a copy of the parent's frame ids, beside its
+        own mappings (the eager copies) for the pages in ``skip``, and
+        each child page joins its frame's page set, as :meth:`map` would
+        add it.  ``child`` is a whole reservation that shares nothing yet.
+        A raise first drops the child pages added and restores the
+        parent's states, so it changes no mapping, page set or log.
         """
         row = self._row_at(child.base)
-        if (row.base, row.end, row.state) != (child.base, child.end, None) or (
-            child.size != parent.size
+        if (
+            (row.base, row.end) != (child.base, child.end)
+            or child.size != parent.size
+            or not {_PRIVATE, None}.issuperset(row.states or ())
         ):
             raise SimInternalError(f"{child} is not a reservation that shares nothing")
         parent_row, first, count = self._locate(parent)
-        inherited = (parent_row.pages or [None] * (first + count))[first : first + count]
-        built = list(row.pages or [None] * count)
+        parent_frames, parent_states = parent_row.columns()
+        inherited = parent_frames[first : first + count]
+        saved = parent_states[first : first + count]
+        own_frames, own_states = row.columns()
+        built = own_frames.copy()
         skipped = {(va - parent.base) // PAGE_SIZE for va in skip if parent.contains(va)}
+        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
+        for index in skipped:
+            shared[index] = saved[index]
+        parent_states[first : first + count] = shared
         frames = self._frames.by_id
-        # What a raise puts back: the entries made copy-on-write, and their old writable.
-        cowed: list[PageTableEntry] = []
-        was_writable: list[bool] = []
         try:
-            for index, child_va, element in zip(
+            for index, child_va, frame_id in zip(
                 range(count), range(child.base, child.end, PAGE_SIZE), inherited
             ):
                 if index in skipped:
                     continue
-                if type(element) is int:
-                    frame_id = element
-                elif element is None:
+                if frame_id is None:
                     raise SimInternalError(
                         f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
                     )
-                else:
-                    frame_id = element.frame_id
-                    if element.state is _PRIVATE:
-                        cowed.append(element)
-                        was_writable.append(element.writable)
-                        element.state = _SHARED_COW
-                        element.writable = False
                 if built[index] is not None:
                     raise DoubleMap(f"page {child_va:#x} is already mapped")
                 frames[frame_id].pages.add(child_va)
                 built[index] = frame_id
         except (DoubleMap, SimInternalError, KeyError) as err:
-            for child_va, element in zip(range(child.base, child.end, PAGE_SIZE), built):
-                if type(element) is int:
-                    frames[element].pages.remove(child_va)
-            for entry, writable in zip(cowed, was_writable):
-                entry.state = _PRIVATE
-                entry.writable = writable
+            # Every page before the failing one that is not skipped was added.
+            for done, child_va, frame_id in zip(
+                range(index), range(child.base, child.end, PAGE_SIZE), built
+            ):
+                if done not in skipped:
+                    frames[frame_id].pages.remove(child_va)
+            parent_states[first : first + count] = saved
             if isinstance(err, KeyError):
                 raise SimInternalError(f"frame {err.args[0]} does not exist") from None
             raise
-        row.pages, row.state = built, state
+        states = [state] * count
+        for index in skipped:
+            states[index] = own_states[index]
+        row.frames, row.states = built, states
         for log in self._frames.logs:
             log.regions.append(child)
-        return count - len(skipped) + len(cowed)
+        return count - len(skipped) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
         """Unmap every page of ``region`` in one walk of its row, in page
-        order, all or nothing, then drop the row (or clear the elements of
-        a region that is part of one).
+        order, all or nothing, then drop the row's columns (or clear the
+        pages of a region that is part of one).
 
         Returns, in page order, the frames left with one mapping.  A page
         its frame does not list raises ``SimInternalError`` once the pages
         already unmapped and the frames already freed are put back, so a
-        raise changes no element, page set, live frame or log.
+        raise changes no mapping, page set, live frame or log.
         """
         row, first, count = self._locate(region)
-        owned = row.pages[first : first + count] if row.pages else []
+        owned = row.frames[first : first + count] if row.frames else []
         frames = self._frames.by_id
         survivors = []
         freed: list[TaggedFrame] = []
-        for page_va, element in zip(range(region.base, region.end, PAGE_SIZE), owned):
-            if element is None:
+        for page_va, frame_id in zip(range(region.base, region.end, PAGE_SIZE), owned):
+            if frame_id is None:
                 continue
-            frame_id = element if type(element) is int else element.frame_id
             try:
                 frame = frames[frame_id]
                 frame.pages.remove(page_va)
@@ -474,7 +489,7 @@ class AddressSpace:
                     frames[lost.frame_id] = lost
                 for done_va, done in zip(range(region.base, page_va, PAGE_SIZE), owned):
                     if done is not None:
-                        frames[done if type(done) is int else done.frame_id].pages.add(done_va)
+                        frames[done].pages.add(done_va)
                 raise SimInternalError(
                     f"page {page_va:#x} is not attached to frame {frame_id}"
                 ) from None
@@ -484,13 +499,14 @@ class AddressSpace:
                 freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
-        if count == len(row.pages or ()):
-            row.pages = row.state = None
+        if count == len(row.frames or ()):
+            row.frames = row.states = None
         elif owned:
-            row.pages[first : first + count] = [None] * count
+            row.frames[first : first + count] = row.states[first : first + count] = [None] * count
         logs = self._frames.logs
         if logs:
-            changed = {e if type(e) is int else e.frame_id for e in owned if e is not None}
+            changed = set(owned)
+            changed.discard(None)
             for log in logs:
                 log.frames |= changed
         return survivors
@@ -504,9 +520,9 @@ class AddressSpace:
         frames = self._frames.by_id
         counts: dict[int, int] = {}
         try:
-            for element in row.pages[first : first + count] if row.pages else ():
-                if element is not None:
-                    refs = len(frames[element if type(element) is int else element.frame_id].pages)
+            for frame_id in row.frames[first : first + count] if row.frames else ():
+                if frame_id is not None:
+                    refs = len(frames[frame_id].pages)
                     counts[refs] = counts.get(refs, 0) + 1
         except KeyError as err:
             raise SimInternalError(
@@ -515,20 +531,21 @@ class AddressSpace:
         return counts
 
     def entry_at(self, addr: int) -> PageTableEntry | None:
-        """The entry of ``addr``'s page, for a caller that may change it; a
-        frame-id element there becomes its read-only entry."""
-        row, index, element = self._lookup(page_of(addr))
-        if type(element) is int:
-            element = row.pages[index] = PageTableEntry(element, row.state, False)
-        return element
+        """The mapping of ``addr``'s page, or None where nothing maps it."""
+        page_va = page_of(addr)
+        row, index, frame_id = self._lookup(page_va)
+        if frame_id is None:
+            return None
+        state = row.states[index]
+        return PageTableEntry(frame_id, state, state is _PRIVATE and page_va >= row.ro_end)
 
     def sole_mappings(
         self, frames: Iterable[TaggedFrame]
-    ) -> Iterator[tuple[TaggedFrame, int, PageTableEntry]]:
-        """Each of ``frames`` that has exactly one mapping, in order, with its
-        page and that page's entry, for the promotion pass to change; a
-        frame-id element there becomes its read-only entry."""
-        row, base, end = None, 0, 0
+    ) -> Iterator[tuple[TaggedFrame, int, list[PageState | None], int]]:
+        """Each of ``frames`` that has exactly one mapping, in a shared
+        state, in order: with its page, and the state column and index of
+        that page, for the promotion pass to make it private."""
+        row, base, end = _UNRESERVED, 0, 0
         for frame in frames:
             if len(frame.pages) != 1:
                 continue
@@ -536,47 +553,29 @@ class AddressSpace:
             if not base <= page_va < end:
                 row = self._row_at(page_va)
                 base, end = row.base, row.end
-            pages, index = row.pages, (page_va - base) // PAGE_SIZE
-            entry = pages[index]
-            if type(entry) is int:
-                entry = pages[index] = PageTableEntry(entry, row.state, False)
-            yield frame, page_va, entry
-
-    def mapping_at(self, addr: int) -> tuple[int, PageState, bool] | None:
-        """The frame id, state and writable of ``addr``'s page, read in
-        place; None where the page is not mapped."""
-        row, _, element = self._lookup(page_of(addr))
-        if element is None:
-            return None
-        if type(element) is int:
-            return element, row.state, False
-        return element.frame_id, element.state, element.writable
+            index = (page_va - base) // PAGE_SIZE
+            if row.states[index] is not _PRIVATE:
+                yield frame, page_va, row.states, index
 
     def loadable_frames(self, pid: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The index and frame id of each page of ``pid``'s reservation, among
-        the page indices ``indices``, whose state allows capability loads;
-        reads frame-id elements in place."""
+        the page indices ``indices``, whose state allows capability loads."""
         row = self._pid_rows[pid]
-        pages = row.pages or ()
-        shared = row.state is not None and row.state.cap_load
-        for index in indices if pages else ():
-            element = pages[index]
-            if type(element) is int:
-                if shared:
-                    yield index, element
-            elif element is not None and element.state.cap_load:
-                yield index, element.frame_id
+        frames, states = row.frames, row.states
+        for index in indices if frames else ():
+            frame_id = frames[index]
+            if frame_id is not None and states[index].cap_load:
+                yield index, frame_id
 
     def entries(self) -> dict[int, PageTableEntry]:
-        """Every mapping by page address, in address order: each entry, and
-        a detached read-only entry for each frame-id element."""
+        """Every mapping by page address, in address order."""
         view = {}
         for row in self._rows:
-            for page_va, element in zip(range(row.base, row.end, PAGE_SIZE), row.pages or ()):
-                if type(element) is int:
-                    view[page_va] = PageTableEntry(element, row.state, False)
-                elif element is not None:
-                    view[page_va] = element
+            pages = range(row.base, row.end, PAGE_SIZE)
+            for page_va, frame_id, state in zip(pages, row.frames or (), row.states or ()):
+                if frame_id is not None:
+                    writable = state is _PRIVATE and page_va >= row.ro_end
+                    view[page_va] = PageTableEntry(frame_id, state, writable)
         return view
 
     def verify_refcounts(self, owners: set[int]) -> None:
@@ -621,10 +620,8 @@ class AddressSpace:
             if not frame.pages:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             for page_va in frame.pages:
-                row, _, element = self._lookup(page_va)
-                if element is None or frame_id != (
-                    element if type(element) is int else element.frame_id
-                ):
+                row, _, mapped = self._lookup(page_va)
+                if mapped != frame_id:
                     raise SimInternalError(
                         f"frame {frame_id} lists page {page_va:#x}, which does not map it"
                     )
@@ -640,11 +637,10 @@ class AddressSpace:
         ``owners``; returns how many are mapped."""
         frames, mapped = self._frames.by_id, 0
         base = row.base + first * PAGE_SIZE
-        elements = row.pages[first : first + count] if row.pages else ()
-        for page_va, element in zip(range(base, row.end, PAGE_SIZE), elements):
-            if element is None:
+        owned = row.frames[first : first + count] if row.frames else ()
+        for page_va, frame_id in zip(range(base, row.end, PAGE_SIZE), owned):
+            if frame_id is None:
                 continue
-            frame_id = element if type(element) is int else element.frame_id
             frame = frames.get(frame_id)
             if frame is None or page_va not in frame.pages:
                 raise SimInternalError(
@@ -713,18 +709,20 @@ class AddressSpace:
         row = self._pid_rows.get(pid)
         if row is None or not row.base <= page_va < row.end:
             row = self._row_at(page_va)
-        element = row.pages[(page_va - row.base) // PAGE_SIZE] if row.pages else None
-        if type(element) is int:
-            # Shared read-only in the row's state, served in place.
-            state, frame_id, writable = row.state, element, False
-        elif element is None:
+        index = (page_va - row.base) // PAGE_SIZE
+        frame_id = row.frames[index] if row.frames else None
+        if frame_id is None:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
-        else:
-            state, frame_id, writable = element.state, element.frame_id, element.writable
-        if state is _SHARED_COA:
+        state = row.states[index]
+        if kind in _STORES:
+            if page_va < row.ro_end:
+                # A read-only page, which no copy makes writable.
+                _fault(_PAGE_WRITE_FAULT, pid, page_va, kind)
+            if state is not _PRIVATE:
+                fault = _PAGE_ACCESS_FAULT if state is _SHARED_COA else _PAGE_WRITE_FAULT
+                _fault(fault, pid, page_va, kind)
+        elif state is _SHARED_COA:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
-        if kind in _STORES and not writable:
-            _fault(_PAGE_WRITE_FAULT, pid, page_va, kind)
         frame = self._frames.get(frame_id)
         if not state.cap_load:
             if kind is _CAP_LOAD:

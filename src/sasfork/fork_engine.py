@@ -19,10 +19,12 @@ Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs.  Eager copies walk the layout's
 sub-regions in page order; every other page is shared by one pass of
-:meth:`AddressSpace.share_region`, which builds the child's row with a
-frame id per shared page and write-protects the parent's entries (see
-:mod:`sasfork.address_space`); ``full`` copies every page and shares
-none.  Fork is all or nothing: if an eager copy or the share pass
+:meth:`AddressSpace.share_region`, which copies the parent's frame ids
+into the child's row beside the strategy's shared state and makes the
+parent's private pages copy-on-write (see :mod:`sasfork.address_space`);
+``full`` copies every page and shares none.  Copies are mapped private,
+and the page table derives which of them are writable: the code pages
+are not.  Fork is all or nothing: if an eager copy or the share pass
 raises, it unmaps the copies, drops their events and takes back the pid
 and the reservation first.  Reap tears a region's row down in one pass
 of :meth:`AddressSpace.unmap_owned` and hands the frames it leaves with
@@ -33,16 +35,16 @@ The lazy copy itself follows three steps: take a fresh frame, copy bytes
 and capabilities, then scan the copy's tagged granules once and rebase
 every capability that still targets the frame's origin region (see
 :mod:`sasfork.tagged_memory`); no relocation state is kept between
-copies.  It reads the faulting page's mapping in place and then remaps
-it to the copy in one write (:meth:`AddressSpace.remap`), so no entry is
-built for the shared page it replaces.  Copies made for the region
-that already owns the frame's contents (the parent side) skip the scan.
+copies.  It reads the faulting page's mapping and then remaps it to
+the copy in one write (:meth:`AddressSpace.remap`).  Copies made for
+the region that already owns the frame's contents (the parent side)
+skip the scan.
 When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
-references.  The promotion pass reads each survivor's entry through
-:meth:`AddressSpace.sole_mappings`, which turns a frame-id survivor into
-its entry, and its owner from :meth:`AddressSpace.owner_of`.
+references.  The promotion pass finds each shared survivor through
+:meth:`AddressSpace.sole_mappings` and sets its state to ``Private`` in
+place, and reads its owner from :meth:`AddressSpace.owner_of`.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent` carries its cause and what its relocation scan
@@ -57,7 +59,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .address_space import Fault, FaultKind, PageState, PageTableEntry
+from .address_space import Fault, FaultKind, PageState
 from .capability import GRANULES_PER_PAGE, Capability, Region, rebase_for_child
 from .errors import (
     NoChildren,
@@ -168,8 +170,9 @@ class ForkEngine:
         space = sys.address_space
 
         child_pid = sys.allocate_pid()
-        child_region = space.reserve_region(parent.region.size, child_pid)
-        child_layout = parent.layout.rebased(child_region)
+        child_region = space.reserve_region(
+            parent.region.size, child_pid, parent.layout.code_ro.page_count
+        )
 
         if strategy is ForkStrategy.FULL_COPY:
             eager = [(parent.region, CopyCause.EAGER_FULL)]
@@ -183,16 +186,14 @@ class ForkEngine:
         try:
             for sub, cause in eager:
                 for parent_va in sub.page_addresses():
-                    mapping = space.mapping_at(parent_va)
-                    if mapping is None:
+                    entry = space.entry_at(parent_va)
+                    if entry is None:
                         raise SimInternalError(f"parent page {parent_va:#x} unmapped at fork")
-                    child_va = child_region.base + (parent_va - parent.region.base)
                     self._copy_into(
                         child_pid,
-                        child_va,
-                        mapping[0],
+                        child_region.base + (parent_va - parent.region.base),
+                        entry.frame_id,
                         child_region,
-                        writable=child_layout.page_writable(child_va),
                         cause=cause,
                         install=space.map,
                     )
@@ -221,7 +222,7 @@ class ForkEngine:
         child = MicroProcess(
             pid=child_pid,
             region=child_region,
-            layout=child_layout,
+            layout=parent.layout.rebased(child_region),
             registers=registers,
             entry_caps=sys.gateway.entries,
             fd_table=sys.files.dup_fd_table(parent),
@@ -247,27 +248,29 @@ class ForkEngine:
     def resolve_fault(self, fault: Fault) -> CopyEvent:
         """Copy (and, child-side, relocate) the faulting shared page.
 
-        Only page-level faults on shared pages resolve; anything else is
-        :class:`UnresolvableFault`.  The faulting page's mapping, a frame
-        id or an entry read in place, is replaced by the copy's entry
-        (:meth:`AddressSpace.remap`); the old frame's refcount drops and
-        a sole survivor is promoted back to private.
+        Only page-level faults on shared pages resolve, and a write fault
+        only on a page that is not read-only; anything else is
+        :class:`UnresolvableFault`.  The faulting page is remapped to the
+        copy, private (:meth:`AddressSpace.remap`); the old frame's
+        refcount drops and a sole survivor is promoted back to private.
         """
         cause = _FAULT_TO_CAUSE.get(fault.kind)
         if cause is None:
             raise UnresolvableFault(f"{fault.kind.value} cannot be resolved by copying")
         sys = self._sys
         space = sys.address_space
-        mapping = space.mapping_at(fault.page_va)
-        if mapping is None or mapping[1] is PageState.PRIVATE:
+        entry = space.entry_at(fault.page_va)
+        if entry is None or entry.state is PageState.PRIVATE:
             raise UnresolvableFault(
                 f"page {fault.page_va:#x} is not in a shared state"
             )
+        if fault.kind is FaultKind.PAGE_WRITE and space.read_only(fault.page_va):
+            raise UnresolvableFault(f"page {fault.page_va:#x} is read-only")
         owner = self._owner(fault.page_va)
-        old_frame = sys.frames.get(mapping[0])
+        old_frame = sys.frames.get(entry.frame_id)
         if len(old_frame.pages) < 2:
             # Promotion reverts sole-owner pages to private, so a shared
-            # entry always aliases a multiply-referenced frame.
+            # page always aliases a multiply-referenced frame.
             raise SimInternalError(
                 f"shared page {fault.page_va:#x} on a sole-owner frame"
             )
@@ -276,7 +279,6 @@ class ForkEngine:
             fault.page_va,
             old_frame.frame_id,
             owner.region,
-            writable=owner.layout.page_writable(fault.page_va),
             cause=cause,
             install=space.remap,
         )
@@ -290,16 +292,15 @@ class ForkEngine:
         src_frame_id: int,
         dest_region: Region,
         *,
-        writable: bool,
         cause: CopyCause,
-        install: Callable[[int, PageTableEntry], None],
+        install: Callable[[int, int], None],
     ) -> CopyEvent:
         """Three-step page copy: fresh frame, byte+capability copy, relocation scan.
 
         The scan runs only when the destination region differs from the
         frame's origin (a forked child); a copy for the origin region
-        itself needs no relocation.  ``install`` puts the copy's entry at
-        ``page_va``: :meth:`AddressSpace.map` for an eager copy into the
+        itself needs no relocation.  ``install`` maps ``page_va`` privately
+        to the copy: :meth:`AddressSpace.map` for an eager copy into the
         child, :meth:`AddressSpace.remap` for a lazy one.
         """
         sys = self._sys
@@ -309,7 +310,7 @@ class ForkEngine:
             relocations = sys.frames.scan_and_relocate(fresh, fresh.origin, dest_region)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
-        install(page_va, PageTableEntry(fresh.frame_id, PageState.PRIVATE, writable))
+        install(page_va, fresh.frame_id)
         event = CopyEvent(trigger_pid, page_va, cause, scanned, relocations)
         self.events.append(event)
         self._verify_copy_clean(fresh, dest_region)
@@ -352,7 +353,7 @@ class ForkEngine:
 
         Skips a frame that does not have exactly one mapping (a reap
         pass may free a frame after listing it) or whose mapping is
-        already private.  If the survivor's region is not the frame's
+        already private (:meth:`AddressSpace.sole_mappings`).  If the survivor's region is not the frame's
         origin (a child that never copied this page), the frame is
         relocated in place before access is widened, so no stale
         capability becomes loadable.  Survivors in the last owner's region reuse it.
@@ -362,22 +363,16 @@ class ForkEngine:
         private = PageState.PRIVATE
         logs = sys.frames.logs
         base = end = 0
-        for frame, page_va, entry in space.sole_mappings(frames):
-            if entry.state is private:
-                continue
+        for frame, page_va, states, index in space.sole_mappings(frames):
             if not base <= page_va < end:
                 owner = self._owner(page_va)
                 base, end = owner.region.base, owner.region.end
-                # Layout.page_writable, read once per owner.
-                code = owner.layout.code_ro
-                ro_base, ro_end = code.base, code.end
             # Most frames keep their owner's own region object as origin.
             if frame.origin is not owner.region and frame.origin != owner.region:
                 relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
                 sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
                 frame.origin = owner.region
-            entry.state = private
-            entry.writable = not ro_base <= page_va < ro_end
+            states[index] = private
             if logs:  # as in the teardown pass: no loop per frame without a log
                 for log in logs:
                     log.frames.add(frame.frame_id)

@@ -378,13 +378,13 @@ class KernelGateway:
 
         Covers register state (including the DSL symbol spill area) and
         every tagged granule of frames mapped with capability loads
-        allowed, through an entry or a frame-id element read in place
-        (:meth:`AddressSpace.loadable_frames`).  A capability is fine if
-        its bounds sit inside the owner's region or it is a registered
-        sealed entry; anything else is reported.  A process the last sweep
-        did not audit gets a walk of its whole region; for the others only
-        the pages of frames in the change log, and the pages and registers
-        that held findings, are checked again (see the module docstring).
+        allowed (:meth:`AddressSpace.loadable_frames`).  A capability is
+        fine if its bounds sit inside the owner's region or it is a
+        registered sealed entry; anything else is reported.  A process the
+        last sweep did not audit gets a walk of its whole region; for the
+        others only the pages of frames in the change log, and the pages
+        and registers that held findings, are checked again (see the
+        module docstring).
         """
         violations: list[AuditViolation] = []
         system = self._sys

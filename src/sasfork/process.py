@@ -100,10 +100,6 @@ class Layout:
     def subregions(self) -> dict[str, Region]:
         return dict(zip(_SUBREGION_NAMES, _subregions(self)))
 
-    def page_writable(self, page_va: int) -> bool:
-        # Code pages are mapped read-only; everything else is data.
-        return not self.code_ro.contains(page_va)
-
     def rebased(self, region: Region) -> "Layout":
         """The same layout moved to a different (equal-sized) region."""
         shift = region.base - self.code_ro.base

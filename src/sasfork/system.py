@@ -37,7 +37,6 @@ from .capability import (
     RO_CAP_PERMS,
     Capability,
     Perm,
-    Region,
 )
 from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
@@ -105,12 +104,10 @@ class System:
         is read-only.
         """
         self.kernel_region = self.address_space.reserve_region(
-            _KERNEL_PAGES * PAGE_SIZE, KERNEL_PID
+            _KERNEL_PAGES * PAGE_SIZE, KERNEL_PID, 1
         )
         base = self.kernel_region.base
-        self.address_space.map_fresh_region(
-            self.kernel_region, read_only=Region(base, PAGE_SIZE)
-        )
+        self.address_space.map_fresh_region(self.kernel_region)
         self.kernel_code_cap = Capability(
             base=base,
             length=PAGE_SIZE,
@@ -180,9 +177,10 @@ class System:
     def create_initial_process(self, spec: LayoutSpec | None = None) -> MicroProcess:
         """Reserve, map and initialize a fresh top-level process.
 
-        One :meth:`~sasfork.address_space.AddressSpace.map_fresh_region`
-        pass backs every layout page with a new private frame, read-only
-        in the code sub-region; the code pages get their pattern
+        The reservation's code pages are read-only, and one
+        :meth:`~sasfork.address_space.AddressSpace.map_fresh_region` pass
+        backs every layout page with a new private frame; the code pages
+        get their pattern
         (:meth:`_fill_code`); the GOT is filled with tagged capabilities
         to symbols inside the region; the allocator metadata page holds
         the heap cursor as a capability so that heap bookkeeping
@@ -191,9 +189,9 @@ class System:
         """
         spec = spec or LayoutSpec()
         pid = self.allocate_pid()
-        region = self.address_space.reserve_region(spec.total_bytes, pid)
+        region = self.address_space.reserve_region(spec.total_bytes, pid, spec.code_pages)
         layout = spec.carve(region)
-        self.address_space.map_fresh_region(region, read_only=layout.code_ro)
+        self.address_space.map_fresh_region(region)
         self._fill_code(layout)
         self._populate_got(layout)
         self._init_allocator(layout)
@@ -393,10 +391,10 @@ class System:
             )
 
     def _mapped_frame(self, va: int, what: str) -> TaggedFrame:
-        mapping = self.address_space.mapping_at(va)
-        if mapping is None:
+        entry = self.address_space.entry_at(va)
+        if entry is None:
             raise SimInternalError(f"{what} at unmapped address {va:#x}")
-        return self.frames.get(mapping[0])
+        return self.frames.get(entry.frame_id)
 
     # -- invariants -------------------------------------------------------------------
 

@@ -48,13 +48,12 @@ Every change is logged into every log, by one rule.  A frame is logged when
 it is allocated, when a capability is written into it (a capability store
 or a relocation scan), when a page joins or leaves its page set
 (``AddressSpace.map``, ``unmap``, ``unmap_owned``, and ``remap``, which
-logs the old frame and the new one), or when the promotion pass widens
-its entry to private.  A region is logged when a pass maps it wholesale:
+logs the old frame and the new one), or when the promotion pass makes
+its sole page private.  A region is logged when a pass maps it wholesale:
 the child region at fork, whose row ``AddressSpace.share_region`` builds,
-and a released pid's region (``System.release_pid``).  A frame id that
-becomes its entry changes no page set and is not logged.  Each check
-clears only its own log, so neither drains the other's, and a run with
-neither check logs nothing.
+and a released pid's region (``System.release_pid``).  Each check clears
+only its own log, so neither drains the other's, and a run with neither
+check logs nothing.
 """
 
 from __future__ import annotations

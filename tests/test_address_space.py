@@ -23,7 +23,7 @@ from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, U
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
-from state_digest import entry_pages, state_digest
+from state_digest import state_digest
 
 
 @pytest.fixture
@@ -31,13 +31,10 @@ def space():
     return AddressSpace(FrameTable())
 
 
-def mapped_page(space, *, state=PageState.PRIVATE, writable=True, pid=1):
-    region = space.reserve_region(PAGE_SIZE, pid)
+def mapped_page(space, *, state=PageState.PRIVATE, pid=1):
+    region = space.reserve_region(PAGE_SIZE, pid, 0)
     frame = space._frames.allocate(origin=region)
-    space.map(
-        region.base,
-        PageTableEntry(frame_id=frame.frame_id, state=state, writable=writable),
-    )
+    space.map(region.base, frame.frame_id, state)
     return region, frame
 
 
@@ -50,25 +47,25 @@ def data_cap(region, offset=0, length=None, perms=DATA_PERMS):
 
 class TestRegions:
     def test_successive_reservations_are_disjoint(self, space):
-        a = space.reserve_region(0x0400_0000, 1)
-        b = space.reserve_region(0x0400_0000, 2)
+        a = space.reserve_region(0x0400_0000, 1, 0)
+        b = space.reserve_region(0x0400_0000, 2, 0)
         assert a.end <= b.base or b.end <= a.base
 
     def test_no_reuse_after_any_activity(self, space):
-        a = space.reserve_region(PAGE_SIZE, 1)
-        b = space.reserve_region(PAGE_SIZE, 2)
+        a = space.reserve_region(PAGE_SIZE, 1, 0)
+        b = space.reserve_region(PAGE_SIZE, 2, 0)
         assert b.base >= a.end  # bump-only, never compacted
 
     def test_zero_size_is_an_error(self, space):
         with pytest.raises(ValueError):
-            space.reserve_region(0, 1)
+            space.reserve_region(0, 1, 0)
 
     def test_exhaustion(self, space):
         # Reservations are Region values only, so no memory backs them.
-        last = space.reserve_region(VIRTUAL_SPACE_LIMIT - PAGE_SIZE, 1)
+        last = space.reserve_region(VIRTUAL_SPACE_LIMIT - PAGE_SIZE, 1, 0)
         assert last.end == VIRTUAL_SPACE_LIMIT
         with pytest.raises(AddressSpaceExhausted):
-            space.reserve_region(PAGE_SIZE, 2)
+            space.reserve_region(PAGE_SIZE, 2, 0)
 
 
 class TestOwners:
@@ -105,8 +102,8 @@ class TestMappings:
 
     def test_aliasing_one_frame_counts_two(self, space):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2)
-        space.map(other.base, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
+        other = space.reserve_region(PAGE_SIZE, 2, 0)
+        space.map(other.base, frame.frame_id, PageState.SHARED_COPA)
         assert space._frames.refcount(frame.frame_id) == 2
         assert frame.pages == {region.base, other.base}
         space.verify_refcounts({1, 2})
@@ -116,7 +113,7 @@ class TestMappings:
     def test_double_map_and_unmapped_unmap(self, space):
         region, frame = mapped_page(space)
         with pytest.raises(DoubleMap):
-            space.map(region.base, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
+            space.map(region.base, frame.frame_id)
         with pytest.raises(UnmappedPage):
             space.unmap(region.base + PAGE_SIZE)
 
@@ -124,8 +121,8 @@ class TestMappings:
         a, frame_a = mapped_page(space)
         b, frame_b = mapped_page(space)
         space.verify_refcounts({1, 2})
-        entries = space.entries()
-        entries[a.base].frame_id, entries[b.base].frame_id = frame_b.frame_id, frame_a.frame_id
+        row_a, row_b = space._rows
+        row_a.frames[0], row_b.frames[0] = frame_b.frame_id, frame_a.frame_id
         # Each frame still has one mapping, so only the page sets can tell.
         assert space._frames.refcount(frame_a.frame_id) == 1
         with pytest.raises(SimInternalError):
@@ -141,14 +138,14 @@ class TestMappings:
         self, space
     ):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2).base
-        space.map(other, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
+        other = space.reserve_region(PAGE_SIZE, 2, 0).base
+        space.map(other, frame.frame_id, PageState.SHARED_COPA)
         frame.pages.remove(other)
         entry, log = space.entry_at(other), ChangeLog()
         space._frames.logs.append(log)
         with pytest.raises(SimInternalError, match=f"{other:#x}"):
             space.unmap(other)
-        assert space.entry_at(other) is entry
+        assert space.entry_at(other) == entry
         assert frame.pages == {region.base}
         assert not log.frames and not log.regions
 
@@ -161,7 +158,7 @@ class TestMappings:
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
         parent, frame = mapped_page(space)
-        child = space.reserve_region(PAGE_SIZE, 2)
+        child = space.reserve_region(PAGE_SIZE, 2, 0)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
             space.share_region(parent, child, set(), PageState.SHARED_COPA)
@@ -193,13 +190,14 @@ class TestMappings:
         space, frames = system.address_space, system.frames.by_id
         assert system.gateway.audit().clean
         system.verify_invariants()
-        child = space.reserve_region(parent.region.size, parent.pid + 1)
+        child = space.reserve_region(
+            parent.region.size, parent.pid + 1, parent.layout.code_ro.page_count
+        )
         delta = child.base - parent.region.base
         # An eager copy the pass skips, as the fork engine's are.
         skip = {parent.layout.got.base}
         eager = system.frames.allocate(origin=child)
-        eager_entry = PageTableEntry(eager.frame_id, PageState.PRIVATE, True)
-        space.map(parent.layout.got.base + delta, eager_entry)
+        space.map(parent.layout.got.base + delta, eager.frame_id)
         last = parent.region.end - PAGE_SIZE
         if fault == "unmapped parent":
             space.unmap(last)
@@ -207,7 +205,7 @@ class TestMappings:
             del frames[space.entry_at(last).frame_id]
         else:
             stray = system.frames.allocate()
-            space.map(last + delta, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
+            space.map(last + delta, stray.frame_id)
         parent_pages = [space.entry_at(va) for va in parent.region.page_addresses()]
         # Every earlier parent page is private, some of them read-only.
         assert {entry.state for entry in parent_pages[:-1]} == {PageState.PRIVATE}
@@ -215,7 +213,7 @@ class TestMappings:
 
         def state():
             logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
-            return state_digest(system), logs, entry_pages(space)
+            return state_digest(system), logs
 
         before = state()
         assert len(before[1]) == 2
@@ -226,13 +224,13 @@ class TestMappings:
 
 def shared_child(space, pages=3):
     """A parent of ``pages`` private pages and a child region sharing them."""
-    parent = space.reserve_region(pages * PAGE_SIZE, 1)
+    parent = space.reserve_region(pages * PAGE_SIZE, 1, 0)
     frames = []
     for va in parent.page_addresses():
         frame = space._frames.allocate(origin=parent)
-        space.map(va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
+        space.map(va, frame.frame_id)
         frames.append(frame)
-    child = space.reserve_region(parent.size, 2)
+    child = space.reserve_region(parent.size, 2, 0)
     assert space.share_region(parent, child, set(), PageState.SHARED_COPA) == 2 * pages
     return parent, child, frames
 
@@ -241,75 +239,82 @@ def rows(space):
     return {va: (e.frame_id, e.state, e.writable) for va, e in space.entries().items()}
 
 
+def columns(space):
+    """A copy of every row's two columns."""
+    return [
+        (row.frames and list(row.frames), row.states and list(row.states)) for row in space._rows
+    ]
+
+
 class TestRows:
     def test_a_share_builds_frame_ids_that_the_expanded_view_shows(self, space):
         parent, child, frames = shared_child(space)
-        assert entry_pages(space) == set(parent.page_addresses())
+        parent_row, child_row = space._rows
+        assert child_row.frames == parent_row.frames == [frame.frame_id for frame in frames]
+        assert child_row.states == [PageState.SHARED_COPA] * 3
+        assert parent_row.states == [PageState.SHARED_COW] * 3
         for va, frame in zip(child.page_addresses(), frames):
             assert frame.pages == {va - child.base + parent.base, va}
             shared = PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False)
             assert space.entries()[va] == shared
-            assert space.mapping_at(va + 8) == (frame.frame_id, PageState.SHARED_COPA, False)
+            assert space.entry_at(va + 8) == shared
         space.verify_refcounts({1, 2})
         assert space.owned_refcounts(child) == {2: 3}
 
-    def test_entry_at_turns_a_frame_id_into_its_read_only_entry_once(self, space):
+    def test_entry_at_is_a_read_only_view(self, space):
         parent, child, frames = shared_child(space)
-        before = rows(space)
-        va = child.base + PAGE_SIZE
-        entry = space.entry_at(va + 8)
+        before = columns(space)
+        entry = space.entry_at(child.base + PAGE_SIZE + 8)
         assert entry == PageTableEntry(frames[1].frame_id, PageState.SHARED_COPA, False)
-        # Installed once: later lookups return the same entry.
-        assert va in entry_pages(space) and space.entry_at(va) is entry
-        assert rows(space) == before
-        space.verify_refcounts({1, 2})
+        with pytest.raises(AttributeError):
+            entry.state = PageState.PRIVATE
+        assert space.entry_at(child.end) is None
+        assert columns(space) == before
 
     def test_readers_take_a_frame_id_in_place(self, space):
         parent, child, frames = shared_child(space)
-        before = entry_pages(space)
+        before = columns(space)
         assert space.check_and_access(2, data_cap(child, PAGE_SIZE), AccessKind.READ_INT) == 0
         with pytest.raises(FaultError) as err:
             space.check_and_access(2, data_cap(child, 8), AccessKind.WRITE, b"\x01")
         assert err.value.fault.kind is FaultKind.PAGE_WRITE
-        space.mapping_at(child.base)
+        space.entry_at(child.base)
         space.entries()
         assert list(space.loadable_frames(2, range(3))) == []
         space.verify_refcounts({1, 2})
         space.owned_refcounts(child)
-        assert entry_pages(space) == before
+        assert columns(space) == before
 
     def test_map_and_unmap_of_a_frame_id_act_on_its_mapping(self, space):
         parent, child, frames = shared_child(space)
         stray = space._frames.allocate()
         with pytest.raises(DoubleMap):
-            space.map(child.base, PageTableEntry(stray.frame_id, PageState.PRIVATE, True))
-        assert space.mapping_at(child.base)[0] == frames[0].frame_id
-        assert child.base not in entry_pages(space)
+            space.map(child.base, stray.frame_id)
+        assert space.entry_at(child.base).frame_id == frames[0].frame_id
         assert space.unmap(child.end - PAGE_SIZE) == 1
+        assert space._rows[1].frames[2] is space._rows[1].states[2] is None
         assert child.end - PAGE_SIZE not in space.entries()
         assert frames[2].pages == {parent.end - PAGE_SIZE}
 
     def test_remap_of_a_frame_id_moves_the_page_to_the_new_frame(self, space):
         parent, child, frames = shared_child(space)
         fresh = space._frames.allocate()
-        entry = PageTableEntry(fresh.frame_id, PageState.PRIVATE, True)
-        space.remap(child.base, entry)
-        assert space.entry_at(child.base) is entry
+        space.remap(child.base, fresh.frame_id)
+        assert space.entry_at(child.base) == PageTableEntry(fresh.frame_id, PageState.PRIVATE, True)
         assert frames[0].pages == {parent.base} and fresh.pages == {child.base}
         space.verify_refcounts({1, 2})
         with pytest.raises(UnmappedPage):
-            space.remap(child.base + 8, entry)
+            space.remap(child.base + 8, fresh.frame_id)
 
     def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
         parent, child, frames = shared_child(space)
-        space.entry_at(child.base)  # one frame id becomes an entry
-        grandchild = space.reserve_region(child.size, 3)
+        grandchild = space.reserve_region(child.size, 3, 0)
         assert space.share_region(child, grandchild, set(), PageState.SHARED_COA) == 3
-        assert entry_pages(space) == {*parent.page_addresses(), child.base}
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
             assert view[va] == PageTableEntry(frame.frame_id, PageState.SHARED_COA, False)
+            assert view[child.base + index * PAGE_SIZE].state is PageState.SHARED_COPA
             assert len(frame.pages) == 3
         space.verify_refcounts({1, 2, 3})
 
@@ -321,35 +326,38 @@ class TestRows:
         with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             inner = Region(child.base + PAGE_SIZE, PAGE_SIZE)
             space.share_region(parent, inner, set(), PageState.SHARED_COA)
-        small = space.reserve_region(PAGE_SIZE, 3)
+        small = space.reserve_region(PAGE_SIZE, 3, 0)
         with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             # A child that runs past its reservation.
             past = Region(small.base, parent.size)
             space.share_region(parent, past, set(), PageState.SHARED_COA)
         assert rows(space) == before
 
-    def test_a_teardown_drops_entries_and_frame_ids_with_the_row(self, space):
+    def test_a_teardown_drops_the_rows_columns(self, space):
         parent, child, frames = shared_child(space)
-        space.entry_at(child.base + PAGE_SIZE)
         assert space.unmap_owned(child) == frames
         assert rows(space).keys() == set(parent.page_addresses())
-        assert space._rows[-1].pages is None and space._rows[-1].state is None
+        assert space._rows[-1].frames is None and space._rows[-1].states is None
         space.verify_refcounts({1})
 
-    def test_a_teardown_over_a_frame_id_its_frame_does_not_list_changes_nothing(self, space):
-        parent, child, frames = shared_child(space)
-        space.entry_at(child.base)
-        frames[2].pages.discard(child.end - PAGE_SIZE)
+    def test_a_teardown_over_a_shared_page_its_frame_does_not_list_changes_nothing(self):
+        system = System()
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        child = system.process(system.fork_engine.fork(parent.pid))
+        space = system.address_space
+        log = ChangeLog()
+        system.frames.logs.append(log)
+        last = child.region.end - PAGE_SIZE
+        assert space.entry_at(last).shared
+        system.frames.get(space.entry_at(last).frame_id).pages.discard(last)
 
-        def state():
-            return rows(space), [set(frame.pages) for frame in frames], entry_pages(space)
+        before = state_digest(system)
+        with pytest.raises(SimInternalError, match=f"{last:#x}"):
+            space.unmap_owned(child.region)
+        assert state_digest(system) == before
+        assert not log.frames and not log.regions
 
-        before = state()
-        with pytest.raises(SimInternalError, match=f"{child.end - PAGE_SIZE:#x}"):
-            space.unmap_owned(child)
-        assert state() == before
-
-    def test_the_full_pass_counts_frame_ids_beside_entries(self, space):
+    def test_the_full_pass_counts_every_mapped_page(self, space):
         parent, child, frames = shared_child(space)
         frames[0].pages.add(child.end)
         with pytest.raises(SimInternalError, match="frames list 7 pages, the page table maps 6"):
@@ -361,10 +369,10 @@ class TestRows:
             space.unreserve(parent)
         with pytest.raises(SimInternalError, match="still maps a page"):
             space.unreserve(child)
-        fresh = space.reserve_region(PAGE_SIZE, 3)
+        fresh = space.reserve_region(PAGE_SIZE, 3, 0)
         space.unreserve(fresh)
         assert space.owner_of(fresh.base) is None
-        assert space.reserve_region(PAGE_SIZE, 3) == fresh
+        assert space.reserve_region(PAGE_SIZE, 3, 0) == fresh
 
 
 class TestAccessPipelineOrder:
@@ -409,7 +417,7 @@ class TestAccessPipelineOrder:
 
 class TestPageStates:
     def test_coa_page_faults_on_any_access(self, space):
-        region, _ = mapped_page(space, state=PageState.SHARED_COA, writable=False)
+        region, _ = mapped_page(space, state=PageState.SHARED_COA)
         cap = data_cap(region)
         for kind, payload in (
             (AccessKind.READ_INT, None),
@@ -422,7 +430,7 @@ class TestPageStates:
 
     def test_copa_page_reads_but_blocks_cap_loads_and_writes(self, space):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COPA, writable=False
+            space, state=PageState.SHARED_COPA
         )
         cap = data_cap(region)
         assert space.check_and_access(1, cap, AccessKind.READ_INT) == 0
@@ -436,7 +444,7 @@ class TestPageStates:
     @pytest.mark.parametrize("offset", [0, 8, 12, 16, 32, 4088])
     def test_copa_integer_read_of_a_tagged_granule_is_a_cap_load_fault(self, space, offset):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COPA, writable=False
+            space, state=PageState.SHARED_COPA
         )
         space._frames.store_capability(frame, 0, data_cap(region))
         space._frames.store_capability(frame, 2, data_cap(region).untagged())
@@ -451,7 +459,7 @@ class TestPageStates:
 
     def test_cow_page_allows_cap_load(self, space):
         region, frame = mapped_page(
-            space, state=PageState.SHARED_COW, writable=False
+            space, state=PageState.SHARED_COW
         )
         stored = data_cap(region)
         space._frames.store_capability(frame, 0, stored)
@@ -459,7 +467,7 @@ class TestPageStates:
         assert loaded == stored
 
     def test_unmapped_page_is_an_access_fault(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE, 1)
+        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
         cap = data_cap(region, offset=PAGE_SIZE)  # second page never mapped
         with pytest.raises(FaultError) as err:
             space.check_and_access(1, cap, AccessKind.READ_INT)
@@ -481,11 +489,11 @@ class TestDataMovement:
         assert space.check_and_access(1, where, AccessKind.CAP_LOAD) == stored
 
     def test_page_crossing_access_is_an_internal_error(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE, 1)
+        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
         frames = []
         for page_va in region.page_addresses():
             frame = space._frames.allocate(origin=region)
-            space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, True))
+            space.map(page_va, frame.frame_id)
             frame.store_bytes(0, b"\x5a" * PAGE_SIZE)
             frames.append(frame)
         # A tagged granule on each side of the boundary.
@@ -510,3 +518,30 @@ class TestDataMovement:
         payload = bytes(range(1, 9))
         assert system.write_user_bytes(proc.pid, cap, payload) == 8
         assert system.read_user_bytes(proc.pid, cap, 8) == payload
+
+
+class TestWritable:
+    """A page is writable exactly when it is private and lies past its
+    reservation's read-only pages."""
+
+    def test_the_read_only_pages_of_a_reservation_refuse_stores(self, space):
+        region = space.reserve_region(3 * PAGE_SIZE, 1, 1)
+        for va in region.page_addresses():
+            space.map(va, space._frames.allocate(origin=region).frame_id)
+        assert [entry.writable for entry in space.entries().values()] == [False, True, True]
+        assert space.read_only(region.base) and not space.read_only(region.base + PAGE_SIZE)
+        with pytest.raises(FaultError) as err:
+            space.check_and_access(1, data_cap(region), AccessKind.WRITE, bytes(8))
+        assert err.value.fault.kind is FaultKind.PAGE_WRITE
+        assert space.check_and_access(1, data_cap(region, PAGE_SIZE), AccessKind.WRITE, bytes(8)) == 8
+
+    @pytest.mark.parametrize(
+        "state", [PageState.SHARED_COW, PageState.SHARED_COA, PageState.SHARED_COPA]
+    )
+    def test_a_store_to_a_read_only_page_is_a_write_fault_in_every_state(self, space, state):
+        region = space.reserve_region(PAGE_SIZE, 1, 1)
+        space.map(region.base, space._frames.allocate(origin=region).frame_id, state)
+        # Under copy-on-access too: no copy would make the page writable.
+        with pytest.raises(FaultError) as err:
+            space.check_and_access(1, data_cap(region), AccessKind.WRITE, bytes(8))
+        assert err.value.fault.kind is FaultKind.PAGE_WRITE

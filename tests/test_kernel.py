@@ -14,7 +14,6 @@ from sasfork.address_space import (
     FaultError,
     FaultKind,
     PageState,
-    PageTableEntry,
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm, Region
 from sasfork.errors import InvalidInvoke, SimInternalError, SyscallError
@@ -635,8 +634,8 @@ class _CountingRegistry(dict):
 
 
 class _CountingRow(list):
-    """A row of the page table that counts the elements read from it, into
-    one count shared by every row."""
+    """A column of a page-table row that counts the elements read from it,
+    into one count shared by every column."""
 
     reads = 0
 
@@ -652,16 +651,19 @@ class _CountingRow(list):
 
 
 def _count_rows(space):
-    """Make every row count its reads; returns the elements the rows hold.
+    """Make both columns of every row count their reads; returns the pages
+    the rows hold.
 
-    A pass that builds or drops a row replaces its list, so each check
+    A pass that builds or drops a row replaces its lists, so each check
     wraps the rows again before it runs."""
     held = 0
     for row in space._rows:
-        if row.pages is not None:
-            if type(row.pages) is list:
-                row.pages = _CountingRow(row.pages)
-            held += len(row.pages)
+        if row.frames is not None:
+            if type(row.frames) is list:
+                row.frames = _CountingRow(row.frames)
+            if type(row.states) is list:
+                row.states = _CountingRow(row.states)
+            held += len(row.frames)
     return held
 
 
@@ -831,7 +833,7 @@ class TestChangeLogEntryPoints:
         page = parent.layout.heap.base
         assert system.gateway.audit().clean
         frame = system.frames.get(system.address_space.entry_at(page).frame_id)
-        elsewhere = system.address_space.reserve_region(parent.region.size, parent.pid + 1)
+        elsewhere = system.address_space.reserve_region(parent.region.size, parent.pid + 1, 0)
         assert system.frames.scan_and_relocate(frame, parent.region, elsewhere) == 1
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
@@ -845,9 +847,7 @@ class TestChangeLogEntryPoints:
         assert system.gateway.audit().clean
         page = parent.layout.heap.base + PAGE_SIZE
         system.address_space.unmap(page)
-        system.address_space.map(
-            page, PageTableEntry(frame.frame_id, PageState.PRIVATE, True)
-        )
+        system.address_space.map(page, frame.frame_id)
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=3"]
 
@@ -911,8 +911,7 @@ class TestChangeLogEntryPoints:
         system, parent = audited_system("coa")
         child = system.process(system.fork_engine.fork(parent.pid))
         space = system.address_space
-        # Read in place, so the teardown walks frame ids beside the eager entries.
-        owned = {space.mapping_at(va)[0] for va in child.region.page_addresses()}
+        owned = {space.entry_at(va).frame_id for va in child.region.page_addresses()}
         logs = self.both_logs_cleared(system)
         space.unmap_owned(child.region)
         self.assert_logged(logs, frames=owned)
@@ -921,19 +920,19 @@ class TestChangeLogEntryPoints:
         system, parent = audited_system("coa")
         child = system.process(system.fork_engine.fork(parent.pid))
         space, page = system.address_space, child.layout.heap.base
-        old = space.mapping_at(page)[0]
+        old = space.entry_at(page).frame_id
         logs = self.both_logs_cleared(system)
         fresh = system.frames.allocate(origin=child.region)
         for log in logs:  # the allocation logged the fresh frame
             log.frames.clear()
-        space.remap(page, PageTableEntry(fresh.frame_id, PageState.PRIVATE, True))
+        space.remap(page, fresh.frame_id)
         self.assert_logged(logs, frames={old, fresh.frame_id})
 
     def test_a_shared_child_region_is_logged_in_both_logs(self):
         system, parent = audited_system("coa")
         space = system.address_space
         logs = self.both_logs_cleared(system)
-        child = space.reserve_region(parent.region.size, parent.pid + 1)
+        child = space.reserve_region(parent.region.size, parent.pid + 1, 0)
         space.share_region(parent.region, child, set(), PageState.SHARED_COA)
         self.assert_logged(logs, regions=[child])
 
@@ -1104,10 +1103,10 @@ def test_both_checks_hold_at_every_step_on_their_own_logs(
 def _remap_keeps_the_old_page(monkeypatch):
     real = AddressSpace.remap
 
-    def remap(self, page_va, entry):
+    def remap(self, page_va, frame_id):
         frames = self._frames.by_id
-        frame = frames[self.mapping_at(page_va)[0]]
-        real(self, page_va, entry)
+        frame = frames[self.entry_at(page_va).frame_id]
+        real(self, page_va, frame_id)
         frame.pages.add(page_va)
         frames[frame.frame_id] = frame
 
@@ -1119,7 +1118,6 @@ def _share_region_drops_a_child_page(monkeypatch):
 
     def share_region(self, parent, child, skip, state):
         written = real(self, parent, child, skip, state)
-        # Read through the expanded view: every shared child page is a frame id.
         frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
@@ -1137,9 +1135,9 @@ def _share_region_drops_its_last_frame_id(monkeypatch):
 
     def share_region(self, parent, child, skip, state):
         written = real(self, parent, child, skip, state)
-        pages = self._row_at(child.base).pages
-        index = max(i for i, element in enumerate(pages) if type(element) is int)
-        self._frames.by_id[pages[index]].pages.remove(child.base + index * PAGE_SIZE)
+        frames = self._row_at(child.base).frames
+        index = max(i for i, frame_id in enumerate(frames) if frame_id is not None)
+        self._frames.by_id[frames[index]].pages.remove(child.base + index * PAGE_SIZE)
         return written
 
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
@@ -1165,8 +1163,8 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
             if va in entries
         ]
         survivors = real(self, region)
-        # The first page whose frame outlives the teardown, an entry or a
-        # frame id, stays in its set; the released region maps nothing there.
+        # The first page whose frame outlives the teardown stays in its
+        # set; the released region maps nothing there.
         for page_va, frame_id in owned:
             if frame_id in frames:
                 frames[frame_id].pages.add(page_va)

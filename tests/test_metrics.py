@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import sasfork.system
-from sasfork.address_space import AccessKind, PageState, PageTableEntry
+from sasfork.address_space import AccessKind
 from sasfork.capability import DATA_PERMS, PAGE_SIZE, Capability
 from sasfork.errors import MismatchedScripts, SimInternalError, UnknownPid
 from sasfork.process import KERNEL_PID
@@ -254,14 +254,13 @@ def test_a_mapping_outside_its_owners_region_breaks_conservation(place):
         system.verify_invariants()
         va = child.layout.heap.base
     stray = system.frames.allocate()
-    mapping = PageTableEntry(stray.frame_id, PageState.PRIVATE, True)
     if place == "unreserved":
         # The page table holds rows for reservations only.
         with pytest.raises(SimInternalError, match="lies in no reservation"):
-            system.address_space.map(va, mapping)
+            system.address_space.map(va, stray.frame_id)
         assert not stray.pages
         return
-    system.address_space.map(va, mapping)
+    system.address_space.map(va, stray.frame_id)
     with pytest.raises(SimInternalError, match="prs conservation"):
         system.verify_invariants()
 

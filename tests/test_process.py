@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from sasfork.address_space import AddressSpace, PageState, PageTableEntry
+from sasfork.address_space import AddressSpace, PageState
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm, Region
 from sasfork.errors import BadFd, DoubleMap
 from sasfork.process import KERNEL_PID, LayoutSpec
@@ -225,12 +225,10 @@ class TestImage:
         assert image_digest(*specs) == expected
 
 
-def per_page_map(space, region, read_only=None):
+def per_page_map(space, region):
     """The oracle of a fresh-region pass: allocate, then :meth:`map`, per page."""
     for page_va in region.page_addresses():
-        frame = space._frames.allocate(origin=region)
-        writable = read_only is None or not read_only.contains(page_va)
-        space.map(page_va, PageTableEntry(frame.frame_id, PageState.PRIVATE, writable))
+        space.map(page_va, space._frames.allocate(origin=region).frame_id)
 
 
 def mapped_state(space):
@@ -254,21 +252,23 @@ class TestFreshRegion:
             if logs:
                 frames.logs += [ChangeLog(), ChangeLog()]
             space = AddressSpace(frames)
-            kernel = space.reserve_region(4 * PAGE_SIZE, KERNEL_PID)
-            region = space.reserve_region(spec.total_bytes, 7)
-            layout = spec.carve(region)
-            jobs = [(kernel, Region(kernel.base, PAGE_SIZE)), (region, layout.code_ro)]
-            for job_region, read_only in jobs:
+            kernel = space.reserve_region(4 * PAGE_SIZE, KERNEL_PID, 1)
+            region = space.reserve_region(spec.total_bytes, 7, spec.code_pages)
+            for job_region in (kernel, region):
                 if fresh:
-                    space.map_fresh_region(job_region, read_only=read_only)
+                    space.map_fresh_region(job_region)
                 else:
-                    per_page_map(space, job_region, read_only)
+                    per_page_map(space, job_region)
             states.append(mapped_state(space))
         assert states[0] == states[1]
         entries = states[0][0]
         assert len(entries) == 4 + spec.total_pages
         # Frame ids are allocated in page order.
         assert [e.frame_id for _, e in sorted(entries.items())] == list(range(1, len(entries) + 1))
+        # Private, and writable past the kernel's code page and the layout's.
+        read_only = {kernel.base, *spec.carve(region).code_ro.page_addresses()}
+        for va, entry in entries.items():
+            assert entry.state is PageState.PRIVATE and entry.writable is (va not in read_only)
         if logs:
             assert states[0][2] == [(set(range(1, len(entries) + 1)), [])] * 2
 
@@ -276,12 +276,12 @@ class TestFreshRegion:
         frames = FrameTable()
         frames.logs += [ChangeLog(), ChangeLog()]
         space = AddressSpace(frames)
-        region = space.reserve_region(4 * PAGE_SIZE, 3)
+        region = space.reserve_region(4 * PAGE_SIZE, 3, 1)
         taken = region.base + 2 * PAGE_SIZE
         per_page_map(space, Region(taken, PAGE_SIZE))
         before = mapped_state(space)
         with pytest.raises(DoubleMap, match=f"{taken:#x}"):
-            space.map_fresh_region(region, read_only=Region(region.base, PAGE_SIZE))
+            space.map_fresh_region(region)
         assert mapped_state(space) == before
         # No frame id was taken: the next frame is the second ever.
         assert frames.allocate().frame_id == 2

@@ -17,7 +17,7 @@ from sasfork.capability import (
     rebase_for_child,
 )
 from sasfork import tagged_memory
-from sasfork.address_space import AddressSpace, PageState, PageTableEntry
+from sasfork.address_space import AddressSpace, PageState
 from sasfork.errors import OutOfFrame
 from sasfork.process import LayoutSpec
 from sasfork.system import System
@@ -304,10 +304,10 @@ class TestOnePassScan:
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
         space = AddressSpace(table)
-        assert space.reserve_region(0x2000, 1).base == 0x1000
+        assert space.reserve_region(0x2000, 1, 0).base == 0x1000
         frame = table.allocate()
         for page_va in (0x1000, 0x2000):
-            space.map(page_va, PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False))
+            space.map(page_va, frame.frame_id, PageState.SHARED_COPA)
         assert table.refcount(frame.frame_id) == 2
         assert space.unmap(0x1000) == 1 and frame.pages == {0x2000}
         assert table.exists(frame.frame_id)
