@@ -36,8 +36,11 @@ strategy's shared state beside them, makes the parent's private states
 copy-on-write and adds each child page to its frame's page set, so a
 page set stays the refcount.  A lazy copy writes the copy's frame id and
 ``Private`` (:meth:`AddressSpace.remap`), and the promotion pass makes a
-sole survivor ``Private`` again in place.  A :class:`PageTableEntry` is
-only a read-only view of one page, built by
+sole survivor ``Private`` again in place.  The fault path finds its page
+once, with :meth:`~AddressSpace.find_page`: like the access pipeline, it
+tries the faulting pid's own reservation before a bisect, and the row it
+returns gives the page's state, read-only bound and owner.  A
+:class:`PageTableEntry` is only a read-only view of one page, built by
 :meth:`~AddressSpace.entry_at` and :meth:`~AddressSpace.entries`.
 
 :meth:`AddressSpace.check_and_access` checks and performs one access on
@@ -48,9 +51,10 @@ It runs the fixed pipeline
 kinds are deterministic; a store to a read-only page is a write fault
 in any state, since no copy would make the page writable.  It reads the
 row of the accessing pid's reservation, and bisects for a row only for
-a page outside it.  Page-level faults (write, access, capability load)
-are resolvable by the fork engine; capability-level faults and
-privilege faults terminate the access.  Where capability loads are
+a page outside it.  A :class:`Fault` is a named tuple; page-level faults
+(write, access, capability load) are resolvable by the fork engine
+(``FaultKind.resolvable``); capability-level faults and privilege faults
+terminate the access.  Where capability loads are
 blocked, an integer read or fetch that overlaps a tagged granule takes
 the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
@@ -160,21 +164,23 @@ class AccessKind(enum.Enum):
 
 
 class FaultKind(enum.Enum):
-    CAP_TAG = "CapTagFault"
-    CAP_SEALED = "CapSealedFault"
-    CAP_BOUNDS = "CapBoundsFault"
-    CAP_PERM = "CapPermFault"
-    PAGE_WRITE = "PageWriteFault"
-    PAGE_ACCESS = "PageAccessFault"
-    CAP_LOAD = "CapLoadFault"
-    PRIVILEGE = "PrivilegeFault"
+    CAP_TAG = "CapTagFault", False
+    CAP_SEALED = "CapSealedFault", False
+    CAP_BOUNDS = "CapBoundsFault", False
+    CAP_PERM = "CapPermFault", False
+    PAGE_WRITE = "PageWriteFault", True
+    PAGE_ACCESS = "PageAccessFault", True
+    CAP_LOAD = "CapLoadFault", True
+    PRIVILEGE = "PrivilegeFault", False
 
-
-#: Only page-level faults may be handed to the fork engine; the rest
-#: terminate the access.
-RESOLVABLE_FAULTS = frozenset(
-    {FaultKind.PAGE_WRITE, FaultKind.PAGE_ACCESS, FaultKind.CAP_LOAD}
-)
+    def __new__(cls, value: str, resolvable: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        # Only page-level faults may be handed to the fork engine; the
+        # rest terminate the access.  A plain attribute, like
+        # PageState.cap_load, keeps the enum's hash off the fault path.
+        member.resolvable = resolvable
+        return member
 
 
 # Module aliases of the members the access pipeline tests: loading a
@@ -192,8 +198,10 @@ _PAGE_WRITE_FAULT, _PAGE_ACCESS_FAULT = FaultKind.PAGE_WRITE, FaultKind.PAGE_ACC
 _CAP_LOAD_FAULT = FaultKind.CAP_LOAD
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
+    """One hardware trap: its kind, the faulting pid and page, and the
+    access that took it."""
+
     kind: FaultKind
     pid: int
     page_va: int
@@ -201,21 +209,26 @@ class Fault:
 
     @property
     def resolvable(self) -> bool:
-        return self.kind in RESOLVABLE_FAULTS
+        return self.kind.resolvable
 
     def __str__(self) -> str:
         return f"{self.kind.value}(pid={self.pid}, page={self.page_va:#x}, access={self.access.value})"
 
 
 class FaultError(SimulatorError):
-    """Exception wrapper carrying a :class:`Fault` value."""
+    """Exception wrapper carrying a :class:`Fault` value; its message is
+    the fault's text, formatted only when read."""
 
     def __init__(self, fault: Fault):
-        super().__init__(str(fault))
+        super().__init__(fault)
         self.fault = fault
+
+    def __str__(self) -> str:
+        return str(self.fault)
 
 
 _EXEC_FETCH_WIDTH = 4
+_tuple_new = tuple.__new__
 
 
 def page_of(addr: int) -> int:
@@ -233,7 +246,7 @@ def _verify_owner(row: _Row, page_va: int, owners: set[int]) -> None:
 
 def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn:
     """Raise the fault of an access at ``addr``; the access pipeline's one exit."""
-    raise FaultError(Fault(kind, pid, page_of(addr), access))
+    raise FaultError(_tuple_new(Fault, (kind, pid, addr - addr % PAGE_SIZE, access)))
 
 
 class AddressSpace:
@@ -275,10 +288,6 @@ class AddressSpace:
         """The pid whose reservation holds ``addr``, or None if none does."""
         return self._row_at(addr).pid
 
-    def read_only(self, addr: int) -> bool:
-        """Whether ``addr`` lies in its reservation's read-only pages."""
-        return addr < self._row_at(addr).ro_end
-
     def unreserve(self, region: Region) -> None:
         """Take back the last reservation, ``region``, which maps nothing.
 
@@ -296,14 +305,22 @@ class AddressSpace:
             del self._pid_rows[row.pid]
         self._next_base = region.base
 
-    def _lookup(self, page_va: int) -> tuple[_Row, int, int | None]:
+    def _lookup(self, page_va: int, row: _Row | None = None) -> tuple[_Row, int, int | None]:
         """The row holding page ``page_va``, the page's index in it and its
-        frame id, which is None where nothing maps the page."""
-        row = self._row_at(page_va)
+        frame id, which is None where nothing maps the page.  ``row``, if
+        given, is tried before a bisect of the reservations."""
+        if row is None or not row.base <= page_va < row.end:
+            row = self._row_at(page_va)
         if row.frames is None or page_va % PAGE_SIZE:
             return row, 0, None
         index = (page_va - row.base) // PAGE_SIZE
         return row, index, row.frames[index]
+
+    def find_page(self, pid: int, page_va: int) -> tuple[_Row, int, int | None]:
+        """As :meth:`_lookup`, trying ``pid``'s own reservation first, as the
+        access pipeline does: the fault path's one lookup of its page.  The
+        row gives the page's state, its read-only bound and its owner."""
+        return self._lookup(page_va, self._pid_rows.get(pid))
 
     def _locate(self, region: Region) -> tuple[_Row, int, int]:
         """The row ``region`` lies in, the index of its first page and its
@@ -541,10 +558,11 @@ class AddressSpace:
 
     def sole_mappings(
         self, frames: Iterable[TaggedFrame]
-    ) -> Iterator[tuple[TaggedFrame, int, list[PageState | None], int]]:
+    ) -> Iterator[tuple[TaggedFrame, int | None, list[PageState | None], int]]:
         """Each of ``frames`` that has exactly one mapping, in a shared
-        state, in order: with its page, and the state column and index of
-        that page, for the promotion pass to make it private."""
+        state, in order: with the pid whose reservation holds that page,
+        and the page's state column and index, for the promotion pass to
+        make it private.  Pages in the last row found need no bisect."""
         row, base, end = _UNRESERVED, 0, 0
         for frame in frames:
             if len(frame.pages) != 1:
@@ -555,7 +573,7 @@ class AddressSpace:
                 base, end = row.base, row.end
             index = (page_va - base) // PAGE_SIZE
             if row.states[index] is not _PRIVATE:
-                yield frame, page_va, row.states, index
+                yield frame, row.pid, row.states, index
 
     def loadable_frames(self, pid: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The index and frame id of each page of ``pid``'s reservation, among

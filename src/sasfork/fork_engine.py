@@ -35,20 +35,26 @@ The lazy copy itself follows three steps: take a fresh frame, copy bytes
 and capabilities, then scan the copy's tagged granules once and rebase
 every capability that still targets the frame's origin region (see
 :mod:`sasfork.tagged_memory`); no relocation state is kept between
-copies.  It reads the faulting page's mapping and then remaps it to
-the copy in one write (:meth:`AddressSpace.remap`).  Copies made for
-the region that already owns the frame's contents (the parent side)
-skip the scan.
+copies.  It finds the faulting page once (:meth:`AddressSpace.find_page`,
+which tries the faulting pid's own reservation before a bisect) and
+reads the page's state, its read-only bound and its owner from the row
+it returns; then it remaps the page to the copy in one write
+(:meth:`AddressSpace.remap`).  Copies made for the region that already
+owns the frame's contents (the parent side) skip the scan, and a copy
+that holds no capability skips the check that none escapes.
 When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
-references.  The promotion pass finds each shared survivor through
+references.  A lazy copy calls the promotion pass only when it leaves
+the old frame with one mapping.  The pass finds each shared survivor,
+with the pid whose reservation holds it, through
 :meth:`AddressSpace.sole_mappings` and sets its state to ``Private`` in
-place, and reads its owner from :meth:`AddressSpace.owner_of`.
+place.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
-:class:`CopyEvent` carries its cause and what its relocation scan
-charged, and the metrics report folds its copy counts from them.
+:class:`CopyEvent`, a named tuple, carries its cause and what its
+relocation scan charged, and the metrics report folds its copy counts
+from them; whether a cause is eager is an attribute of the cause.
 Exit gives a process its exit record; ``wait`` and reap look for zombies
 among the PID-table slot holders only, and reap frees the slot.
 """
@@ -56,8 +62,7 @@ among the PID-table slot holders only, and reap frees the slot.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .address_space import Fault, FaultKind, PageState
 from .capability import GRANULES_PER_PAGE, Capability, Region, rebase_for_child
@@ -73,6 +78,8 @@ from .tagged_memory import TaggedFrame
 if TYPE_CHECKING:
     from .system import System
 
+_tuple_new = tuple.__new__
+
 
 class ForkStrategy(enum.Enum):
     FULL_COPY = "full"
@@ -82,17 +89,21 @@ class ForkStrategy(enum.Enum):
 
 
 class CopyCause(enum.Enum):
-    EAGER_GOT = "EagerGot"
-    EAGER_ALLOC_META = "EagerAllocMeta"
-    EAGER_FULL = "EagerFull"
-    WRITE_FAULT = "WriteFault"
-    ACCESS_FAULT = "AccessFault"
-    CAP_LOAD_FAULT = "CapLoadFault"
+    EAGER_GOT = "EagerGot", True
+    EAGER_ALLOC_META = "EagerAllocMeta", True
+    EAGER_FULL = "EagerFull", True
+    WRITE_FAULT = "WriteFault", False
+    ACCESS_FAULT = "AccessFault", False
+    CAP_LOAD_FAULT = "CapLoadFault", False
 
+    def __new__(cls, value: str, eager: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        # Whether fork made the copy, not a first touch; a plain attribute,
+        # like FaultKind.resolvable, keeps the enum's hash off the fold.
+        member.eager = eager
+        return member
 
-EAGER_CAUSES = frozenset(
-    {CopyCause.EAGER_GOT, CopyCause.EAGER_ALLOC_META, CopyCause.EAGER_FULL}
-)
 
 _FAULT_TO_CAUSE = {
     FaultKind.PAGE_WRITE: CopyCause.WRITE_FAULT,
@@ -115,8 +126,7 @@ COST_PER_PTE_WRITE = 1
 COST_PER_GRANULE_SCANNED = 1
 
 
-@dataclass(frozen=True)
-class CopyEvent:
+class CopyEvent(NamedTuple):
     """One page copy: who triggered it, for which page, why, and its scan.
 
     ``scanned`` is the granules the relocation scan charged (a page's
@@ -132,7 +142,7 @@ class CopyEvent:
 
     @property
     def eager(self) -> bool:
-        return self.cause in EAGER_CAUSES
+        return self.cause.eager
 
 
 class ForkEngine:
@@ -250,39 +260,38 @@ class ForkEngine:
 
         Only page-level faults on shared pages resolve, and a write fault
         only on a page that is not read-only; anything else is
-        :class:`UnresolvableFault`.  The faulting page is remapped to the
-        copy, private (:meth:`AddressSpace.remap`); the old frame's
-        refcount drops and a sole survivor is promoted back to private.
+        :class:`UnresolvableFault`.  The page is looked up once
+        (:meth:`AddressSpace.find_page`); its row gives its state, its
+        read-only bound and its owner.  The faulting page is remapped to
+        the copy, private (:meth:`AddressSpace.remap`); the old frame's
+        refcount drops, and if one mapping is left it is promoted back to
+        private.
         """
-        cause = _FAULT_TO_CAUSE.get(fault.kind)
-        if cause is None:
-            raise UnresolvableFault(f"{fault.kind.value} cannot be resolved by copying")
+        kind, pid, page_va, _ = fault
+        if not kind.resolvable:
+            raise UnresolvableFault(f"{kind.value} cannot be resolved by copying")
         sys = self._sys
         space = sys.address_space
-        entry = space.entry_at(fault.page_va)
-        if entry is None or entry.state is PageState.PRIVATE:
-            raise UnresolvableFault(
-                f"page {fault.page_va:#x} is not in a shared state"
-            )
-        if fault.kind is FaultKind.PAGE_WRITE and space.read_only(fault.page_va):
-            raise UnresolvableFault(f"page {fault.page_va:#x} is read-only")
-        owner = self._owner(fault.page_va)
-        old_frame = sys.frames.get(entry.frame_id)
+        row, index, frame_id = space.find_page(pid, page_va)
+        if frame_id is None or row.states[index] is PageState.PRIVATE:
+            raise UnresolvableFault(f"page {page_va:#x} is not in a shared state")
+        if kind is FaultKind.PAGE_WRITE and page_va < row.ro_end:
+            raise UnresolvableFault(f"page {page_va:#x} is read-only")
+        old_frame = sys.frames.get(frame_id)
         if len(old_frame.pages) < 2:
             # Promotion reverts sole-owner pages to private, so a shared
             # page always aliases a multiply-referenced frame.
-            raise SimInternalError(
-                f"shared page {fault.page_va:#x} on a sole-owner frame"
-            )
+            raise SimInternalError(f"shared page {page_va:#x} on a sole-owner frame")
         event = self._copy_into(
-            fault.pid,
-            fault.page_va,
-            old_frame.frame_id,
-            owner.region,
-            cause=cause,
+            pid,
+            page_va,
+            frame_id,
+            sys.process(row.pid).region,
+            cause=_FAULT_TO_CAUSE[kind],
             install=space.remap,
         )
-        self._promote((old_frame,))
+        if len(old_frame.pages) == 1:
+            self._promote((old_frame,))
         return event
 
     def _copy_into(
@@ -306,12 +315,13 @@ class ForkEngine:
         sys = self._sys
         fresh = sys.frames.clone(src_frame_id)
         scanned = relocations = 0
-        if fresh.origin != dest_region:
-            relocations = sys.frames.scan_and_relocate(fresh, fresh.origin, dest_region)
+        origin = fresh.origin
+        if origin is not dest_region and origin != dest_region:
+            relocations = sys.frames.scan_and_relocate(fresh, origin, dest_region)
             scanned = GRANULES_PER_PAGE
         fresh.origin = dest_region
         install(page_va, fresh.frame_id)
-        event = CopyEvent(trigger_pid, page_va, cause, scanned, relocations)
+        event = _tuple_new(CopyEvent, (trigger_pid, page_va, cause, scanned, relocations))
         self.events.append(event)
         self._verify_copy_clean(fresh, dest_region)
         return event
@@ -319,8 +329,11 @@ class ForkEngine:
     def _verify_copy_clean(self, frame: TaggedFrame, dest_region: Region) -> None:
         """A just-copied frame must hold no tagged out-of-region capability.
 
-        Reports the lowest failing granule.
+        Reports the lowest failing granule.  A copy that holds no
+        capability passes at once.
         """
+        if not frame.caps:
+            return
         lo, hi = dest_region.base, dest_region.end
         is_entry = self._sys.gateway.is_entry_capability
         # One pass finds whether any capability escapes; only a failing copy
@@ -341,13 +354,6 @@ class ForkEngine:
             f"outside {dest_region}: {frame.caps[granule]}"
         )
 
-    def _owner(self, page_va: int) -> MicroProcess:
-        """The process whose reservation holds a mapped page."""
-        pid = self._sys.address_space.owner_of(page_va)
-        if pid is None:
-            raise SimInternalError(f"mapped page {page_va:#x} lies in no reservation")
-        return self._sys.process(pid)
-
     def _promote(self, frames: Iterable[TaggedFrame]) -> None:
         """Sole survivors of shared frames go back to private access.
 
@@ -356,17 +362,17 @@ class ForkEngine:
         already private (:meth:`AddressSpace.sole_mappings`).  If the survivor's region is not the frame's
         origin (a child that never copied this page), the frame is
         relocated in place before access is widened, so no stale
-        capability becomes loadable.  Survivors in the last owner's region reuse it.
+        capability becomes loadable.  The owner is the pid of the
+        reservation that holds the survivor; survivors of the last owner
+        reuse its process.
         """
         sys = self._sys
-        space = sys.address_space
         private = PageState.PRIVATE
         logs = sys.frames.logs
-        base = end = 0
-        for frame, page_va, states, index in space.sole_mappings(frames):
-            if not base <= page_va < end:
-                owner = self._owner(page_va)
-                base, end = owner.region.base, owner.region.end
+        owner = None
+        for frame, pid, states, index in sys.address_space.sole_mappings(frames):
+            if owner is None or owner.pid != pid:
+                owner = sys.process(pid)
             # Most frames keep their owner's own region object as origin.
             if frame.origin is not owner.region and frame.origin != owner.region:
                 relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)

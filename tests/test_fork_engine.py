@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import sasfork.address_space
 import sasfork.system
 from sasfork import tagged_memory
 from sasfork.address_space import (
@@ -31,10 +32,10 @@ from sasfork.errors import (
     SimInternalError,
     UnresolvableFault,
 )
-from sasfork.fork_engine import CopyCause, ForkEngine
+from sasfork.fork_engine import CopyCause, CopyEvent, ForkEngine
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
-from sasfork.tagged_memory import FrameTable
+from sasfork.tagged_memory import ChangeLog, FrameTable
 from sasfork.workload import run
 from sasfork.workload.interpreter import _Interpreter
 from state_digest import state_digest
@@ -223,6 +224,167 @@ class TestFaultResolution:
         # The promotion produced no copy event for the child.
         child_events = [e for e in system.fork_engine.events if e.pid == child.pid and not e.eager]
         assert child_events == []
+
+
+class TestCopyEventValues:
+    #: Each cause and whether fork made the copy: a new cause must be
+    #: added here, which forces the decision.
+    EAGER = {
+        CopyCause.EAGER_GOT: True,
+        CopyCause.EAGER_ALLOC_META: True,
+        CopyCause.EAGER_FULL: True,
+        CopyCause.WRITE_FAULT: False,
+        CopyCause.ACCESS_FAULT: False,
+        CopyCause.CAP_LOAD_FAULT: False,
+    }
+
+    def test_only_fork_copies_are_eager(self):
+        assert {cause: cause.eager for cause in CopyCause} == self.EAGER
+        for cause, eager in self.EAGER.items():
+            assert CopyEvent(1, PAGE_SIZE, cause, 0, 0).eager is eager
+
+    def test_copy_events_compare_and_hash_by_their_fields(self):
+        event = CopyEvent(2, PAGE_SIZE, CopyCause.WRITE_FAULT, GRANULES_PER_PAGE, 1)
+        same = CopyEvent(2, PAGE_SIZE, CopyCause.WRITE_FAULT, GRANULES_PER_PAGE, 1)
+        assert event == same and hash(event) == hash(same)
+        assert len({event, same}) == 1
+        for other in (
+            event._replace(pid=3),
+            event._replace(page_va=2 * PAGE_SIZE),
+            event._replace(cause=CopyCause.ACCESS_FAULT),
+            event._replace(scanned=0),
+            event._replace(relocations=0),
+        ):
+            assert other != event
+
+    def test_a_lazy_copy_records_its_event_fields(self):
+        system = make_system("copa")
+        parent = seeded_parent(system)
+        child = system.process(system.fork_engine.fork(parent.pid))
+        system.access(child.pid, heap_cap(child), AccessKind.CAP_LOAD)
+        assert system.fork_engine.events[-1] == CopyEvent(
+            child.pid, child.layout.heap.base, CopyCause.CAP_LOAD_FAULT, GRANULES_PER_PAGE, 2
+        )
+
+
+def resolve_counting_bisects(system, pid, cap, kind, payload, monkeypatch):
+    """Take the fault of one access, then resolve it; returns the bisects
+    of the reservations that the resolution made."""
+    with pytest.raises(FaultError) as err:
+        system.address_space.check_and_access(pid, cap, kind, payload)
+    calls = []
+    real = sasfork.address_space.bisect_right
+
+    def bisect_right(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sasfork.address_space, "bisect_right", bisect_right)
+        system.fork_engine.resolve_fault(err.value.fault)
+    return len(calls)
+
+
+class TestOneLookupPerFault:
+    """A lazy copy finds its page once, from the faulting pid's own
+    reservation, and the one write (``remap``) finds it once more; only a
+    promotion finds its survivor's reservation."""
+
+    @pytest.mark.parametrize("children", [1, 2])
+    @pytest.mark.parametrize(
+        "strategy, kind, offset",
+        [
+            ("copa", AccessKind.WRITE, PAGE_SIZE + 8),
+            ("coa", AccessKind.READ_INT, PAGE_SIZE + 0x20),
+            ("copa", AccessKind.CAP_LOAD, 0),
+        ],
+    )
+    def test_a_child_fault_on_its_own_heap(self, strategy, kind, offset, children, monkeypatch):
+        system = make_system(strategy)
+        parent = seeded_parent(system)
+        child, *siblings = [
+            system.process(system.fork_engine.fork(parent.pid)) for _ in range(children)
+        ]
+        payload = b"\x05" * 8 if kind is AccessKind.WRITE else None
+        bisects = resolve_counting_bisects(
+            system, child.pid, heap_cap(child, offset), kind, payload, monkeypatch
+        )
+        # With no sibling the copy leaves the parent's page alone on its
+        # frame, and the parent's page is promoted.
+        promoted = not siblings
+        parent_page = parent.layout.heap.base + offset - offset % PAGE_SIZE
+        state = system.address_space.entry_at(parent_page).state
+        assert state is (PageState.PRIVATE if promoted else PageState.SHARED_COW)
+        assert bisects <= 1 + promoted
+        system.verify_invariants(full=True)
+
+    def test_a_parent_write_after_two_forks(self, monkeypatch):
+        system = make_system("copa")
+        parent = seeded_parent(system)
+        for _ in range(2):
+            system.fork_engine.fork(parent.pid)
+        cap = heap_cap(parent, PAGE_SIZE + 8)
+        bisects = resolve_counting_bisects(
+            system, parent.pid, cap, AccessKind.WRITE, b"\x05" * 8, monkeypatch
+        )
+        assert bisects <= 1
+        system.verify_invariants(full=True)
+
+
+class TestPromotionGuard:
+    """A lazy copy promotes only when it leaves the old frame with one
+    mapping."""
+
+    def scenario(self):
+        system = make_system("copa")
+        parent = seeded_parent(system)
+        child = system.process(system.fork_engine.fork(parent.pid))
+        return system, parent, child
+
+    def test_a_copy_that_leaves_one_mapping_promotes_it(self, monkeypatch):
+        system, parent, child = self.scenario()
+        system.access(child.pid, heap_cap(child, PAGE_SIZE + 8), AccessKind.WRITE, b"\x05" * 8)
+        entry = system.address_space.entry_at(parent.layout.heap.base + PAGE_SIZE)
+        assert entry.state is PageState.PRIVATE and entry.writable
+        # The unguarded path: the copy, then a promotion pass over the old
+        # frame whatever mappings it has left.
+        oracle, oracle_parent, oracle_child = self.scenario()
+        space, real_promote = oracle.address_space, ForkEngine._promote
+        old = oracle.frames.get(
+            space.entry_at(oracle_parent.layout.heap.base + PAGE_SIZE).frame_id
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(ForkEngine, "_promote", lambda engine, frames: None)
+            oracle.access(
+                oracle_child.pid,
+                heap_cap(oracle_child, PAGE_SIZE + 8),
+                AccessKind.WRITE,
+                b"\x05" * 8,
+            )
+        real_promote(oracle.fork_engine, (old,))
+        assert state_digest(system) == state_digest(oracle)
+        system.verify_invariants(full=True)
+
+    def test_a_copy_that_leaves_two_mappings_changes_nothing_else(self):
+        system, parent, child = self.scenario()
+        sibling = system.process(system.fork_engine.fork(parent.pid))
+        space = system.address_space
+        page = child.layout.heap.base + PAGE_SIZE
+        old = space.entry_at(page).frame_id
+        before = space.entries()
+        log = ChangeLog()
+        system.frames.logs.append(log)
+        system.access(child.pid, heap_cap(child, PAGE_SIZE + 8), AccessKind.WRITE, b"\x05" * 8)
+        after = space.entries()
+        fresh = after.pop(page).frame_id
+        del before[page]
+        assert after == before
+        assert log.frames == {old, fresh} and log.regions == []
+        assert system.frames.get(old).pages == {
+            parent.layout.heap.base + PAGE_SIZE,
+            sibling.layout.heap.base + PAGE_SIZE,
+        }
+        system.verify_invariants(full=True)
 
 
 def store_to_code(system, pid, page_va):
