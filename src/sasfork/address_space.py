@@ -30,16 +30,19 @@ frame table's change logs (see :mod:`sasfork.tagged_memory`).
 The page table is one *row* per reservation with two columns, a list
 each with one element per page: ``frames``, the frame id that backs the
 page or ``None`` where nothing maps it, and ``states``, the page's
-:class:`PageState` (``None`` where unmapped).  A fork's share pass
-copies the parent's frame ids into the child's row, writes the
-strategy's shared state beside them, makes the parent's private states
-copy-on-write and adds each child page to its frame's page set, so a
-page set stays the refcount.  A lazy copy writes the copy's frame id and
-``Private`` (:meth:`AddressSpace.remap`), and the promotion pass makes a
-sole survivor ``Private`` again in place.  The fault path finds its page
-once, with :meth:`~AddressSpace.find_page`: like the access pipeline, it
-tries the faulting pid's own reservation before a bisect, and the row it
-returns gives the page's state, read-only bound and owner.  A
+:class:`PageState` (``None`` where unmapped).  A fork's share pass copies
+the parent's frame ids into the child's row wherever the row maps
+nothing, writes the strategy's shared state beside them, makes the
+parent's private states there copy-on-write and adds each child page to
+its frame's page set, so a page set stays the refcount.  The pages the
+child's row maps already are the fork's eager copies: the row itself
+says which pages were copied, and they keep their frames.  A lazy copy
+writes the copy's frame id and ``Private`` (:meth:`AddressSpace.remap`),
+and the promotion pass makes a sole survivor ``Private`` again in
+place.  The fault path finds its page once, with
+:meth:`~AddressSpace.find_page`: like the access pipeline, it tries the
+faulting pid's own reservation before a bisect, and the row it returns
+gives the page's state, read-only bound and owner.  A
 :class:`PageTableEntry` is only a read-only view of one page, built by
 :meth:`~AddressSpace.entry_at` and :meth:`~AddressSpace.entries`.
 
@@ -62,8 +65,9 @@ not relocated yet would show the parent's address.
 Three passes change a whole region at once: at boot and at process
 creation :meth:`~AddressSpace.map_fresh_region` backs each page with a new
 frame; at fork :meth:`~AddressSpace.share_region` builds the child's row;
-at reap :meth:`~AddressSpace.unmap_owned` walks the row once and drops
-it.  The last two put back what they changed before they raise.
+at reap, and to roll back a fork that raises,
+:meth:`~AddressSpace.unmap_owned` walks the row once and drops it.  The
+last two put back what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -416,17 +420,20 @@ class AddressSpace:
         for log in self._frames.logs:
             log.frames.add(frame_id)
 
-    def share_region(self, parent: Region, child: Region, skip: set[int], state: PageState) -> int:
-        """Share each parent page not in ``skip`` read-only in ``state`` at the
-        same child offset, and make a private parent page shared
-        copy-on-write.  Returns the page-table entries this stands for.
+    def share_region(self, parent: Region, child: Region, state: PageState) -> int:
+        """Share each parent page read-only in ``state`` at the same child
+        offset, where the child's row maps nothing, and make a private
+        parent page it shares copy-on-write.  Returns the page-table
+        entries this stands for: the child pages shared and the parent
+        pages made copy-on-write.
 
-        The child's row gets a copy of the parent's frame ids, beside its
-        own mappings (the eager copies) for the pages in ``skip``, and
-        each child page joins its frame's page set, as :meth:`map` would
-        add it.  ``child`` is a whole reservation that shares nothing yet.
-        A raise first drops the child pages added and restores the
-        parent's states, so it changes no mapping, page set or log.
+        ``child`` is a whole reservation that shares nothing yet.  The
+        pages its row maps already (a fork's eager copies) keep their
+        frames and states, and so do the parent pages at their offsets.
+        The other child pages get the parent's frame ids, each joining its
+        frame's page set, as :meth:`map` would add it.  A raise first
+        drops the child pages added, so it changes no mapping, page set or
+        log.
         """
         row = self._row_at(child.base)
         if (
@@ -438,47 +445,41 @@ class AddressSpace:
         parent_row, first, count = self._locate(parent)
         parent_frames, parent_states = parent_row.columns()
         inherited = parent_frames[first : first + count]
-        saved = parent_states[first : first + count]
         own_frames, own_states = row.columns()
-        built = own_frames.copy()
-        skipped = {(va - parent.base) // PAGE_SIZE for va in skip if parent.contains(va)}
-        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
-        for index in skipped:
-            shared[index] = saved[index]
-        parent_states[first : first + count] = shared
+        built, states, kept = own_frames.copy(), [state] * count, []
         frames = self._frames.by_id
         try:
             for index, child_va, frame_id in zip(
                 range(count), range(child.base, child.end, PAGE_SIZE), inherited
             ):
-                if index in skipped:
+                if built[index] is not None:
+                    kept.append(index)
                     continue
                 if frame_id is None:
                     raise SimInternalError(
                         f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
                     )
-                if built[index] is not None:
-                    raise DoubleMap(f"page {child_va:#x} is already mapped")
                 frames[frame_id].pages.add(child_va)
                 built[index] = frame_id
-        except (DoubleMap, SimInternalError, KeyError) as err:
-            # Every page before the failing one that is not skipped was added.
-            for done, child_va, frame_id in zip(
-                range(index), range(child.base, child.end, PAGE_SIZE), built
+        except (SimInternalError, KeyError) as err:
+            # Every page before the failing one that the row did not map was added.
+            for child_va, own, frame_id in zip(
+                range(child.base, child.base + index * PAGE_SIZE, PAGE_SIZE), own_frames, built
             ):
-                if done not in skipped:
+                if own is None:
                     frames[frame_id].pages.remove(child_va)
-            parent_states[first : first + count] = saved
             if isinstance(err, KeyError):
                 raise SimInternalError(f"frame {err.args[0]} does not exist") from None
             raise
-        states = [state] * count
-        for index in skipped:
-            states[index] = own_states[index]
+        saved = parent_states[first : first + count]
+        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
+        for index in kept:
+            shared[index], states[index] = saved[index], own_states[index]
+        parent_states[first : first + count] = shared
         row.frames, row.states = built, states
         for log in self._frames.logs:
             log.regions.append(child)
-        return count - len(skipped) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
+        return count - len(kept) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
         """Unmap every page of ``region`` in one walk of its row, in page

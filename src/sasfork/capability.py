@@ -12,7 +12,7 @@ of its fields.  The rules are deliberately hardware-like:
 
 * **Monotonicity.**  Derivation can shrink bounds and drop permissions
   but never the reverse; widening is a hard :class:`~sasfork.errors.BoundsWiden`
-  error (or a tag-clear in permissive mode, mirroring hardware).
+  error.
 * **Out-of-bounds cursors are representable.**  The cursor may be moved
   anywhere; bounds are enforced at dereference time, so one-past-the-end
   iteration idioms do not fault spuriously.
@@ -138,21 +138,13 @@ class Capability(NamedTuple):
     def untagged(self) -> "Capability":
         return Capability(self.base, self.length, self.cursor, self.perms, self.otype, False)
 
-    def derive(
-        self,
-        new_base: int,
-        new_length: int,
-        perms: Perm | None = None,
-        *,
-        permissive: bool = False,
-    ) -> "Capability":
+    def derive(self, new_base: int, new_length: int, perms: Perm | None = None) -> "Capability":
         """Return a narrowed capability.
 
         Bounds must stay inside the source and permissions may only be
-        dropped.  A widening attempt raises :class:`BoundsWiden`, or, in
-        permissive mode, yields the requested capability with its tag
-        cleared.  The cursor of the result sits at ``new_base``.
-        Deriving from an untagged source yields an untagged result.
+        dropped; a widening attempt raises :class:`BoundsWiden`.  The
+        cursor of the result sits at ``new_base``.  Deriving from an
+        untagged source yields an untagged result.
         """
         if self.sealed:
             raise SealedMutation("cannot derive from a sealed capability")
@@ -160,20 +152,12 @@ class Capability(NamedTuple):
             raise ValueError("negative length")
         if perms is None:
             perms = self.perms
-        widens = (
-            new_base < self.base
-            or new_base + new_length > self.top
-            or bool(perms & ~self.perms)
-        )
-        out = Capability(new_base, new_length, new_base, perms, self.otype, self.tag)
-        if widens:
-            if permissive:
-                return out.untagged()
+        if new_base < self.base or new_base + new_length > self.top or perms & ~self.perms:
             raise BoundsWiden(
                 f"derive [{new_base:#x},+{new_length:#x}) perms={perms.names()} "
                 f"exceeds [{self.base:#x},+{self.length:#x}) perms={self.perms.names()}"
             )
-        return out
+        return Capability(new_base, new_length, new_base, perms, self.otype, self.tag)
 
     def with_cursor(self, addr: int) -> "Capability":
         """Move the cursor; anywhere is representable, bounds checked on use."""

@@ -18,17 +18,20 @@ observes:
 Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs.  Eager copies walk the layout's
-sub-regions in page order; every other page is shared by one pass of
-:meth:`AddressSpace.share_region`, which copies the parent's frame ids
-into the child's row beside the strategy's shared state and makes the
-parent's private pages copy-on-write (see :mod:`sasfork.address_space`);
-``full`` copies every page and shares none.  Copies are mapped private,
-and the page table derives which of them are writable: the code pages
-are not.  Fork is all or nothing: if an eager copy or the share pass
-raises, it unmaps the copies, drops their events and takes back the pid
-and the reservation first.  Reap tears a region's row down in one pass
-of :meth:`AddressSpace.unmap_owned` and hands the frames it leaves with
-a single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
+sub-regions in page order and map their pages into the child's row, so
+the row is the one record of which pages fork copied; every other page
+is shared by one pass of :meth:`AddressSpace.share_region`, which copies
+the parent's frame ids into the child's row, where it maps nothing,
+beside the strategy's shared state and makes the parent's private pages
+there copy-on-write (see :mod:`sasfork.address_space`); ``full`` copies
+every page and shares none.  Copies are mapped private, and the page
+table derives which of them are writable: the code pages are not.  Fork
+is all or nothing: if an eager copy or the share pass raises, one
+:meth:`AddressSpace.unmap_owned` pass unmaps the copies, and fork drops
+their events and takes back the pid and the reservation first.  Reap
+tears a region's row down in one pass of
+:meth:`AddressSpace.unmap_owned` and hands the frames it leaves with a
+single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
 which a lazy copy also calls with the frame it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame, copy bytes
@@ -54,7 +57,8 @@ place.
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent`, a named tuple, carries its cause and what its
 relocation scan charged, and the metrics report folds its copy counts
-from them; whether a cause is eager is an attribute of the cause.
+from them.  A lazy cause names the fault its copy resolves, and an eager
+cause names none; both are attributes of the cause.
 Exit gives a process its exit record; ``wait`` and reap look for zombies
 among the PID-table slot holders only, and reap frees the slot.
 """
@@ -89,27 +93,25 @@ class ForkStrategy(enum.Enum):
 
 
 class CopyCause(enum.Enum):
-    EAGER_GOT = "EagerGot", True
-    EAGER_ALLOC_META = "EagerAllocMeta", True
-    EAGER_FULL = "EagerFull", True
-    WRITE_FAULT = "WriteFault", False
-    ACCESS_FAULT = "AccessFault", False
-    CAP_LOAD_FAULT = "CapLoadFault", False
+    EAGER_GOT = "EagerGot", None
+    EAGER_ALLOC_META = "EagerAllocMeta", None
+    EAGER_FULL = "EagerFull", None
+    WRITE_FAULT = "WriteFault", FaultKind.PAGE_WRITE
+    ACCESS_FAULT = "AccessFault", FaultKind.PAGE_ACCESS
+    CAP_LOAD_FAULT = "CapLoadFault", FaultKind.CAP_LOAD
 
-    def __new__(cls, value: str, eager: bool):
+    def __new__(cls, value: str, fault: FaultKind | None):
         member = object.__new__(cls)
         member._value_ = value
-        # Whether fork made the copy, not a first touch; a plain attribute,
-        # like FaultKind.resolvable, keeps the enum's hash off the fold.
-        member.eager = eager
+        # The fault a lazy copy resolves; fork's eager copies resolve none.
+        # Plain attributes, like FaultKind.resolvable, keep the enum's hash
+        # off the fold.
+        member.fault = fault
+        member.eager = fault is None
         return member
 
 
-_FAULT_TO_CAUSE = {
-    FaultKind.PAGE_WRITE: CopyCause.WRITE_FAULT,
-    FaultKind.PAGE_ACCESS: CopyCause.ACCESS_FAULT,
-    FaultKind.CAP_LOAD: CopyCause.CAP_LOAD_FAULT,
-}
+_FAULT_TO_CAUSE = {cause.fault: cause for cause in CopyCause if not cause.eager}
 
 #: Child-side page state installed per strategy when a page is shared.
 _CHILD_SHARED_STATE = {
@@ -161,16 +163,17 @@ class ForkEngine:
         Reserves an equal-sized child region, eagerly copies and
         relocates the GOT and allocator-metadata pages (every page under
         ``FULL_COPY``), shares the rest in one page-table pass,
-        duplicates the descriptor table,
-        and rebases every tagged capability in the parent's register
-        state (including the PCC) into the child's region.  Fails with
-        ``EAGAIN``, before anything is reserved, while the kernel PID
-        table is full.  If an eager copy or the share pass raises, fork
-        first unmaps the copies it made (freeing their frames), drops
+        duplicates the descriptor table, and rebases every tagged
+        capability in the parent's register state (including the PCC)
+        into the child's region.  Fails with ``EAGAIN``, before anything
+        is reserved, while the kernel PID table is full.  If an eager copy
+        or the share pass raises, fork first unmaps the copies it made in
+        one teardown pass of the child's row (freeing their frames), drops
         their copy events, takes back the child's reservation and hands
         the pid back, so the raise leaves the page table, the frames, the
         events, the next reservation base and the next pid as they were.
-        Frame ids are still never reused.
+        Frame ids are still never reused.  Its eager page count is the
+        number of copy events it appended.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
@@ -191,7 +194,6 @@ class ForkEngine:
                 (parent.layout.got, CopyCause.EAGER_GOT),
                 (parent.layout.alloc_meta, CopyCause.EAGER_ALLOC_META),
             ]
-        copied: set[int] = set()
         events = len(self.events)
         try:
             for sub, cause in eager:
@@ -207,16 +209,14 @@ class ForkEngine:
                         cause=cause,
                         install=space.map,
                     )
-                    copied.add(parent_va)
-            eager_pages = ptes_written = len(copied)
+            eager_pages = ptes_written = len(self.events) - events
             if strategy is not ForkStrategy.FULL_COPY:
                 ptes_written += space.share_region(
-                    parent.region, child_region, copied, _CHILD_SHARED_STATE[strategy]
+                    parent.region, child_region, _CHILD_SHARED_STATE[strategy]
                 )
         except BaseException:
-            # Each copy made so far mapped its page and then logged its event.
-            for event in self.events[events:]:
-                space.unmap(event.page_va)
+            # The child's row maps exactly the copies made so far.
+            space.unmap_owned(child_region)
             del self.events[events:]
             space.unreserve(child_region)
             sys.unallocate_pid(child_pid)

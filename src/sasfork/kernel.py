@@ -60,7 +60,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, NoReturn
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
 from .capability import GRANULE, PAGE_SIZE, Capability, Perm, Region
@@ -207,18 +207,14 @@ class KernelGateway:
         """
         args = dict(args or {})
         if not isinstance(entry, Capability) or not entry.tag:
-            raise FaultError(
-                Fault(FaultKind.CAP_TAG, pid, page_of(getattr(entry, "cursor", 0)), AccessKind.EXEC)
-            )
+            self._fault(FaultKind.CAP_TAG, pid, getattr(entry, "cursor", 0))
         if not entry.sealed:
             # Unsealed jump targets can only be the caller's own code; a
             # capability aimed at kernel memory is a forgery and faults
             # on bounds before any dispatch happens.
             caller = self._sys.process(pid)
             if not caller.region.contains_range(entry.base, entry.top):
-                raise FaultError(
-                    Fault(FaultKind.CAP_BOUNDS, pid, page_of(entry.cursor), AccessKind.EXEC)
-                )
+                self._fault(FaultKind.CAP_BOUNDS, pid, entry.cursor)
             raise InvalidInvoke("entry capability is not sealed")
         if name not in self.entries:
             raise SyscallError("ENOSYS", f"unknown syscall {name!r}")
@@ -241,6 +237,13 @@ class KernelGateway:
         if toctou_hook is not None:
             toctou_hook()
         return row.handler(pid, args)
+
+    def _fault(self, kind: FaultKind, pid: int, addr: int) -> NoReturn:
+        """Record and raise the fault of an execute at ``addr``: the
+        gateway records every fault it raises, as :meth:`System.access`
+        does."""
+        self._sys.metrics.record_fault(pid, kind)
+        raise FaultError(Fault(kind, pid, page_of(addr), AccessKind.EXEC))
 
     def _validate_buffer(
         self, pid: int, name: str, cap: Capability, count: int, needed: Perm
@@ -362,14 +365,7 @@ class KernelGateway:
         pcc = proc.registers.get("pcc")
         if isinstance(pcc, Capability) and pcc.tag and (pcc.perms & Perm.SYSTEM):
             return "ok"
-        fault = Fault(
-            FaultKind.PRIVILEGE,
-            pid,
-            page_of(pcc.cursor if isinstance(pcc, Capability) else 0),
-            AccessKind.EXEC,
-        )
-        self._sys.metrics.record_fault(pid, fault.kind)
-        raise FaultError(fault)
+        self._fault(FaultKind.PRIVILEGE, pid, pcc.cursor if isinstance(pcc, Capability) else 0)
 
     # -- audit ----------------------------------------------------------------
 

@@ -52,7 +52,9 @@ from .process import KERNEL_PID
 if TYPE_CHECKING:
     from .system import System
 
-LAZY_CAUSES = (CopyCause.WRITE_FAULT, CopyCause.ACCESS_FAULT, CopyCause.CAP_LOAD_FAULT)
+#: The causes of lazy copies, in declaration order: the report's and the
+#: CSV's column order.
+LAZY_CAUSES = tuple(cause for cause in CopyCause if not cause.eager)
 
 CSV_FIELDS = (
     "pid",
@@ -171,9 +173,7 @@ class MetricsReport:
                     self.isolation,
                     r.pid,
                     r.eager_pages_copied,
-                    r.lazy_pages_copied.get(CopyCause.WRITE_FAULT, 0),
-                    r.lazy_pages_copied.get(CopyCause.ACCESS_FAULT, 0),
-                    r.lazy_pages_copied.get(CopyCause.CAP_LOAD_FAULT, 0),
+                    *(r.lazy_pages_copied.get(cause, 0) for cause in LAZY_CAUSES),
                     r.granules_scanned,
                     r.caps_relocated,
                     sum(r.faults.values()),

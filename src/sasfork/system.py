@@ -49,13 +49,15 @@ _READ_INT, _WRITE = AccessKind.READ_INT, AccessKind.WRITE
 _KERNEL_PAGES = 4  # code, data (PID table), two buffer pages for copy-in
 #: The PID table holds one 8-byte word per unreaped process.
 PID_SLOTS = PAGE_SIZE // 8
-_GOT_SYMBOL_CYCLE = (
-    ("code_ro", CODE_PERMS),
-    ("heap", DATA_PERMS),
-    ("stack", DATA_PERMS),
-    ("alloc_meta", DATA_PERMS),
-    ("got", RO_CAP_PERMS),
-)
+#: Each sub-region a new process holds a capability to, with its
+#: permissions, in the order the GOT's slots cycle through them.
+_SUBREGION_PERMS = {
+    "code_ro": CODE_PERMS,
+    "heap": DATA_PERMS,
+    "stack": DATA_PERMS,
+    "alloc_meta": DATA_PERMS,
+    "got": RO_CAP_PERMS,
+}
 #: Byte ``j`` is ``j % 251``; every code page is one page-long slice of it.
 _CODE_CYCLE = bytes(range(251)) * (PAGE_SIZE // 251 + 2)
 _tuple_new = tuple.__new__
@@ -180,12 +182,13 @@ class System:
         The reservation's code pages are read-only, and one
         :meth:`~sasfork.address_space.AddressSpace.map_fresh_region` pass
         backs every layout page with a new private frame; the code pages
-        get their pattern
-        (:meth:`_fill_code`); the GOT is filled with tagged capabilities
-        to symbols inside the region; the allocator metadata page holds
-        the heap cursor as a capability so that heap bookkeeping
-        relocates with the process; registers get a PCC and SP bounded to
-        the region.
+        get their pattern (:meth:`_fill_code`).  Each sub-region of
+        :data:`_SUBREGION_PERMS` gets one capability, with its cursor at
+        its base, built once: the GOT cycles through them; granule 0 of
+        the allocator metadata page holds the heap's as the bump cursor,
+        so heap bookkeeping relocates with the process; and the registers
+        ``pcc``, ``sp`` (its cursor at the stack's end), ``got``, ``amc``
+        and ``hp`` hold them.
         """
         spec = spec or LayoutSpec()
         pid = self.allocate_pid()
@@ -193,39 +196,20 @@ class System:
         layout = spec.carve(region)
         self.address_space.map_fresh_region(region)
         self._fill_code(layout)
-        self._populate_got(layout)
-        self._init_allocator(layout)
+        subs = layout.subregions()
+        caps = {
+            name: Capability(subs[name].base, subs[name].size, subs[name].base, perms)
+            for name, perms in _SUBREGION_PERMS.items()
+        }
+        self._populate_got(layout, tuple(caps.values()))
+        allocator = self.address_space.entry_at(layout.alloc_meta.base)
+        self.frames.store_capability(self.frames.get(allocator.frame_id), 0, caps["heap"])
         registers: dict[str, object] = {
-            "pcc": Capability(
-                base=layout.code_ro.base,
-                length=layout.code_ro.size,
-                cursor=layout.code_ro.base,
-                perms=CODE_PERMS,
-            ),
-            "sp": Capability(
-                base=layout.stack.base,
-                length=layout.stack.size,
-                cursor=layout.stack.end,
-                perms=DATA_PERMS,
-            ),
-            "got": Capability(
-                base=layout.got.base,
-                length=layout.got.size,
-                cursor=layout.got.base,
-                perms=RO_CAP_PERMS,
-            ),
-            "amc": Capability(
-                base=layout.alloc_meta.base,
-                length=layout.alloc_meta.size,
-                cursor=layout.alloc_meta.base,
-                perms=DATA_PERMS,
-            ),
-            "hp": Capability(
-                base=layout.heap.base,
-                length=layout.heap.size,
-                cursor=layout.heap.base,
-                perms=DATA_PERMS,
-            ),
+            "pcc": caps["code_ro"],
+            "sp": caps["stack"]._replace(cursor=layout.stack.end),
+            "got": caps["got"],
+            "amc": caps["alloc_meta"],
+            "hp": caps["heap"],
             "r0": 0,
             "r1": 0,
             "r2": 0,
@@ -255,11 +239,10 @@ class System:
                 0, _CODE_CYCLE[start : start + PAGE_SIZE]
             )
 
-    def _populate_got(self, layout: Layout) -> None:
-        subs = layout.subregions()
-        symbols = [
-            (subs[name].base, subs[name].size, perms) for name, perms in _GOT_SYMBOL_CYCLE
-        ]
+    def _populate_got(self, layout: Layout, symbols: tuple[Capability, ...]) -> None:
+        """GOT slot ``j`` holds the bounds and permissions of
+        ``symbols[j % len(symbols)]``, its cursor ``j * GRANULE`` past the
+        base, modulo the length."""
         store = self.frames.store_capability
         for page_index, page_va in enumerate(layout.got.page_addresses()):
             entry = self.address_space.entry_at(page_va)
@@ -267,26 +250,12 @@ class System:
             first = page_index * GRANULES_PER_PAGE
             for granule in range(GRANULES_PER_PAGE):
                 slot = first + granule
-                base, size, perms = symbols[slot % len(symbols)]
+                base, size, _, perms, _, _ = symbols[slot % len(symbols)]
                 # Built positionally, as Capability.with_cursor builds one.
                 cap = _tuple_new(
                     Capability, (base, size, base + slot * GRANULE % size, perms, None, True)
                 )
                 store(frame, granule, cap)
-
-    def _init_allocator(self, layout: Layout) -> None:
-        # Granule 0 of the allocator page holds the bump cursor *as a
-        # capability*: relocation of this page at fork is what keeps the
-        # child's allocator coherent.
-        entry = self.address_space.entry_at(layout.alloc_meta.base)
-        frame = self.frames.get(entry.frame_id)
-        cursor_cap = Capability(
-            base=layout.heap.base,
-            length=layout.heap.size,
-            cursor=layout.heap.base,
-            perms=DATA_PERMS,
-        )
-        self.frames.store_capability(frame, 0, cursor_cap)
 
     # -- checked access with fault resolution ------------------------------------
 

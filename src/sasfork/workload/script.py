@@ -38,7 +38,9 @@ type's keyword and the kinds of its argument tokens.  The parser cuts
 each line at its comment and splits it once, reads each token kind with
 one method, and builds the statement from the fields the readers return
 in one step; only ``fork`` and ``deref`` have readers of their own.  The
-printer's ``_FORMATTERS`` has one formatter per statement type.
+printer's ``_FORMATTERS`` derives from ``_SYNTAX`` too: a row's keyword
+and token kinds make a ``%`` template that the statement, a tuple of its
+fields, fills; only ``fork`` and ``deref`` have formatters of their own.
 
 Parsing performs a full semantic pass: undeclared symbols, misaligned
 reference stores, a ``deref`` with no prior ``load_ref``, and layout
@@ -240,25 +242,20 @@ _SYNTAX = {
     Expect: ("expect", ("expected",)),
 }
 
+#: The token kinds that read two fields, written ``NAME+OFF``.
+_REF_KINDS = {"ref", "store_slot", "load_slot"}
+
 #: The one-line text of each statement type; a fork shows its header only.
+#: A ``_SYNTAX`` row gives a ``%`` template of the statement's fields, in
+#: field order: the keyword, then ``%s`` per token, ``%s+%s`` for a ref.
 _FORMATTERS = {
-    Alloc: lambda s: f"alloc {s.name} {s.size}",
-    StoreInt: lambda s: f"store_int {s.name}+{s.offset} {s.value}",
-    StoreRef: lambda s: f"store_ref {s.name}+{s.offset} {s.target}+{s.target_offset}",
-    LoadInt: lambda s: f"load_int {s.name}+{s.offset}",
-    LoadRef: lambda s: f"load_ref {s.name}+{s.offset}",
-    Deref: lambda s: f"deref {s.offset}" if s.offset else "deref",
-    Fork: _format_fork,
-    Exit: lambda s: f"exit {s.code}",
-    Wait: lambda s: "wait",
-    Open: lambda s: f"open {s.name}",
-    Close: lambda s: f"close {s.name}",
-    Read: lambda s: f"read {s.file} {s.buffer}+{s.offset} {s.count}",
-    Write: lambda s: f"write {s.file} {s.buffer}+{s.offset} {s.count}",
-    Yield: lambda s: "yield",
-    Priv: lambda s: "priv",
-    Expect: lambda s: f"expect {s.value}",
+    cls: " ".join(
+        [keyword, *("%s+%s" if kind in _REF_KINDS else "%s" for kind in kinds)]
+    ).__mod__
+    for cls, (keyword, kinds) in _SYNTAX.items()
 }
+_FORMATTERS[Deref] = lambda s: f"deref {s.offset}" if s.offset else "deref"
+_FORMATTERS[Fork] = _format_fork
 
 
 def format_statement(stmt: Statement) -> str:

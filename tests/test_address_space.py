@@ -162,7 +162,7 @@ class TestMappings:
         child = space.reserve_region(PAGE_SIZE, 2, 0)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
-            space.share_region(parent, child, set(), PageState.SHARED_COPA)
+            space.share_region(parent, child, PageState.SHARED_COPA)
         assert space.entry_at(child.base) is None
         with pytest.raises(SimInternalError):
             space.owned_refcounts(parent)
@@ -184,7 +184,7 @@ class TestMappings:
         assert state_digest(system) == before
         assert not log.frames and not log.regions
 
-    @pytest.mark.parametrize("fault", ["unmapped parent", "unknown frame", "double map"])
+    @pytest.mark.parametrize("fault", ["unmapped parent", "unknown frame"])
     def test_a_share_pass_that_raises_at_a_later_page_changes_nothing(self, fault):
         system = System()
         parent = system.create_initial_process(LayoutSpec(heap_pages=2))
@@ -195,18 +195,14 @@ class TestMappings:
             parent.region.size, parent.pid + 1, parent.layout.code_ro.page_count
         )
         delta = child.base - parent.region.base
-        # An eager copy the pass skips, as the fork engine's are.
-        skip = {parent.layout.got.base}
+        # An eager copy the pass keeps, as it keeps the fork engine's.
         eager = system.frames.allocate(origin=child)
         space.map(parent.layout.got.base + delta, eager.frame_id)
         last = parent.region.end - PAGE_SIZE
         if fault == "unmapped parent":
             space.unmap(last)
-        elif fault == "unknown frame":
-            del frames[space.entry_at(last).frame_id]
         else:
-            stray = system.frames.allocate()
-            space.map(last + delta, stray.frame_id)
+            del frames[space.entry_at(last).frame_id]
         parent_pages = [space.entry_at(va) for va in parent.region.page_addresses()]
         # Every earlier parent page is private, some of them read-only.
         assert {entry.state for entry in parent_pages[:-1]} == {PageState.PRIVATE}
@@ -218,9 +214,42 @@ class TestMappings:
 
         before = state()
         assert len(before[1]) == 2
-        with pytest.raises(DoubleMap if fault == "double map" else SimInternalError):
-            space.share_region(parent.region, child, skip, PageState.SHARED_COA)
+        with pytest.raises(SimInternalError):
+            space.share_region(parent.region, child, PageState.SHARED_COA)
         assert state() == before
+
+    @pytest.mark.parametrize(
+        "state",
+        [PageState.SHARED_COA, PageState.SHARED_COPA, PageState.SHARED_COW],
+        ids=["coa", "copa", "unsafe-cow"],
+    )
+    def test_the_share_pass_keeps_what_the_child_row_maps(self, state):
+        system = System()
+        parent = system.create_initial_process()
+        space = system.address_space
+        child = space.reserve_region(
+            parent.region.size, parent.pid + 1, parent.layout.code_ro.page_count
+        )
+        delta = child.base - parent.region.base
+        got = parent.layout.got.base
+        # An eager copy of the GOT page, mapped as the fork engine maps it.
+        eager = system.frames.allocate(origin=child)
+        space.map(got + delta, eager.frame_id)
+        before = space.entries()
+        shared = parent.region.page_count - 1
+        # Each other child page is shared, and each other parent page,
+        # all private, becomes copy-on-write.
+        assert space.share_region(parent.region, child, state) == 2 * shared
+        after = space.entries()
+        assert after[got + delta] == (eager.frame_id, PageState.PRIVATE, True)
+        assert eager.pages == {got + delta}
+        assert after[got] == before[got] == (before[got].frame_id, PageState.PRIVATE, True)
+        for va in parent.region.page_addresses():
+            if va != got:
+                frame_id = before[va].frame_id
+                assert after[va] == (frame_id, PageState.SHARED_COW, False)
+                assert after[va + delta] == (frame_id, state, False)
+        space.verify_refcounts({KERNEL_PID, parent.pid, parent.pid + 1})
 
 
 def shared_child(space, pages=3):
@@ -232,7 +261,7 @@ def shared_child(space, pages=3):
         space.map(va, frame.frame_id)
         frames.append(frame)
     child = space.reserve_region(parent.size, 2, 0)
-    assert space.share_region(parent, child, set(), PageState.SHARED_COPA) == 2 * pages
+    assert space.share_region(parent, child, PageState.SHARED_COPA) == 2 * pages
     return parent, child, frames
 
 
@@ -310,7 +339,7 @@ class TestRows:
     def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
         parent, child, frames = shared_child(space)
         grandchild = space.reserve_region(child.size, 3, 0)
-        assert space.share_region(child, grandchild, set(), PageState.SHARED_COA) == 3
+        assert space.share_region(child, grandchild, PageState.SHARED_COA) == 3
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
@@ -323,15 +352,15 @@ class TestRows:
         parent, child, _ = shared_child(space)
         before = rows(space)
         with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
-            space.share_region(parent, child, set(), PageState.SHARED_COA)
+            space.share_region(parent, child, PageState.SHARED_COA)
         with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             inner = Region(child.base + PAGE_SIZE, PAGE_SIZE)
-            space.share_region(parent, inner, set(), PageState.SHARED_COA)
+            space.share_region(parent, inner, PageState.SHARED_COA)
         small = space.reserve_region(PAGE_SIZE, 3, 0)
         with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
             # A child that runs past its reservation.
             past = Region(small.base, parent.size)
-            space.share_region(parent, past, set(), PageState.SHARED_COA)
+            space.share_region(parent, past, PageState.SHARED_COA)
         assert rows(space) == before
 
     def test_a_teardown_drops_the_rows_columns(self, space):

@@ -52,11 +52,6 @@ class TestDerive:
         with pytest.raises(BoundsWiden):
             src.derive(0x1000, 0x100, perms=Perm.LOAD | Perm.SYSTEM)
 
-    def test_permissive_mode_clears_tag_instead(self):
-        src = cap(0x1000, 0x100)
-        out = src.derive(0x0F00, 0x400, permissive=True)
-        assert not out.tag
-
     def test_sealed_source_is_an_error(self):
         sealed = cap(0x1000, 0x100).seal(7)
         with pytest.raises(SealedMutation):

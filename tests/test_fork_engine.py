@@ -26,7 +26,6 @@ from sasfork.capability import (
     rebase_for_child,
 )
 from sasfork.errors import (
-    DoubleMap,
     NoChildren,
     ProcessNotRunning,
     SimInternalError,
@@ -751,29 +750,6 @@ class TestBatchedPaths:
         assert system.allocate_pid() == parent.pid + 1
         # Frame ids are never reused.
         assert frames.allocate().frame_id > max(cloned)
-
-    @pytest.mark.parametrize("strategy", ["coa", "copa", "unsafe-cow"])
-    def test_shared_install_onto_a_mapped_child_page_is_a_double_map(
-        self, strategy, monkeypatch
-    ):
-        system = make_system(strategy)
-        parent = system.create_initial_process()
-        real_share = AddressSpace.share_region
-
-        def share_region(space, parent_region, child, skip, state):
-            # A page of the fresh child region that is already mapped, and
-            # unmapped again, so the failed fork can take the region back.
-            squatter = child.base + (parent.layout.heap.base - parent.region.base)
-            frame = system.frames.allocate()
-            space.map(squatter, frame.frame_id)
-            try:
-                return real_share(space, parent_region, child, skip, state)
-            finally:
-                space.unmap(squatter)
-
-        monkeypatch.setattr(AddressSpace, "share_region", share_region)
-        with pytest.raises(DoubleMap):
-            system.fork_engine.fork(parent.pid)
 
     @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
     def test_reap_drops_every_page_of_the_region_from_the_frame_index(self, strategy):

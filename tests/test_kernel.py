@@ -84,6 +84,21 @@ class TestSealedEntries:
             system.gateway.syscall(proc.pid, forged, "getpid", {})
         assert err.value.fault.kind is FaultKind.CAP_BOUNDS
 
+    @pytest.mark.parametrize(
+        "kind", [FaultKind.CAP_TAG, FaultKind.CAP_BOUNDS], ids=["untagged", "forged"]
+    )
+    def test_an_entry_fault_is_counted_in_the_callers_report_row(self, kind):
+        system = make_system()
+        proc = system.create_initial_process()
+        if kind is FaultKind.CAP_TAG:
+            entry = proc.entry_caps["getpid"].untagged()
+        else:
+            entry = system.kernel_code_cap.derive(system.kernel_region.base, GRANULE)
+        with pytest.raises(FaultError) as err:
+            system.gateway.syscall(proc.pid, entry, "getpid", {})
+        assert err.value.fault.kind is kind
+        assert system.metrics.snapshot().row(proc.pid).faults == {kind: 1}
+
     def test_every_process_shares_one_read_only_entry_map(self):
         system = make_system()
         root = system.create_initial_process()
@@ -933,7 +948,7 @@ class TestChangeLogEntryPoints:
         space = system.address_space
         logs = self.both_logs_cleared(system)
         child = space.reserve_region(parent.region.size, parent.pid + 1, 0)
-        space.share_region(parent.region, child, set(), PageState.SHARED_COA)
+        space.share_region(parent.region, child, PageState.SHARED_COA)
         self.assert_logged(logs, regions=[child])
 
     def test_a_released_pid_region_is_logged_in_both_logs(self):
@@ -1116,8 +1131,8 @@ def _remap_keeps_the_old_page(monkeypatch):
 def _share_region_drops_a_child_page(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, skip, state):
-        written = real(self, parent, child, skip, state)
+    def share_region(self, parent, child, state):
+        written = real(self, parent, child, state)
         frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
@@ -1133,8 +1148,8 @@ def _share_region_drops_a_child_page(monkeypatch):
 def _share_region_drops_its_last_frame_id(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, skip, state):
-        written = real(self, parent, child, skip, state)
+    def share_region(self, parent, child, state):
+        written = real(self, parent, child, state)
         frames = self._row_at(child.base).frames
         index = max(i for i, frame_id in enumerate(frames) if frame_id is not None)
         self._frames.by_id[frames[index]].pages.remove(child.base + index * PAGE_SIZE)

@@ -500,6 +500,41 @@ class TestStatementTables:
         assert set(_SYNTAX) == set(types) - {Fork, Deref}
         keywords = [keyword for keyword, _ in _SYNTAX.values()] + ["fork", "deref"]
         assert len(set(keywords)) == len(keywords)
+        # A syntax row's formatter is its ``%`` template, which starts with
+        # the keyword and fills every field of the statement once.
+        for cls, (keyword, _) in _SYNTAX.items():
+            template = _FORMATTERS[cls].__self__
+            assert template.split()[0] == keyword
+            assert template.count("%s") == len(cls._fields)
+
+    def test_each_statement_form_prints_exactly_this_text(self):
+        # A parse/print round trip misses a change made the same way on
+        # both sides; the exact text does not.
+        expected = [
+            (Alloc("b", 64), "alloc b 64"),
+            (StoreInt("a", 8, -3), "store_int a+8 -3"),
+            (StoreRef("a", 16, "a", 40), "store_ref a+16 a+40"),
+            (LoadInt("a", 8), "load_int a+8"),
+            (LoadRef("a", 32), "load_ref a+32"),
+            (Deref(), "deref"),
+            (Deref(8), "deref 8"),
+            (Fork(None, False, ()), "fork"),
+            (Fork("w", True, (Exit(0),)), "fork w nowait"),
+            (Exit(255), "exit 255"),
+            (Wait(), "wait"),
+            (Open("g"), "open g"),
+            (Close("f"), "close f"),
+            (Read("f", "a", 8, 4), "read f a+8 4"),
+            (Write("f", "a", 0, 0), "write f a+0 0"),
+            (Yield(), "yield"),
+            (Priv(), "priv"),
+            (Expect("ok"), "expect ok"),
+            (Expect(-3), "expect -3"),
+            # Hex is read, and written back in decimal.
+            (parse(PRELUDE + "store_int a+0x10 0xff\n").body[-1], "store_int a+16 255"),
+        ]
+        assert {type(stmt) for stmt, _ in expected} == set(typing.get_args(Statement))
+        assert [format_statement(stmt) for stmt, _ in expected] == [text for _, text in expected]
 
     @pytest.mark.parametrize("cls", list(_SYNTAX), ids=lambda cls: cls.__name__)
     def test_each_syntax_row_reads_back_what_its_formatter_writes(self, cls):
