@@ -27,10 +27,13 @@ owns.  This module is the one writer of page sets: mapping and unmapping
 keep them in step with the page table, and log each change into the
 frame table's change logs (see :mod:`sasfork.tagged_memory`).
 
-The page table is one *row* per reservation with two columns, a list
-each with one element per page: ``frames``, the frame id that backs the
-page or ``None`` where nothing maps it, and ``states``, the page's
-:class:`PageState` (``None`` where unmapped).  A fork's share pass copies
+The page table is one *row* per live reservation with two columns, a
+list each with one element per page, built whole when the region is
+reserved: ``frames``, the frame id that backs the page or ``None`` where
+nothing maps it, and ``states``, the page's :class:`PageState` (``None``
+where unmapped).  Rows are private to this module: other modules read
+plain values (frame ids, states, owner pids) or the
+:class:`PageTableEntry` view, and never a row.  A fork's share pass copies
 the parent's frame ids into the child's row wherever the row maps
 nothing, writes the strategy's shared state beside them, makes the
 parent's private states there copy-on-write and adds each child page to
@@ -38,11 +41,12 @@ its frame's page set, so a page set stays the refcount.  The pages the
 child's row maps already are the fork's eager copies: the row itself
 says which pages were copied, and they keep their frames.  A lazy copy
 writes the copy's frame id and ``Private`` (:meth:`AddressSpace.remap`),
-and the promotion pass makes a sole survivor ``Private`` again in
-place.  The fault path finds its page once, with
+and the promotion pass (:meth:`AddressSpace.promote`) makes a sole
+survivor ``Private`` again in place, once the fork engine's callback has
+relocated its frame.  The fault path finds its page once, with
 :meth:`~AddressSpace.find_page`: like the access pipeline, it tries the
-faulting pid's own reservation before a bisect, and the row it returns
-gives the page's state, read-only bound and owner.  A
+faulting pid's own reservation before a bisect, and it returns the
+page's frame id and state, whether it is read-only, and its owner.  A
 :class:`PageTableEntry` is only a read-only view of one page, built by
 :meth:`~AddressSpace.entry_at` and :meth:`~AddressSpace.entries`.
 
@@ -66,23 +70,27 @@ Three passes change a whole region at once: at boot and at process
 creation :meth:`~AddressSpace.map_fresh_region` backs each page with a new
 frame; at fork :meth:`~AddressSpace.share_region` builds the child's row;
 at reap, and to roll back a fork that raises,
-:meth:`~AddressSpace.unmap_owned` walks the row once and drops it.  The
-last two put back what they changed before they raise.
+:meth:`~AddressSpace.unmap_owned` walks the row once and then removes
+it, so the region's addresses lie in no reservation.  The last two put
+back what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
 the fragmentation trade-off of contiguous per-process regions; only a
-fork that fails takes back the reservation it made, unused.  Rows never
-move.  A page's owner is the pid of the reservation it lies in
-(:meth:`~AddressSpace.owner_of`).
+fork that fails moves the bump base back over the reservation it made,
+once its row is gone.  A row lives from its reservation to the teardown
+of its whole region, so the rows are those of the kernel and the live
+pids.  A page's owner is the pid of the reservation it lies in
+(:meth:`~AddressSpace.owner_of`), and the owner fact the debug checks
+rest on is a fact about rows: each belongs to a pid that may own pages.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -127,27 +135,20 @@ class PageTableEntry(NamedTuple):
 class _Row:
     """One reservation's page table, from ``base`` to ``end``, owned by
     ``pid``, read-only below ``ro_end``: a frame id and a state per page
-    in ``frames`` and ``states``, both ``None`` while the reservation maps
-    nothing."""
+    in ``frames`` and ``states``, each ``None`` where nothing maps the
+    page."""
 
     base: int
     end: int
     pid: int | None
     ro_end: int
-    frames: list[int | None] | None = None
-    states: list[PageState | None] | None = None
-
-    def columns(self) -> tuple[list[int | None], list[PageState | None]]:
-        """``frames`` and ``states``, made with every page unmapped if the
-        reservation maps nothing."""
-        if self.frames is None:
-            count = (self.end - self.base) // PAGE_SIZE
-            self.frames, self.states = [None] * count, [None] * count
-        return self.frames, self.states
+    frames: list[int | None]
+    states: list[PageState | None]
 
 
-#: The row, owned by no pid, of the addresses outside every reservation.
-_UNRESERVED = _Row(0, 0, None, 0)
+#: The row, owned by no pid and with no pages, of the addresses outside
+#: every reservation.
+_UNRESERVED = _Row(0, 0, None, 0, [], [])
 
 
 class AccessKind(enum.Enum):
@@ -239,15 +240,6 @@ def page_of(addr: int) -> int:
     return addr - (addr % PAGE_SIZE)
 
 
-def _verify_owner(row: _Row, page_va: int, owners: set[int]) -> None:
-    """The page, in ``row``, lies in the reservation of a pid in ``owners``."""
-    if row.pid not in owners:
-        raise SimInternalError(
-            f"prs conservation broken: page {page_va:#x} lies in no owner's region"
-            f" (reserved for pid {row.pid})"
-        )
-
-
 def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn:
     """Raise the fault of an access at ``addr``; the access pipeline's one exit."""
     raise FaultError(_tuple_new(Fault, (kind, pid, addr - addr % PAGE_SIZE, access)))
@@ -261,7 +253,7 @@ class AddressSpace:
         self._next_base = PAGE_SIZE  # address 0 is never reserved
         self._bases: list[int] = []  # each reservation's base, in address order,
         self._rows: list[_Row] = []  # and its row
-        self._pid_rows: dict[int, _Row] = {}  # the row of each pid's last reservation
+        self._pid_rows: dict[int, _Row] = {}  # the row of each pid's last live reservation
 
     # -- regions ---------------------------------------------------------
 
@@ -275,7 +267,8 @@ class AddressSpace:
             raise AddressSpaceExhausted(
                 f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
-        row = _Row(base, base + size, pid, base + ro_pages * PAGE_SIZE)
+        unmapped = [None] * (size // PAGE_SIZE)
+        row = _Row(base, base + size, pid, base + ro_pages * PAGE_SIZE, unmapped, unmapped.copy())
         self._bases.append(base)
         self._rows.append(row)
         self._pid_rows[pid] = row
@@ -283,30 +276,23 @@ class AddressSpace:
         return Region(base, size)
 
     def _row_at(self, addr: int) -> _Row:
-        """The row of the reservation holding ``addr``, or ``_UNRESERVED``."""
-        if not PAGE_SIZE <= addr < self._next_base:
-            return _UNRESERVED
-        return self._rows[bisect_right(self._bases, addr) - 1]
+        """The row of the live reservation holding ``addr``, or ``_UNRESERVED``."""
+        index = bisect_right(self._bases, addr) - 1
+        row = self._rows[index] if index >= 0 else _UNRESERVED
+        return row if addr < row.end else _UNRESERVED
 
     def owner_of(self, addr: int) -> int | None:
         """The pid whose reservation holds ``addr``, or None if none does."""
         return self._row_at(addr).pid
 
     def unreserve(self, region: Region) -> None:
-        """Take back the last reservation, ``region``, which maps nothing.
-
-        For a fork that fails: the bump base goes back to ``region.base``.
-        """
-        rows = self._rows
-        if not rows or rows[-1].base != region.base or self._next_base != region.end:
+        """Move the bump base back to ``region.base``: for a fork that fails,
+        once :meth:`unmap_owned` has dropped the row of ``region``, the last
+        reservation."""
+        if self._next_base != region.end:
             raise SimInternalError(f"{region} is not the last reservation")
-        row = rows[-1]
-        if row.frames is not None and any(frame_id is not None for frame_id in row.frames):
-            raise SimInternalError(f"{region} still maps a page")
-        rows.pop()
-        self._bases.pop()
-        if self._pid_rows.get(row.pid) is row:
-            del self._pid_rows[row.pid]
+        if self._rows and self._rows[-1].end > region.base:
+            raise SimInternalError(f"{region} still has a row")
         self._next_base = region.base
 
     def _lookup(self, page_va: int, row: _Row | None = None) -> tuple[_Row, int, int | None]:
@@ -315,16 +301,23 @@ class AddressSpace:
         given, is tried before a bisect of the reservations."""
         if row is None or not row.base <= page_va < row.end:
             row = self._row_at(page_va)
-        if row.frames is None or page_va % PAGE_SIZE:
+        if row is _UNRESERVED or page_va % PAGE_SIZE:
             return row, 0, None
         index = (page_va - row.base) // PAGE_SIZE
         return row, index, row.frames[index]
 
-    def find_page(self, pid: int, page_va: int) -> tuple[_Row, int, int | None]:
-        """As :meth:`_lookup`, trying ``pid``'s own reservation first, as the
-        access pipeline does: the fault path's one lookup of its page.  The
-        row gives the page's state, its read-only bound and its owner."""
-        return self._lookup(page_va, self._pid_rows.get(pid))
+    def find_page(
+        self, pid: int, page_va: int
+    ) -> tuple[int | None, PageState | None, bool, int | None]:
+        """The frame id and state of page ``page_va`` (both None where
+        nothing maps it), whether it lies below its reservation's read-only
+        bound, and the pid whose reservation holds it: the fault path's one
+        lookup of its page, which tries ``pid``'s own reservation first, as
+        the access pipeline does."""
+        row, index, frame_id = self._lookup(page_va, self._pid_rows.get(pid))
+        if frame_id is None:
+            return None, None, False, row.pid
+        return frame_id, row.states[index], page_va < row.ro_end, row.pid
 
     def _locate(self, region: Region) -> tuple[_Row, int, int]:
         """The row ``region`` lies in, the index of its first page and its
@@ -346,7 +339,7 @@ class AddressSpace:
         if row is _UNRESERVED:
             raise SimInternalError(f"page {page_va:#x} lies in no reservation")
         frame = self._frames.get(frame_id)
-        frames, states = row.columns()
+        frames, states = row.frames, row.states
         index = (page_va - row.base) // PAGE_SIZE
         if frames[index] is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
@@ -365,7 +358,7 @@ class AddressSpace:
         region is already mapped.
         """
         row, first, count = self._locate(region)
-        frames, states = row.columns()
+        frames, states = row.frames, row.states
         for index in range(first, first + count):
             if frames[index] is not None:
                 raise DoubleMap(f"page {row.base + index * PAGE_SIZE:#x} is already mapped")
@@ -439,13 +432,13 @@ class AddressSpace:
         if (
             (row.base, row.end) != (child.base, child.end)
             or child.size != parent.size
-            or not {_PRIVATE, None}.issuperset(row.states or ())
+            or not {_PRIVATE, None}.issuperset(row.states)
         ):
             raise SimInternalError(f"{child} is not a reservation that shares nothing")
         parent_row, first, count = self._locate(parent)
-        parent_frames, parent_states = parent_row.columns()
-        inherited = parent_frames[first : first + count]
-        own_frames, own_states = row.columns()
+        parent_states = parent_row.states
+        inherited = parent_row.frames[first : first + count]
+        own_frames, own_states = row.frames, row.states
         built, states, kept = own_frames.copy(), [state] * count, []
         frames = self._frames.by_id
         try:
@@ -483,8 +476,9 @@ class AddressSpace:
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
         """Unmap every page of ``region`` in one walk of its row, in page
-        order, all or nothing, then drop the row's columns (or clear the
-        pages of a region that is part of one).
+        order, all or nothing, then drop the row, so its addresses lie in
+        no reservation (or clear the pages of a region that is part of
+        one).
 
         Returns, in page order, the frames left with one mapping.  A page
         its frame does not list raises ``SimInternalError`` once the pages
@@ -492,7 +486,7 @@ class AddressSpace:
         raise changes no mapping, page set, live frame or log.
         """
         row, first, count = self._locate(region)
-        owned = row.frames[first : first + count] if row.frames else []
+        owned = row.frames[first : first + count]
         frames = self._frames.by_id
         survivors = []
         freed: list[TaggedFrame] = []
@@ -517,9 +511,12 @@ class AddressSpace:
                 freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
-        if count == len(row.frames or ()):
-            row.frames = row.states = None
-        elif owned:
+        if count == len(row.frames):
+            index = bisect_left(self._bases, row.base)
+            del self._bases[index], self._rows[index]
+            if self._pid_rows.get(row.pid) is row:
+                del self._pid_rows[row.pid]
+        else:
             row.frames[first : first + count] = row.states[first : first + count] = [None] * count
         logs = self._frames.logs
         if logs:
@@ -538,7 +535,7 @@ class AddressSpace:
         frames = self._frames.by_id
         counts: dict[int, int] = {}
         try:
-            for frame_id in row.frames[first : first + count] if row.frames else ():
+            for frame_id in row.frames[first : first + count]:
                 if frame_id is not None:
                     refs = len(frames[frame_id].pages)
                     counts[refs] = counts.get(refs, 0) + 1
@@ -557,14 +554,17 @@ class AddressSpace:
         state = row.states[index]
         return PageTableEntry(frame_id, state, state is _PRIVATE and page_va >= row.ro_end)
 
-    def sole_mappings(
-        self, frames: Iterable[TaggedFrame]
-    ) -> Iterator[tuple[TaggedFrame, int | None, list[PageState | None], int]]:
-        """Each of ``frames`` that has exactly one mapping, in a shared
-        state, in order: with the pid whose reservation holds that page,
-        and the page's state column and index, for the promotion pass to
-        make it private.  Pages in the last row found need no bisect."""
+    def promote(
+        self, frames: Iterable[TaggedFrame], relocate: Callable[[TaggedFrame, int], None]
+    ) -> None:
+        """The promotion pass: make the one mapping of each of ``frames``
+        that has exactly one, in a shared state, ``Private`` again, in
+        order, and log the frame.  ``relocate(frame, pid)`` runs first, with
+        the pid whose reservation holds the page, so the frame holds that
+        pid's capabilities before the page may load them.  Pages in the
+        last row found need no bisect."""
         row, base, end = _UNRESERVED, 0, 0
+        logs = self._frames.logs
         for frame in frames:
             if len(frame.pages) != 1:
                 continue
@@ -573,15 +573,19 @@ class AddressSpace:
                 row = self._row_at(page_va)
                 base, end = row.base, row.end
             index = (page_va - base) // PAGE_SIZE
-            if row.states[index] is not _PRIVATE:
-                yield frame, row.pid, row.states, index
+            states = row.states
+            if states[index] is not _PRIVATE:
+                relocate(frame, row.pid)
+                states[index] = _PRIVATE
+                for log in logs:
+                    log.frames.add(frame.frame_id)
 
     def loadable_frames(self, pid: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The index and frame id of each page of ``pid``'s reservation, among
         the page indices ``indices``, whose state allows capability loads."""
         row = self._pid_rows[pid]
         frames, states = row.frames, row.states
-        for index in indices if frames else ():
+        for index in indices:
             frame_id = frames[index]
             if frame_id is not None and states[index].cap_load:
                 yield index, frame_id
@@ -591,7 +595,7 @@ class AddressSpace:
         view = {}
         for row in self._rows:
             pages = range(row.base, row.end, PAGE_SIZE)
-            for page_va, frame_id, state in zip(pages, row.frames or (), row.states or ()):
+            for page_va, frame_id, state in zip(pages, row.frames, row.states):
                 if frame_id is not None:
                     writable = state is _PRIVATE and page_va >= row.ro_end
                     view[page_va] = PageTableEntry(frame_id, state, writable)
@@ -602,14 +606,15 @@ class AddressSpace:
         map it, since every mapped page is in its frame's set and the sets
         hold as many pages as the rows map.  It also checks what
         resident-set conservation rests on, given ``owners``, a set of
-        pids: each mapped page lies in the region of a pid in ``owners``,
-        so one :meth:`owned_refcounts` sweep counts it, and every frame has
-        a page.  It reads every row element and frame once; it is the
-        oracle of the per-step :meth:`verify_changes`.
+        pids: every row belongs to a pid in ``owners`` (:meth:`_verify_rows`),
+        so one :meth:`owned_refcounts` sweep counts each mapped page, and
+        every frame has a page.  It reads every row element and frame once;
+        it is the oracle of the per-step :meth:`verify_changes`.
         """
+        self._verify_rows(owners)
         mapped = 0
         for row in self._rows:
-            mapped += self._verify_pages(row, 0, (row.end - row.base) // PAGE_SIZE, owners)
+            mapped += self._verify_pages(row, 0, len(row.frames))
         listed = 0
         for frame_id, frame in self._frames.by_id.items():
             if not frame.pages:
@@ -624,13 +629,15 @@ class AddressSpace:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
         only where ``log`` says they may have changed; then clears the log.
 
+        Every row belongs to a pid in ``owners``, a walk of the rows alone.
         A logged frame that still exists has a page, and every page in its
-        set maps it, so the set lists nothing else.  Each of those pages,
-        and each mapped page of a logged region, maps a frame that lists it
-        and lies in the reservation of a pid in ``owners``.  If the facts
-        held when the log was last cleared and every change since was
-        logged, this check passes exactly when the full pass does.
+        set maps it, so the set lists nothing else.  Each mapped page of a
+        logged region maps a frame that lists it; a region torn down since
+        maps nothing.  If the facts held when the log was last cleared and
+        every change since was logged, this check passes exactly when the
+        full pass does.
         """
+        self._verify_rows(owners)
         frames = self._frames.by_id
         for frame_id in log.frames:
             frame = frames.get(frame_id)
@@ -639,24 +646,32 @@ class AddressSpace:
             if not frame.pages:
                 raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
             for page_va in frame.pages:
-                row, _, mapped = self._lookup(page_va)
-                if mapped != frame_id:
+                if self._lookup(page_va)[2] != frame_id:
                     raise SimInternalError(
                         f"frame {frame_id} lists page {page_va:#x}, which does not map it"
                     )
-                _verify_owner(row, page_va, owners)
         for region in log.regions:
-            self._verify_pages(*self._locate(region), owners)
+            row = self._row_at(region.base)
+            self._verify_pages(row, (region.base - row.base) // PAGE_SIZE, region.page_count)
         log.frames.clear()
         log.regions.clear()
 
-    def _verify_pages(self, row: _Row, first: int, count: int, owners: set[int]) -> int:
+    def _verify_rows(self, owners: set[int]) -> None:
+        """Every row belongs to a pid in ``owners``: a pid that owns nothing
+        keeps no reservation, so no page can lie in one."""
+        for row in self._rows:
+            if row.pid not in owners:
+                raise SimInternalError(
+                    f"prs conservation broken: pid {row.pid}, which owns nothing,"
+                    f" keeps the row at {row.base:#x}"
+                )
+
+    def _verify_pages(self, row: _Row, first: int, count: int) -> int:
         """Each mapped page among ``count`` of ``row`` from index ``first`` on
-        maps a frame that lists it and lies in the reservation of a pid in
-        ``owners``; returns how many are mapped."""
+        maps a frame that lists it; returns how many are mapped."""
         frames, mapped = self._frames.by_id, 0
         base = row.base + first * PAGE_SIZE
-        owned = row.frames[first : first + count] if row.frames else ()
+        owned = row.frames[first : first + count]
         for page_va, frame_id in zip(range(base, row.end, PAGE_SIZE), owned):
             if frame_id is None:
                 continue
@@ -665,7 +680,6 @@ class AddressSpace:
                 raise SimInternalError(
                     f"page {page_va:#x} maps frame {frame_id}, which does not list it"
                 )
-            _verify_owner(row, page_va, owners)
             mapped += 1
         return mapped
 
@@ -728,8 +742,10 @@ class AddressSpace:
         row = self._pid_rows.get(pid)
         if row is None or not row.base <= page_va < row.end:
             row = self._row_at(page_va)
+            if row is _UNRESERVED:
+                _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
         index = (page_va - row.base) // PAGE_SIZE
-        frame_id = row.frames[index] if row.frames else None
+        frame_id = row.frames[index]
         if frame_id is None:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
         state = row.states[index]

@@ -27,21 +27,24 @@ there copy-on-write (see :mod:`sasfork.address_space`); ``full`` copies
 every page and shares none.  Copies are mapped private, and the page
 table derives which of them are writable: the code pages are not.  Fork
 is all or nothing: if an eager copy or the share pass raises, one
-:meth:`AddressSpace.unmap_owned` pass unmaps the copies, and fork drops
-their events and takes back the pid and the reservation first.  Reap
-tears a region's row down in one pass of
-:meth:`AddressSpace.unmap_owned` and hands the frames it leaves with a
-single mapping to the one promotion pass, :meth:`ForkEngine._promote`,
-which a lazy copy also calls with the frame it copied from.
+:meth:`AddressSpace.unmap_owned` pass unmaps the copies and removes the
+child's row, and fork drops their events and moves the bump base back;
+the pid is taken only when the child is added, so a raise leaves it
+free.  A copy whose relocation scan or install raises is freed before
+the raise goes on.  Reap tears a region's row down in one pass of
+:meth:`AddressSpace.unmap_owned`, which removes the row, and hands the
+frames it leaves with a single mapping to the one promotion pass,
+:meth:`ForkEngine._promote`, which a lazy copy also calls with the frame
+it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame, copy bytes
 and capabilities, then scan the copy's tagged granules once and rebase
 every capability that still targets the frame's origin region (see
 :mod:`sasfork.tagged_memory`); no relocation state is kept between
 copies.  It finds the faulting page once (:meth:`AddressSpace.find_page`,
-which tries the faulting pid's own reservation before a bisect) and
-reads the page's state, its read-only bound and its owner from the row
-it returns; then it remaps the page to the copy in one write
+which tries the faulting pid's own reservation before a bisect), which
+gives the page's frame id, its state, whether it is read-only and its
+owner as plain values; then it remaps the page to the copy in one write
 (:meth:`AddressSpace.remap`).  Copies made for the region that already
 owns the frame's contents (the parent side) skip the scan, and a copy
 that holds no capability skips the check that none escapes.
@@ -49,10 +52,11 @@ When a shared frame's page set drops to one page, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
 references.  A lazy copy calls the promotion pass only when it leaves
-the old frame with one mapping.  The pass finds each shared survivor,
-with the pid whose reservation holds it, through
-:meth:`AddressSpace.sole_mappings` and sets its state to ``Private`` in
-place.
+the old frame with one mapping.  The pass is the address space's
+(:meth:`AddressSpace.promote`): it finds each shared survivor, calls
+back into the fork engine with the pid whose reservation holds it to
+relocate the frame, and then sets the page's state to ``Private`` in
+place and logs the frame.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent`, a named tuple, carries its cause and what its
@@ -166,14 +170,16 @@ class ForkEngine:
         duplicates the descriptor table, and rebases every tagged
         capability in the parent's register state (including the PCC)
         into the child's region.  Fails with ``EAGAIN``, before anything
-        is reserved, while the kernel PID table is full.  If an eager copy
-        or the share pass raises, fork first unmaps the copies it made in
-        one teardown pass of the child's row (freeing their frames), drops
-        their copy events, takes back the child's reservation and hands
-        the pid back, so the raise leaves the page table, the frames, the
-        events, the next reservation base and the next pid as they were.
-        Frame ids are still never reused.  Its eager page count is the
-        number of copy events it appended.
+        is reserved, while the kernel PID table is full.  The child's pid
+        is taken only when the child is added, at the end, so a refused
+        reservation leaves it free.  If an eager copy or the share pass
+        raises, fork first unmaps the copies it made in one teardown pass
+        of the child's row (freeing their frames), which removes the row,
+        drops their copy events and moves the bump base back, so the raise
+        leaves the page table, the frames, the events, the next
+        reservation base and the next pid as they were.  Frame ids are
+        still never reused.  Its eager page count is the number of copy
+        events it appended.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
@@ -182,11 +188,6 @@ class ForkEngine:
         strategy = sys.strategy
         space = sys.address_space
 
-        child_pid = sys.allocate_pid()
-        child_region = space.reserve_region(
-            parent.region.size, child_pid, parent.layout.code_ro.page_count
-        )
-
         if strategy is ForkStrategy.FULL_COPY:
             eager = [(parent.region, CopyCause.EAGER_FULL)]
         else:
@@ -194,6 +195,11 @@ class ForkEngine:
                 (parent.layout.got, CopyCause.EAGER_GOT),
                 (parent.layout.alloc_meta, CopyCause.EAGER_ALLOC_META),
             ]
+        # The pid is taken only when the child is added, below.
+        child_pid = sys.allocate_pid()
+        child_region = space.reserve_region(
+            parent.region.size, child_pid, parent.layout.code_ro.page_count
+        )
         events = len(self.events)
         try:
             for sub, cause in eager:
@@ -217,9 +223,8 @@ class ForkEngine:
         except BaseException:
             # The child's row maps exactly the copies made so far.
             space.unmap_owned(child_region)
-            del self.events[events:]
             space.unreserve(child_region)
-            sys.unallocate_pid(child_pid)
+            del self.events[events:]
             raise
 
         def rebase(cap: Capability) -> Capability:
@@ -261,8 +266,9 @@ class ForkEngine:
         Only page-level faults on shared pages resolve, and a write fault
         only on a page that is not read-only; anything else is
         :class:`UnresolvableFault`.  The page is looked up once
-        (:meth:`AddressSpace.find_page`); its row gives its state, its
-        read-only bound and its owner.  The faulting page is remapped to
+        (:meth:`AddressSpace.find_page`), which gives its frame id, its
+        state, whether it is read-only and its owner.  The faulting page
+        is remapped to
         the copy, private (:meth:`AddressSpace.remap`); the old frame's
         refcount drops, and if one mapping is left it is promoted back to
         private.
@@ -272,10 +278,10 @@ class ForkEngine:
             raise UnresolvableFault(f"{kind.value} cannot be resolved by copying")
         sys = self._sys
         space = sys.address_space
-        row, index, frame_id = space.find_page(pid, page_va)
-        if frame_id is None or row.states[index] is PageState.PRIVATE:
+        frame_id, state, read_only, owner = space.find_page(pid, page_va)
+        if frame_id is None or state is PageState.PRIVATE:
             raise UnresolvableFault(f"page {page_va:#x} is not in a shared state")
-        if kind is FaultKind.PAGE_WRITE and page_va < row.ro_end:
+        if kind is FaultKind.PAGE_WRITE and read_only:
             raise UnresolvableFault(f"page {page_va:#x} is read-only")
         old_frame = sys.frames.get(frame_id)
         if len(old_frame.pages) < 2:
@@ -286,7 +292,7 @@ class ForkEngine:
             pid,
             page_va,
             frame_id,
-            sys.process(row.pid).region,
+            sys.process(owner).region,
             cause=_FAULT_TO_CAUSE[kind],
             install=space.remap,
         )
@@ -310,17 +316,24 @@ class ForkEngine:
         frame's origin (a forked child); a copy for the origin region
         itself needs no relocation.  ``install`` maps ``page_va`` privately
         to the copy: :meth:`AddressSpace.map` for an eager copy into the
-        child, :meth:`AddressSpace.remap` for a lazy one.
+        child, :meth:`AddressSpace.remap` for a lazy one.  If the scan or
+        the install raises, the copy is freed first, so the raise leaves
+        the frame table as it was.
         """
         sys = self._sys
         fresh = sys.frames.clone(src_frame_id)
         scanned = relocations = 0
         origin = fresh.origin
-        if origin is not dest_region and origin != dest_region:
-            relocations = sys.frames.scan_and_relocate(fresh, origin, dest_region)
-            scanned = GRANULES_PER_PAGE
-        fresh.origin = dest_region
-        install(page_va, fresh.frame_id)
+        try:
+            if origin is not dest_region and origin != dest_region:
+                relocations = sys.frames.scan_and_relocate(fresh, origin, dest_region)
+                scanned = GRANULES_PER_PAGE
+            fresh.origin = dest_region
+            install(page_va, fresh.frame_id)
+        except BaseException:
+            # Neither step maps the copy unless it succeeds.
+            sys.frames.free_unmapped(fresh)
+            raise
         event = _tuple_new(CopyEvent, (trigger_pid, page_va, cause, scanned, relocations))
         self.events.append(event)
         self._verify_copy_clean(fresh, dest_region)
@@ -357,31 +370,25 @@ class ForkEngine:
     def _promote(self, frames: Iterable[TaggedFrame]) -> None:
         """Sole survivors of shared frames go back to private access.
 
-        Skips a frame that does not have exactly one mapping (a reap
-        pass may free a frame after listing it) or whose mapping is
-        already private (:meth:`AddressSpace.sole_mappings`).  If the survivor's region is not the frame's
-        origin (a child that never copied this page), the frame is
-        relocated in place before access is widened, so no stale
-        capability becomes loadable.  The owner is the pid of the
-        reservation that holds the survivor; survivors of the last owner
-        reuse its process.
+        The address space's promotion pass (:meth:`AddressSpace.promote`)
+        skips a frame that does not have exactly one mapping (a reap pass
+        may free a frame after listing it) or whose mapping is already
+        private, and makes the others' pages private, each after
+        :meth:`_relocate_survivor` has run.
         """
+        self._sys.address_space.promote(frames, self._relocate_survivor)
+
+    def _relocate_survivor(self, frame: TaggedFrame, pid: int) -> None:
+        """Relocate in place a frame about to be promoted in ``pid``'s region,
+        if that region is not the frame's origin (a child that never copied
+        this page), so no stale capability becomes loadable."""
         sys = self._sys
-        private = PageState.PRIVATE
-        logs = sys.frames.logs
-        owner = None
-        for frame, pid, states, index in sys.address_space.sole_mappings(frames):
-            if owner is None or owner.pid != pid:
-                owner = sys.process(pid)
-            # Most frames keep their owner's own region object as origin.
-            if frame.origin is not owner.region and frame.origin != owner.region:
-                relocations = sys.frames.scan_and_relocate(frame, frame.origin, owner.region)
-                sys.metrics.record_scan(owner.pid, GRANULES_PER_PAGE, relocations)
-                frame.origin = owner.region
-            states[index] = private
-            if logs:  # as in the teardown pass: no loop per frame without a log
-                for log in logs:
-                    log.frames.add(frame.frame_id)
+        region = sys.processes[pid].region
+        # Most frames keep their owner's own region object as origin.
+        if frame.origin is not region and frame.origin != region:
+            relocations = sys.frames.scan_and_relocate(frame, frame.origin, region)
+            sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
+            frame.origin = region
 
     # -- exit / wait ----------------------------------------------------------
 
@@ -413,7 +420,7 @@ class ForkEngine:
         return child.pid, child.exit_code
 
     def reap(self, proc: MicroProcess) -> None:
-        """Tear down a zombie: unmap its pages, release descriptors and its slot.
+        """Tear down a zombie: unmap its pages and drop its row, release descriptors and its slot.
 
         Raises :class:`ProcessNotRunning`, before changing anything, for
         a process that still runs or holds no PID-table slot (reaped).

@@ -43,8 +43,8 @@ wherever a tagged capability can appear in it or one of its pages can
 become cap-loadable: a capability store, a relocation scan, a page that
 joins its page set, and a promotion.  A byte store logs nothing, since it
 only untags or drops capabilities.  The sweep clears the logged regions
-without reading them: a child's region is new, so it gets a whole walk,
-and a released pid is no longer audited.  Clearing its log leaves the
+without reading them: a child's region is new, so it gets a whole walk.
+Clearing its log leaves the
 ``--debug`` check's log as it was.
 
 The change log is the audit's one record of which pages changed: a

@@ -18,8 +18,9 @@ one process never disturbs the other's slot.
 
 A process runs until :meth:`ForkEngine.exit` gives it an exit record
 (``exit_code`` and ``exit_seq``), and is unreaped while it holds a slot
-of the kernel PID table (:attr:`System.unreaped_pids`); its record stays
-in ``System.processes`` after reap.
+of the kernel PID table (:attr:`System.unreaped_pids`); its record,
+``region`` included, stays in ``System.processes`` after reap, while the
+page table drops the region's row.
 """
 
 from __future__ import annotations

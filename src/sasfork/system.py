@@ -123,22 +123,16 @@ class System:
     # -- processes -----------------------------------------------------------
 
     def allocate_pid(self) -> int:
-        """The next pid; ``EAGAIN`` while every PID-table slot is held."""
+        """The pid the next process gets; ``EAGAIN`` while every PID-table
+        slot is held.  :meth:`add_process` takes it, so a creation or a fork
+        that raises before it leaves the next pid as it was."""
         if len(self._pid_slots) == PID_SLOTS:
             raise SyscallError("EAGAIN", f"all {PID_SLOTS} PID-table slots are held")
-        pid = self._next_pid
-        self._next_pid += 1
-        return pid
-
-    def unallocate_pid(self, pid: int) -> None:
-        """Hand back the pid :meth:`allocate_pid` just returned, which no
-        process holds, so the next allocation returns it again."""
-        if pid != self._next_pid - 1 or pid in self.processes:
-            raise SimInternalError(f"pid {pid} is not the last pid allocated, unused")
-        self._next_pid = pid
+        return self._next_pid
 
     def add_process(self, proc: MicroProcess) -> None:
         self.processes[proc.pid] = proc
+        self._next_pid = proc.pid + 1
         # With no freed slot, slots 0..n-1 are exactly the n held ones.
         free = self._free_pid_slots
         slot = heapq.heappop(free) if free else len(self._pid_slots)
@@ -150,9 +144,6 @@ class System:
         slot = self._pid_slots.pop(pid)
         self._pid_table().store_bytes(slot * 8, bytes(8))
         heapq.heappush(self._free_pid_slots, slot)
-        # Any page the pid still owns now breaks the owner fact.
-        for log in self.frames.logs:
-            log.regions.append(self.processes[pid].region)
 
     @property
     def unreaped_pids(self) -> KeysView[int]:
@@ -370,14 +361,15 @@ class System:
     def verify_invariants(self, *, full: bool = False) -> None:
         """Debug check of refcounts and PRS conservation, over what changed.
 
-        Each mapped page lies in the region of a PID-table slot holder (a
-        pid without a slot owns no page) or the kernel.  The first call adds
-        the check's own :class:`~sasfork.tagged_memory.ChangeLog` to the
-        frame table's logs.  It, and any call with ``full``, runs the full
-        pass over every entry and frame (:meth:`AddressSpace.verify_refcounts`)
-        and clears that log; the others re-check only the frames and regions
-        logged since (:meth:`AddressSpace.verify_changes`).  Neither touches
-        the audit's log.  A ``--debug`` run ends with a full pass.
+        Every page-table row belongs to a PID-table slot holder (a pid
+        without a slot keeps no row, so it owns no page) or the kernel.
+        The first call adds the check's own
+        :class:`~sasfork.tagged_memory.ChangeLog` to the frame table's logs.
+        It, and any call with ``full``, runs the full pass over every entry
+        and frame (:meth:`AddressSpace.verify_refcounts`) and clears that
+        log; the others re-check the rows' owners, and only the frames and
+        regions logged since (:meth:`AddressSpace.verify_changes`).  Neither
+        touches the audit's log.  A ``--debug`` run ends with a full pass.
         """
         owners = {KERNEL_PID, *self.unreaped_pids}
         log = self._debug_changes

@@ -50,8 +50,9 @@ or a relocation scan), when a page joins or leaves its page set
 (``AddressSpace.map``, ``unmap``, ``unmap_owned``, and ``remap``, which
 logs the old frame and the new one), or when the promotion pass makes
 its sole page private.  A region is logged when a pass maps it wholesale:
-the child region at fork, whose row ``AddressSpace.share_region`` builds,
-and a released pid's region (``System.release_pid``).  Each check clears
+the child region at fork, whose row ``AddressSpace.share_region`` builds.
+A teardown logs the frames it drops and needs no region: it removes the
+region's row, so the region lies in no reservation.  Each check clears
 only its own log, so neither drains the other's, and a run with neither
 check logs nothing.
 """
@@ -231,6 +232,11 @@ class FrameTable:
         except KeyError:
             raise SimInternalError(f"frame {frame_id} does not exist") from None
 
+    def free_unmapped(self, frame: TaggedFrame) -> None:
+        """Free ``frame``, which no page maps: a copy whose relocation scan
+        or install raised.  Its id is not handed out again."""
+        del self._frames[frame.frame_id]
+
     def exists(self, frame_id: int) -> bool:
         return frame_id in self._frames
 
@@ -259,7 +265,8 @@ class FrameTable:
         The address space and the auditor index it directly.  Only the
         address space's :meth:`~sasfork.address_space.AddressSpace.unmap`
         and teardown pass delete from it, a frame whose page set they
-        empty; nothing else may change it.
+        empty, and :meth:`free_unmapped` a copy never mapped; nothing else
+        may change it.
         """
         return self._frames
 

@@ -367,7 +367,9 @@ class TestRows:
         parent, child, frames = shared_child(space)
         assert space.unmap_owned(child) == frames
         assert rows(space).keys() == set(parent.page_addresses())
-        assert space._rows[-1].frames is None and space._rows[-1].states is None
+        # The row is gone: its addresses lie in no reservation.
+        assert [row.pid for row in space._rows] == [1] and list(space._pid_rows) == [1]
+        assert space.owner_of(child.base) is None and space.entry_at(child.base) is None
         space.verify_refcounts({1})
 
     def test_a_teardown_over_a_shared_page_its_frame_does_not_list_changes_nothing(self):
@@ -397,9 +399,11 @@ class TestRows:
         parent, child, _ = shared_child(space)
         with pytest.raises(SimInternalError, match="not the last reservation"):
             space.unreserve(parent)
-        with pytest.raises(SimInternalError, match="still maps a page"):
+        with pytest.raises(SimInternalError, match="still has a row"):
             space.unreserve(child)
         fresh = space.reserve_region(PAGE_SIZE, 3, 0)
+        # Only a reservation whose row a teardown has dropped goes back.
+        space.unmap_owned(fresh)
         space.unreserve(fresh)
         assert space.owner_of(fresh.base) is None
         assert space.reserve_region(PAGE_SIZE, 3, 0) == fresh

@@ -26,6 +26,7 @@ from sasfork.capability import (
     rebase_for_child,
 )
 from sasfork.errors import (
+    AddressSpaceExhausted,
     NoChildren,
     ProcessNotRunning,
     SimInternalError,
@@ -551,7 +552,49 @@ class TestRetryGuard:
         assert len(events) == 2  # one copy per touched page
 
 
+#: A child forks a grandchild and exits, and its parent reaps it while the
+#: grandchild still runs; only then does the grandchild load a reference,
+#: dereference it and store to a page it shares.
+ORPHAN = """
+alloc a 8192
+alloc b 4096
+store_int b+8 9
+store_ref a+16 b+0
+store_int a+4096 3
+fork c nowait {
+  fork g nowait {
+    yield
+    yield
+    yield
+    load_ref a+16
+    deref 8
+    expect 9
+    store_int a+4096 5
+    load_int a+4096
+    expect 5
+    exit 0
+  }
+  exit 0
+}
+wait
+load_int a+4096
+expect 3
+"""
+
+
 class TestNestedFork:
+    def test_a_grandchild_outlives_its_reaped_parent(self):
+        traces = set()
+        for strategy in ("full", "coa", "copa"):
+            result = run(ORPHAN, strategy, "fault", debug=True, audit=True)
+            assert result.ok and result.audit.clean
+            events = result.trace.events
+            reap = next(e.seq for e in events if e.stmt == "wait")
+            load = next(e.seq for e in events if e.stmt == "load_ref a+16")
+            assert reap < load and events[load].pid == 3
+            traces.add(result.trace.to_text())
+        assert len(traces) == 1
+
     def test_grandchild_relocation_uses_frame_origin(self):
         system = make_system("copa")
         parent = system.create_initial_process()
@@ -750,6 +793,47 @@ class TestBatchedPaths:
         assert system.allocate_pid() == parent.pid + 1
         # Frame ids are never reused.
         assert frames.allocate().frame_id > max(cloned)
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+    def test_a_refused_reservation_hands_the_pid_back(self, strategy, monkeypatch):
+        system = make_system(strategy)
+        parent = system.create_initial_process()
+        # Room for the kernel and the parent, and not for a child.
+        limit = parent.region.end + parent.region.size - PAGE_SIZE
+        monkeypatch.setattr(sasfork.address_space, "VIRTUAL_SPACE_LIMIT", limit)
+        before, next_pid = state_digest(system), system._next_pid
+        with pytest.raises(AddressSpaceExhausted):
+            system.fork_engine.fork(parent.pid)
+        with pytest.raises(AddressSpaceExhausted):
+            system.create_initial_process()
+        assert system._next_pid == next_pid
+        assert state_digest(system) == before
+        system.verify_invariants(full=True)
+
+    @pytest.mark.parametrize(
+        "strategy, lazy",
+        [("full", False), ("coa", False), ("copa", False), ("coa", True), ("copa", True)],
+    )
+    def test_a_relocation_scan_that_raises_frees_the_copy(self, strategy, lazy, monkeypatch):
+        system = make_system(strategy)
+        parent = seeded_parent(system)
+        if lazy:
+            child = system.process(system.fork_engine.fork(parent.pid))
+        system.verify_invariants(full=True)
+
+        def scan_and_relocate(table, frame, parent_region, child_region):
+            raise SimInternalError("scan raised")
+
+        monkeypatch.setattr(FrameTable, "scan_and_relocate", scan_and_relocate)
+        frames, before = sorted(system.frames.by_id), state_digest(system)
+        with pytest.raises(SimInternalError, match="scan raised"):
+            if lazy:
+                system.access(child.pid, heap_cap(child), AccessKind.CAP_LOAD)
+            else:
+                system.fork_engine.fork(parent.pid)
+        assert sorted(system.frames.by_id) == frames
+        assert state_digest(system) == before
+        system.verify_invariants(full=True)
 
     @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
     def test_reap_drops_every_page_of_the_region_from_the_frame_index(self, strategy):

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+from bisect import bisect_left
 import tracemalloc
 from pathlib import Path
 
@@ -741,6 +742,30 @@ def test_per_step_checks_do_not_grow_with_reaped_workers(monkeypatch):
     assert per_step_counts(1600) == few
 
 
+@pytest.mark.parametrize("workers", [200, 1600])
+def test_a_reap_drops_the_reaped_pids_row(workers, monkeypatch):
+    """After every step the page table holds a row for the kernel and one
+    for each PID-table slot holder, and no other, however many workers
+    were reaped."""
+    real_verify = System.verify_invariants
+    steps = []
+
+    def verify_invariants(system, **kwargs):
+        real_verify(system, **kwargs)
+        space, holders = system.address_space, [KERNEL_PID, *system.unreaped_pids]
+        assert [row.pid for row in space._rows] == holders
+        assert sorted(space._pid_rows) == holders
+        steps.append(len(holders))
+
+    monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+    batch = "fork nowait {\nexit 0\n}\n" * 8 + "wait\n" * 8
+    text = "layout code=1 heap=1 stack=1\n" + batch * (workers // 8)
+    result = run(text, "copa", "fault", debug=True)
+    assert len(result.system.processes) == workers + 1
+    # A batch of 8 workers and the parent held slots at some step.
+    assert max(steps) == 10 and steps[-1] == 1
+
+
 # -- the change log: one script per way a page's findings can change ----------
 
 #: File reads land on pages that hold capabilities: byte stores only
@@ -950,13 +975,6 @@ class TestChangeLogEntryPoints:
         child = space.reserve_region(parent.region.size, parent.pid + 1, 0)
         space.share_region(parent.region, child, PageState.SHARED_COA)
         self.assert_logged(logs, regions=[child])
-
-    def test_a_released_pid_region_is_logged_in_both_logs(self):
-        system, parent = audited_system("coa")
-        child = system.process(system.fork_engine.fork(parent.pid))
-        logs = self.both_logs_cleared(system)
-        system.release_pid(child.pid)
-        self.assert_logged(logs, regions=[child.region])
 
 
 AUDIT_WORK_BODY = (
@@ -1189,12 +1207,29 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
     monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
 
 
+def _teardown_keeps_the_reaped_pids_row(monkeypatch):
+    real = AddressSpace.unmap_owned
+
+    def unmap_owned(self, region):
+        row = self._row_at(region.base)
+        survivors = real(self, region)
+        # The row stays, mapping nothing, as if the reservation were kept.
+        index = bisect_left(self._bases, row.base)
+        self._bases.insert(index, row.base)
+        self._rows.insert(index, row)
+        row.frames[:] = row.states[:] = [None] * len(row.frames)
+        return survivors
+
+    monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
+
+
 DEBUG_MUTATIONS = {
     "remap_keeps_the_old_page": _remap_keeps_the_old_page,
     "share_region_drops_a_child_page": _share_region_drops_a_child_page,
     "share_region_drops_its_last_frame_id": _share_region_drops_its_last_frame_id,
     "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,
     "unmap_owned_keeps_a_page_in_its_frame": _unmap_owned_keeps_a_page_in_its_frame,
+    "teardown_keeps_the_reaped_pids_row": _teardown_keeps_the_reaped_pids_row,
 }
 
 
