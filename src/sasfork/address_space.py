@@ -22,10 +22,20 @@ The capability-load column is derived from the state
 (``PageState.cap_load``), and so is the writable column: a page is
 writable exactly when it is ``Private`` and lies past its reservation's
 leading read-only (code) pages, which :meth:`AddressSpace.reserve_region`
-fixes once.  A frame's refcount is the size of the page set the frame
-owns.  This module is the one writer of page sets: mapping and unmapping
-keep them in step with the page table, and log each change into the
-frame table's change logs (see :mod:`sasfork.tagged_memory`).
+fixes once.  A frame's refcount is its ``mapcount``.  This module is the
+one writer of mapcounts: mapping and unmapping keep them in step with the
+page table, and log each change into the frame table's change logs (see
+:mod:`sasfork.tagged_memory`).
+
+Every reservation belongs to one *fork family*: a fork's reservation
+joins its parent's, and any other reservation (boot, process creation)
+starts its own.  Every page that maps a frame lies at one page index, in
+rows of one family: fork puts a child page at its parent's offset, and a
+copy keeps its page.  So a frame records no list of its pages.  Its first
+mapping fixes its ``index`` and ``family``, :meth:`AddressSpace.map`
+refuses a later one at another index or in another family, and the
+frame's mappers are the rows of its family whose element at ``index``
+is the frame (:meth:`AddressSpace.mappers`).
 
 The page table is one *row* per live reservation with two columns, a
 list each with one element per page, built whole when the region is
@@ -36,14 +46,15 @@ plain values (frame ids, states, owner pids) or the
 :class:`PageTableEntry` view, and never a row.  A fork's share pass copies
 the parent's frame ids into the child's row wherever the row maps
 nothing, writes the strategy's shared state beside them, makes the
-parent's private states there copy-on-write and adds each child page to
-its frame's page set, so a page set stays the refcount.  The pages the
+parent's private states there copy-on-write and counts each child page in
+its frame's ``mapcount``, so the count stays the refcount.  The pages the
 child's row maps already are the fork's eager copies: the row itself
 says which pages were copied, and they keep their frames.  A lazy copy
 writes the copy's frame id and ``Private`` (:meth:`AddressSpace.remap`),
 and the promotion pass (:meth:`AddressSpace.promote`) makes a sole
 survivor ``Private`` again in place, once the fork engine's callback has
-relocated its frame.  The fault path finds its page once, with
+relocated its frame; it finds the survivor in the last row it found, or
+else in the frame's family.  The fault path finds its page once, with
 :meth:`~AddressSpace.find_page`: like the access pipeline, it tries the
 faulting pid's own reservation before a bisect, and it returns the
 page's frame id and state, whether it is read-only, and its owner.  A
@@ -89,6 +100,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
@@ -131,12 +143,13 @@ class PageTableEntry(NamedTuple):
         return self.state is not PageState.PRIVATE
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Row:
     """One reservation's page table, from ``base`` to ``end``, owned by
     ``pid``, read-only below ``ro_end``: a frame id and a state per page
     in ``frames`` and ``states``, each ``None`` where nothing maps the
-    page."""
+    page.  ``family`` lists the live rows of its fork family, this one
+    among them; every row of a family has as many pages."""
 
     base: int
     end: int
@@ -144,11 +157,12 @@ class _Row:
     ro_end: int
     frames: list[int | None]
     states: list[PageState | None]
+    family: list[_Row]
 
 
 #: The row, owned by no pid and with no pages, of the addresses outside
-#: every reservation.
-_UNRESERVED = _Row(0, 0, None, 0, [], [])
+#: every reservation, in a family of its own that no frame names.
+_UNRESERVED = _Row(0, 0, None, 0, [], [], [])
 
 
 class AccessKind(enum.Enum):
@@ -257,9 +271,16 @@ class AddressSpace:
 
     # -- regions ---------------------------------------------------------
 
-    def reserve_region(self, size: int, pid: int, ro_pages: int) -> Region:
+    def reserve_region(
+        self, size: int, pid: int, ro_pages: int, *, fork_of: Region | None = None
+    ) -> Region:
         """Bump-allocate a fresh region owned by ``pid``, whose first
-        ``ro_pages`` pages are read-only; reservations are never reused."""
+        ``ro_pages`` pages are read-only; reservations are never reused.
+
+        The reservation joins the fork family of the one that holds
+        ``fork_of``, which must be as large; without it, it starts a family
+        of its own.
+        """
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"region size must be positive and page-aligned: {size}")
         base = self._next_base
@@ -267,8 +288,17 @@ class AddressSpace:
             raise AddressSpaceExhausted(
                 f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
+        family = []
+        if fork_of is not None:
+            parent = self._row_at(fork_of.base)
+            if (parent.base, parent.end) != (fork_of.base, fork_of.base + size):
+                raise SimInternalError(f"{fork_of} is not a reservation of {size:#x} bytes")
+            family = parent.family
         unmapped = [None] * (size // PAGE_SIZE)
-        row = _Row(base, base + size, pid, base + ro_pages * PAGE_SIZE, unmapped, unmapped.copy())
+        row = _Row(
+            base, base + size, pid, base + ro_pages * PAGE_SIZE, unmapped, unmapped.copy(), family
+        )
+        family.append(row)
         self._bases.append(base)
         self._rows.append(row)
         self._pid_rows[pid] = row
@@ -331,8 +361,10 @@ class AddressSpace:
     # -- mappings ---------------------------------------------------------
 
     def map(self, page_va: int, frame_id: int, state: PageState = _PRIVATE) -> None:
-        """Map ``page_va`` to frame ``frame_id`` in ``state`` and add it to
-        the frame's page set."""
+        """Map ``page_va`` to frame ``frame_id`` in ``state`` and count it
+        in the frame's ``mapcount``.  The frame's first mapping fixes its
+        index and family; a later one at another index or in another
+        family raises ``SimInternalError`` before anything changes."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
         row = self._row_at(page_va)
@@ -343,10 +375,24 @@ class AddressSpace:
         index = (page_va - row.base) // PAGE_SIZE
         if frames[index] is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        frame.pages.add(page_va)
+        self._attach(frame, row, index, page_va)
         frames[index], states[index] = frame_id, state
         for log in self._frames.logs:
             log.frames.add(frame_id)
+
+    @staticmethod
+    def _attach(frame: TaggedFrame, row: _Row, index: int, page_va: int) -> None:
+        """Count one more mapping of ``frame``, by page ``index`` of ``row``
+        at ``page_va``: fix the frame's index and family at its first, and
+        raise before anything changes for one elsewhere."""
+        if frame.family is None:
+            frame.index, frame.family = index, row.family
+        elif frame.index != index or frame.family is not row.family:
+            raise SimInternalError(
+                f"page {page_va:#x} cannot map frame {frame.frame_id}, whose pages lie"
+                " at another index or in another fork family"
+            )
+        frame.mapcount += 1
 
     def map_fresh_region(self, region: Region) -> None:
         """Back every page of ``region`` with a new frame, in one pass.
@@ -362,53 +408,62 @@ class AddressSpace:
         for index in range(first, first + count):
             if frames[index] is not None:
                 raise DoubleMap(f"page {row.base + index * PAGE_SIZE:#x} is already mapped")
-        allocate, fresh = self._frames.allocate, []
-        for page_va in range(region.base, region.end, PAGE_SIZE):
+        allocate, family, fresh = self._frames.allocate, row.family, []
+        for index in range(first, first + count):
             frame = allocate(region)
-            frame.pages.add(page_va)
+            frame.mapcount, frame.index, frame.family = 1, index, family
             fresh.append(frame.frame_id)
         frames[first : first + count] = fresh
         states[first : first + count] = [_PRIVATE] * count
 
-    def _detach(self, page_va: int) -> tuple[_Row, int, TaggedFrame]:
-        """Drop mapped ``page_va`` from its frame's page set, freeing a frame
-        left with none, and log the frame; returns the page's row, its
-        index and the frame.  Raises before anything changes if the page
-        is not mapped, or its frame does not list it."""
+    def _mapped(self, page_va: int) -> tuple[_Row, int, TaggedFrame]:
+        """The row of mapped page ``page_va``, its index and its frame.
+        Raises if the page is not mapped, or its frame does not count it:
+        a frame with no mapping, or one whose pages lie at another index
+        or in another family."""
         row, index, frame_id = self._lookup(page_va)
         if frame_id is None:
             raise UnmappedPage(f"page {page_va:#x} is not mapped")
-        frames = self._frames.by_id
-        frame = frames.get(frame_id)
-        if frame is None or page_va not in frame.pages:
+        frame = self._frames.by_id.get(frame_id)
+        if (
+            frame is None
+            or frame.mapcount < 1
+            or frame.index != index
+            or frame.family is not row.family
+        ):
             raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
-        frame.pages.remove(page_va)
-        if not frame.pages:
-            del frames[frame_id]
-        for log in self._frames.logs:
-            log.frames.add(frame_id)
         return row, index, frame
 
+    def _detach(self, frame: TaggedFrame) -> None:
+        """Count one mapping of ``frame`` fewer, freeing it at zero, and log it."""
+        frame.mapcount -= 1
+        if not frame.mapcount:
+            del self._frames.by_id[frame.frame_id]
+        for log in self._frames.logs:
+            log.frames.add(frame.frame_id)
+
     def unmap(self, page_va: int) -> int:
-        """Remove a mapping and drop the page from its frame's page set,
+        """Remove a mapping and count it out of its frame's ``mapcount``,
         freeing a frame left with none; returns the frame's remaining
         refcount.  Raises before anything changes if the page is not
-        mapped, or its frame does not list it.
+        mapped, or its frame does not count it.
         """
-        row, index, frame = self._detach(page_va)
+        row, index, frame = self._mapped(page_va)
+        self._detach(frame)
         row.frames[index] = row.states[index] = None
-        return len(frame.pages)
+        return frame.mapcount
 
     def remap(self, page_va: int, frame_id: int) -> None:
         """Map ``page_va`` privately to frame ``frame_id`` in place of its
         mapping, as an :meth:`unmap` and a :meth:`map` would, logging the
         old frame and the new one: the lazy copy's one write.  Raises
-        before anything changes if the page is not mapped, or its frame
-        does not list it.
+        before anything changes if the page is not mapped, its frame does
+        not count it, or :meth:`map` would refuse ``frame_id`` there.
         """
         fresh = self._frames.get(frame_id)
-        row, index, _ = self._detach(page_va)
-        fresh.pages.add(page_va)
+        row, index, frame = self._mapped(page_va)
+        self._attach(fresh, row, index, page_va)
+        self._detach(frame)
         row.frames[index], row.states[index] = frame_id, _PRIVATE
         for log in self._frames.logs:
             log.frames.add(frame_id)
@@ -420,31 +475,30 @@ class AddressSpace:
         entries this stands for: the child pages shared and the parent
         pages made copy-on-write.
 
-        ``child`` is a whole reservation that shares nothing yet.  The
-        pages its row maps already (a fork's eager copies) keep their
-        frames and states, and so do the parent pages at their offsets.
-        The other child pages get the parent's frame ids, each joining its
-        frame's page set, as :meth:`map` would add it.  A raise first
-        drops the child pages added, so it changes no mapping, page set or
-        log.
+        ``child`` is a whole reservation of ``parent``'s fork family that
+        shares nothing yet.  The pages its row maps already (a fork's eager
+        copies) keep their frames and states, and so do the parent pages at
+        their offsets.  The other child pages get the parent's frame ids,
+        each counted in its frame's ``mapcount``, as :meth:`map` would
+        count it.  A raise first takes back the counts added, so it changes
+        no mapping, count or log.
         """
         row = self._row_at(child.base)
+        parent_row, first, count = self._locate(parent)
         if (
             (row.base, row.end) != (child.base, child.end)
             or child.size != parent.size
+            or row.family is not parent_row.family
             or not {_PRIVATE, None}.issuperset(row.states)
         ):
             raise SimInternalError(f"{child} is not a reservation that shares nothing")
-        parent_row, first, count = self._locate(parent)
         parent_states = parent_row.states
         inherited = parent_row.frames[first : first + count]
         own_frames, own_states = row.frames, row.states
         built, states, kept = own_frames.copy(), [state] * count, []
         frames = self._frames.by_id
         try:
-            for index, child_va, frame_id in zip(
-                range(count), range(child.base, child.end, PAGE_SIZE), inherited
-            ):
+            for index, frame_id in enumerate(inherited):
                 if built[index] is not None:
                     kept.append(index)
                     continue
@@ -452,15 +506,13 @@ class AddressSpace:
                     raise SimInternalError(
                         f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
                     )
-                frames[frame_id].pages.add(child_va)
+                frames[frame_id].mapcount += 1
                 built[index] = frame_id
         except (SimInternalError, KeyError) as err:
-            # Every page before the failing one that the row did not map was added.
-            for child_va, own, frame_id in zip(
-                range(child.base, child.base + index * PAGE_SIZE, PAGE_SIZE), own_frames, built
-            ):
+            # Every page before the failing one that the row did not map was counted.
+            for own, frame_id in zip(own_frames[:index], built):
                 if own is None:
-                    frames[frame_id].pages.remove(child_va)
+                    frames[frame_id].mapcount -= 1
             if isinstance(err, KeyError):
                 raise SimInternalError(f"frame {err.args[0]} does not exist") from None
             raise
@@ -481,31 +533,30 @@ class AddressSpace:
         one).
 
         Returns, in page order, the frames left with one mapping.  A page
-        its frame does not list raises ``SimInternalError`` once the pages
-        already unmapped and the frames already freed are put back, so a
-        raise changes no mapping, page set, live frame or log.
+        whose frame does not exist or counts no mapping raises
+        ``SimInternalError`` once the counts already taken and the frames
+        already freed are put back, so a raise changes no mapping, count,
+        live frame or log.
         """
         row, first, count = self._locate(region)
         owned = row.frames[first : first + count]
         frames = self._frames.by_id
         survivors = []
         freed: list[TaggedFrame] = []
-        for page_va, frame_id in zip(range(region.base, region.end, PAGE_SIZE), owned):
+        for done, frame_id in enumerate(owned):
             if frame_id is None:
                 continue
-            try:
-                frame = frames[frame_id]
-                frame.pages.remove(page_va)
-            except KeyError:
+            frame = frames.get(frame_id)
+            if frame is None or frame.mapcount < 1:
                 for lost in freed:
                     frames[lost.frame_id] = lost
-                for done_va, done in zip(range(region.base, page_va, PAGE_SIZE), owned):
-                    if done is not None:
-                        frames[done].pages.add(done_va)
+                for back in owned[:done]:
+                    if back is not None:
+                        frames[back].mapcount += 1
                 raise SimInternalError(
-                    f"page {page_va:#x} is not attached to frame {frame_id}"
-                ) from None
-            mappers = len(frame.pages)
+                    f"page {region.base + done * PAGE_SIZE:#x} is not attached to frame {frame_id}"
+                )
+            frame.mapcount = mappers = frame.mapcount - 1
             if not mappers:
                 del frames[frame_id]
                 freed.append(frame)
@@ -514,6 +565,7 @@ class AddressSpace:
         if count == len(row.frames):
             index = bisect_left(self._bases, row.base)
             del self._bases[index], self._rows[index]
+            row.family.remove(row)
             if self._pid_rows.get(row.pid) is row:
                 del self._pid_rows[row.pid]
         else:
@@ -537,7 +589,7 @@ class AddressSpace:
         try:
             for frame_id in row.frames[first : first + count]:
                 if frame_id is not None:
-                    refs = len(frames[frame_id].pages)
+                    refs = frames[frame_id].mapcount
                     counts[refs] = counts.get(refs, 0) + 1
         except KeyError as err:
             raise SimInternalError(
@@ -557,28 +609,48 @@ class AddressSpace:
     def promote(
         self, frames: Iterable[TaggedFrame], relocate: Callable[[TaggedFrame, int], None]
     ) -> None:
-        """The promotion pass: make the one mapping of each of ``frames``
-        that has exactly one, in a shared state, ``Private`` again, in
-        order, and log the frame.  ``relocate(frame, pid)`` runs first, with
-        the pid whose reservation holds the page, so the frame holds that
-        pid's capabilities before the page may load them.  Pages in the
-        last row found need no bisect."""
-        row, base, end = _UNRESERVED, 0, 0
+        """The promotion pass: make the one mapping of each of ``frames``,
+        which each have exactly one, ``Private`` again where it is shared,
+        in order, and log the frame.  ``relocate(frame, pid)`` runs first,
+        with the pid whose reservation holds the page, so the frame holds
+        that pid's capabilities before the page may load them.  The last
+        row found is tried first, and then the rows of the frame's family."""
+        row = _UNRESERVED
         logs = self._frames.logs
         for frame in frames:
-            if len(frame.pages) != 1:
-                continue
-            (page_va,) = frame.pages
-            if not base <= page_va < end:
-                row = self._row_at(page_va)
-                base, end = row.base, row.end
-            index = (page_va - base) // PAGE_SIZE
+            index, frame_id = frame.index, frame.frame_id
+            if row.family is not frame.family or row.frames[index] != frame_id:
+                for row in frame.family:
+                    if row.frames[index] == frame_id:
+                        break
+                else:
+                    raise SimInternalError(f"frame {frame_id} has no mapping to promote")
             states = row.states
             if states[index] is not _PRIVATE:
                 relocate(frame, row.pid)
                 states[index] = _PRIVATE
                 for log in logs:
-                    log.frames.add(frame.frame_id)
+                    log.frames.add(frame_id)
+
+    def mappers(self, frame_ids: Iterable[int]) -> list[tuple[int | None, int]]:
+        """The owner pid and address of each page that maps one of the live
+        frames among ``frame_ids``: for each frame in turn, the rows of its
+        family whose element at its index is the frame, in the family's
+        order.  The walk of a family stops once it has found the frame's
+        ``mapcount`` pages."""
+        frames, found = self._frames.by_id, []
+        for frame_id in frame_ids:
+            frame = frames.get(frame_id)
+            if frame is None:
+                continue
+            index, left = frame.index, frame.mapcount
+            for row in frame.family or ():
+                if row.frames[index] == frame_id:
+                    found.append((row.pid, row.base + index * PAGE_SIZE))
+                    left -= 1
+                    if not left:
+                        break
+        return found
 
     def loadable_frames(self, pid: int, indices: Iterable[int]) -> Iterator[tuple[int, int]]:
         """The index and frame id of each page of ``pid``'s reservation, among
@@ -602,58 +674,55 @@ class AddressSpace:
         return view
 
     def verify_refcounts(self, owners: set[int]) -> None:
-        """Full debug pass: each frame's page set is exactly the pages that
-        map it, since every mapped page is in its frame's set and the sets
-        hold as many pages as the rows map.  It also checks what
+        """Full debug pass: every mapped page's frame exists and lies at
+        that page's index in the row's family, and each frame's
+        ``mapcount`` is at least 1 and equals the number of pages that map
+        it.  Given the first fact, those pages are exactly the rows of the
+        frame's family that map it at its index.  It also checks what
         resident-set conservation rests on, given ``owners``, a set of
         pids: every row belongs to a pid in ``owners`` (:meth:`_verify_rows`),
         so one :meth:`owned_refcounts` sweep counts each mapped page, and
         every frame has a page.  It reads every row element and frame once;
-        it is the oracle of the per-step :meth:`verify_changes`.
+        it is the oracle of the per-step :meth:`verify_changes`.  Two frames
+        swapped between rows of one family at one index keep every one of
+        these facts, so neither check sees that; a swap across families
+        breaks the first.
         """
         self._verify_rows(owners)
-        mapped = 0
+        mapped: Counter[int | None] = Counter()
         for row in self._rows:
-            mapped += self._verify_pages(row, 0, len(row.frames))
-        listed = 0
+            mapped.update(self._verify_pages(row, 0, len(row.frames)))
         for frame_id, frame in self._frames.by_id.items():
-            if not frame.pages:
-                raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
-            listed += len(frame.pages)
-        if listed != mapped:
-            raise SimInternalError(
-                f"frames list {listed} pages, the page table maps {mapped}"
-            )
+            self._verify_count(frame, mapped[frame_id])
 
     def verify_changes(self, log: ChangeLog, owners: set[int]) -> None:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
         only where ``log`` says they may have changed; then clears the log.
 
         Every row belongs to a pid in ``owners``, a walk of the rows alone.
-        A logged frame that still exists has a page, and every page in its
-        set maps it, so the set lists nothing else.  Each mapped page of a
-        logged region maps a frame that lists it; a region torn down since
-        maps nothing.  If the facts held when the log was last cleared and
-        every change since was logged, this check passes exactly when the
-        full pass does.
+        Each mapped page of a logged region maps a frame that lies at its
+        index in its row's family; a region torn down since maps nothing.
+        Each logged frame that still exists, and each frame a logged region
+        maps, has a mapping, and its ``mapcount`` equals the number of its
+        family's rows that map it at its index; the count does not read a
+        logged region's row again.  If the facts held when the log was last
+        cleared and every change since was logged, this check passes
+        exactly when the full pass does.
         """
         self._verify_rows(owners)
-        frames = self._frames.by_id
-        for frame_id in log.frames:
-            frame = frames.get(frame_id)
-            if frame is None:
-                continue
-            if not frame.pages:
-                raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
-            for page_va in frame.pages:
-                if self._lookup(page_va)[2] != frame_id:
-                    raise SimInternalError(
-                        f"frame {frame_id} lists page {page_va:#x}, which does not map it"
-                    )
+        frames, logged = self._frames.by_id, log.frames
         for region in log.regions:
             row = self._row_at(region.base)
-            self._verify_pages(row, (region.base - row.base) // PAGE_SIZE, region.page_count)
-        log.frames.clear()
+            first = (region.base - row.base) // PAGE_SIZE
+            for frame_id in self._verify_pages(row, first, region.page_count):
+                if frame_id is not None:
+                    self._verify_family_count(frames[frame_id], row)
+                    logged.discard(frame_id)
+        for frame_id in logged:
+            frame = frames.get(frame_id)
+            if frame is not None:
+                self._verify_family_count(frame, None)
+        logged.clear()
         log.regions.clear()
 
     def _verify_rows(self, owners: set[int]) -> None:
@@ -666,22 +735,44 @@ class AddressSpace:
                     f" keeps the row at {row.base:#x}"
                 )
 
-    def _verify_pages(self, row: _Row, first: int, count: int) -> int:
+    def _verify_pages(self, row: _Row, first: int, count: int) -> list[int | None]:
         """Each mapped page among ``count`` of ``row`` from index ``first`` on
-        maps a frame that lists it; returns how many are mapped."""
-        frames, mapped = self._frames.by_id, 0
-        base = row.base + first * PAGE_SIZE
+        maps a frame that exists and lies at that index in the row's
+        family; returns the frame ids of those ``count`` elements."""
+        frames, family = self._frames.by_id, row.family
         owned = row.frames[first : first + count]
-        for page_va, frame_id in zip(range(base, row.end, PAGE_SIZE), owned):
+        for index, frame_id in enumerate(owned, first):
             if frame_id is None:
                 continue
             frame = frames.get(frame_id)
-            if frame is None or page_va not in frame.pages:
+            if frame is None or frame.index != index or frame.family is not family:
                 raise SimInternalError(
-                    f"page {page_va:#x} maps frame {frame_id}, which does not list it"
+                    f"page {row.base + index * PAGE_SIZE:#x} maps frame {frame_id},"
+                    " which does not lie at its index in its family"
                 )
-            mapped += 1
-        return mapped
+        return owned
+
+    def _verify_family_count(self, frame: TaggedFrame, seen: _Row | None) -> None:
+        """``frame``'s ``mapcount`` is the number of its family's rows that
+        map it at its index, and at least 1.  ``seen`` is a row already read
+        to map it, or ``None``; it is not read again."""
+        index, frame_id, mapped = frame.index, frame.frame_id, int(seen is not None)
+        for row in frame.family or ():
+            if row is not seen and row.frames[index] == frame_id:
+                mapped += 1
+        self._verify_count(frame, mapped)
+
+    @staticmethod
+    def _verify_count(frame: TaggedFrame, mapped: int) -> None:
+        """``frame`` has a mapping, and its ``mapcount`` equals ``mapped``,
+        the number of pages that map it."""
+        frame_id, count = frame.frame_id, frame.mapcount
+        if count < 1:
+            raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
+        if count != mapped:
+            raise SimInternalError(
+                f"frame {frame_id} counts {count} mappings, the page table maps it {mapped} times"
+            )
 
     # -- checked accesses --------------------------------------------------
 

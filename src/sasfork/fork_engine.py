@@ -48,7 +48,7 @@ owner as plain values; then it remaps the page to the copy in one write
 (:meth:`AddressSpace.remap`).  Copies made for the region that already
 owns the frame's contents (the parent side) skip the scan, and a copy
 that holds no capability skips the check that none escapes.
-When a shared frame's page set drops to one page, the surviving mapping
+When a shared frame's ``mapcount`` drops to one, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
 references.  A lazy copy calls the promotion pass only when it leaves
@@ -56,7 +56,9 @@ the old frame with one mapping.  The pass is the address space's
 (:meth:`AddressSpace.promote`): it finds each shared survivor, calls
 back into the fork engine with the pid whose reservation holds it to
 relocate the frame, and then sets the page's state to ``Private`` in
-place and logs the frame.
+place and logs the frame.  A frame keeps no list of its pages: it finds
+its survivor among the rows of the frame's fork family, which a fork's
+reservation joins (``reserve_region(..., fork_of=)``).
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent`, a named tuple, carries its cause and what its
@@ -198,7 +200,10 @@ class ForkEngine:
         # The pid is taken only when the child is added, below.
         child_pid = sys.allocate_pid()
         child_region = space.reserve_region(
-            parent.region.size, child_pid, parent.layout.code_ro.page_count
+            parent.region.size,
+            child_pid,
+            parent.layout.code_ro.page_count,
+            fork_of=parent.region,
         )
         events = len(self.events)
         try:
@@ -284,7 +289,7 @@ class ForkEngine:
         if kind is FaultKind.PAGE_WRITE and read_only:
             raise UnresolvableFault(f"page {page_va:#x} is read-only")
         old_frame = sys.frames.get(frame_id)
-        if len(old_frame.pages) < 2:
+        if old_frame.mapcount < 2:
             # Promotion reverts sole-owner pages to private, so a shared
             # page always aliases a multiply-referenced frame.
             raise SimInternalError(f"shared page {page_va:#x} on a sole-owner frame")
@@ -296,7 +301,7 @@ class ForkEngine:
             cause=_FAULT_TO_CAUSE[kind],
             install=space.remap,
         )
-        if len(old_frame.pages) == 1:
+        if old_frame.mapcount == 1:
             self._promote((old_frame,))
         return event
 
@@ -370,11 +375,11 @@ class ForkEngine:
     def _promote(self, frames: Iterable[TaggedFrame]) -> None:
         """Sole survivors of shared frames go back to private access.
 
-        The address space's promotion pass (:meth:`AddressSpace.promote`)
-        skips a frame that does not have exactly one mapping (a reap pass
-        may free a frame after listing it) or whose mapping is already
-        private, and makes the others' pages private, each after
-        :meth:`_relocate_survivor` has run.
+        ``frames`` each have exactly one mapping: a teardown meets a frame
+        at most once, since its pages lie at one index.  The address
+        space's promotion pass (:meth:`AddressSpace.promote`) skips a frame
+        whose mapping is already private, and makes the others' pages
+        private, each after :meth:`_relocate_survivor` has run.
         """
         self._sys.address_space.promote(frames, self._relocate_survivor)
 

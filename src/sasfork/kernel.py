@@ -41,7 +41,7 @@ that held findings, so violations are reported again in place, in page
 order.  The one logging rule of :mod:`sasfork.tagged_memory` logs a frame
 wherever a tagged capability can appear in it or one of its pages can
 become cap-loadable: a capability store, a relocation scan, a page that
-joins its page set, and a promotion.  A byte store logs nothing, since it
+starts mapping it, and a promotion.  A byte store logs nothing, since it
 only untags or drops capabilities.  The sweep clears the logged regions
 without reading them: a child's region is new, so it gets a whole walk.
 Clearing its log leaves the
@@ -380,7 +380,9 @@ class KernelGateway:
         last sweep did not audit gets a walk of its whole region; for the
         others only the pages of frames in the change log, and the pages
         and registers that held findings, are checked again (see the
-        module docstring).
+        module docstring).  A logged frame's pages are found from its
+        fork family's rows (:meth:`AddressSpace.mappers`), since a frame
+        keeps only a count of them.
         """
         violations: list[AuditViolation] = []
         system = self._sys
@@ -395,14 +397,9 @@ class KernelGateway:
             system.frames.logs.append(log)
             self._clean_registers = self._findings = {}
         old_registers, old_findings = self._clean_registers, self._findings
-        for frame_id in log.frames:
-            frame = frames.get(frame_id)
-            if frame is None:
-                continue
-            for page_va in frame.pages:
-                owner = space.owner_of(page_va)
-                if owner in old_registers:
-                    touched.setdefault(owner, []).append(page_va)
+        for owner, page_va in space.mappers(log.frames):
+            if owner in old_registers:
+                touched.setdefault(owner, []).append(page_va)
         log.frames.clear()
         log.regions.clear()
         clean_registers: dict[int, tuple | None] = {}

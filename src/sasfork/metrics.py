@@ -12,7 +12,8 @@ records: faults, fork cost, capability registers relocated at fork,
 in-place relocation scans at promotion, and the resident set at exit.
 
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
-``PAGE_SIZE / refcount(frame)``.  A page's owner is the pid its region
+``PAGE_SIZE / refcount(frame)``, where a frame's refcount is its
+``mapcount``.  A page's owner is the pid its region
 was reserved for (pid 0 for the kernel region), so one sweep of the
 pid's region counts its pages per refcount as integers, and
 :func:`proportional_bytes` turns those counts into one exact

@@ -363,6 +363,9 @@ class System:
 
         Every page-table row belongs to a PID-table slot holder (a pid
         without a slot keeps no row, so it owns no page) or the kernel.
+        Every mapped page's frame lies at that page's index in its row's
+        fork family, and each checked frame's ``mapcount`` is at least 1
+        and equals the number of the family's rows that map it there.
         The first call adds the check's own
         :class:`~sasfork.tagged_memory.ChangeLog` to the frame table's logs.
         It, and any call with ``full``, runs the full pass over every entry

@@ -29,9 +29,13 @@ reports only how many granules it rewrote, and the caller records that
 with the copy.  The scan keeps no state between copies: the tags alone
 say which granules to relocate.
 
-A frame also owns the set of pages that map it, the one record of its
-mappers: its refcount is that set's size, and it is freed when it empties.
-The address space is the one writer of page sets.
+A frame keeps a count of the pages that map it, ``mapcount``, which is
+its refcount, and it is freed when the count drops to zero.  It stores no
+list of those pages.  Every page that maps a frame lies at the same page
+index of its reservation, and in reservations of one fork family, so the
+frame records that ``index`` and that ``family`` at its first mapping, and
+its mappers are found by walking the family's reservations (see
+:mod:`sasfork.address_space`, the one writer of all three).
 
 A frame holds only what was written to it.  Its page is cut into chunks
 of :data:`CHUNK` bytes, and ``chunks`` maps the index of each chunk ever
@@ -46,7 +50,7 @@ The frame table keeps, in :attr:`FrameTable.logs`, one :class:`ChangeLog`
 per per-step check that has run: the audit's and the ``--debug`` check's.
 Every change is logged into every log, by one rule.  A frame is logged when
 it is allocated, when a capability is written into it (a capability store
-or a relocation scan), when a page joins or leaves its page set
+or a relocation scan), when a page starts or stops mapping it
 (``AddressSpace.map``, ``unmap``, ``unmap_owned``, and ``remap``, which
 logs the old frame and the new one), or when the promotion pass makes
 its sole page private.  A region is logged when a pass maps it wholesale:
@@ -103,18 +107,21 @@ class TaggedFrame:
     which reserved region the frame's contents are laid out for; the fork
     engine uses it to pick the source region of a relocation scan (a
     frame aliased through several generations of forks still relocates
-    correctly).  ``pages`` holds the virtual page addresses that map the
-    frame.
+    correctly).  ``mapcount`` is the number of pages that map the frame;
+    ``index`` and ``family``, ``None`` until its first mapping, are the page
+    index and the fork family of the reservations those pages lie in.
     """
 
-    __slots__ = ("frame_id", "chunks", "caps", "origin", "pages")
+    __slots__ = ("frame_id", "chunks", "caps", "origin", "mapcount", "index", "family")
 
     def __init__(self, frame_id: int, origin: Region | None = None):
         self.frame_id = frame_id
         self.chunks: dict[int, bytearray] = {}
         self.caps: dict[int, Capability] = {}
         self.origin = origin
-        self.pages: set[int] = set()
+        self.mapcount = 0
+        self.index: int | None = None
+        self.family: list | None = None
 
     @property
     def data(self) -> bytes:
@@ -206,9 +213,9 @@ class ChangeLog:
 class FrameTable:
     """Allocator for tagged frames.
 
-    The address space adds and removes each page it maps in the frame's
-    page set, and frees a frame whose set it empties.  Frame ids are
-    never reused within a run.
+    The address space counts each page it maps in the frame's
+    ``mapcount``, and frees a frame whose count it drops to zero.  Frame
+    ids are never reused within a run.
     """
 
     def __init__(self) -> None:
@@ -242,7 +249,7 @@ class FrameTable:
 
     def refcount(self, frame_id: int) -> int:
         frame = self._frames.get(frame_id)
-        return 0 if frame is None else len(frame.pages)
+        return 0 if frame is None else frame.mapcount
 
     def clone(self, frame_id: int) -> TaggedFrame:
         """Copy bytes, capabilities and origin into a fresh frame.
@@ -264,8 +271,8 @@ class FrameTable:
 
         The address space and the auditor index it directly.  Only the
         address space's :meth:`~sasfork.address_space.AddressSpace.unmap`
-        and teardown pass delete from it, a frame whose page set they
-        empty, and :meth:`free_unmapped` a copy never mapped; nothing else
+        and teardown pass delete from it, a frame whose count they drop to
+        zero, and :meth:`free_unmapped` a copy never mapped; nothing else
         may change it.
         """
         return self._frames

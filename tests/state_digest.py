@@ -1,8 +1,9 @@
 """A canonical digest of a simulator's state, the oracle of the state tests.
 
 :func:`state_digest` hashes what the simulator means, not how it stores
-it: the expanded page table, the frames, the reservations, the PID-table
-slot holders, the file table and the copy events.
+it: the expanded page table, the frames (each with the pages the table
+maps to it and its refcount), the reservations, the PID-table slot
+holders, the file table and the copy events.
 """
 
 import hashlib
@@ -14,6 +15,15 @@ def _region(region):
     return None if region is None else (region.base, region.size)
 
 
+def pages_by_frame(space):
+    """The pages that map each mapped frame, in address order, read from the
+    expanded page table."""
+    pages = {}
+    for va, entry in space.entries().items():
+        pages.setdefault(entry.frame_id, []).append(va)
+    return pages
+
+
 def state_parts(system):
     """The digested state, as plain values in a fixed order."""
     space = system.address_space
@@ -21,10 +31,12 @@ def state_parts(system):
         (va, entry.frame_id, entry.state.value, entry.writable)
         for va, entry in sorted(space.entries().items())
     ]
+    pages = pages_by_frame(space)
     frames = [
         (
             frame_id,
-            sorted(frame.pages),
+            pages.get(frame_id, []),
+            system.frames.refcount(frame_id),
             _region(frame.origin),
             bytes(frame.read(0, PAGE_SIZE)),
             [(granule, tuple(cap)) for granule, cap in frame.tagged_caps()],

@@ -24,7 +24,7 @@ from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, U
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
-from state_digest import state_digest
+from state_digest import pages_by_frame, state_digest
 
 
 @pytest.fixture
@@ -103,13 +103,52 @@ class TestMappings:
 
     def test_aliasing_one_frame_counts_two(self, space):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2, 0)
+        other = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=region)
         space.map(other.base, frame.frame_id, PageState.SHARED_COPA)
         assert space._frames.refcount(frame.frame_id) == 2
-        assert frame.pages == {region.base, other.base}
+        assert space.mappers([frame.frame_id]) == [(1, region.base), (2, other.base)]
         space.verify_refcounts({1, 2})
         assert space.unmap(region.base) == 1
-        assert frame.pages == {other.base}
+        assert space.mappers([frame.frame_id]) == [(2, other.base)]
+
+    @pytest.mark.parametrize("place", ["another index", "another family"])
+    def test_map_refuses_a_frame_elsewhere_and_changes_nothing(self, space, place):
+        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
+        frame = space._frames.allocate(origin=region)
+        space.map(region.base, frame.frame_id)
+        if place == "another index":
+            other = space.reserve_region(region.size, 2, 0, fork_of=region)
+            page_va = other.base + PAGE_SIZE
+        else:
+            other = space.reserve_region(region.size, 2, 0)
+            page_va = other.base
+        log = ChangeLog()
+        space._frames.logs.append(log)
+        before = space.entries()
+        with pytest.raises(SimInternalError, match=f"{page_va:#x} cannot map frame"):
+            space.map(page_va, frame.frame_id, PageState.SHARED_COPA)
+        assert space.entries() == before
+        assert (frame.mapcount, frame.index) == (1, 0)
+        assert not log.frames and not log.regions
+        space.verify_refcounts({1, 2})
+
+    def test_a_remap_refuses_a_frame_elsewhere_and_changes_nothing(self, space):
+        region, frame = mapped_page(space)
+        elsewhere, stray = mapped_page(space, pid=2)
+        before = space.entries()
+        with pytest.raises(SimInternalError, match="cannot map frame"):
+            space.remap(region.base, stray.frame_id)
+        assert space.entries() == before
+        assert frame.mapcount == stray.mapcount == 1
+        space.verify_refcounts({1, 2})
+
+    def test_a_fork_family_takes_reservations_of_its_size_only(self, space):
+        parent = space.reserve_region(2 * PAGE_SIZE, 1, 0)
+        with pytest.raises(SimInternalError, match="is not a reservation of 0x1000 bytes"):
+            space.reserve_region(PAGE_SIZE, 2, 0, fork_of=parent)
+        with pytest.raises(SimInternalError, match="is not a reservation"):
+            space.reserve_region(PAGE_SIZE, 2, 0, fork_of=Region(parent.end, PAGE_SIZE))
+        assert space.owner_of(parent.end) is None
 
     def test_double_map_and_unmapped_unmap(self, space):
         region, frame = mapped_page(space)
@@ -131,35 +170,45 @@ class TestMappings:
 
     def test_verify_catches_a_frame_listing_an_unmapped_page(self, space):
         region, frame = mapped_page(space)
-        frame.pages.add(region.base + PAGE_SIZE)
-        with pytest.raises(SimInternalError, match="frames list"):
+        frame.mapcount += 1
+        with pytest.raises(SimInternalError, match="counts 2 mappings, the page table maps it 1"):
             space.verify_refcounts({1, 2})
 
     def test_unmapping_a_page_its_frame_does_not_list_is_internal_and_changes_nothing(
         self, space
     ):
+        self.assert_unmap_refused(space, "mapcount", 0)
+
+    @pytest.mark.parametrize("corrupt, wrong", [("index", 1), ("family", [])])
+    def test_unmapping_a_page_whose_frame_lies_elsewhere_is_internal(self, space, corrupt, wrong):
+        self.assert_unmap_refused(space, corrupt, wrong)
+
+    @staticmethod
+    def assert_unmap_refused(space, corrupt, wrong):
+        """With the frame's ``corrupt`` attribute set to ``wrong``, unmapping
+        one of its two pages raises and changes nothing."""
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2, 0).base
+        other = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=region).base
         space.map(other, frame.frame_id, PageState.SHARED_COPA)
-        frame.pages.remove(other)
+        setattr(frame, corrupt, wrong)
         entry, log = space.entry_at(other), ChangeLog()
         space._frames.logs.append(log)
         with pytest.raises(SimInternalError, match=f"{other:#x}"):
             space.unmap(other)
         assert space.entry_at(other) == entry
-        assert frame.pages == {region.base}
+        assert getattr(frame, corrupt) is wrong and space._frames.exists(frame.frame_id)
         assert not log.frames and not log.regions
 
     def test_region_passes_over_a_page_its_frame_does_not_list_are_internal(self, space):
         region, frame = mapped_page(space)
-        frame.pages.clear()
+        frame.mapcount = 0
         with pytest.raises(SimInternalError):
             space.unmap_owned(region)
         assert space.entry_at(region.base) is not None
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
         parent, frame = mapped_page(space)
-        child = space.reserve_region(PAGE_SIZE, 2, 0)
+        child = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=parent)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
             space.share_region(parent, child, PageState.SHARED_COPA)
@@ -176,7 +225,7 @@ class TestMappings:
         log = ChangeLog()
         system.frames.logs.append(log)
         last = proc.region.end - PAGE_SIZE
-        frames[space.entry_at(last).frame_id].pages.clear()
+        frames[space.entry_at(last).frame_id].mapcount = 0
 
         before = state_digest(system)
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
@@ -192,7 +241,10 @@ class TestMappings:
         assert system.gateway.audit().clean
         system.verify_invariants()
         child = space.reserve_region(
-            parent.region.size, parent.pid + 1, parent.layout.code_ro.page_count
+            parent.region.size,
+            parent.pid + 1,
+            parent.layout.code_ro.page_count,
+            fork_of=parent.region,
         )
         delta = child.base - parent.region.base
         # An eager copy the pass keeps, as it keeps the fork engine's.
@@ -228,7 +280,10 @@ class TestMappings:
         parent = system.create_initial_process()
         space = system.address_space
         child = space.reserve_region(
-            parent.region.size, parent.pid + 1, parent.layout.code_ro.page_count
+            parent.region.size,
+            parent.pid + 1,
+            parent.layout.code_ro.page_count,
+            fork_of=parent.region,
         )
         delta = child.base - parent.region.base
         got = parent.layout.got.base
@@ -242,7 +297,7 @@ class TestMappings:
         assert space.share_region(parent.region, child, state) == 2 * shared
         after = space.entries()
         assert after[got + delta] == (eager.frame_id, PageState.PRIVATE, True)
-        assert eager.pages == {got + delta}
+        assert eager.mapcount == 1 and pages_by_frame(space)[eager.frame_id] == [got + delta]
         assert after[got] == before[got] == (before[got].frame_id, PageState.PRIVATE, True)
         for va in parent.region.page_addresses():
             if va != got:
@@ -260,7 +315,7 @@ def shared_child(space, pages=3):
         frame = space._frames.allocate(origin=parent)
         space.map(va, frame.frame_id)
         frames.append(frame)
-    child = space.reserve_region(parent.size, 2, 0)
+    child = space.reserve_region(parent.size, 2, 0, fork_of=parent)
     assert space.share_region(parent, child, PageState.SHARED_COPA) == 2 * pages
     return parent, child, frames
 
@@ -284,7 +339,7 @@ class TestRows:
         assert child_row.states == [PageState.SHARED_COPA] * 3
         assert parent_row.states == [PageState.SHARED_COW] * 3
         for va, frame in zip(child.page_addresses(), frames):
-            assert frame.pages == {va - child.base + parent.base, va}
+            assert space.mappers([frame.frame_id]) == [(1, va - child.base + parent.base), (2, va)]
             shared = PageTableEntry(frame.frame_id, PageState.SHARED_COPA, False)
             assert space.entries()[va] == shared
             assert space.entry_at(va + 8) == shared
@@ -324,28 +379,29 @@ class TestRows:
         assert space.unmap(child.end - PAGE_SIZE) == 1
         assert space._rows[1].frames[2] is space._rows[1].states[2] is None
         assert child.end - PAGE_SIZE not in space.entries()
-        assert frames[2].pages == {parent.end - PAGE_SIZE}
+        assert space.mappers([frames[2].frame_id]) == [(1, parent.end - PAGE_SIZE)]
 
     def test_remap_of_a_frame_id_moves_the_page_to_the_new_frame(self, space):
         parent, child, frames = shared_child(space)
         fresh = space._frames.allocate()
         space.remap(child.base, fresh.frame_id)
         assert space.entry_at(child.base) == PageTableEntry(fresh.frame_id, PageState.PRIVATE, True)
-        assert frames[0].pages == {parent.base} and fresh.pages == {child.base}
+        assert space.mappers([frames[0].frame_id]) == [(1, parent.base)]
+        assert space.mappers([fresh.frame_id]) == [(2, child.base)]
         space.verify_refcounts({1, 2})
         with pytest.raises(UnmappedPage):
             space.remap(child.base + 8, fresh.frame_id)
 
     def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
         parent, child, frames = shared_child(space)
-        grandchild = space.reserve_region(child.size, 3, 0)
+        grandchild = space.reserve_region(child.size, 3, 0, fork_of=child)
         assert space.share_region(child, grandchild, PageState.SHARED_COA) == 3
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
             assert view[va] == PageTableEntry(frame.frame_id, PageState.SHARED_COA, False)
             assert view[child.base + index * PAGE_SIZE].state is PageState.SHARED_COPA
-            assert len(frame.pages) == 3
+            assert frame.mapcount == 3
         space.verify_refcounts({1, 2, 3})
 
     def test_a_share_outside_one_fresh_reservation_is_internal(self, space):
@@ -362,6 +418,15 @@ class TestRows:
             past = Region(small.base, parent.size)
             space.share_region(parent, past, PageState.SHARED_COA)
         assert rows(space) == before
+
+    def test_a_share_into_another_family_is_internal(self, space):
+        parent, child, _ = shared_child(space)
+        stranger = space.reserve_region(parent.size, 3, 0)
+        before = rows(space)
+        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
+            space.share_region(parent, stranger, PageState.SHARED_COA)
+        assert rows(space) == before
+        space.verify_refcounts({1, 2, 3})
 
     def test_a_teardown_drops_the_rows_columns(self, space):
         parent, child, frames = shared_child(space)
@@ -381,7 +446,7 @@ class TestRows:
         system.frames.logs.append(log)
         last = child.region.end - PAGE_SIZE
         assert space.entry_at(last).shared
-        system.frames.get(space.entry_at(last).frame_id).pages.discard(last)
+        system.frames.get(space.entry_at(last).frame_id).mapcount = 0
 
         before = state_digest(system)
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
@@ -391,8 +456,11 @@ class TestRows:
 
     def test_the_full_pass_counts_every_mapped_page(self, space):
         parent, child, frames = shared_child(space)
-        frames[0].pages.add(child.end)
-        with pytest.raises(SimInternalError, match="frames list 7 pages, the page table maps 6"):
+        frames[0].mapcount += 1
+        with pytest.raises(
+            SimInternalError,
+            match=f"frame {frames[0].frame_id} counts 3 mappings, the page table maps it 2 times",
+        ):
             space.verify_refcounts({1, 2})
 
     def test_only_the_last_unused_reservation_is_taken_back(self, space):

@@ -25,6 +25,7 @@ from sasfork.capability import (
     Capability,
     rebase_for_child,
 )
+from sasfork.cli import main
 from sasfork.errors import (
     AddressSpaceExhausted,
     NoChildren,
@@ -38,7 +39,7 @@ from sasfork.system import System
 from sasfork.tagged_memory import ChangeLog, FrameTable
 from sasfork.workload import run
 from sasfork.workload.interpreter import _Interpreter
-from state_digest import state_digest
+from state_digest import pages_by_frame, state_digest
 from test_golden import GEN_SLICE, GOLDEN
 
 
@@ -380,10 +381,11 @@ class TestPromotionGuard:
         del before[page]
         assert after == before
         assert log.frames == {old, fresh} and log.regions == []
-        assert system.frames.get(old).pages == {
+        assert pages_by_frame(space)[old] == [
             parent.layout.heap.base + PAGE_SIZE,
             sibling.layout.heap.base + PAGE_SIZE,
-        }
+        ]
+        assert system.frames.get(old).mapcount == 2
         system.verify_invariants(full=True)
 
 
@@ -482,6 +484,42 @@ class TestReadsInPlace:
         entry = system.address_space.entry_at(page_va)
         assert page_va == child.layout.heap.base
         assert entry == PageTableEntry(copy, PageState.PRIVATE, True)
+
+
+def retained(action):
+    """The bytes still traced after ``action()`` and a collection, and what
+    it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = action()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before, result
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryPerPage:
+    """A page costs its row elements and its frame, whatever the number of
+    pages that map the frame."""
+
+    def test_each_of_four_forks_retains_what_the_first_retains_per_page(self):
+        system = make_system("copa")
+        parent = system.create_initial_process(LayoutSpec(heap_pages=4096))
+        pages = parent.region.page_count
+        per_page = [
+            retained(lambda: system.fork_engine.fork(parent.pid))[0] / pages for _ in range(4)
+        ]
+        # The fourth fork gives each frame its fifth mapper.
+        assert per_page[0] > 0 and max(per_page) <= 1.1 * per_page[0], per_page
+
+    def test_a_fresh_process_retains_under_450_bytes_per_page(self):
+        system = make_system("copa")
+        kept, proc = retained(
+            lambda: system.create_initial_process(LayoutSpec(heap_pages=4096))
+        )
+        assert kept / proc.region.page_count < 450
 
 
 class TestGotRelocation:
@@ -616,6 +654,43 @@ class TestNestedFork:
         assert grandchild.region.contains(loaded.cursor)
         value = system.access(grandchild.pid, loaded, AccessKind.READ_INT)
         assert value == 777
+
+
+#: Four ``nowait`` workers of a 4096-page parent: every frame they share
+#: has five mappers until the parent waits.
+FIVE_MAPPERS = (
+    "layout heap=4096\nalloc a 20480\nstore_int a+0 7\nstore_ref a+16 a+0\n"
+    + "".join(
+        "fork nowait {\n  load_ref a+16\n  deref\n  expect 7\n"
+        f"  store_int a+{page * PAGE_SIZE} {page}\n  exit 0\n}}\n"
+        for page in range(1, 5)
+    )
+    + "wait\n" * 4
+    + "load_int a+4096\nexpect 0\n"
+)
+
+
+class TestFiveMappers:
+    def test_the_checks_hold_and_every_strategy_agrees(self, tmp_path, capsys, monkeypatch):
+        script = tmp_path / "five.sas"
+        script.write_text(FIVE_MAPPERS)
+        real_after_step = _Interpreter._after_step
+        most = []
+
+        def after_step(interp):
+            real_after_step(interp)
+            most.append(max(f.mapcount for f in interp.system.frames.by_id.values()))
+
+        monkeypatch.setattr(_Interpreter, "_after_step", after_step)
+        for strategy in ("coa", "copa"):
+            most.clear()
+            args = ["run", str(script), "--strategy", strategy, "--debug", "--audit", "--no-trace"]
+            assert main(args) == 0
+            assert max(most) == 5 and most[-1] == 1
+        assert main(["compare", str(script)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(script), "--strategy", "unsafe-cow", "--debug", "--audit"]) == 0
+        assert "violation(s)" in capsys.readouterr().out
 
 
 class TestExitWait:
@@ -844,11 +919,11 @@ class TestBatchedPaths:
         grandchild = system.fork_engine.fork(child.pid)
         system.fork_engine.exit(child.pid, 0)
         system.fork_engine.reap(child)
-        indexed = {
-            va for frame in system.frames.live_frames.values() for va in frame.pages
-        }
+        space = system.address_space
+        indexed = [va for _, va in space.mappers(system.frames.by_id)]
         assert not any(child.region.contains(va) for va in indexed)
-        assert indexed == set(system.address_space.entries())
+        assert sorted(indexed) == list(space.entries())
+        assert sum(frame.mapcount for frame in system.frames.live_frames.values()) == len(indexed)
         system.verify_invariants(full=True)
         assert system.metrics.prs_bytes(child.pid) == 0
         assert system.metrics.prs_bytes(grandchild) > 0
@@ -882,11 +957,11 @@ def promote_one_frame(engine, frame):
     in-place relocation when the survivor's region is not the frame's
     origin.
     """
-    if len(frame.pages) != 1:
+    if frame.mapcount != 1:
         return
     system = engine._sys
-    (page_va,) = frame.pages
     space = system.address_space
+    (page_va,) = pages_by_frame(space)[frame.frame_id]
     if not space.entry_at(page_va).shared:
         return
     owner = next(p for p in system.processes.values() if p.region.contains(page_va))
@@ -982,34 +1057,29 @@ class TestBatchedPromotion:
         cursors = [cap.cursor for _, cap in frame.tagged_caps()]
         assert len(cursors) == 2 and all(child.region.contains(c) for c in cursors)
 
-    def test_a_frame_whose_last_two_pages_are_reaped_is_skipped(self, monkeypatch):
-        def scenario():
-            system = make_system("copa")
-            parent = system.create_initial_process()
-            child = system.process(system.fork_engine.fork(parent.pid))
-            stack = child.layout.stack
-            for va in stack.page_addresses():
-                # The child's write copies the page, so unmapping it
-                # frees the copy and leaves the parent's frame private.
-                cap = Capability(stack.base, stack.size, va, DATA_PERMS)
-                system.access(child.pid, cap, AccessKind.WRITE, b"\x03" * 8)
-                system.address_space.unmap(va)
-            # One frame, laid out for the parent, mapped shared at both
-            # of the child's stack pages and nowhere else: it enters the
-            # survivors at the first page and is freed at the second.
-            frame = system.frames.allocate(origin=parent.region)
-            system.frames.store_capability(frame, 0, heap_cap(parent))
-            for va in stack.page_addresses():
-                system.address_space.map(va, frame.frame_id, PageState.SHARED_COPA)
-            system.fork_engine.exit(child.pid, 0)
-            system.fork_engine.reap(child)
-            return system, parent, frame
-
-        (batched, parent, frame), (oracle, _, _) = self.both(monkeypatch, scenario)
-        assert promotion_state(batched) == promotion_state(oracle)
-        # Freed without a relocation scan.
-        assert not frame.pages and not batched.frames.exists(frame.frame_id)
-        assert frame.origin == parent.region
+    def test_a_frame_cannot_map_two_pages_of_one_region(self):
+        # Every page of a frame lies at one page index of one fork family's
+        # reservations, so no teardown meets a frame twice, and a frame it
+        # lists as a survivor still has its one mapping at promotion.
+        system = make_system("copa")
+        parent = system.create_initial_process()
+        child = system.process(system.fork_engine.fork(parent.pid))
+        stack = child.layout.stack
+        space = system.address_space
+        for va in stack.page_addresses():
+            # The child's write copies the page, so unmapping it frees the
+            # copy and leaves the parent's frame private.
+            cap = Capability(stack.base, stack.size, va, DATA_PERMS)
+            system.access(child.pid, cap, AccessKind.WRITE, b"\x03" * 8)
+            space.unmap(va)
+        frame = system.frames.allocate(origin=parent.region)
+        system.frames.store_capability(frame, 0, heap_cap(parent))
+        space.map(stack.base, frame.frame_id, PageState.SHARED_COPA)
+        before = state_digest(system)
+        with pytest.raises(SimInternalError, match="another index or in another fork family"):
+            space.map(stack.base + PAGE_SIZE, frame.frame_id, PageState.SHARED_COPA)
+        assert state_digest(system) == before
+        assert frame.mapcount == 1 and space.entry_at(stack.base + PAGE_SIZE) is None
 
 
 # -- laziness against the per-page share pass as the oracle ----------------------

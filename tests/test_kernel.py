@@ -972,7 +972,9 @@ class TestChangeLogEntryPoints:
         system, parent = audited_system("coa")
         space = system.address_space
         logs = self.both_logs_cleared(system)
-        child = space.reserve_region(parent.region.size, parent.pid + 1, 0)
+        child = space.reserve_region(
+            parent.region.size, parent.pid + 1, 0, fork_of=parent.region
+        )
         space.share_region(parent.region, child, PageState.SHARED_COA)
         self.assert_logged(logs, regions=[child])
 
@@ -1140,7 +1142,7 @@ def _remap_keeps_the_old_page(monkeypatch):
         frames = self._frames.by_id
         frame = frames[self.entry_at(page_va).frame_id]
         real(self, page_va, frame_id)
-        frame.pages.add(page_va)
+        frame.mapcount += 1
         frames[frame.frame_id] = frame
 
     monkeypatch.setattr(AddressSpace, "remap", remap)
@@ -1155,9 +1157,9 @@ def _share_region_drops_a_child_page(monkeypatch):
         page_va = next(
             va
             for va in range(child.base, child.end, PAGE_SIZE)
-            if va in entries and len(frames[entries[va].frame_id].pages) > 1
+            if va in entries and frames[entries[va].frame_id].mapcount > 1
         )
-        frames[entries[page_va].frame_id].pages.remove(page_va)
+        frames[entries[page_va].frame_id].mapcount -= 1
         return written
 
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
@@ -1170,7 +1172,7 @@ def _share_region_drops_its_last_frame_id(monkeypatch):
         written = real(self, parent, child, state)
         frames = self._row_at(child.base).frames
         index = max(i for i, frame_id in enumerate(frames) if frame_id is not None)
-        self._frames.by_id[frames[index]].pages.remove(child.base + index * PAGE_SIZE)
+        self._frames.by_id[frames[index]].mapcount -= 1
         return written
 
     monkeypatch.setattr(AddressSpace, "share_region", share_region)
@@ -1197,10 +1199,10 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
         ]
         survivors = real(self, region)
         # The first page whose frame outlives the teardown stays in its
-        # set; the released region maps nothing there.
-        for page_va, frame_id in owned:
+        # count; the released region maps nothing there.
+        for _, frame_id in owned:
             if frame_id in frames:
-                frames[frame_id].pages.add(page_va)
+                frames[frame_id].mapcount += 1
                 break
         return survivors
 

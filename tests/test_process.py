@@ -11,6 +11,7 @@ from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import PID_SLOTS, System
 from sasfork.tagged_memory import ChangeLog, FrameTable
 from sasfork.workload import run
+from state_digest import pages_by_frame
 
 
 @pytest.fixture
@@ -177,14 +178,16 @@ class TestCreation:
 def image_digest(*specs):
     """sha256 over every frame after boot and one creation per spec.
 
-    Each frame contributes its id, its page set, its origin, its
-    capabilities in granule order and its bytes, kernel frames included.
+    Each frame contributes its id, the sorted pages that map it, its
+    origin, its capabilities in granule order and its bytes, kernel frames
+    included.
     Permissions enter as their integer value, so the digest does not
     depend on how a Python version prints a flag.
     """
     sim = System()
     for spec in specs:
         sim.create_initial_process(spec)
+    pages = pages_by_frame(sim.address_space)
     digest = hashlib.sha256()
     for frame_id, frame in sorted(sim.frames.by_id.items()):
         origin = None if frame.origin is None else (frame.origin.base, frame.origin.size)
@@ -192,7 +195,7 @@ def image_digest(*specs):
             (g, c.base, c.length, c.cursor, c.perms.value, c.otype, c.tag)
             for g, c in frame.caps.items()
         )
-        digest.update(repr((frame_id, sorted(frame.pages), origin, caps)).encode())
+        digest.update(repr((frame_id, pages[frame_id], origin, caps)).encode())
         digest.update(bytes(frame.data))
     return digest.hexdigest()
 
@@ -235,7 +238,7 @@ def mapped_state(space):
     frames = space._frames
     return (
         space.entries(),
-        {fid: (set(f.pages), f.origin) for fid, f in frames.by_id.items()},
+        {fid: (f.mapcount, f.index, f.origin) for fid, f in frames.by_id.items()},
         [(set(log.frames), list(log.regions)) for log in frames.logs],
     )
 

@@ -18,7 +18,7 @@ from sasfork.capability import (
 )
 from sasfork import tagged_memory
 from sasfork.address_space import AddressSpace, PageState
-from sasfork.errors import OutOfFrame
+from sasfork.errors import OutOfFrame, SimInternalError
 from sasfork.process import LayoutSpec
 from sasfork.system import System
 from sasfork.tagged_memory import CHUNK, ChangeLog, FrameTable
@@ -304,14 +304,21 @@ class TestOnePassScan:
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
         space = AddressSpace(table)
-        assert space.reserve_region(0x2000, 1, 0).base == 0x1000
+        parent = space.reserve_region(0x2000, 1, 0)
+        assert parent.base == 0x1000
+        child = space.reserve_region(0x2000, 2, 0, fork_of=parent)
+        assert child.base == 0x3000
         frame = table.allocate()
-        for page_va in (0x1000, 0x2000):
-            space.map(page_va, frame.frame_id, PageState.SHARED_COPA)
+        space.map(0x1000, frame.frame_id, PageState.SHARED_COPA)
+        # A frame's pages lie at one page index: not at two of one region.
+        with pytest.raises(SimInternalError, match="0x2000 cannot map frame"):
+            space.map(0x2000, frame.frame_id, PageState.SHARED_COPA)
+        assert space.entry_at(0x2000) is None and table.refcount(frame.frame_id) == 1
+        space.map(0x3000, frame.frame_id, PageState.SHARED_COPA)
         assert table.refcount(frame.frame_id) == 2
-        assert space.unmap(0x1000) == 1 and frame.pages == {0x2000}
+        assert space.unmap(0x1000) == 1 and space.mappers([frame.frame_id]) == [(2, 0x3000)]
         assert table.exists(frame.frame_id)
-        assert space.unmap(0x2000) == 0 and not frame.pages
+        assert space.unmap(0x3000) == 0 and frame.mapcount == 0
         assert not table.exists(frame.frame_id)
         assert table.refcount(frame.frame_id) == 0
 
