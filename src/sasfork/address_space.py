@@ -20,36 +20,37 @@ SharedCoPA yes        no        no               child side of copy-on-
 
 The capability-load column is derived from the state
 (``PageState.cap_load``), and so is the writable column: a page is
-writable exactly when it is ``Private`` and lies past its reservation's
-leading read-only (code) pages, which :meth:`AddressSpace.reserve_region`
-fixes once.  A frame's refcount is its ``mapcount``.  This module is the
+writable exactly when it is ``Private`` and lies past its row's
+leading read-only (code) pages, which the pass that builds the row fixes
+once.  A frame's refcount is its ``mapcount``.  This module is the
 one writer of mapcounts: mapping and unmapping keep them in step with the
 page table, and log each change into the frame table's change logs (see
 :mod:`sasfork.tagged_memory`).
 
-Every reservation belongs to one *fork family*: a fork's reservation
-joins its parent's, and any other reservation (boot, process creation)
-starts its own.  Every page that maps a frame lies at one page index, in
-rows of one family: fork puts a child page at its parent's offset, and a
-copy keeps its page.  So a frame records no list of its pages.  Its first
-mapping fixes its ``index`` and ``family``, :meth:`AddressSpace.map`
-refuses a later one at another index or in another family, and the
-frame's mappers are the rows of its family whose element at ``index``
-is the frame (:meth:`AddressSpace.mappers`).
+Every row belongs to one *fork family*: a fork's row joins its parent's,
+and any other row (boot, process creation) starts its own.  Every page
+that maps a frame lies at one page index, in rows of one family: fork
+puts a child page at its parent's offset, and a copy keeps its page.  So
+a frame records no list of its pages.  Its first mapping fixes its
+``index`` and ``family``, :meth:`AddressSpace.map` refuses a later one
+at another index or in another family, and the frame's mappers are the
+rows of its family whose element at ``index`` is the frame
+(:meth:`AddressSpace.mappers`).
 
-The page table is one *row* per live reservation with two columns, a
-list each with one element per page, built whole when the region is
-reserved: ``frames``, the frame id that backs the page or ``None`` where
-nothing maps it, and ``states``, the page's :class:`PageState` (``None``
-where unmapped).  Rows are private to this module: other modules read
+The page table is one *row* per backed reservation with two columns, a
+list each with one element per page: ``frames``, the frame id that backs
+the page or ``None`` where nothing maps it, and ``states``, the page's
+:class:`PageState` (``None`` where unmapped).  A reservation only claims
+addresses; a row is built whole, every page mapped, by the pass that
+backs its region.  Rows are private to this module: other modules read
 plain values (frame ids, states, owner pids) or the
-:class:`PageTableEntry` view, and never a row.  A fork's share pass copies
-the parent's frame ids into the child's row wherever the row maps
-nothing, writes the strategy's shared state beside them, makes the
-parent's private states there copy-on-write and counts each child page in
-its frame's ``mapcount``, so the count stays the refcount.  The pages the
-child's row maps already are the fork's eager copies: the row itself
-says which pages were copied, and they keep their frames.  A lazy copy
+:class:`PageTableEntry` view, and never a row.  A fork's share pass
+builds the child's row: the fork's eager copies, which no page maps yet,
+go private at their pages, so the row itself says which pages were
+copied; every other page takes the parent's frame id beside the
+strategy's shared state, makes the parent's private state there
+copy-on-write and counts in its frame's ``mapcount``, so the count stays
+the refcount.  A lazy copy
 writes the copy's frame id and ``Private`` (:meth:`AddressSpace.remap`),
 and the promotion pass (:meth:`AddressSpace.promote`) makes a sole
 survivor ``Private`` again in place, once the fork engine's callback has
@@ -78,20 +79,21 @@ the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
 
 Three passes change a whole region at once: at boot and at process
-creation :meth:`~AddressSpace.map_fresh_region` backs each page with a new
-frame; at fork :meth:`~AddressSpace.share_region` builds the child's row;
-at reap, and to roll back a fork that raises,
+creation :meth:`~AddressSpace.map_fresh_region` builds the row of a fresh
+region, each page backed by a new frame; at fork
+:meth:`~AddressSpace.share_region` builds the child's row; at reap
 :meth:`~AddressSpace.unmap_owned` walks the row once and then removes
-it, so the region's addresses lie in no reservation.  The last two put
-back what they changed before they raise.
+it, so the region's addresses lie in no row.  The first two back only
+the last reservation, which no row backs yet, and the last two put back
+what they changed before they raise.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
 the fragmentation trade-off of contiguous per-process regions; only a
 fork that fails moves the bump base back over the reservation it made,
-once its row is gone.  A row lives from its reservation to the teardown
-of its whole region, so the rows are those of the kernel and the live
-pids.  A page's owner is the pid of the reservation it lies in
+which no row backs.  A row lives from the pass that backs its region to
+the teardown of the whole region, so the rows are those of the kernel
+and the live pids.  A page's owner is the pid of the row it lies in
 (:meth:`~AddressSpace.owner_of`), and the owner fact the debug checks
 rest on is a fact about rows: each belongs to a pid that may own pages.
 """
@@ -147,9 +149,11 @@ class PageTableEntry(NamedTuple):
 class _Row:
     """One reservation's page table, from ``base`` to ``end``, owned by
     ``pid``, read-only below ``ro_end``: a frame id and a state per page
-    in ``frames`` and ``states``, each ``None`` where nothing maps the
-    page.  ``family`` lists the live rows of its fork family, this one
-    among them; every row of a family has as many pages."""
+    in ``frames`` and ``states``.  It is built whole, every page mapped,
+    by the pass that backs the region; an element is ``None`` only where
+    a page was unmapped since.  ``family`` lists the live rows of its
+    fork family, this one among them; every row of a family has as many
+    pages."""
 
     base: int
     end: int
@@ -265,21 +269,17 @@ class AddressSpace:
     def __init__(self, frames: FrameTable):
         self._frames = frames
         self._next_base = PAGE_SIZE  # address 0 is never reserved
-        self._bases: list[int] = []  # each reservation's base, in address order,
-        self._rows: list[_Row] = []  # and its row
-        self._pid_rows: dict[int, _Row] = {}  # the row of each pid's last live reservation
+        self._bases: list[int] = []  # each row's base, in address order,
+        self._rows: list[_Row] = []  # and the row
+        self._pid_rows: dict[int, _Row] = {}  # each pid's last live row
 
     # -- regions ---------------------------------------------------------
 
-    def reserve_region(
-        self, size: int, pid: int, ro_pages: int, *, fork_of: Region | None = None
-    ) -> Region:
-        """Bump-allocate a fresh region owned by ``pid``, whose first
-        ``ro_pages`` pages are read-only; reservations are never reused.
+    def reserve_region(self, size: int) -> Region:
+        """Bump-allocate a fresh region; reservations are never reused.
 
-        The reservation joins the fork family of the one that holds
-        ``fork_of``, which must be as large; without it, it starts a family
-        of its own.
+        It only claims the addresses: the pass that backs the region
+        (:meth:`map_fresh_region` or :meth:`share_region`) builds its row.
         """
         if size <= 0 or size % PAGE_SIZE:
             raise ValueError(f"region size must be positive and page-aligned: {size}")
@@ -288,41 +288,38 @@ class AddressSpace:
             raise AddressSpaceExhausted(
                 f"cannot reserve {size:#x} bytes, {VIRTUAL_SPACE_LIMIT - base:#x} left"
             )
-        family = []
-        if fork_of is not None:
-            parent = self._row_at(fork_of.base)
-            if (parent.base, parent.end) != (fork_of.base, fork_of.base + size):
-                raise SimInternalError(f"{fork_of} is not a reservation of {size:#x} bytes")
-            family = parent.family
-        unmapped = [None] * (size // PAGE_SIZE)
-        row = _Row(
-            base, base + size, pid, base + ro_pages * PAGE_SIZE, unmapped, unmapped.copy(), family
-        )
-        family.append(row)
-        self._bases.append(base)
-        self._rows.append(row)
-        self._pid_rows[pid] = row
         self._next_base = base + size
         return Region(base, size)
 
+    def _check_unbacked(self, region: Region) -> None:
+        """Raise unless ``region`` is the last reservation and no row backs it."""
+        if self._next_base != region.end:
+            raise SimInternalError(f"{region} is not the last reservation")
+        if self._rows and self._rows[-1].end > region.base:
+            raise SimInternalError(f"{region} still has a row")
+
+    def _add_row(self, row: _Row) -> None:
+        """Make ``row``, built whole, the row of its reservation and of its pid."""
+        row.family.append(row)
+        self._bases.append(row.base)
+        self._rows.append(row)
+        self._pid_rows[row.pid] = row
+
     def _row_at(self, addr: int) -> _Row:
-        """The row of the live reservation holding ``addr``, or ``_UNRESERVED``."""
+        """The row holding ``addr``, or ``_UNRESERVED``."""
         index = bisect_right(self._bases, addr) - 1
         row = self._rows[index] if index >= 0 else _UNRESERVED
         return row if addr < row.end else _UNRESERVED
 
     def owner_of(self, addr: int) -> int | None:
-        """The pid whose reservation holds ``addr``, or None if none does."""
+        """The pid whose row holds ``addr``, or None if none does."""
         return self._row_at(addr).pid
 
     def unreserve(self, region: Region) -> None:
-        """Move the bump base back to ``region.base``: for a fork that fails,
-        once :meth:`unmap_owned` has dropped the row of ``region``, the last
+        """Move the bump base back to ``region.base``: for a fork that fails
+        before its share pass has built a row for ``region``, the last
         reservation."""
-        if self._next_base != region.end:
-            raise SimInternalError(f"{region} is not the last reservation")
-        if self._rows and self._rows[-1].end > region.base:
-            raise SimInternalError(f"{region} still has a row")
+        self._check_unbacked(region)
         self._next_base = region.base
 
     def _lookup(self, page_va: int, row: _Row | None = None) -> tuple[_Row, int, int | None]:
@@ -394,27 +391,27 @@ class AddressSpace:
             )
         frame.mapcount += 1
 
-    def map_fresh_region(self, region: Region) -> None:
-        """Back every page of ``region`` with a new frame, in one pass.
+    def map_fresh_region(self, region: Region, pid: int, ro_pages: int) -> None:
+        """Build the row of ``region``, owned by ``pid`` and read-only in its
+        first ``ro_pages`` pages, backing every page with a new frame in one
+        pass.
 
-        Each page is mapped private, as :meth:`map` would map it, to a
-        frame allocated in page order with ``region`` as its origin.
-        :meth:`FrameTable.allocate` logs each frame.  Raises
-        :class:`DoubleMap` before anything changes if a page of the
-        region is already mapped.
+        ``region`` is the last reservation, and no row backs it yet; the
+        row starts a fork family of its own.  Each page is mapped private,
+        as :meth:`map` would map it, to a frame allocated in page order
+        with ``region`` as its origin.  :meth:`FrameTable.allocate` logs
+        each frame.
         """
-        row, first, count = self._locate(region)
-        frames, states = row.frames, row.states
-        for index in range(first, first + count):
-            if frames[index] is not None:
-                raise DoubleMap(f"page {row.base + index * PAGE_SIZE:#x} is already mapped")
-        allocate, family, fresh = self._frames.allocate, row.family, []
-        for index in range(first, first + count):
+        self._check_unbacked(region)
+        base, count, family = region.base, region.page_count, []
+        # Sized once: a column grown by appends keeps up to an eighth more slots.
+        fresh, allocate = [None] * count, self._frames.allocate
+        for index in range(count):
             frame = allocate(region)
             frame.mapcount, frame.index, frame.family = 1, index, family
-            fresh.append(frame.frame_id)
-        frames[first : first + count] = fresh
-        states[first : first + count] = [_PRIVATE] * count
+            fresh[index] = frame.frame_id
+        ro_end = base + ro_pages * PAGE_SIZE
+        self._add_row(_Row(base, region.end, pid, ro_end, fresh, [_PRIVATE] * count, family))
 
     def _mapped(self, page_va: int) -> tuple[_Row, int, TaggedFrame]:
         """The row of mapped page ``page_va``, its index and its frame.
@@ -468,69 +465,74 @@ class AddressSpace:
         for log in self._frames.logs:
             log.frames.add(frame_id)
 
-    def share_region(self, parent: Region, child: Region, state: PageState) -> int:
-        """Share each parent page read-only in ``state`` at the same child
-        offset, where the child's row maps nothing, and make a private
-        parent page it shares copy-on-write.  Returns the page-table
-        entries this stands for: the child pages shared and the parent
-        pages made copy-on-write.
+    def share_region(
+        self,
+        parent: Region,
+        child: Region,
+        pid: int,
+        state: PageState | None,
+        copies: dict[int, int],
+    ) -> int:
+        """Build the row of ``child``, a fork of ``parent`` owned by ``pid``,
+        in one pass.  Returns the page-table entries this stands for: the
+        child pages shared and the parent pages made copy-on-write.
 
-        ``child`` is a whole reservation of ``parent``'s fork family that
-        shares nothing yet.  The pages its row maps already (a fork's eager
-        copies) keep their frames and states, and so do the parent pages at
-        their offsets.  The other child pages get the parent's frame ids,
-        each counted in its frame's ``mapcount``, as :meth:`map` would
-        count it.  A raise first takes back the counts added, so it changes
-        no mapping, count or log.
+        ``parent`` is a whole reservation; ``child``, as large, is the last
+        reservation, and no row backs it yet.  ``copies`` maps the address
+        of each child page the fork copied eagerly to its copy, a frame that
+        no page maps yet: the page maps it private, and the parent page at
+        its offset keeps its state.  Every other child page shares the
+        parent's frame at its offset in ``state``, counted in the frame's
+        ``mapcount``, as :meth:`map` would count it, and a private parent
+        page there becomes copy-on-write; ``state`` may be None only when
+        every page is a copy.  The row joins the parent's fork family, and
+        its read-only pages are the parent's.  A raise changes no mapping,
+        count or log.
         """
-        row = self._row_at(child.base)
-        parent_row, first, count = self._locate(parent)
-        if (
-            (row.base, row.end) != (child.base, child.end)
-            or child.size != parent.size
-            or row.family is not parent_row.family
-            or not {_PRIVATE, None}.issuperset(row.states)
-        ):
-            raise SimInternalError(f"{child} is not a reservation that shares nothing")
-        parent_states = parent_row.states
-        inherited = parent_row.frames[first : first + count]
-        own_frames, own_states = row.frames, row.states
-        built, states, kept = own_frames.copy(), [state] * count, []
-        frames = self._frames.by_id
+        self._check_unbacked(child)
+        parent_row = self._row_at(parent.base)
+        if (parent_row.base, parent_row.end, child.size) != (parent.base, parent.end, parent.size):
+            raise SimInternalError(f"{child} is not a reservation the size of {parent}")
+        frames, family = self._frames.by_id, parent_row.family
+        saved, count = parent_row.states, len(parent_row.states)
+        built, states = parent_row.frames.copy(), [state] * count
+        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
+        placed = []
+        for page_va, frame_id in copies.items():
+            index = (page_va - child.base) // PAGE_SIZE
+            frame = frames.get(frame_id)
+            if frame is None or frame.mapcount:
+                raise SimInternalError(f"page {page_va:#x} cannot take copy {frame_id}")
+            built[index], states[index], shared[index] = frame_id, _PRIVATE, saved[index]
+            placed.append((frame, index))
         try:
-            for index, frame_id in enumerate(inherited):
-                if built[index] is not None:
-                    kept.append(index)
-                    continue
+            for index, frame_id in enumerate(built):
                 if frame_id is None:
                     raise SimInternalError(
                         f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
                     )
                 frames[frame_id].mapcount += 1
-                built[index] = frame_id
         except (SimInternalError, KeyError) as err:
-            # Every page before the failing one that the row did not map was counted.
-            for own, frame_id in zip(own_frames[:index], built):
-                if own is None:
-                    frames[frame_id].mapcount -= 1
+            # Every page before the failing one was counted.
+            for frame_id in built[:index]:
+                frames[frame_id].mapcount -= 1
             if isinstance(err, KeyError):
                 raise SimInternalError(f"frame {err.args[0]} does not exist") from None
             raise
-        saved = parent_states[first : first + count]
-        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
-        for index in kept:
-            shared[index], states[index] = saved[index], own_states[index]
-        parent_states[first : first + count] = shared
-        row.frames, row.states = built, states
+        for frame, index in placed:
+            frame.index, frame.family = index, family
+        written = count - len(placed) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
+        saved[:] = shared
+        ro_end = child.base + (parent_row.ro_end - parent_row.base)
+        self._add_row(_Row(child.base, child.end, pid, ro_end, built, states, family))
         for log in self._frames.logs:
             log.regions.append(child)
-        return count - len(kept) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
+        return written
 
     def unmap_owned(self, region: Region) -> list[TaggedFrame]:
         """Unmap every page of ``region`` in one walk of its row, in page
         order, all or nothing, then drop the row, so its addresses lie in
-        no reservation (or clear the pages of a region that is part of
-        one).
+        no row (or clear the pages of a region that is part of one).
 
         Returns, in page order, the frames left with one mapping.  A page
         whose frame does not exist or counts no mapping raises

@@ -17,25 +17,24 @@ observes:
 
 Under every lazy strategy the GOT and allocator-metadata pages are
 copied and relocated eagerly at fork, so symbol and heap bookkeeping is
-coherent in the child before it runs.  Eager copies walk the layout's
-sub-regions in page order and map their pages into the child's row, so
-the row is the one record of which pages fork copied; every other page
-is shared by one pass of :meth:`AddressSpace.share_region`, which copies
-the parent's frame ids into the child's row, where it maps nothing,
-beside the strategy's shared state and makes the parent's private pages
-there copy-on-write (see :mod:`sasfork.address_space`); ``full`` copies
-every page and shares none.  Copies are mapped private, and the page
-table derives which of them are writable: the code pages are not.  Fork
-is all or nothing: if an eager copy or the share pass raises, one
-:meth:`AddressSpace.unmap_owned` pass unmaps the copies and removes the
-child's row, and fork drops their events and moves the bump base back;
-the pid is taken only when the child is added, so a raise leaves it
-free.  A copy whose relocation scan or install raises is freed before
-the raise goes on.  Reap tears a region's row down in one pass of
-:meth:`AddressSpace.unmap_owned`, which removes the row, and hands the
-frames it leaves with a single mapping to the one promotion pass,
-:meth:`ForkEngine._promote`, which a lazy copy also calls with the frame
-it copied from.
+coherent in the child before it runs; ``full`` copies every page.  Eager
+copies walk the pages to copy in page order and are collected, mapped by
+no page yet.  Then one pass of :meth:`AddressSpace.share_region`, under
+every strategy, builds the child's row whole: each copy private at its
+page, so the row is the one record of which pages fork copied, and the
+parent's frame id beside the strategy's shared state everywhere else,
+making the parent's private pages there copy-on-write (see
+:mod:`sasfork.address_space`); under ``full`` no page is shared.  The
+page table derives which copies are writable: the code pages are not.
+Fork is all or nothing: if an eager copy or the share pass raises, no
+row backs the child's region, so fork frees the copies, drops their
+events and moves the bump base back; the pid is taken only when the
+child is added, so a raise leaves it free.  A copy whose relocation scan
+or install raises is freed before the raise goes on.  Reap tears a
+region's row down in one pass of :meth:`AddressSpace.unmap_owned`, which
+removes the row, and hands the frames it leaves with a single mapping to
+the one promotion pass, :meth:`ForkEngine._promote`, which a lazy copy
+also calls with the frame it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame, copy bytes
 and capabilities, then scan the copy's tagged granules once and rebase
@@ -58,7 +57,7 @@ back into the fork engine with the pid whose reservation holds it to
 relocate the frame, and then sets the page's state to ``Private`` in
 place and logs the frame.  A frame keeps no list of its pages: it finds
 its survivor among the rows of the frame's fork family, which a fork's
-reservation joins (``reserve_region(..., fork_of=)``).
+row joins when its share pass builds it.
 
 :attr:`ForkEngine.events` is the one record of page copies: each
 :class:`CopyEvent`, a named tuple, carries its cause and what its
@@ -119,7 +118,8 @@ class CopyCause(enum.Enum):
 
 _FAULT_TO_CAUSE = {cause.fault: cause for cause in CopyCause if not cause.eager}
 
-#: Child-side page state installed per strategy when a page is shared.
+#: Child-side page state installed per strategy when a page is shared;
+#: ``full`` shares no page.
 _CHILD_SHARED_STATE = {
     ForkStrategy.COA: PageState.SHARED_COA,
     ForkStrategy.COPA: PageState.SHARED_COPA,
@@ -168,20 +168,19 @@ class ForkEngine:
 
         Reserves an equal-sized child region, eagerly copies and
         relocates the GOT and allocator-metadata pages (every page under
-        ``FULL_COPY``), shares the rest in one page-table pass,
-        duplicates the descriptor table, and rebases every tagged
-        capability in the parent's register state (including the PCC)
-        into the child's region.  Fails with ``EAGAIN``, before anything
-        is reserved, while the kernel PID table is full.  The child's pid
-        is taken only when the child is added, at the end, so a refused
-        reservation leaves it free.  If an eager copy or the share pass
-        raises, fork first unmaps the copies it made in one teardown pass
-        of the child's row (freeing their frames), which removes the row,
-        drops their copy events and moves the bump base back, so the raise
-        leaves the page table, the frames, the events, the next
-        reservation base and the next pid as they were.  Frame ids are
-        still never reused.  Its eager page count is the number of copy
-        events it appended.
+        ``FULL_COPY``), builds the child's row from the copies and the
+        parent's shared pages in one page-table pass, duplicates the
+        descriptor table, and rebases every tagged capability in the
+        parent's register state (including the PCC) into the child's
+        region.  Fails with ``EAGAIN``, before anything is reserved, while
+        the kernel PID table is full.  The child's pid is taken only when
+        the child is added, at the end, so a refused reservation leaves it
+        free.  If an eager copy or the share pass raises, no page maps the
+        copies made so far: fork frees them, drops their copy events and
+        moves the bump base back, so the raise leaves the page table, the
+        frames, the events, the next reservation base and the next pid as
+        they were.  Frame ids are still never reused.  Its eager page
+        count is the number of copies it made.
         """
         sys = self._sys
         parent = sys.process(parent_pid)
@@ -199,13 +198,9 @@ class ForkEngine:
             ]
         # The pid is taken only when the child is added, below.
         child_pid = sys.allocate_pid()
-        child_region = space.reserve_region(
-            parent.region.size,
-            child_pid,
-            parent.layout.code_ro.page_count,
-            fork_of=parent.region,
-        )
+        child_region = space.reserve_region(parent.region.size)
         events = len(self.events)
+        copies: dict[int, int] = {}
         try:
             for sub, cause in eager:
                 for parent_va in sub.page_addresses():
@@ -218,16 +213,17 @@ class ForkEngine:
                         entry.frame_id,
                         child_region,
                         cause=cause,
-                        install=space.map,
+                        install=copies.__setitem__,
                     )
-            eager_pages = ptes_written = len(self.events) - events
-            if strategy is not ForkStrategy.FULL_COPY:
-                ptes_written += space.share_region(
-                    parent.region, child_region, _CHILD_SHARED_STATE[strategy]
-                )
+            eager_pages = len(copies)
+            state = _CHILD_SHARED_STATE.get(strategy)
+            ptes_written = eager_pages + space.share_region(
+                parent.region, child_region, child_pid, state, copies
+            )
         except BaseException:
-            # The child's row maps exactly the copies made so far.
-            space.unmap_owned(child_region)
+            # No row backs the child's region, so no page maps the copies.
+            for frame_id in copies.values():
+                sys.frames.free_unmapped(sys.frames.get(frame_id))
             space.unreserve(child_region)
             del self.events[events:]
             raise
@@ -319,11 +315,11 @@ class ForkEngine:
 
         The scan runs only when the destination region differs from the
         frame's origin (a forked child); a copy for the origin region
-        itself needs no relocation.  ``install`` maps ``page_va`` privately
-        to the copy: :meth:`AddressSpace.map` for an eager copy into the
-        child, :meth:`AddressSpace.remap` for a lazy one.  If the scan or
-        the install raises, the copy is freed first, so the raise leaves
-        the frame table as it was.
+        itself needs no relocation.  ``install(page_va, frame_id)`` places
+        the copy: fork collects an eager one for its share pass, and a lazy
+        one is remapped privately (:meth:`AddressSpace.remap`).  If the
+        scan or the install raises, the copy is freed first, so the raise
+        leaves the frame table as it was.
         """
         sys = self._sys
         fresh = sys.frames.clone(src_frame_id)

@@ -105,11 +105,9 @@ class System:
         Its four pages are private to the kernel, and only the code page
         is read-only.
         """
-        self.kernel_region = self.address_space.reserve_region(
-            _KERNEL_PAGES * PAGE_SIZE, KERNEL_PID, 1
-        )
+        self.kernel_region = self.address_space.reserve_region(_KERNEL_PAGES * PAGE_SIZE)
         base = self.kernel_region.base
-        self.address_space.map_fresh_region(self.kernel_region)
+        self.address_space.map_fresh_region(self.kernel_region, KERNEL_PID, 1)
         self.kernel_code_cap = Capability(
             base=base,
             length=PAGE_SIZE,
@@ -170,8 +168,8 @@ class System:
     def create_initial_process(self, spec: LayoutSpec | None = None) -> MicroProcess:
         """Reserve, map and initialize a fresh top-level process.
 
-        The reservation's code pages are read-only, and one
-        :meth:`~sasfork.address_space.AddressSpace.map_fresh_region` pass
+        One :meth:`~sasfork.address_space.AddressSpace.map_fresh_region`
+        pass builds the reservation's row, read-only in its code pages, and
         backs every layout page with a new private frame; the code pages
         get their pattern (:meth:`_fill_code`).  Each sub-region of
         :data:`_SUBREGION_PERMS` gets one capability, with its cursor at
@@ -183,9 +181,9 @@ class System:
         """
         spec = spec or LayoutSpec()
         pid = self.allocate_pid()
-        region = self.address_space.reserve_region(spec.total_bytes, pid, spec.code_pages)
+        region = self.address_space.reserve_region(spec.total_bytes)
         layout = spec.carve(region)
-        self.address_space.map_fresh_region(region)
+        self.address_space.map_fresh_region(region, pid, spec.code_pages)
         self._fill_code(layout)
         subs = layout.subregions()
         caps = {

@@ -54,7 +54,9 @@ or a relocation scan), when a page starts or stops mapping it
 (``AddressSpace.map``, ``unmap``, ``unmap_owned``, and ``remap``, which
 logs the old frame and the new one), or when the promotion pass makes
 its sole page private.  A region is logged when a pass maps it wholesale:
-the child region at fork, whose row ``AddressSpace.share_region`` builds.
+the child region of every fork, under every strategy, whose row
+``AddressSpace.share_region`` builds; a fork's eager copies are logged
+when they are allocated.
 A teardown logs the frames it drops and needs no region: it removes the
 region's row, so the region lies in no reservation.  Each check clears
 only its own log, so neither drains the other's, and a run with neither

@@ -1,5 +1,7 @@
 """Page table, region reservation, and the fault pipeline ordering."""
 
+import tracemalloc
+
 import pytest
 
 from sasfork.address_space import (
@@ -32,11 +34,16 @@ def space():
     return AddressSpace(FrameTable())
 
 
-def mapped_page(space, *, state=PageState.PRIVATE, pid=1):
-    region = space.reserve_region(PAGE_SIZE, pid, 0)
-    frame = space._frames.allocate(origin=region)
-    space.map(region.base, frame.frame_id, state)
-    return region, frame
+def mapped_page(space, *, state=PageState.PRIVATE, pid=1, ro_pages=0):
+    region = space.reserve_region(PAGE_SIZE)
+    space.map_fresh_region(region, pid, ro_pages)
+    space._rows[-1].states[0] = state
+    return region, space._frames.get(space.entry_at(region.base).frame_id)
+
+
+def frames_of(space, region):
+    """The frame that each page of ``region`` maps, in page order."""
+    return [space._frames.get(space.entry_at(va).frame_id) for va in region.page_addresses()]
 
 
 def data_cap(region, offset=0, length=None, perms=DATA_PERMS):
@@ -48,25 +55,39 @@ def data_cap(region, offset=0, length=None, perms=DATA_PERMS):
 
 class TestRegions:
     def test_successive_reservations_are_disjoint(self, space):
-        a = space.reserve_region(0x0400_0000, 1, 0)
-        b = space.reserve_region(0x0400_0000, 2, 0)
+        a = space.reserve_region(0x0400_0000)
+        b = space.reserve_region(0x0400_0000)
         assert a.end <= b.base or b.end <= a.base
 
     def test_no_reuse_after_any_activity(self, space):
-        a = space.reserve_region(PAGE_SIZE, 1, 0)
-        b = space.reserve_region(PAGE_SIZE, 2, 0)
+        a = space.reserve_region(PAGE_SIZE)
+        b = space.reserve_region(PAGE_SIZE)
         assert b.base >= a.end  # bump-only, never compacted
 
     def test_zero_size_is_an_error(self, space):
         with pytest.raises(ValueError):
-            space.reserve_region(0, 1, 0)
+            space.reserve_region(0)
 
     def test_exhaustion(self, space):
         # Reservations are Region values only, so no memory backs them.
-        last = space.reserve_region(VIRTUAL_SPACE_LIMIT - PAGE_SIZE, 1, 0)
+        last = space.reserve_region(VIRTUAL_SPACE_LIMIT - PAGE_SIZE)
         assert last.end == VIRTUAL_SPACE_LIMIT
         with pytest.raises(AddressSpaceExhausted):
-            space.reserve_region(PAGE_SIZE, 2, 0)
+            space.reserve_region(PAGE_SIZE)
+
+    @pytest.mark.parametrize("booted", [False, True], ids=["bare", "booted"])
+    def test_reserving_the_whole_space_allocates_nothing_per_page(self, booted):
+        space = System().address_space if booted else AddressSpace(FrameTable())
+        # All that is left: VIRTUAL_SPACE_LIMIT - PAGE_SIZE on a bare space.
+        size = VIRTUAL_SPACE_LIMIT - space._next_base
+        tracemalloc.start()
+        try:
+            last = space.reserve_region(size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert last.end == VIRTUAL_SPACE_LIMIT
+        assert peak < 10 * 2**20
 
 
 class TestOwners:
@@ -103,8 +124,8 @@ class TestMappings:
 
     def test_aliasing_one_frame_counts_two(self, space):
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=region)
-        space.map(other.base, frame.frame_id, PageState.SHARED_COPA)
+        other = space.reserve_region(PAGE_SIZE)
+        space.share_region(region, other, 2, PageState.SHARED_COPA, {})
         assert space._frames.refcount(frame.frame_id) == 2
         assert space.mappers([frame.frame_id]) == [(1, region.base), (2, other.base)]
         space.verify_refcounts({1, 2})
@@ -113,15 +134,18 @@ class TestMappings:
 
     @pytest.mark.parametrize("place", ["another index", "another family"])
     def test_map_refuses_a_frame_elsewhere_and_changes_nothing(self, space, place):
-        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
-        frame = space._frames.allocate(origin=region)
-        space.map(region.base, frame.frame_id)
+        region = space.reserve_region(2 * PAGE_SIZE)
+        space.map_fresh_region(region, 1, 0)
+        frame = frames_of(space, region)[0]
+        other = space.reserve_region(region.size)
         if place == "another index":
-            other = space.reserve_region(region.size, 2, 0, fork_of=region)
+            space.share_region(region, other, 2, PageState.SHARED_COPA, {})
             page_va = other.base + PAGE_SIZE
         else:
-            other = space.reserve_region(region.size, 2, 0)
+            space.map_fresh_region(other, 2, 0)
             page_va = other.base
+        for va in other.page_addresses():
+            space.unmap(va)
         log = ChangeLog()
         space._frames.logs.append(log)
         before = space.entries()
@@ -141,14 +165,6 @@ class TestMappings:
         assert space.entries() == before
         assert frame.mapcount == stray.mapcount == 1
         space.verify_refcounts({1, 2})
-
-    def test_a_fork_family_takes_reservations_of_its_size_only(self, space):
-        parent = space.reserve_region(2 * PAGE_SIZE, 1, 0)
-        with pytest.raises(SimInternalError, match="is not a reservation of 0x1000 bytes"):
-            space.reserve_region(PAGE_SIZE, 2, 0, fork_of=parent)
-        with pytest.raises(SimInternalError, match="is not a reservation"):
-            space.reserve_region(PAGE_SIZE, 2, 0, fork_of=Region(parent.end, PAGE_SIZE))
-        assert space.owner_of(parent.end) is None
 
     def test_double_map_and_unmapped_unmap(self, space):
         region, frame = mapped_page(space)
@@ -188,8 +204,9 @@ class TestMappings:
         """With the frame's ``corrupt`` attribute set to ``wrong``, unmapping
         one of its two pages raises and changes nothing."""
         region, frame = mapped_page(space)
-        other = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=region).base
-        space.map(other, frame.frame_id, PageState.SHARED_COPA)
+        other = space.reserve_region(PAGE_SIZE)
+        space.share_region(region, other, 2, PageState.SHARED_COPA, {})
+        other = other.base
         setattr(frame, corrupt, wrong)
         entry, log = space.entry_at(other), ChangeLog()
         space._frames.logs.append(log)
@@ -208,10 +225,10 @@ class TestMappings:
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
         parent, frame = mapped_page(space)
-        child = space.reserve_region(PAGE_SIZE, 2, 0, fork_of=parent)
+        child = space.reserve_region(PAGE_SIZE)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
-            space.share_region(parent, child, PageState.SHARED_COPA)
+            space.share_region(parent, child, 2, PageState.SHARED_COPA, {})
         assert space.entry_at(child.base) is None
         with pytest.raises(SimInternalError):
             space.owned_refcounts(parent)
@@ -240,16 +257,11 @@ class TestMappings:
         space, frames = system.address_space, system.frames.by_id
         assert system.gateway.audit().clean
         system.verify_invariants()
-        child = space.reserve_region(
-            parent.region.size,
-            parent.pid + 1,
-            parent.layout.code_ro.page_count,
-            fork_of=parent.region,
-        )
+        child = space.reserve_region(parent.region.size)
         delta = child.base - parent.region.base
-        # An eager copy the pass keeps, as it keeps the fork engine's.
+        # An eager copy the pass places, as it places the fork engine's.
         eager = system.frames.allocate(origin=child)
-        space.map(parent.layout.got.base + delta, eager.frame_id)
+        copies = {parent.layout.got.base + delta: eager.frame_id}
         last = parent.region.end - PAGE_SIZE
         if fault == "unmapped parent":
             space.unmap(last)
@@ -267,7 +279,7 @@ class TestMappings:
         before = state()
         assert len(before[1]) == 2
         with pytest.raises(SimInternalError):
-            space.share_region(parent.region, child, PageState.SHARED_COA)
+            space.share_region(parent.region, child, parent.pid + 1, PageState.SHARED_COA, copies)
         assert state() == before
 
     @pytest.mark.parametrize(
@@ -279,22 +291,17 @@ class TestMappings:
         system = System()
         parent = system.create_initial_process()
         space = system.address_space
-        child = space.reserve_region(
-            parent.region.size,
-            parent.pid + 1,
-            parent.layout.code_ro.page_count,
-            fork_of=parent.region,
-        )
+        child = space.reserve_region(parent.region.size)
         delta = child.base - parent.region.base
         got = parent.layout.got.base
-        # An eager copy of the GOT page, mapped as the fork engine maps it.
+        # An eager copy of the GOT page, collected as the fork engine collects it.
         eager = system.frames.allocate(origin=child)
-        space.map(got + delta, eager.frame_id)
+        copies = {got + delta: eager.frame_id}
         before = space.entries()
         shared = parent.region.page_count - 1
         # Each other child page is shared, and each other parent page,
         # all private, becomes copy-on-write.
-        assert space.share_region(parent.region, child, state) == 2 * shared
+        assert space.share_region(parent.region, child, parent.pid + 1, state, copies) == 2 * shared
         after = space.entries()
         assert after[got + delta] == (eager.frame_id, PageState.PRIVATE, True)
         assert eager.mapcount == 1 and pages_by_frame(space)[eager.frame_id] == [got + delta]
@@ -309,14 +316,11 @@ class TestMappings:
 
 def shared_child(space, pages=3):
     """A parent of ``pages`` private pages and a child region sharing them."""
-    parent = space.reserve_region(pages * PAGE_SIZE, 1, 0)
-    frames = []
-    for va in parent.page_addresses():
-        frame = space._frames.allocate(origin=parent)
-        space.map(va, frame.frame_id)
-        frames.append(frame)
-    child = space.reserve_region(parent.size, 2, 0, fork_of=parent)
-    assert space.share_region(parent, child, PageState.SHARED_COPA) == 2 * pages
+    parent = space.reserve_region(pages * PAGE_SIZE)
+    space.map_fresh_region(parent, 1, 0)
+    frames = frames_of(space, parent)
+    child = space.reserve_region(parent.size)
+    assert space.share_region(parent, child, 2, PageState.SHARED_COPA, {}) == 2 * pages
     return parent, child, frames
 
 
@@ -394,8 +398,8 @@ class TestRows:
 
     def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
         parent, child, frames = shared_child(space)
-        grandchild = space.reserve_region(child.size, 3, 0, fork_of=child)
-        assert space.share_region(child, grandchild, PageState.SHARED_COA) == 3
+        grandchild = space.reserve_region(child.size)
+        assert space.share_region(child, grandchild, 3, PageState.SHARED_COA, {}) == 3
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
@@ -404,29 +408,58 @@ class TestRows:
             assert frame.mapcount == 3
         space.verify_refcounts({1, 2, 3})
 
-    def test_a_share_outside_one_fresh_reservation_is_internal(self, space):
-        parent, child, _ = shared_child(space)
-        before = rows(space)
-        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
-            space.share_region(parent, child, PageState.SHARED_COA)
-        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
-            inner = Region(child.base + PAGE_SIZE, PAGE_SIZE)
-            space.share_region(parent, inner, PageState.SHARED_COA)
-        small = space.reserve_region(PAGE_SIZE, 3, 0)
-        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
-            # A child that runs past its reservation.
-            past = Region(small.base, parent.size)
-            space.share_region(parent, past, PageState.SHARED_COA)
-        assert rows(space) == before
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "child with a row",
+            "not the last reservation",
+            "another size",
+            "part of a parent",
+            "mapped copy",
+        ],
+    )
+    def test_a_share_pass_refuses_a_child_it_cannot_build_and_changes_nothing(self, case):
+        system = System()
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        space, size, source = system.address_space, parent.region.size, parent.region
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        if case == "child with a row":
+            child = system.create_initial_process(LayoutSpec(heap_pages=2)).region
+            match = "still has a row"
+        elif case == "not the last reservation":
+            child = space.reserve_region(size)
+            space.reserve_region(PAGE_SIZE)
+            match = "is not the last reservation"
+        elif case == "another size":
+            child = space.reserve_region(size + PAGE_SIZE)
+            match = "is not a reservation the size of"
+        elif case == "part of a parent":
+            child = space.reserve_region(size)
+            source = Region(parent.region.base + PAGE_SIZE, size)
+            match = "is not a reservation the size of"
+        else:
+            child = space.reserve_region(size)
+            match = "cannot take copy"
+        delta = child.base - parent.region.base
+        # A fresh copy of the GOT page, and as the copy of the allocator
+        # page a frame that a page of the parent maps.
+        copies = {
+            parent.layout.got.base + delta: system.frames.allocate(origin=child).frame_id,
+            parent.layout.alloc_meta.base + delta: space.entry_at(parent.layout.heap.base).frame_id,
+        }
+        if case != "mapped copy":
+            del copies[parent.layout.alloc_meta.base + delta]
 
-    def test_a_share_into_another_family_is_internal(self, space):
-        parent, child, _ = shared_child(space)
-        stranger = space.reserve_region(parent.size, 3, 0)
-        before = rows(space)
-        with pytest.raises(SimInternalError, match="is not a reservation that shares nothing"):
-            space.share_region(parent, stranger, PageState.SHARED_COA)
-        assert rows(space) == before
-        space.verify_refcounts({1, 2, 3})
+        def state():
+            logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
+            return state_digest(system), logs
+
+        before = state()
+        assert len(before[1]) == 2
+        with pytest.raises(SimInternalError, match=match):
+            space.share_region(source, child, 9, PageState.SHARED_COA, copies)
+        assert state() == before
 
     def test_a_teardown_drops_the_rows_columns(self, space):
         parent, child, frames = shared_child(space)
@@ -469,12 +502,13 @@ class TestRows:
             space.unreserve(parent)
         with pytest.raises(SimInternalError, match="still has a row"):
             space.unreserve(child)
-        fresh = space.reserve_region(PAGE_SIZE, 3, 0)
+        fresh = space.reserve_region(PAGE_SIZE)
+        space.map_fresh_region(fresh, 3, 0)
         # Only a reservation whose row a teardown has dropped goes back.
         space.unmap_owned(fresh)
         space.unreserve(fresh)
         assert space.owner_of(fresh.base) is None
-        assert space.reserve_region(PAGE_SIZE, 3, 0) == fresh
+        assert space.reserve_region(PAGE_SIZE) == fresh
 
 
 class TestAccessPipelineOrder:
@@ -617,8 +651,10 @@ class TestPageStates:
         assert loaded == stored
 
     def test_unmapped_page_is_an_access_fault(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
-        cap = data_cap(region, offset=PAGE_SIZE)  # second page never mapped
+        region = space.reserve_region(2 * PAGE_SIZE)
+        space.map_fresh_region(region, 1, 0)
+        space.unmap(region.base + PAGE_SIZE)
+        cap = data_cap(region, offset=PAGE_SIZE)  # second page unmapped
         with pytest.raises(FaultError) as err:
             space.check_and_access(1, cap, AccessKind.READ_INT)
         assert err.value.fault.kind is FaultKind.PAGE_ACCESS
@@ -639,13 +675,11 @@ class TestDataMovement:
         assert space.check_and_access(1, where, AccessKind.CAP_LOAD) == stored
 
     def test_page_crossing_access_is_an_internal_error(self, space):
-        region = space.reserve_region(2 * PAGE_SIZE, 1, 0)
-        frames = []
-        for page_va in region.page_addresses():
-            frame = space._frames.allocate(origin=region)
-            space.map(page_va, frame.frame_id)
+        region = space.reserve_region(2 * PAGE_SIZE)
+        space.map_fresh_region(region, 1, 0)
+        frames = frames_of(space, region)
+        for frame in frames:
             frame.store_bytes(0, b"\x5a" * PAGE_SIZE)
-            frames.append(frame)
         # A tagged granule on each side of the boundary.
         for offset in (PAGE_SIZE - GRANULE, PAGE_SIZE):
             where = data_cap(region, offset=offset)
@@ -675,9 +709,8 @@ class TestWritable:
     reservation's read-only pages."""
 
     def test_the_read_only_pages_of_a_reservation_refuse_stores(self, space):
-        region = space.reserve_region(3 * PAGE_SIZE, 1, 1)
-        for va in region.page_addresses():
-            space.map(va, space._frames.allocate(origin=region).frame_id)
+        region = space.reserve_region(3 * PAGE_SIZE)
+        space.map_fresh_region(region, 1, 1)
         assert [entry.writable for entry in space.entries().values()] == [False, True, True]
         with pytest.raises(FaultError) as err:
             space.check_and_access(1, data_cap(region), AccessKind.WRITE, bytes(8))
@@ -688,8 +721,7 @@ class TestWritable:
         "state", [PageState.SHARED_COW, PageState.SHARED_COA, PageState.SHARED_COPA]
     )
     def test_a_store_to_a_read_only_page_is_a_write_fault_in_every_state(self, space, state):
-        region = space.reserve_region(PAGE_SIZE, 1, 1)
-        space.map(region.base, space._frames.allocate(origin=region).frame_id, state)
+        region, _ = mapped_page(space, state=state, ro_pages=1)
         # Under copy-on-access too: no copy would make the page writable.
         with pytest.raises(FaultError) as err:
             space.check_and_access(1, data_cap(region), AccessKind.WRITE, bytes(8))

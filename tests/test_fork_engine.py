@@ -864,7 +864,7 @@ class TestBatchedPaths:
         assert len(cloned) == (5 if strategy == "full" else 2)
         assert state_digest(system) == before
         assert space.owner_of(child_base) is None
-        assert space.reserve_region(PAGE_SIZE, parent.pid + 1, 0).base == child_base
+        assert space.reserve_region(PAGE_SIZE).base == child_base
         assert system.allocate_pid() == parent.pid + 1
         # Frame ids are never reused.
         assert frames.allocate().frame_id > max(cloned)

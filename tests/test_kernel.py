@@ -873,7 +873,7 @@ class TestChangeLogEntryPoints:
         page = parent.layout.heap.base
         assert system.gateway.audit().clean
         frame = system.frames.get(system.address_space.entry_at(page).frame_id)
-        elsewhere = system.address_space.reserve_region(parent.region.size, parent.pid + 1, 0)
+        elsewhere = system.address_space.reserve_region(parent.region.size)
         assert system.frames.scan_and_relocate(frame, parent.region, elsewhere) == 1
         found = page_violations(system.gateway.audit(), page)
         assert [v.location for v in found] == [f"page:{page:#x}:granule=0"]
@@ -968,14 +968,21 @@ class TestChangeLogEntryPoints:
         space.remap(page, fresh.frame_id)
         self.assert_logged(logs, frames={old, fresh.frame_id})
 
-    def test_a_shared_child_region_is_logged_in_both_logs(self):
-        system, parent = audited_system("coa")
+    @pytest.mark.parametrize("strategy", ["coa", "full"])
+    def test_a_shared_child_region_is_logged_in_both_logs(self, strategy):
+        system, parent = audited_system(strategy)
         space = system.address_space
         logs = self.both_logs_cleared(system)
-        child = space.reserve_region(
-            parent.region.size, parent.pid + 1, 0, fork_of=parent.region
-        )
-        space.share_region(parent.region, child, PageState.SHARED_COA)
+        child = space.reserve_region(parent.region.size)
+        copies = {}
+        if strategy == "full":
+            # Every page is a copy, as a full fork makes them.
+            delta = child.base - parent.region.base
+            for va in parent.region.page_addresses():
+                copies[va + delta] = system.frames.clone(space.entry_at(va).frame_id).frame_id
+            for log in logs:  # the allocations logged the copies
+                log.frames.clear()
+        space.share_region(parent.region, child, parent.pid + 1, PageState.SHARED_COA, copies)
         self.assert_logged(logs, regions=[child])
 
 
@@ -1151,8 +1158,8 @@ def _remap_keeps_the_old_page(monkeypatch):
 def _share_region_drops_a_child_page(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, state):
-        written = real(self, parent, child, state)
+    def share_region(self, parent, child, *args):
+        written = real(self, parent, child, *args)
         frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
@@ -1168,8 +1175,8 @@ def _share_region_drops_a_child_page(monkeypatch):
 def _share_region_drops_its_last_frame_id(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, state):
-        written = real(self, parent, child, state)
+    def share_region(self, parent, child, *args):
+        written = real(self, parent, child, *args)
         frames = self._row_at(child.base).frames
         index = max(i for i, frame_id in enumerate(frames) if frame_id is not None)
         self._frames.by_id[frames[index]].mapcount -= 1

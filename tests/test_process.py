@@ -4,9 +4,9 @@ import hashlib
 
 import pytest
 
-from sasfork.address_space import AddressSpace, PageState
+from sasfork.address_space import AddressSpace, PageState, _Row
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm, Region
-from sasfork.errors import BadFd, DoubleMap
+from sasfork.errors import BadFd, SimInternalError
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import PID_SLOTS, System
 from sasfork.tagged_memory import ChangeLog, FrameTable
@@ -228,8 +228,12 @@ class TestImage:
         assert image_digest(*specs) == expected
 
 
-def per_page_map(space, region):
-    """The oracle of a fresh-region pass: allocate, then :meth:`map`, per page."""
+def per_page_map(space, region, pid, ro_pages):
+    """The oracle of a fresh-region pass: a row that maps nothing, then
+    allocate and :meth:`map` per page."""
+    unmapped = [None] * region.page_count
+    ro_end = region.base + ro_pages * PAGE_SIZE
+    space._add_row(_Row(region.base, region.end, pid, ro_end, unmapped, unmapped.copy(), []))
     for page_va in region.page_addresses():
         space.map(page_va, space._frames.allocate(origin=region).frame_id)
 
@@ -255,13 +259,17 @@ class TestFreshRegion:
             if logs:
                 frames.logs += [ChangeLog(), ChangeLog()]
             space = AddressSpace(frames)
-            kernel = space.reserve_region(4 * PAGE_SIZE, KERNEL_PID, 1)
-            region = space.reserve_region(spec.total_bytes, 7, spec.code_pages)
-            for job_region in (kernel, region):
+            jobs = []
+            for size, pid, ro_pages in (
+                (4 * PAGE_SIZE, KERNEL_PID, 1),
+                (spec.total_bytes, 7, spec.code_pages),
+            ):
+                jobs.append(space.reserve_region(size))
                 if fresh:
-                    space.map_fresh_region(job_region)
+                    space.map_fresh_region(jobs[-1], pid, ro_pages)
                 else:
-                    per_page_map(space, job_region)
+                    per_page_map(space, jobs[-1], pid, ro_pages)
+            kernel, region = jobs
             states.append(mapped_state(space))
         assert states[0] == states[1]
         entries = states[0][0]
@@ -275,19 +283,24 @@ class TestFreshRegion:
         if logs:
             assert states[0][2] == [(set(range(1, len(entries) + 1)), [])] * 2
 
-    def test_a_mapped_page_is_a_double_map_and_changes_nothing(self):
+    @pytest.mark.parametrize("case", ["backed", "not the last reservation"])
+    def test_a_region_it_cannot_back_is_refused_and_changes_nothing(self, case):
         frames = FrameTable()
         frames.logs += [ChangeLog(), ChangeLog()]
         space = AddressSpace(frames)
-        region = space.reserve_region(4 * PAGE_SIZE, 3, 1)
-        taken = region.base + 2 * PAGE_SIZE
-        per_page_map(space, Region(taken, PAGE_SIZE))
+        region = space.reserve_region(4 * PAGE_SIZE)
+        if case == "backed":
+            space.map_fresh_region(region, 3, 1)
+            match = "still has a row"
+        else:
+            space.reserve_region(PAGE_SIZE)
+            match = "is not the last reservation"
         before = mapped_state(space)
-        with pytest.raises(DoubleMap, match=f"{taken:#x}"):
-            space.map_fresh_region(region)
+        with pytest.raises(SimInternalError, match=match):
+            space.map_fresh_region(region, 3, 1)
         assert mapped_state(space) == before
-        # No frame id was taken: the next frame is the second ever.
-        assert frames.allocate().frame_id == 2
+        # No frame id was taken.
+        assert frames.allocate().frame_id == len(before[1]) + 1
 
 
 class TestFileDescriptors:

@@ -304,10 +304,15 @@ class TestOnePassScan:
 class TestRefcounts:
     def test_map_unmap_cycle(self, table):
         space = AddressSpace(table)
-        parent = space.reserve_region(0x2000, 1, 0)
+        parent = space.reserve_region(0x2000)
         assert parent.base == 0x1000
-        child = space.reserve_region(0x2000, 2, 0, fork_of=parent)
+        space.map_fresh_region(parent, 1, 0)
+        child = space.reserve_region(0x2000)
         assert child.base == 0x3000
+        space.share_region(parent, child, 2, PageState.SHARED_COPA, {})
+        # Two rows of one fork family that map nothing.
+        for va in range(parent.base, child.end, 0x1000):
+            space.unmap(va)
         frame = table.allocate()
         space.map(0x1000, frame.frame_id, PageState.SHARED_COPA)
         # A frame's pages lie at one page index: not at two of one region.
