@@ -78,22 +78,31 @@ blocked, an integer read or fetch that overlaps a tagged granule takes
 the capability-load fault too: the bytes of a capability the child has
 not relocated yet would show the parent's address.
 
-Three passes change a whole region at once: at boot and at process
-creation :meth:`~AddressSpace.map_fresh_region` builds the row of a fresh
-region, each page backed by a new frame; at fork
-:meth:`~AddressSpace.share_region` builds the child's row; at reap
-:meth:`~AddressSpace.unmap_owned` walks the row once and then removes
-it, so the region's addresses lie in no row.  The first two back only
-the last reservation, which no row backs yet, and the last two put back
-what they changed before they raise.
+Each pid has at most one live row, and the whole-row passes name a row
+by its pid: at boot and at process creation
+:meth:`~AddressSpace.map_fresh_region` builds the row of a fresh region,
+each page backed by a new frame; at fork :meth:`~AddressSpace.share_region`
+builds the child's row from the row of the parent's pid; at reap
+:meth:`~AddressSpace.unmap_owned` walks a pid's row once and then removes
+it, so the region's addresses lie in no row; and
+:meth:`~AddressSpace.owned_refcounts` counts a pid's row for the resident
+set.  The first two back only the last reservation, which no row backs
+yet, for a pid with no row, and refuse anything else before they
+allocate a frame or change a row; the share pass and the teardown put
+back what they changed before they raise; and a pass given a pid with
+no row raises.
+Only a lookup by address bisects the rows: :meth:`~AddressSpace.owner_of`,
+:meth:`~AddressSpace.entry_at`, and an access or fault outside the
+accessing pid's own row.  Both debug checks check the index they rely
+on: every row is its pid's row, and no pid names another.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
 the fragmentation trade-off of contiguous per-process regions; only a
 fork that fails moves the bump base back over the reservation it made,
 which no row backs.  A row lives from the pass that backs its region to
-the teardown of the whole region, so the rows are those of the kernel
-and the live pids.  A page's owner is the pid of the row it lies in
+the teardown of its pid, so the rows are those of the kernel and the
+live pids.  A page's owner is the pid of the row it lies in
 (:meth:`~AddressSpace.owner_of`), and the owner fact the debug checks
 rest on is a fact about rows: each belongs to a pid that may own pages.
 """
@@ -101,7 +110,7 @@ rest on is a fact about rows: each belongs to a pid that may own pages.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
@@ -139,10 +148,6 @@ class PageTableEntry(NamedTuple):
     frame_id: int
     state: PageState
     writable: bool
-
-    @property
-    def shared(self) -> bool:
-        return self.state is not PageState.PRIVATE
 
 
 @dataclass(slots=True, eq=False)
@@ -271,7 +276,7 @@ class AddressSpace:
         self._next_base = PAGE_SIZE  # address 0 is never reserved
         self._bases: list[int] = []  # each row's base, in address order,
         self._rows: list[_Row] = []  # and the row
-        self._pid_rows: dict[int, _Row] = {}  # each pid's last live row
+        self._pid_rows: dict[int, _Row] = {}  # each pid's one live row
 
     # -- regions ---------------------------------------------------------
 
@@ -291,12 +296,22 @@ class AddressSpace:
         self._next_base = base + size
         return Region(base, size)
 
-    def _check_unbacked(self, region: Region) -> None:
-        """Raise unless ``region`` is the last reservation and no row backs it."""
+    def _check_unbacked(self, region: Region, pid: int | None = None) -> None:
+        """Raise unless ``region`` is the last reservation and no row backs
+        it, and ``pid``, if given, has no live row."""
         if self._next_base != region.end:
             raise SimInternalError(f"{region} is not the last reservation")
         if self._rows and self._rows[-1].end > region.base:
             raise SimInternalError(f"{region} still has a row")
+        if pid in self._pid_rows:
+            raise SimInternalError(f"pid {pid} already has a row")
+
+    def _row_of(self, pid: int) -> _Row:
+        """The one live row of ``pid``; ``SimInternalError`` if it has none."""
+        row = self._pid_rows.get(pid)
+        if row is None:
+            raise SimInternalError(f"pid {pid} has no row")
+        return row
 
     def _add_row(self, row: _Row) -> None:
         """Make ``row``, built whole, the row of its reservation and of its pid."""
@@ -346,15 +361,6 @@ class AddressSpace:
             return None, None, False, row.pid
         return frame_id, row.states[index], page_va < row.ro_end, row.pid
 
-    def _locate(self, region: Region) -> tuple[_Row, int, int]:
-        """The row ``region`` lies in, the index of its first page and its
-        page count."""
-        base, size = region.base, region.size
-        row = self._row_at(base)
-        if base + size > row.end:
-            raise SimInternalError(f"{region} does not lie in one reservation")
-        return row, (base - row.base) // PAGE_SIZE, size // PAGE_SIZE
-
     # -- mappings ---------------------------------------------------------
 
     def map(self, page_va: int, frame_id: int, state: PageState = _PRIVATE) -> None:
@@ -396,13 +402,13 @@ class AddressSpace:
         first ``ro_pages`` pages, backing every page with a new frame in one
         pass.
 
-        ``region`` is the last reservation, and no row backs it yet; the
-        row starts a fork family of its own.  Each page is mapped private,
-        as :meth:`map` would map it, to a frame allocated in page order
-        with ``region`` as its origin.  :meth:`FrameTable.allocate` logs
+        ``region`` is the last reservation, no row backs it yet and ``pid``
+        has none; the row starts a fork family of its own.  Each page is
+        mapped private, as :meth:`map` would map it, to a frame allocated
+        in page order with ``region`` as its origin.  :meth:`FrameTable.allocate` logs
         each frame.
         """
-        self._check_unbacked(region)
+        self._check_unbacked(region, pid)
         base, count, family = region.base, region.page_count, []
         # Sized once: a column grown by appends keeps up to an eighth more slots.
         fresh, allocate = [None] * count, self._frames.allocate
@@ -467,21 +473,22 @@ class AddressSpace:
 
     def share_region(
         self,
-        parent: Region,
+        parent_pid: int,
         child: Region,
         pid: int,
         state: PageState | None,
         copies: dict[int, int],
     ) -> int:
-        """Build the row of ``child``, a fork of ``parent`` owned by ``pid``,
-        in one pass.  Returns the page-table entries this stands for: the
-        child pages shared and the parent pages made copy-on-write.
+        """Build the row of ``child``, owned by ``pid``, as a fork of the row
+        of ``parent_pid``, in one pass.  Returns the page-table entries this
+        stands for: the child pages shared and the parent pages made
+        copy-on-write.
 
-        ``parent`` is a whole reservation; ``child``, as large, is the last
-        reservation, and no row backs it yet.  ``copies`` maps the address
-        of each child page the fork copied eagerly to its copy, a frame that
-        no page maps yet: the page maps it private, and the parent page at
-        its offset keeps its state.  Every other child page shares the
+        ``child``, as large as the parent's row, is the last reservation,
+        no row backs it yet and ``pid`` has none.  ``copies`` maps the
+        address of each child page the fork copied eagerly to its copy, a
+        frame that no page maps yet: the page maps it private, and the
+        parent page at its offset keeps its state.  Every other child page shares the
         parent's frame at its offset in ``state``, counted in the frame's
         ``mapcount``, as :meth:`map` would count it, and a private parent
         page there becomes copy-on-write; ``state`` may be None only when
@@ -489,10 +496,10 @@ class AddressSpace:
         its read-only pages are the parent's.  A raise changes no mapping,
         count or log.
         """
-        self._check_unbacked(child)
-        parent_row = self._row_at(parent.base)
-        if (parent_row.base, parent_row.end, child.size) != (parent.base, parent.end, parent.size):
-            raise SimInternalError(f"{child} is not a reservation the size of {parent}")
+        self._check_unbacked(child, pid)
+        parent_row = self._row_of(parent_pid)
+        if child.size != parent_row.end - parent_row.base:
+            raise SimInternalError(f"{child} is not a reservation the size of its parent's row")
         frames, family = self._frames.by_id, parent_row.family
         saved, count = parent_row.states, len(parent_row.states)
         built, states = parent_row.frames.copy(), [state] * count
@@ -509,7 +516,7 @@ class AddressSpace:
             for index, frame_id in enumerate(built):
                 if frame_id is None:
                     raise SimInternalError(
-                        f"parent page {parent.base + index * PAGE_SIZE:#x} unmapped at fork"
+                        f"parent page {parent_row.base + index * PAGE_SIZE:#x} unmapped at fork"
                     )
                 frames[frame_id].mapcount += 1
         except (SimInternalError, KeyError) as err:
@@ -526,13 +533,12 @@ class AddressSpace:
         ro_end = child.base + (parent_row.ro_end - parent_row.base)
         self._add_row(_Row(child.base, child.end, pid, ro_end, built, states, family))
         for log in self._frames.logs:
-            log.regions.append(child)
+            log.pids.append(pid)
         return written
 
-    def unmap_owned(self, region: Region) -> list[TaggedFrame]:
-        """Unmap every page of ``region`` in one walk of its row, in page
-        order, all or nothing, then drop the row, so its addresses lie in
-        no row (or clear the pages of a region that is part of one).
+    def unmap_owned(self, pid: int) -> list[TaggedFrame]:
+        """Unmap every page of ``pid``'s row in one walk, in page order, all
+        or nothing, then drop the row, so its addresses lie in no row.
 
         Returns, in page order, the frames left with one mapping.  A page
         whose frame does not exist or counts no mapping raises
@@ -540,9 +546,8 @@ class AddressSpace:
         already freed are put back, so a raise changes no mapping, count,
         live frame or log.
         """
-        row, first, count = self._locate(region)
-        owned = row.frames[first : first + count]
-        frames = self._frames.by_id
+        row = self._row_of(pid)
+        owned, frames = row.frames, self._frames.by_id
         survivors = []
         freed: list[TaggedFrame] = []
         for done, frame_id in enumerate(owned):
@@ -556,7 +561,7 @@ class AddressSpace:
                     if back is not None:
                         frames[back].mapcount += 1
                 raise SimInternalError(
-                    f"page {region.base + done * PAGE_SIZE:#x} is not attached to frame {frame_id}"
+                    f"page {row.base + done * PAGE_SIZE:#x} is not attached to frame {frame_id}"
                 )
             frame.mapcount = mappers = frame.mapcount - 1
             if not mappers:
@@ -564,14 +569,9 @@ class AddressSpace:
                 freed.append(frame)
             elif mappers == 1:
                 survivors.append(frame)
-        if count == len(row.frames):
-            index = bisect_left(self._bases, row.base)
-            del self._bases[index], self._rows[index]
-            row.family.remove(row)
-            if self._pid_rows.get(row.pid) is row:
-                del self._pid_rows[row.pid]
-        else:
-            row.frames[first : first + count] = row.states[first : first + count] = [None] * count
+        index = self._rows.index(row)
+        del self._bases[index], self._rows[index], self._pid_rows[pid]
+        row.family.remove(row)
         logs = self._frames.logs
         if logs:
             changed = set(owned)
@@ -580,22 +580,20 @@ class AddressSpace:
                 log.frames |= changed
         return survivors
 
-    def owned_refcounts(self, region: Region) -> dict[int, int]:
-        """The mapped pages of ``region``, counted per frame refcount.
+    def owned_refcounts(self, pid: int) -> dict[int, int]:
+        """The mapped pages of ``pid``'s row, counted per frame refcount.
 
         The one sweep behind :meth:`Metrics.prs_bytes`.
         """
-        row, first, count = self._locate(region)
-        frames = self._frames.by_id
-        counts: dict[int, int] = {}
+        frames, counts = self._frames.by_id, {}
         try:
-            for frame_id in row.frames[first : first + count]:
+            for frame_id in self._row_of(pid).frames:
                 if frame_id is not None:
                     refs = frames[frame_id].mapcount
                     counts[refs] = counts.get(refs, 0) + 1
         except KeyError as err:
             raise SimInternalError(
-                f"{region} maps frame {err.args[0]}, which does not exist"
+                f"the row of pid {pid} maps frame {err.args[0]}, which does not exist"
             ) from None
         return counts
 
@@ -680,7 +678,8 @@ class AddressSpace:
         that page's index in the row's family, and each frame's
         ``mapcount`` is at least 1 and equals the number of pages that map
         it.  Given the first fact, those pages are exactly the rows of the
-        frame's family that map it at its index.  It also checks what
+        frame's family that map it at its index.  It checks that every row
+        is its pid's one row, which the whole-row passes rely on, and what
         resident-set conservation rests on, given ``owners``, a set of
         pids: every row belongs to a pid in ``owners`` (:meth:`_verify_rows`),
         so one :meth:`owned_refcounts` sweep counts each mapped page, and
@@ -693,7 +692,7 @@ class AddressSpace:
         self._verify_rows(owners)
         mapped: Counter[int | None] = Counter()
         for row in self._rows:
-            mapped.update(self._verify_pages(row, 0, len(row.frames)))
+            mapped.update(self._verify_pages(row))
         for frame_id, frame in self._frames.by_id.items():
             self._verify_count(frame, mapped[frame_id])
 
@@ -701,22 +700,22 @@ class AddressSpace:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
         only where ``log`` says they may have changed; then clears the log.
 
-        Every row belongs to a pid in ``owners``, a walk of the rows alone.
-        Each mapped page of a logged region maps a frame that lies at its
-        index in its row's family; a region torn down since maps nothing.
-        Each logged frame that still exists, and each frame a logged region
-        maps, has a mapping, and its ``mapcount`` equals the number of its
-        family's rows that map it at its index; the count does not read a
-        logged region's row again.  If the facts held when the log was last
-        cleared and every change since was logged, this check passes
-        exactly when the full pass does.
+        Every row is its pid's row and belongs to a pid in ``owners``, a
+        walk of the rows alone.  Each mapped page of the row of a logged
+        pid maps a frame that lies at its index in the row's family; a row
+        torn down since maps nothing.  Each logged frame that still exists,
+        and each frame a logged row maps, has a mapping, and its
+        ``mapcount`` equals the number of its family's rows that map it at
+        its index; the count does not read a logged row again.  If the
+        facts held when the log was last cleared and every change since was
+        logged, this check passes exactly when the full pass does.
         """
         self._verify_rows(owners)
         frames, logged = self._frames.by_id, log.frames
-        for region in log.regions:
-            row = self._row_at(region.base)
-            first = (region.base - row.base) // PAGE_SIZE
-            for frame_id in self._verify_pages(row, first, region.page_count):
+        for pid in log.pids:
+            # A row torn down since maps nothing.
+            row = self._pid_rows.get(pid, _UNRESERVED)
+            for frame_id in self._verify_pages(row):
                 if frame_id is not None:
                     self._verify_family_count(frames[frame_id], row)
                     logged.discard(frame_id)
@@ -725,34 +724,39 @@ class AddressSpace:
             if frame is not None:
                 self._verify_family_count(frame, None)
         logged.clear()
-        log.regions.clear()
+        log.pids.clear()
 
     def _verify_rows(self, owners: set[int]) -> None:
-        """Every row belongs to a pid in ``owners``: a pid that owns nothing
-        keeps no reservation, so no page can lie in one."""
+        """Every row is its pid's one row, which the whole-row passes find
+        by pid, and no pid names a row outside the table.  Every row
+        belongs to a pid in ``owners``: a pid that owns nothing keeps no
+        reservation, so no page can lie in one."""
+        pid_rows = self._pid_rows
         for row in self._rows:
+            if pid_rows.get(row.pid) is not row:
+                raise SimInternalError(f"the row at {row.base:#x} is not the row of pid {row.pid}")
             if row.pid not in owners:
                 raise SimInternalError(
                     f"prs conservation broken: pid {row.pid}, which owns nothing,"
                     f" keeps the row at {row.base:#x}"
                 )
+        if len(pid_rows) != len(self._rows):
+            raise SimInternalError("a pid names a row outside the page table")
 
-    def _verify_pages(self, row: _Row, first: int, count: int) -> list[int | None]:
-        """Each mapped page among ``count`` of ``row`` from index ``first`` on
-        maps a frame that exists and lies at that index in the row's
-        family; returns the frame ids of those ``count`` elements."""
+    def _verify_pages(self, row: _Row) -> Iterator[int | None]:
+        """Each mapped page of ``row`` maps a frame that exists and lies at
+        that page's index in the row's family; yields the row's frame ids,
+        each once it is checked, so the row is read once."""
         frames, family = self._frames.by_id, row.family
-        owned = row.frames[first : first + count]
-        for index, frame_id in enumerate(owned, first):
-            if frame_id is None:
-                continue
-            frame = frames.get(frame_id)
-            if frame is None or frame.index != index or frame.family is not family:
-                raise SimInternalError(
-                    f"page {row.base + index * PAGE_SIZE:#x} maps frame {frame_id},"
-                    " which does not lie at its index in its family"
-                )
-        return owned
+        for index, frame_id in enumerate(row.frames):
+            if frame_id is not None:
+                frame = frames.get(frame_id)
+                if frame is None or frame.index != index or frame.family is not family:
+                    raise SimInternalError(
+                        f"page {row.base + index * PAGE_SIZE:#x} maps frame {frame_id},"
+                        " which does not lie at its index in its family"
+                    )
+            yield frame_id
 
     def _verify_family_count(self, frame: TaggedFrame, seen: _Row | None) -> None:
         """``frame``'s ``mapcount`` is the number of its family's rows that

@@ -20,21 +20,22 @@ copied and relocated eagerly at fork, so symbol and heap bookkeeping is
 coherent in the child before it runs; ``full`` copies every page.  Eager
 copies walk the pages to copy in page order and are collected, mapped by
 no page yet.  Then one pass of :meth:`AddressSpace.share_region`, under
-every strategy, builds the child's row whole: each copy private at its
-page, so the row is the one record of which pages fork copied, and the
-parent's frame id beside the strategy's shared state everywhere else,
-making the parent's private pages there copy-on-write (see
-:mod:`sasfork.address_space`); under ``full`` no page is shared.  The
-page table derives which copies are writable: the code pages are not.
-Fork is all or nothing: if an eager copy or the share pass raises, no
-row backs the child's region, so fork frees the copies, drops their
-events and moves the bump base back; the pid is taken only when the
-child is added, so a raise leaves it free.  A copy whose relocation scan
-or install raises is freed before the raise goes on.  Reap tears a
-region's row down in one pass of :meth:`AddressSpace.unmap_owned`, which
-removes the row, and hands the frames it leaves with a single mapping to
-the one promotion pass, :meth:`ForkEngine._promote`, which a lazy copy
-also calls with the frame it copied from.
+every strategy, builds the child's row whole from the row of the
+parent's pid: each copy private at its page, so the row is the one
+record of which pages fork copied, and the parent's frame id beside the
+strategy's shared state everywhere else, making the parent's private
+pages there copy-on-write (see :mod:`sasfork.address_space`); under
+``full`` no page is shared.  The page table derives which copies are
+writable: the code pages are not.  Fork is all or nothing: if an eager
+copy or the share pass raises, no row backs the child's region, so fork
+frees the copies, drops their events and moves the bump base back; the
+pid is taken only when the child is added, so a raise leaves it free.
+A copy whose relocation scan or install raises is freed before the raise
+goes on.  Reap tears the reaped pid's row down in one pass of
+:meth:`AddressSpace.unmap_owned`, which removes the row, and hands the
+frames it leaves with a single mapping to the one promotion pass,
+:meth:`ForkEngine._promote`, which a lazy copy also calls with the frame
+it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame, copy bytes
 and capabilities, then scan the copy's tagged granules once and rebase
@@ -218,7 +219,7 @@ class ForkEngine:
             eager_pages = len(copies)
             state = _CHILD_SHARED_STATE.get(strategy)
             ptes_written = eager_pages + space.share_region(
-                parent.region, child_region, child_pid, state, copies
+                parent_pid, child_region, child_pid, state, copies
             )
         except BaseException:
             # No row backs the child's region, so no page maps the copies.
@@ -429,6 +430,6 @@ class ForkEngine:
         sys = self._sys
         if proc.running or proc.pid not in sys.unreaped_pids:
             raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
-        self._promote(sys.address_space.unmap_owned(proc.region))
+        self._promote(sys.address_space.unmap_owned(proc.pid))
         sys.files.drop_table(proc)
         sys.release_pid(proc.pid)

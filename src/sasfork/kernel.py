@@ -42,8 +42,9 @@ order.  The one logging rule of :mod:`sasfork.tagged_memory` logs a frame
 wherever a tagged capability can appear in it or one of its pages can
 become cap-loadable: a capability store, a relocation scan, a page that
 starts mapping it, and a promotion.  A byte store logs nothing, since it
-only untags or drops capabilities.  The sweep clears the logged regions
-without reading them: a child's region is new, so it gets a whole walk.
+only untags or drops capabilities.  The sweep clears the logged pids
+without reading them: a logged pid is a new child, whose region gets a
+whole walk.
 Clearing its log leaves the
 ``--debug`` check's log as it was.
 
@@ -401,7 +402,7 @@ class KernelGateway:
             if owner in old_registers:
                 touched.setdefault(owner, []).append(page_va)
         log.frames.clear()
-        log.regions.clear()
+        log.pids.clear()
         clean_registers: dict[int, tuple | None] = {}
         findings: dict[int, list[int]] = {}
         for proc in map(system.processes.__getitem__, system.unreaped_pids):
@@ -453,9 +454,10 @@ class KernelGateway:
 
         ``memo`` is the copy of the registers, symbols and ``loaded_ref``
         last found clean, or ``None``.  A part equal to its copy is still
-        clean and is skipped; the others are checked in the order of
-        :meth:`MicroProcess.register_caps`.  Returns the updated copy, or
-        ``None`` when a capability escapes.
+        clean and is skipped; the others are checked in that order: the
+        capability registers, the symbols, then ``loaded_ref``.  The
+        sealed entries are the kernel's and are not checked.  Returns the
+        updated copy, or ``None`` when a capability escapes.
         """
         registers, symbols, loaded_ref = memo or (None, None, None)
         pid, region = proc.pid, proc.region

@@ -13,9 +13,9 @@ in-place relocation scans at promotion, and the resident set at exit.
 
 ``prs(pid)`` is the sum over frames mapped by ``pid`` of
 ``PAGE_SIZE / refcount(frame)``, where a frame's refcount is its
-``mapcount``.  A page's owner is the pid its region
-was reserved for (pid 0 for the kernel region), so one sweep of the
-pid's region counts its pages per refcount as integers, and
+``mapcount``.  A page's owner is the pid of the page-table row it lies
+in (pid 0 for the kernel's), and each pid has one row, so one sweep of
+the pid's row counts its pages per refcount as integers, and
 :func:`proportional_bytes` turns those counts into one exact
 ``Fraction`` over the least common multiple of the refcounts present.
 The owners' shares sum to every frame exactly once when each mapped
@@ -234,20 +234,18 @@ class Metrics:
     # -- reading --------------------------------------------------------------
 
     def prs_bytes(self, pid: int) -> Fraction:
-        """Exact proportional resident set from a fresh sweep of the pid's region.
+        """Exact proportional resident set from a fresh sweep of the pid's row.
 
         A pid without a PID-table slot (reaped) owns no page, so it reads
         0 without a sweep; a page left mapped for it is then counted by no
-        one, which the debug conservation check reports.
+        one, which the debug conservation check reports.  An unknown pid
+        raises ``UnknownPid``.
         """
         system = self._system
-        if pid == KERNEL_PID:
-            region = system.kernel_region
-        else:
-            region = system.process(pid).region
-            if pid not in system.unreaped_pids:
-                return Fraction(0)
-        return proportional_bytes(system.address_space.owned_refcounts(region))
+        if pid != KERNEL_PID and pid not in system.unreaped_pids:
+            system.process(pid)  # an unknown pid raises
+            return Fraction(0)
+        return proportional_bytes(system.address_space.owned_refcounts(pid))
 
     def snapshot(self) -> MetricsReport:
         """Pure read of the copy events and counters plus a fresh resident-set sweep."""

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .capability import PAGE_SIZE, Capability, Region
 from .errors import BadFd
@@ -131,20 +131,6 @@ class MicroProcess:
     @property
     def running(self) -> bool:
         return self.exit_seq is None
-
-    def register_caps(self) -> Iterator[tuple[str, Capability]]:
-        """Every capability register state holds, with a location label.
-
-        The sealed entries in ``entry_caps`` are not listed: they are the
-        kernel's, and no process can change them.
-        """
-        for name, value in self.registers.items():
-            if isinstance(value, Capability):
-                yield f"register:{name}", value
-        for name, cap in self.symbols.items():
-            yield f"symbol:{name}", cap
-        if self.loaded_ref is not None:
-            yield "register:loaded_ref", self.loaded_ref
 
     def next_fd(self) -> int:
         fd = FIRST_FD

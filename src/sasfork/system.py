@@ -359,8 +359,9 @@ class System:
     def verify_invariants(self, *, full: bool = False) -> None:
         """Debug check of refcounts and PRS conservation, over what changed.
 
-        Every page-table row belongs to a PID-table slot holder (a pid
-        without a slot keeps no row, so it owns no page) or the kernel.
+        Every page-table row is its pid's one row and belongs to a
+        PID-table slot holder (a pid without a slot keeps no row, so it
+        owns no page) or the kernel.
         Every mapped page's frame lies at that page's index in its row's
         fork family, and each checked frame's ``mapcount`` is at least 1
         and equals the number of the family's rows that map it there.
@@ -369,7 +370,7 @@ class System:
         It, and any call with ``full``, runs the full pass over every entry
         and frame (:meth:`AddressSpace.verify_refcounts`) and clears that
         log; the others re-check the rows' owners, and only the frames and
-        regions logged since (:meth:`AddressSpace.verify_changes`).  Neither
+        rows logged since (:meth:`AddressSpace.verify_changes`).  Neither
         touches the audit's log.  A ``--debug`` run ends with a full pass.
         """
         owners = {KERNEL_PID, *self.unreaped_pids}
@@ -381,7 +382,7 @@ class System:
         if full:
             self.address_space.verify_refcounts(owners)
             log.frames.clear()
-            log.regions.clear()
+            log.pids.clear()
         else:
             self.address_space.verify_changes(log, owners)
 

@@ -53,14 +53,14 @@ it is allocated, when a capability is written into it (a capability store
 or a relocation scan), when a page starts or stops mapping it
 (``AddressSpace.map``, ``unmap``, ``unmap_owned``, and ``remap``, which
 logs the old frame and the new one), or when the promotion pass makes
-its sole page private.  A region is logged when a pass maps it wholesale:
-the child region of every fork, under every strategy, whose row
+its sole page private.  A pid is logged when a pass maps its row
+wholesale: the child of every fork, under every strategy, whose row
 ``AddressSpace.share_region`` builds; a fork's eager copies are logged
 when they are allocated.
-A teardown logs the frames it drops and needs no region: it removes the
-region's row, so the region lies in no reservation.  Each check clears
-only its own log, so neither drains the other's, and a run with neither
-check logs nothing.
+A teardown logs the frames it drops and needs no pid: it removes the
+pid's row, so a logged pid whose row is gone maps nothing.  Each check
+clears only its own log, so neither drains the other's, and a run with
+neither check logs nothing.
 """
 
 from __future__ import annotations
@@ -201,15 +201,15 @@ class TaggedFrame:
 
 
 class ChangeLog:
-    """What a per-step check reads again: the ids of the frames and the
-    regions changed since it last cleared the log (see the module
-    docstring)."""
+    """What a per-step check reads again: the ids of the frames changed,
+    and the pids of the rows built, since it last cleared the log (see the
+    module docstring)."""
 
-    __slots__ = ("frames", "regions")
+    __slots__ = ("frames", "pids")
 
     def __init__(self) -> None:
         self.frames: set[int] = set()
-        self.regions: list[Region] = []
+        self.pids: list[int] = []
 
 
 class FrameTable:
@@ -246,13 +246,6 @@ class FrameTable:
         or install raised.  Its id is not handed out again."""
         del self._frames[frame.frame_id]
 
-    def exists(self, frame_id: int) -> bool:
-        return frame_id in self._frames
-
-    def refcount(self, frame_id: int) -> int:
-        frame = self._frames.get(frame_id)
-        return 0 if frame is None else frame.mapcount
-
     def clone(self, frame_id: int) -> TaggedFrame:
         """Copy bytes, capabilities and origin into a fresh frame.
 
@@ -278,10 +271,6 @@ class FrameTable:
         may change it.
         """
         return self._frames
-
-    @property
-    def live_frames(self) -> dict[int, TaggedFrame]:
-        return dict(self._frames)
 
     def total_bytes(self) -> int:
         return len(self._frames) * PAGE_SIZE

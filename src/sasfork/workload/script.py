@@ -75,9 +75,10 @@ _tuple_eq = tuple.__eq__
 MAX_FORK_DEPTH = 100
 
 #: Most pages a layout may give the root process.  Creating the process
-#: gives every page a frame, which keeps about 0.6 KiB of host memory until
-#: something is written to it (about 80 MB at the limit), so the limit
-#: bounds what a layout can claim; ``heap=65536`` fits.
+#: gives every page a frame, which keeps about 340 B of host memory until
+#: something is written to it (tracemalloc, Python 3.11: 21 MiB for a
+#: fresh ``heap=65536`` process, 42 MiB at the limit), so the limit bounds
+#: what a layout can claim; ``heap=65536`` fits.
 MAX_LAYOUT_PAGES = 1 << 17
 
 

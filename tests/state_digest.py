@@ -36,7 +36,7 @@ def state_parts(system):
         (
             frame_id,
             pages.get(frame_id, []),
-            system.frames.refcount(frame_id),
+            frame.mapcount,
             _region(frame.origin),
             bytes(frame.read(0, PAGE_SIZE)),
             [(granule, tuple(cap)) for granule, cap in frame.tagged_caps()],

@@ -1,5 +1,6 @@
 """Page table, region reservation, and the fault pipeline ordering."""
 
+import copy
 import tracemalloc
 
 import pytest
@@ -20,7 +21,6 @@ from sasfork.capability import (
     VIRTUAL_SPACE_LIMIT,
     Capability,
     Perm,
-    Region,
 )
 from sasfork.errors import AddressSpaceExhausted, DoubleMap, SimInternalError, UnmappedPage
 from sasfork.process import KERNEL_PID, LayoutSpec
@@ -119,14 +119,15 @@ class TestOwners:
 class TestMappings:
     def test_map_then_unmap_restores_refcount(self, space):
         region, frame = mapped_page(space)
-        assert space._frames.refcount(frame.frame_id) == 1
+        assert frame.mapcount == 1
         assert space.unmap(region.base) == 0
+        assert frame.frame_id not in space._frames.by_id
 
     def test_aliasing_one_frame_counts_two(self, space):
         region, frame = mapped_page(space)
         other = space.reserve_region(PAGE_SIZE)
-        space.share_region(region, other, 2, PageState.SHARED_COPA, {})
-        assert space._frames.refcount(frame.frame_id) == 2
+        space.share_region(1, other, 2, PageState.SHARED_COPA, {})
+        assert frame.mapcount == 2
         assert space.mappers([frame.frame_id]) == [(1, region.base), (2, other.base)]
         space.verify_refcounts({1, 2})
         assert space.unmap(region.base) == 1
@@ -139,7 +140,7 @@ class TestMappings:
         frame = frames_of(space, region)[0]
         other = space.reserve_region(region.size)
         if place == "another index":
-            space.share_region(region, other, 2, PageState.SHARED_COPA, {})
+            space.share_region(1, other, 2, PageState.SHARED_COPA, {})
             page_va = other.base + PAGE_SIZE
         else:
             space.map_fresh_region(other, 2, 0)
@@ -153,7 +154,7 @@ class TestMappings:
             space.map(page_va, frame.frame_id, PageState.SHARED_COPA)
         assert space.entries() == before
         assert (frame.mapcount, frame.index) == (1, 0)
-        assert not log.frames and not log.regions
+        assert not log.frames and not log.pids
         space.verify_refcounts({1, 2})
 
     def test_a_remap_refuses_a_frame_elsewhere_and_changes_nothing(self, space):
@@ -175,12 +176,12 @@ class TestMappings:
 
     def test_verify_catches_two_pages_that_swapped_frames(self, space):
         a, frame_a = mapped_page(space)
-        b, frame_b = mapped_page(space)
+        b, frame_b = mapped_page(space, pid=2)
         space.verify_refcounts({1, 2})
         row_a, row_b = space._rows
         row_a.frames[0], row_b.frames[0] = frame_b.frame_id, frame_a.frame_id
         # Each frame still has one mapping, so only the page sets can tell.
-        assert space._frames.refcount(frame_a.frame_id) == 1
+        assert frame_a.mapcount == 1
         with pytest.raises(SimInternalError):
             space.verify_refcounts({1, 2})
 
@@ -205,7 +206,7 @@ class TestMappings:
         one of its two pages raises and changes nothing."""
         region, frame = mapped_page(space)
         other = space.reserve_region(PAGE_SIZE)
-        space.share_region(region, other, 2, PageState.SHARED_COPA, {})
+        space.share_region(1, other, 2, PageState.SHARED_COPA, {})
         other = other.base
         setattr(frame, corrupt, wrong)
         entry, log = space.entry_at(other), ChangeLog()
@@ -213,14 +214,14 @@ class TestMappings:
         with pytest.raises(SimInternalError, match=f"{other:#x}"):
             space.unmap(other)
         assert space.entry_at(other) == entry
-        assert getattr(frame, corrupt) is wrong and space._frames.exists(frame.frame_id)
-        assert not log.frames and not log.regions
+        assert getattr(frame, corrupt) is wrong and frame.frame_id in space._frames.by_id
+        assert not log.frames and not log.pids
 
     def test_region_passes_over_a_page_its_frame_does_not_list_are_internal(self, space):
         region, frame = mapped_page(space)
         frame.mapcount = 0
         with pytest.raises(SimInternalError):
-            space.unmap_owned(region)
+            space.unmap_owned(1)
         assert space.entry_at(region.base) is not None
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
@@ -228,12 +229,12 @@ class TestMappings:
         child = space.reserve_region(PAGE_SIZE)
         del space._frames.by_id[frame.frame_id]
         with pytest.raises(SimInternalError):
-            space.share_region(parent, child, 2, PageState.SHARED_COPA, {})
+            space.share_region(1, child, 2, PageState.SHARED_COPA, {})
         assert space.entry_at(child.base) is None
         with pytest.raises(SimInternalError):
-            space.owned_refcounts(parent)
+            space.owned_refcounts(1)
         with pytest.raises(SimInternalError):
-            space.unmap_owned(parent)
+            space.unmap_owned(1)
 
     def test_a_teardown_over_a_corrupt_last_page_changes_nothing(self):
         system = System()
@@ -246,9 +247,9 @@ class TestMappings:
 
         before = state_digest(system)
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
-            space.unmap_owned(proc.region)
+            space.unmap_owned(proc.pid)
         assert state_digest(system) == before
-        assert not log.frames and not log.regions
+        assert not log.frames and not log.pids
 
     @pytest.mark.parametrize("fault", ["unmapped parent", "unknown frame"])
     def test_a_share_pass_that_raises_at_a_later_page_changes_nothing(self, fault):
@@ -272,15 +273,11 @@ class TestMappings:
         assert {entry.state for entry in parent_pages[:-1]} == {PageState.PRIVATE}
         assert {entry.writable for entry in parent_pages[:-1]} == {True, False}
 
-        def state():
-            logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
-            return state_digest(system), logs
-
-        before = state()
+        before = logged_state(system)
         assert len(before[1]) == 2
         with pytest.raises(SimInternalError):
-            space.share_region(parent.region, child, parent.pid + 1, PageState.SHARED_COA, copies)
-        assert state() == before
+            space.share_region(parent.pid, child, parent.pid + 1, PageState.SHARED_COA, copies)
+        assert logged_state(system) == before
 
     @pytest.mark.parametrize(
         "state",
@@ -301,7 +298,7 @@ class TestMappings:
         shared = parent.region.page_count - 1
         # Each other child page is shared, and each other parent page,
         # all private, becomes copy-on-write.
-        assert space.share_region(parent.region, child, parent.pid + 1, state, copies) == 2 * shared
+        assert space.share_region(parent.pid, child, parent.pid + 1, state, copies) == 2 * shared
         after = space.entries()
         assert after[got + delta] == (eager.frame_id, PageState.PRIVATE, True)
         assert eager.mapcount == 1 and pages_by_frame(space)[eager.frame_id] == [got + delta]
@@ -320,8 +317,45 @@ def shared_child(space, pages=3):
     space.map_fresh_region(parent, 1, 0)
     frames = frames_of(space, parent)
     child = space.reserve_region(parent.size)
-    assert space.share_region(parent, child, 2, PageState.SHARED_COPA, {}) == 2 * pages
+    assert space.share_region(1, child, 2, PageState.SHARED_COPA, {}) == 2 * pages
     return parent, child, frames
+
+
+def logged_state(system):
+    """The state digest, both change logs and the next frame id: what a
+    pass that raises must leave as it found them."""
+    logs = [(set(log.frames), list(log.pids)) for log in system.frames.logs]
+    return state_digest(system), logs, system.frames._next_id
+
+
+#: Each whole-row pass given a pid it must refuse: a second live row for
+#: one pid, or a pid with no row.  Each takes the address space, a pid
+#: with a row and a fresh child reservation; ``missing`` is the next pid,
+#: which has none.
+PID_REFUSALS = {
+    "map_fresh_region, pid with a row": (
+        lambda space, pid, child: space.map_fresh_region(child, pid, 1),
+        "pid {pid} already has a row",
+    ),
+    "share_region, pid with a row": (
+        lambda space, pid, child: space.share_region(pid, child, pid, PageState.SHARED_COA, {}),
+        "pid {pid} already has a row",
+    ),
+    "share_region, parent with no row": (
+        lambda space, pid, child: space.share_region(
+            pid + 1, child, pid + 2, PageState.SHARED_COA, {}
+        ),
+        "pid {missing} has no row",
+    ),
+    "unmap_owned, pid with no row": (
+        lambda space, pid, child: space.unmap_owned(pid + 1),
+        "pid {missing} has no row",
+    ),
+    "owned_refcounts, pid with no row": (
+        lambda space, pid, child: space.owned_refcounts(pid + 1),
+        "pid {missing} has no row",
+    ),
+}
 
 
 def rows(space):
@@ -348,7 +382,7 @@ class TestRows:
             assert space.entries()[va] == shared
             assert space.entry_at(va + 8) == shared
         space.verify_refcounts({1, 2})
-        assert space.owned_refcounts(child) == {2: 3}
+        assert space.owned_refcounts(2) == {2: 3}
 
     def test_entry_at_is_a_read_only_view(self, space):
         parent, child, frames = shared_child(space)
@@ -371,7 +405,7 @@ class TestRows:
         space.entries()
         assert list(space.loadable_frames(2, range(3))) == []
         space.verify_refcounts({1, 2})
-        space.owned_refcounts(child)
+        space.owned_refcounts(2)
         assert columns(space) == before
 
     def test_map_and_unmap_of_a_frame_id_act_on_its_mapping(self, space):
@@ -399,7 +433,7 @@ class TestRows:
     def test_a_grandchild_share_copies_frame_ids_in_place(self, space):
         parent, child, frames = shared_child(space)
         grandchild = space.reserve_region(child.size)
-        assert space.share_region(child, grandchild, 3, PageState.SHARED_COA, {}) == 3
+        assert space.share_region(2, grandchild, 3, PageState.SHARED_COA, {}) == 3
         view = space.entries()
         for index, frame in enumerate(frames):
             va = grandchild.base + index * PAGE_SIZE
@@ -414,14 +448,13 @@ class TestRows:
             "child with a row",
             "not the last reservation",
             "another size",
-            "part of a parent",
             "mapped copy",
         ],
     )
     def test_a_share_pass_refuses_a_child_it_cannot_build_and_changes_nothing(self, case):
         system = System()
         parent = system.create_initial_process(LayoutSpec(heap_pages=2))
-        space, size, source = system.address_space, parent.region.size, parent.region
+        space, size = system.address_space, parent.region.size
         assert system.gateway.audit().clean
         system.verify_invariants()
         if case == "child with a row":
@@ -433,10 +466,6 @@ class TestRows:
             match = "is not the last reservation"
         elif case == "another size":
             child = space.reserve_region(size + PAGE_SIZE)
-            match = "is not a reservation the size of"
-        elif case == "part of a parent":
-            child = space.reserve_region(size)
-            source = Region(parent.region.base + PAGE_SIZE, size)
             match = "is not a reservation the size of"
         else:
             child = space.reserve_region(size)
@@ -451,19 +480,31 @@ class TestRows:
         if case != "mapped copy":
             del copies[parent.layout.alloc_meta.base + delta]
 
-        def state():
-            logs = [(set(log.frames), list(log.regions)) for log in system.frames.logs]
-            return state_digest(system), logs
-
-        before = state()
+        before = logged_state(system)
         assert len(before[1]) == 2
         with pytest.raises(SimInternalError, match=match):
-            space.share_region(source, child, 9, PageState.SHARED_COA, copies)
-        assert state() == before
+            space.share_region(parent.pid, child, 9, PageState.SHARED_COA, copies)
+        assert logged_state(system) == before
+
+    @pytest.mark.parametrize("case", sorted(PID_REFUSALS))
+    def test_a_whole_row_pass_refuses_a_pid_and_changes_nothing(self, case):
+        system = System()
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        space = system.address_space
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        child = space.reserve_region(parent.region.size)
+        refuse, match = PID_REFUSALS[case]
+        match = match.format(pid=parent.pid, missing=parent.pid + 1)
+        before = logged_state(system)
+        assert len(before[1]) == 2
+        with pytest.raises(SimInternalError, match=match):
+            refuse(space, parent.pid, child)
+        assert logged_state(system) == before
 
     def test_a_teardown_drops_the_rows_columns(self, space):
         parent, child, frames = shared_child(space)
-        assert space.unmap_owned(child) == frames
+        assert space.unmap_owned(2) == frames
         assert rows(space).keys() == set(parent.page_addresses())
         # The row is gone: its addresses lie in no reservation.
         assert [row.pid for row in space._rows] == [1] and list(space._pid_rows) == [1]
@@ -478,14 +519,40 @@ class TestRows:
         log = ChangeLog()
         system.frames.logs.append(log)
         last = child.region.end - PAGE_SIZE
-        assert space.entry_at(last).shared
+        assert space.entry_at(last).state is not PageState.PRIVATE
         system.frames.get(space.entry_at(last).frame_id).mapcount = 0
 
         before = state_digest(system)
         with pytest.raises(SimInternalError, match=f"{last:#x}"):
-            space.unmap_owned(child.region)
+            space.unmap_owned(child.pid)
         assert state_digest(system) == before
-        assert not log.frames and not log.regions
+        assert not log.frames and not log.pids
+
+    @pytest.mark.parametrize("case", ["dropped", "replaced", "kept after teardown"])
+    def test_both_debug_checks_catch_a_row_that_is_not_its_pids_row(self, case):
+        system = System()
+        parent = system.create_initial_process(LayoutSpec(heap_pages=2))
+        child = system.process(system.fork_engine.fork(parent.pid))
+        space, pid = system.address_space, child.pid
+        assert system.gateway.audit().clean
+        system.verify_invariants()
+        row = space._pid_rows[pid]
+        if case == "dropped":
+            del space._pid_rows[pid]
+            match = f"is not the row of pid {pid}"
+        elif case == "replaced":
+            space._pid_rows[pid] = copy.copy(row)
+            match = f"is not the row of pid {pid}"
+        else:
+            # A teardown that drops the row but leaves the pid naming it.
+            space.unmap_owned(pid)
+            space._pid_rows[pid] = row
+            match = "a pid names a row outside the page table"
+        before = logged_state(system)
+        for full in (True, False):
+            with pytest.raises(SimInternalError, match=match):
+                system.verify_invariants(full=full)
+            assert logged_state(system) == before
 
     def test_the_full_pass_counts_every_mapped_page(self, space):
         parent, child, frames = shared_child(space)
@@ -505,7 +572,7 @@ class TestRows:
         fresh = space.reserve_region(PAGE_SIZE)
         space.map_fresh_region(fresh, 3, 0)
         # Only a reservation whose row a teardown has dropped goes back.
-        space.unmap_owned(fresh)
+        space.unmap_owned(3)
         space.unreserve(fresh)
         assert space.owner_of(fresh.base) is None
         assert space.reserve_region(PAGE_SIZE) == fresh

@@ -64,7 +64,7 @@ def sweep(system, pid):
         if entry.state is PageState.PRIVATE:
             private.append(va)
         else:
-            shared.append((va, system.frames.refcount(entry.frame_id)))
+            shared.append((va, system.frames.by_id[entry.frame_id].mapcount))
     return sorted(private), sorted(shared)
 
 
@@ -380,7 +380,7 @@ class TestPromotionGuard:
         fresh = after.pop(page).frame_id
         del before[page]
         assert after == before
-        assert log.frames == {old, fresh} and log.regions == []
+        assert log.frames == {old, fresh} and log.pids == []
         assert pages_by_frame(space)[old] == [
             parent.layout.heap.base + PAGE_SIZE,
             sibling.layout.heap.base + PAGE_SIZE,
@@ -421,7 +421,7 @@ class TestCodePagesRefuseStores:
         space, code = system.address_space, child.layout.code_ro.base
         store_to_code(system, child.pid, code)
         if strategy != "full":
-            assert space.entry_at(code).shared
+            assert space.entry_at(code).state is not PageState.PRIVATE
             # The first lazy copy of the page, as a resolvable fault makes it.
             fault = Fault(FaultKind.CAP_LOAD, child.pid, code, AccessKind.CAP_LOAD)
             assert system.fork_engine.resolve_fault(fault).page_va == code
@@ -719,7 +719,7 @@ class TestExitWait:
     def test_reap_frees_child_frames_without_leaks(self):
         system = make_system("copa")
         parent = system.create_initial_process()
-        frames_before = len(system.frames.live_frames)
+        frames_before = len(system.frames.by_id)
         child_pid = system.fork_engine.fork(parent.pid)
         child = system.process(child_pid)
         system.access(child.pid, heap_cap(child, 0), AccessKind.WRITE, b"\x09" * 8)
@@ -728,7 +728,7 @@ class TestExitWait:
         assert system.metrics.prs_bytes(child_pid) > 0
         system.fork_engine.wait(parent.pid)
         assert system.metrics.prs_bytes(child_pid) == 0
-        assert len(system.frames.live_frames) == frames_before
+        assert len(system.frames.by_id) == frames_before
         # Parent pages all promoted back to private.
         private, shared = sweep(system, parent.pid)
         assert len(private) == 10 and not shared
@@ -923,7 +923,7 @@ class TestBatchedPaths:
         indexed = [va for _, va in space.mappers(system.frames.by_id)]
         assert not any(child.region.contains(va) for va in indexed)
         assert sorted(indexed) == list(space.entries())
-        assert sum(frame.mapcount for frame in system.frames.live_frames.values()) == len(indexed)
+        assert sum(frame.mapcount for frame in system.frames.by_id.values()) == len(indexed)
         system.verify_invariants(full=True)
         assert system.metrics.prs_bytes(child.pid) == 0
         assert system.metrics.prs_bytes(grandchild) > 0
@@ -945,7 +945,7 @@ class TestBatchedPaths:
             assert entry.state is PageState.PRIVATE
             assert entry.writable is not parent.layout.code_ro.contains(va)
             assert entry.state.cap_load
-            assert system.frames.refcount(entry.frame_id) == 1
+            assert system.frames.by_id[entry.frame_id].mapcount == 1
         assert not system.address_space.entry_at(parent.layout.code_ro.base).writable
         system.verify_invariants()
 
@@ -962,7 +962,7 @@ def promote_one_frame(engine, frame):
     system = engine._sys
     space = system.address_space
     (page_va,) = pages_by_frame(space)[frame.frame_id]
-    if not space.entry_at(page_va).shared:
+    if space.entry_at(page_va).state is PageState.PRIVATE:
         return
     owner = next(p for p in system.processes.values() if p.region.contains(page_va))
     if frame.origin != owner.region:
@@ -981,7 +981,7 @@ def promotion_state(system):
     }
     frames = {
         frame_id: (frame.origin, dict(frame.caps), bytes(frame.data))
-        for frame_id, frame in system.frames.live_frames.items()
+        for frame_id, frame in system.frames.by_id.items()
     }
     rows = [
         (row.pid, row.granules_scanned, row.caps_relocated)

@@ -16,7 +16,7 @@ from sasfork.address_space import (
     FaultKind,
     PageState,
 )
-from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm, Region
+from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import InvalidInvoke, SimInternalError, SyscallError
 from sasfork.kernel import (
     _ENTRY_OTYPE_BASE,
@@ -411,7 +411,16 @@ def full_sweep(system):
     for proc in system.processes.values():
         if not proc.running:
             continue
-        reachable = list(proc.register_caps())
+        # Every capability the register state holds, with its location;
+        # the sealed entries are the kernel's and are not listed.
+        reachable = [
+            (f"register:{name}", value)
+            for name, value in proc.registers.items()
+            if isinstance(value, Capability)
+        ]
+        reachable += ((f"symbol:{name}", cap) for name, cap in proc.symbols.items())
+        if proc.loaded_ref is not None:
+            reachable.append(("register:loaded_ref", proc.loaded_ref))
         for page_va in proc.region.page_addresses():
             entry = system.address_space.entry_at(page_va)
             if entry is None:
@@ -926,12 +935,12 @@ class TestChangeLogEntryPoints:
         system.verify_invariants()
         logs = system.frames.logs
         assert logs == [system.gateway._changes, system._debug_changes]
-        assert not any(log.frames or log.regions for log in logs)
+        assert not any(log.frames or log.pids for log in logs)
         return logs
 
-    def assert_logged(self, logs, frames=(), regions=()):
+    def assert_logged(self, logs, frames=(), pids=()):
         assert all(log.frames == set(frames) for log in logs)
-        assert all(log.regions == list(regions) for log in logs)
+        assert all(log.pids == list(pids) for log in logs)
 
     def test_an_allocation_is_logged_in_both_logs(self):
         system, _ = audited_system("copa")
@@ -953,7 +962,7 @@ class TestChangeLogEntryPoints:
         space = system.address_space
         owned = {space.entry_at(va).frame_id for va in child.region.page_addresses()}
         logs = self.both_logs_cleared(system)
-        space.unmap_owned(child.region)
+        space.unmap_owned(child.pid)
         self.assert_logged(logs, frames=owned)
 
     def test_a_remap_is_logged_in_both_logs(self):
@@ -982,8 +991,8 @@ class TestChangeLogEntryPoints:
                 copies[va + delta] = system.frames.clone(space.entry_at(va).frame_id).frame_id
             for log in logs:  # the allocations logged the copies
                 log.frames.clear()
-        space.share_region(parent.region, child, parent.pid + 1, PageState.SHARED_COA, copies)
-        self.assert_logged(logs, regions=[child])
+        space.share_region(parent.pid, child, parent.pid + 1, PageState.SHARED_COA, copies)
+        self.assert_logged(logs, pids=[parent.pid + 1])
 
 
 AUDIT_WORK_BODY = (
@@ -1060,7 +1069,7 @@ def test_the_per_step_check_and_the_full_pass_hold_at_every_step(strategy, monke
 
     def verify_invariants(system, **kwargs):
         log = system._debug_changes
-        logged.append(log is not None and bool(log.frames or log.regions))
+        logged.append(log is not None and bool(log.frames or log.pids))
         real_verify(system, **kwargs)
         real_verify(system, full=True)
 
@@ -1077,11 +1086,11 @@ def test_the_per_step_check_and_the_full_pass_hold_at_every_step(strategy, monke
 
 
 def _holds_changes(log):
-    return log is not None and bool(log.frames or log.regions)
+    return log is not None and bool(log.frames or log.pids)
 
 
 def _contents(log):
-    return None if log is None else (set(log.frames), list(log.regions))
+    return None if log is None else (set(log.frames), list(log.pids))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -1158,8 +1167,8 @@ def _remap_keeps_the_old_page(monkeypatch):
 def _share_region_drops_a_child_page(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, *args):
-        written = real(self, parent, child, *args)
+    def share_region(self, parent_pid, child, *args):
+        written = real(self, parent_pid, child, *args)
         frames, entries = self._frames.by_id, self.entries()
         page_va = next(
             va
@@ -1175,8 +1184,8 @@ def _share_region_drops_a_child_page(monkeypatch):
 def _share_region_drops_its_last_frame_id(monkeypatch):
     real = AddressSpace.share_region
 
-    def share_region(self, parent, child, *args):
-        written = real(self, parent, child, *args)
+    def share_region(self, parent_pid, child, *args):
+        written = real(self, parent_pid, child, *args)
         frames = self._row_at(child.base).frames
         index = max(i for i, frame_id in enumerate(frames) if frame_id is not None)
         self._frames.by_id[frames[index]].mapcount -= 1
@@ -1188,8 +1197,21 @@ def _share_region_drops_its_last_frame_id(monkeypatch):
 def _unmap_owned_leaves_the_last_page(monkeypatch):
     real = AddressSpace.unmap_owned
 
-    def unmap_owned(self, region):
-        return real(self, Region(region.base, region.size - PAGE_SIZE))
+    def unmap_owned(self, pid):
+        row = self._pid_rows[pid]
+        frame, state = self._frames.by_id[row.frames[-1]], row.states[-1]
+        survivors = [survivor for survivor in real(self, pid) if survivor is not frame]
+        # The row stays, its last page still mapped and counted in its frame.
+        index = bisect_left(self._bases, row.base)
+        self._bases.insert(index, row.base)
+        self._rows.insert(index, row)
+        self._pid_rows[pid] = row
+        row.family.append(row)
+        row.frames[:-1] = row.states[:-1] = [None] * (len(row.frames) - 1)
+        row.frames[-1], row.states[-1] = frame.frame_id, state
+        frame.mapcount += 1
+        self._frames.by_id[frame.frame_id] = frame
+        return survivors
 
     monkeypatch.setattr(AddressSpace, "unmap_owned", unmap_owned)
 
@@ -1197,17 +1219,12 @@ def _unmap_owned_leaves_the_last_page(monkeypatch):
 def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
     real = AddressSpace.unmap_owned
 
-    def unmap_owned(self, region):
-        frames, entries = self._frames.by_id, self.entries()
-        owned = [
-            (va, entries[va].frame_id)
-            for va in range(region.base, region.end, PAGE_SIZE)
-            if va in entries
-        ]
-        survivors = real(self, region)
+    def unmap_owned(self, pid):
+        frames, owned = self._frames.by_id, list(self._pid_rows[pid].frames)
+        survivors = real(self, pid)
         # The first page whose frame outlives the teardown stays in its
         # count; the released region maps nothing there.
-        for _, frame_id in owned:
+        for frame_id in owned:
             if frame_id in frames:
                 frames[frame_id].mapcount += 1
                 break
@@ -1219,9 +1236,9 @@ def _unmap_owned_keeps_a_page_in_its_frame(monkeypatch):
 def _teardown_keeps_the_reaped_pids_row(monkeypatch):
     real = AddressSpace.unmap_owned
 
-    def unmap_owned(self, region):
-        row = self._row_at(region.base)
-        survivors = real(self, region)
+    def unmap_owned(self, pid):
+        row = self._pid_rows[pid]
+        survivors = real(self, pid)
         # The row stays, mapping nothing, as if the reservation were kept.
         index = bisect_left(self._bases, row.base)
         self._bases.insert(index, row.base)

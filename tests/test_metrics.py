@@ -141,7 +141,7 @@ def prs_oracle(system, pid):
     total = Fraction(0)
     for page_va, entry in system.address_space.entries().items():
         if region.contains(page_va):
-            total += Fraction(PAGE_SIZE, system.frames.refcount(entry.frame_id))
+            total += Fraction(PAGE_SIZE, system.frames.by_id[entry.frame_id].mapcount)
     return total
 
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from sasfork.address_space import AddressSpace, PageState, _Row
-from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Perm, Region
+from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Capability, Perm, Region
 from sasfork.errors import BadFd, SimInternalError
 from sasfork.process import KERNEL_PID, LayoutSpec
 from sasfork.system import PID_SLOTS, System
@@ -50,8 +50,11 @@ class TestCreation:
 
     def test_registers_bounded_to_region(self, system):
         proc = system.create_initial_process()
-        for location, cap in proc.register_caps():
-            assert proc.region.contains_range(cap.base, cap.top), location
+        caps = [value for value in proc.registers.values() if isinstance(value, Capability)]
+        caps += proc.symbols.values()
+        assert caps and proc.loaded_ref is None
+        for cap in caps:
+            assert proc.region.contains_range(cap.base, cap.top), cap
 
     def test_custom_layout_size(self, system):
         spec = LayoutSpec(heap_pages=16)
@@ -243,7 +246,7 @@ def mapped_state(space):
     return (
         space.entries(),
         {fid: (f.mapcount, f.index, f.origin) for fid, f in frames.by_id.items()},
-        [(set(log.frames), list(log.regions)) for log in frames.logs],
+        [(set(log.frames), list(log.pids)) for log in frames.logs],
     )
 
 

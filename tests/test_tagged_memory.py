@@ -309,7 +309,7 @@ class TestRefcounts:
         space.map_fresh_region(parent, 1, 0)
         child = space.reserve_region(0x2000)
         assert child.base == 0x3000
-        space.share_region(parent, child, 2, PageState.SHARED_COPA, {})
+        space.share_region(1, child, 2, PageState.SHARED_COPA, {})
         # Two rows of one fork family that map nothing.
         for va in range(parent.base, child.end, 0x1000):
             space.unmap(va)
@@ -318,14 +318,13 @@ class TestRefcounts:
         # A frame's pages lie at one page index: not at two of one region.
         with pytest.raises(SimInternalError, match="0x2000 cannot map frame"):
             space.map(0x2000, frame.frame_id, PageState.SHARED_COPA)
-        assert space.entry_at(0x2000) is None and table.refcount(frame.frame_id) == 1
+        assert space.entry_at(0x2000) is None and frame.mapcount == 1
         space.map(0x3000, frame.frame_id, PageState.SHARED_COPA)
-        assert table.refcount(frame.frame_id) == 2
+        assert frame.mapcount == 2
         assert space.unmap(0x1000) == 1 and space.mappers([frame.frame_id]) == [(2, 0x3000)]
-        assert table.exists(frame.frame_id)
+        assert frame.frame_id in table.by_id
         assert space.unmap(0x3000) == 0 and frame.mapcount == 0
-        assert not table.exists(frame.frame_id)
-        assert table.refcount(frame.frame_id) == 0
+        assert frame.frame_id not in table.by_id
 
     def test_clone_copies_bytes_and_tags(self, table):
         frame = table.allocate(origin=PARENT)
@@ -402,7 +401,7 @@ class TestPerFrameStorage:
     def test_reaped_workers_leave_no_capability_entries_behind(self):
         def retained(forks):
             text = "alloc a 4096\nstore_ref a+0 a+16\n" + "fork nowait {\nexit 0\n}\n" * forks
-            frames = run(text, "copa").system.frames.live_frames.values()
+            frames = run(text, "copa").system.frames.by_id.values()
             return sum(len(frame.caps) for frame in frames), len(frames)
 
         few, few_frames = retained(8)
