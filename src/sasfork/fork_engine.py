@@ -116,6 +116,9 @@ class CopyCause(enum.Enum):
         member.eager = fault is None
         return member
 
+    # Identity hashing, as for FaultKind: the report folds copies by cause.
+    __hash__ = object.__hash__
+
 
 _FAULT_TO_CAUSE = {cause.fault: cause for cause in CopyCause if not cause.eager}
 

@@ -15,12 +15,16 @@ and execution continues.
 
 A table maps each statement type to its handler, which performs the
 statement and writes the trace event of a success (``_execute`` writes
-a failure's).  An event formats its statement once and keeps the
-rendered result as the task's previous result, which ``expect`` compares
-against; a blocked ``wait`` writes none.  The sha256 over the events'
-``(pid, statement, result)`` is the run's value hash.  Copy events and
-fault counters live in the metrics report, not the trace, so cost never
-leaks into the equivalence check.
+a failure's); a blocked ``wait`` writes none.  An event keeps what
+happened, not its text: the pid, the script's own statement tuple and
+the raw result, all immutable and mostly alive anyway.  Its text is
+rendered only when the trace is read, as :mod:`logging` defers
+formatting until a record is emitted.  The raw result is also the
+task's previous result, which ``expect`` renders and compares against.
+The sha256 over the events' rendered ``(pid, statement, result)`` is
+the run's value hash.  Copy events and fault counters live in the
+metrics report, not the trace, so cost never leaks into the equivalence
+check.
 
 A run leaves its :class:`Script` as it was: tasks read its tuples, a
 forked child shares its fork's ``body``, the ``wait`` behind a fork
@@ -46,7 +50,7 @@ from ..process import MicroProcess
 from ..system import System
 from .script import (
     Alloc, Close, Deref, Exit, Expect, Fork, LoadInt, LoadRef, Open, Priv, Read, Script,
-    StoreInt, StoreRef, Wait, Write, Yield, format_statement, parse,
+    Statement, StoreInt, StoreRef, Wait, Write, Yield, format_statement, parse,
 )
 
 #: Exit status assigned to a process killed by a fatal fault.
@@ -56,19 +60,37 @@ _tuple_new = tuple.__new__
 
 
 class TraceEvent(NamedTuple):
-    """One trace line; it compares equal to a plain tuple of its fields."""
+    """One statement a process ran: its pid, the statement and the raw result.
 
-    seq: int
+    ``statement`` is the script's own statement tuple, or the implicit
+    ``wait`` or ``exit 0``; ``value`` is an int, bool, str, None or
+    :class:`Capability`.  ``stmt`` and ``result`` render them as the
+    trace prints them.  An event compares equal to the plain tuple
+    ``(pid, statement, value)``, so two events with the same text but,
+    say, the results ``1`` and ``"1"`` are not equal.
+    """
+
     pid: int
-    stmt: str
-    result: str
+    statement: Statement
+    value: object
 
-    def __str__(self) -> str:
-        return f"[{self.seq}] pid={self.pid} {self.stmt} -> {self.result}"
+    @property
+    def stmt(self) -> str:
+        return format_statement(self.statement)
+
+    @property
+    def result(self) -> str:
+        return _render(self.value)
 
 
 @dataclass
 class Trace:
+    """A run's events in the order they happened.
+
+    An event's sequence number is its index in ``events``; the readers
+    render each event's text when they run.
+    """
+
     events: list[TraceEvent] = field(default_factory=list)
 
     def value_hash(self) -> str:
@@ -78,7 +100,9 @@ class Trace:
         return digest.hexdigest()
 
     def to_text(self) -> str:
-        return "\n".join(str(e) for e in self.events)
+        return "\n".join(
+            f"[{seq}] pid={e.pid} {e.stmt} -> {e.result}" for seq, e in enumerate(self.events)
+        )
 
 
 @dataclass
@@ -107,9 +131,9 @@ class _Task:
         self.ip = 0
         # Set by a fork without ``nowait``: wait before the next statement.
         self.wait_pending = False
-        # The previous statement's result as the trace rendered it; a
-        # forked child starts with the fork's return value, 0.
-        self.last_result = "0"
+        # The previous statement's raw result; a forked child starts with
+        # the fork's return value, 0.
+        self.last_result = 0
         self.files = files
 
 
@@ -168,10 +192,8 @@ class _Interpreter:
 
     def _emit(self, task: _Task, stmt, result) -> None:
         """Write a statement's event; its result becomes the task's previous one."""
-        rendered = task.last_result = _render(result)
-        events = self.trace.events
-        text = format_statement(stmt)
-        events.append(_tuple_new(TraceEvent, (len(events), task.proc.pid, text, rendered)))
+        task.last_result = result
+        self.trace.events.append(_tuple_new(TraceEvent, (task.proc.pid, stmt, result)))
 
     def _after_step(self) -> None:
         if self.system.debug:
@@ -367,12 +389,13 @@ class _Interpreter:
     def _expect(self, task: _Task, stmt: Expect) -> None:
         # Results are compared as the trace renders them, and an expect
         # leaves the task's previous result as it was.
-        actual = task.last_result
+        previous = task.last_result
+        actual = _render(previous)
         result = "ok" if actual == str(stmt.value) else f"FAILED(actual={actual})"
         if result != "ok":
             self._expect_failures.append(len(self.trace.events))
         self._emit(task, stmt, result)
-        task.last_result = actual
+        task.last_result = previous
 
     # -- helpers ----------------------------------------------------------------
 

@@ -627,8 +627,8 @@ class TestNestedFork:
             result = run(ORPHAN, strategy, "fault", debug=True, audit=True)
             assert result.ok and result.audit.clean
             events = result.trace.events
-            reap = next(e.seq for e in events if e.stmt == "wait")
-            load = next(e.seq for e in events if e.stmt == "load_ref a+16")
+            reap = next(seq for seq, e in enumerate(events) if e.stmt == "wait")
+            load = next(seq for seq, e in enumerate(events) if e.stmt == "load_ref a+16")
             assert reap < load and events[load].pid == 3
             traces.add(result.trace.to_text())
         assert len(traces) == 1

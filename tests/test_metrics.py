@@ -1,5 +1,7 @@
 """Resident-set accounting, determinism, and strategy comparison."""
 
+import enum
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from sasfork.system import System
 from sasfork.metrics import compare
 from sasfork.workload import generate, print_script, run
 from test_golden import GEN_SLICE, GOLDEN
+from test_kernel import bench_workloads
 
 
 def heap_cap(proc, offset=0):
@@ -100,6 +103,29 @@ class TestReports:
         assert "strategy=copa" in text and "prs=" in text and "fork_cost=" in text
         header = result.report.to_csv().splitlines()[0]
         assert header.startswith("strategy,isolation,pid,eager_pages_copied")
+
+    def test_fault_kinds_and_copy_causes_hash_without_a_python_call(self, monkeypatch):
+        # The fault path and the report fold key dicts by FaultKind and
+        # CopyCause; Enum.__hash__ is a Python-level call per lookup.
+        calls = Counter()
+        enum_hash = enum.Enum.__hash__
+
+        def counted(member):
+            calls[type(member).__name__] += 1
+            return enum_hash(member)
+
+        monkeypatch.setattr(enum.Enum, "__hash__", counted)
+        Probe = enum.Enum("Probe", "A")
+        hash(Probe.A)
+        assert calls["Probe"] == 1, "the patch does not reach Enum subclasses"
+        w = bench_workloads().WORKLOADS["churn"]
+        result = run(w.tiny_script(1), w.strategy, w.isolation)
+        report = result.report
+        assert sum(sum(r.faults.values()) for r in report.rows) > 0 and report.total_lazy > 0
+        # Rendering the report folds the lazy copies by cause again.
+        report.to_text()
+        report.to_csv()
+        assert calls["FaultKind"] == calls["CopyCause"] == 0
 
 
 class TestCompare:

@@ -156,7 +156,7 @@ class TestCreation:
         # Once the children are reaped their slots take new processes.
         assert forks[held + 2 :] == [str(held + 2)]
         # A refused fork writes one event, the parent's, and no child's.
-        refused = [e.seq for e in events if e.result == "EAGAIN"]
+        refused = [seq for seq, e in enumerate(events) if e.result == "EAGAIN"]
         assert [(events[i].pid, events[i].stmt) for i in refused] == [
             (1, "fork nowait"),
             (1, "fork"),

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 import sasfork.system
 from sasfork.address_space import page_of
+from sasfork.capability import Capability
 from sasfork.cli import main
 from sasfork.errors import ParseError, SimInternalError
 from sasfork.kernel import KernelGateway
@@ -426,9 +428,9 @@ class TestExecution:
     def test_expect_after_load_ref_compares_the_rendered_capability(self):
         text = "alloc a 64\nalloc b 64\nstore_ref a+0 b+0\nload_ref a+0\nexpect 5\n"
         events = run(text, "copa").trace.events
-        loaded = next(e for e in events if e.stmt == "load_ref a+0")
+        seq, loaded = next((i, e) for i, e in enumerate(events) if e.stmt == "load_ref a+0")
         assert loaded.result.startswith("cap:0x")
-        assert events[loaded.seq + 1].result == f"FAILED(actual={loaded.result})"
+        assert events[seq + 1].result == f"FAILED(actual={loaded.result})"
 
     def test_expect_efault_after_a_refused_write_passes(self):
         result = run("alloc a 64\nopen f\nwrite f a+0 128\nexpect EFAULT\n", "copa")
@@ -486,6 +488,16 @@ def statements(body):
 @dataclass(frozen=True)
 class NotAStatement:
     name: str = "a"
+
+
+#: A raw result's types.  Each is immutable, so an event rendered when the
+#: trace is read shows the text its result had when the statement ran.
+RAW_RESULT_TYPES = (int, bool, str, type(None), Capability)
+
+#: The golden scripts and each benchmark workload's tiny script.
+TRACED_SCRIPTS = {name: text for name, (text, _) in GOLDEN.items()} | {
+    f"tiny-{name}": w.tiny_script(1) for name, w in bench_workloads().WORKLOADS.items()
+}
 
 
 class TestStatementTables:
@@ -549,19 +561,48 @@ class TestStatementTables:
         with pytest.raises(TypeError, match="unknown statement"):
             format_statement(NotAStatement())
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    @pytest.mark.parametrize("name", sorted(TRACED_SCRIPTS))
     def test_the_trace_shows_each_statement_as_the_printer_does(self, name, monkeypatch):
-        text = GOLDEN[name][0]
         if name == "eagain":
             monkeypatch.setattr(sasfork.system, "PID_SLOTS", 4)
-        script = parse(text)
+        script = parse(TRACED_SCRIPTS[name])
         assert parse(print_script(script)) == script
-        # The implicit wait behind a fork and the implicit exit 0 at the
-        # end of a stream are shown as their statements would be.
-        texts = {format_statement(s) for s in statements(script.body)} | {"wait", "exit 0"}
+        # An event keeps the script's own statement tuple, which the
+        # printer renders, or the implicit wait behind a fork or exit 0 at
+        # the end of a stream; and a raw result of an immutable type.
+        own = {id(stmt) for stmt in statements(script.body)}
         for strategy in ("full", "coa", "copa", "unsafe-cow"):
             events = run(script, strategy).trace.events
-            assert events and {e.stmt for e in events} <= texts
+            assert events
+            for event in events:
+                assert id(event.statement) in own or event.statement in (Wait(), Exit(0))
+                assert type(event.value) in RAW_RESULT_TYPES, event
+
+
+class TestTraceEvents:
+    def test_the_trace_keeps_little_per_event(self):
+        # What the events of a `gen --pages 256` run hold, measured by
+        # dropping them under tracemalloc (Python 3.11): ~112 B per event,
+        # against ~225 B when each event kept its sequence number and
+        # rendered statement and result text.
+        script = generate(256, 0.0625, 1.0, 0)
+        tracemalloc.start()
+        try:
+            result = run(script, "copa")
+            count = len(result.trace.events)
+            held = tracemalloc.get_traced_memory()[0]
+            result.trace.events = []
+            per_event = (held - tracemalloc.get_traced_memory()[0]) / count
+        finally:
+            tracemalloc.stop()
+        assert count > 1000
+        assert per_event < 150, f"{per_event:.0f} B per event"
+
+    def test_events_compare_as_their_raw_fields(self):
+        result = run("alloc a 64\nload_int a+0\n", "copa")
+        first = result.trace.events[0]
+        assert first == (1, Alloc("a", 64), 0)
+        assert (first.stmt, first.result) == ("alloc a 64", "0")
 
 
 #: Page offsets of the 8-byte integer accesses: in-page, then crossing.
