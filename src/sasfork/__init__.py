@@ -48,6 +48,7 @@ from .process import (
     Layout,
     LayoutSpec,
     MicroProcess,
+    ReapedProcess,
 )
 from .system import System
 from .tagged_memory import FrameTable, TaggedFrame
@@ -84,6 +85,7 @@ __all__ = [
     "PageTableEntry",
     "Perm",
     "ProbeOutcome",
+    "ReapedProcess",
     "Region",
     "RunResult",
     "Script",

@@ -66,7 +66,8 @@ relocation scan charged, and the metrics report folds its copy counts
 from them.  A lazy cause names the fault its copy resolves, and an eager
 cause names none; both are attributes of the cause.
 Exit gives a process its exit record; ``wait`` and reap look for zombies
-among the PID-table slot holders only, and reap frees the slot.
+among the PID-table slot holders only, and reap frees the slot and
+leaves only the pid's :class:`~sasfork.process.ReapedProcess`.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .errors import (
     SimInternalError,
     UnresolvableFault,
 )
-from .process import MicroProcess
+from .process import MicroProcess, ReapedProcess
 from .tagged_memory import TaggedFrame
 
 if TYPE_CHECKING:
@@ -96,6 +97,10 @@ class ForkStrategy(enum.Enum):
     COA = "coa"
     COPA = "copa"
     UNSAFE_COW = "unsafe-cow"
+
+    # Identity hashing, as for FaultKind: fork looks up its shared state
+    # by strategy.
+    __hash__ = object.__hash__
 
 
 class CopyCause(enum.Enum):
@@ -424,15 +429,21 @@ class ForkEngine:
         self.reap(child)
         return child.pid, child.exit_code
 
-    def reap(self, proc: MicroProcess) -> None:
-        """Tear down a zombie: unmap its pages and drop its row, release descriptors and its slot.
+    def reap(self, proc: MicroProcess | ReapedProcess) -> None:
+        """Tear down a zombie: unmap its pages and drop its row, then free its slot.
 
+        Its entry in ``System.processes`` becomes a :class:`ReapedProcess`,
+        which keeps only the pid, region, parent and exit record, so its
+        descriptor table goes with the rest of the process.
         Raises :class:`ProcessNotRunning`, before changing anything, for
         a process that still runs or holds no PID-table slot (reaped).
         """
         sys = self._sys
-        if proc.running or proc.pid not in sys.unreaped_pids:
-            raise ProcessNotRunning(f"pid {proc.pid} is not a zombie")
-        self._promote(sys.address_space.unmap_owned(proc.pid))
-        sys.files.drop_table(proc)
-        sys.release_pid(proc.pid)
+        pid = proc.pid
+        if proc.running or pid not in sys.unreaped_pids:
+            raise ProcessNotRunning(f"pid {pid} is not a zombie")
+        self._promote(sys.address_space.unmap_owned(pid))
+        sys.release_pid(pid)
+        sys.processes[pid] = ReapedProcess(
+            pid, proc.region, proc.parent_pid, proc.exit_code, proc.exit_seq
+        )

@@ -18,16 +18,18 @@ one process never disturbs the other's slot.
 
 A process runs until :meth:`ForkEngine.exit` gives it an exit record
 (``exit_code`` and ``exit_seq``), and is unreaped while it holds a slot
-of the kernel PID table (:attr:`System.unreaped_pids`); its record,
-``region`` included, stays in ``System.processes`` after reap, while the
-page table drops the region's row.
+of the kernel PID table (:attr:`System.unreaped_pids`).  Reap drops the
+region's page-table row and replaces the process in
+``System.processes`` with a :class:`ReapedProcess`: its pid, region,
+parent and exit record, all that is read of a reaped pid.  Its
+registers, symbols, layout and descriptors go with the record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .capability import PAGE_SIZE, Capability, Region
 from .errors import BadFd
@@ -139,6 +141,23 @@ class MicroProcess:
         return fd
 
 
+class ReapedProcess(NamedTuple):
+    """What a pid keeps once reaped: its region, parent and exit record.
+
+    It stands in :attr:`System.processes` for the reaped
+    :class:`MicroProcess`; reading anything else of it raises
+    ``AttributeError``.
+    """
+
+    pid: int
+    region: Region
+    parent_pid: int | None
+    exit_code: int
+    exit_seq: int
+
+    running = False
+
+
 @dataclass
 class FileObject:
     """An open file: a byte buffer with a shared read offset.
@@ -195,7 +214,3 @@ class FileTable:
     def close_fd(self, proc: MicroProcess, fd: int) -> None:
         if proc.fd_table.pop(fd, None) is None:
             raise BadFd(f"pid {proc.pid} has no fd {fd}")
-
-    def drop_table(self, proc: MicroProcess) -> None:
-        """Release every descriptor a process still holds (at reap)."""
-        proc.fd_table.clear()

@@ -42,7 +42,7 @@ from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFaul
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
-from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess
+from .process import KERNEL_PID, FileTable, Layout, LayoutSpec, MicroProcess, ReapedProcess
 from .tagged_memory import ChangeLog, FrameTable, TaggedFrame
 
 _READ_INT, _WRITE = AccessKind.READ_INT, AccessKind.WRITE
@@ -85,7 +85,8 @@ class System:
         self.address_space = AddressSpace(self.frames)
         self.files = FileTable()
         self.metrics = Metrics(self)
-        self.processes: dict[int, MicroProcess] = {}
+        # Each pid's process, or its exit record once reaped.
+        self.processes: dict[int, MicroProcess | ReapedProcess] = {}
         self._next_pid = 1
         self._pid_slots: dict[int, int] = {}  # PID-table slot of each unreaped pid
         self._free_pid_slots: list[int] = []  # heap of slots freed at reap
@@ -148,7 +149,7 @@ class System:
         """Pids holding a PID-table slot (running or not yet reaped), in pid order."""
         return self._pid_slots.keys()
 
-    def process(self, pid: int) -> MicroProcess:
+    def process(self, pid: int) -> MicroProcess | ReapedProcess:
         try:
             return self.processes[pid]
         except KeyError:

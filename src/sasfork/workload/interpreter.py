@@ -17,14 +17,15 @@ A table maps each statement type to its handler, which performs the
 statement and writes the trace event of a success (``_execute`` writes
 a failure's); a blocked ``wait`` writes none.  An event keeps what
 happened, not its text: the pid, the script's own statement tuple and
-the raw result, all immutable and mostly alive anyway.  Its text is
-rendered only when the trace is read, as :mod:`logging` defers
-formatting until a record is emitted.  The raw result is also the
-task's previous result, which ``expect`` renders and compares against.
-The sha256 over the events' rendered ``(pid, statement, result)`` is
-the run's value hash.  Copy events and fault counters live in the
-metrics report, not the trace, so cost never leaks into the equivalence
-check.
+the raw result, all immutable and mostly alive anyway.  The trace keeps
+them as three parallel columns, so writing an event builds no object;
+its text is rendered only when the trace is read, as :mod:`logging`
+defers formatting until a record is emitted.  The raw result is also
+the task's previous result, which ``expect`` renders and compares
+against.  The sha256 over the events' rendered ``(pid, statement,
+result)`` is the run's value hash.  Copy events and fault counters live
+in the metrics report, not the trace, so cost never leaks into the
+equivalence check.
 
 A run leaves its :class:`Script` as it was: tasks read its tuples, a
 forked child shares its fork's ``body``, the ``wait`` behind a fork
@@ -62,12 +63,14 @@ _tuple_new = tuple.__new__
 class TraceEvent(NamedTuple):
     """One statement a process ran: its pid, the statement and the raw result.
 
-    ``statement`` is the script's own statement tuple, or the implicit
-    ``wait`` or ``exit 0``; ``value`` is an int, bool, str, None or
-    :class:`Capability`.  ``stmt`` and ``result`` render them as the
-    trace prints them.  An event compares equal to the plain tuple
-    ``(pid, statement, value)``, so two events with the same text but,
-    say, the results ``1`` and ``"1"`` are not equal.
+    The readers' view of one row of a :class:`Trace`, built when
+    :attr:`Trace.events` is read.  ``statement`` is the script's own
+    statement tuple, or the implicit ``wait`` or ``exit 0``; ``value`` is
+    an int, bool, str, None or :class:`Capability`.  ``stmt`` and
+    ``result`` render them as the trace prints them.  An event compares
+    equal to the plain tuple ``(pid, statement, value)``, so two events
+    with the same text but, say, the results ``1`` and ``"1"`` are not
+    equal.
     """
 
     pid: int
@@ -85,24 +88,36 @@ class TraceEvent(NamedTuple):
 
 @dataclass
 class Trace:
-    """A run's events in the order they happened.
+    """A run's events in the order they happened, as three parallel columns.
 
-    An event's sequence number is its index in ``events``; the readers
-    render each event's text when they run.
+    Event ``i`` is ``(pids[i], statements[i], values[i])``, and ``i`` is
+    its sequence number.  The run appends to the columns and builds no
+    event; the readers render each event's text when they run.
     """
 
-    events: list[TraceEvent] = field(default_factory=list)
+    pids: list[int] = field(default_factory=list)
+    statements: list[Statement] = field(default_factory=list)
+    values: list[object] = field(default_factory=list)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The events as :class:`TraceEvent` tuples, built at each read."""
+        return [_tuple_new(TraceEvent, row) for row in self._rows()]
 
     def value_hash(self) -> str:
         digest = hashlib.sha256()
-        for event in self.events:
-            digest.update(f"{event.pid}|{event.stmt}|{event.result}\n".encode())
+        for pid, statement, value in self._rows():
+            digest.update(f"{pid}|{format_statement(statement)}|{_render(value)}\n".encode())
         return digest.hexdigest()
 
     def to_text(self) -> str:
         return "\n".join(
-            f"[{seq}] pid={e.pid} {e.stmt} -> {e.result}" for seq, e in enumerate(self.events)
+            f"[{seq}] pid={pid} {format_statement(statement)} -> {_render(value)}"
+            for seq, (pid, statement, value) in enumerate(self._rows())
         )
+
+    def _rows(self):
+        return zip(self.pids, self.statements, self.values)
 
 
 @dataclass
@@ -193,7 +208,10 @@ class _Interpreter:
     def _emit(self, task: _Task, stmt, result) -> None:
         """Write a statement's event; its result becomes the task's previous one."""
         task.last_result = result
-        self.trace.events.append(_tuple_new(TraceEvent, (task.proc.pid, stmt, result)))
+        trace = self.trace
+        trace.pids.append(task.proc.pid)
+        trace.statements.append(stmt)
+        trace.values.append(result)
 
     def _after_step(self) -> None:
         if self.system.debug:
@@ -393,7 +411,7 @@ class _Interpreter:
         actual = _render(previous)
         result = "ok" if actual == str(stmt.value) else f"FAILED(actual={actual})"
         if result != "ok":
-            self._expect_failures.append(len(self.trace.events))
+            self._expect_failures.append(len(self.trace.pids))
         self._emit(task, stmt, result)
         task.last_result = previous
 

@@ -18,7 +18,7 @@ from sasfork.cli import main
 from sasfork.errors import ParseError, SimInternalError
 from sasfork.kernel import KernelGateway
 from sasfork.system import System
-from sasfork.workload import generate, interpreter, parse, print_script, run
+from sasfork.workload import TraceEvent, generate, interpreter, parse, print_script, run
 from sasfork.workload.script import (
     _FORMATTERS,
     _SYNTAX,
@@ -359,13 +359,16 @@ class TestExecution:
         assert len({result.trace.value_hash() for result in runs.values()}) == 1
         copa = runs["copa"]
         child = {e.stmt: e.result for e in copa.trace.events if e.pid == 2}
-        child_a = copa.system.process(2).layout.heap.base
+        # A reaped process keeps its region; the script's spec carves it.
+        spec = parse(text).layout_spec()
+        child_a = spec.carve(copa.system.process(2).region).heap.base
         assert int(child["load_int b+0"]) == child_a + 16
         assert child["load_int b+8"] == "0"
         # The unsafe CoW child still reads the parent's address.
         cow = run(text, "unsafe-cow")
         cow_child = {e.stmt: e.result for e in cow.trace.events if e.pid == 2}
-        assert int(cow_child["load_int b+0"]) == cow.system.process(1).layout.heap.base + 16
+        cow_a = spec.carve(cow.system.process(1).region).heap.base
+        assert int(cow_child["load_int b+0"]) == cow_a + 16
 
     def test_child_store_to_shared_page_raises_exactly_one_write_fault(self):
         text = "alloc a 4096\nstore_int a+0 1\nfork {\nstore_int a+8 2\nexit 0\n}\n"
@@ -582,21 +585,23 @@ class TestStatementTables:
 class TestTraceEvents:
     def test_the_trace_keeps_little_per_event(self):
         # What the events of a `gen --pages 256` run hold, measured by
-        # dropping them under tracemalloc (Python 3.11): ~112 B per event,
-        # against ~225 B when each event kept its sequence number and
-        # rendered statement and result text.
+        # dropping the trace's columns under tracemalloc (Python 3.11):
+        # ~58 B per event, against ~112 B when the trace kept a TraceEvent
+        # tuple per event and ~225 B when each event also kept its
+        # sequence number and rendered statement and result text.
         script = generate(256, 0.0625, 1.0, 0)
         tracemalloc.start()
         try:
             result = run(script, "copa")
-            count = len(result.trace.events)
+            trace = result.trace
+            count = len(trace.pids)
             held = tracemalloc.get_traced_memory()[0]
-            result.trace.events = []
+            trace.pids = trace.statements = trace.values = []
             per_event = (held - tracemalloc.get_traced_memory()[0]) / count
         finally:
             tracemalloc.stop()
         assert count > 1000
-        assert per_event < 150, f"{per_event:.0f} B per event"
+        assert per_event < 75, f"{per_event:.0f} B per event"
 
     def test_events_compare_as_their_raw_fields(self):
         result = run("alloc a 64\nload_int a+0\n", "copa")
@@ -637,7 +642,9 @@ def traced_steps(text, strategy, isolation, monkeypatch):
     def after_step(interp):
         lazy = [e for e in interp.system.fork_engine.events if not e.eager]
         copied = sum(len(step[2]) for step in steps)
-        steps.append((interp.trace.events[-1], list(accesses), lazy[copied:]))
+        trace = interp.trace
+        last = TraceEvent(trace.pids[-1], trace.statements[-1], trace.values[-1])
+        steps.append((last, list(accesses), lazy[copied:]))
         accesses.clear()
         real_step(interp)
 
@@ -654,6 +661,7 @@ class TestPageEdges:
     def test_integer_accesses_at_a_page_edge(self, op, off, monkeypatch):
         memory = LOW.to_bytes(8, "little") + HIGH.to_bytes(8, "little")
         expected = str(int.from_bytes(memory[off - 4088 : off - 4080], "little"))
+        spec = parse(edge_script(op, off)).layout_spec()
         for isolation in ("fault", "full"):
             traces = {}
             for strategy in ("full", "coa", "copa", "unsafe-cow"):
@@ -662,7 +670,8 @@ class TestPageEdges:
                 traces[strategy] = result.trace.to_text()
                 # The unsafe CoW child's stale reference reads the parent's pages.
                 stale = op == "deref" and strategy == "unsafe-cow"
-                base = result.system.process(1 if stale else 2).layout.heap.base
+                region = result.system.process(1 if stale else 2).region
+                base = spec.carve(region).heap.base
                 touched = sorted({page_of(base + off), page_of(base + off + 7)})
                 assert len(touched) == (1 if off == 4088 else 2)
                 copied = set()
