@@ -94,7 +94,10 @@ no row raises.
 Only a lookup by address bisects the rows: :meth:`~AddressSpace.owner_of`,
 :meth:`~AddressSpace.entry_at`, and an access or fault outside the
 accessing pid's own row.  Both debug checks check the index they rely
-on: every row is its pid's row, and no pid names another.
+on: every row is its pid's row, and no pid names another.  They also
+check what relocation rests on: a frame that one page maps is laid out
+for that page's row's region, and every relative capability entry of a
+checked frame lies in ``[0, origin.size]``.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -266,6 +269,19 @@ _tuple_new = tuple.__new__
 
 def page_of(addr: int) -> int:
     return addr - (addr % PAGE_SIZE)
+
+
+def _verify_origin(row: _Row, index: int, frame: TaggedFrame) -> None:
+    """``frame``, which ``row`` alone maps, at ``index``, is laid out for the
+    row's region: a copy and a promoted survivor were relocated there, and
+    a fresh frame was made for it.  A frame with no origin holds no
+    relative capability, and is not checked."""
+    origin = frame.origin
+    if origin is not None and (origin.base != row.base or origin.size != row.end - row.base):
+        raise SimInternalError(
+            f"page {row.base + index * PAGE_SIZE:#x} alone maps frame {frame.frame_id},"
+            f" laid out for {origin}, not for its row's region"
+        )
 
 
 def _fault(kind: FaultKind, pid: int, addr: int, access: AccessKind) -> NoReturn:
@@ -761,6 +777,8 @@ class AddressSpace:
                         f"page {row.base + index * PAGE_SIZE:#x} maps frame {frame_id},"
                         " which does not lie at its index in its family"
                     )
+                if frame.mapcount == 1:
+                    _verify_origin(row, index, frame)
             yield frame_id
 
     def _verify_family_count(self, frame: TaggedFrame, seen: _Row | None) -> None:
@@ -771,12 +789,16 @@ class AddressSpace:
         for row in frame.family or ():
             if row is not seen and row.frames[index] == frame_id:
                 mapped += 1
+                if frame.mapcount == 1:
+                    _verify_origin(row, index, frame)
         self._verify_count(frame, mapped)
 
     @staticmethod
     def _verify_count(frame: TaggedFrame, mapped: int) -> None:
-        """``frame`` has a mapping, and its ``mapcount`` equals ``mapped``,
-        the number of pages that map it."""
+        """``frame`` has a mapping, its ``mapcount`` equals ``mapped``, the
+        number of pages that map it, and each of its relative capability
+        entries lies in ``[0, origin.size]``, with its cursor below the
+        end."""
         frame_id, count = frame.frame_id, frame.mapcount
         if count < 1:
             raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
@@ -784,6 +806,20 @@ class AddressSpace:
             raise SimInternalError(
                 f"frame {frame_id} counts {count} mappings, the page table maps it {mapped} times"
             )
+        relative = frame.relative
+        if not relative:
+            return
+        # Laid out for an origin at rel_base.
+        lo, size = frame.rel_base, frame.origin.size
+        hi = lo + size
+        for granule, (base, length, cursor, _, otype, tag) in relative.items():
+            if not (
+                tag and otype is None and lo <= base <= base + length <= hi and lo <= cursor < hi
+            ):
+                raise SimInternalError(
+                    f"frame {frame_id} granule {granule} keeps a relative capability"
+                    f" outside [0, {size:#x}] of its origin"
+                )
 
     # -- checked accesses --------------------------------------------------
 

@@ -9,6 +9,11 @@ Two broad families exist and they are deliberately distinct:
 * Faults (see :mod:`sasfork.address_space`) model *hardware traps* hit
   while dereferencing memory.  They are wrapped in ``FaultError`` which
   lives next to the ``Fault`` value type to avoid an import cycle.
+
+A call that names a pid never created raises ``UnknownPid``.  A call that
+acts for a process, ``fork``, ``exit``, every syscall through the gateway
+and the privileged operation, raises ``ProcessNotRunning`` for a pid that
+does not run, a zombie or a reaped one, before it changes anything.
 """
 
 
@@ -54,7 +59,8 @@ class UnresolvableFault(SimulatorError):
 
 
 class ProcessNotRunning(SimulatorError):
-    """The operation needs a live process."""
+    """The pid is not in the state the operation needs: running, for a
+    syscall, the privileged operation, fork or exit; a zombie, for reap."""
 
 
 class NoChildren(SimulatorError):

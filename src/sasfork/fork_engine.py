@@ -38,16 +38,20 @@ frames it leaves with a single mapping to the one promotion pass,
 it copied from.
 
 The lazy copy itself follows three steps: take a fresh frame, copy bytes
-and capabilities, then scan the copy's tagged granules once and rebase
-every capability that still targets the frame's origin region (see
-:mod:`sasfork.tagged_memory`); no relocation state is kept between
-copies.  It finds the faulting page once (:meth:`AddressSpace.find_page`,
-which tries the faulting pid's own reservation before a bisect), which
-gives the page's frame id, its state, whether it is read-only and its
-owner as plain values; then it remaps the page to the copy in one write
+and capabilities, then relocate the copy for its region.  The copy keeps
+the capabilities that lie in its origin relative to that region, so
+relocating it makes the destination its origin, which moves all of them
+at once; only its other, absolute entries are rebased one by one (see
+:mod:`sasfork.tagged_memory`).  No relocation state is kept between
+copies, and the check that no copied capability escapes reads only the
+absolute entries.  A lazy copy finds the faulting page once
+(:meth:`AddressSpace.find_page`, which tries the faulting pid's own
+reservation before a bisect), which gives the page's frame id, its
+state, whether it is read-only and its owner as plain values; then it
+remaps the page to the copy in one write
 (:meth:`AddressSpace.remap`).  Copies made for the region that already
 owns the frame's contents (the parent side) skip the scan, and a copy
-that holds no capability skips the check that none escapes.
+that holds no absolute entry skips the check that none escapes.
 When a shared frame's ``mapcount`` drops to one, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
 frame is relocated in place first, so promotion can never expose stale
@@ -336,9 +340,9 @@ class ForkEngine:
         origin = fresh.origin
         try:
             if origin is not dest_region and origin != dest_region:
+                # The scan makes ``dest_region`` the copy's origin.
                 relocations = sys.frames.scan_and_relocate(fresh, origin, dest_region)
                 scanned = GRANULES_PER_PAGE
-            fresh.origin = dest_region
             install(page_va, fresh.frame_id)
         except BaseException:
             # Neither step maps the copy unless it succeeds.
@@ -352,16 +356,21 @@ class ForkEngine:
     def _verify_copy_clean(self, frame: TaggedFrame, dest_region: Region) -> None:
         """A just-copied frame must hold no tagged out-of-region capability.
 
-        Reports the lowest failing granule.  A copy that holds no
-        capability passes at once.
+        Only the absolute entries are checked.  A relative entry lies in
+        the frame's origin by construction (the store that made it
+        relative checked its bounds), and the copy's origin is
+        ``dest_region``: the scan set it, or it already was.  Reports the
+        lowest failing granule.  A copy that holds no absolute entry
+        passes at once.
         """
-        if not frame.caps:
+        absolute = frame.absolute
+        if not absolute:
             return
         lo, hi = dest_region.base, dest_region.end
         is_entry = self._sys.gateway.is_entry_capability
         # One pass finds whether any capability escapes; only a failing copy
         # pays for finding the lowest granule that holds one.
-        for cap in frame.caps.values():
+        for cap in absolute.values():
             base, length, _, _, _, tag = cap
             if tag and not lo <= base <= base + length <= hi and not is_entry(cap):
                 break
@@ -369,12 +378,12 @@ class ForkEngine:
             return
         granule = min(
             granule
-            for granule, cap in frame.caps.items()
+            for granule, cap in absolute.items()
             if cap.tag and not lo <= cap.base <= cap.top <= hi and not is_entry(cap)
         )
         raise SimInternalError(
             f"copied frame {frame.frame_id} granule {granule} still targets "
-            f"outside {dest_region}: {frame.caps[granule]}"
+            f"outside {dest_region}: {absolute[granule]}"
         )
 
     def _promote(self, frames: Iterable[TaggedFrame]) -> None:
@@ -391,14 +400,14 @@ class ForkEngine:
     def _relocate_survivor(self, frame: TaggedFrame, pid: int) -> None:
         """Relocate in place a frame about to be promoted in ``pid``'s region,
         if that region is not the frame's origin (a child that never copied
-        this page), so no stale capability becomes loadable."""
+        this page), so no stale capability becomes loadable.  The scan
+        makes that region the frame's origin."""
         sys = self._sys
         region = sys.processes[pid].region
         # Most frames keep their owner's own region object as origin.
         if frame.origin is not region and frame.origin != region:
             relocations = sys.frames.scan_and_relocate(frame, frame.origin, region)
             sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
-            frame.origin = region
 
     # -- exit / wait ----------------------------------------------------------
 

@@ -65,7 +65,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, NoReturn
 
 from .address_space import AccessKind, Fault, FaultError, FaultKind, page_of
 from .capability import GRANULE, PAGE_SIZE, Capability, Perm, Region
-from .errors import InvalidInvoke, SimInternalError, SyscallError
+from .errors import InvalidInvoke, ProcessNotRunning, SimInternalError, SyscallError
 from .process import KERNEL_PID, MicroProcess
 from .tagged_memory import ChangeLog
 
@@ -202,10 +202,13 @@ class KernelGateway:
     ):
         """Validate the entry capability and dispatch to its handler.
 
+        A pid that does not run, zombie or reaped, raises
+        :class:`ProcessNotRunning` before anything is checked.
         ``toctou_hook`` is the explicit check-to-use window: it runs
         after argument checking (and, under FULL isolation, after the
         copy-in), immediately before the handler consumes the buffer.
         """
+        caller = self._running(pid)
         args = dict(args or {})
         if not isinstance(entry, Capability) or not entry.tag:
             self._fault(FaultKind.CAP_TAG, pid, getattr(entry, "cursor", 0))
@@ -213,7 +216,6 @@ class KernelGateway:
             # Unsealed jump targets can only be the caller's own code; a
             # capability aimed at kernel memory is a forgery and faults
             # on bounds before any dispatch happens.
-            caller = self._sys.process(pid)
             if not caller.region.contains_range(entry.base, entry.top):
                 self._fault(FaultKind.CAP_BOUNDS, pid, entry.cursor)
             raise InvalidInvoke("entry capability is not sealed")
@@ -238,6 +240,15 @@ class KernelGateway:
         if toctou_hook is not None:
             toctou_hook()
         return row.handler(pid, args)
+
+    def _running(self, pid: int) -> MicroProcess:
+        """The process ``pid``, which must run: :class:`UnknownPid` for a
+        pid never created, :class:`ProcessNotRunning` for a zombie or a
+        reaped pid."""
+        proc = self._sys.process(pid)
+        if not proc.running:
+            raise ProcessNotRunning(f"pid {pid} is not running")
+        return proc
 
     def _fault(self, kind: FaultKind, pid: int, addr: int) -> NoReturn:
         """Record and raise the fault of an execute at ``addr``: the
@@ -358,11 +369,12 @@ class KernelGateway:
 
         Only a program-counter capability carrying the SYSTEM permission
         may do this; process PCCs never have it, so every process-level
-        attempt raises a privilege fault.  Kernel context succeeds.
+        attempt raises a privilege fault.  Kernel context succeeds.  A
+        pid that does not run raises :class:`ProcessNotRunning`.
         """
         if pid == KERNEL_PID:
             return "ok"
-        proc = self._sys.process(pid)
+        proc = self._running(pid)
         pcc = proc.registers.get("pcc")
         if isinstance(pcc, Capability) and pcc.tag and (pcc.perms & Perm.SYSTEM):
             return "ok"
@@ -388,6 +400,7 @@ class KernelGateway:
         violations: list[AuditViolation] = []
         system = self._sys
         space, frames = system.address_space, system.frames.by_id
+        is_entry = self.is_entry_capability
         # Pages, by owner, of the logged frames still alive; an owner the
         # last sweep did not audit gets a whole walk instead.
         touched: dict[int, list[int]] = {}
@@ -409,7 +422,7 @@ class KernelGateway:
             if not proc.running:
                 continue
             pid, region = proc.pid, proc.region
-            base = region.base
+            base, end = region.base, region.end
             registers = old_registers.get(pid)
             if registers != (proc.registers, proc.symbols, proc.loaded_ref):
                 registers = self._check_registers(proc, registers, violations)
@@ -432,7 +445,10 @@ class KernelGateway:
                     )
                 found = len(violations)
                 for granule, cap in frame.tagged_caps():
-                    if self._escapes(cap, region):
+                    # _escapes, for a tagged capability, unrolled: the audit
+                    # reads every tagged entry of each page it checks.
+                    lo, length = cap[0], cap[1]
+                    if not base <= lo <= lo + length <= end and not is_entry(cap):
                         violations.append(
                             _violation(pid, f"page:{page_va:#x}:granule={granule}", cap)
                         )

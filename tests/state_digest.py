@@ -39,7 +39,7 @@ def state_parts(system):
             frame.mapcount,
             _region(frame.origin),
             bytes(frame.read(0, PAGE_SIZE)),
-            [(granule, tuple(cap)) for granule, cap in frame.tagged_caps()],
+            [(granule, tuple(cap)) for granule, cap in frame.entries().items()],
         )
         for frame_id, frame in sorted(system.frames.by_id.items())
     ]

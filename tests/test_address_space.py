@@ -751,13 +751,13 @@ class TestDataMovement:
         for offset in (PAGE_SIZE - GRANULE, PAGE_SIZE):
             where = data_cap(region, offset=offset)
             space.check_and_access(1, where, AccessKind.CAP_STORE, data_cap(region))
-        before = [(bytes(f.data), dict(f.caps)) for f in frames]
+        before = [(bytes(f.data), f.entries()) for f in frames]
         crossing = data_cap(region, offset=PAGE_SIZE - 4)
         with pytest.raises(SimInternalError, match="crosses a page"):
             space.check_and_access(1, crossing, AccessKind.WRITE, b"\x11" * 8)
         with pytest.raises(SimInternalError, match="crosses a page"):
             space.check_and_access(1, crossing, AccessKind.READ_INT)
-        assert [(bytes(f.data), dict(f.caps)) for f in frames] == before
+        assert [(bytes(f.data), f.entries()) for f in frames] == before
 
     def test_page_chunked_helpers_round_trip_a_crossing_range(self):
         system = System()

@@ -552,7 +552,7 @@ class TestGotRelocation:
             engine.exit(child, 0)
             engine.reap(system.process(child))
         # Every GOT capability lies in the parent, so each copy, the first
-        # included, shifts all 256 of them inline.
+        # included, moves all 256 of them with its origin.
         for event, rebased in got_copies:
             assert rebased == 0
             assert (event.scanned, event.relocations) == (256, 256)
@@ -567,6 +567,93 @@ class TestGotRelocation:
             system.frames.store_capability(frame, granule, stray)
         with pytest.raises(SimInternalError, match="granule 4 still targets"):
             system.fork_engine._verify_copy_clean(frame, parent.region)
+
+
+#: A child that loads a parent reference and dereferences it.
+LOAD_IN_CHILD = """
+alloc a 4096
+alloc b 4096
+store_int b+0 7
+store_ref a+0 b+0
+fork {
+  load_ref a+0
+  deref
+  exit 0
+}
+"""
+
+
+def keep_old_origin(monkeypatch):
+    """A broken scan: it relocates, then puts the frame's old origin back,
+    so every relative capability reads as the parent's again."""
+    scan = FrameTable.scan_and_relocate
+
+    def broken(table, frame, parent, child):
+        count = scan(table, frame, parent, child)
+        frame.origin = parent
+        return count
+
+    monkeypatch.setattr(FrameTable, "scan_and_relocate", broken)
+
+
+def escaping_copies(system):
+    """Criterion 4's sweep of the copied frames, against the region of the
+    pid that owns each copied page rather than the frame's origin: the
+    tagged capabilities, read through ``load_capability``, that escape it."""
+    found = []
+    for event in system.fork_engine.events:
+        entry = system.address_space.entry_at(event.page_va)
+        if entry is None:
+            continue
+        frame = system.frames.get(entry.frame_id)
+        region = system.process(system.address_space.owner_of(event.page_va)).region
+        for granule in frame.tagged_granules():
+            cap = system.frames.load_capability(frame, granule)
+            if not region.contains_range(cap.base, cap.top):
+                if not system.gateway.is_entry_capability(cap):
+                    found.append((event.page_va, granule))
+    return found
+
+
+class TestCopyLeftAtItsOldOrigin:
+    """The copy check reads only absolute entries, since a relative one lies
+    in the copy's origin, which the scan makes the destination.  A copy that
+    keeps its old origin breaks that premise; the ``--debug`` check and a
+    sweep of the copies catch it."""
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa"])
+    def test_the_debug_check_catches_it(self, strategy, monkeypatch):
+        assert run(LOAD_IN_CHILD, strategy, "fault", debug=True).ok
+        keep_old_origin(monkeypatch)
+        with pytest.raises(SimInternalError, match="not for its row's region"):
+            run(LOAD_IN_CHILD, strategy, "fault", debug=True)
+
+    @pytest.mark.parametrize("full", [True, False], ids=["full-pass", "per-step"])
+    def test_the_debug_checks_catch_a_relative_entry_outside_its_origin(self, full):
+        system = make_system("copa")
+        parent = system.create_initial_process()
+        system.verify_invariants()
+        frame = system.frames.get(system.address_space.entry_at(parent.layout.got.base).frame_id)
+        # Stored again, so the per-step check's log holds the frame.
+        system.frames.store_capability(frame, 0, system.frames.load_capability(frame, 0))
+        cap = frame.relative[0]
+        frame.relative[0] = cap._replace(cursor=frame.rel_base + parent.region.size)
+        with pytest.raises(SimInternalError, match="keeps a relative capability"):
+            system.verify_invariants(full=full)
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa"])
+    def test_a_sweep_of_the_copies_catches_it(self, strategy, monkeypatch):
+        def fork_and_load(system):
+            parent = seeded_parent(system)
+            child = system.process(system.fork_engine.fork(parent.pid))
+            system.access(child.pid, heap_cap(child), AccessKind.CAP_LOAD)
+            return escaping_copies(system)
+
+        assert not fork_and_load(make_system(strategy))
+        keep_old_origin(monkeypatch)
+        escaped = fork_and_load(make_system(strategy))
+        # The GOT copy, and the heap page the child loaded from.
+        assert len({page_va for page_va, _ in escaped}) >= 2
 
 
 class TestRetryGuard:
@@ -980,7 +1067,7 @@ def promotion_state(system):
         for va, entry in system.address_space.entries().items()
     }
     frames = {
-        frame_id: (frame.origin, dict(frame.caps), bytes(frame.data))
+        frame_id: (frame.origin, frame.entries(), bytes(frame.data))
         for frame_id, frame in system.frames.by_id.items()
     }
     rows = [

@@ -17,7 +17,13 @@ from sasfork.address_space import (
     PageState,
 )
 from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
-from sasfork.errors import InvalidInvoke, SimInternalError, SyscallError
+from sasfork.errors import (
+    InvalidInvoke,
+    ProcessNotRunning,
+    SimInternalError,
+    SyscallError,
+    UnknownPid,
+)
 from sasfork.kernel import (
     _ENTRY_OTYPE_BASE,
     AuditReport,
@@ -347,6 +353,61 @@ class TestPrivilege:
         pcc = proc.registers["pcc"]
         with pytest.raises(BoundsWiden):
             pcc.derive(pcc.base, pcc.length, perms=pcc.perms | Perm.SYSTEM)
+
+
+def exited_child(reaped):
+    """A system, its parent process and a child that exited: a zombie, or
+    reaped if ``reaped``."""
+    system = make_system()
+    parent = system.create_initial_process()
+    child = system.process(system.fork_engine.fork(parent.pid))
+    system.fork_engine.exit(child.pid, 0)
+    if reaped:
+        system.fork_engine.reap(child)
+    return system, parent, child
+
+
+#: One call of each syscall that needs nothing but a live caller, with
+#: arguments that would pass; the buffer is the parent's heap.
+def liveness_calls(parent):
+    buf = buffer_cap(parent, length=GRANULE)
+    return {
+        "open": {"name": "f"},
+        "close": {"fd": 3},
+        "read": {"fd": 3, "buf": buf, "count": 8},
+        "write": {"fd": 3, "buf": buf, "count": 8},
+        "brk": {"break": 0},
+    }
+
+
+class TestGatewayLiveness:
+    """The gateway acts only for a running process: a zombie or a reaped
+    pid raises ProcessNotRunning, as fork and exit do."""
+
+    @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
+    @pytest.mark.parametrize("name", ["open", "close", "read", "write", "brk"])
+    def test_a_syscall_for_a_pid_that_does_not_run_raises(self, name, reaped):
+        system, parent, child = exited_child(reaped)
+        args = liveness_calls(parent)[name]
+        faults = system.metrics.snapshot().to_text()
+        with pytest.raises(ProcessNotRunning, match=f"pid {child.pid} is not running"):
+            system.gateway.syscall(child.pid, parent.entry_caps[name], name, args)
+        assert system.metrics.snapshot().to_text() == faults
+        system.verify_invariants(full=True)
+
+    @pytest.mark.parametrize("reaped", [False, True], ids=["zombie", "reaped"])
+    def test_priv_for_a_pid_that_does_not_run_raises(self, reaped):
+        system, _, child = exited_child(reaped)
+        with pytest.raises(ProcessNotRunning, match=f"pid {child.pid} is not running"):
+            system.gateway.attempt_privileged(child.pid)
+
+    def test_a_pid_never_created_is_unknown(self):
+        system = make_system()
+        parent = system.create_initial_process()
+        with pytest.raises(UnknownPid):
+            system.gateway.syscall(999, parent.entry_caps["getpid"], "getpid", {})
+        with pytest.raises(UnknownPid):
+            system.gateway.attempt_privileged(999)
 
 
 class TestAudit:
@@ -907,8 +968,12 @@ class TestChangeLogEntryPoints:
         assert system.gateway.audit().clean
         frame = system.frames.get(system.address_space.entry_at(page).frame_id)
         # A frame laid out for the child needs no relocation scan, so only
-        # the promotion itself can log it.
+        # the promotion itself can log it.  Its parent capability, stored
+        # again once the origin is the child's, is kept absolute and still
+        # escapes.
+        stale = system.frames.load_capability(frame, 0)
         frame.origin = child.region
+        system.frames.store_capability(frame, 0, stale)
         system.address_space.unmap(parent.layout.heap.base)
         # The unmap logs the frame too; a sweep before the promotion, while
         # the child's page still cannot load capabilities, clears it.

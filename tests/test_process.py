@@ -240,7 +240,7 @@ def image_digest(*specs):
         origin = None if frame.origin is None else (frame.origin.base, frame.origin.size)
         caps = sorted(
             (g, c.base, c.length, c.cursor, c.perms.value, c.otype, c.tag)
-            for g, c in frame.caps.items()
+            for g, c in frame.entries().items()
         )
         digest.update(repr((frame_id, pages[frame_id], origin, caps)).encode())
         digest.update(bytes(frame.data))

@@ -17,7 +17,7 @@ from sasfork.capability import (
     rebase_for_child,
 )
 from sasfork import tagged_memory
-from sasfork.address_space import AddressSpace, PageState
+from sasfork.address_space import AccessKind, AddressSpace, PageState
 from sasfork.errors import OutOfFrame, SimInternalError
 from sasfork.process import LayoutSpec
 from sasfork.system import System
@@ -253,25 +253,25 @@ class TestOnePassScan:
         for _ in range(60):
             source = random_frame(table, rng, parent, child)
             want, want_count = rebase_one_at_a_time(table, source, parent, child)
-            seen.update(outcome(cap, want.caps[g]) for g, cap in source.tagged_caps())
-            before = (dict(source.caps), bytes(source.data))
+            seen.update(outcome(cap, want.entry(g)) for g, cap in source.tagged_caps())
+            before = (source.entries(), bytes(source.data))
             frame = source if in_place else table.clone(source.frame_id)
             log.frames.clear()
             assert table.scan_and_relocate(frame, parent, child) == want_count
-            assert (frame.caps, frame.data) == (want.caps, want.data)
+            assert (frame.entries(), frame.data) == (want.entries(), want.data)
             assert (frame.frame_id in log.frames) == (want_count > 0)
             if not in_place:
-                assert (source.caps, bytes(source.data)) == before
+                assert (source.entries(), bytes(source.data)) == before
         # The random capabilities reach every outcome of the rule.
         assert seen == {"unchanged", "untagged", "shifted", "clamped"}
 
     def test_regions_of_unequal_size_raise_before_any_write(self, table):
         frame = table.allocate(origin=PARENT)
         table.store_capability(frame, 1, parent_cap(0x40))
-        before = (dict(frame.caps), bytes(frame.data))
+        before = (frame.entries(), bytes(frame.data))
         with pytest.raises(ValueError, match="same size"):
             table.scan_and_relocate(frame, PARENT, Region(CHILD.base, 2 * PAGE_SIZE))
-        assert (frame.caps, bytes(frame.data)) == before
+        assert (frame.entries(), bytes(frame.data)) == before
 
     def test_in_parent_capabilities_are_shifted_without_a_rebase_call(
         self, table, monkeypatch
@@ -297,8 +297,139 @@ class TestOnePassScan:
         for granule, cap in enumerate(kinds):
             table.store_capability(frame, granule, cap)
         assert table.scan_and_relocate(frame, PARENT, CHILD) == len(kinds)
-        # The first three take the shift; only the others are rebased.
-        assert calls == kinds[3:]
+        # The first moves with the origin.  A zero-length capability at
+        # either end also lies in the region adjacent there, so it is kept
+        # absolute and rebased with the others.
+        assert calls == kinds[1:]
+
+
+def random_next_region(rng, region):
+    """A region of ``region``'s size: adjacent above or below it, or apart."""
+    size = region.size
+    kind = rng.choice(("above", "below", "apart"))
+    if kind == "above":
+        return Region(region.end, size)
+    if kind == "below":
+        return Region(region.base - size, size)
+    return Region(region.end + PAGE_SIZE * rng.randrange(1, 64), size)
+
+
+def zero_length_at_the_ends(rng, *regions):
+    """Tagged zero-length capabilities at either end of each region, with a
+    cursor inside the first."""
+    cursor = regions[0].base + GRANULE * rng.randrange(regions[0].size // GRANULE)
+    return [
+        Capability(at, 0, cursor, DATA_PERMS)
+        for region in regions
+        for at in (region.base, region.end)
+    ]
+
+
+class TestRelativeEntries:
+    """A frame keeps its in-origin capabilities relative to its origin;
+    every reader sees absolute values."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_relocation_equals_rebasing_the_absolute_view(self, table, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            size = PAGE_SIZE * rng.randrange(1, 5)
+            parent = Region(PAGE_SIZE * rng.randrange(64, 256), size)
+            frame = table.allocate(origin=parent)
+            flat = FlatFrame()
+            # Three hops, each to a region adjacent or apart, so relative
+            # entries move again while their cursor words are stale.
+            for hop in range(3):
+                child = random_next_region(rng, parent)
+                kinds = zero_length_at_the_ends(rng, parent, child)
+                for granule in rng.sample(range(GRANULES_PER_PAGE), 24):
+                    if rng.random() < 0.2:
+                        cap = rng.choice(kinds)
+                    else:
+                        cap = random_capability(rng, parent, child)
+                    table.store_capability(frame, granule, cap)
+                    flat.store_capability(granule, cap)
+                before = frame.entries()
+                assert before == flat.caps
+                want = {g: rebase_for_child(cap, parent, child) for g, cap in before.items()}
+                count = table.scan_and_relocate(frame, parent, child)
+                assert frame.entries() == want
+                assert count == sum(want[g] != cap for g, cap in before.items())
+                assert count == flat.relocate(parent, child)
+                assert frame.origin == child
+                if rng.random() < 0.5:
+                    assert frame.data == flat.page
+                at = frame.rel_base
+                for g, (base, length, cursor, _, otype, tag) in frame.relative.items():
+                    assert tag and otype is None and g not in frame.absolute
+                    base, cursor = base - at, cursor - at
+                    assert 0 <= base <= base + length <= size and 0 <= cursor < size
+                    # Never destination-dependent: no zero length at an end.
+                    assert length or 0 < base < size
+                parent = child
+            assert frame.data == flat.page
+
+    def test_an_integer_read_of_a_relocated_granule_sees_the_child_address(self, table):
+        frame = table.allocate(origin=PARENT)
+        table.store_capability(frame, 3, parent_cap(0x40).with_cursor(PARENT.base + 0x48))
+        assert 3 in frame.relative
+        assert table.scan_and_relocate(frame, PARENT, CHILD) == 1
+        assert frame.rel_base == PARENT.base
+        assert frame.load_value(3 * GRANULE, 8) == CHILD.base + 0x48
+        assert frame.rel_base == CHILD.base
+        assert frame.load_value(3 * GRANULE + 8, 8) == 0
+
+    def test_a_child_integer_read_of_its_got_sees_the_child_address(self):
+        system = System("full")
+        parent = system.create_initial_process()
+        child = system.process(system.fork_engine.fork(parent.pid))
+        got = child.registers["got"]
+        expected = system.access(child.pid, got, AccessKind.CAP_LOAD).cursor
+        assert child.region.contains(expected)
+        assert system.access(child.pid, got, AccessKind.READ_INT) == expected
+        assert system.peek_bytes(got.cursor, 8) == expected.to_bytes(8, "little")
+
+    @pytest.mark.parametrize("at, width", [(0, GRANULE), (8, 4), (2, 3)])
+    def test_rewriting_a_relocated_granule_with_its_own_bytes_keeps_it_absolute(
+        self, table, at, width
+    ):
+        frame = table.allocate(origin=PARENT)
+        table.store_capability(frame, 3, parent_cap(0x40))
+        assert table.scan_and_relocate(frame, PARENT, CHILD) == 1
+        assert frame.rel_base == PARENT.base
+        # The granule's bytes as the child's address gives them, built
+        # without reading the frame, so the store's own compare must see
+        # the rewritten cursor word.
+        granule = (CHILD.base + 0x40).to_bytes(8, "little") + bytes(8)
+        frame.store_bytes(3 * GRANULE + at, granule[at : at + width])
+        relocated = parent_cap(0x40)._replace(base=CHILD.base + 0x40, cursor=CHILD.base + 0x40)
+        assert 3 not in frame.relative and frame.absolute[3] == relocated.untagged()
+        assert table.load_capability(frame, 3) == relocated.untagged()
+        assert frame.read(3 * GRANULE, GRANULE) == granule
+        # A later relocation leaves the untagged entry and its bytes alone.
+        assert table.scan_and_relocate(frame, CHILD, GRANDCHILD) == 0
+        assert frame.entries() == {3: relocated.untagged()}
+        assert frame.read(3 * GRANULE, GRANULE) == granule
+
+    def test_a_store_reaches_no_other_frame_through_the_shared_empty_maps(self, table):
+        first, second = table.allocate(origin=PARENT), table.allocate(origin=PARENT)
+        assert first.absolute is second.relative and not second.absolute
+        table.store_capability(first, 1, parent_cap(0))
+        table.store_capability(first, 2, parent_cap(0).untagged())
+        assert set(first.relative) == {1} and set(first.absolute) == {2}
+        only_relative = table.clone(first.frame_id)
+        only_relative.store_bytes(2 * GRANULE, b"\x01")
+        copy = table.clone(second.frame_id)
+        table.store_capability(copy, 4, parent_cap(16).untagged())
+        table.store_capability(copy, 5, parent_cap(32))
+        assert second.entries() == {} and second.absolute is second.relative
+        with pytest.raises(TypeError):
+            second.absolute[0] = parent_cap(0)
+        assert first.entries() == {1: parent_cap(0), 2: parent_cap(0).untagged()}
+        assert only_relative.entries() == {1: parent_cap(0)}
+        assert copy.entries() == {4: parent_cap(16).untagged(), 5: parent_cap(32)}
+        # A clone copies only the maps that hold entries.
+        assert table.clone(only_relative.frame_id).absolute is second.absolute
 
 
 class TestRefcounts:
@@ -364,7 +495,7 @@ class TestPerFrameStorage:
         frame = table.allocate()
         for step in range(10_000):
             table.store_capability(frame, 0, parent_cap(16 * (step % 64)))
-        assert len(frame.caps) == 1
+        assert len(frame.entries()) == 1
         assert table.load_capability(frame, 0) == parent_cap(16 * (9_999 % 64))
 
     def test_pointer_bytes_depend_only_on_the_value(self, table):
@@ -395,14 +526,14 @@ class TestPerFrameStorage:
         table.store_capability(copy, 7, parent_cap(32))
         copy.store_bytes(8 * GRANULE, b"\xff")
         table.store_capability(copy, 9, parent_cap(48))
-        assert frame.caps == {7: parent_cap(0), 8: parent_cap(16)}
+        assert frame.entries() == {7: parent_cap(0), 8: parent_cap(16)}
         assert frame.tags[7] and frame.tags[8] and not frame.tags[9]
 
     def test_reaped_workers_leave_no_capability_entries_behind(self):
         def retained(forks):
             text = "alloc a 4096\nstore_ref a+0 a+16\n" + "fork nowait {\nexit 0\n}\n" * forks
             frames = run(text, "copa").system.frames.by_id.values()
-            return sum(len(frame.caps) for frame in frames), len(frames)
+            return sum(len(frame.entries()) for frame in frames), len(frames)
 
         few, few_frames = retained(8)
         many, many_frames = retained(800)
@@ -513,7 +644,7 @@ class TestChunkedFrames:
                 )
             for frame, flat in pairs:
                 assert frame.data == flat.page
-                assert frame.caps == flat.caps
+                assert frame.entries() == flat.caps
                 assert frame.tags == [
                     g in flat.caps and flat.caps[g].tag for g in range(GRANULES_PER_PAGE)
                 ]
