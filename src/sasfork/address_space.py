@@ -23,9 +23,9 @@ The capability-load column is derived from the state
 writable exactly when it is ``Private`` and lies past its row's
 leading read-only (code) pages, which the pass that builds the row fixes
 once.  A frame's refcount is its ``mapcount``.  This module is the
-one writer of mapcounts: mapping and unmapping keep them in step with the
-page table, and log each change into the frame table's change logs (see
-:mod:`sasfork.tagged_memory`).
+one writer of the counts behind it: mapping and unmapping keep them in
+step with the page table, and log each change into the frame table's
+change logs (see :mod:`sasfork.tagged_memory`).
 
 Every row belongs to one *fork family*: a fork's row joins its parent's,
 and any other row (boot, process creation) starts its own.  Every page
@@ -36,6 +36,25 @@ a frame records no list of its pages.  Its first mapping fixes its
 at another index or in another family, and the frame's mappers are the
 rows of its family whose element at ``index`` is the frame
 (:meth:`AddressSpace.mappers`).
+
+A family counts the pages that all its rows map once.  At most page
+indices every row of a family maps one frame: a fork copies its parent's
+column, and only a copy, a teardown or a test's :meth:`~AddressSpace.map`
+or :meth:`~AddressSpace.unmap` makes the rows differ.  The family keeps
+the other indices, its *divergent* ones, with each one's width, the
+number of distinct frames its rows map there (:class:`_Family`).  A frame
+at a uniform index keeps no count: its ``mapcount`` reads as the
+family's row count, so a row that joins or leaves the family counts in
+or out of every such frame at once.  Only a frame at a divergent index
+counts its own mappings, in ``TaggedFrame.own``.  A pass that changes a
+count makes the index divergent first, when the frame there takes the
+row count as its own; a teardown that narrows an index to one frame makes
+it uniform again.  So the share pass, the resident-set sweep and the
+teardown visit only the divergent pages and the copies, except where a
+family of one row forks, or drops to one row or none: then every frame
+of the row changes.  A page is private only where its frame has one
+mapping, so in a family of two rows or more every page at a uniform
+index is shared already, and the share pass need not read it.
 
 The page table is one *row* per backed reservation with two columns, a
 list each with one element per page: ``frames``, the frame id that backs
@@ -83,21 +102,24 @@ by its pid: at boot and at process creation
 :meth:`~AddressSpace.map_fresh_region` builds the row of a fresh region,
 each page backed by a new frame; at fork :meth:`~AddressSpace.share_region`
 builds the child's row from the row of the parent's pid; at reap
-:meth:`~AddressSpace.unmap_owned` walks a pid's row once and then removes
-it, so the region's addresses lie in no row; and
+:meth:`~AddressSpace.unmap_owned` counts a pid's row out of its frames
+and then removes it, so the region's addresses lie in no row; and
 :meth:`~AddressSpace.owned_refcounts` counts a pid's row for the resident
 set.  The first two back only the last reservation, which no row backs
 yet, for a pid with no row, and refuse anything else before they
-allocate a frame or change a row; the share pass and the teardown put
-back what they changed before they raise; and a pass given a pid with
-no row raises.
+allocate a frame or change a row; the share pass and the teardown check
+what they read before they change anything, so a raise changes nothing;
+and a pass given a pid with no row raises.
 Only a lookup by address bisects the rows: :meth:`~AddressSpace.owner_of`,
 :meth:`~AddressSpace.entry_at`, and an access or fault outside the
 accessing pid's own row.  Both debug checks check the index they rely
 on: every row is its pid's row, and no pid names another.  They also
 check what relocation rests on: a frame that one page maps is laid out
 for that page's row's region, and every relative capability entry of a
-checked frame lies in ``[0, origin.size]``.
+checked frame lies in ``[0, origin.size]``.  And they check what the
+derived counts rest on: every row maps a page at each uniform index.
+The full pass also checks that each divergent index that is not pinned
+has the width its family records.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -113,6 +135,7 @@ rest on is a fact about rows: each belongs to a pid that may own pages.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -153,6 +176,35 @@ class PageTableEntry(NamedTuple):
     writable: bool
 
 
+#: The width of an index that :meth:`AddressSpace.map`,
+#: :meth:`AddressSpace.unmap` or an assignment to a frame's ``mapcount``
+#: made divergent: no count brings it back to one, so the index stays
+#: divergent while its family lives.
+_PINNED = math.inf
+
+
+class _Family(list):
+    """The live rows of one fork family, in the order they joined it, and
+    its divergent page indices.
+
+    At an index missing from ``divergent`` every row maps one frame, whose
+    ``mapcount`` reads as the row count.  ``divergent`` maps each other
+    index to its width, the number of distinct frames the rows map there;
+    each of those frames counts its own mappings.  A teardown that leaves
+    an index one frame wide makes it uniform again.
+    """
+
+    __slots__ = ("divergent",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.divergent: dict[int, float] = {}
+
+    def pin(self, index: int) -> None:
+        """Make ``index`` divergent for good; see :data:`_PINNED`."""
+        self.divergent[index] = _PINNED
+
+
 @dataclass(slots=True, eq=False)
 class _Row:
     """One reservation's page table, from ``base`` to ``end``, owned by
@@ -160,8 +212,8 @@ class _Row:
     in ``frames`` and ``states``.  It is built whole, every page mapped,
     by the pass that backs the region; an element is ``None`` only where
     a page was unmapped since.  ``family`` lists the live rows of its
-    fork family, this one among them; every row of a family has as many
-    pages."""
+    fork family, this one among them, and keeps the family's divergent
+    indices; every row of a family has as many pages."""
 
     base: int
     end: int
@@ -169,12 +221,12 @@ class _Row:
     ro_end: int
     frames: list[int | None]
     states: list[PageState | None]
-    family: list[_Row]
+    family: _Family
 
 
 #: The row, owned by no pid and with no pages, of the addresses outside
 #: every reservation, in a family of its own that no frame names.
-_UNRESERVED = _Row(0, 0, None, 0, [], [], [])
+_UNRESERVED = _Row(0, 0, None, 0, [], [], _Family())
 
 
 class AccessKind(enum.Enum):
@@ -388,7 +440,8 @@ class AddressSpace:
         """Map ``page_va`` to frame ``frame_id`` in ``state`` and count it
         in the frame's ``mapcount``.  The frame's first mapping fixes its
         index and family; a later one at another index or in another
-        family raises ``SimInternalError`` before anything changes."""
+        family raises ``SimInternalError`` before anything changes.  The
+        page's index is pinned divergent (see :data:`_PINNED`)."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
         row = self._row_at(page_va)
@@ -399,16 +452,19 @@ class AddressSpace:
         index = (page_va - row.base) // PAGE_SIZE
         if frames[index] is not None:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
-        self._attach(frame, row, index, page_va)
+        self._place(frame, row, index, page_va)
+        # An unmapped page's index is divergent already.
+        row.family.pin(index)
+        frame.own += 1
         frames[index], states[index] = frame_id, state
         for log in self._frames.logs:
             log.frames.add(frame_id)
 
     @staticmethod
-    def _attach(frame: TaggedFrame, row: _Row, index: int, page_va: int) -> None:
-        """Count one more mapping of ``frame``, by page ``index`` of ``row``
-        at ``page_va``: fix the frame's index and family at its first, and
-        raise before anything changes for one elsewhere."""
+    def _place(frame: TaggedFrame, row: _Row, index: int, page_va: int) -> None:
+        """Fix ``frame``'s index and family at its first mapping, by page
+        ``index`` of ``row`` at ``page_va``, and raise before anything
+        changes for a mapping at another index or in another family."""
         if frame.family is None:
             frame.index, frame.family = index, row.family
         elif frame.index != index or frame.family is not row.family:
@@ -416,7 +472,16 @@ class AddressSpace:
                 f"page {page_va:#x} cannot map frame {frame.frame_id}, whose pages lie"
                 " at another index or in another fork family"
             )
-        frame.mapcount += 1
+
+    @staticmethod
+    def _diverge(family: _Family, index: int, frame: TaggedFrame) -> None:
+        """Make ``index`` divergent in ``family`` if it is uniform: then
+        ``frame``, which every row maps there, takes the row count as its
+        own count, and the index's width is one.  A count at the index may
+        change only after this."""
+        if index not in family.divergent:
+            family.divergent[index] = 1
+            frame.own = len(family)
 
     def map_fresh_region(self, region: Region, pid: int, ro_pages: int) -> None:
         """Build the row of ``region``, owned by ``pid`` and read-only in its
@@ -424,70 +489,89 @@ class AddressSpace:
         pass.
 
         ``region`` is the last reservation, no row backs it yet and ``pid``
-        has none; the row starts a fork family of its own.  Each page is
-        mapped private, as :meth:`map` would map it, to a frame allocated
-        in page order with ``region`` as its origin.  :meth:`FrameTable.allocate` logs
-        each frame.
+        has none; the row starts a fork family of its own, every index
+        uniform.  Each page is mapped private, as :meth:`map` would map it,
+        to a frame allocated in page order with ``region`` as its origin.
+        :meth:`FrameTable.allocate` logs each frame.
         """
         self._check_unbacked(region, pid)
-        base, count, family = region.base, region.page_count, []
+        base, count, family = region.base, region.page_count, _Family()
         # Sized once: a column grown by appends keeps up to an eighth more slots.
         fresh, allocate = [None] * count, self._frames.allocate
         for index in range(count):
             frame = allocate(region)
-            frame.mapcount, frame.index, frame.family = 1, index, family
+            frame.index, frame.family = index, family
             fresh[index] = frame.frame_id
         ro_end = base + ro_pages * PAGE_SIZE
         self._add_row(_Row(base, region.end, pid, ro_end, fresh, [_PRIVATE] * count, family))
 
-    def _mapped(self, page_va: int) -> tuple[_Row, int, TaggedFrame]:
-        """The row of mapped page ``page_va``, its index and its frame.
-        Raises if the page is not mapped, or its frame does not count it:
-        a frame with no mapping, or one whose pages lie at another index
-        or in another family."""
-        row, index, frame_id = self._lookup(page_va)
+    def _mapped(self, page_va: int, row: _Row | None = None) -> tuple[_Row, int, TaggedFrame]:
+        """The row of mapped page ``page_va``, its index and its frame;
+        ``row``, if given, is tried before a bisect.  Raises if the page is
+        not mapped, or its frame does not count it: a frame with no
+        mapping, or one whose pages lie at another index or in another
+        family."""
+        row, index, frame_id = self._lookup(page_va, row)
         if frame_id is None:
             raise UnmappedPage(f"page {page_va:#x} is not mapped")
         frame = self._frames.by_id.get(frame_id)
         if (
             frame is None
-            or frame.mapcount < 1
-            or frame.index != index
             or frame.family is not row.family
+            or frame.index != index
+            or index in row.family.divergent
+            and frame.own < 1
         ):
             raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
         return row, index, frame
 
-    def _detach(self, frame: TaggedFrame) -> None:
-        """Count one mapping of ``frame`` fewer, freeing it at zero, and log it."""
-        frame.mapcount -= 1
-        if not frame.mapcount:
+    def _release(self, frame: TaggedFrame, family: _Family) -> None:
+        """Count one mapping of ``frame``, at an index divergent in
+        ``family``, fewer; at zero free it, which narrows the index by one
+        frame; log it."""
+        frame.own -= 1
+        if not frame.own:
             del self._frames.by_id[frame.frame_id]
+            frame.family = None
+            family.divergent[frame.index] -= 1
         for log in self._frames.logs:
             log.frames.add(frame.frame_id)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping and count it out of its frame's ``mapcount``,
         freeing a frame left with none; returns the frame's remaining
-        refcount.  Raises before anything changes if the page is not
-        mapped, or its frame does not count it.
+        refcount.  The page's index is pinned divergent first (see
+        :data:`_PINNED`).  Raises before anything changes if the page is
+        not mapped, or its frame does not count it.
         """
         row, index, frame = self._mapped(page_va)
-        self._detach(frame)
+        family = row.family
+        self._diverge(family, index, frame)
+        family.pin(index)
+        self._release(frame, family)
         row.frames[index] = row.states[index] = None
-        return frame.mapcount
+        return frame.own
 
-    def remap(self, page_va: int, frame_id: int) -> None:
+    def remap(self, page_va: int, frame_id: int, pid: int | None = None) -> None:
         """Map ``page_va`` privately to frame ``frame_id`` in place of its
         mapping, as an :meth:`unmap` and a :meth:`map` would, logging the
-        old frame and the new one: the lazy copy's one write.  Raises
-        before anything changes if the page is not mapped, its frame does
-        not count it, or :meth:`map` would refuse ``frame_id`` there.
+        old frame and the new one: the lazy copy's one write.  ``pid``, if
+        given, names the row tried before a bisect, as :meth:`find_page`
+        does.  The page's index becomes divergent, one frame wider if
+        ``frame_id`` is new there and one narrower if the old frame is
+        freed.  Raises before anything changes if the page is not mapped,
+        its frame does not count it, or :meth:`map` would refuse
+        ``frame_id`` there.
         """
         fresh = self._frames.get(frame_id)
-        row, index, frame = self._mapped(page_va)
-        self._attach(fresh, row, index, page_va)
-        self._detach(frame)
+        row, index, frame = self._mapped(page_va, self._pid_rows.get(pid))
+        self._place(fresh, row, index, page_va)
+        family = row.family
+        self._diverge(family, index, frame)
+        if not fresh.own:
+            family.divergent[index] += 1
+        fresh.own += 1
+        self._release(frame, family)
         row.frames[index], row.states[index] = frame_id, _PRIVATE
         for log in self._frames.logs:
             log.frames.add(frame_id)
@@ -508,49 +592,68 @@ class AddressSpace:
         ``child``, as large as the parent's row, is the last reservation,
         no row backs it yet and ``pid`` has none.  ``copies`` maps the
         address of each child page the fork copied eagerly to its copy, a
-        frame that no page maps yet: the page maps it private, and the
-        parent page at its offset keeps its state.  Every other child page shares the
+        frame that no page maps yet: the page maps it private, the parent
+        page at its offset keeps its state, and its index becomes
+        divergent, one frame wider.  Every other child page shares the
         parent's frame at its offset in ``state``, counted in the frame's
-        ``mapcount``, as :meth:`map` would count it, and a private parent
-        page there becomes copy-on-write; ``state`` may be None only when
-        every page is a copy.  The row joins the parent's fork family, and
-        its read-only pages are the parent's.  A raise changes no mapping,
-        count or log.
+        ``mapcount``, and a private parent page there becomes
+        copy-on-write; ``state`` may be None only when every page is a
+        copy.  The row joins the parent's fork family, and its read-only
+        pages are the parent's.
+
+        Only the divergent pages and the copies are visited.  A frame at a
+        uniform index counts the child once the row joins the family, and
+        its pages are shared already: a page is private only where its
+        frame has one mapping, so only a lone row keeps private pages at
+        uniform indices, and its first fork visits every state.  A raise
+        changes no mapping, count or log.
         """
         self._check_unbacked(child, pid)
         parent_row = self._row_of(parent_pid)
         if child.size != parent_row.end - parent_row.base:
             raise SimInternalError(f"{child} is not a reservation the size of its parent's row")
         frames, family = self._frames.by_id, parent_row.family
+        divergent = family.divergent
         saved, count = parent_row.states, len(parent_row.states)
         built, states = parent_row.frames.copy(), [state] * count
-        shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
-        placed = []
+        placed = {}
         for page_va, frame_id in copies.items():
             index = (page_va - child.base) // PAGE_SIZE
             frame = frames.get(frame_id)
             if frame is None or frame.mapcount:
                 raise SimInternalError(f"page {page_va:#x} cannot take copy {frame_id}")
-            built[index], states[index], shared[index] = frame_id, _PRIVATE, saved[index]
-            placed.append((frame, index))
-        try:
-            for index, frame_id in enumerate(built):
-                if frame_id is None:
-                    raise SimInternalError(
-                        f"parent page {parent_row.base + index * PAGE_SIZE:#x} unmapped at fork"
-                    )
-                frames[frame_id].mapcount += 1
-        except (SimInternalError, KeyError) as err:
-            # Every page before the failing one was counted.
-            for frame_id in built[:index]:
-                frames[frame_id].mapcount -= 1
-            if isinstance(err, KeyError):
-                raise SimInternalError(f"frame {err.args[0]} does not exist") from None
-            raise
-        for frame, index in placed:
-            frame.index, frame.family = index, family
-        written = count - len(placed) + shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
-        saved[:] = shared
+            placed[index] = frame
+        # The child counts in each divergent page's frame, and each page it
+        # copied at a uniform index makes the frame there count its own.
+        counted = [index for index in divergent if index not in placed]
+        diverging = [index for index in placed if index not in divergent]
+        for index in sorted(counted + diverging):
+            frame_id = built[index]
+            if frame_id is None:
+                raise SimInternalError(
+                    f"parent page {parent_row.base + index * PAGE_SIZE:#x} unmapped at fork"
+                )
+            if frame_id not in frames:
+                raise SimInternalError(f"frame {frame_id} does not exist")
+        for index in counted:
+            frames[built[index]].own += 1
+        for index, frame in placed.items():
+            self._diverge(family, index, frames[built[index]])
+            divergent[index] += 1
+            frame.index, frame.family, frame.own = index, family, 1
+            built[index], states[index] = frame.frame_id, _PRIVATE
+        written = count - len(placed)
+        if len(family) == 1:
+            shared = [_SHARED_COW if old is _PRIVATE else old for old in saved]
+            for index in placed:
+                shared[index] = saved[index]
+            written += shared.count(_SHARED_COW) - saved.count(_SHARED_COW)
+            saved[:] = shared
+        else:
+            for index in counted:
+                if saved[index] is _PRIVATE:
+                    saved[index] = _SHARED_COW
+                    written += 1
         ro_end = child.base + (parent_row.ro_end - parent_row.base)
         self._add_row(_Row(child.base, child.end, pid, ro_end, built, states, family))
         for log in self._frames.logs:
@@ -558,41 +661,60 @@ class AddressSpace:
         return written
 
     def unmap_owned(self, pid: int) -> list[TaggedFrame]:
-        """Unmap every page of ``pid``'s row in one walk, in page order, all
-        or nothing, then drop the row, so its addresses lie in no row.
+        """Unmap every page of ``pid``'s row, in page order, all or nothing,
+        then drop the row, so its addresses lie in no row.
 
-        Returns, in page order, the frames left with one mapping.  A page
-        whose frame does not exist or counts no mapping raises
-        ``SimInternalError`` once the counts already taken and the frames
-        already freed are put back, so a raise changes no mapping, count,
-        live frame or log.
+        Returns, in page order, the frames left with one mapping.  While
+        the family keeps two rows or more, only the frames at divergent
+        indices change: a uniform frame just counts one row fewer.  Each
+        divergent index whose frames narrow to one is uniform again.  A
+        family left with one row or none visits every page: each uniform
+        frame is left with one mapping, or freed.  A page whose frame does
+        not exist or counts no mapping raises ``SimInternalError`` before
+        anything changes, so a raise changes no mapping, count, live frame
+        or log.
         """
         row = self._row_of(pid)
-        owned, frames = row.frames, self._frames.by_id
+        family, owned, frames = row.family, row.frames, self._frames.by_id
+        divergent = family.divergent
+        left = len(family) - 1
+        changing = sorted(divergent)
+        # Once the family keeps one row or none, every frame of the row
+        # changes: its frames, in page order.
+        picked = list(map(frames.get, owned)) if left < 2 else None
+        if (picked is not None and picked.count(None) != owned.count(None)) or any(
+            frame_id is not None and (frame_id not in frames or frames[frame_id].own < 1)
+            for frame_id in map(owned.__getitem__, changing)
+        ):
+            raise self._unattached(row, changing if picked is None else range(len(owned)))
         survivors = []
-        freed: list[TaggedFrame] = []
-        for done, frame_id in enumerate(owned):
+        for index in changing:
+            frame_id = owned[index]
             if frame_id is None:
                 continue
-            frame = frames.get(frame_id)
-            if frame is None or frame.mapcount < 1:
-                for lost in freed:
-                    frames[lost.frame_id] = lost
-                for back in owned[:done]:
-                    if back is not None:
-                        frames[back].mapcount += 1
-                raise SimInternalError(
-                    f"page {row.base + done * PAGE_SIZE:#x} is not attached to frame {frame_id}"
-                )
-            frame.mapcount = mappers = frame.mapcount - 1
-            if not mappers:
-                del frames[frame_id]
-                freed.append(frame)
-            elif mappers == 1:
+            frame = frames[frame_id]
+            frame.own = mappers = frame.own - 1
+            if mappers == 1:
                 survivors.append(frame)
+            elif not mappers:
+                del frames[frame_id]
+                frame.family = None
+                divergent[index] -= 1
+            if divergent[index] == 1:
+                del divergent[index]
+            if picked is not None and (mappers != 1 or not left):
+                picked[index] = None
+        if picked is not None:
+            if left:
+                # The one row left maps every uniform frame once, too.
+                survivors = list(filter(None, picked))
+            else:
+                for frame in filter(None, picked):
+                    del frames[frame.frame_id]
+                    frame.family = None
         index = self._rows.index(row)
         del self._bases[index], self._rows[index], self._pid_rows[pid]
-        row.family.remove(row)
+        family.remove(row)
         logs = self._frames.logs
         if logs:
             changed = set(owned)
@@ -601,16 +723,37 @@ class AddressSpace:
                 log.frames |= changed
         return survivors
 
+    def _unattached(self, row: _Row, visited: Iterable[int]) -> SimInternalError:
+        """The error of the first page, among ``visited``, that maps a frame
+        that does not exist or, at a divergent index, counts no mapping."""
+        frames, divergent = self._frames.by_id, row.family.divergent
+        for index in visited:
+            frame_id = row.frames[index]
+            if frame_id is not None:
+                frame = frames.get(frame_id)
+                if frame is None or index in divergent and frame.own < 1:
+                    break
+        return SimInternalError(
+            f"page {row.base + index * PAGE_SIZE:#x} is not attached to frame {frame_id}"
+        )
+
     def owned_refcounts(self, pid: int) -> dict[int, int]:
         """The mapped pages of ``pid``'s row, counted per frame refcount.
 
-        The one sweep behind :meth:`Metrics.prs_bytes`.
+        The one sweep behind :meth:`Metrics.prs_bytes`.  The uniform pages
+        count at the family's row count, all at once; only the pages at
+        divergent indices are visited.
         """
-        frames, counts = self._frames.by_id, {}
+        row = self._row_of(pid)
+        family, owned, frames = row.family, row.frames, self._frames.by_id
+        divergent = family.divergent
+        uniform = len(owned) - len(divergent)
+        counts = {len(family): uniform} if uniform else {}
         try:
-            for frame_id in self._row_of(pid).frames:
+            for index in divergent:
+                frame_id = owned[index]
                 if frame_id is not None:
-                    refs = frames[frame_id].mapcount
+                    refs = frames[frame_id].own
                     counts[refs] = counts.get(refs, 0) + 1
         except KeyError as err:
             raise SimInternalError(
@@ -704,18 +847,35 @@ class AddressSpace:
         resident-set conservation rests on, given ``owners``, a set of
         pids: every row belongs to a pid in ``owners`` (:meth:`_verify_rows`),
         so one :meth:`owned_refcounts` sweep counts each mapped page, and
-        every frame has a page.  It reads every row element and frame once;
-        it is the oracle of the per-step :meth:`verify_changes`.  Two frames
-        swapped between rows of one family at one index keep every one of
-        these facts, so neither check sees that; a swap across families
-        breaks the first.
+        every frame has a page.  What the derived counts rest on: every row
+        maps a page at each uniform index, so a frame there that counts the
+        row count is mapped by every row; and each divergent index that is
+        not pinned has the width its family records.  It reads every row
+        element and frame once; it is the oracle of the per-step
+        :meth:`verify_changes`.  Two frames swapped between rows of one
+        family at one index keep every one of these facts, so neither check
+        sees that; a swap across families breaks the first.
         """
         self._verify_rows(owners)
         mapped: Counter[int | None] = Counter()
+        # Each family, and the frames its rows map at each divergent index.
+        families: dict[int, tuple[_Family, dict[int, set[int | None]]]] = {}
         for row in self._rows:
-            mapped.update(self._verify_pages(row))
+            frame_ids = list(self._verify_pages(row))
+            mapped.update(frame_ids)
+            family = row.family
+            _, found = families.setdefault(id(family), (family, {}))
+            for index in family.divergent:
+                found.setdefault(index, set()).add(frame_ids[index])
         for frame_id, frame in self._frames.by_id.items():
-            self._verify_count(frame, mapped[frame_id])
+            self._verify_count(frame, mapped[frame_id], frame.mapcount)
+        for family, found in families.values():
+            for index, width in family.divergent.items():
+                if width != _PINNED and width != len(found[index]):
+                    raise SimInternalError(
+                        f"page index {index} of a fork family records {width} frames,"
+                        f" its rows map {len(found[index])}"
+                    )
 
     def verify_changes(self, log: ChangeLog, owners: set[int]) -> None:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
@@ -723,13 +883,19 @@ class AddressSpace:
 
         Every row is its pid's row and belongs to a pid in ``owners``, a
         walk of the rows alone.  Each mapped page of the row of a logged
-        pid maps a frame that lies at its index in the row's family; a row
-        torn down since maps nothing.  Each logged frame that still exists,
-        and each frame a logged row maps, has a mapping, and its
-        ``mapcount`` equals the number of its family's rows that map it at
-        its index; the count does not read a logged row again.  If the
-        facts held when the log was last cleared and every change since was
-        logged, this check passes exactly when the full pass does.
+        pid maps a frame that lies at its index in the row's family, and the
+        row maps a page at each uniform index; a row torn down since maps
+        nothing.  Each logged frame that still exists, and each frame a
+        logged row maps, has a mapping, and its ``mapcount`` equals the
+        number of its family's rows that map it at its index; the count
+        does not read a logged row again.  If the facts held when the log
+        was last cleared and every change since was logged, this check
+        passes exactly when the full pass does, but for the widths of the
+        divergent indices, which only the full pass reads.  A width decides
+        only when an index is uniform again: one too wide keeps the index
+        divergent longer, which costs visits and changes no count, and one
+        too narrow makes the frames there read the row count, which this
+        check reports once one of them is logged again.
         """
         self._verify_rows(owners)
         frames, logged = self._frames.by_id, log.frames
@@ -766,11 +932,19 @@ class AddressSpace:
 
     def _verify_pages(self, row: _Row) -> Iterator[int | None]:
         """Each mapped page of ``row`` maps a frame that exists and lies at
-        that page's index in the row's family; yields the row's frame ids,
-        each once it is checked, so the row is read once."""
+        that page's index in the row's family, and each uniform index is
+        mapped; yields the row's frame ids, each once it is checked, so the
+        row is read once."""
         frames, family = self._frames.by_id, row.family
+        divergent = family.divergent
         for index, frame_id in enumerate(row.frames):
-            if frame_id is not None:
+            if frame_id is None:
+                if index not in divergent:
+                    raise SimInternalError(
+                        f"page {row.base + index * PAGE_SIZE:#x} maps nothing,"
+                        " although every row of its family maps its index"
+                    )
+            else:
                 frame = frames.get(frame_id)
                 if frame is None or frame.index != index or frame.family is not family:
                     raise SimInternalError(
@@ -786,20 +960,21 @@ class AddressSpace:
         map it at its index, and at least 1.  ``seen`` is a row already read
         to map it, or ``None``; it is not read again."""
         index, frame_id, mapped = frame.index, frame.frame_id, int(seen is not None)
+        count = frame.mapcount
         for row in frame.family or ():
             if row is not seen and row.frames[index] == frame_id:
                 mapped += 1
-                if frame.mapcount == 1:
+                if count == 1:
                     _verify_origin(row, index, frame)
-        self._verify_count(frame, mapped)
+        self._verify_count(frame, mapped, count)
 
     @staticmethod
-    def _verify_count(frame: TaggedFrame, mapped: int) -> None:
-        """``frame`` has a mapping, its ``mapcount`` equals ``mapped``, the
-        number of pages that map it, and each of its relative capability
-        entries lies in ``[0, origin.size]``, with its cursor below the
-        end."""
-        frame_id, count = frame.frame_id, frame.mapcount
+    def _verify_count(frame: TaggedFrame, mapped: int, count: int) -> None:
+        """``frame`` has a mapping, its ``mapcount``, ``count``, equals
+        ``mapped``, the number of pages that map it, and each of its
+        relative capability entries lies in ``[0, origin.size]``, with its
+        cursor below the end."""
+        frame_id = frame.frame_id
         if count < 1:
             raise SimInternalError(f"prs conservation broken: frame {frame_id} has no page")
         if count != mapped:

@@ -13,7 +13,11 @@ Two broad families exist and they are deliberately distinct:
 A call that names a pid never created raises ``UnknownPid``.  A call that
 acts for a process, ``fork``, ``exit``, every syscall through the gateway
 and the privileged operation, raises ``ProcessNotRunning`` for a pid that
-does not run, a zombie or a reaped one, before it changes anything.
+does not run, a zombie or a reaped one, before it changes anything; reap
+raises it for a pid that still runs or was already reaped, and says
+which.  A syscall whose argument is missing, or one that the syscall
+cannot convert to the type it needs, raises ``SyscallError("EINVAL")``
+before the handler changes anything.
 """
 
 

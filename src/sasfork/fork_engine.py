@@ -49,7 +49,8 @@ absolute entries.  A lazy copy finds the faulting page once
 reservation before a bisect), which gives the page's frame id, its
 state, whether it is read-only and its owner as plain values; then it
 remaps the page to the copy in one write
-(:meth:`AddressSpace.remap`).  Copies made for the region that already
+(:meth:`AddressSpace.remap`, which tries the faulting pid's row first
+too).  Copies made for the region that already
 owns the frame's contents (the parent side) skip the scan, and a copy
 that holds no absolute entry skips the check that none escapes.
 When a shared frame's ``mapcount`` drops to one, the surviving mapping
@@ -214,6 +215,10 @@ class ForkEngine:
         child_region = space.reserve_region(parent.region.size)
         events = len(self.events)
         copies: dict[int, int] = {}
+
+        def collect(page_va: int, frame_id: int, pid: int) -> None:
+            copies[page_va] = frame_id
+
         try:
             for sub, cause in eager:
                 for parent_va in sub.page_addresses():
@@ -226,7 +231,7 @@ class ForkEngine:
                         entry.frame_id,
                         child_region,
                         cause=cause,
-                        install=copies.__setitem__,
+                        install=collect,
                     )
             eager_pages = len(copies)
             state = _CHILD_SHARED_STATE.get(strategy)
@@ -322,15 +327,16 @@ class ForkEngine:
         dest_region: Region,
         *,
         cause: CopyCause,
-        install: Callable[[int, int], None],
+        install: Callable[[int, int, int], None],
     ) -> CopyEvent:
         """Three-step page copy: fresh frame, byte+capability copy, relocation scan.
 
         The scan runs only when the destination region differs from the
         frame's origin (a forked child); a copy for the origin region
-        itself needs no relocation.  ``install(page_va, frame_id)`` places
-        the copy: fork collects an eager one for its share pass, and a lazy
-        one is remapped privately (:meth:`AddressSpace.remap`).  If the
+        itself needs no relocation.  ``install(page_va, frame_id,
+        trigger_pid)`` places the copy: fork collects an eager one for its
+        share pass, and a lazy one is remapped privately, in the row of the
+        faulting pid (:meth:`AddressSpace.remap`).  If the
         scan or the install raises, the copy is freed first, so the raise
         leaves the frame table as it was.
         """
@@ -339,11 +345,13 @@ class ForkEngine:
         scanned = relocations = 0
         origin = fresh.origin
         try:
-            if origin is not dest_region and origin != dest_region:
+            if origin is not dest_region and (
+                origin.base != dest_region.base or origin.size != dest_region.size
+            ):
                 # The scan makes ``dest_region`` the copy's origin.
                 relocations = sys.frames.scan_and_relocate(fresh, origin, dest_region)
                 scanned = GRANULES_PER_PAGE
-            install(page_va, fresh.frame_id)
+            install(page_va, fresh.frame_id, trigger_pid)
         except BaseException:
             # Neither step maps the copy unless it succeeds.
             sys.frames.free_unmapped(fresh)
@@ -405,8 +413,9 @@ class ForkEngine:
         sys = self._sys
         region = sys.processes[pid].region
         # Most frames keep their owner's own region object as origin.
-        if frame.origin is not region and frame.origin != region:
-            relocations = sys.frames.scan_and_relocate(frame, frame.origin, region)
+        origin = frame.origin
+        if origin is not region and (origin.base != region.base or origin.size != region.size):
+            relocations = sys.frames.scan_and_relocate(frame, origin, region)
             sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
 
     # -- exit / wait ----------------------------------------------------------
@@ -424,9 +433,11 @@ class ForkEngine:
     def wait(self, parent_pid: int) -> tuple[int, int] | None:
         """Reap the earliest-exited child; ``None`` means "would block".
 
-        Raises :class:`NoChildren` when the caller has no unreaped
-        children at all.
+        Raises :class:`UnknownPid` for a pid never created, and
+        :class:`NoChildren` when the caller has no unreaped children at
+        all.
         """
+        self._sys.process(parent_pid)  # an unknown pid raises
         unreaped = map(self._sys.processes.__getitem__, self._sys.unreaped_pids)
         children = [p for p in unreaped if p.parent_pid == parent_pid]
         if not children:
@@ -445,12 +456,15 @@ class ForkEngine:
         which keeps only the pid, region, parent and exit record, so its
         descriptor table goes with the rest of the process.
         Raises :class:`ProcessNotRunning`, before changing anything, for
-        a process that still runs or holds no PID-table slot (reaped).
+        a process that still runs or holds no PID-table slot (reaped); the
+        message says which.
         """
         sys = self._sys
         pid = proc.pid
-        if proc.running or pid not in sys.unreaped_pids:
-            raise ProcessNotRunning(f"pid {pid} is not a zombie")
+        if proc.running:
+            raise ProcessNotRunning(f"pid {pid} still runs, so it cannot be reaped")
+        if pid not in sys.unreaped_pids:
+            raise ProcessNotRunning(f"pid {pid} was already reaped")
         self._promote(sys.address_space.unmap_owned(pid))
         sys.release_pid(pid)
         sys.processes[pid] = ReapedProcess(

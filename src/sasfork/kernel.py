@@ -229,7 +229,7 @@ class KernelGateway:
         if needed is not None and self._sys.isolation is not IsolationLevel.NONE:
             # The buffer capability is a register value the caller cannot
             # change, so it is checked before anything is read through it.
-            buf, count = args["buf"], args["count"]
+            buf, count = _arg(args, "buf"), _arg(args, "count", int)
             self._validate_buffer(pid, name, buf, count, needed)
             if self._sys.isolation is IsolationLevel.FULL and needed & Perm.LOAD:
                 # Buffers land in kernel memory before the handler reads
@@ -292,36 +292,37 @@ class KernelGateway:
         return self._sys.stored_pid(pid)
 
     def _sys_open(self, pid: int, args: dict) -> int:
-        return self._sys.files.open(self._sys.process(pid), str(args["name"]))
+        return self._sys.files.open(self._sys.process(pid), _arg(args, "name", str))
 
     def _sys_close(self, pid: int, args: dict) -> int:
-        self._sys.files.close_fd(self._sys.process(pid), int(args["fd"]))
+        self._sys.files.close_fd(self._sys.process(pid), _arg(args, "fd", int))
         return 0
 
     def _sys_read(self, pid: int, args: dict) -> int:
         proc = self._sys.process(pid)
-        obj = self._sys.files.object_for_fd(proc, int(args["fd"]))
-        data = obj.read(int(args["count"]))
+        obj = self._sys.files.object_for_fd(proc, _arg(args, "fd", int))
+        count, buf = _arg(args, "count", int), _arg(args, "buf")
+        data = obj.read(count)
         if self._sys.isolation is IsolationLevel.FULL:
             # Results land in kernel memory first, then copy out.
             self._sys.stash_in_kernel_buffer(data)
-        self._sys.write_user_bytes(pid, args["buf"], data)
+        self._sys.write_user_bytes(pid, buf, data)
         return len(data)
 
     def _sys_write(self, pid: int, args: dict) -> int:
         proc = self._sys.process(pid)
-        obj = self._sys.files.object_for_fd(proc, int(args["fd"]))
+        obj = self._sys.files.object_for_fd(proc, _arg(args, "fd", int))
         snapshot = args.pop("_snapshot", None)
         if snapshot is not None:
             data = snapshot
         else:
-            data = self._sys.read_user_bytes(pid, args["buf"], int(args["count"]))
+            data = self._sys.read_user_bytes(pid, _arg(args, "buf"), _arg(args, "count", int))
         return obj.write(data)
 
     def _sys_brk(self, pid: int, args: dict) -> int:
         """Accept a break inside the fixed heap; no allocator reads it."""
         proc = self._sys.process(pid)
-        new_break = int(args["break"])
+        new_break = _arg(args, "break", int)
         heap_size = proc.layout.heap.size
         if new_break < 0 or new_break > heap_size:
             raise SyscallError(
@@ -501,6 +502,17 @@ class KernelGateway:
             and not region.contains_range(cap.base, cap.top)
             and not self.is_entry_capability(cap)
         )
+
+
+def _arg(args: dict, name: str, convert: Callable[[object], object] | None = None):
+    """Syscall argument ``name`` of ``args``, passed through ``convert`` if
+    given: ``SyscallError("EINVAL")`` where it is missing or ``convert``
+    refuses it."""
+    try:
+        value = args[name]
+        return value if convert is None else convert(value)
+    except (KeyError, TypeError, ValueError):
+        raise SyscallError("EINVAL", f"missing or ill-typed argument {name!r}") from None
 
 
 def _violation(pid: int, location: str, cap: Capability) -> AuditViolation:

@@ -18,6 +18,9 @@ in (pid 0 for the kernel's), and each pid has one row, so one sweep of
 the pid's row counts its pages per refcount as integers, and
 :func:`proportional_bytes` turns those counts into one exact
 ``Fraction`` over the least common multiple of the refcounts present.
+The sweep visits only the row's divergent pages: every other page is
+mapped by each row of the pid's fork family, so they all count at the
+family's row count at once (see :mod:`sasfork.address_space`).
 The owners' shares sum to every frame exactly once when each mapped
 page lies in the region of a PID-table slot holder or the kernel and
 each frame has a page, which the debug check tests.  A process that

@@ -52,13 +52,18 @@ byte-store compare, the decoding of an untagged granule and the kernel's
 copy-in all go through).  A copy that nothing reads, like most of a
 fork's GOT copies, never pays for that.
 
-A frame keeps a count of the pages that map it, ``mapcount``, which is
-its refcount, and it is freed when the count drops to zero.  It stores no
-list of those pages.  Every page that maps a frame lies at the same page
-index of its reservation, and in reservations of one fork family, so the
-frame records that ``index`` and that ``family`` at its first mapping, and
-its mappers are found by walking the family's reservations (see
-:mod:`sasfork.address_space`, the one writer of all three).
+A frame's refcount, ``mapcount``, is the number of pages that map it, and
+the frame is freed when it drops to zero.  It stores no list of those
+pages.  Every page that maps a frame lies at the same page index of its
+reservation, and in reservations of one fork family, so the frame records
+that ``index`` and that ``family`` at its first mapping, and its mappers
+are found by walking the family's reservations.  A frame at an index
+where every row of its family maps it keeps no count: its ``mapcount``
+reads as the family's row count.  Only a frame at one of the family's
+*divergent* indices, where the rows map different frames, counts its own
+mappings, in ``own`` (see :mod:`sasfork.address_space`, the one writer
+of ``own``, ``index`` and ``family``).  A freed frame leaves its family,
+so its count reads zero.
 
 A frame holds only what was written to it.  Its page is cut into chunks
 of :data:`CHUNK` bytes, and ``chunks`` maps the index of each chunk ever
@@ -145,9 +150,10 @@ class TaggedFrame:
     region the frame's contents are laid out for; the fork engine uses it
     to pick the source region of a relocation scan (a frame aliased
     through several generations of forks still relocates correctly).
-    ``mapcount`` is the number of pages that map the frame; ``index`` and
-    ``family``, ``None`` until its first mapping, are the page index and
-    the fork family of the reservations those pages lie in.
+    ``index`` and ``family``, ``None`` until its first mapping and again
+    once the frame is freed, are the page index and the fork family of
+    the reservations its pages lie in; ``own`` counts those pages while
+    ``index`` is divergent in ``family`` (see the module docstring).
     """
 
     __slots__ = (
@@ -157,7 +163,7 @@ class TaggedFrame:
         "relative",
         "rel_base",
         "origin",
-        "mapcount",
+        "own",
         "index",
         "family",
     )
@@ -169,9 +175,27 @@ class TaggedFrame:
         self.relative: Mapping[int, Capability] = _NO_ENTRIES
         self.rel_base: int | None = None
         self.origin = origin
-        self.mapcount = 0
+        self.own = 0
         self.index: int | None = None
         self.family: list | None = None
+
+    @property
+    def mapcount(self) -> int:
+        """The number of pages that map the frame, its refcount: the row
+        count of its family where every row maps it, else its own count."""
+        family = self.family
+        if family is None or self.index in family.divergent:
+            return self.own
+        return len(family)
+
+    @mapcount.setter
+    def mapcount(self, count: int) -> None:
+        """Pin the frame's own count at ``count``, which makes its index
+        divergent for as long as its family lives: the way a test or a
+        check corrupts a count on purpose."""
+        if self.family is not None:
+            self.family.pin(self.index)
+        self.own = count
 
     @property
     def data(self) -> bytes:
@@ -346,8 +370,9 @@ class FrameTable:
     """Allocator for tagged frames.
 
     The address space counts each page it maps in the frame's
-    ``mapcount``, and frees a frame whose count it drops to zero.  Frame
-    ids are never reused within a run.
+    ``mapcount`` (in the frame's own count, or in its family's row count
+    where every row maps it), and frees a frame whose count it drops to
+    zero.  Frame ids are never reused within a run.
     """
 
     def __init__(self) -> None:
@@ -494,9 +519,10 @@ class FrameTable:
         if parent.size != child.size:
             raise ValueError("parent and child regions must be the same size")
         origin = frame.origin
-        if (origin is not parent and origin != parent) or parent.overlaps_range(
-            child.base, child.end
-        ):
+        if (
+            origin is not parent
+            and (origin is None or origin.base != parent.base or origin.size != parent.size)
+        ) or parent.overlaps_range(child.base, child.end):
             frame.make_absolute()
         moved = len(frame.relative)
         frame.origin = child

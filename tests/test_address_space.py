@@ -226,13 +226,12 @@ class TestMappings:
 
     def test_region_passes_over_an_unknown_frame_are_internal(self, space):
         parent, frame = mapped_page(space)
-        child = space.reserve_region(PAGE_SIZE)
         del space._frames.by_id[frame.frame_id]
-        with pytest.raises(SimInternalError):
-            space.share_region(1, child, 2, PageState.SHARED_COPA, {})
-        assert space.entry_at(child.base) is None
-        with pytest.raises(SimInternalError):
-            space.owned_refcounts(1)
+        # The share pass and the exit sweep read no frame that every row of
+        # its family maps; the full debug pass refuses it.
+        with pytest.raises(SimInternalError, match=f"maps frame {frame.frame_id}"):
+            space.verify_refcounts({1})
+        # The teardown of a lone row reads every frame.
         with pytest.raises(SimInternalError):
             space.unmap_owned(1)
 
@@ -267,7 +266,10 @@ class TestMappings:
         if fault == "unmapped parent":
             space.unmap(last)
         else:
-            del frames[space.entry_at(last).frame_id]
+            # The pass reads only the frames at divergent indices; pinning
+            # the count of the last page's frame makes its index one.
+            frame = frames.pop(space.entry_at(last).frame_id)
+            frame.mapcount = frame.mapcount
         parent_pages = [space.entry_at(va) for va in parent.region.page_addresses()]
         # Every earlier parent page is private, some of them read-only.
         assert {entry.state for entry in parent_pages[:-1]} == {PageState.PRIVATE}
@@ -561,6 +563,22 @@ class TestRows:
             SimInternalError,
             match=f"frame {frames[0].frame_id} counts 3 mappings, the page table maps it 2 times",
         ):
+            space.verify_refcounts({1, 2})
+
+    def test_the_full_pass_reads_what_the_derived_counts_rest_on(self, space):
+        parent, child, frames = shared_child(space)
+        space.remap(child.base, space._frames.allocate().frame_id)
+        family = space._pid_rows[2].family
+        assert family.divergent == {0: 2}
+        space.verify_refcounts({1, 2})
+        # A width that counts a frame too many.
+        family.divergent[0] = 3
+        with pytest.raises(SimInternalError, match="records 3 frames, its rows map 2"):
+            space.verify_refcounts({1, 2})
+        family.divergent[0] = 2
+        # A page missing at an index where every row maps one frame.
+        space._pid_rows[2].frames[1] = None
+        with pytest.raises(SimInternalError, match=f"{child.base + PAGE_SIZE:#x} maps nothing"):
             space.verify_refcounts({1, 2})
 
     def test_only_the_last_unused_reservation_is_taken_back(self, space):

@@ -472,9 +472,9 @@ class TestReadsInPlace:
         remapped, unmapped = [], []
         real_remap = AddressSpace.remap
 
-        def remap(space, page_va, frame_id):
+        def remap(space, page_va, frame_id, *args):
             remapped.append((page_va, frame_id))
-            real_remap(space, page_va, frame_id)
+            real_remap(space, page_va, frame_id, *args)
 
         monkeypatch.setattr(AddressSpace, "remap", remap)
         monkeypatch.setattr(AddressSpace, "unmap", lambda space, va: unmapped.append(va))
@@ -705,6 +705,44 @@ wait
 load_int a+4096
 expect 3
 """
+
+
+#: Four ``nowait`` workers of a 4096-page heap, each writing a page of its
+#: own and one page that all of them write, and sharing the rest; the
+#: parent writes a page they read, and reaps them in turn while the others
+#: still run.
+WIDE_WORKERS = "layout heap=4096\nalloc a 16384\nstore_int a+0 1\n" + "".join(
+    f"fork nowait {{\n  store_int a+{w * 4096} {w}\n  store_int a+12288 {w}\n"
+    f"  load_int a+8192\n  exit 0\n}}\n"
+    for w in range(4)
+) + "store_int a+8192 9\n" + "wait\n" * 4
+
+
+class TestDerivedCounts:
+    """A frame that every row of its family maps reads the row count as its
+    ``mapcount``; the full debug pass, which counts every mapping, agrees
+    after every step."""
+
+    @pytest.mark.parametrize("strategy", ["full", "coa", "copa", "unsafe-cow"])
+    def test_the_full_pass_holds_after_every_step(self, strategy, monkeypatch):
+        from test_kernel import bench_workloads
+
+        real_verify = System.verify_invariants
+        steps = []
+
+        def verify_invariants(system, **kwargs):
+            real_verify(system, full=True)
+            steps.append(len(system.address_space._rows))
+
+        monkeypatch.setattr(System, "verify_invariants", verify_invariants)
+        churn = bench_workloads().WORKLOADS["churn"].tiny_script(1)
+        nested = GOLDEN["nested"][0]
+        for text in (churn, ORPHAN, nested, WIDE_WORKERS):
+            steps.clear()
+            result = run(text, strategy, "fault", debug=True)
+            assert result.ok and len(steps) > 10
+            # Some step ran with a family of several rows.
+            assert max(steps) >= 4
 
 
 class TestNestedFork:

@@ -409,6 +409,65 @@ class TestGatewayLiveness:
         with pytest.raises(UnknownPid):
             system.gateway.attempt_privileged(999)
 
+    def test_a_wait_for_a_pid_never_created_is_unknown(self):
+        system = make_system()
+        system.create_initial_process()
+        engine = system.fork_engine
+        for call in (lambda: engine.fork(999), lambda: engine.exit(999, 0), lambda: engine.wait(999)):
+            with pytest.raises(UnknownPid):
+                call()
+
+    @pytest.mark.parametrize("reaped", [False, True], ids=["running", "reaped"])
+    def test_a_reap_refusal_says_whether_the_pid_runs_or_was_reaped(self, reaped):
+        system, parent, child = exited_child(True)
+        proc, match = (child, "was already reaped") if reaped else (parent, "still runs")
+        with pytest.raises(ProcessNotRunning, match=f"pid {proc.pid} {match}"):
+            system.fork_engine.reap(proc)
+
+
+#: Each argument of each syscall that takes arguments, missing, and each
+#: numeric one ill-typed.
+BAD_ARGUMENTS = {
+    f"{name} {how} {arg}": (name, arg, how)
+    for name, arg in [
+        ("open", "name"),
+        ("close", "fd"),
+        ("read", "fd"),
+        ("read", "buf"),
+        ("read", "count"),
+        ("write", "fd"),
+        ("write", "buf"),
+        ("write", "count"),
+        ("brk", "break"),
+    ]
+    for how in ("missing", "ill-typed")
+    if not (arg in ("name", "buf") and how == "ill-typed")
+}
+
+
+class TestSyscallArguments:
+    """A missing or ill-typed syscall argument is EINVAL, under every
+    isolation level, before the handler changes anything."""
+
+    @pytest.mark.parametrize("isolation", ["none", "fault", "full"])
+    @pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+    def test_a_bad_argument_is_einval(self, case, isolation):
+        name, arg, how = BAD_ARGUMENTS[case]
+        system = make_system(isolation)
+        parent = system.create_initial_process()
+        fd = system.gateway.syscall(parent.pid, parent.entry_caps["open"], "open", {"name": "f"})
+        args = liveness_calls(parent)[name]
+        if "fd" in args:
+            args["fd"] = fd
+        if how == "missing":
+            del args[arg]
+        else:
+            args[arg] = "not a number"
+        with pytest.raises(SyscallError) as err:
+            system.gateway.syscall(parent.pid, parent.entry_caps[name], name, args)
+        assert err.value.code == "EINVAL" and repr(arg) in str(err.value)
+        system.verify_invariants(full=True)
+
 
 class TestAudit:
     def test_fresh_system_is_clean(self):
@@ -1219,12 +1278,24 @@ def test_both_checks_hold_at_every_step_on_their_own_logs(
 def _remap_keeps_the_old_page(monkeypatch):
     real = AddressSpace.remap
 
-    def remap(self, page_va, frame_id):
+    def remap(self, page_va, frame_id, *args):
         frames = self._frames.by_id
         frame = frames[self.entry_at(page_va).frame_id]
-        real(self, page_va, frame_id)
+        real(self, page_va, frame_id, *args)
         frame.mapcount += 1
         frames[frame.frame_id] = frame
+
+    monkeypatch.setattr(AddressSpace, "remap", remap)
+
+
+def _remap_leaves_its_index_uniform(monkeypatch):
+    real = AddressSpace.remap
+
+    def remap(self, page_va, frame_id, *args):
+        real(self, page_va, frame_id, *args)
+        # Every frame at the index now reads the family's row count.
+        row = self._row_at(page_va)
+        del row.family.divergent[(page_va - row.base) // PAGE_SIZE]
 
     monkeypatch.setattr(AddressSpace, "remap", remap)
 
@@ -1316,6 +1387,7 @@ def _teardown_keeps_the_reaped_pids_row(monkeypatch):
 
 DEBUG_MUTATIONS = {
     "remap_keeps_the_old_page": _remap_keeps_the_old_page,
+    "remap_leaves_its_index_uniform": _remap_leaves_its_index_uniform,
     "share_region_drops_a_child_page": _share_region_drops_a_child_page,
     "share_region_drops_its_last_frame_id": _share_region_drops_its_last_frame_id,
     "unmap_owned_leaves_the_last_page": _unmap_owned_leaves_the_last_page,

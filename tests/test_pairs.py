@@ -24,8 +24,9 @@ def test_one_pair_of_audited_records_an_entry(pairs, tmp_path, capsys):
     (entry,) = json.loads((tmp_path / "BENCH_audited.json").read_text())
     assert {
         "date", "commit", "src_changed", "base", "workload", "seed", "pairs",
-        "seconds", "metrics", "sim", "python", "probe_s", "note",
+        "order", "seconds", "metrics", "sim", "python", "probe_s", "note",
     } == set(entry)
+    assert entry["order"] == ["base"]
     assert (entry["workload"], entry["seed"], entry["pairs"], entry["note"]) == (
         "audited", 1, 1, "shape"
     )
@@ -52,3 +53,20 @@ def test_an_unknown_workload_is_a_usage_error(pairs):
         pairs.main(["--base-dir", ".", "--workload", "nope", "--seed", "1", "--pairs", "1",
                     "--seconds", "1"])
     assert exit_.value.code == 2
+
+
+def test_the_side_that_runs_first_alternates_from_pair_to_pair(pairs, tmp_path, monkeypatch):
+    sides = []
+
+    def run_side(tree, workload, seed, seconds):
+        sides.append("change" if tree == pairs.ROOT else "base")
+        return {"stmts_per_s": 1.0}
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "probe_seconds", lambda: 1.0)
+    argv = ["--base-dir", str(tmp_path), "--workload", "churn", "--seed", "1", "--seconds", "1"]
+    assert pairs.main([*argv, "--pairs", "3", "--record", "order"]) == 0
+    assert sides == ["base", "change", "change", "base", "base", "change"]
+    (entry,) = json.loads((tmp_path / "BENCH_churn.json").read_text())
+    assert entry["order"] == ["base", "change", "base"]
+    assert entry["metrics"]["stmts_per_s"]["ties"] == 3

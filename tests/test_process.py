@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from sasfork.address_space import AddressSpace, PageState, _Row
+from sasfork.address_space import AddressSpace, PageState, _Family, _Row
 from sasfork.capability import GRANULES_PER_PAGE, PAGE_SIZE, Capability, Perm, Region
 from sasfork.errors import BadFd, SimInternalError
 from sasfork.process import KERNEL_PID, LayoutSpec, MicroProcess, ReapedProcess
@@ -280,7 +280,9 @@ def per_page_map(space, region, pid, ro_pages):
     allocate and :meth:`map` per page."""
     unmapped = [None] * region.page_count
     ro_end = region.base + ro_pages * PAGE_SIZE
-    space._add_row(_Row(region.base, region.end, pid, ro_end, unmapped, unmapped.copy(), []))
+    space._add_row(
+        _Row(region.base, region.end, pid, ro_end, unmapped, unmapped.copy(), _Family())
+    )
     for page_va in region.page_addresses():
         space.map(page_va, space._frames.allocate(origin=region).frame_id)
 

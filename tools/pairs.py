@@ -1,7 +1,9 @@
 """Alternating base/change pairs of the benchmark, and the trajectory files.
 
 Runs the working tree's ``bench/run.py`` on a base tree and on the
-working tree in turn, base first, ``--pairs`` times per workload, and
+working tree in turn, ``--pairs`` times per workload, the base first in
+the first pair and the order swapped from each pair to the next, so that
+a host whose speed drifts favours neither side, and
 prints each end-to-end metric's median and quartiles on both sides and the
 number of pairs the change wins::
 
@@ -18,8 +20,8 @@ working tree's ``bench/``, so only the simulator differs between them.
 With ``--record NOTE`` it appends one entry per workload to
 ``BENCH_<workload>.json`` at the repository root, a JSON list of entries:
 the working tree's commit and whether its ``src/`` differs from it, the
-base, both sides' medians and quartiles, the win and tie counts, the
-``sim_*`` counts, the Python version, the host-speed probe of
+base, which side ran first in each pair (``order``), both sides' medians
+and quartiles, the win and tie counts, the ``sim_*`` counts, the Python version, the host-speed probe of
 ``bench/hostspeed.py`` and the note.  It uses the standard library only.
 """
 
@@ -188,11 +190,16 @@ def main(argv: list[str] | None = None) -> int:
             base_tree = args.base_dir.resolve()
             base_name = f"dir:{base_tree.name}"
         for workload in args.workload:
-            pairs = []
+            pairs, order = [], []
             for n in range(args.pairs):
-                before = run_side(base_tree, workload, args.seed, args.seconds)
-                after = run_side(ROOT, workload, args.seed, args.seconds)
+                if n % 2:
+                    after = run_side(ROOT, workload, args.seed, args.seconds)
+                    before = run_side(base_tree, workload, args.seed, args.seconds)
+                else:
+                    before = run_side(base_tree, workload, args.seed, args.seconds)
+                    after = run_side(ROOT, workload, args.seed, args.seconds)
                 pairs.append((before, after))
+                order.append("change" if n % 2 else "base")
                 print(f"{workload} pair {n + 1}/{args.pairs} done", file=sys.stderr)
             summary = summarize(pairs, bench["end_to_end"])
             print("\n".join(report_lines(workload, summary)))
@@ -208,6 +215,7 @@ def main(argv: list[str] | None = None) -> int:
                     "workload": workload,
                     "seed": args.seed,
                     "pairs": args.pairs,
+                    "order": order,
                     "seconds": args.seconds,
                     "metrics": summary,
                     "sim": {
