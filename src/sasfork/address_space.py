@@ -41,17 +41,18 @@ A family counts the pages that all its rows map once.  At most page
 indices every row of a family maps one frame: a fork copies its parent's
 column, and only a copy, a teardown or a test's :meth:`~AddressSpace.map`
 or :meth:`~AddressSpace.unmap` makes the rows differ.  The family keeps
-the other indices, its *divergent* ones, with each one's width, the
-number of distinct frames its rows map there (:class:`_Family`).  A frame
-at a uniform index keeps no count: its ``mapcount`` reads as the
-family's row count, so a row that joins or leaves the family counts in
-or out of every such frame at once.  Only a frame at a divergent index
-counts its own mappings, in ``TaggedFrame.own``.  A pass that changes a
-count makes the index divergent first, when the frame there takes the
-row count as its own; a teardown that narrows an index to one frame makes
-it uniform again.  So the share pass, the resident-set sweep and the
-teardown visit only the divergent pages and the copies, except where a
-family of one row forks, or drops to one row or none: then every frame
+a set of indices, its *divergent* ones, that holds every other index
+(:class:`_Family`).  A frame at a uniform index keeps no count: its
+``mapcount`` reads as the family's row count, so a row that joins or
+leaves the family counts in or out of every such frame at once.  Only a
+frame at a divergent index counts its own mappings, in
+``TaggedFrame.own``.  A pass that changes a count makes the index
+divergent first, when the frame there takes the row count as its own.  A
+teardown that frees its row's frame at a divergent index makes the index
+uniform again if the frame that a row left maps there counts every row
+left, one count it reads.  So the share pass, the resident-set sweep and
+the teardown visit only the divergent pages and the copies, except where
+a family of one row forks, or drops to one row or none: then every frame
 of the row changes.  A page is private only where its frame has one
 mapping, so in a family of two rows or more every page at a uniform
 index is shared already, and the share pass need not read it.
@@ -72,12 +73,13 @@ copy-on-write and counts in its frame's ``mapcount``, so the count stays
 the refcount.  A lazy copy
 writes the copy's frame id and ``Private`` (:meth:`AddressSpace.remap`),
 and the promotion pass (:meth:`AddressSpace.promote`) makes a sole
-survivor ``Private`` again in place, once the fork engine's callback has
-relocated its frame; it finds the survivor in the last row it found, or
-else in the frame's family.  The fault path finds its page once, with
-:meth:`~AddressSpace.find_page`: like the access pipeline, it tries the
-faulting pid's own reservation before a bisect, and it returns the
-page's frame id and state, whether it is read-only, and its owner.  A
+survivor ``Private`` again in place and returns each one whose frame is
+laid out for another region than its row's, for the fork engine to
+relocate before anything runs; it finds the survivor in the last row it
+found, or else in the frame's family.  The fault path finds its page
+once, with :meth:`~AddressSpace.find_page`: like the access pipeline, it
+tries the faulting pid's own reservation before a bisect, and it returns
+the page's frame id and state, whether it is read-only, and its owner.  A
 :class:`PageTableEntry` is only a read-only view of one page, built by
 :meth:`~AddressSpace.entry_at` and :meth:`~AddressSpace.entries`.
 
@@ -118,8 +120,6 @@ check what relocation rests on: a frame that one page maps is laid out
 for that page's row's region, and every relative capability entry of a
 checked frame lies in ``[0, origin.size]``.  And they check what the
 derived counts rest on: every row maps a page at each uniform index.
-The full pass also checks that each divergent index that is not pinned
-has the width its family records.
 
 Region reservation is bump-only with no reuse: released space is never
 handed out again, which keeps relocation reasoning trivial and mirrors
@@ -135,11 +135,10 @@ rest on is a fact about rows: each belongs to a pid that may own pages.
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .capability import GRANULE, PAGE_SIZE, VIRTUAL_SPACE_LIMIT, Capability, Perm, Region
 from .errors import (
@@ -176,33 +175,22 @@ class PageTableEntry(NamedTuple):
     writable: bool
 
 
-#: The width of an index that :meth:`AddressSpace.map`,
-#: :meth:`AddressSpace.unmap` or an assignment to a frame's ``mapcount``
-#: made divergent: no count brings it back to one, so the index stays
-#: divergent while its family lives.
-_PINNED = math.inf
-
-
 class _Family(list):
     """The live rows of one fork family, in the order they joined it, and
     its divergent page indices.
 
     At an index missing from ``divergent`` every row maps one frame, whose
-    ``mapcount`` reads as the row count.  ``divergent`` maps each other
-    index to its width, the number of distinct frames the rows map there;
-    each of those frames counts its own mappings.  A teardown that leaves
-    an index one frame wide makes it uniform again.
+    ``mapcount`` reads as the row count.  At an index in ``divergent``
+    each frame the rows map counts its own mappings, whether or not the
+    rows differ there.  A teardown that frees a frame there makes the
+    index uniform again once one frame counts every row left.
     """
 
     __slots__ = ("divergent",)
 
     def __init__(self) -> None:
         super().__init__()
-        self.divergent: dict[int, float] = {}
-
-    def pin(self, index: int) -> None:
-        """Make ``index`` divergent for good; see :data:`_PINNED`."""
-        self.divergent[index] = _PINNED
+        self.divergent: set[int] = set()
 
 
 @dataclass(slots=True, eq=False)
@@ -441,7 +429,7 @@ class AddressSpace:
         in the frame's ``mapcount``.  The frame's first mapping fixes its
         index and family; a later one at another index or in another
         family raises ``SimInternalError`` before anything changes.  The
-        page's index is pinned divergent (see :data:`_PINNED`)."""
+        page's index becomes divergent."""
         if page_va % PAGE_SIZE:
             raise ValueError(f"page address {page_va:#x} not aligned")
         row = self._row_at(page_va)
@@ -454,7 +442,7 @@ class AddressSpace:
             raise DoubleMap(f"page {page_va:#x} is already mapped")
         self._place(frame, row, index, page_va)
         # An unmapped page's index is divergent already.
-        row.family.pin(index)
+        row.family.divergent.add(index)
         frame.own += 1
         frames[index], states[index] = frame_id, state
         for log in self._frames.logs:
@@ -477,10 +465,9 @@ class AddressSpace:
     def _diverge(family: _Family, index: int, frame: TaggedFrame) -> None:
         """Make ``index`` divergent in ``family`` if it is uniform: then
         ``frame``, which every row maps there, takes the row count as its
-        own count, and the index's width is one.  A count at the index may
-        change only after this."""
+        own count.  A count at the index may change only after this."""
         if index not in family.divergent:
-            family.divergent[index] = 1
+            family.divergent.add(index)
             frame.own = len(family)
 
     def map_fresh_region(self, region: Region, pid: int, ro_pages: int) -> None:
@@ -525,30 +512,26 @@ class AddressSpace:
             raise SimInternalError(f"page {page_va:#x} is not attached to frame {frame_id}")
         return row, index, frame
 
-    def _release(self, frame: TaggedFrame, family: _Family) -> None:
-        """Count one mapping of ``frame``, at an index divergent in
-        ``family``, fewer; at zero free it, which narrows the index by one
-        frame; log it."""
+    def _release(self, frame: TaggedFrame) -> None:
+        """Count one mapping of ``frame``, at a divergent index, fewer; at
+        zero free it; log it."""
         frame.own -= 1
         if not frame.own:
             del self._frames.by_id[frame.frame_id]
             frame.family = None
-            family.divergent[frame.index] -= 1
         for log in self._frames.logs:
             log.frames.add(frame.frame_id)
 
     def unmap(self, page_va: int) -> int:
         """Remove a mapping and count it out of its frame's ``mapcount``,
         freeing a frame left with none; returns the frame's remaining
-        refcount.  The page's index is pinned divergent first (see
-        :data:`_PINNED`).  Raises before anything changes if the page is
-        not mapped, or its frame does not count it.
+        refcount.  The page's index becomes divergent first, and stays so
+        while a row maps nothing there.  Raises before anything changes if
+        the page is not mapped, or its frame does not count it.
         """
         row, index, frame = self._mapped(page_va)
-        family = row.family
-        self._diverge(family, index, frame)
-        family.pin(index)
-        self._release(frame, family)
+        self._diverge(row.family, index, frame)
+        self._release(frame)
         row.frames[index] = row.states[index] = None
         return frame.own
 
@@ -557,21 +540,16 @@ class AddressSpace:
         mapping, as an :meth:`unmap` and a :meth:`map` would, logging the
         old frame and the new one: the lazy copy's one write.  ``pid``, if
         given, names the row tried before a bisect, as :meth:`find_page`
-        does.  The page's index becomes divergent, one frame wider if
-        ``frame_id`` is new there and one narrower if the old frame is
-        freed.  Raises before anything changes if the page is not mapped,
-        its frame does not count it, or :meth:`map` would refuse
-        ``frame_id`` there.
+        does.  The page's index becomes divergent.  Raises before anything
+        changes if the page is not mapped, its frame does not count it, or
+        :meth:`map` would refuse ``frame_id`` there.
         """
         fresh = self._frames.get(frame_id)
         row, index, frame = self._mapped(page_va, self._pid_rows.get(pid))
         self._place(fresh, row, index, page_va)
-        family = row.family
-        self._diverge(family, index, frame)
-        if not fresh.own:
-            family.divergent[index] += 1
+        self._diverge(row.family, index, frame)
         fresh.own += 1
-        self._release(frame, family)
+        self._release(frame)
         row.frames[index], row.states[index] = frame_id, _PRIVATE
         for log in self._frames.logs:
             log.frames.add(frame_id)
@@ -594,11 +572,10 @@ class AddressSpace:
         address of each child page the fork copied eagerly to its copy, a
         frame that no page maps yet: the page maps it private, the parent
         page at its offset keeps its state, and its index becomes
-        divergent, one frame wider.  Every other child page shares the
-        parent's frame at its offset in ``state``, counted in the frame's
-        ``mapcount``, and a private parent page there becomes
-        copy-on-write; ``state`` may be None only when every page is a
-        copy.  The row joins the parent's fork family, and its read-only
+        divergent.  Every other child page shares the parent's frame at its
+        offset in ``state``, counted in the frame's ``mapcount``, and a
+        private parent page there becomes copy-on-write; ``state`` may be
+        None only when every page is a copy.  The row joins the parent's fork family, and its read-only
         pages are the parent's.
 
         Only the divergent pages and the copies are visited.  A frame at a
@@ -639,7 +616,6 @@ class AddressSpace:
             frames[built[index]].own += 1
         for index, frame in placed.items():
             self._diverge(family, index, frames[built[index]])
-            divergent[index] += 1
             frame.index, frame.family, frame.own = index, family, 1
             built[index], states[index] = frame.frame_id, _PRIVATE
         written = count - len(placed)
@@ -666,8 +642,9 @@ class AddressSpace:
 
         Returns, in page order, the frames left with one mapping.  While
         the family keeps two rows or more, only the frames at divergent
-        indices change: a uniform frame just counts one row fewer.  Each
-        divergent index whose frames narrow to one is uniform again.  A
+        indices change: a uniform frame just counts one row fewer.  A
+        divergent index where the teardown frees the row's frame is uniform
+        again once the frame a row left maps there counts every row left.  A
         family left with one row or none visits every page: each uniform
         frame is left with one mapping, or freed.  A page whose frame does
         not exist or counts no mapping raises ``SimInternalError`` before
@@ -682,6 +659,9 @@ class AddressSpace:
         # Once the family keeps one row or none, every frame of the row
         # changes: its frames, in page order.
         picked = list(map(frames.get, owned)) if left < 2 else None
+        # The column of a row left, which says where one frame counts them
+        # all; where no row is left, the row's own, whose freed frames are gone.
+        kept = (family[-1] if family[0] is row else family[0]).frames
         if (picked is not None and picked.count(None) != owned.count(None)) or any(
             frame_id is not None and (frame_id not in frames or frames[frame_id].own < 1)
             for frame_id in map(owned.__getitem__, changing)
@@ -699,9 +679,9 @@ class AddressSpace:
             elif not mappers:
                 del frames[frame_id]
                 frame.family = None
-                divergent[index] -= 1
-            if divergent[index] == 1:
-                del divergent[index]
+                other = frames.get(kept[index])
+                if other is not None and other.own == left:
+                    divergent.discard(index)
             if picked is not None and (mappers != 1 or not left):
                 picked[index] = None
         if picked is not None:
@@ -770,17 +750,16 @@ class AddressSpace:
         state = row.states[index]
         return PageTableEntry(frame_id, state, state is _PRIVATE and page_va >= row.ro_end)
 
-    def promote(
-        self, frames: Iterable[TaggedFrame], relocate: Callable[[TaggedFrame, int], None]
-    ) -> None:
+    def promote(self, frames: Iterable[TaggedFrame]) -> list[tuple[TaggedFrame, int]]:
         """The promotion pass: make the one mapping of each of ``frames``,
         which each have exactly one, ``Private`` again where it is shared,
-        in order, and log the frame.  ``relocate(frame, pid)`` runs first,
-        with the pid whose reservation holds the page, so the frame holds
-        that pid's capabilities before the page may load them.  The last
-        row found is tried first, and then the rows of the frame's family."""
+        in order, and log the frame.  Returns, in order, each frame it made
+        ``Private`` that is not laid out for its row's region, with the pid
+        of that row: the caller relocates those before anything runs, so no
+        page loads a capability of another region.  The last row found is
+        tried first, and then the rows of the frame's family."""
         row = _UNRESERVED
-        logs = self._frames.logs
+        logs, moved = self._frames.logs, []
         for frame in frames:
             index, frame_id = frame.index, frame.frame_id
             if row.family is not frame.family or row.frames[index] != frame_id:
@@ -791,10 +770,16 @@ class AddressSpace:
                     raise SimInternalError(f"frame {frame_id} has no mapping to promote")
             states = row.states
             if states[index] is not _PRIVATE:
-                relocate(frame, row.pid)
                 states[index] = _PRIVATE
+                # _verify_origin's test, inlined: a call per survivor costs.
+                origin = frame.origin
+                if origin is not None and (
+                    origin.base != row.base or origin.size != row.end - row.base
+                ):
+                    moved.append((frame, row.pid))
                 for log in logs:
                     log.frames.add(frame_id)
+        return moved
 
     def mappers(self, frame_ids: Iterable[int]) -> list[tuple[int | None, int]]:
         """The owner pid and address of each page that maps one of the live
@@ -849,33 +834,18 @@ class AddressSpace:
         so one :meth:`owned_refcounts` sweep counts each mapped page, and
         every frame has a page.  What the derived counts rest on: every row
         maps a page at each uniform index, so a frame there that counts the
-        row count is mapped by every row; and each divergent index that is
-        not pinned has the width its family records.  It reads every row
-        element and frame once; it is the oracle of the per-step
+        row count is mapped by every row.  It reads every row element and
+        frame once; it is the oracle of the per-step
         :meth:`verify_changes`.  Two frames swapped between rows of one
         family at one index keep every one of these facts, so neither check
         sees that; a swap across families breaks the first.
         """
         self._verify_rows(owners)
         mapped: Counter[int | None] = Counter()
-        # Each family, and the frames its rows map at each divergent index.
-        families: dict[int, tuple[_Family, dict[int, set[int | None]]]] = {}
         for row in self._rows:
-            frame_ids = list(self._verify_pages(row))
-            mapped.update(frame_ids)
-            family = row.family
-            _, found = families.setdefault(id(family), (family, {}))
-            for index in family.divergent:
-                found.setdefault(index, set()).add(frame_ids[index])
+            mapped.update(self._verify_pages(row))
         for frame_id, frame in self._frames.by_id.items():
             self._verify_count(frame, mapped[frame_id], frame.mapcount)
-        for family, found in families.values():
-            for index, width in family.divergent.items():
-                if width != _PINNED and width != len(found[index]):
-                    raise SimInternalError(
-                        f"page index {index} of a fork family records {width} frames,"
-                        f" its rows map {len(found[index])}"
-                    )
 
     def verify_changes(self, log: ChangeLog, owners: set[int]) -> None:
         """Per-step debug check: the facts of :meth:`verify_refcounts`, read
@@ -890,12 +860,7 @@ class AddressSpace:
         number of its family's rows that map it at its index; the count
         does not read a logged row again.  If the facts held when the log
         was last cleared and every change since was logged, this check
-        passes exactly when the full pass does, but for the widths of the
-        divergent indices, which only the full pass reads.  A width decides
-        only when an index is uniform again: one too wide keeps the index
-        divergent longer, which costs visits and changes no count, and one
-        too narrow makes the frames there read the row count, which this
-        check reports once one of them is logged again.
+        passes exactly when the full pass does.
         """
         self._verify_rows(owners)
         frames, logged = self._frames.by_id, log.frames

@@ -55,13 +55,14 @@ owns the frame's contents (the parent side) skip the scan, and a copy
 that holds no absolute entry skips the check that none escapes.
 When a shared frame's ``mapcount`` drops to one, the surviving mapping
 is promoted back to private; if the survivor is a forked child the
-frame is relocated in place first, so promotion can never expose stale
-references.  A lazy copy calls the promotion pass only when it leaves
-the old frame with one mapping.  The pass is the address space's
-(:meth:`AddressSpace.promote`): it finds each shared survivor, calls
-back into the fork engine with the pid whose reservation holds it to
-relocate the frame, and then sets the page's state to ``Private`` in
-place and logs the frame.  A frame keeps no list of its pages: it finds
+frame is relocated in place before anything runs, so promotion can never
+expose stale references.  A lazy copy calls the promotion pass only when
+it leaves the old frame with one mapping.  The pass is the address
+space's (:meth:`AddressSpace.promote`): it finds each shared survivor,
+sets the page's state to ``Private`` in place, logs the frame, and
+returns the survivors whose frames are laid out for another region than
+their page's, each with the pid whose reservation holds it; the fork
+engine relocates those.  A frame keeps no list of its pages: it finds
 its survivor among the rows of the frame's fork family, which a fork's
 row joins when its share pass builds it.
 
@@ -400,22 +401,17 @@ class ForkEngine:
         ``frames`` each have exactly one mapping: a teardown meets a frame
         at most once, since its pages lie at one index.  The address
         space's promotion pass (:meth:`AddressSpace.promote`) skips a frame
-        whose mapping is already private, and makes the others' pages
-        private, each after :meth:`_relocate_survivor` has run.
+        whose mapping is already private and makes the others' pages
+        private.  Each survivor it returns, laid out for another region
+        than its page's (a child that never copied the page), is then
+        relocated in place for its pid's region, which becomes its origin,
+        so no stale capability stays loadable.  The scan raises only for
+        regions of unequal size, which the rows of one family never have.
         """
-        self._sys.address_space.promote(frames, self._relocate_survivor)
-
-    def _relocate_survivor(self, frame: TaggedFrame, pid: int) -> None:
-        """Relocate in place a frame about to be promoted in ``pid``'s region,
-        if that region is not the frame's origin (a child that never copied
-        this page), so no stale capability becomes loadable.  The scan
-        makes that region the frame's origin."""
         sys = self._sys
-        region = sys.processes[pid].region
-        # Most frames keep their owner's own region object as origin.
-        origin = frame.origin
-        if origin is not region and (origin.base != region.base or origin.size != region.size):
-            relocations = sys.frames.scan_and_relocate(frame, origin, region)
+        for frame, pid in sys.address_space.promote(frames):
+            region = sys.processes[pid].region
+            relocations = sys.frames.scan_and_relocate(frame, frame.origin, region)
             sys.metrics.record_scan(pid, GRANULES_PER_PAGE, relocations)
 
     # -- exit / wait ----------------------------------------------------------

@@ -60,10 +60,10 @@ that ``index`` and that ``family`` at its first mapping, and its mappers
 are found by walking the family's reservations.  A frame at an index
 where every row of its family maps it keeps no count: its ``mapcount``
 reads as the family's row count.  Only a frame at one of the family's
-*divergent* indices, where the rows map different frames, counts its own
-mappings, in ``own`` (see :mod:`sasfork.address_space`, the one writer
-of ``own``, ``index`` and ``family``).  A freed frame leaves its family,
-so its count reads zero.
+*divergent* indices, a set that holds every index where the rows map
+different frames, counts its own mappings, in ``own`` (see
+:mod:`sasfork.address_space`, the one writer of ``own``, ``index`` and
+``family``).  A freed frame leaves its family, so its count reads zero.
 
 A frame holds only what was written to it.  Its page is cut into chunks
 of :data:`CHUNK` bytes, and ``chunks`` maps the index of each chunk ever
@@ -190,11 +190,11 @@ class TaggedFrame:
 
     @mapcount.setter
     def mapcount(self, count: int) -> None:
-        """Pin the frame's own count at ``count``, which makes its index
-        divergent for as long as its family lives: the way a test or a
-        check corrupts a count on purpose."""
+        """Set the frame's own count to ``count`` and make its index
+        divergent, so the count is read: the way a test or a check
+        corrupts a count on purpose."""
         if self.family is not None:
-            self.family.pin(self.index)
+            self.family.divergent.add(self.index)
         self.own = count
 
     @property

@@ -568,18 +568,40 @@ class TestRows:
     def test_the_full_pass_reads_what_the_derived_counts_rest_on(self, space):
         parent, child, frames = shared_child(space)
         space.remap(child.base, space._frames.allocate().frame_id)
-        family = space._pid_rows[2].family
-        assert family.divergent == {0: 2}
+        assert space._pid_rows[2].family.divergent == {0}
         space.verify_refcounts({1, 2})
-        # A width that counts a frame too many.
-        family.divergent[0] = 3
-        with pytest.raises(SimInternalError, match="records 3 frames, its rows map 2"):
-            space.verify_refcounts({1, 2})
-        family.divergent[0] = 2
         # A page missing at an index where every row maps one frame.
         space._pid_rows[2].frames[1] = None
         with pytest.raises(SimInternalError, match=f"{child.base + PAGE_SIZE:#x} maps nothing"):
             space.verify_refcounts({1, 2})
+
+    def test_a_teardown_makes_an_index_uniform_once_one_frame_counts_every_row_left(self, space):
+        parent, child, frames = shared_child(space)
+        sibling = space.reserve_region(parent.size)
+        space.share_region(1, sibling, 3, PageState.SHARED_COPA, {})
+        copy = space._frames.allocate()
+        space.remap(child.base, copy.frame_id)
+        family = space._pid_rows[1].family
+        assert family.divergent == {0} and frames[0].mapcount == 2
+        space.unmap_owned(2)
+        # The parent and the sibling map one frame there again.
+        assert copy.frame_id not in space._frames.by_id
+        assert not family.divergent and frames[0].mapcount == 2
+        space.verify_refcounts({1, 3})
+
+    def test_an_unmapped_index_stays_divergent_through_a_teardown(self, space):
+        parent, child, frames = shared_child(space)
+        copy = space._frames.allocate()
+        space.remap(child.base, copy.frame_id)
+        space.unmap(parent.base)
+        family = space._pid_rows[1].family
+        # The teardown frees the child's frame at index 0, where the parent
+        # maps nothing, so the index stays divergent.
+        assert space.unmap_owned(2) == frames[1:]
+        assert copy.frame_id not in space._frames.by_id
+        assert family.divergent == {0}
+        assert space.entry_at(parent.base) is None
+        space.verify_refcounts({1})
 
     def test_only_the_last_unused_reservation_is_taken_back(self, space):
         parent, child, _ = shared_child(space)

@@ -1295,7 +1295,7 @@ def _remap_leaves_its_index_uniform(monkeypatch):
         real(self, page_va, frame_id, *args)
         # Every frame at the index now reads the family's row count.
         row = self._row_at(page_va)
-        del row.family.divergent[(page_va - row.base) // PAGE_SIZE]
+        row.family.divergent.discard((page_va - row.base) // PAGE_SIZE)
 
     monkeypatch.setattr(AddressSpace, "remap", remap)
 
