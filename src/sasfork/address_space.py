@@ -86,6 +86,10 @@ the page's frame id and state, whether it is read-only, and its owner.  A
 :meth:`AddressSpace.check_and_access` checks and performs one access on
 exactly one page, as one CHERI-checked load or store would; a range that
 crosses a page is an internal error, since callers split ranges first.
+The access names its address beside its capability, as a CHERI load
+names an offset from its capability register: ``at``, which defaults to
+the cursor, is where every check and every fault lands, and no access
+builds a capability with a moved cursor.
 It runs the fixed pipeline
 ``tag -> seal -> bounds -> capability perms -> page state`` so fault
 kinds are deterministic; a store to a read-only page is a write fault
@@ -971,9 +975,14 @@ class AddressSpace:
         payload: bytes | Capability | None = None,
         *,
         width: int = 8,
+        at: int | None = None,
     ):
         """Run the access pipeline and perform the access if it passes.
 
+        The access lands at ``at``, which defaults to ``cap.cursor``: as a
+        CHERI load checks its capability at the cursor plus an offset, the
+        pipeline checks ``cap`` at ``at`` and builds no capability with a
+        moved cursor.  Every fault it raises names the page of ``at``.
         The access lies on exactly one page.  Pipeline order is fixed:
         tag, seal, bounds (including granule alignment for capability
         accesses), capability permissions, then the state of that page.
@@ -999,23 +1008,25 @@ class AddressSpace:
             width = _EXEC_FETCH_WIDTH
 
         base, length, cursor, perms, otype, tag = cap
+        if at is None:
+            at = cursor
         if not tag:
-            _fault(_CAP_TAG_FAULT, pid, cursor, kind)
+            _fault(_CAP_TAG_FAULT, pid, at, kind)
         if otype is not None:
-            _fault(_CAP_SEALED_FAULT, pid, cursor, kind)
-        if kind in _CAP_ACCESSES and cursor % GRANULE:
-            _fault(_CAP_BOUNDS_FAULT, pid, cursor, kind)
-        if not (base <= cursor and cursor + width <= base + length):
-            _fault(_CAP_BOUNDS_FAULT, pid, cursor, kind)
+            _fault(_CAP_SEALED_FAULT, pid, at, kind)
+        if kind in _CAP_ACCESSES and at % GRANULE:
+            _fault(_CAP_BOUNDS_FAULT, pid, at, kind)
+        if not (base <= at and at + width <= base + length):
+            _fault(_CAP_BOUNDS_FAULT, pid, at, kind)
         required = kind.required
         if perms._value_ & required != required:
-            _fault(_CAP_PERM_FAULT, pid, cursor, kind)
+            _fault(_CAP_PERM_FAULT, pid, at, kind)
 
-        offset = cursor % PAGE_SIZE
-        page_va = cursor - offset
+        offset = at % PAGE_SIZE
+        page_va = at - offset
         if offset + width > PAGE_SIZE:
             raise SimInternalError(
-                f"{kind.value} of {width} bytes at {cursor:#x} crosses a page; callers split it"
+                f"{kind.value} of {width} bytes at {at:#x} crosses a page; callers split it"
             )
         row = self._pid_rows.get(pid)
         if row is None or not row.base <= page_va < row.end:

@@ -1,14 +1,16 @@
 """Tagged, bounded memory references and the regions they address.
 
 A :class:`Capability` is the only way to name memory in the simulator.
-It is a pure value: base/length bounds, a cursor (the address actually
-dereferenced), a permission set, an optional seal, and a one-bit
-validity tag.  It is an immutable named tuple of those six fields,
-which makes one cheap to build: the access path and the relocation scan
-build one for nearly every capability they touch.  Its hash is the hash
-of the tuple of its fields, so dict and set order depend on the values
-alone.  Being a tuple, a ``Capability`` compares equal to a plain tuple
-of its fields.  The rules are deliberately hardware-like:
+It is a pure value: base/length bounds, a cursor (the address
+dereferenced unless an access names another), a permission set, an
+optional seal, and a one-bit validity tag.  It is an immutable named
+tuple of those six fields, which makes one cheap to build: the
+relocation scan builds one for nearly every capability it touches.  An
+access builds none: it names its address beside the capability, as a
+CHERI load names an offset.  Its hash is the hash of the tuple of its
+fields, so dict and set order depend on the values alone.  Being a
+tuple, a ``Capability`` compares equal to a plain tuple of its fields.
+The rules are deliberately hardware-like:
 
 * **Monotonicity.**  Derivation can shrink bounds and drop permissions
   but never the reverse; widening is a hard :class:`~sasfork.errors.BoundsWiden`
@@ -164,8 +166,7 @@ class Capability(NamedTuple):
         base, length, _, perms, otype, tag = self
         if otype is not None:
             raise SealedMutation("cannot move the cursor of a sealed capability")
-        # The access path moves a cursor for nearly every access, so skip
-        # the named tuple's keyword-handling constructor.
+        # Skip the named tuple's keyword-handling constructor.
         return _tuple_new(Capability, (base, length, addr, perms, otype, tag))
 
     def seal(self, otype: int) -> "Capability":

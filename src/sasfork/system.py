@@ -17,9 +17,15 @@ fault-resolution protocol on top of the raw one-page pipeline: a
 resolvable page fault is handed to the fork engine and the access retried
 exactly once.  A second resolvable fault at the same access is an
 internal error, which guards against handler bugs.  Capability-level
-faults terminate the access immediately.  Byte ranges are split at page
-boundaries only by ``_page_chunks``, so a range gets one access, and at
-most one fault resolution, per page it touches.
+faults terminate the access immediately.  An access names its address
+beside its capability (``at``, the cursor by default), as a CHERI load
+names an offset from its capability register: the pipeline checks the
+capability at that address, and the access path builds no capability.
+Byte ranges are split at page boundaries only by ``_page_chunks``, so a
+range gets one access, and at most one fault resolution, per page it
+touches; each page's access takes the capability itself and that page's
+address.  An integer read is built from the pages' integer reads, so a
+word on one page is one access and no bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .capability import (
     Capability,
     Perm,
 )
-from .errors import SimInternalError, SyscallError, UnknownPid, UnresolvableFault
+from .errors import SealedMutation, SimInternalError, SyscallError, UnknownPid, UnresolvableFault
 from .fork_engine import ForkEngine, ForkStrategy
 from .kernel import IsolationLevel, KernelGateway
 from .metrics import Metrics
@@ -257,15 +263,21 @@ class System:
         payload: bytes | Capability | None = None,
         *,
         width: int = 8,
+        at: int | None = None,
     ):
         """One checked access on one page, with at most one resolve-and-retry.
 
-        The access must not cross a page; the bulk helpers below split
-        ranges with :func:`_page_chunks`, one access per page.
+        The access lands at ``at``, which defaults to ``cap.cursor``; ``cap``
+        is checked there, as a CHERI load checks its capability at the
+        cursor plus an offset, so no caller builds a capability to move a
+        cursor.  The access must not cross a page; the bulk helpers below
+        split ranges with :func:`_page_chunks`, one access per page.
         """
+        if at is None:
+            at = cap.cursor
         try:
             result = self.address_space.check_and_access(
-                pid, cap, kind, payload, width=width
+                pid, cap, kind, payload, width=width, at=at
             )
         except FaultError as err:
             self.metrics.record_fault(pid, err.fault.kind)
@@ -277,7 +289,7 @@ class System:
                 raise err from None
             try:
                 result = self.address_space.check_and_access(
-                    pid, cap, kind, payload, width=width
+                    pid, cap, kind, payload, width=width, at=at
                 )
             except FaultError as again:
                 self.metrics.record_fault(pid, again.fault.kind)
@@ -287,17 +299,17 @@ class System:
                     ) from again
                 raise
         if self.debug:
-            self._debug_access_invariant(pid, cap)
+            self._debug_access_invariant(pid, cap, at)
         return result
 
-    def _debug_access_invariant(self, pid: int, cap: Capability) -> None:
+    def _debug_access_invariant(self, pid: int, cap: Capability, at: int) -> None:
         # Every successful non-kernel access: bounds inside the region
         # holding the touched page.
         if pid == KERNEL_PID:
             return
-        owner = self.address_space.owner_of(cap.cursor)
+        owner = self.address_space.owner_of(at)
         if owner is None:
-            raise SimInternalError(f"access by pid {pid} at {cap.cursor:#x}, in no reservation")
+            raise SimInternalError(f"access by pid {pid} at {at:#x}, in no reservation")
         proc = self.processes.get(owner)  # None for the kernel
         if proc is not None and not proc.region.contains_range(cap.base, cap.top):
             raise SimInternalError(
@@ -305,17 +317,43 @@ class System:
             )
 
     # -- bulk user-memory helpers (page-chunked, fault-resolving) ------------------
+    #
+    # Each takes the capability itself and the address the range starts at
+    # (``cap.cursor`` by default), and gives every page's access that page's
+    # address: no chunk builds a capability.  A sealed capability's cursor
+    # cannot move, so a range of one byte or more through it raises
+    # SealedMutation before any access, as moving its cursor would.
 
-    def read_user_bytes(self, pid: int, cap: Capability, count: int) -> bytes:
-        out = b""
-        for va, _, size in _page_chunks(cap.cursor, count):
-            value = self.access(pid, cap.with_cursor(va), _READ_INT, width=size)
-            out += value.to_bytes(size, "little")
-        return out
+    def read_user_int(self, pid: int, cap: Capability, count: int, at: int | None = None) -> int:
+        """The little-endian integer of the ``count`` bytes at ``at``.
 
-    def write_user_bytes(self, pid: int, cap: Capability, data: bytes) -> int:
-        for va, offset, size in _page_chunks(cap.cursor, len(data)):
-            self.access(pid, cap.with_cursor(va), _WRITE, data[offset : offset + size])
+        Built from each page's ``READ_INT``, so a word on one page is one
+        access and no bytes.
+        """
+        if at is None:
+            at = cap.cursor
+        if cap.otype is not None and count > 0:
+            raise SealedMutation("cannot move the cursor of a sealed capability")
+        value = 0
+        for va, done, size in _page_chunks(at, count):
+            value |= self.access(pid, cap, _READ_INT, width=size, at=va) << 8 * done
+        return value
+
+    def read_user_bytes(
+        self, pid: int, cap: Capability, count: int, at: int | None = None
+    ) -> bytes:
+        """The ``count`` bytes at ``at``; a negative count reads none."""
+        return self.read_user_int(pid, cap, count, at).to_bytes(max(count, 0), "little")
+
+    def write_user_bytes(
+        self, pid: int, cap: Capability, data: bytes, at: int | None = None
+    ) -> int:
+        if at is None:
+            at = cap.cursor
+        if cap.otype is not None and data:
+            raise SealedMutation("cannot move the cursor of a sealed capability")
+        for va, offset, size in _page_chunks(at, len(data)):
+            self.access(pid, cap, _WRITE, data[offset : offset + size], at=va)
         return len(data)
 
     def stash_in_kernel_buffer(self, data: bytes) -> None:

@@ -316,49 +316,51 @@ class _Interpreter:
 
     def _alloc(self, task: _Task, stmt: Alloc) -> None:
         system, proc = self.system, task.proc
-        meta = proc.registers["amc"].with_cursor(proc.layout.alloc_meta.base)
-        cursor_cap = system.access(proc.pid, meta, AccessKind.CAP_LOAD)
+        meta, at = proc.registers["amc"], proc.layout.alloc_meta.base
+        cursor_cap = system.access(proc.pid, meta, AccessKind.CAP_LOAD, at=at)
         size = (stmt.size + GRANULE - 1) // GRANULE * GRANULE
         handle = cursor_cap.derive(cursor_cap.cursor, size)
         advanced = cursor_cap.with_cursor(cursor_cap.cursor + size)
-        system.access(proc.pid, meta, AccessKind.CAP_STORE, advanced)
+        system.access(proc.pid, meta, AccessKind.CAP_STORE, advanced, at=at)
         proc.symbols[stmt.name] = handle
         self._emit(task, stmt, handle.base - proc.layout.heap.base)
 
     def _store_int(self, task: _Task, stmt: StoreInt) -> None:
         proc = task.proc
-        cap = self._symbol(proc, stmt.name, stmt.offset)
+        cap = self._bound(proc, stmt.name)
         payload = (stmt.value % (1 << 64)).to_bytes(8, "little")
         # The page-chunked helper gives a store that straddles two pages
         # one access, and one fault resolution, per page.
-        self._emit(task, stmt, self.system.write_user_bytes(proc.pid, cap, payload))
+        written = self.system.write_user_bytes(proc.pid, cap, payload, cap.base + stmt.offset)
+        self._emit(task, stmt, written)
 
     def _store_ref(self, task: _Task, stmt: StoreRef) -> None:
         proc = task.proc
-        dest = self._symbol(proc, stmt.name, stmt.offset)
+        dest = self._bound(proc, stmt.name)
+        # The target is a value the store writes, so its cursor moves.
         target = self._symbol(proc, stmt.target, stmt.target_offset)
-        self.system.access(proc.pid, dest, AccessKind.CAP_STORE, target)
+        at = dest.base + stmt.offset
+        self.system.access(proc.pid, dest, AccessKind.CAP_STORE, target, at=at)
         self._emit(task, stmt, GRANULE)
 
     def _load_int(self, task: _Task, stmt: LoadInt) -> None:
         proc = task.proc
-        cap = self._symbol(proc, stmt.name, stmt.offset)
-        data = self.system.read_user_bytes(proc.pid, cap, 8)
-        self._emit(task, stmt, int.from_bytes(data, "little"))
+        cap = self._bound(proc, stmt.name)
+        self._emit(task, stmt, self.system.read_user_int(proc.pid, cap, 8, cap.base + stmt.offset))
 
     def _load_ref(self, task: _Task, stmt: LoadRef) -> None:
         proc = task.proc
-        cap = self._symbol(proc, stmt.name, stmt.offset)
-        proc.loaded_ref = self.system.access(proc.pid, cap, AccessKind.CAP_LOAD)
+        cap = self._bound(proc, stmt.name)
+        at = cap.base + stmt.offset
+        proc.loaded_ref = self.system.access(proc.pid, cap, AccessKind.CAP_LOAD, at=at)
         self._emit(task, stmt, proc.loaded_ref)
 
     def _deref(self, task: _Task, stmt: Deref) -> None:
         loaded = task.proc.loaded_ref
         if loaded is None:
             raise SyscallError("ENOREF", "no loaded reference")
-        cap = loaded.with_cursor(loaded.cursor + stmt.offset) if stmt.offset else loaded
-        data = self.system.read_user_bytes(task.proc.pid, cap, 8)
-        self._emit(task, stmt, int.from_bytes(data, "little"))
+        at = loaded.cursor + stmt.offset
+        self._emit(task, stmt, self.system.read_user_int(task.proc.pid, loaded, 8, at))
 
     def _fork(self, task: _Task, stmt: Fork) -> None:
         child_pid = self._syscall(task.proc, "fork", {})
@@ -417,11 +419,24 @@ class _Interpreter:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _symbol(self, proc, name: str, offset: int) -> Capability:
+    def _bound(self, proc, name: str) -> Capability:
+        """The capability bound to ``name``.
+
+        An access through a symbol passes it with the address it lands on,
+        ``base + offset``.  A symbol is never sealed, so its accesses need
+        not refuse a cursor move: ``alloc`` binds only what
+        :meth:`Capability.derive` returns, which refuses a sealed source
+        and so is unsealed, and a fork's relocation keeps it unsealed.
+        """
         try:
-            cap = proc.symbols[name]
+            return proc.symbols[name]
         except KeyError:
             raise SyscallError("ENOSYM", f"symbol {name!r} not bound") from None
+
+    def _symbol(self, proc, name: str, offset: int) -> Capability:
+        """``name``'s capability with its cursor ``offset`` past its base:
+        a capability as a value, which a store writes or a syscall takes."""
+        cap = self._bound(proc, name)
         return cap.with_cursor(cap.base + offset)
 
     def _file_fd(self, task: _Task, name: str) -> int:

@@ -1,6 +1,7 @@
 """Page table, region reservation, and the fault pipeline ordering."""
 
 import copy
+import random
 import tracemalloc
 
 import pytest
@@ -15,8 +16,10 @@ from sasfork.address_space import (
     PageTableEntry,
 )
 from sasfork.capability import (
+    CODE_PERMS,
     DATA_PERMS,
     GRANULE,
+    GRANULES_PER_PAGE,
     PAGE_SIZE,
     VIRTUAL_SPACE_LIMIT,
     Capability,
@@ -656,6 +659,102 @@ class TestAccessPipelineOrder:
         cap = data_cap(region, offset=8)
         payload = data_cap(region)
         assert self.kinds(space, cap, AccessKind.CAP_STORE, payload) is FaultKind.CAP_BOUNDS
+
+
+def _two_page_space(rng):
+    """A two-page row of pid 1 in random page states, private more often
+    than not, possibly read-only in its first page, with random bytes and
+    tagged granules at both sides of the page boundary and at random."""
+    space = AddressSpace(FrameTable())
+    region = space.reserve_region(2 * PAGE_SIZE)
+    space.map_fresh_region(region, 1, rng.choice((0, 1)))
+    row = space._rows[-1]
+    for index, frame in enumerate(frames_of(space, region)):
+        row.states[index] = rng.choice([*PageState, PageState.PRIVATE, PageState.PRIVATE])
+        frame.store_bytes(0, rng.randbytes(PAGE_SIZE))
+        for granule in (0, GRANULES_PER_PAGE - 1, rng.randrange(GRANULES_PER_PAGE)):
+            space._frames.store_capability(frame, granule, data_cap(region, length=64))
+    return space, region
+
+
+def _random_cap(rng, region):
+    """A capability whose bounds lie in or around ``region``, with random
+    permissions, its tag or seal dropped at times, and a random cursor."""
+    base = region.base + rng.randrange(-2, 2 * GRANULES_PER_PAGE - 2) * GRANULE
+    base += rng.choice((0, 0, 0, rng.randrange(GRANULE)))
+    length = rng.randrange(1, 2 * PAGE_SIZE + 64)
+    perms = rng.choice((DATA_PERMS, DATA_PERMS | Perm.EXEC, CODE_PERMS, Perm.LOAD, Perm.STORE))
+    cursor = base + rng.randrange(-64, length + 64)
+    otype = rng.randrange(8) if rng.random() < 0.1 else None
+    return Capability(base, length, cursor, perms, otype, rng.random() > 0.1)
+
+
+def _outcome(space, region, cap, kind, payload, width, **at):
+    """What one access returns or raises, and the frames' bytes and
+    capabilities and the page states it leaves."""
+    try:
+        result = space.check_and_access(1, cap, kind, payload, width=width, **at)
+    except FaultError as err:
+        result = err.fault
+    except SimInternalError as err:
+        result = str(err)
+    frames = frames_of(space, region)
+    state = [(bytes(f.data), f.entries()) for f in frames], list(space._rows[-1].states)
+    return result, state
+
+
+class TestAccessAt:
+    """An access at ``at`` is the access through the capability with its
+    cursor at ``at``: the same value or fault, and the same state after."""
+
+    #: The page-level faults each kind can take, besides ``PAGE_ACCESS``.
+    PAGE_FAULTS = {
+        AccessKind.READ_INT: {FaultKind.CAP_LOAD},
+        AccessKind.WRITE: {FaultKind.PAGE_WRITE},
+        AccessKind.CAP_LOAD: {FaultKind.CAP_LOAD},
+        AccessKind.CAP_STORE: {FaultKind.PAGE_WRITE},
+        AccessKind.EXEC: {FaultKind.CAP_LOAD},
+    }
+
+    @pytest.mark.parametrize("kind", list(AccessKind))
+    def test_an_access_at_an_address_equals_one_through_a_moved_cursor(self, kind):
+        seen = set()
+        for seed in range(300):
+            name = f"{kind.value}-{seed}"
+            rng = random.Random(name)
+            space, region = _two_page_space(rng)
+            cap = _random_cap(rng, region)
+            at = region.base + rng.randrange(-64, 2 * PAGE_SIZE + 64)
+            if rng.random() < 0.4:  # near the page boundary
+                at = region.base + PAGE_SIZE + rng.randrange(-12, 4)
+            if rng.random() < 0.5:
+                at -= at % GRANULE
+            width = rng.randrange(1, 9)
+            payload = None
+            if kind is AccessKind.WRITE:
+                payload = rng.randbytes(width)
+            elif kind is AccessKind.CAP_STORE:
+                payload = data_cap(region, offset=rng.randrange(64), length=64)
+            # with_cursor refuses a sealed capability, so build the fields.
+            moved = Capability(cap.base, cap.length, at, cap.perms, cap.otype, cap.tag)
+            if cap.otype is None:
+                assert cap.with_cursor(at) == moved
+            twin, _ = _two_page_space(random.Random(name))
+            expected = _outcome(twin, region, moved, kind, payload, width)
+            assert _outcome(space, region, cap, kind, payload, width, at=at) == expected, name
+            result = expected[0]
+            if isinstance(result, Fault):
+                assert result.page_va == at - at % PAGE_SIZE
+                seen.add(result.kind)
+            else:
+                seen.add("crosses a page" if isinstance(result, str) else "done")
+        # The cases reach every check of the pipeline, and get past it.
+        expected = {FaultKind.CAP_TAG, FaultKind.CAP_SEALED, FaultKind.CAP_BOUNDS}
+        expected |= {FaultKind.CAP_PERM, FaultKind.PAGE_ACCESS, "done"}
+        expected |= self.PAGE_FAULTS[kind]
+        if kind not in (AccessKind.CAP_LOAD, AccessKind.CAP_STORE):
+            expected.add("crosses a page")
+        assert seen == expected
 
 
 class TestFaultValues:

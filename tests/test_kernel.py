@@ -4,6 +4,7 @@ import gc
 import sys
 from bisect import bisect_left
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from sasfork.capability import DATA_PERMS, GRANULE, PAGE_SIZE, Capability, Perm
 from sasfork.errors import (
     InvalidInvoke,
     ProcessNotRunning,
+    SealedMutation,
     SimInternalError,
     SyscallError,
     UnknownPid,
@@ -37,6 +39,7 @@ from sasfork.system import System
 from sasfork.workload import run
 from test_acceptance import STALE_DEMO, corpus
 from test_golden import GEN_SLICE, GOLDEN
+from state_digest import state_parts
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -221,6 +224,32 @@ class TestArgumentValidation:
         assert n == 8
         obj = system.files.object_for_fd(proc, fd)
         assert bytes(obj.data) == b"leak!!!!"
+
+    @pytest.mark.parametrize("name", ["write", "read"])
+    def test_a_sealed_buffer_without_isolation_raises_before_any_access(self, name):
+        """Without isolation no check refuses a sealed buffer, and the copy
+        cannot move its cursor: the syscall raises SealedMutation, takes no
+        fault and changes no frame."""
+        system = make_system("none")
+        proc = system.create_initial_process()
+        syscall = partial(system.gateway.syscall, proc.pid)
+        fd = syscall(proc.entry_caps["open"], "open", {"name": "f"})
+        syscall(proc.entry_caps["write"], "write", {"fd": fd, "buf": buffer_cap(proc), "count": 8})
+        sealed = buffer_cap(proc).seal(3)
+        before = state_parts(system)[:2]
+        with pytest.raises(SealedMutation):
+            syscall(proc.entry_caps[name], name, {"fd": fd, "buf": sealed, "count": 8})
+        assert state_parts(system)[:2] == before
+        assert not system.metrics.snapshot().row(proc.pid).faults
+
+    def test_a_sealed_buffer_takes_nothing_from_an_empty_file(self):
+        """A read from an empty file copies no byte, so nothing moves the
+        sealed buffer's cursor and nothing raises."""
+        system = make_system("none")
+        proc = system.create_initial_process()
+        fd = system.gateway.syscall(proc.pid, proc.entry_caps["open"], "open", {"name": "f"})
+        args = {"fd": fd, "buf": buffer_cap(proc).seal(3), "count": 8}
+        assert system.gateway.syscall(proc.pid, proc.entry_caps["read"], "read", args) == 0
 
     def test_an_oversized_count_faults_without_splitting_the_rest(self):
         """Without isolation a gigabyte count on a 64-byte buffer reaches the

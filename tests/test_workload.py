@@ -636,7 +636,8 @@ def traced_steps(text, strategy, isolation, monkeypatch):
     real_step = interpreter._Interpreter._after_step
 
     def access(self, pid, cap, *args, **kwargs):
-        accesses.append(page_of(cap.cursor))
+        # An access lands at its ``at`` address, or at the cursor without one.
+        accesses.append(page_of(kwargs.get("at", cap.cursor)))
         return real_access(self, pid, cap, *args, **kwargs)
 
     def after_step(interp):
@@ -691,6 +692,43 @@ class TestPageEdges:
                     assert [(c.pid, c.page_va) for c in copies] == [(2, p) for p in fresh]
                     copied.update(fresh)
             assert traces["full"] == traces["coa"] == traces["copa"]
+
+
+#: Every access statement, once a word of it crosses the page edge.
+ACCESSES = """
+alloc a 8192
+store_ref a+0 a+4089
+store_int a+4089 5
+load_int a+4089
+expect 5
+load_ref a+0
+deref
+expect 5
+deref 3
+store_int a+24 7
+load_int a+24
+expect 7
+"""
+
+
+def test_an_access_builds_no_capability(monkeypatch):
+    """An access passes its address beside its capability, so only a
+    capability that is a value moves a cursor: the bump cursor that
+    ``alloc`` stores back, and the target that ``store_ref`` stores."""
+    moved = []
+    real = Capability.with_cursor
+
+    def with_cursor(cap, addr):
+        moved.append(addr)
+        return real(cap, addr)
+
+    monkeypatch.setattr(Capability, "with_cursor", with_cursor)
+    result = run(ACCESSES, "copa", "fault", debug=True)
+    monkeypatch.undo()
+    assert result.ok and not result.expect_failures
+    region = result.system.process(1).region
+    heap = parse(ACCESSES).layout_spec().carve(region).heap
+    assert moved == [heap.base + 8192, heap.base + 4089]
 
 
 REUSED = """
