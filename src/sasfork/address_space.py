@@ -338,6 +338,8 @@ class AddressSpace:
 
     def __init__(self, frames: FrameTable):
         self._frames = frames
+        # The live frames by id, which the access pipeline indexes.
+        self._by_id = frames.by_id
         self._next_base = PAGE_SIZE  # address 0 is never reserved
         self._bases: list[int] = []  # each row's base, in address order,
         self._rows: list[_Row] = []  # and the row
@@ -988,8 +990,11 @@ class AddressSpace:
         accesses), capability permissions, then the state of that page.
         An in-bounds access that crosses a page raises
         :class:`SimInternalError` before anything changes; callers split
-        ranges with ``System._page_chunks``.  Raises :class:`FaultError`;
-        resolvable faults may be retried by the caller after resolution.
+        a range that crosses a page with ``system._page_chunks``.  A page
+        whose frame is not in the frame table raises
+        :class:`SimInternalError` naming the frame.  Raises
+        :class:`FaultError`; resolvable faults may be retried by the
+        caller after resolution.
 
         Returns: the integer read (``READ_INT``/``EXEC``), the loaded
         :class:`Capability` (``CAP_LOAD``), or the byte count written.
@@ -1047,7 +1052,10 @@ class AddressSpace:
                 _fault(fault, pid, page_va, kind)
         elif state is _SHARED_COA:
             _fault(_PAGE_ACCESS_FAULT, pid, page_va, kind)
-        frame = self._frames.get(frame_id)
+        try:
+            frame = self._by_id[frame_id]
+        except KeyError:
+            raise SimInternalError(f"frame {frame_id} does not exist") from None
         if not state.cap_load:
             if kind is _CAP_LOAD:
                 _fault(_CAP_LOAD_FAULT, pid, page_va, kind)

@@ -302,11 +302,14 @@ class KernelGateway:
         proc = self._sys.process(pid)
         obj = self._sys.files.object_for_fd(proc, _arg(args, "fd", int))
         count, buf = _arg(args, "count", int), _arg(args, "buf")
-        data = obj.read(count)
+        data = obj.peek(count)
         if self._sys.isolation is IsolationLevel.FULL:
             # Results land in kernel memory first, then copy out.
             self._sys.stash_in_kernel_buffer(data)
         self._sys.write_user_bytes(pid, buf, data)
+        # The offset moves once the bytes have landed, so a copy-out that
+        # fails leaves them to the next read.
+        obj.read_pos += len(data)
         return len(data)
 
     def _sys_write(self, pid: int, args: dict) -> int:

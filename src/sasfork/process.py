@@ -175,8 +175,12 @@ class FileObject:
         self.data += payload
         return len(payload)
 
+    def peek(self, count: int) -> bytes:
+        """The bytes a read of ``count`` returns; the read offset stays."""
+        return bytes(self.data[self.read_pos : self.read_pos + count])
+
     def read(self, count: int) -> bytes:
-        out = bytes(self.data[self.read_pos : self.read_pos + count])
+        out = self.peek(count)
         self.read_pos += len(out)
         return out
 

@@ -21,17 +21,18 @@ faults terminate the access immediately.  An access names its address
 beside its capability (``at``, the cursor by default), as a CHERI load
 names an offset from its capability register: the pipeline checks the
 capability at that address, and the access path builds no capability.
-Byte ranges are split at page boundaries only by ``_page_chunks``, so a
-range gets one access, and at most one fault resolution, per page it
-touches; each page's access takes the capability itself and that page's
-address.  An integer read is built from the pages' integer reads, so a
-word on one page is one access and no bytes.
+A range on one page is one access with its whole width or payload.  Only
+a range that crosses a page is split, at page boundaries, by
+``_page_chunks``, so it gets one access, and at most one fault
+resolution, per page it touches; each page's access takes the capability
+itself and that page's address.  An integer read is the pages' integer
+reads put together, so a word on one page is one access and no bytes.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, KeysView
+from typing import Iterator, KeysView
 
 from .address_space import AccessKind, AddressSpace, FaultError
 from .capability import (
@@ -271,7 +272,8 @@ class System:
         is checked there, as a CHERI load checks its capability at the
         cursor plus an offset, so no caller builds a capability to move a
         cursor.  The access must not cross a page; the bulk helpers below
-        split ranges with :func:`_page_chunks`, one access per page.
+        make a range on one page one access, and split a range that
+        crosses a page with :func:`_page_chunks`, one access per page.
         """
         if at is None:
             at = cap.cursor
@@ -319,21 +321,28 @@ class System:
     # -- bulk user-memory helpers (page-chunked, fault-resolving) ------------------
     #
     # Each takes the capability itself and the address the range starts at
-    # (``cap.cursor`` by default), and gives every page's access that page's
+    # (``cap.cursor`` by default).  A range on one page is one access; a
+    # range that crosses a page gives every page's access that page's
     # address: no chunk builds a capability.  A sealed capability's cursor
     # cannot move, so a range of one byte or more through it raises
     # SealedMutation before any access, as moving its cursor would.
 
     def read_user_int(self, pid: int, cap: Capability, count: int, at: int | None = None) -> int:
-        """The little-endian integer of the ``count`` bytes at ``at``.
+        """The little-endian integer of the ``count`` bytes at ``at``; a
+        count of zero or less reads 0.
 
-        Built from each page's ``READ_INT``, so a word on one page is one
-        access and no bytes.
+        A range on one page is one ``READ_INT`` of its whole width, so a
+        word on one page is one access and no bytes; a range that crosses
+        a page is built from each page's ``READ_INT``.
         """
+        if count <= 0:
+            return 0
         if at is None:
             at = cap.cursor
-        if cap.otype is not None and count > 0:
+        if cap.otype is not None:
             raise SealedMutation("cannot move the cursor of a sealed capability")
+        if count <= PAGE_SIZE - at % PAGE_SIZE:
+            return self.access(pid, cap, _READ_INT, width=count, at=at)
         value = 0
         for va, done, size in _page_chunks(at, count):
             value |= self.access(pid, cap, _READ_INT, width=size, at=va) << 8 * done
@@ -348,13 +357,19 @@ class System:
     def write_user_bytes(
         self, pid: int, cap: Capability, data: bytes, at: int | None = None
     ) -> int:
+        count = len(data)
+        if not count:
+            return 0
         if at is None:
             at = cap.cursor
-        if cap.otype is not None and data:
+        if cap.otype is not None:
             raise SealedMutation("cannot move the cursor of a sealed capability")
-        for va, offset, size in _page_chunks(at, len(data)):
-            self.access(pid, cap, _WRITE, data[offset : offset + size], at=va)
-        return len(data)
+        if count <= PAGE_SIZE - at % PAGE_SIZE:
+            self.access(pid, cap, _WRITE, data, at=at)
+        else:
+            for va, offset, size in _page_chunks(at, count):
+                self.access(pid, cap, _WRITE, data[offset : offset + size], at=va)
+        return count
 
     def stash_in_kernel_buffer(self, data: bytes) -> None:
         """Land a copy-in snapshot in real kernel pages (wrapping)."""
@@ -434,19 +449,12 @@ class System:
             self.fork_engine.reap(proc)
 
 
-def _page_chunks(addr: int, count: int) -> Iterable[tuple[int, int, int]]:
+def _page_chunks(addr: int, count: int) -> Iterator[tuple[int, int, int]]:
     """Split ``count`` bytes from ``addr`` at page boundaries.
 
-    Gives ``(address, offset into the range, size)`` per chunk: a tuple
-    for the common one-chunk range, cheaper than a generator, and a
-    generator otherwise, so a fault on the first page splits no further.
+    Yields ``(address, offset into the range, size)`` per chunk, lazily,
+    so a fault on the first page splits no further.
     """
-    if 0 < count <= PAGE_SIZE - addr % PAGE_SIZE:
-        return ((addr, 0, count),)
-    return _split_at_pages(addr, count)
-
-
-def _split_at_pages(addr: int, count: int) -> Iterator[tuple[int, int, int]]:
     done = 0
     while done < count:
         size = min(count - done, PAGE_SIZE - addr % PAGE_SIZE)

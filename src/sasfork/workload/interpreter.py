@@ -14,7 +14,7 @@ errors (``BadFd``, ``EFAULT``...) are recorded as the statement result
 and execution continues.
 
 A table maps each statement type to its handler, which performs the
-statement and writes the trace event of a success (``_execute`` writes
+statement and writes the trace event of a success (the run loop writes
 a failure's); a blocked ``wait`` writes none.  An event keeps what
 happened, not its text: the pid, the script's own statement tuple and
 the raw result, all immutable and mostly alive anyway.  The trace keeps
@@ -260,17 +260,40 @@ class _Interpreter:
         )
 
     def _run_task(self, task: _Task) -> bool:
-        """Run one task until it yields, blocks, or dies; True if it progressed."""
-        progressed = False
+        """Run one task until it yields, blocks, or dies; True if it progressed.
+
+        Each statement's handler writes the event of a success.  A
+        failure's event is written here, after a fatal fault has also
+        killed the process; ``_emit`` returns None, so a failed statement
+        neither blocks nor yields.
+        """
         proc, stream = task.proc, task.stream
-        while proc.running:
+        if not proc.running:
+            return False
+        progressed = False
+        while True:
             if task.wait_pending:
                 stmt = _IMPLICIT_WAIT
             elif task.ip < len(stream):
                 stmt = stream[task.ip]
             else:
                 stmt = _IMPLICIT_EXIT
-            outcome = self._execute(task, stmt)
+            handler = _HANDLERS.get(type(stmt))
+            if handler is None:
+                raise SimInternalError(f"unhandled statement {stmt!r}")
+            try:
+                outcome = handler(self, task, stmt)
+            except FaultError as err:
+                # Fatal fault: the statement dies, and so does the process.
+                if proc.running:
+                    self.system.fork_engine.exit(proc.pid, FAULT_EXIT_CODE)
+                outcome = self._emit(task, stmt, err.fault.kind.value)
+            except SyscallError as err:
+                outcome = self._emit(task, stmt, err.code)
+            except SimInternalError:
+                raise
+            except SimulatorError as err:
+                outcome = self._emit(task, stmt, type(err).__name__)
             if outcome is _BLOCKED:
                 self._queue.append(proc.pid)
                 return progressed
@@ -285,34 +308,8 @@ class _Interpreter:
             if outcome is _YIELDED:
                 self._queue.append(proc.pid)
                 return True
-        return progressed
 
     # -- statement execution -------------------------------------------------------
-
-    def _execute(self, task: _Task, stmt):
-        """Run one statement; return ``_BLOCKED``, ``_YIELDED`` or None.
-
-        The handler writes the event of a success.  A failure's event is
-        written here, after a fatal fault has also killed the process.
-        """
-        handler = _HANDLERS.get(type(stmt))
-        if handler is None:
-            raise SimInternalError(f"unhandled statement {stmt!r}")
-        try:
-            return handler(self, task, stmt)
-        except FaultError as err:
-            # Fatal fault: the statement dies, and so does the process.
-            result = err.fault.kind.value
-            if task.proc.running:
-                self.system.fork_engine.exit(task.proc.pid, FAULT_EXIT_CODE)
-        except SyscallError as err:
-            result = err.code
-        except SimInternalError:
-            raise
-        except SimulatorError as err:
-            result = type(err).__name__
-        self._emit(task, stmt, result)
-        return None
 
     def _alloc(self, task: _Task, stmt: Alloc) -> None:
         system, proc = self.system, task.proc
@@ -449,7 +446,7 @@ class _Interpreter:
         return self.system.gateway.syscall(proc.pid, proc.entry_caps[name], name, args)
 
 
-#: The handler of each statement type; see :meth:`_Interpreter._execute`.
+#: The handler of each statement type; see :meth:`_Interpreter._run_task`.
 _HANDLERS = {
     Alloc: _Interpreter._alloc,
     StoreInt: _Interpreter._store_int,

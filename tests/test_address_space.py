@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import sasfork.system
 from sasfork.address_space import (
     AccessKind,
     AddressSpace,
@@ -755,6 +756,60 @@ class TestAccessAt:
         if kind not in (AccessKind.CAP_LOAD, AccessKind.CAP_STORE):
             expected.add("crosses a page")
         assert seen == expected
+
+
+class TestOneAccessPerPage:
+    """``System``'s bulk helpers make a range on one page one access, with
+    no split, and a range that crosses a page one access per page."""
+
+    @pytest.mark.parametrize("offset", [0, 4088, 4089, 4092, 4095])
+    def test_a_word_is_one_access_per_page_it_touches(self, offset, monkeypatch):
+        system = System()
+        proc = system.create_initial_process()
+        heap = proc.registers["hp"]
+        at = heap.base + offset
+        word = bytes(range(0xA1, 0xA9))
+        accesses, splits = [], []
+        access, page_chunks = System.access, sasfork.system._page_chunks
+
+        def counted_access(self, pid, cap, kind, payload=None, *, width=8, at=None):
+            accesses.append((kind, at, payload if kind is AccessKind.WRITE else width))
+            return access(self, pid, cap, kind, payload, width=width, at=at)
+
+        def counted_chunks(addr, count):
+            splits.append((addr, count))
+            return page_chunks(addr, count)
+
+        monkeypatch.setattr(System, "access", counted_access)
+        monkeypatch.setattr(sasfork.system, "_page_chunks", counted_chunks)
+        assert system.write_user_bytes(proc.pid, heap, word, at) == 8
+        assert system.read_user_int(proc.pid, heap, 8, at) == int.from_bytes(word, "little")
+        first = PAGE_SIZE - offset
+        if first >= 8:
+            assert splits == []
+            assert accesses == [
+                (AccessKind.WRITE, at, word),
+                (AccessKind.READ_INT, at, 8),
+            ]
+        else:
+            edge = at + first
+            assert splits == [(at, 8), (at, 8)]
+            assert accesses == [
+                (AccessKind.WRITE, at, word[:first]),
+                (AccessKind.WRITE, edge, word[first:]),
+                (AccessKind.READ_INT, at, first),
+                (AccessKind.READ_INT, edge, 8 - first),
+            ]
+        assert system.peek_bytes(at, 8) == word
+
+    def test_a_page_whose_frame_is_gone_is_an_internal_error(self):
+        system = System()
+        proc = system.create_initial_process()
+        heap = proc.registers["hp"]
+        frame_id = system.address_space.entry_at(heap.base).frame_id
+        del system.frames.by_id[frame_id]
+        with pytest.raises(SimInternalError, match=f"^frame {frame_id} does not exist$"):
+            system.address_space.check_and_access(proc.pid, heap, AccessKind.READ_INT)
 
 
 class TestFaultValues:

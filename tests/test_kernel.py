@@ -320,6 +320,36 @@ class TestSyscallSurface:
             b"fromfile", "little"
         )
 
+    @pytest.mark.parametrize(
+        "bad_buffer, fault",
+        [
+            (lambda cap: cap.with_cursor(cap.top + 8), FaultKind.CAP_BOUNDS),
+            (lambda cap: cap.seal(1), None),
+        ],
+        ids=["past_its_bound", "sealed"],
+    )
+    def test_a_failed_read_keeps_the_files_bytes(self, bad_buffer, fault):
+        # Without isolation nothing checks the buffer before the copy-out,
+        # so the copy-out's failure must leave the read offset where it was.
+        system = System("copa", "none")
+        proc = system.create_initial_process()
+        entry = proc.entry_caps["read"]
+        fd = system.gateway.syscall(proc.pid, proc.entry_caps["open"], "open", {"name": "db"})
+        obj = system.files.object_for_fd(proc, fd)
+        obj.write(b"fromfile")
+        buf = buffer_cap(proc, length=64)
+        with pytest.raises(SealedMutation if fault is None else FaultError) as err:
+            system.gateway.syscall(
+                proc.pid, entry, "read", {"fd": fd, "buf": bad_buffer(buf), "count": 8}
+            )
+        if fault is not None:
+            assert err.value.fault.kind is fault
+        assert obj.read_pos == 0
+        args = {"fd": fd, "buf": buf, "count": 8}
+        assert system.gateway.syscall(proc.pid, entry, "read", args) == 8
+        assert obj.read_pos == 8
+        assert system.read_user_bytes(proc.pid, buf, 8) == b"fromfile"
+
     def test_brk_grows_only_within_the_fixed_heap(self):
         system = make_system()
         proc = system.create_initial_process()
